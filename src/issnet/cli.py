@@ -68,14 +68,17 @@ def _resolve_network(conf: dict):
     src = conf.get("network")
     if src is None:
         return None, None
-    if isinstance(src, str):
-        if src.startswith("catalog:"):
-            name, params = catalog.parse_ref(src)
-            return catalog.instantiate(name, params)
-        with open(src) as fh:
-            return catalog.network_from_json(json.load(fh))
-    if isinstance(src, dict):
-        return catalog.network_from_json(src)
+    try:
+        if isinstance(src, str):
+            if src.startswith("catalog:"):
+                name, params = catalog.parse_ref(src)
+                return catalog.instantiate(name, params)
+            with open(src) as fh:
+                return catalog.network_from_json(json.load(fh))
+        if isinstance(src, dict):
+            return catalog.network_from_json(src)
+    except ValueError as e:
+        raise ConfigError(f"cannot build the network: {e}") from e
     raise ConfigError("network must be a catalog ref, a file path, or an object")
 
 

@@ -11,6 +11,15 @@ working window contribute nothing.  Diagonal entries are rejected and every
 row must be finite.  Infinite index sets are handled through a generator
 callback that materializes rows on demand; all computation happens on a
 finite working window with an implicit zero tail.
+
+Two functions apply the operator.  apply_gain_operator is the reference:
+it walks the window's rows and calls every edge curve on one vector.
+apply_batch is the kernel used by the small-gain searches: on first use
+for a window, the graph compiles a plan that holds its linear edges as
+row-sorted (rows, cols, coeffs) arrays, applied to all batch rows at once
+as a gather, a product and a segmented max, and its other edges as a
+per-edge list evaluated without re-validating the input.  Both produce
+the same bits for every input row.
 """
 
 from __future__ import annotations
@@ -145,6 +154,7 @@ class GainGraph:
         self.generator_name = generator_name
         self.generator_params = dict(generator_params or {})
         self._row_cache: dict[int, dict[int, ScalarCurve]] = {}
+        self._plans: dict[tuple, _WindowPlan] = {}
         if not index_set.finite and row_fn is None:
             raise ValueError("generated index sets need a row function")
 
@@ -204,6 +214,51 @@ class GainGraph:
     def neighbors_in(self, i: int, window: Sequence[int]) -> list[int]:
         win = set(window)
         return [j for j in self.row(i) if j in win]
+
+    def _plan(self, window: Sequence[int]) -> "_WindowPlan":
+        key = tuple(window)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _WindowPlan(self, key)
+        return plan
+
+
+class _WindowPlan:
+    """The operator of one graph on one window, compiled for apply_batch.
+
+    Linear edges are stored sorted by row as parallel (rows, cols, coeffs)
+    arrays; the segment of each target row starts at ``starts``.  Only
+    present edges are gathered and multiplied, so an absent edge never
+    contributes a product.  Other curve kinds stay a per-edge list.
+    """
+
+    def __init__(self, graph: GainGraph, window: tuple):
+        idx = [int(i) for i in window]
+        pos = {i: k for k, i in enumerate(idx)}
+        rows, cols, coeffs, self.other = [], [], [], []
+        for k, i in enumerate(idx):
+            for j, g in graph.row(i).items():
+                if j not in pos:
+                    continue
+                if g.kind == "linear":
+                    rows.append(k)
+                    cols.append(pos[j])
+                    coeffs.append(g._pdict()["a"])
+                else:
+                    self.other.append((k, pos[j], g))
+        rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.targets = rows[self.starts]
+
+    def apply(self, b: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(b)
+        out[:, self.targets] = np.maximum.reduceat(
+            b[:, self.cols] * self.coeffs, self.starts, axis=1)
+        for k, j, g in self.other:
+            np.maximum(out[:, k], g._eval(b[:, j]), out=out[:, k])
+        return out
 
 
 @dataclass(frozen=True)
@@ -281,29 +336,31 @@ def apply_gain_operator(graph: GainGraph, s, window: Sequence[int] | None = None
 
     Accepts a NonnegSequence or a plain array plus window; returns the same
     flavor.  Neighbors outside the window contribute zero (gamma fixes 0).
+    This edge-by-edge loop is the reference semantics of the operator;
+    apply_batch must match it bit for bit.
     """
     idx, v, wrapped = _window_and_values(s, window)
-    out = apply_batch(graph, v[None, :], idx)[0]
-    return NonnegSequence(idx, out) if wrapped else out
-
-
-def apply_batch(graph: GainGraph, batch: np.ndarray, window: Sequence[int]) -> np.ndarray:
-    """Vectorized operator application to many sequences at once
-    (batch rows are independent vectors on the same window)."""
-    idx = [int(i) for i in window]
     pos = {i: k for k, i in enumerate(idx)}
-    b = np.asarray(batch, dtype=float)
-    if b.ndim != 2 or b.shape[1] != len(idx):
-        raise ValueError("batch must have shape (m, |window|)")
-    if np.any(b < 0):
-        raise ValueError("sequence entries must be >= 0")
+    b = v[None, :]
     out = np.zeros_like(b)
     for i in idx:
         k = pos[i]
         for j, g in graph.row(i).items():
             if j in pos:
                 np.maximum(out[:, k], g(b[:, pos[j]]), out=out[:, k])
-    return out
+    return NonnegSequence(idx, out[0]) if wrapped else out[0]
+
+
+def apply_batch(graph: GainGraph, batch: np.ndarray, window: Sequence[int]) -> np.ndarray:
+    """Vectorized operator application to many sequences at once
+    (batch rows are independent vectors on the same window), through the
+    graph's compiled plan for the window."""
+    b = np.asarray(batch, dtype=float)
+    if b.ndim != 2 or b.shape[1] != len(window):
+        raise ValueError("batch must have shape (m, |window|)")
+    if not np.all(np.isfinite(b)) or np.any(b < 0):
+        raise ValueError("sequence entries must be finite and >= 0")
+    return graph._plan(window).apply(b)
 
 
 def iterate(graph: GainGraph, s, n: int, window: Sequence[int] | None = None):

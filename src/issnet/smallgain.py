@@ -9,8 +9,10 @@ Three complementary checks on the gain operator:
   monotone bound curve xi_hat.
 * falsify_mbi hunts for a vector v violating the claimed monotone bound
   ||v|| <= xi(||w||) with w the smallest slack making v <= Gamma(v) + w
-  pointwise.  Witnesses are revalidated one component at a time before
-  being returned, so a reported witness is exact, not a batch artifact.
+  pointwise.  Candidates are screened with the batch kernel apply_batch;
+  a hit is revalidated with the reference operator apply_gain_operator,
+  which walks the edges one at a time and never uses the compiled plan,
+  so a reported witness is exact, not a batch artifact.
 * finite_cycle_check enumerates simple cycles of a finite window and folds
   the gains along each cycle; every folded composition must stay below the
   identity.  For max-type operators this cycle screen is the classical
@@ -26,7 +28,9 @@ of v -> Gamma(v) + r*ones dominates every solution of v <= Gamma(v) + w
 with ||w|| <= r once the cycle screen passes, so its normalized profile
 is the extremal sphere pattern.  With these seeds the deficit estimate
 and the falsifier agree on linear-gain graphs instead of bracketing the
-true bound from opposite sides.
+true bound from opposite sides.  The fixed-point iterations of all radii
+run as one batch, one apply_batch call per step; radii that exhaust the
+iteration budget without converging are counted in SGCReport.unconverged.
 """
 
 from __future__ import annotations
@@ -106,47 +110,45 @@ def _sphere_patterns(n: int, n_random: int, rng) -> np.ndarray:
 
 def _extremal_directions(graph: GainGraph, window: tuple,
                          radii: Sequence[float],
-                         max_iter: int = 500) -> np.ndarray:
+                         max_iter: int = 500) -> tuple[np.ndarray, int]:
     """Normalized fixed points of v -> Gamma(v) + r*ones, one per radius.
 
-    The iteration starts at r*ones and increases monotonically; it is cut
-    off when the sup norm stops moving or exceeds a blow-up guard (a sign
-    the small-gain condition fails, in which case other patterns already
-    expose a nonpositive deficit).  Unconverged iterates are still valid
-    sphere patterns, just not extremal ones.
+    All radii iterate together as the rows of one batch; a row leaves the
+    batch when its step stops moving the iterate, when it exceeds a blow-up
+    guard (a sign the small-gain condition fails, in which case other
+    patterns already expose a nonpositive deficit; the row is dropped), or
+    after max_iter steps.  Each row follows exactly the steps it would take
+    on its own.  Unconverged iterates are still valid sphere patterns, just
+    not extremal ones; their number is returned next to the patterns.
     """
     n = len(window)
-    out = []
-    for r in radii:
-        w = np.full(n, float(r))
-        v = w.copy()
-        for _ in range(max_iter):
-            g = apply_gain_operator(graph, v, window)
-            g = g.values if isinstance(g, NonnegSequence) else np.asarray(g, float)
-            nxt = g + w
-            if float(np.max(nxt)) > 1e9 * r:
-                v = None
-                break
-            if float(np.max(np.abs(nxt - v))) <= 1e-13 * max(1.0, float(np.max(nxt))):
-                v = nxt
-                break
-            v = nxt
-        if v is None:
-            continue
-        peak = float(np.max(v))
-        if peak > 0.0:
-            out.append(v / peak)
-    if not out:
-        return np.empty((0, n))
-    return np.array(out)
+    r = np.asarray(radii, dtype=float)
+    w = np.repeat(r[:, None], n, axis=1)
+    v = w.copy()
+    kept = np.ones(r.size, dtype=bool)
+    active = np.arange(r.size)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        prev = v[active]
+        nxt = apply_batch(graph, prev, window) + w[active]
+        peak = np.max(nxt, axis=1)
+        blown = peak > 1e9 * r[active]
+        done = np.max(np.abs(nxt - prev), axis=1) <= 1e-13 * np.maximum(1.0, peak)
+        v[active] = nxt
+        kept[active[blown]] = False
+        active = active[~(blown | done)]
+    peak = np.max(v, axis=1)
+    keep = kept & (peak > 0.0)
+    return v[keep] / peak[keep, None], int(active.size)
 
 
 def _append_new_rows(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    fresh = [row for row in extra
-             if not np.any(np.all(base == row, axis=1))]
-    if not fresh:
+    """base followed by the rows of extra that equal no row of base."""
+    seen = np.any(np.all(extra[:, None, :] == base[None, :, :], axis=2), axis=1)
+    if np.all(seen):
         return base
-    return np.vstack([base, np.array(fresh)])
+    return np.vstack([base, extra[~seen]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +164,19 @@ class SGCReport:
     witnesses: tuple             # per-radius argmin points (tuples)
     samples_per_radius: int
     seed: int
+    unconverged: int = 0         # radii whose extremal iteration hit max_iter
 
     def summary(self) -> str:
         verdict = "holds" if self.holds else "FAILS"
         worst = min(self.deficits)
-        return (f"uniform small-gain estimate: {verdict}; "
+        text = (f"uniform small-gain estimate: {verdict}; "
                 f"worst deficit {worst:.6g} over radii "
                 f"[{self.radii[0]:g}, {self.radii[-1]:g}], "
                 f"{self.samples_per_radius} samples per radius")
+        if self.unconverged:
+            text += (f"; {self.unconverged} of {len(self.radii)} extremal "
+                     f"fixed-point iterations did not converge")
+        return text
 
 
 def estimate_uniform_sgc(graph: GainGraph,
@@ -195,8 +202,8 @@ def estimate_uniform_sgc(graph: GainGraph,
         radii = np.geomspace(1e-2, 1e2, 9)
     radii = tuple(float(r) for r in radii)
     rng = derived_rng(seed, "sgc", n)
-    patterns = _append_new_rows(_sphere_patterns(n, n_random, rng),
-                                _extremal_directions(graph, window, radii))
+    dirs, unconverged = _extremal_directions(graph, window, radii)
+    patterns = _append_new_rows(_sphere_patterns(n, n_random, rng), dirs)
 
     mins, worst_points = [], []
     for r in radii:
@@ -218,7 +225,7 @@ def estimate_uniform_sgc(graph: GainGraph,
         eta_hat = make_strictly_increasing(pwl(zip(br, vals), "K"))
         xi_hat = invert_k_curve(eta_hat)
     return SGCReport(window, radii, tuple(mins), holds, eta_hat, xi_hat,
-                     tuple(worst_points), patterns.shape[0], seed)
+                     tuple(worst_points), patterns.shape[0], seed, unconverged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +277,7 @@ def falsify_mbi(graph: GainGraph,
     levels = np.geomspace(norm_range[0], norm_range[1], 24)
     # amplified profiles go right after the all-ones row so a small budget
     # cannot slice them away before they are ever tried
-    dirs = _extremal_directions(graph, window, levels)
+    dirs, _ = _extremal_directions(graph, window, levels)
     used = 0
     first = True
     while used < budget:

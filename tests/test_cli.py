@@ -242,6 +242,19 @@ def test_simulate_needs_a_network(run_cli, capsys):
     assert "network" in capsys.readouterr().err
 
 
+def test_unknown_catalog_entry_is_a_config_error(run_cli, capsys):
+    code, _ = run_cli("gains-check", {"network": "catalog:nope", "seed": 1})
+    assert code == 2
+    assert "unknown catalog entry" in capsys.readouterr().err
+
+
+def test_out_of_range_catalog_parameter_is_a_config_error(run_cli, capsys):
+    code, _ = run_cli("gains-check",
+                      {"network": "catalog:uniform-2-cycle?a=2", "seed": 1})
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -86,7 +86,7 @@ def test_apply_batch_matches_rowwise(cycle_graph):
     got = apply_batch(cycle_graph, batch, (0, 1))
     for row_in, row_out in zip(batch, got):
         one = apply_gain_operator(cycle_graph, row_in, (0, 1))
-        assert np.allclose(row_out, one)
+        assert np.array_equal(row_out, one)
 
 
 def test_max_aggregation_uses_largest_neighbor():
