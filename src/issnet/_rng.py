@@ -2,8 +2,8 @@
 
 All randomness in the library flows from a single integer job seed.  Child
 generators are derived from (seed, *tags) through sha256, never from global
-state, so parallel fan-out and re-runs reproduce bit-identical streams on
-every platform.  The builtin hash() is salted per process and must not be
+state, so re-runs reproduce bit-identical streams in any evaluation order
+and on every platform.  The builtin hash() is salted per process and must not be
 used here.
 """
 

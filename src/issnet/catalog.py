@@ -22,6 +22,7 @@ closed forms the test suite compares against:
 
 from __future__ import annotations
 
+import ast
 import urllib.parse
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -427,13 +428,50 @@ _SAFE_FUNCS = {
 }
 
 
+_EXPR_NODES = (ast.Expression, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp,
+               ast.BoolOp, ast.Compare, ast.IfExp, ast.operator, ast.unaryop,
+               ast.boolop, ast.cmpop)
+
+
+def _allowed_node(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Call):
+        # arguments are checked as nodes of their own; keyword and starred
+        # arguments are not in the whitelist
+        return isinstance(node.func, ast.Name) \
+            and callable(_SAFE_FUNCS.get(node.func.id))
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.value, ast.Name) and node.value.id == "w" \
+            and isinstance(node.slice, ast.Constant) \
+            and type(node.slice.value) is int
+    return isinstance(node, _EXPR_NODES)
+
+
 def _compile_dynamics(expr: str):
-    """Restricted arithmetic expression in x, w, u.  Only for configs the
-    operator already trusts; no builtins are exposed."""
-    code = compile(expr, "<subsystem-expression>", "eval")
-    for name in code.co_names:
-        if name not in _SAFE_FUNCS and name not in ("x", "w", "u"):
+    """Restricted arithmetic expression in x, w, u.
+
+    The syntax tree is a whitelist: the names x, w, u and the helpers in
+    _SAFE_FUNCS, int and float constants, arithmetic, comparison, boolean
+    and conditional expressions, positional calls to the helpers, and
+    w[<int>].  Anything else raises ValueError; no builtins are exposed.
+    """
+    try:
+        tree = ast.parse(expr, "<subsystem-expression>", mode="eval")
+    except SyntaxError as e:
+        raise ValueError(f"expression {expr!r} is not valid: {e.msg}") from None
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Name)
+                and node.id not in _SAFE_FUNCS and node.id not in ("x", "w", "u")):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id
             raise ValueError(f"expression uses disallowed name {name!r}")
+    for node in nodes:
+        if not _allowed_node(node):
+            raise ValueError(f"expression uses disallowed syntax "
+                             f"{ast.unparse(node)!r}")
+    code = compile(tree, "<subsystem-expression>", "eval")
 
     def dyn(x, w, u):
         return float(eval(code, {"__builtins__": {}},

@@ -25,12 +25,11 @@ All limit quantities are replaced by finite-horizon tail sups with the
 decay across tail starts recorded as convergence evidence; certificates
 are empirical statements about the sampled ensembles, never proofs.
 Randomness flows from a single job seed through documented tags, so runs
-are reproducible and parallel fan-out cannot change results.
+are reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -123,18 +122,14 @@ def _members_for_bin(net, window, r_x, r_u, cfg, job_seed, tag):
     n = len(window)
     domain = net.time_domain
     out = []
-
-    def const_u(level):
-        return InputSignal.constant(level) if level != 0 else InputSignal.zero()
-
     ones = np.full(n, float(r_x))
-    out.append(("ones+const", ones, const_u(r_u)))
+    out.append(("ones+const", ones, InputSignal.constant(r_u)))
     if r_u > 0:
         out.append(("ones+zero", ones, InputSignal.zero()))
-        out.append(("zero+const", np.zeros(n), const_u(r_u)))
+        out.append(("zero+const", np.zeros(n), InputSignal.constant(r_u)))
     if r_x > 0 and n > 1:
         alt = float(r_x) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        out.append(("alt+const", alt, const_u(r_u)))
+        out.append(("alt+const", alt, InputSignal.constant(r_u)))
     for k in range(cfg.n_random):
         seed = [job_seed, tag, "rx", float(r_x), "ru", float(r_u), "m", k]
         rng = derived_rng(*seed)
@@ -147,45 +142,29 @@ def _members_for_bin(net, window, r_x, r_u, cfg, job_seed, tag):
     return out
 
 
-def _simulate_member(net, window, x0, u, cfg):
-    return simulate(net, window, x0, u, cfg.horizon, dt=cfg.dt)
-
-
 def build_ensemble(net: NetworkSpec,
                    window: Sequence[int],
                    bins: Sequence[tuple[float, float]],
                    cfg: EnsembleConfig,
                    seed: int,
-                   tag: str = "fit",
-                   threads: int = 1) -> list[LabeledRun]:
-    """Simulate the member family for every (r_x, r_u) bin.
+                   tag: str = "fit") -> list[LabeledRun]:
+    """Simulate the member family for every (r_x, r_u) bin, in bin order.
 
     Seeds derive from (seed, tag, bin, member index), so the same call is
-    reproducible and thread fan-out cannot reorder results.
+    reproducible.  The first member that blows up raises.
     """
     window = tuple(window)
-    jobs = []
+    runs = []
     for r_x, r_u in bins:
         for name, x0, u in _members_for_bin(net, window, r_x, r_u, cfg, seed, tag):
-            jobs.append((r_x, r_u, name, x0, u))
-
-    def run(job):
-        r_x, r_u, name, x0, u = job
-        traj = _simulate_member(net, window, x0, u, cfg)
-        return LabeledRun(traj, float(r_x), float(r_u),
-                          u.sup_norm(), name, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, jobs))
-    else:
-        runs = [run(j) for j in jobs]
-    for run_ in runs:
-        if run_.trajectory.blowup is not None:
-            raise CertificationError(
-                f"trajectory blow-up at t={run_.trajectory.blowup.time:g} "
-                f"in member {run_.member!r} of bin "
-                f"(r_x={run_.r_x:g}, r_u={run_.r_u:g}), seed {seed}")
+            traj = simulate(net, window, x0, u, cfg.horizon, dt=cfg.dt)
+            if traj.blowup is not None:
+                raise CertificationError(
+                    f"trajectory blow-up at t={traj.blowup.time:g} "
+                    f"in member {name!r} of bin "
+                    f"(r_x={float(r_x):g}, r_u={float(r_u):g}), seed {seed}")
+            runs.append(LabeledRun(traj, float(r_x), float(r_u),
+                                   u.sup_norm(), name, seed))
     return runs
 
 
@@ -328,8 +307,7 @@ def estimate_attainment_times(net: NetworkSpec,
                               radii: Sequence[float],
                               gamma_hat: ScalarCurve,
                               cfg: EnsembleConfig,
-                              seed: int,
-                              threads: int = 1) -> AttainmentTable:
+                              seed: int) -> AttainmentTable:
     """Earliest time after which each component stays below each level.
 
     For every member with ||x0|| <= r and ||u|| <= r, the component's tail
@@ -350,7 +328,7 @@ def estimate_attainment_times(net: NetworkSpec,
         lv = level_map[r]
         bins = [(r, r), (r, 0.5 * r), (r, 0.0)] if r > 0 else [(0.0, 0.0)]
         runs = build_ensemble(net, window, bins, cfg, seed,
-                              tag=f"attain:{r:g}", threads=threads)
+                              tag=f"attain:{r:g}")
         if not runs:
             raise ValueError("empty ensemble")
         tab = np.zeros((len(lv), len(window)))
@@ -593,14 +571,10 @@ def _band_members(net, window, r, lo, hi, cfg, seed, tag):
     domain = net.time_domain
     out = []
     ones = np.full(n, float(r))
-
-    def const(level):
-        return InputSignal.constant(level) if level != 0 else InputSignal.zero()
-
-    out.append(("ones+top", ones, const(hi)))
+    out.append(("ones+top", ones, InputSignal.constant(hi)))
     if lo < hi:
-        out.append(("ones+bottom", ones, const(lo)))
-    out.append(("zero+top", np.zeros(n), const(hi)))
+        out.append(("ones+bottom", ones, InputSignal.constant(lo)))
+    out.append(("zero+top", np.zeros(n), InputSignal.constant(hi)))
     for k in range(cfg.n_random):
         rng = derived_rng(seed, tag, float(r), float(lo), float(hi), "m", k)
         x0 = float(r) * (2.0 * rng.random(n) - 1.0)
@@ -619,8 +593,7 @@ def compute_band_limsups(net: NetworkSpec,
                          cfg: EnsembleConfig,
                          tail_starts: Sequence[float],
                          seed: int,
-                         q: float | None = None,
-                         threads: int = 1) -> BandEntry:
+                         q: float | None = None) -> BandEntry:
     """Tail-sup estimates over one input band or small-input cell.
 
     Band k means ||u|| in [2^-k r, 2^(1-k) r]; passing q instead bounds
@@ -651,26 +624,15 @@ def compute_band_limsups(net: NetworkSpec,
         members = [(name, x0, InputSignal.zero())
                    for name, x0, _u in members]
 
-    def run(m):
-        _name, x0, u = m
-        return _simulate_member(net, window, x0, u, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajs = list(pool.map(run, members))
-    else:
-        trajs = [run(m) for m in members]
-
     y = np.zeros((len(tail_starts), len(window)))
-    for traj in trajs:
+    for _name, x0, u in members:
+        traj = simulate(net, window, x0, u, cfg.horizon, dt=cfg.dt)
         if traj.blowup is not None:
             raise CertificationError(
                 f"trajectory blow-up at t={traj.blowup.time:g} in band cell "
                 f"(r={r:g}, {tag}), seed {seed}")
-        suffix = _suffix_max(np.abs(traj.states))
-        idx = np.searchsorted(traj.times, tail_starts, side="left")
-        idx = np.clip(idx, 0, len(traj.times) - 1)
-        y = np.maximum(y, suffix[idx])
+        y = np.maximum(y, tail_limsup_estimate(traj.times, np.abs(traj.states),
+                                               tail_starts))
     return BandEntry(float(r), k, q, (lo, hi), tail_starts, y,
                      len(members), seed)
 
@@ -721,19 +683,20 @@ def verify_sg_inequality(trace: ProofTrace,
 
 
 def tail_limsup_estimate(times, values, tail_starts) -> np.ndarray:
-    """Suffix sups of a sampled scalar signal at the given tail starts.
+    """Suffix sups of a sampled signal at the given tail starts.
 
-    The value at the largest start estimates the limiting tail value; the
-    decay across starts is the convergence evidence.  Reindexing the starts
-    through any unbounded increasing map leaves the limit unchanged, which
-    is what makes the finite surrogate meaningful.
+    values is 1-D or (len(times), n); sups run along axis 0, so row m of a
+    2-D result holds each column's sup from tail_starts[m] on.  The value at
+    the largest start estimates the limiting tail value; the decay across
+    starts is the convergence evidence.  Reindexing the starts through any
+    unbounded increasing map leaves the limit unchanged, which is what
+    makes the finite surrogate meaningful.
     """
     times = np.asarray(times, float)
     values = np.asarray(values, float)
-    suffix = np.flip(np.maximum.accumulate(np.flip(values)))
     idx = np.clip(np.searchsorted(times, np.asarray(tail_starts, float),
                                   side="left"), 0, len(values) - 1)
-    return suffix[idx]
+    return _suffix_max(values)[idx]
 
 
 def uniformity_probe(net: NetworkSpec,

@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from . import catalog
-from .certify import (CertificationError, EnsembleConfig, ProofTrace,
+from .certify import (DEFAULT_BANDS, DEFAULT_DEPTH, DEFAULT_RADII,
+                      CertificationError, EnsembleConfig, ProofTrace,
                       build_ensemble, build_nonuniform_iss,
                       compute_band_limsups, estimate_attainment_times,
                       fit_ugs, trace_to_csv, uniform_from_nonuniform,
@@ -83,18 +84,28 @@ def _resolve_network(conf: dict):
 
 
 def _resolve_window(net: NetworkSpec | None, conf: dict, graph=None):
+    """Window from the config: a positive size, or labels of the index set."""
+    index_set = (net if net is not None else graph).index_set
     w = conf.get("window")
     if w is None:
-        index_set = net.index_set if net is not None else (
-            graph.index_set if graph is not None else None)
-        if index_set is not None and index_set.finite:
+        if index_set.finite:
             return index_set.window()
         raise ConfigError("window (size or label list) is required")
     if isinstance(w, int):
-        source = net if net is not None else graph
-        return source.index_set.window(w) if hasattr(source, "index_set") \
-            else source.window(w)
-    return tuple(int(i) for i in w)
+        if w <= 0:
+            raise ConfigError(f"window size must be positive, got {w}")
+        return index_set.window(w)
+    try:
+        labels = tuple(int(i) for i in w)
+    except (TypeError, ValueError):
+        raise ConfigError(f"window must be a size or a label list, got {w!r}")
+    if not labels or len(set(labels)) != len(labels):
+        raise ConfigError(f"window labels must be nonempty and distinct, "
+                          f"got {list(labels)}")
+    outside = [i for i in labels if i not in index_set]
+    if outside:
+        raise ConfigError(f"window labels {outside} outside the index set")
+    return labels
 
 
 def _resolve_seed(conf: dict, args) -> int:
@@ -122,25 +133,16 @@ def _jsonable(obj):
 
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, text)
 
-
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as fh:
+    def write(tmp):
+        with open(tmp, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    _atomic_write(path, write)
 
 
-def _atomic_csv(path: str, writer) -> None:
-    """Run a path-taking CSV writer against a sibling temp file, then swap."""
+def _atomic_write(path: str, writer) -> None:
+    """Run a path-taking writer against a sibling temp file, then swap."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
@@ -288,8 +290,8 @@ def cmd_simulate(args) -> int:
     dt = conf.get("dt")
 
     traj = simulate(net, window, x0, u, horizon, dt=dt)
-    _atomic_csv(_out_path(args, conf, "trajectory.csv"),
-                lambda p: write_trajectory_csv(traj, p))
+    _atomic_write(_out_path(args, conf, "trajectory.csv"),
+                  lambda p: write_trajectory_csv(traj, p))
 
     sups = traj.sup_norms()
     probes = []
@@ -342,22 +344,20 @@ def _ensemble_config(conf: dict) -> EnsembleConfig:
                           input_pieces=int(e.get("input_pieces", 4)))
 
 
-def _run_certify(net, window, conf, seed, threads):
+def _run_certify(net, window, conf, seed):
     """Shared pipeline behind certify and subnetwork.
 
     Returns (payload, cert, holdout_runs); raises CertificationError with a
     reproducer in the message on any certified failure.
     """
     cfg = _ensemble_config(conf)
-    radii = tuple(float(r) for r in conf.get("radii", (0.25, 0.5, 1.0, 2.0, 4.0)))
-    depth = int(conf.get("depth", 10))
+    radii = tuple(float(r) for r in conf.get("radii", DEFAULT_RADII))
+    depth = int(conf.get("depth", DEFAULT_DEPTH))
 
     bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
         + [(r, r) for r in radii]
-    fit_runs = build_ensemble(net, window, bins, cfg, seed, tag="fit",
-                              threads=threads)
-    hold_runs = build_ensemble(net, window, bins, cfg, seed, tag="holdout",
-                               threads=threads)
+    fit_runs = build_ensemble(net, window, bins, cfg, seed, tag="fit")
+    hold_runs = build_ensemble(net, window, bins, cfg, seed, tag="holdout")
     ugs = fit_ugs(fit_runs, holdout=hold_runs)
 
     levels = {r: np.array([float(ugs.sigma(r)) * 2.0 ** (-n)
@@ -365,7 +365,7 @@ def _run_certify(net, window, conf, seed, threads):
     gamma_hat = curve_from_json(conf["gamma_hat"]) if "gamma_hat" in conf \
         else ugs.gamma
     attain = estimate_attainment_times(net, window, levels, radii, gamma_hat,
-                                       cfg, seed, threads=threads)
+                                       cfg, seed)
     cert = build_nonuniform_iss(attain, ugs, hold_runs, gamma_hat,
                                 tol_abs=float(conf.get("tol_abs", 1e-6)),
                                 tol_rel=float(conf.get("tol_rel", 1e-3)))
@@ -386,8 +386,7 @@ def cmd_certify(args) -> int:
         raise ConfigError("certify needs a \"network\"")
     window = _resolve_window(net, conf)
     try:
-        payload, cert, hold_runs = _run_certify(net, window, conf, seed,
-                                                args.threads)
+        payload, cert, hold_runs = _run_certify(net, window, conf, seed)
     except CertificationError as e:
         _write_json(_out_path(args, conf, "certificate.json"),
                     {"error": str(e), "seed": seed})
@@ -441,8 +440,8 @@ def cmd_trace_theorem1(args) -> int:
         raise ConfigError("trace needs a network with a gain graph")
     window = _resolve_window(net, conf)
     cfg = _ensemble_config(conf)
-    radii = tuple(float(r) for r in conf.get("radii", (0.25, 0.5, 1.0, 2.0, 4.0)))
-    bands = tuple(int(k) for k in conf.get("bands", range(1, 9)))
+    radii = tuple(float(r) for r in conf.get("radii", DEFAULT_RADII))
+    bands = tuple(int(k) for k in conf.get("bands", DEFAULT_BANDS))
     fractions = conf.get("tail_fractions", (0.35, 0.55, 0.75, 0.93))
     tail_starts = [float(f) * cfg.horizon for f in fractions]
     tol = float(conf.get("tol", 1e-6))
@@ -452,14 +451,13 @@ def cmd_trace_theorem1(args) -> int:
         for r in radii:
             for k in bands:
                 entries.append(compute_band_limsups(
-                    net, window, r, k, cfg, tail_starts, seed,
-                    threads=args.threads))
+                    net, window, r, k, cfg, tail_starts, seed))
             q = conf.get("small_cap")
             if q is None:
                 q = 2.0 ** (-max(bands)) * r
             entries.append(compute_band_limsups(
                 net, window, r, None, cfg, tail_starts, seed,
-                q=float(q), threads=args.threads))
+                q=float(q)))
         trace = ProofTrace(tuple(window), tuple(entries), cfg.horizon, seed)
         xi = _resolve_xi(conf, oracle, net.graph, window, seed)
     except CertificationError as e:
@@ -478,8 +476,8 @@ def cmd_trace_theorem1(args) -> int:
                  for (r, k, q, level, cm, nm, p) in report.rows],
     }
     _write_json(_out_path(args, conf, "proof_trace.json"), payload)
-    _atomic_csv(_out_path(args, conf, "proof_trace.csv"),
-                lambda p: trace_to_csv(trace, p))
+    _atomic_write(_out_path(args, conf, "proof_trace.csv"),
+                  lambda p: trace_to_csv(trace, p))
     if not report.all_passed:
         bad = [row for row in report.rows if not row[6]]
         print(f"small-gain inequality failed on {len(bad)} of "
@@ -502,7 +500,10 @@ def cmd_subnetwork(args) -> int:
     if not subset:
         raise ConfigError("subnetwork needs a nonempty \"subset\" of labels")
     subset = tuple(int(i) for i in subset)
-    sub = subnetwork(net, subset)
+    try:
+        sub = subnetwork(net, subset)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
     payload: dict = {"seed": seed, "subset": list(subset)}
     ok = True
@@ -528,8 +529,7 @@ def cmd_subnetwork(args) -> int:
         ok = ok and gains_ok
 
     try:
-        cert_payload, cert, hold_runs = _run_certify(sub, subset, conf, seed,
-                                                     args.threads)
+        cert_payload, cert, hold_runs = _run_certify(sub, subset, conf, seed)
     except CertificationError as e:
         payload["certificate"] = {"error": str(e)}
         _write_json(_out_path(args, conf, "subnetwork.json"), payload)
@@ -576,8 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ensemble fan-out; never changes results")
     return parser
 
 

@@ -211,10 +211,6 @@ class GainGraph:
             out = curve_max(out, self.external_gain(i), grid=grid)
         return out
 
-    def neighbors_in(self, i: int, window: Sequence[int]) -> list[int]:
-        win = set(window)
-        return [j for j in self.row(i) if j in win]
-
     def _plan(self, window: Sequence[int]) -> "_WindowPlan":
         key = tuple(window)
         plan = self._plans.get(key)

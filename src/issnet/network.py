@@ -22,7 +22,7 @@ import numpy as np
 
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
 from .systems import (DEFAULT_BLOWUP_BOUND, BlowUp, InputSignal, SubsystemSpec,
-                      TimeDomain, Trajectory)
+                      TimeDomain, Trajectory, _rk4_step)
 
 __all__ = [
     "NetworkSpec",
@@ -159,7 +159,6 @@ def _simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
     if net.time_domain.kind == "discrete":
         steps = int(round(horizon))
         times = np.arange(steps + 1, dtype=float)
-        h = 1.0
         stepper = lambda xk, t0: f(xk, _u_vector(u, t0, t0 + 1.0, n))
     else:
         if dt is None:
@@ -168,15 +167,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
             raise ValueError("continuous simulation needs dt > 0")
         steps = int(round(horizon / dt))
         times = dt * np.arange(steps + 1)
-        h = dt
-
-        def stepper(xk, t0, _dt=dt):
-            uv = _u_vector(u, t0, t0 + _dt, n)
-            k1 = f(xk, uv)
-            k2 = f(xk + 0.5 * _dt * k1, uv)
-            k3 = f(xk + 0.5 * _dt * k2, uv)
-            k4 = f(xk + _dt * k3, uv)
-            return xk + (_dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stepper = lambda xk, t0: _rk4_step(f, xk, dt,
+                                           _u_vector(u, t0, t0 + dt, n))
 
     states = np.empty((steps + 1, n))
     states[0] = x

@@ -274,6 +274,15 @@ def step_discrete(spec: SubsystemSpec, x: float, w: np.ndarray, u: float) -> flo
     return float(spec.dynamics(float(x), np.asarray(w, float), float(u)))
 
 
+def _rk4_step(f, x, h, *args):
+    """One classical RK4 step of x' = f(x, *args), the args held over it."""
+    k1 = f(x, *args)
+    k2 = f(x + 0.5 * h * k1, *args)
+    k3 = f(x + 0.5 * h * k2, *args)
+    k4 = f(x + h * k3, *args)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
                   u: InputSignal, horizon: float, dt: float,
                   blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> Trajectory:
@@ -298,11 +307,7 @@ def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
         t0 = times[k]
         wk = zeros_w if w is None else np.atleast_1d(w.step_value(t0, t0 + dt))
         uk = float(u.step_value(t0, t0 + dt))
-        k1 = f(x, wk, uk)
-        k2 = f(x + 0.5 * dt * k1, wk, uk)
-        k3 = f(x + 0.5 * dt * k2, wk, uk)
-        k4 = f(x + dt * k3, wk, uk)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(f, x, dt, wk, uk)
         vals[k + 1] = x
         if not np.isfinite(x) or abs(x) > blowup_bound:
             return Trajectory(times[:k + 2], vals[:k + 2],

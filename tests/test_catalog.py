@@ -183,6 +183,14 @@ def test_expression_whitelist_blocks_escapes():
         obj["subsystems"][1]["expr"] = expr
         with pytest.raises(ValueError, match="disallowed name"):
             network_from_json(obj)
+    # the whitelist covers the whole syntax tree, not just top-level names
+    for expr in ("(lambda: (2.0).__abs__())() * x",
+                 "(2.0).__abs__() * x",
+                 "[x for x in w][0] * x"):
+        obj = _toy_obj()
+        obj["subsystems"][1]["expr"] = expr
+        with pytest.raises(ValueError, match="disallowed"):
+            network_from_json(obj)
 
 
 def test_expression_math_helpers_work():

@@ -278,6 +278,19 @@ def test_tail_limsup_sees_late_spikes():
     assert est[0] == 3.0 and est[1] == 3.0 and est[2] == 0.0
 
 
+def test_tail_limsup_on_columns_matches_the_scalar_call():
+    rng = np.random.default_rng(4)
+    times = np.cumsum(rng.uniform(0.1, 1.0, 60))
+    values = rng.standard_normal((60, 5))
+    tails = [times[0] - 1.0, times[7], 0.5 * (times[30] + times[31]),
+             times[-1], times[-1] + 1.0]
+    est = tail_limsup_estimate(times, values, tails)
+    cols = np.stack([tail_limsup_estimate(times, values[:, c], tails)
+                     for c in range(values.shape[1])], axis=1)
+    assert est.shape == (len(tails), 5)
+    assert np.array_equal(est, cols)
+
+
 def test_tail_limsup_is_clock_invariant():
     # the limiting value depends on the sample sequence, not on how the
     # sampling times are spread out

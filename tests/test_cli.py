@@ -255,6 +255,43 @@ def test_out_of_range_catalog_parameter_is_a_config_error(run_cli, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window, message", [
+    ([0, 99], "outside the index set"),
+    ([1, 1, 2], "distinct"),
+    ([], "nonempty"),
+])
+def test_bad_window_label_list_is_a_config_error(run_cli, capsys, window, message):
+    code, _ = run_cli("simulate", {"network": "catalog:uniform-2-cycle",
+                                   "window": window, "horizon": 1.0})
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zero_window_on_an_infinite_index_set_is_a_config_error(run_cli, capsys):
+    code, _ = run_cli("simulate", {"network": "catalog:nonuniform-discrete-chain",
+                                   "window": 0, "horizon": 5})
+    assert code == 2
+    assert "window size must be positive" in capsys.readouterr().err
+
+
+def test_subset_label_outside_the_index_set_is_a_config_error(run_cli, capsys):
+    code, _ = run_cli("subnetwork", {"network": "catalog:uniform-2-cycle",
+                                     "subset": [1, 99], "seed": 1,
+                                     "ensemble": {"horizon": 5}})
+    assert code == 2
+    assert "outside the index set" in capsys.readouterr().err
+
+
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"network": "catalog:nonuniform-discrete-chain",
+                               "window": 4, "horizon": 5}))
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--threads", "2"]
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
