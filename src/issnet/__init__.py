@@ -33,8 +33,8 @@ from .smallgain import (MBIWitness, SGCReport, derive_xi_from_eta,
                         operator_deficit)
 from .network import (NetworkSpec, NetworkSystem, NetworkTrajectory,
                       SweepReport, TruncationPolicy, simulate,
-                      simulate_reference, subnetwork, truncation_sweep,
-                      write_trajectory_csv)
+                      simulate_ensemble, simulate_reference, subnetwork,
+                      truncation_sweep, write_trajectory_csv)
 from .certify import (AttainmentTable, BandEntry, CertificationError,
                       EnsembleConfig, LabeledRun, NonUniformISSCertificate,
                       ProofTrace, UGSCertificate, UniformISSCertificate,

@@ -77,6 +77,12 @@ class CatalogEntry:
         return self.build(p)
 
 
+def _pad_zero(x: np.ndarray) -> np.ndarray:
+    """x with one zero appended along the last axis: the slot that window
+    neighbors outside the window read (fast maps take (..., n) arrays)."""
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+
+
 # counterexample-chain ---------------------------------------------------
 
 
@@ -148,8 +154,8 @@ def _build_two_cycle(p):
         other = np.array([pos.get(3 - i, len(window)) for i in window])
 
         def step(x, u):
-            xp = np.append(x, 0.0)
-            return np.maximum(np.maximum(a * x, c * xp[other]), u)
+            xp = _pad_zero(x)
+            return np.maximum(np.maximum(a * x, c * xp[..., other]), u)
 
         return step
 
@@ -207,8 +213,8 @@ def _build_nonuniform_chain(p):
         nxt = np.array([pos.get(i + 1, len(window)) for i in window])
 
         def step(x, u):
-            xp = np.append(x, 0.0)
-            return a * x + b * xp[nxt] + cc * u
+            xp = _pad_zero(x)
+            return a * x + b * xp[..., nxt] + cc * u
 
         return step
 
@@ -285,8 +291,8 @@ def _build_diffusive(p):
         right = np.array([pos.get(i + 1, n) for i in window])
 
         def field(x, u):
-            xp = np.append(x, 0.0)
-            return -x + eps * (xp[left] + xp[right]) + u
+            xp = _pad_zero(x)
+            return -x + eps * (xp[..., left] + xp[..., right]) + u
 
         return field
 

@@ -41,7 +41,7 @@ from .comparison import (KLSurface, ScalarCurve, curve_max, curve_sum,
                          kl_from_decay_table, make_strictly_increasing,
                          scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import NetworkSpec, NetworkTrajectory, simulate
+from .network import NetworkSpec, NetworkTrajectory, simulate, simulate_ensemble
 from .systems import InputSignal
 
 __all__ = [
@@ -150,21 +150,24 @@ def build_ensemble(net: NetworkSpec,
                    tag: str = "fit") -> list[LabeledRun]:
     """Simulate the member family for every (r_x, r_u) bin, in bin order.
 
-    Seeds derive from (seed, tag, bin, member index), so the same call is
-    reproducible.  The first member that blows up raises.
+    All members are stepped together in one ensemble.  Seeds derive from
+    (seed, tag, bin, member index), so the same call is reproducible.  The
+    first member (in bin order) that blows up raises.
     """
     window = tuple(window)
+    family = [(float(r_x), float(r_u), name, x0, u) for r_x, r_u in bins
+              for name, x0, u in _members_for_bin(net, window, r_x, r_u,
+                                                  cfg, seed, tag)]
+    trajs = simulate_ensemble(net, window, [(x0, u) for *_, x0, u in family],
+                              cfg.horizon, dt=cfg.dt)
     runs = []
-    for r_x, r_u in bins:
-        for name, x0, u in _members_for_bin(net, window, r_x, r_u, cfg, seed, tag):
-            traj = simulate(net, window, x0, u, cfg.horizon, dt=cfg.dt)
-            if traj.blowup is not None:
-                raise CertificationError(
-                    f"trajectory blow-up at t={traj.blowup.time:g} "
-                    f"in member {name!r} of bin "
-                    f"(r_x={float(r_x):g}, r_u={float(r_u):g}), seed {seed}")
-            runs.append(LabeledRun(traj, float(r_x), float(r_u),
-                                   u.sup_norm(), name, seed))
+    for (r_x, r_u, name, _x0, u), traj in zip(family, trajs):
+        if traj.blowup is not None:
+            raise CertificationError(
+                f"trajectory blow-up at t={traj.blowup.time:g} "
+                f"in member {name!r} of bin "
+                f"(r_x={r_x:g}, r_u={r_u:g}), seed {seed}")
+        runs.append(LabeledRun(traj, r_x, r_u, u.sup_norm(), name, seed))
     return runs
 
 
@@ -624,9 +627,10 @@ def compute_band_limsups(net: NetworkSpec,
         members = [(name, x0, InputSignal.zero())
                    for name, x0, _u in members]
 
+    trajs = simulate_ensemble(net, window, [(x0, u) for _name, x0, u in members],
+                              cfg.horizon, dt=cfg.dt)
     y = np.zeros((len(tail_starts), len(window)))
-    for _name, x0, u in members:
-        traj = simulate(net, window, x0, u, cfg.horizon, dt=cfg.dt)
+    for traj in trajs:
         if traj.blowup is not None:
             raise CertificationError(
                 f"trajectory blow-up at t={traj.blowup.time:g} in band cell "

@@ -65,8 +65,10 @@ class FiniteIndexSet:
         return i in self.labels
 
     def window(self, n: int | None = None) -> tuple[int, ...]:
-        if n is None or n >= len(self.labels):
+        if n is None:
             return self.labels
+        if n <= 0:
+            raise ValueError("window size must be positive")
         return self.labels[:n]
 
 

@@ -7,9 +7,12 @@ networks update synchronously; continuous networks are integrated
 monolithically with fixed-step RK4 so all components advance through the same
 stages.
 
-Entries may supply a vectorized coupled map for speed; the per-component
-assembly path is the semantic reference and the two are checked against each
-other in the test suite.
+An ensemble of (x0, u) members on one window is stepped together as one
+(members, window) state array, with every member's input evaluated once on
+the step grid; a single run is an ensemble of one.  Entries may supply a
+vectorized coupled map for speed; the per-component assembly path is the
+semantic reference and the two are checked against each other in the test
+suite.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "TruncationPolicy",
     "SweepReport",
     "simulate",
+    "simulate_ensemble",
     "simulate_reference",
     "truncation_sweep",
     "subnetwork",
@@ -44,8 +48,11 @@ class NetworkSpec:
 
     ``subsystem_fn`` must be deterministic in the label.  ``fast_factory``
     optionally maps a window (tuple of labels) to a vectorized coupled map
-    f(x_vec, u_vec) -> update (next state when discrete, derivative when
-    continuous) with zero boundary outside the window.
+    f(x, u) -> update (next state when discrete, derivative when
+    continuous) with zero boundary outside the window.  The map takes
+    (..., n) arrays, n = len(window): the simulator calls it with an (m, n)
+    ensemble state and an (m, n) input, or an (m, 1) input column for
+    scalar inputs, and row j of the result must equal f(x[j], u[j]).
     """
 
     name: str
@@ -108,15 +115,6 @@ class NetworkTrajectory:
         raise KeyError(f"time {t} not on the trajectory grid")
 
 
-def _u_vector(u: InputSignal, t0: float, t1: float, n: int) -> np.ndarray:
-    val = np.asarray(u.step_value(t0, t1), dtype=float)
-    if val.ndim == 0:
-        return np.full(n, float(val))
-    if val.shape != (n,):
-        raise ValueError(f"vector input has dim {val.shape}, window needs {n}")
-    return val
-
-
 def _assembled_map(net: NetworkSpec, window: tuple[int, ...]):
     """Reference coupled map built from per-component dynamics."""
     n = len(window)
@@ -127,6 +125,9 @@ def _assembled_map(net: NetworkSpec, window: tuple[int, ...]):
         pads.append(np.array([pos.get(j, n) for j in s.neighbors], dtype=int))
 
     def f(x: np.ndarray, uv: np.ndarray) -> np.ndarray:
+        if x.ndim == 2:               # an ensemble: one member at a time
+            uv = np.broadcast_to(uv, x.shape)
+            return np.stack([f(xj, uj) for xj, uj in zip(x, uv)])
         xp = np.concatenate([x, [0.0]])   # boundary components read zero
         out = np.empty(n)
         for k, s in enumerate(specs):
@@ -142,24 +143,49 @@ def _coupled_map(net: NetworkSpec, window: tuple[int, ...], reference: bool):
     return _assembled_map(net, window)
 
 
-def _simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
+def _input_block(members, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
+    """Every member's input on the step interiors: (steps, m, 1) when all
+    inputs are scalar, (steps, m, n) when some input is vector valued."""
+    vals = [u.interior_values(t0s, t0s + h) for _x0, u in members]
+    if all(v.ndim == 1 for v in vals):
+        return np.stack(vals, axis=1)[:, :, None]
+    block = np.empty((t0s.size, len(vals), n))
+    for j, v in enumerate(vals):
+        if v.ndim == 1:
+            v = v[:, None]
+        elif v.shape[1:] != (n,):
+            raise ValueError(f"vector input has dim {v.shape[1:]}, window needs {n}")
+        block[:, j] = v
+    return block
+
+
+def _simulate(net: NetworkSpec, window: Sequence[int], members,
               horizon: float, dt: float | None, blowup_bound: float,
-              reference: bool) -> NetworkTrajectory:
+              reference: bool) -> list[NetworkTrajectory]:
+    """Step every (x0, u) member together as one (m, n) state array.
+
+    A member that blows up is truncated at the offending sample and its
+    row leaves the array, so it is never stepped again.
+    """
     window = tuple(int(i) for i in window)
     for i in window:
         if i not in net.index_set:
             raise ValueError(f"window label {i} outside the index set")
     n = len(window)
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 0:
-        x = np.full(n, float(x))
-    if x.shape != (n,):
-        raise ValueError("x0 must be scalar or aligned with the window")
+    m = len(members)
+    x = np.empty((m, n))
+    for j, (x0, _u) in enumerate(members):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.ndim == 0:
+            x0 = np.full(n, float(x0))
+        if x0.shape != (n,):
+            raise ValueError("x0 must be scalar or aligned with the window")
+        x[j] = x0
     f = _coupled_map(net, window, reference)
     if net.time_domain.kind == "discrete":
         steps = int(round(horizon))
         times = np.arange(steps + 1, dtype=float)
-        stepper = lambda xk, t0: f(xk, _u_vector(u, t0, t0 + 1.0, n))
+        h, stepper = 1.0, f
     else:
         if dt is None:
             dt = net.time_domain.dt
@@ -167,19 +193,32 @@ def _simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
             raise ValueError("continuous simulation needs dt > 0")
         steps = int(round(horizon / dt))
         times = dt * np.arange(steps + 1)
-        stepper = lambda xk, t0: _rk4_step(f, xk, dt,
-                                           _u_vector(u, t0, t0 + dt, n))
+        h, stepper = dt, lambda xk, uk: _rk4_step(f, xk, dt, uk)
+    if m == 0:
+        return []
+    inputs = _input_block(members, times[:-1], h, n)
 
-    states = np.empty((steps + 1, n))
-    states[0] = x
+    states = np.empty((m, steps + 1, n))
+    states[:, 0] = x
+    ends = np.full(m, steps + 1)
+    blowups: list[BlowUp | None] = [None] * m
+    alive = np.arange(m)              # members still stepping, rows of x
     for k in range(steps):
-        x = stepper(x, times[k])
-        states[k + 1] = x
-        m = float(np.max(np.abs(x))) if n else 0.0
-        if not np.isfinite(m) or m > blowup_bound:
-            return NetworkTrajectory(times[:k + 2], window, states[:k + 2],
-                                     BlowUp(float(times[k + 1]), m, blowup_bound))
-    return NetworkTrajectory(times, window, states)
+        x = stepper(x, inputs[k, alive])
+        states[alive, k + 1] = x
+        norms = np.max(np.abs(x), axis=1, initial=0.0)
+        bad = ~np.isfinite(norms) | (norms > blowup_bound)
+        if bad.any():
+            for r in np.flatnonzero(bad):
+                j = alive[r]
+                ends[j] = k + 2
+                blowups[j] = BlowUp(float(times[k + 1]), float(norms[r]),
+                                    blowup_bound)
+            alive, x = alive[~bad], x[~bad]
+            if not alive.size:
+                break
+    return [NetworkTrajectory(times[:ends[j]], window, states[j, :ends[j]],
+                              blowups[j]) for j in range(m)]
 
 
 def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
@@ -193,7 +232,23 @@ def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
     steps; continuous horizons are integrated in n = round(horizon/dt)
     RK4 steps.
     """
-    return _simulate(net, window, x0, u, horizon, dt, blowup_bound, reference=False)
+    return _simulate(net, window, [(x0, u)], horizon, dt, blowup_bound,
+                     reference=False)[0]
+
+
+def simulate_ensemble(net: NetworkSpec, window: Sequence[int],
+                      members: Sequence[tuple], horizon: float,
+                      dt: float | None = None,
+                      blowup_bound: float = DEFAULT_BLOWUP_BOUND
+                      ) -> list[NetworkTrajectory]:
+    """Simulate many (x0, u) members on one window, stepped together.
+
+    Returns one trajectory per member, in order, each equal to the
+    member's own :func:`simulate` run; a member that blows up is truncated
+    exactly as that run would be, without stopping the others.
+    """
+    return _simulate(net, window, members, horizon, dt, blowup_bound,
+                     reference=False)
 
 
 def simulate_reference(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
@@ -201,7 +256,8 @@ def simulate_reference(net: NetworkSpec, window: Sequence[int], x0, u: InputSign
                        blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> NetworkTrajectory:
     """Same semantics as :func:`simulate` but always assembles the coupled
     map from per-component dynamics; used as the semantic reference."""
-    return _simulate(net, window, x0, u, horizon, dt, blowup_bound, reference=True)
+    return _simulate(net, window, [(x0, u)], horizon, dt, blowup_bound,
+                     reference=True)[0]
 
 
 @dataclass(frozen=True)
@@ -286,9 +342,9 @@ class NetworkSystem:
         self.input_dim = None     # scalar external input broadcast to components
 
     def phi(self, t: float, x, u: InputSignal):
-        traj = _simulate(self.net, self.window, x, u, t,
+        traj = _simulate(self.net, self.window, [(x, u)], t,
                          None if self.time_domain.kind == "discrete" else self.dt,
-                         DEFAULT_BLOWUP_BOUND, reference=False)
+                         DEFAULT_BLOWUP_BOUND, reference=False)[0]
         if traj.blowup is not None:
             raise ArithmeticError("trajectory blew up during axiom checking")
         return traj.states[-1]

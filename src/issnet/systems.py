@@ -127,11 +127,18 @@ class InputSignal:
         idx = self._piece_index(t)
         return self.values[idx]
 
+    def interior_values(self, t0s, t1s):
+        """Values on the interiors of the steps [t0s[k], t1s[k]), one
+        evaluation for the whole step grid."""
+        t0s = np.asarray(t0s, dtype=float)
+        t1s = np.asarray(t1s, dtype=float)
+        if not np.all(t1s > t0s):
+            raise ValueError("step must have positive length")
+        return self(0.5 * (t0s + t1s))
+
     def step_value(self, t0: float, t1: float):
         """Value on the interior of the step [t0, t1)."""
-        if not t1 > t0:
-            raise ValueError("step must have positive length")
-        return self(0.5 * (t0 + t1))
+        return self.interior_values(t0, t1)
 
     def sup_norm(self, up_to: float | None = None) -> float:
         if up_to is None:
@@ -300,14 +307,15 @@ def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
     nw = len(spec.neighbors)
     zeros_w = np.zeros(nw)
     times = dt * np.arange(n + 1)
+    t0s = times[:-1]
+    us = u.interior_values(t0s, t0s + dt)
+    ws = None if w is None else w.interior_values(t0s, t0s + dt)
     vals = np.empty(n + 1)
     vals[0] = x = float(x0)
     f = spec.dynamics
     for k in range(n):
-        t0 = times[k]
-        wk = zeros_w if w is None else np.atleast_1d(w.step_value(t0, t0 + dt))
-        uk = float(u.step_value(t0, t0 + dt))
-        x = _rk4_step(f, x, dt, wk, uk)
+        wk = zeros_w if ws is None else np.atleast_1d(ws[k])
+        x = _rk4_step(f, x, dt, wk, float(us[k]))
         vals[k + 1] = x
         if not np.isfinite(x) or abs(x) > blowup_bound:
             return Trajectory(times[:k + 2], vals[:k + 2],
@@ -333,11 +341,13 @@ class SubsystemSystem:
         if self.time_domain.kind == "discrete":
             steps = int(round(t))
             xs = float(x)
+            t0s = np.arange(steps, dtype=float)
+            us = u.interior_values(t0s, t0s + 1.0)
+            ws = None if self.w is None else self.w.interior_values(t0s, t0s + 1.0)
             nw = len(self.spec.neighbors)
             for k in range(steps):
-                wk = (np.zeros(nw) if self.w is None
-                      else np.atleast_1d(self.w.step_value(k, k + 1)))
-                xs = step_discrete(self.spec, xs, wk, float(u.step_value(k, k + 1)))
+                wk = np.zeros(nw) if ws is None else np.atleast_1d(ws[k])
+                xs = step_discrete(self.spec, xs, wk, float(us[k]))
                 if not np.isfinite(xs) or abs(xs) > DEFAULT_BLOWUP_BOUND:
                     raise ArithmeticError("trajectory blew up during axiom checking")
             return xs

@@ -136,6 +136,24 @@ def _toy_obj():
     }
 
 
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_fast_maps_take_batched_arrays(name):
+    # the (..., n) contract: a 2-D (members, window) call equals the
+    # row-by-row 1-D calls bitwise, for vector inputs and for a scalar
+    # input column broadcast along the window
+    net, _ = instantiate(name)
+    window = net.window() if name == "uniform-2-cycle" else net.window(6)
+    n = len(window)
+    f = net.fast_factory(window)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-2.0, 2.0, (5, n))
+    u = rng.uniform(-1.0, 1.0, (5, n))
+    c = rng.uniform(-1.0, 1.0, (5, 1))
+    assert np.array_equal(f(x, u), np.stack([f(x[j], u[j]) for j in range(5)]))
+    assert np.array_equal(f(x, c), np.stack([f(x[j], np.full(n, c[j, 0]))
+                                             for j in range(5)]))
+
+
 def test_network_from_json_explicit():
     net, oracle = network_from_json(_toy_obj())
     assert oracle is None

@@ -89,6 +89,20 @@ def test_ensemble_blowup_is_reported():
         build_ensemble(net, (0,), [(1.0, 0.0)], cfg, seed=3)
 
 
+def test_ensemble_reports_the_first_blown_member_in_bin_order():
+    # every member of both bins blows up; the r_x = 1 members cross the
+    # bound two steps before the r_x = 0.25 ones, but the 0.25 bin comes
+    # first, so its first member is the one reported
+    spec = SubsystemSpec("doubling", DISCRETE, lambda x, w, u: 2.0 * x)
+    net = NetworkSpec("explosive", DISCRETE, FiniteIndexSet((0,)),
+                      lambda i: spec)
+    cfg = EnsembleConfig(horizon=60.0, n_random=1)
+    with pytest.raises(CertificationError) as info:
+        build_ensemble(net, (0,), [(0.25, 0.0), (1.0, 0.0)], cfg, seed=3)
+    assert str(info.value) == ("trajectory blow-up at t=42 in member "
+                               "'ones+const' of bin (r_x=0.25, r_u=0), seed 3")
+
+
 # Attainment times -------------------------------------------------------
 
 

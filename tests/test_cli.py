@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand plus the failure exits."""
 
+import hashlib
 import json
 import math
 
@@ -129,6 +130,42 @@ def test_certify_is_deterministic(run_cli):
     a = (out_a / "certificate.json").read_bytes()
     b = (out_b / "certificate.json").read_bytes()
     assert a == b
+
+
+# sha256 of the result files of the criterion-2 certify and criterion-4
+# trace configs; any change to the numerics or the writers shows here
+GOLDEN = [
+    ("certify", {
+        "network": "catalog:counterexample-chain",
+        "window": 50,
+        "ensemble": {"horizon": 240.0, "dt": 0.1, "n_random": 3},
+        "radii": [0.5, 1.0, 2.0],
+        "depth": 6,
+        "seed": 12,
+    }, {"certificate.json": "e9d6ae8d128549e85c53eb558a328b9f"
+                            "e2dbc0afda3a423022939dfbe11ed1a7"}),
+    ("trace-theorem1", {
+        "network": "catalog:nonuniform-discrete-chain",
+        "window": 64,
+        "ensemble": {"horizon": 2000, "n_random": 2},
+        "radii": [0.5, 1.0, 2.0],
+        "bands": [1, 2, 3, 4, 5, 6],
+        "xi": {"kind": "linear", "params": {"a": 2.0}, "class": "Kinf"},
+        "seed": 4,
+    }, {"proof_trace.json": "f6a0500e13a88b29d158e607743817a3"
+                            "9210f0027031e64a2dfdb35cf7f3a7cf",
+        "proof_trace.csv": "b4161a4a866524046e54d57398502a9d"
+                           "e2d09eb0cd26240ccf596d7f961d38b2"}),
+]
+
+
+@pytest.mark.parametrize("command,conf,digests", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_result_files_match_golden_digests(run_cli, command, conf, digests):
+    code, out = run_cli(command, conf)
+    assert code == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_certify_failure_names_the_reproducer(run_cli, capsys):

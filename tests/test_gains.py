@@ -40,6 +40,16 @@ def test_diagonal_entries_rejected():
         _graph({(0, 0): linear(0.5)}, labels=(0,))
 
 
+def test_finite_window_sizes_must_be_positive():
+    labels = FiniteIndexSet((1, 2, 3))
+    assert labels.window() == (1, 2, 3)
+    assert labels.window(2) == (1, 2)
+    assert labels.window(7) == (1, 2, 3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            labels.window(n)
+
+
 def test_row_lookup(cycle_graph):
     row = cycle_graph.row(0)
     assert set(row) == {1}

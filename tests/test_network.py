@@ -12,6 +12,7 @@ from issnet.network import (
     NetworkSystem,
     TruncationPolicy,
     simulate,
+    simulate_ensemble,
     simulate_reference,
     subnetwork,
     truncation_sweep,
@@ -112,6 +113,105 @@ def test_fast_factory_matches_reference_bitwise():
     fast = simulate(net, (0, 1, 2), x0, u, 30)
     ref = simulate_reference(net, (0, 1, 2), x0, u, 30)
     assert np.array_equal(fast.states, ref.states)
+
+
+# Batched ensembles ------------------------------------------------------
+
+
+def _same_run(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert a.window == b.window
+    assert a.blowup == b.blowup
+
+
+def _mixed_members(n, h):
+    """Scalar and vector inputs; breaks on the step grid (multiples of h)
+    and between its points."""
+    rng = np.random.default_rng(5)
+    on_grid = h * np.array([0.0, 3.0, 7.0])
+    off_grid = h * np.array([0.0, 2.5, 8.3])
+    return [
+        (1.0, InputSignal.zero()),
+        (rng.uniform(-1, 1, n), InputSignal.constant(0.5)),
+        (rng.uniform(-1, 1, n), InputSignal(on_grid, [0.3, -0.2, 0.7])),
+        (rng.uniform(-1, 1, n), InputSignal(off_grid, rng.uniform(-1, 1, 3))),
+        (rng.uniform(-1, 1, n), InputSignal.constant(rng.uniform(-1, 1, n))),
+        (rng.uniform(-1, 1, n), InputSignal(on_grid, rng.uniform(-1, 1, (3, n)))),
+        (rng.uniform(-1, 1, n), InputSignal(off_grid, rng.uniform(-1, 1, (3, n)))),
+    ]
+
+
+@pytest.mark.parametrize("name", ["counterexample-chain", "uniform-2-cycle",
+                                  "nonuniform-discrete-chain",
+                                  "linear-diffusive-chain"])
+def test_ensemble_matches_solo_runs_bitwise(name):
+    from issnet.catalog import instantiate
+    net, _ = instantiate(name)
+    window = net.window() if name == "uniform-2-cycle" else net.window(6)
+    dt = 0.05 if net.time_domain.kind == "continuous" else None
+    h = dt or 1.0
+    members = _mixed_members(len(window), h)
+    scalar_only = [mem for mem in members if mem[1].values.ndim == 1]
+    for batch in (members, scalar_only):
+        runs = simulate_ensemble(net, window, batch, 12 * h, dt=dt)
+        assert len(runs) == len(batch)
+        for (x0, u), run in zip(batch, runs):
+            _same_run(run, simulate_reference(net, window, x0, u, 12 * h, dt=dt))
+            _same_run(run, simulate(net, window, x0, u, 12 * h, dt=dt))
+
+
+def _squaring_net():
+    spec = SubsystemSpec("squaring", DISCRETE, lambda x, w, u: x * x + u)
+
+    def fast_factory(window):
+        return lambda x, uv: x * x + uv
+
+    return NetworkSpec("squaring-net", DISCRETE, FiniteIndexSet((0, 1, 2)),
+                       lambda i: spec, fast_factory=fast_factory)
+
+
+def test_ensemble_blowup_is_per_member():
+    # the member holding a 10 crosses 1e6 at step 3, the one holding a 3 at
+    # step 4; stepped on, either row would overflow a few steps later,
+    # which errstate turns into an error
+    net = _squaring_net()
+    members = [
+        (np.array([0.5, -0.5, 0.25]), InputSignal.constant(0.1)),
+        (np.array([10.0, 0.0, 0.0]), InputSignal.zero()),
+        (np.array([0.1, 0.2, 3.0]), InputSignal.zero()),
+        (0.5, InputSignal([0.0, 4.5], np.array([[0.0, 0.1, 0.2],
+                                                [0.0, 0.0, -0.1]]))),
+    ]
+    with np.errstate(over="raise", invalid="raise"):
+        runs = simulate_ensemble(net, (0, 1, 2), members, 30, blowup_bound=1e6)
+        solo = [simulate(net, (0, 1, 2), x0, u, 30, blowup_bound=1e6)
+                for x0, u in members]
+        ref = [simulate_reference(net, (0, 1, 2), x0, u, 30, blowup_bound=1e6)
+               for x0, u in members]
+        both = simulate_ensemble(net, (0, 1, 2), members[1:3], 30,
+                                 blowup_bound=1e6)
+    assert [r.blowup is None for r in runs] == [True, False, False, True]
+    assert runs[1].blowup.time == 3.0 and runs[2].blowup.time == 4.0
+    assert len(runs[0].times) == 31 and len(runs[1].times) == 4
+    for run, a, b in zip(runs, solo, ref):
+        _same_run(run, a)
+        _same_run(run, b)
+    for run, a in zip(both, solo[1:3]):
+        _same_run(run, a)
+
+
+def test_ensemble_input_and_state_checks(counterexample):
+    net, _ = counterexample
+    window = net.window(4)
+    assert simulate_ensemble(net, window, [], 1.0, dt=1e-2) == []
+    bad_u = InputSignal([0.0], np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="vector input has dim"):
+        simulate_ensemble(net, window, [(1.0, InputSignal.zero()), (1.0, bad_u)],
+                          1.0, dt=1e-2)
+    with pytest.raises(ValueError, match="x0"):
+        simulate_ensemble(net, window, [(np.ones(3), InputSignal.zero())],
+                          1.0, dt=1e-2)
 
 
 # Trajectory accessors ---------------------------------------------------

@@ -103,6 +103,20 @@ def test_step_value_uses_interior():
     assert u.step_value(0.0, 1.0) == 1.0
 
 
+def test_interior_values_match_pointwise_steps():
+    u = InputSignal([0.0, 0.3, 1.0], [[1.0, -1.0], [2.0, 0.5], [-3.0, 4.0]])
+    t0s = 0.1 * np.arange(15)
+    vals = u.interior_values(t0s, t0s + 0.1)
+    assert vals.shape == (15, 2)
+    for k, t0 in enumerate(t0s):
+        assert np.array_equal(vals[k], u.step_value(t0, t0 + 0.1))
+    assert u.interior_values(np.zeros(0), np.zeros(0)).shape == (0, 2)
+    with pytest.raises(ValueError, match="positive length"):
+        u.interior_values(t0s, t0s)
+    with pytest.raises(ValueError, match="t >= 0"):
+        u.interior_values([-2.0, 0.0], [-1.0, 1.0])
+
+
 def test_signal_json_round_trip():
     u = InputSignal([0.0, 0.5, 2.0], [[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])
     back = InputSignal.from_json(u.to_json())
