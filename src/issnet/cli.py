@@ -108,6 +108,13 @@ def _resolve_window(net: NetworkSpec | None, conf: dict, graph=None):
     return labels
 
 
+def _resolve_budget(value, key: str) -> int:
+    """A falsification budget from the config: an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _resolve_seed(conf: dict, args) -> int:
     seed = args.seed if args.seed is not None else conf.get("seed")
     if seed is None:
@@ -189,6 +196,8 @@ def cmd_gains_check(args) -> int:
     else:
         raise ConfigError("config needs a \"graph\" or a network with gains")
     window = _resolve_window(net, conf, graph)
+    fal_conf = conf.get("falsify", {})
+    budget = _resolve_budget(fal_conf.get("budget", 10_000), "falsify.budget")
 
     r_grid = conf.get("r_grid") or list(np.geomspace(1e-3, 1e3, 13))
     structure = check_graph(graph, r_grid, window)
@@ -199,7 +208,6 @@ def cmd_gains_check(args) -> int:
                                n_random=int(sgc_conf.get("n_random", 64)),
                                seed=seed)
 
-    fal_conf = conf.get("falsify", {})
     xi_spec = fal_conf.get("xi", "derived")
     if xi_spec == "derived":
         xi = sgc.xi_hat
@@ -207,9 +215,7 @@ def cmd_gains_check(args) -> int:
         xi = curve_from_json(xi_spec)
     witness = None
     if xi is not None:
-        witness = falsify_mbi(graph, window, xi,
-                              budget=int(fal_conf.get("budget", 10_000)),
-                              seed=seed)
+        witness = falsify_mbi(graph, window, xi, budget=budget, seed=seed)
 
     cycles = None
     if conf.get("cycles", True):
@@ -505,6 +511,9 @@ def cmd_subnetwork(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
+    budget = _resolve_budget(conf.get("falsify_budget", 10_000),
+                             "falsify_budget")
+
     payload: dict = {"seed": seed, "subset": list(subset)}
     ok = True
 
@@ -515,8 +524,7 @@ def cmd_subnetwork(args) -> int:
         witness = None
         if sgc.xi_hat is not None:
             witness = falsify_mbi(sub.graph, subset, sgc.xi_hat,
-                                  budget=int(conf.get("falsify_budget", 10_000)),
-                                  seed=seed)
+                                  budget=budget, seed=seed)
         cycles = finite_cycle_check(sub.graph, subset)
         gains_ok = (structure.assumption1_finite and sgc.holds
                     and witness is None and cycles.passed)

@@ -9,10 +9,12 @@ Three complementary checks on the gain operator:
   monotone bound curve xi_hat.
 * falsify_mbi hunts for a vector v violating the claimed monotone bound
   ||v|| <= xi(||w||) with w the smallest slack making v <= Gamma(v) + w
-  pointwise.  Candidates are screened with the batch kernel apply_batch;
-  a hit is revalidated with the reference operator apply_gain_operator,
-  which walks the edges one at a time and never uses the compiled plan,
-  so a reported witness is exact, not a batch artifact.
+  pointwise.  Candidates are drawn one sup-norm level at a time and
+  screened in blocks of whole levels, one apply_batch and one xi call per
+  block; a hit is revalidated with the reference operator
+  apply_gain_operator, which walks the edges one at a time and never uses
+  the compiled plan, so a reported witness is exact, not a batch artifact.
+  The sample budget (at least 1) bounds the candidates screened.
 * finite_cycle_check enumerates simple cycles of a finite window and folds
   the gains along each cycle; every folded composition must stay below the
   identity.  For max-type operators this cycle screen is the classical
@@ -85,10 +87,17 @@ def operator_deficit(graph: GainGraph, x, window: Sequence[int] | None = None) -
     return dist_to_cone(g - arr)
 
 
-def _sphere_patterns(n: int, n_random: int, rng) -> np.ndarray:
-    """Patterns on the positive sup-norm unit sphere (max entry == 1)."""
+_FULL_VERTEX_N = 64   # up to this width every vertex pattern is enumerated
+
+
+def _vertex_patterns(n: int, rng) -> np.ndarray:
+    """All-ones, unit and leave-one-out rows on the positive unit sphere.
+
+    Up to _FULL_VERTEX_N nodes every unit and leave-one-out row is listed and
+    rng is not touched; wider windows draw 32 nodes for them from rng.
+    """
     rows = [np.ones(n)]
-    if n <= 64:
+    if n <= _FULL_VERTEX_N:
         rows.extend(np.eye(n))
         if n > 1:
             rows.extend(np.ones((n, n)) - np.eye(n))
@@ -99,13 +108,15 @@ def _sphere_patterns(n: int, n_random: int, rng) -> np.ndarray:
             e[k] = 1.0
             rows.append(e)
             rows.append(1.0 - e)
-    det = np.array(rows)
-    if n_random > 0:
-        rand = rng.random((n_random, n))
-        peaks = rng.integers(0, n, size=n_random)
-        rand[np.arange(n_random), peaks] = 1.0
-        det = np.vstack([det, rand])
-    return det
+    return np.array(rows)
+
+
+def _random_patterns(n: int, m: int, rng) -> np.ndarray:
+    """m uniform rows in [0, 1)^n, each with one entry raised to 1."""
+    rand = rng.random((m, n))
+    peaks = rng.integers(0, n, size=m)
+    rand[np.arange(m), peaks] = 1.0
+    return rand
 
 
 def _extremal_directions(graph: GainGraph, window: tuple,
@@ -143,12 +154,21 @@ def _extremal_directions(graph: GainGraph, window: tuple,
     return v[keep] / peak[keep, None], int(active.size)
 
 
+def _new_rows(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """The rows of extra that equal no row of base, in order."""
+    # a row equal to a base row shares its first entry, so only rows whose
+    # first entry recurs in base need the full comparison
+    cand = np.flatnonzero((extra[:, :1] == base[:, 0]).any(axis=1))
+    if cand.size == 0:
+        return extra
+    seen = np.zeros(extra.shape[0], dtype=bool)
+    seen[cand] = (extra[cand, None, :] == base[None, :, :]).all(axis=2).any(axis=1)
+    return extra[~seen]
+
+
 def _append_new_rows(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
     """base followed by the rows of extra that equal no row of base."""
-    seen = np.any(np.all(extra[:, None, :] == base[None, :, :], axis=2), axis=1)
-    if np.all(seen):
-        return base
-    return np.vstack([base, extra[~seen]])
+    return np.vstack([base, _new_rows(base, extra)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +223,9 @@ def estimate_uniform_sgc(graph: GainGraph,
     radii = tuple(float(r) for r in radii)
     rng = derived_rng(seed, "sgc", n)
     dirs, unconverged = _extremal_directions(graph, window, radii)
-    patterns = _append_new_rows(_sphere_patterns(n, n_random, rng), dirs)
+    sphere = np.vstack([_vertex_patterns(n, rng),
+                        _random_patterns(n, n_random, rng)])
+    patterns = _append_new_rows(sphere, dirs)
 
     mins, worst_points = [], []
     for r in radii:
@@ -256,6 +278,11 @@ class MBIWitness:
         return nv > float(xi(nw)) + atol * max(1.0, nv)
 
 
+# rows x window width screened per apply_batch call; whole levels are
+# gathered until a block reaches it, so a wide level is a block of its own
+_BLOCK_ENTRIES = 1 << 12
+
+
 def falsify_mbi(graph: GainGraph,
                 window: Sequence[int],
                 xi: ScalarCurve,
@@ -265,20 +292,39 @@ def falsify_mbi(graph: GainGraph,
                 atol: float = 1e-9) -> MBIWitness | None:
     """Search for a violation of the monotone bound property.
 
-    Samples nonnegative vectors across a sweep of sup norms; each candidate
-    v gets the minimal slack w = (v - Gamma(v))+ and is checked against
-    ||v|| <= xi(||w||) + atol * max(1, ||v||).  The first batch hit is
-    recomputed entrywise before being returned.  Returns None if the budget
-    is exhausted without a violation.
+    Samples nonnegative vectors across a sweep of 24 sup-norm levels; each
+    candidate v gets the minimal slack w = (v - Gamma(v))+ and is checked
+    against ||v|| <= xi(||w||) + atol * max(1, ||v||).  The first sweep
+    tries the all-ones row, the extremal directions and the vertex patterns
+    before random rows; later sweeps draw random rows only.
+
+    Whole levels are screened together in blocks of about _BLOCK_ENTRIES
+    entries, one apply_batch and one xi call per block.  Levels are then
+    scanned in order, and the first hit of each level is recomputed
+    entrywise before being returned, with samples_used at that level's end.
+    The random stream is local to the call, so the result equals screening
+    one level at a time.  budget (at least 1) is a hard bound: exactly
+    budget candidates are screened when no witness turns up, and None is
+    returned.
     """
+    if budget < 1:
+        raise ValueError(f"falsification budget must be at least 1, got {budget}")
     window = tuple(window)
     n = len(window)
     rng = derived_rng(seed, "falsify", n)
     levels = np.geomspace(norm_range[0], norm_range[1], 24)
-    # amplified profiles go right after the all-ones row so a small budget
-    # cannot slice them away before they are ever tried
+    # amplified profiles go right after the all-ones row, and a first-sweep
+    # level keeps at least n + 1 + len(dirs) rows, so a small chunk cannot
+    # slice them away before they are tried; only the budget itself can
     dirs, _ = _extremal_directions(graph, window, levels)
-    used = 0
+    base = np.vstack([np.ones((1, n)), dirs])
+    # up to _FULL_VERTEX_N nodes the vertex rows draw nothing from rng, so
+    # they are deduplicated once; wider windows draw them again per level
+    head = None
+    if n <= _FULL_VERTEX_N:
+        head = _append_new_rows(base, _vertex_patterns(n, rng))
+    block, ends = [], []        # level batches; (block rows, used) per level
+    rows = used = 0
     first = True
     while used < budget:
         for level in levels:
@@ -286,27 +332,55 @@ def falsify_mbi(graph: GainGraph,
                 break
             chunk = min(max(32, budget // (2 * len(levels))), budget - used)
             if first:
-                sp = _sphere_patterns(n, chunk, rng)
-                pats = _append_new_rows(np.vstack([sp[:1], dirs]), sp[1:])
-                pats = pats[:max(chunk, n + 1 + dirs.shape[0])]
+                top = head if head is not None else _append_new_rows(
+                    base, _vertex_patterns(n, rng))
+                # random rows are checked against base, not the vertex rows
+                rand = _new_rows(base, _random_patterns(n, chunk, rng))
+                keep = min(max(chunk, n + 1 + dirs.shape[0]), budget - used)
+                pats = np.vstack([top, rand])[:keep]
             else:
-                pats = rng.random((chunk, n))
-                peaks = rng.integers(0, n, size=chunk)
-                pats[np.arange(chunk), peaks] = 1.0
-            batch = level * pats
-            g = apply_batch(graph, batch, window)
-            w = np.maximum(batch - g, 0.0)
-            nv = np.max(batch, axis=1)
-            nw = np.max(w, axis=1)
-            rhs = np.asarray(xi(nw), float)
-            bad = nv > rhs + atol * np.maximum(1.0, nv)
-            used += batch.shape[0]
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                witness = _revalidate(graph, window, xi, batch[k], used, seed, atol)
+                pats = _random_patterns(n, chunk, rng)
+            pats *= level          # pats is a fresh array in both branches
+            block.append(pats)
+            rows += pats.shape[0]
+            used += pats.shape[0]
+            ends.append((rows, used))
+            if rows * n >= _BLOCK_ENTRIES or used >= budget:
+                witness = _screen_block(graph, window, xi, np.vstack(block),
+                                        ends, seed, atol)
                 if witness is not None:
                     return witness
+                block, ends, rows = [], [], 0
         first = False
+    return None
+
+
+def _screen_block(graph, window, xi, batch, ends, seed, atol):
+    """First revalidated witness among a block of levels, or None.
+
+    ends holds (end row in batch, samples used) per level; only the first
+    hit of each level is revalidated, as when levels are screened alone.
+    """
+    # the slack overwrites apply_batch's fresh output: on wide windows each
+    # block-sized temporary costs page faults
+    w = apply_batch(graph, batch, window)
+    np.subtract(batch, w, out=w)
+    np.maximum(w, 0.0, out=w)
+    nv = np.max(batch, axis=1)
+    nw = np.max(w, axis=1)
+    rhs = np.asarray(xi(nw), float)
+    bad = nv > rhs + atol * np.maximum(1.0, nv)
+    if not np.any(bad):
+        return None
+    start = 0
+    for stop, used in ends:
+        hits = np.flatnonzero(bad[start:stop])
+        if hits.size:
+            witness = _revalidate(graph, window, xi, batch[start + hits[0]],
+                                  used, seed, atol)
+            if witness is not None:
+                return witness
+        start = stop
     return None
 
 

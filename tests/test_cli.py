@@ -51,6 +51,43 @@ def test_gains_check_fails_on_a_unit_cycle(run_cli, capsys):
     assert payload["cycles"]["worst_margin"] == pytest.approx(0.0, abs=1e-12)
 
 
+TIGHT_XI = {"kind": "linear", "params": {"a": 1.2}, "class": "Kinf"}
+
+
+def test_gains_check_finds_the_tight_bound_witness(run_cli):
+    code, out = run_cli("gains-check", {
+        "network": "catalog:uniform-2-cycle", "seed": 0,
+        "falsify": {"xi": TIGHT_XI, "budget": 2000},
+    })
+    assert code == 1
+    witness = _read(out, "gains_check.json")["falsify"]["witness"]
+    assert witness["samples_used"] <= 2000
+
+
+@pytest.mark.parametrize("budget", [0, -5, "abc", 2.5, True])
+def test_falsify_budget_must_be_a_positive_integer(run_cli, capsys, budget):
+    # an empty budget used to screen nothing and report the graph as passed
+    code, out = run_cli("gains-check", {
+        "network": "catalog:uniform-2-cycle", "seed": 0,
+        "falsify": {"xi": TIGHT_XI, "budget": budget},
+    })
+    assert code == 2
+    assert "falsify.budget" in capsys.readouterr().err
+    assert not (out / "gains_check.json").exists()
+
+
+@pytest.mark.parametrize("budget", [0, -5, "abc"])
+def test_subnetwork_falsify_budget_must_be_a_positive_integer(run_cli, capsys,
+                                                              budget):
+    code, _ = run_cli("subnetwork", {
+        "network": "catalog:nonuniform-discrete-chain",
+        "subset": [0, 1, 2, 3], "ensemble": {"horizon": 40}, "seed": 1,
+        "falsify_budget": budget,
+    })
+    assert code == 2
+    assert "falsify_budget" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(run_cli):
     conf = {"network": "catalog:uniform-2-cycle", "seed": 3}
     code, out = run_cli("gains-check", conf, seed=4)
@@ -133,7 +170,9 @@ def test_certify_is_deterministic(run_cli):
 
 
 # sha256 of the result files of the criterion-2 certify and criterion-4
-# trace configs; any change to the numerics or the writers shows here
+# trace configs, and of gains-check on the 300-window diffusive chain (the
+# falsifier's widest blocks); any change to the numerics or the writers
+# shows here
 GOLDEN = [
     ("certify", {
         "network": "catalog:counterexample-chain",
@@ -156,6 +195,12 @@ GOLDEN = [
                             "9210f0027031e64a2dfdb35cf7f3a7cf",
         "proof_trace.csv": "b4161a4a866524046e54d57398502a9d"
                            "e2d09eb0cd26240ccf596d7f961d38b2"}),
+    ("gains-check", {
+        "network": "catalog:linear-diffusive-chain",
+        "window": 300,
+        "seed": 3,
+    }, {"gains_check.json": "7958e301a5cef2b23f3d8167b0094639"
+                            "3097a8fb212c3f742f0950ef3097467d"}),
 ]
 
 

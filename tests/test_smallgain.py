@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from issnet.comparison import compose, linear, power, pwl
-from issnet.gains import FiniteIndexSet, GainGraph
+from issnet import smallgain
+from issnet._rng import derived_rng
+from issnet.comparison import compose, linear, power, pwl, saturating
+from issnet.gains import FiniteIndexSet, GainGraph, apply_batch
 from issnet.network import subnetwork
 from issnet.smallgain import (
+    _extremal_directions,
+    _revalidate,
     dist_to_cone,
     estimate_uniform_sgc,
     exact_eta_two_node,
@@ -130,6 +134,186 @@ def test_witness_respects_budget(two_cycle):
     net, _ = two_cycle
     w = falsify_mbi(net.graph, (1, 2), linear(1.2), budget=500, seed=3)
     assert w is None or w.samples_used <= 500
+
+
+def test_falsify_needs_a_positive_budget(two_cycle):
+    net, _ = two_cycle
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            falsify_mbi(net.graph, (1, 2), linear(1.2), budget=budget, seed=0)
+
+
+def _count_screening(monkeypatch, graph, window):
+    """Rows of every screening apply_batch call made by falsify_mbi.
+
+    The extremal directions are computed up front and handed back, so the
+    fixed-point iteration's own apply_batch calls are not counted.
+    """
+    levels = np.geomspace(1e-2, 1e2, 24)
+    dirs = _extremal_directions(graph, tuple(window), levels)
+    monkeypatch.setattr(smallgain, "_extremal_directions", lambda *a: dirs)
+    rows = []
+
+    def counted(g, batch, w):
+        rows.append(batch.shape[0])
+        return apply_batch(g, batch, w)
+
+    monkeypatch.setattr(smallgain, "apply_batch", counted)
+    return rows
+
+
+@pytest.mark.parametrize("budget", [37, 500])
+def test_screened_rows_equal_the_budget(two_cycle, monkeypatch, budget):
+    # the first sweep's all-ones, extremal and vertex rows used to overrun
+    # a budget smaller than themselves (59 rows at 37, 507 at 500)
+    net, _ = two_cycle
+    rows = _count_screening(monkeypatch, net.graph, (1, 2))
+    assert falsify_mbi(net.graph, (1, 2), linear(2.0),
+                       budget=budget, seed=3) is None
+    assert sum(rows) == budget
+
+
+def test_small_windows_screen_few_blocks(monkeypatch):
+    labels = tuple(range(6))
+    g = _linear_graph({(i, (i + 1) % 6): 0.5 for i in labels}, labels)
+    rows = _count_screening(monkeypatch, g, labels)
+    assert falsify_mbi(g, labels, linear(4.0), budget=2000, seed=1) is None
+    assert sum(rows) == 2000
+    assert len(rows) <= 4          # one call per level would make 49
+
+
+# Blocked screening against the per-level loop ---------------------------
+
+
+def _reference_patterns(n, m, rng):
+    """Vertex rows, then m random rows: the draw order of the first sweep."""
+    rows = [np.ones(n)]
+    if n <= 64:
+        rows.extend(np.eye(n))
+        if n > 1:
+            rows.extend(np.ones((n, n)) - np.eye(n))
+    else:
+        for k in rng.choice(n, size=32, replace=False):
+            e = np.zeros(n)
+            e[k] = 1.0
+            rows.extend([e, 1.0 - e])
+    rand = rng.random((m, n))
+    peaks = rng.integers(0, n, size=m)
+    rand[np.arange(m), peaks] = 1.0
+    return np.vstack([np.array(rows), rand])
+
+
+def _reference_falsify(graph, window, xi, budget, seed, atol=1e-9):
+    """The falsifier screened one level at a time, capped at the budget.
+
+    Returns the witness (or None) and whether it came from the first sweep.
+    """
+    n = len(window)
+    rng = derived_rng(seed, "falsify", n)
+    levels = np.geomspace(1e-2, 1e2, 24)
+    dirs, _ = _extremal_directions(graph, window, levels)
+    used, first = 0, True
+    while used < budget:
+        for level in levels:
+            if used >= budget:
+                break
+            chunk = min(max(32, budget // (2 * len(levels))), budget - used)
+            if first:
+                sp = _reference_patterns(n, chunk, rng)
+                base = np.vstack([sp[:1], dirs])
+                seen = np.any(np.all(sp[1:, None, :] == base[None], axis=2),
+                              axis=1)
+                pats = np.vstack([base, sp[1:][~seen]])
+                pats = pats[:min(max(chunk, n + 1 + dirs.shape[0]),
+                                 budget - used)]
+            else:
+                pats = rng.random((chunk, n))
+                peaks = rng.integers(0, n, size=chunk)
+                pats[np.arange(chunk), peaks] = 1.0
+            batch = level * pats
+            w = np.maximum(batch - apply_batch(graph, batch, window), 0.0)
+            nv = np.max(batch, axis=1)
+            nw = np.max(w, axis=1)
+            bad = nv > np.asarray(xi(nw), float) + atol * np.maximum(1.0, nv)
+            used += batch.shape[0]
+            if np.any(bad):
+                witness = _revalidate(graph, window, xi,
+                                      batch[int(np.argmax(bad))], used,
+                                      seed, atol)
+                if witness is not None:
+                    return witness, first
+        first = False
+    return None, None
+
+
+def _mixed_graph(seed, n):
+    """Random graph with linear, power, saturating and composed edges."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < min(0.5, 3.0 / n):
+                a = float(rng.uniform(0.1, 0.7))
+                kind = int(rng.integers(0, 4))
+                if kind == 0:
+                    entries[(i, j)] = linear(a)
+                elif kind == 1:
+                    entries[(i, j)] = power(a, float(rng.uniform(1.0, 1.2)))
+                elif kind == 2:
+                    entries[(i, j)] = saturating(a)
+                else:
+                    entries[(i, j)] = compose(saturating(1.0), linear(a))
+    if not entries:
+        entries[(0, 1)] = linear(0.5)
+    return GainGraph(FiniteIndexSet(tuple(range(n))), entries=entries)
+
+
+def _bounds(seed):
+    """Linear, power, pwl and composed monotone bounds of one random slope."""
+    rng = np.random.default_rng(seed + 1000)
+    a = float(rng.uniform(1.2, 3.0))
+    bend = pwl([(0.0, 0.0), (1.0, a), (2.0, 2.2 * a)], "Kinf")
+    return [linear(a), power(a, float(rng.uniform(0.9, 1.1))), bend,
+            compose(power(1.0, float(rng.uniform(0.95, 1.05))), bend)]
+
+
+_FIELDS = ("window", "v", "w", "norm_v", "norm_w", "xi_at_w", "margin",
+           "samples_used", "seed")
+
+# (graph seed, n, bound, budget) whose worst candidate is a random row of a
+# later sweep: the slopes sit between the first-sweep and overall maxima of
+# ||v|| / ||w||
+_LATER_SWEEP = [(1, 3, linear(2.0587), 5000), (4, 6, linear(8.252), 5000),
+                (14, 2, linear(1.8529), 5000)]
+
+
+def test_blocked_screening_equals_the_per_level_loop():
+    cases = [(seed, n, xi, budget)
+             for seed, n in [(0, 2), (1, 3), (2, 4), (3, 5), (25, 6),
+                             (12, 7), (13, 8), (17, 5), (23, 4)]
+             for xi in _bounds(seed)
+             for budget in (37, 500, 2000, 5000)]
+    cases += _LATER_SWEEP
+    wide = _linear_graph({(i, (i + 1) % 70): 0.5 for i in range(70)}
+                         | {((i + 1) % 70, i): 0.3 for i in range(70)},
+                         range(70))
+    cases += [(5, wide, xi, budget) for xi in (linear(1.5), linear(3.0))
+              for budget in (37, 500, 2000)]
+    outcomes = set()
+    for seed, n, xi, budget in cases:
+        graph = n if isinstance(n, GainGraph) else _mixed_graph(seed, n)
+        window = graph.index_set.labels
+        want, first = _reference_falsify(graph, window, xi, budget, seed)
+        got = falsify_mbi(graph, window, xi, budget=budget, seed=seed)
+        outcomes.add(None if want is None else "first" if first else "later")
+        if want is None:
+            assert got is None, (seed, budget)
+            continue
+        assert got is not None, (seed, budget)
+        for field in _FIELDS:
+            assert getattr(got, field) == getattr(want, field), (seed, budget, field)
+        assert got.samples_used <= budget
+    assert outcomes == {None, "first", "later"}
 
 
 # Cycle screening --------------------------------------------------------
