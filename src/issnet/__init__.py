@@ -38,7 +38,8 @@ from .network import (NetworkSpec, NetworkSystem, NetworkTrajectory,
 from .certify import (AttainmentTable, BandEntry, CertificationError,
                       EnsembleConfig, LabeledRun, NonUniformISSCertificate,
                       ProofTrace, UGSCertificate, UniformISSCertificate,
-                      build_ensemble, build_nonuniform_iss,
+                      build_ensemble, build_fit_and_holdout,
+                      build_nonuniform_iss, compute_band_cells,
                       compute_band_limsups, estimate_attainment_times, fit_ugs,
                       tail_limsup_estimate, trace_to_csv,
                       uniform_from_nonuniform, uniformity_probe,

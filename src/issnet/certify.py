@@ -21,6 +21,18 @@ The pipeline has four stages, each producing an inspectable artifact:
    vector inequality y <= Gamma(y) + gamma_vec(level) and the norm bound
    ||y|| <= xi(gamma(level)).
 
+Ensembles are planned, stepped, then reduced.  Member draws depend only on
+the config and the seed, so a stage plans all of its members and steps
+them in one network._simulate pass that reduces each sample's |x| rows as
+they are produced: the running peak sup norm (fit_ugs), the last sample
+above each attainment threshold (estimate_attainment_times) and the
+suffix sups at the tail starts (compute_band_cells).  A certification
+makes two passes: build_fit_and_holdout steps the fit and holdout members
+together, then estimate_attainment_times steps the members of every
+radius, whose thresholds need the fitted sigma.  Only holdout members
+keep their trajectories, because build_nonuniform_iss validates them
+pointwise; build_ensemble keeps every trajectory it returns.
+
 All limit quantities are replaced by finite-horizon tail sups with the
 decay across tail starts recorded as convergence evidence; certificates
 are empirical statements about the sampled ensembles, never proofs.
@@ -41,14 +53,15 @@ from .comparison import (KLSurface, ScalarCurve, curve_max, curve_sum,
                          kl_from_decay_table, make_strictly_increasing,
                          scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import NetworkSpec, NetworkTrajectory, simulate, simulate_ensemble
-from .systems import InputSignal
+from .network import NetworkSpec, NetworkTrajectory, _simulate, simulate
+from .systems import DEFAULT_BLOWUP_BOUND, InputSignal
 
 __all__ = [
     "CertificationError",
     "EnsembleConfig",
     "LabeledRun",
     "build_ensemble",
+    "build_fit_and_holdout",
     "UGSCertificate",
     "fit_ugs",
     "AttainmentTable",
@@ -60,6 +73,7 @@ __all__ = [
     "BandEntry",
     "ProofTrace",
     "compute_band_limsups",
+    "compute_band_cells",
     "SGInequalityReport",
     "verify_sg_inequality",
     "tail_limsup_estimate",
@@ -89,14 +103,18 @@ class EnsembleConfig:
 
 @dataclass(frozen=True, eq=False)
 class LabeledRun:
-    """One simulated member with the labels the fitting stages bin by."""
+    """One simulated member with the labels the fitting stages bin by.
 
-    trajectory: NetworkTrajectory
+    trajectory is None for a member stepped only for its peak sup norm.
+    """
+
+    trajectory: NetworkTrajectory | None
     r_x: float                    # initial-state ball radius
     r_u: float                    # input ball radius
     u_norm: float                 # the member's actual sup norm of u
     member: str
     seed: int
+    peak: float                   # largest sup norm over the run
 
 
 def _random_input(rng, domain, horizon, level, pieces):
@@ -142,6 +160,51 @@ def _members_for_bin(net, window, r_x, r_u, cfg, job_seed, tag):
     return out
 
 
+def _plan_bins(net, window, bins, cfg, seed, tag):
+    """The (r_x, r_u, name, x0, u) members of every bin, in bin order."""
+    return [(float(r_x), float(r_u), name, x0, u) for r_x, r_u in bins
+            for name, x0, u in _members_for_bin(net, window, r_x, r_u,
+                                                cfg, seed, tag)]
+
+
+def _step(net, window, cfg, members, **reductions):
+    """Step planned members, whose last two fields are (x0, u), in one pass."""
+    return _simulate(net, window, [(x0, u) for *_, x0, u in members],
+                     cfg.horizon, cfg.dt, DEFAULT_BLOWUP_BOUND,
+                     reference=False, **reductions)
+
+
+def _raise_first_blowup(family, stepped, seed):
+    for j, (r_x, r_u, name, _x0, _u) in enumerate(family):
+        blowup = stepped.blowups[j]
+        if blowup is not None:
+            raise CertificationError(
+                f"trajectory blow-up at t={blowup.time:g} "
+                f"in member {name!r} of bin "
+                f"(r_x={r_x:g}, r_u={r_u:g}), seed {seed}")
+
+
+def _run_families(net, window, cfg, seed, families):
+    """Step several (planned family, keeps trajectories) pairs in one pass.
+
+    Returns one LabeledRun list per family.  The first member (in family
+    and bin order) that blows up raises.
+    """
+    family = [member for fam, _keep in families for member in fam]
+    keep = [kept for fam, kept in families for _member in fam]
+    stepped = _step(net, window, cfg, family, keep=keep)
+    _raise_first_blowup(family, stepped, seed)
+    runs = [LabeledRun(stepped.trajectory(j) if keep[j] else None,
+                       r_x, r_u, u.sup_norm(), name, seed,
+                       float(stepped.peaks[j]))
+            for j, (r_x, r_u, name, _x0, u) in enumerate(family)]
+    out, start = [], 0
+    for fam, _keep in families:
+        out.append(runs[start:start + len(fam)])
+        start += len(fam)
+    return out
+
+
 def build_ensemble(net: NetworkSpec,
                    window: Sequence[int],
                    bins: Sequence[tuple[float, float]],
@@ -155,20 +218,29 @@ def build_ensemble(net: NetworkSpec,
     first member (in bin order) that blows up raises.
     """
     window = tuple(window)
-    family = [(float(r_x), float(r_u), name, x0, u) for r_x, r_u in bins
-              for name, x0, u in _members_for_bin(net, window, r_x, r_u,
-                                                  cfg, seed, tag)]
-    trajs = simulate_ensemble(net, window, [(x0, u) for *_, x0, u in family],
-                              cfg.horizon, dt=cfg.dt)
-    runs = []
-    for (r_x, r_u, name, _x0, u), traj in zip(family, trajs):
-        if traj.blowup is not None:
-            raise CertificationError(
-                f"trajectory blow-up at t={traj.blowup.time:g} "
-                f"in member {name!r} of bin "
-                f"(r_x={r_x:g}, r_u={r_u:g}), seed {seed}")
-        runs.append(LabeledRun(traj, r_x, r_u, u.sup_norm(), name, seed))
-    return runs
+    family = _plan_bins(net, window, bins, cfg, seed, tag)
+    return _run_families(net, window, cfg, seed, [(family, True)])[0]
+
+
+def build_fit_and_holdout(net: NetworkSpec,
+                          window: Sequence[int],
+                          bins: Sequence[tuple[float, float]],
+                          cfg: EnsembleConfig,
+                          seed: int) -> tuple[list[LabeledRun], list[LabeledRun]]:
+    """The "fit" and "holdout" ensembles of one certification, one pass.
+
+    The members equal those of build_ensemble with either tag.  Fit
+    members keep only their peak sup norm, which is all fit_ugs reads;
+    holdout members keep their trajectories, because build_nonuniform_iss
+    validates them pointwise.  A fit blow-up is reported before a holdout
+    one.
+    """
+    window = tuple(window)
+    fit = _plan_bins(net, window, bins, cfg, seed, "fit")
+    hold = _plan_bins(net, window, bins, cfg, seed, "holdout")
+    fit_runs, hold_runs = _run_families(net, window, cfg, seed,
+                                        [(fit, False), (hold, True)])
+    return fit_runs, hold_runs
 
 
 # UGS fitting ------------------------------------------------------------
@@ -219,9 +291,8 @@ class UGSCertificate:
 def _residual(runs, sigma, gamma) -> float:
     worst = 0.0
     for run in runs:
-        sup = float(np.max(run.trajectory.sup_norms())) if run.trajectory.states.size else 0.0
         bound = float(sigma(run.r_x)) + float(gamma(run.u_norm))
-        worst = max(worst, sup - bound)
+        worst = max(worst, run.peak - bound)
     return worst
 
 
@@ -239,8 +310,7 @@ def fit_ugs(ensemble: Sequence[LabeledRun],
     sups: dict[tuple, float] = {}
     for run in ensemble:
         key = (run.r_x, run.r_u)
-        sup = float(np.max(run.trajectory.sup_norms())) if run.trajectory.states.size else 0.0
-        sups[key] = max(sups.get(key, 0.0), sup)
+        sups[key] = max(sups.get(key, 0.0), run.peak)
 
     radii_x = sorted({rx for rx, ru in sups if ru == 0.0})
     radii_u = sorted({ru for rx, ru in sups if rx == 0.0})
@@ -300,10 +370,6 @@ class AttainmentTable:
         return out
 
 
-def _suffix_max(values: np.ndarray) -> np.ndarray:
-    return np.flip(np.maximum.accumulate(np.flip(values, 0), 0), 0)
-
-
 def estimate_attainment_times(net: NetworkSpec,
                               window: Sequence[int],
                               levels,
@@ -326,35 +392,38 @@ def estimate_attainment_times(net: NetworkSpec,
     level_map = {r: np.asarray(levels if shared else levels[r], float)
                  for r in radii}
 
-    times: dict[float, np.ndarray] = {}
+    # every radius's members are stepped in one pass; each member only
+    # records, per (level, component), the last sample above its threshold
+    family, spans = [], []
     for r in radii:
-        lv = level_map[r]
         bins = [(r, r), (r, 0.5 * r), (r, 0.0)] if r > 0 else [(0.0, 0.0)]
-        runs = build_ensemble(net, window, bins, cfg, seed,
-                              tag=f"attain:{r:g}")
-        if not runs:
-            raise ValueError("empty ensemble")
-        tab = np.zeros((len(lv), len(window)))
-        for run in runs:
-            traj = run.trajectory
-            suffix = _suffix_max(np.abs(traj.states))
-            offset = float(gamma_hat(run.u_norm))
-            # ok[t, n, i]: tail of component i is below level n from time t on
-            ok = suffix[:, None, :] <= lv[None, :, None] + offset
-            first = np.argmax(ok, axis=0).astype(float)
-            never = ~ok[-1]
-            first[never] = np.nan
-            member_times = np.where(np.isnan(first), np.nan,
-                                    traj.times[np.nan_to_num(first).astype(int)])
-            tab = np.fmax(tab, member_times)
-            tab[np.isnan(member_times)] = np.nan
-        times[r] = tab
+        planned = _plan_bins(net, window, bins, cfg, seed, f"attain:{r:g}")
+        spans.append((len(family), len(family) + len(planned)))
+        family += planned
+    width = max((level_map[r].size for r in radii), default=0)
+    thresholds = np.full((len(family), width), np.inf)
+    for r, (lo, hi) in zip(radii, spans):
+        lv = level_map[r]
+        for j in range(lo, hi):
+            thresholds[j, :lv.size] = lv + float(gamma_hat(family[j][4].sup_norm()))
+    stepped = _step(net, window, cfg, family, keep=[False] * len(family),
+                    thresholds=thresholds)
+    _raise_first_blowup(family, stepped, seed)
+
+    # the tail from sample last + 1 on stays below the level; "never"
+    # means the final sample is still above it
+    final = stepped.times.size - 1
+    times: dict[float, np.ndarray] = {}
+    for r, (lo, hi) in zip(radii, spans):
+        last = stepped.last_exceed[lo:hi, :level_map[r].size]
+        member_times = np.where(last == final, np.nan,
+                                stepped.times[np.minimum(last + 1, final)])
+        times[r] = np.max(member_times, axis=0)   # NaN if any member never
     if shared:
         # balls nest, so a time valid for radius r must also cover r' < r;
-        # an unattained level at r' stays unattained at r
+        # an unattained level at either radius stays unattained at r
         for lo, hi in zip(radii, radii[1:]):
-            times[hi] = np.fmax(times[hi], times[lo])
-            times[hi][np.isnan(times[lo])] = np.nan
+            times[hi] = np.maximum(times[hi], times[lo])
     return AttainmentTable(window, radii, level_map, times, gamma_hat,
                            cfg.horizon, seed)
 
@@ -407,6 +476,21 @@ def _lift_strict(times: np.ndarray, gap: float) -> np.ndarray:
     return out
 
 
+class _SurfaceBlocks:
+    """A surface evaluated once per distinct (radius, time grid): holdout
+    members share few start radii and one step grid."""
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.blocks = {}
+
+    def __call__(self, r: float, times: np.ndarray) -> np.ndarray:
+        key = (float(r), times.tobytes())
+        if key not in self.blocks:
+            self.blocks[key] = self.evaluate(r, times)
+        return self.blocks[key]
+
+
 def build_nonuniform_iss(attainment: AttainmentTable,
                          ugs: UGSCertificate,
                          holdout: Sequence[LabeledRun],
@@ -450,19 +534,20 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     raw = 0.0                     # largest |x_i(t)| - bound, before tolerance
     exceed = -np.inf              # same, after the per-point tolerance
     worst = None
+    beta = _SurfaceBlocks(lambda r, t: np.stack(
+        [surfaces[i](r, t) for i in window], axis=-1))
     for run in holdout:
         traj = run.trajectory
-        g_term = float(gamma(run.u_norm))
+        bound = beta(run.r_x, traj.times) + float(gamma(run.u_norm))
+        viol = np.abs(traj.states) - bound
+        over = viol - (tol_abs + tol_rel * bound)
+        ks, k2s = np.argmax(viol, axis=0), np.argmax(over, axis=0)
+        # components in window order, each at its first worst sample
         for pos, i in enumerate(window):
-            bound = surfaces[i](run.r_x, traj.times) + g_term
-            viol = np.abs(traj.states[:, pos]) - bound
-            k = int(np.argmax(viol))
-            raw = max(raw, float(viol[k]))
-            over = viol - (tol_abs + tol_rel * bound)
-            k2 = int(np.argmax(over))
-            if over[k2] > exceed:
-                exceed = float(over[k2])
-                worst = (i, float(traj.times[k2]), run.member)
+            raw = max(raw, float(viol[ks[pos], pos]))
+            if over[k2s[pos], pos] > exceed:
+                exceed = float(over[k2s[pos], pos])
+                worst = (i, float(traj.times[k2s[pos]]), run.member)
     valid = exceed <= 0.0
     return NonUniformISSCertificate(window, surfaces, sigma_tilde, gamma,
                                     gamma_hat, max(0.0, raw), worst,
@@ -503,10 +588,11 @@ def uniform_from_nonuniform(cert: NonUniformISSCertificate,
     exceed = 0.0
     valid = cert.valid
     if holdout is not None:
+        beta_at = _SurfaceBlocks(beta)
         for run in holdout:
             traj = run.trajectory
             g_term = float(cert.gamma(run.u_norm))
-            bound = beta(run.r_x, traj.times) + g_term
+            bound = beta_at(run.r_x, traj.times) + g_term
             viol = traj.sup_norms() - bound
             residual = max(residual, float(np.max(viol)))
             exceed = max(exceed, float(np.max(viol - (tol_abs + tol_rel * bound))))
@@ -589,6 +675,22 @@ def _band_members(net, window, r, lo, hi, cfg, seed, tag):
     return out
 
 
+def _band_limits(r, k, q):
+    """(lo, hi, seed tag) of a band k or small-input cap q cell."""
+    if (k is None) == (q is None):
+        raise ValueError("give exactly one of k (band) or q (small-input cap)")
+    if k is not None:
+        if k < 0:
+            raise ValueError("band exponent must be nonnegative")
+        lo, hi = 2.0 ** (-k) * r, 2.0 ** (1 - k) * r
+        if hi <= 0:
+            raise ValueError("empty band: nonpositive top level")
+        return lo, hi, f"band:{k}"
+    if q < 0:
+        raise ValueError("small-input cap must be nonnegative")
+    return 0.0, float(q), f"small:{q:g}"
+
+
 def compute_band_limsups(net: NetworkSpec,
                          window: Sequence[int],
                          r: float,
@@ -603,42 +705,48 @@ def compute_band_limsups(net: NetworkSpec,
     ||u|| <= q (q = 0 is the zero-input cell).  Tail starts must precede
     the horizon; each row of the result is the suffix sup from that start.
     """
+    return compute_band_cells(net, window, [(r, k, q)], cfg, tail_starts,
+                              seed)[0]
+
+
+def compute_band_cells(net: NetworkSpec,
+                       window: Sequence[int],
+                       cells: Sequence[tuple],
+                       cfg: EnsembleConfig,
+                       tail_starts: Sequence[float],
+                       seed: int) -> list[BandEntry]:
+    """compute_band_limsups for each (r, k, q) cell, all stepped in one pass.
+
+    Each member keeps only its suffix sups at the tail starts, never its
+    trajectory.  The first cell (in order) with a blown-up member raises.
+    """
     window = tuple(window)
-    if (k is None) == (q is None):
-        raise ValueError("give exactly one of k (band) or q (small-input cap)")
-    if k is not None:
-        if k < 0:
-            raise ValueError("band exponent must be nonnegative")
-        lo, hi = 2.0 ** (-k) * r, 2.0 ** (1 - k) * r
-        if hi <= 0:
-            raise ValueError("empty band: nonpositive top level")
-        tag = f"band:{k}"
-    else:
-        if q < 0:
-            raise ValueError("small-input cap must be nonnegative")
-        lo, hi = 0.0, float(q)
-        tag = f"small:{q:g}"
+    limits = [_band_limits(r, k, q) for r, k, q in cells]
     tail_starts = tuple(float(t) for t in tail_starts)
     if any(t >= cfg.horizon for t in tail_starts) or not tail_starts:
         raise ValueError("tail starts must be nonempty and precede the horizon")
 
-    members = _band_members(net, window, r, lo, hi, cfg, seed, tag)
-    if q is not None and q == 0.0:
-        members = [(name, x0, InputSignal.zero())
-                   for name, x0, _u in members]
-
-    trajs = simulate_ensemble(net, window, [(x0, u) for _name, x0, u in members],
-                              cfg.horizon, dt=cfg.dt)
-    y = np.zeros((len(tail_starts), len(window)))
-    for traj in trajs:
-        if traj.blowup is not None:
-            raise CertificationError(
-                f"trajectory blow-up at t={traj.blowup.time:g} in band cell "
-                f"(r={r:g}, {tag}), seed {seed}")
-        y = np.maximum(y, tail_limsup_estimate(traj.times, np.abs(traj.states),
-                                               tail_starts))
-    return BandEntry(float(r), k, q, (lo, hi), tail_starts, y,
-                     len(members), seed)
+    family, spans = [], []
+    for (r, _k, q), (lo, hi, tag) in zip(cells, limits):
+        members = _band_members(net, window, r, lo, hi, cfg, seed, tag)
+        if q is not None and q == 0.0:
+            members = [(name, x0, InputSignal.zero())
+                       for name, x0, _u in members]
+        spans.append((len(family), len(family) + len(members)))
+        family += members
+    stepped = _step(net, window, cfg, family, keep=[False] * len(family),
+                    tail_starts=tail_starts)
+    entries = []
+    for (r, k, q), (lo, hi, tag), (a, b) in zip(cells, limits, spans):
+        for blowup in stepped.blowups[a:b]:
+            if blowup is not None:
+                raise CertificationError(
+                    f"trajectory blow-up at t={blowup.time:g} in band cell "
+                    f"(r={r:g}, {tag}), seed {seed}")
+        y = np.max(stepped.tail_sups[a:b], axis=0)
+        entries.append(BandEntry(float(r), k, q, (lo, hi), tail_starts, y,
+                                 b - a, seed))
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,6 +792,10 @@ def verify_sg_inequality(trace: ProofTrace,
         all_passed = all_passed and passed
         rows.append((e.r, e.k, e.q, e.level, comp_margin, norm_margin, passed))
     return SGInequalityReport(window, tuple(rows), tol, all_passed)
+
+
+def _suffix_max(values: np.ndarray) -> np.ndarray:
+    return np.flip(np.maximum.accumulate(np.flip(values, 0), 0), 0)
 
 
 def tail_limsup_estimate(times, values, tail_starts) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,8 +37,8 @@ import numpy as np
 from . import catalog
 from .certify import (DEFAULT_BANDS, DEFAULT_DEPTH, DEFAULT_RADII,
                       CertificationError, EnsembleConfig, ProofTrace,
-                      build_ensemble, build_nonuniform_iss,
-                      compute_band_limsups, estimate_attainment_times,
+                      build_fit_and_holdout, build_nonuniform_iss,
+                      compute_band_cells, estimate_attainment_times,
                       fit_ugs, trace_to_csv, uniform_from_nonuniform,
                       verify_sg_inequality)
 from .comparison import curve_from_json
@@ -95,24 +96,64 @@ def _resolve_window(net: NetworkSpec | None, conf: dict, graph=None):
         if w <= 0:
             raise ConfigError(f"window size must be positive, got {w}")
         return index_set.window(w)
+    return _resolve_labels(index_set, w, "window")
+
+
+def _resolve_labels(index_set, value, key: str) -> tuple[int, ...]:
+    """A nonempty list of distinct labels of the index set."""
     try:
-        labels = tuple(int(i) for i in w)
+        labels = tuple(int(i) for i in value)
     except (TypeError, ValueError):
-        raise ConfigError(f"window must be a size or a label list, got {w!r}")
+        raise ConfigError(f"{key} must be a list of integer labels, "
+                          f"got {value!r}")
     if not labels or len(set(labels)) != len(labels):
-        raise ConfigError(f"window labels must be nonempty and distinct, "
+        raise ConfigError(f"{key} labels must be nonempty and distinct, "
                           f"got {list(labels)}")
     outside = [i for i in labels if i not in index_set]
     if outside:
-        raise ConfigError(f"window labels {outside} outside the index set")
+        raise ConfigError(f"{key} labels {outside} outside the index set")
     return labels
 
 
-def _resolve_budget(value, key: str) -> int:
-    """A falsification budget from the config: an integer of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+def _resolve_int(value, key: str, least: int) -> int:
+    """An integer of at least ``least`` from the config."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
+
+
+def _resolve_float(value, key: str, lo: float, hi: float = math.inf,
+                   lo_open: bool = True) -> float:
+    """A number in (lo, hi), or in [lo, hi) when lo_open is False."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not ((lo < value if lo_open else lo <= value) and value < hi):
+        interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g})"
+        raise ConfigError(f"{key} must be a number in {interval}, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def _resolve_list(conf: dict, key: str, default, item) -> tuple:
+    """A nonempty list whose entries pass ``item``."""
+    value = conf.get(key, default)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key} must be a nonempty list, got {value!r}")
+    return tuple(item(v) for v in value)
+
+
+def _resolve_radii(conf: dict) -> tuple[float, ...]:
+    return _resolve_list(conf, "radii", DEFAULT_RADII,
+                         lambda r: _resolve_float(r, "radii", 0.0))
+
+
+def _resolve_curve(spec, key: str):
+    """A curve from its JSON object."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key} must be a curve object, got {spec!r}")
+    try:
+        return curve_from_json(spec)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key} is not a valid curve: {e}") from e
 
 
 def _resolve_seed(conf: dict, args) -> int:
@@ -197,7 +238,7 @@ def cmd_gains_check(args) -> int:
         raise ConfigError("config needs a \"graph\" or a network with gains")
     window = _resolve_window(net, conf, graph)
     fal_conf = conf.get("falsify", {})
-    budget = _resolve_budget(fal_conf.get("budget", 10_000), "falsify.budget")
+    budget = _resolve_int(fal_conf.get("budget", 10_000), "falsify.budget", 1)
 
     r_grid = conf.get("r_grid") or list(np.geomspace(1e-3, 1e3, 13))
     structure = check_graph(graph, r_grid, window)
@@ -205,14 +246,15 @@ def cmd_gains_check(args) -> int:
     sgc_conf = conf.get("sgc", {})
     sgc = estimate_uniform_sgc(graph, window,
                                radii=sgc_conf.get("radii"),
-                               n_random=int(sgc_conf.get("n_random", 64)),
+                               n_random=_resolve_int(sgc_conf.get("n_random", 64),
+                                                     "sgc.n_random", 0),
                                seed=seed)
 
     xi_spec = fal_conf.get("xi", "derived")
     if xi_spec == "derived":
         xi = sgc.xi_hat
     else:
-        xi = curve_from_json(xi_spec)
+        xi = _resolve_curve(xi_spec, "falsify.xi")
     witness = None
     if xi is not None:
         witness = falsify_mbi(graph, window, xi, budget=budget, seed=seed)
@@ -340,14 +382,26 @@ def cmd_simulate(args) -> int:
 # certify ----------------------------------------------------------------
 
 
-def _ensemble_config(conf: dict) -> EnsembleConfig:
+def _ensemble_config(conf: dict, net: NetworkSpec) -> EnsembleConfig:
     e = conf.get("ensemble")
-    if e is None or "horizon" not in e:
+    if not isinstance(e, dict) or "horizon" not in e:
         raise ConfigError("config needs ensemble.horizon")
-    return EnsembleConfig(horizon=float(e["horizon"]),
-                          dt=e.get("dt"),
-                          n_random=int(e.get("n_random", 5)),
-                          input_pieces=int(e.get("input_pieces", 4)))
+    dt = e.get("dt")
+    if net.time_domain.kind == "continuous":
+        _resolve_float(net.time_domain.dt if dt is None else dt,
+                       "ensemble.dt", 0.0)
+    return EnsembleConfig(
+        horizon=_resolve_float(e["horizon"], "ensemble.horizon", 0.0),
+        dt=dt,
+        n_random=_resolve_int(e.get("n_random", 5), "ensemble.n_random", 0),
+        input_pieces=_resolve_int(e.get("input_pieces", 4),
+                                  "ensemble.input_pieces", 1))
+
+
+def _resolve_tolerances(conf: dict) -> dict:
+    """The holdout validation tolerances, finite numbers."""
+    return {key: _resolve_float(conf.get(key, default), key, -math.inf)
+            for key, default in (("tol_abs", 1e-6), ("tol_rel", 1e-3))}
 
 
 def _run_certify(net, window, conf, seed):
@@ -356,25 +410,28 @@ def _run_certify(net, window, conf, seed):
     Returns (payload, cert, holdout_runs); raises CertificationError with a
     reproducer in the message on any certified failure.
     """
-    cfg = _ensemble_config(conf)
-    radii = tuple(float(r) for r in conf.get("radii", DEFAULT_RADII))
-    depth = int(conf.get("depth", DEFAULT_DEPTH))
+    cfg = _ensemble_config(conf, net)
+    radii = _resolve_radii(conf)
+    depth = _resolve_int(conf.get("depth", DEFAULT_DEPTH), "depth", 0)
+    tolerances = _resolve_tolerances(conf)
+    gamma_hat = _resolve_curve(conf["gamma_hat"], "gamma_hat") \
+        if "gamma_hat" in conf else None
 
+    # two stepping passes: the fit and holdout members first, then the
+    # attainment members, whose thresholds need the fitted sigma
     bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
         + [(r, r) for r in radii]
-    fit_runs = build_ensemble(net, window, bins, cfg, seed, tag="fit")
-    hold_runs = build_ensemble(net, window, bins, cfg, seed, tag="holdout")
+    fit_runs, hold_runs = build_fit_and_holdout(net, window, bins, cfg, seed)
     ugs = fit_ugs(fit_runs, holdout=hold_runs)
 
     levels = {r: np.array([float(ugs.sigma(r)) * 2.0 ** (-n)
                            for n in range(depth + 1)]) for r in radii}
-    gamma_hat = curve_from_json(conf["gamma_hat"]) if "gamma_hat" in conf \
-        else ugs.gamma
+    if gamma_hat is None:
+        gamma_hat = ugs.gamma
     attain = estimate_attainment_times(net, window, levels, radii, gamma_hat,
                                        cfg, seed)
     cert = build_nonuniform_iss(attain, ugs, hold_runs, gamma_hat,
-                                tol_abs=float(conf.get("tol_abs", 1e-6)),
-                                tol_rel=float(conf.get("tol_rel", 1e-3)))
+                                **tolerances)
     payload = {
         "seed": seed,
         "window": list(window),
@@ -400,8 +457,7 @@ def cmd_certify(args) -> int:
         return 1
     if conf.get("emit_uniform", False):
         uni = uniform_from_nonuniform(cert, hold_runs,
-                                      tol_abs=float(conf.get("tol_abs", 1e-6)),
-                                      tol_rel=float(conf.get("tol_rel", 1e-3)))
+                                      **_resolve_tolerances(conf))
         payload["uniform"] = uni.to_json()
     _write_json(_out_path(args, conf, "certificate.json"), payload)
     if not cert.valid:
@@ -420,7 +476,7 @@ def cmd_certify(args) -> int:
 def _resolve_xi(conf, oracle, graph, window, seed):
     spec = conf.get("xi", "oracle")
     if isinstance(spec, dict):
-        return curve_from_json(spec)
+        return _resolve_curve(spec, "xi")
     if spec == "oracle":
         if oracle is None or oracle.xi is None:
             raise ConfigError("no oracle monotone-bound curve available; "
@@ -445,25 +501,26 @@ def cmd_trace_theorem1(args) -> int:
     if net.graph is None:
         raise ConfigError("trace needs a network with a gain graph")
     window = _resolve_window(net, conf)
-    cfg = _ensemble_config(conf)
-    radii = tuple(float(r) for r in conf.get("radii", DEFAULT_RADII))
-    bands = tuple(int(k) for k in conf.get("bands", DEFAULT_BANDS))
-    fractions = conf.get("tail_fractions", (0.35, 0.55, 0.75, 0.93))
-    tail_starts = [float(f) * cfg.horizon for f in fractions]
-    tol = float(conf.get("tol", 1e-6))
+    cfg = _ensemble_config(conf, net)
+    radii = _resolve_radii(conf)
+    bands = _resolve_list(conf, "bands", DEFAULT_BANDS,
+                          lambda k: _resolve_int(k, "bands", 0))
+    fractions = _resolve_list(
+        conf, "tail_fractions", (0.35, 0.55, 0.75, 0.93),
+        lambda f: _resolve_float(f, "tail_fractions", 0.0, 1.0, lo_open=False))
+    tail_starts = [f * cfg.horizon for f in fractions]
+    tol = _resolve_float(conf.get("tol", 1e-6), "tol", -math.inf)
 
-    entries = []
+    cap = conf.get("small_cap")
+    if cap is not None:
+        cap = _resolve_float(cap, "small_cap", 0.0, lo_open=False)
+    cells = []
+    for r in radii:
+        cells += [(r, k, None) for k in bands]
+        cells.append((r, None, 2.0 ** (-max(bands)) * r if cap is None else cap))
     try:
-        for r in radii:
-            for k in bands:
-                entries.append(compute_band_limsups(
-                    net, window, r, k, cfg, tail_starts, seed))
-            q = conf.get("small_cap")
-            if q is None:
-                q = 2.0 ** (-max(bands)) * r
-            entries.append(compute_band_limsups(
-                net, window, r, None, cfg, tail_starts, seed,
-                q=float(q)))
+        entries = compute_band_cells(net, window, cells, cfg, tail_starts,
+                                     seed)
         trace = ProofTrace(tuple(window), tuple(entries), cfg.horizon, seed)
         xi = _resolve_xi(conf, oracle, net.graph, window, seed)
     except CertificationError as e:
@@ -505,14 +562,11 @@ def cmd_subnetwork(args) -> int:
     subset = conf.get("subset")
     if not subset:
         raise ConfigError("subnetwork needs a nonempty \"subset\" of labels")
-    subset = tuple(int(i) for i in subset)
-    try:
-        sub = subnetwork(net, subset)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    subset = _resolve_labels(net.index_set, subset, "subset")
+    sub = subnetwork(net, subset)
 
-    budget = _resolve_budget(conf.get("falsify_budget", 10_000),
-                             "falsify_budget")
+    budget = _resolve_int(conf.get("falsify_budget", 10_000),
+                          "falsify_budget", 1)
 
     payload: dict = {"seed": seed, "subset": list(subset)}
     ok = True
@@ -547,8 +601,7 @@ def cmd_subnetwork(args) -> int:
     ok = ok and cert.valid
 
     uni = uniform_from_nonuniform(cert, hold_runs,
-                                  tol_abs=float(conf.get("tol_abs", 1e-6)),
-                                  tol_rel=float(conf.get("tol_rel", 1e-3)))
+                                  **_resolve_tolerances(conf))
     payload["uniform"] = uni.to_json()
     ok = ok and uni.valid
 

@@ -9,7 +9,11 @@ stages.
 
 An ensemble of (x0, u) members on one window is stepped together as one
 (members, window) state array, with every member's input evaluated once on
-the step grid; a single run is an ensemble of one.  Entries may supply a
+the step grid; a single run is an ensemble of one.  The stepper can reduce
+each sample's |x| rows per member as they are produced (the peak sup norm,
+the last sample above given thresholds, the suffix sups at given tail
+starts), and only the members asked to keep their states store them, so
+an ensemble need not hold all of its trajectories.  Entries may supply a
 vectorized coupled map for speed; the per-component assembly path is the
 semantic reference and the two are checked against each other in the test
 suite.
@@ -159,13 +163,42 @@ def _input_block(members, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
     return block
 
 
+@dataclass(frozen=True, eq=False)
+class _Stepped:
+    """One stepping pass: the step grid plus, per member j, what was kept.
+
+    A member that blew up has only its first ends[j] samples, and its
+    reductions cover just those.
+    """
+
+    window: tuple
+    times: np.ndarray                # the full step grid
+    ends: np.ndarray                 # samples member j has
+    blowups: list                    # BlowUp or None
+    peaks: np.ndarray                # largest sup norm over the samples
+    states: dict                     # j -> (ends[j], n) samples, kept members
+    last_exceed: np.ndarray | None   # (m, L, n) last sample with |x_i| above
+                                     # threshold l, -1 if none
+    tail_sups: np.ndarray | None     # (m, starts, n) sup from each start on
+
+    def trajectory(self, j: int) -> NetworkTrajectory:
+        return NetworkTrajectory(self.times[:self.ends[j]], self.window,
+                                 self.states[j], self.blowups[j])
+
+
 def _simulate(net: NetworkSpec, window: Sequence[int], members,
               horizon: float, dt: float | None, blowup_bound: float,
-              reference: bool) -> list[NetworkTrajectory]:
+              reference: bool, keep=None, thresholds=None,
+              tail_starts=None) -> _Stepped:
     """Step every (x0, u) member together as one (m, n) state array.
 
-    A member that blows up is truncated at the offending sample and its
-    row leaves the array, so it is never stepped again.
+    Each sample's |x| rows are reduced as they are produced: the running
+    peak sup norm always; with ``thresholds`` (an (m, L) array) the last
+    sample at which |x_i| of member j exceeds thresholds[j, l]; with
+    ``tail_starts`` the sup of |x_i| from each start on.  Only the members
+    flagged in ``keep`` (all when None) store their states.  A member that
+    blows up is truncated at the offending sample and its row leaves the
+    array, so it is never stepped again.
     """
     window = tuple(int(i) for i in window)
     for i in window:
@@ -194,19 +227,30 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
         steps = int(round(horizon / dt))
         times = dt * np.arange(steps + 1)
         h, stepper = dt, lambda xk, uk: _rk4_step(f, xk, dt, uk)
-    if m == 0:
-        return []
-    inputs = _input_block(members, times[:-1], h, n)
+    inputs = _input_block(members, times[:-1], h, n) if m else None
 
-    states = np.empty((m, steps + 1, n))
-    states[:, 0] = x
+    kept = np.arange(m) if keep is None else np.flatnonzero(keep)
+    slot = np.full(m, -1)
+    slot[kept] = np.arange(kept.size)
+    block = np.empty((kept.size, steps + 1, n))
+    block[:, 0] = x[kept]
+    red = _Reductions(m, n, times, thresholds, tail_starts)
+    ax = np.abs(x)
+    red.update(0, ax, np.max(ax, axis=1, initial=0.0))
+
     ends = np.full(m, steps + 1)
     blowups: list[BlowUp | None] = [None] * m
     alive = np.arange(m)              # members still stepping, rows of x
+    rows = slice(None)                # alive as an index, a slice while full
+    src, dst = kept, slot[kept]       # kept rows of x and their block slots
     for k in range(steps):
-        x = stepper(x, inputs[k, alive])
-        states[alive, k + 1] = x
-        norms = np.max(np.abs(x), axis=1, initial=0.0)
+        if not alive.size:
+            break
+        x = stepper(x, inputs[k, rows])
+        block[dst, k + 1] = x[src]
+        ax = np.abs(x)
+        norms = np.max(ax, axis=1, initial=0.0)
+        red.update(k + 1, ax, norms)
         bad = ~np.isfinite(norms) | (norms > blowup_bound)
         if bad.any():
             for r in np.flatnonzero(bad):
@@ -214,11 +258,75 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
                 ends[j] = k + 2
                 blowups[j] = BlowUp(float(times[k + 1]), float(norms[r]),
                                     blowup_bound)
+            red.retire(alive, bad)
             alive, x = alive[~bad], x[~bad]
-            if not alive.size:
-                break
-    return [NetworkTrajectory(times[:ends[j]], window, states[j, :ends[j]],
-                              blowups[j]) for j in range(m)]
+            rows = alive
+            src = np.flatnonzero(slot[alive] >= 0)
+            dst = slot[alive[src]]
+    red.retire(alive, np.ones(alive.size, bool))
+    states = {int(j): block[s, :ends[j]] for j, s in zip(kept, slot[kept])}
+    return _Stepped(window, times, ends, blowups, red.peaks, states,
+                    red.last_exceed, red.tail_sups())
+
+
+class _Reductions:
+    """Per-member reductions of the |x| rows, fed one sample at a time.
+
+    The running state has one row per member still stepping; a member's
+    row moves to the per-member results when it retires.
+    """
+
+    def __init__(self, m: int, n: int, times: np.ndarray, thresholds,
+                 tail_starts):
+        self.peaks = np.zeros(m)
+        self.run_peaks = np.zeros(m)
+        self.last_exceed = None
+        if thresholds is not None:
+            self.thresholds = np.asarray(thresholds, float)[:, :, None]
+            if self.thresholds.shape[0] != m:
+                raise ValueError("one threshold row per member required")
+            self.last_exceed = np.full((m, self.thresholds.shape[1], n), -1)
+            self.run_last = self.last_exceed.copy()
+        self.starts = None
+        if tail_starts is not None:
+            # the sup from a start is the max of the segment maxima between
+            # consecutive distinct start samples from that start on
+            self.starts = np.clip(np.searchsorted(
+                times, np.asarray(tail_starts, float), side="left"),
+                0, times.size - 1)
+            self.bounds = np.unique(self.starts)
+            self.segment = np.searchsorted(self.bounds, np.arange(times.size),
+                                           side="right") - 1
+            self.seg_max = np.zeros((m, self.bounds.size, n))
+            self.run_seg = self.seg_max.copy()
+
+    def update(self, k: int, ax: np.ndarray, norms: np.ndarray) -> None:
+        np.maximum(self.run_peaks, norms, out=self.run_peaks)
+        if self.last_exceed is not None:
+            np.copyto(self.run_last, k,
+                      where=ax[:, None, :] > self.thresholds)
+        if self.starts is not None and self.segment[k] >= 0:
+            seg = self.run_seg[:, self.segment[k]]
+            np.maximum(seg, ax, out=seg)
+
+    def retire(self, alive: np.ndarray, gone: np.ndarray) -> None:
+        """Store the rows ``gone`` (a mask over alive) and drop them."""
+        stay = ~gone
+        self.peaks[alive[gone]] = self.run_peaks[gone]
+        self.run_peaks = self.run_peaks[stay]
+        if self.last_exceed is not None:
+            self.last_exceed[alive[gone]] = self.run_last[gone]
+            self.run_last = self.run_last[stay]
+            self.thresholds = self.thresholds[stay]
+        if self.starts is not None:
+            self.seg_max[alive[gone]] = self.run_seg[gone]
+            self.run_seg = self.run_seg[stay]
+
+    def tail_sups(self) -> np.ndarray | None:
+        if self.starts is None:
+            return None
+        suffix = np.flip(np.maximum.accumulate(np.flip(self.seg_max, 1), 1), 1)
+        return suffix[:, np.searchsorted(self.bounds, self.starts)]
 
 
 def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
@@ -233,7 +341,7 @@ def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
     RK4 steps.
     """
     return _simulate(net, window, [(x0, u)], horizon, dt, blowup_bound,
-                     reference=False)[0]
+                     reference=False).trajectory(0)
 
 
 def simulate_ensemble(net: NetworkSpec, window: Sequence[int],
@@ -247,8 +355,9 @@ def simulate_ensemble(net: NetworkSpec, window: Sequence[int],
     member's own :func:`simulate` run; a member that blows up is truncated
     exactly as that run would be, without stopping the others.
     """
-    return _simulate(net, window, members, horizon, dt, blowup_bound,
-                     reference=False)
+    run = _simulate(net, window, members, horizon, dt, blowup_bound,
+                    reference=False)
+    return [run.trajectory(j) for j in range(len(members))]
 
 
 def simulate_reference(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
@@ -257,7 +366,7 @@ def simulate_reference(net: NetworkSpec, window: Sequence[int], x0, u: InputSign
     """Same semantics as :func:`simulate` but always assembles the coupled
     map from per-component dynamics; used as the semantic reference."""
     return _simulate(net, window, [(x0, u)], horizon, dt, blowup_bound,
-                     reference=True)[0]
+                     reference=True).trajectory(0)
 
 
 @dataclass(frozen=True)
@@ -344,7 +453,8 @@ class NetworkSystem:
     def phi(self, t: float, x, u: InputSignal):
         traj = _simulate(self.net, self.window, [(x, u)], t,
                          None if self.time_domain.kind == "discrete" else self.dt,
-                         DEFAULT_BLOWUP_BOUND, reference=False)[0]
+                         DEFAULT_BLOWUP_BOUND,
+                         reference=False).trajectory(0)
         if traj.blowup is not None:
             raise ArithmeticError("trajectory blew up during axiom checking")
         return traj.states[-1]

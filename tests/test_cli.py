@@ -170,41 +170,62 @@ def test_certify_is_deterministic(run_cli):
 
 
 # sha256 of the result files of the criterion-2 certify and criterion-4
-# trace configs, and of gains-check on the 300-window diffusive chain (the
-# falsifier's widest blocks); any change to the numerics or the writers
-# shows here
+# trace configs (at their gate seeds and one more), of a discrete certify
+# run with the collapsed uniform certificate, and of gains-check on the
+# 300-window diffusive chain (the falsifier's widest blocks); any change to
+# the numerics or the writers shows here
+CHAIN50 = {
+    "network": "catalog:counterexample-chain",
+    "window": 50,
+    "ensemble": {"horizon": 240.0, "dt": 0.1, "n_random": 3},
+    "radii": [0.5, 1.0, 2.0],
+    "depth": 6,
+}
+CHAIN64 = {
+    "network": "catalog:nonuniform-discrete-chain",
+    "window": 64,
+    "ensemble": {"horizon": 2000, "n_random": 2},
+    "radii": [0.5, 1.0, 2.0],
+    "bands": [1, 2, 3, 4, 5, 6],
+    "xi": {"kind": "linear", "params": {"a": 2.0}, "class": "Kinf"},
+}
+TRACE_CSV = ("b4161a4a866524046e54d57398502a9d"
+             "e2d09eb0cd26240ccf596d7f961d38b2")
 GOLDEN = [
-    ("certify", {
-        "network": "catalog:counterexample-chain",
-        "window": 50,
-        "ensemble": {"horizon": 240.0, "dt": 0.1, "n_random": 3},
-        "radii": [0.5, 1.0, 2.0],
-        "depth": 6,
-        "seed": 12,
-    }, {"certificate.json": "e9d6ae8d128549e85c53eb558a328b9f"
-                            "e2dbc0afda3a423022939dfbe11ed1a7"}),
-    ("trace-theorem1", {
-        "network": "catalog:nonuniform-discrete-chain",
-        "window": 64,
-        "ensemble": {"horizon": 2000, "n_random": 2},
-        "radii": [0.5, 1.0, 2.0],
-        "bands": [1, 2, 3, 4, 5, 6],
-        "xi": {"kind": "linear", "params": {"a": 2.0}, "class": "Kinf"},
-        "seed": 4,
-    }, {"proof_trace.json": "f6a0500e13a88b29d158e607743817a3"
-                            "9210f0027031e64a2dfdb35cf7f3a7cf",
-        "proof_trace.csv": "b4161a4a866524046e54d57398502a9d"
-                           "e2d09eb0cd26240ccf596d7f961d38b2"}),
-    ("gains-check", {
+    ("certify", "certify", dict(CHAIN50, seed=12),
+     {"certificate.json": "e9d6ae8d128549e85c53eb558a328b9f"
+                          "e2dbc0afda3a423022939dfbe11ed1a7"}),
+    ("trace-theorem1", "trace-theorem1", dict(CHAIN64, seed=4),
+     {"proof_trace.json": "f6a0500e13a88b29d158e607743817a3"
+                          "9210f0027031e64a2dfdb35cf7f3a7cf",
+      "proof_trace.csv": TRACE_CSV}),
+    ("gains-check", "gains-check", {
         "network": "catalog:linear-diffusive-chain",
         "window": 300,
         "seed": 3,
     }, {"gains_check.json": "7958e301a5cef2b23f3d8167b0094639"
                             "3097a8fb212c3f742f0950ef3097467d"}),
+    ("certify-chain50-seed13", "certify", dict(CHAIN50, seed=13),
+     {"certificate.json": "6f5d575d878ce2353b34d016373612ae"
+                          "b9a991b15057885af7a0cd0d50763211"}),
+    ("trace-chain64-seed5", "trace-theorem1", dict(CHAIN64, seed=5),
+     {"proof_trace.json": "ca486ad18f5823008e04462777501fa3"
+                          "f67788e9f235ca483b81f8525c3bc003",
+      "proof_trace.csv": TRACE_CSV}),
+    ("certify-uniform-discrete", "certify", {
+        "network": "catalog:nonuniform-discrete-chain",
+        "window": 8,
+        "ensemble": {"horizon": 200, "n_random": 2},
+        "radii": [0.5, 1.0, 2.0],
+        "depth": 6,
+        "seed": 9,
+        "emit_uniform": True,
+    }, {"certificate.json": "dbd827657ab1124d93b60d682a411339"
+                            "61d275c27502b748ef902262959b5e35"}),
 ]
 
 
-@pytest.mark.parametrize("command,conf,digests", GOLDEN,
+@pytest.mark.parametrize("command,conf,digests", [g[1:] for g in GOLDEN],
                          ids=[g[0] for g in GOLDEN])
 def test_result_files_match_golden_digests(run_cli, command, conf, digests):
     code, out = run_cli(command, conf)
@@ -362,6 +383,92 @@ def test_subset_label_outside_the_index_set_is_a_config_error(run_cli, capsys):
                                      "ensemble": {"horizon": 5}})
     assert code == 2
     assert "outside the index set" in capsys.readouterr().err
+
+
+SMALL_CERT = {
+    "network": "catalog:counterexample-chain",
+    "window": 3,
+    "ensemble": {"horizon": 2.0, "dt": 0.1, "n_random": 1},
+    "radii": [0.5, 1.0],
+    "depth": 2,
+    "seed": 1,
+}
+
+
+def _with(conf, **changes):
+    out = json.loads(json.dumps(conf))
+    for key, value in changes.items():
+        if key.startswith("ensemble."):
+            out["ensemble"][key.split(".", 1)[1]] = value
+        else:
+            out[key] = value
+    return out
+
+
+# each of these exited 1 with a traceback, or ran and exited 0 or 1
+@pytest.mark.parametrize("key, value", [
+    ("ensemble.horizon", "abc"),
+    ("ensemble.dt", 0),
+    ("ensemble.dt", -0.1),
+    ("ensemble.n_random", "abc"),
+    ("ensemble.n_random", -2),
+    ("ensemble.input_pieces", "abc"),
+    ("ensemble.input_pieces", 0),
+    ("depth", -1),
+    ("depth", "x"),
+    ("radii", []),
+    ("radii", [-1.0, 1.0]),
+    ("tol_abs", "x"),
+    ("gamma_hat", {"kind": "linear", "params": {"a": -1.0}}),
+], ids=str)
+def test_bad_certify_config_is_a_config_error(run_cli, capsys, key, value):
+    code, out = run_cli("certify", _with(SMALL_CERT, **{key: value}))
+    assert code == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bands", [-1]),
+    ("bands", []),
+    ("small_cap", -1.0),
+    ("tail_fractions", [0.5, 1.2]),
+    ("radii", [0.0]),
+    ("tol", "x"),
+    ("xi", {"kind": "nope"}),
+], ids=str)
+def test_bad_trace_config_is_a_config_error(run_cli, capsys, key, value):
+    conf = {"network": "catalog:nonuniform-discrete-chain", "window": 3,
+            "ensemble": {"horizon": 40, "n_random": 1}, "radii": [1.0],
+            "bands": [1], "seed": 1}
+    code, _ = run_cli("trace-theorem1", _with(conf, **{key: value}))
+    assert code == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def test_bad_falsify_curve_is_a_config_error(run_cli, capsys):
+    code, _ = run_cli("gains-check", {"network": "catalog:uniform-2-cycle",
+                                      "seed": 1, "falsify": {"xi": "tight"}})
+    assert code == 2
+    assert "config error: falsify.xi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_random", ["abc", -3])
+def test_bad_sgc_sample_count_is_a_config_error(run_cli, capsys, n_random):
+    code, out = run_cli("gains-check", {"network": "catalog:uniform-2-cycle",
+                                        "seed": 1,
+                                        "sgc": {"n_random": n_random}})
+    assert code == 2
+    assert "config error: sgc.n_random" in capsys.readouterr().err
+    assert not (out / "gains_check.json").exists()
+
+
+def test_non_integer_subset_label_is_a_config_error(run_cli, capsys):
+    code, _ = run_cli("subnetwork", {"network": "catalog:nonuniform-discrete-chain",
+                                     "subset": ["x"], "seed": 1,
+                                     "ensemble": {"horizon": 40}})
+    assert code == 2
+    assert "config error: subset" in capsys.readouterr().err
 
 
 def test_threads_flag_is_a_usage_error(tmp_path, capsys):
