@@ -21,16 +21,15 @@ from .comparison import (KLSurface, ScalarCurve, check_class, compose,
                          saturating, scale, surface_from_json, surface_to_json,
                          zero_curve)
 from .systems import (DISCRETE, BlowUp, InputSignal, SubsystemSpec, TimeDomain,
-                      Trajectory, causal_truncate, check_axioms, continuous,
+                      Trajectory, check_axioms, continuous,
                       integrate_ode, step_discrete)
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
                     NonnegSequence, apply_batch, apply_gain_operator,
                     check_graph, graph_from_json, graph_to_json, iterate,
                     register_gain_generator, restrict)
-from .smallgain import (MBIWitness, SGCReport, derive_xi_from_eta,
-                        dist_to_cone, estimate_uniform_sgc, exact_eta_two_node,
-                        falsify_mbi, finite_cycle_check, invert_k_curve,
-                        operator_deficit)
+from .smallgain import (MBIWitness, SGCReport, dist_to_cone,
+                        estimate_uniform_sgc, exact_eta_two_node, falsify_mbi,
+                        finite_cycle_check, invert_k_curve, operator_deficit)
 from .network import (NetworkSpec, NetworkSystem, NetworkTrajectory,
                       SweepReport, TruncationPolicy, simulate,
                       simulate_ensemble, simulate_reference, subnetwork,

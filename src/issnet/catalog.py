@@ -18,6 +18,9 @@ closed forms the test suite compares against:
 * linear-diffusive-chain: dx_i/dt = -x_i + eps (x_{i-1} + x_{i+1}) + u_i;
   a uniformly stable diffusive coupling for eps < 1/2, stored neighbor gains
   2 eps id (tight when both neighbors are driven together).
+
+The three chains take their gain graphs from the gain generators registered
+below, the same ones graph_from_json rebuilds them with.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .comparison import ScalarCurve, identity, linear, zero_curve
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
-                    graph_from_json, register_gain_generator)
+                    _generated_graph, graph_from_json, register_gain_generator)
 from .network import NetworkSpec
 from .systems import DISCRETE, SubsystemSpec, continuous
 
@@ -107,10 +110,7 @@ def _build_counterexample(p):
 
         return field
 
-    graph = GainGraph(index_set, row_fn=lambda i: {},
-                      external_fn=lambda i: zero_curve(),
-                      assumption1_bound=zero_curve(),
-                      generator_name="decoupled", generator_params={})
+    graph = _generated_graph(index_set, "decoupled", {})
     net = NetworkSpec("counterexample-chain", continuous(1e-3), index_set,
                       subsystem, graph, fast)
 
@@ -218,14 +218,8 @@ def _build_nonuniform_chain(p):
 
         return step
 
-    def row_fn(i):
-        return {i + 1: linear(theta)} if theta > 0 else {}
-
-    graph = GainGraph(index_set, row_fn=row_fn,
-                      external_fn=lambda i: identity(),
-                      assumption1_bound=linear(theta),
-                      generator_name="unidirectional-chain",
-                      generator_params={"theta": theta, "start": 0})
+    graph = _generated_graph(index_set, "unidirectional-chain",
+                             {"theta": theta, "start": 0})
     net = NetworkSpec("nonuniform-discrete-chain", DISCRETE, index_set,
                       subsystem, graph, fast)
 
@@ -296,21 +290,8 @@ def _build_diffusive(p):
 
         return field
 
-    gain = linear(2.0 * eps) if eps > 0 else zero_curve()
-
-    def row_fn(i):
-        if eps == 0:
-            return {}
-        row = {i + 1: gain}
-        if i - 1 >= 0:
-            row[i - 1] = gain
-        return row
-
-    graph = GainGraph(index_set, row_fn=row_fn,
-                      external_fn=lambda i: identity(),
-                      assumption1_bound=gain,
-                      generator_name="bidirectional-chain",
-                      generator_params={"gain": 2.0 * eps, "start": 0})
+    graph = _generated_graph(index_set, "bidirectional-chain",
+                             {"gain": 2.0 * eps, "start": 0})
     net = NetworkSpec("linear-diffusive-chain", continuous(1e-3), index_set,
                       subsystem, graph, fast)
 
@@ -390,7 +371,7 @@ def parse_ref(ref: str):
     return name, params
 
 
-# Gain generator registry (for graph JSON round trips) -------------------
+# Gain generators: the chains' rows, rebuilt by name from graph JSON ------
 
 
 def _gen_decoupled(params):

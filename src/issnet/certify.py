@@ -51,9 +51,10 @@ from ._rng import derived_rng
 from .comparison import (KLSurface, ScalarCurve, curve_max, curve_sum,
                          curve_to_json, fit_monotone_envelope,
                          kl_from_decay_table, make_strictly_increasing,
-                         scale, surface_to_json)
+                         max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import NetworkSpec, NetworkTrajectory, _simulate, simulate
+from .network import (NetworkSpec, NetworkTrajectory, _simulate, _suffix_max,
+                      _tail_start_samples, simulate)
 from .systems import DEFAULT_BLOWUP_BOUND, InputSignal
 
 __all__ = [
@@ -580,10 +581,7 @@ def uniform_from_nonuniform(cert: NonUniformISSCertificate,
                             tol_abs: float = 1e-6,
                             tol_rel: float = 1e-3) -> UniformISSCertificate:
     """Collapse a finite-window certificate to a common decay surface."""
-    surfaces = [cert.surfaces[i] for i in cert.window]
-    beta = surfaces[0]
-    for s in surfaces[1:]:
-        beta = beta.max_with(s)
+    beta = max_surface([cert.surfaces[i] for i in cert.window])
     residual = 0.0
     exceed = 0.0
     valid = cert.valid
@@ -794,10 +792,6 @@ def verify_sg_inequality(trace: ProofTrace,
     return SGInequalityReport(window, tuple(rows), tol, all_passed)
 
 
-def _suffix_max(values: np.ndarray) -> np.ndarray:
-    return np.flip(np.maximum.accumulate(np.flip(values, 0), 0), 0)
-
-
 def tail_limsup_estimate(times, values, tail_starts) -> np.ndarray:
     """Suffix sups of a sampled signal at the given tail starts.
 
@@ -808,11 +802,8 @@ def tail_limsup_estimate(times, values, tail_starts) -> np.ndarray:
     unbounded increasing map leaves the limit unchanged, which is what
     makes the finite surrogate meaningful.
     """
-    times = np.asarray(times, float)
-    values = np.asarray(values, float)
-    idx = np.clip(np.searchsorted(times, np.asarray(tail_starts, float),
-                                  side="left"), 0, len(values) - 1)
-    return _suffix_max(values)[idx]
+    idx = _tail_start_samples(np.asarray(times, float), tail_starts)
+    return _suffix_max(np.asarray(values, float))[idx]
 
 
 def uniformity_probe(net: NetworkSpec,

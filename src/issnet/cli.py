@@ -42,7 +42,7 @@ from .certify import (DEFAULT_BANDS, DEFAULT_DEPTH, DEFAULT_RADII,
                       fit_ugs, trace_to_csv, uniform_from_nonuniform,
                       verify_sg_inequality)
 from .comparison import curve_from_json
-from .gains import check_graph, graph_from_json
+from .gains import CHECK_GRID, check_graph, graph_from_json
 from .network import (NetworkSpec, TruncationPolicy, simulate, subnetwork,
                       truncation_sweep, write_trajectory_csv)
 from .smallgain import estimate_uniform_sgc, falsify_mbi, finite_cycle_check
@@ -209,10 +209,11 @@ def _out_path(args, conf, name: str) -> str:
     return os.path.join(out, name)
 
 
-def _parse_input(conf, fallback_zero=True):
+def _parse_input(conf) -> InputSignal:
+    """The "input" signal object; zero when absent."""
     spec = conf.get("input")
     if spec is None:
-        return InputSignal.zero() if fallback_zero else None
+        return InputSignal.zero()
     kind = spec.get("kind", "signal")
     if kind == "zero":
         return InputSignal.zero()
@@ -224,6 +225,38 @@ def _parse_input(conf, fallback_zero=True):
 
 
 # gains-check ------------------------------------------------------------
+
+
+def _run_gains(graph, window, conf, seed, budget, radii=None, n_random=64,
+               xi="derived", cycles=True):
+    """Shared gain checks behind gains-check and subnetwork: the structure
+    check on conf's "r_grid" (default gains.CHECK_GRID), the small-gain
+    estimate, the falsifier against xi ("derived" takes the estimate's
+    xi_hat) and, with ``cycles``, the cycle screen.
+
+    Returns (structure, sgc, xi, witness, cycles, failures); the gains
+    pass when failures, a list of reasons, is empty.
+    """
+    structure = check_graph(graph, conf.get("r_grid") or CHECK_GRID, window)
+    sgc = estimate_uniform_sgc(graph, window, radii=radii, n_random=n_random,
+                               seed=seed)
+    if xi == "derived":
+        xi = sgc.xi_hat
+    witness = None
+    if xi is not None:
+        witness = falsify_mbi(graph, window, xi, budget=budget, seed=seed)
+    cycles = finite_cycle_check(graph, window) if cycles else None
+
+    failures = []
+    if not structure.assumption1_finite:
+        failures.append("unbounded gain sup")
+    if not sgc.holds:
+        failures.append("small-gain deficit <= 0 at some sampled radius")
+    if witness is not None:
+        failures.append(f"monotone-bound witness of norm {witness.norm_v:g}")
+    if cycles is not None and not cycles.passed:
+        failures.append(f"cycle gain not below identity: {cycles.worst_cycle}")
+    return structure, sgc, xi, witness, cycles, failures
 
 
 def cmd_gains_check(args) -> int:
@@ -239,34 +272,17 @@ def cmd_gains_check(args) -> int:
     window = _resolve_window(net, conf, graph)
     fal_conf = conf.get("falsify", {})
     budget = _resolve_int(fal_conf.get("budget", 10_000), "falsify.budget", 1)
-
-    r_grid = conf.get("r_grid") or list(np.geomspace(1e-3, 1e3, 13))
-    structure = check_graph(graph, r_grid, window)
-
     sgc_conf = conf.get("sgc", {})
-    sgc = estimate_uniform_sgc(graph, window,
-                               radii=sgc_conf.get("radii"),
-                               n_random=_resolve_int(sgc_conf.get("n_random", 64),
-                                                     "sgc.n_random", 0),
-                               seed=seed)
-
+    radii = sgc_conf.get("radii")
+    n_random = _resolve_int(sgc_conf.get("n_random", 64), "sgc.n_random", 0)
     xi_spec = fal_conf.get("xi", "derived")
-    if xi_spec == "derived":
-        xi = sgc.xi_hat
-    else:
-        xi = _resolve_curve(xi_spec, "falsify.xi")
-    witness = None
-    if xi is not None:
-        witness = falsify_mbi(graph, window, xi, budget=budget, seed=seed)
+    xi = xi_spec if xi_spec == "derived" else _resolve_curve(xi_spec, "falsify.xi")
 
-    cycles = None
-    if conf.get("cycles", True):
-        cycles = finite_cycle_check(graph, window)
-
-    passed = (structure.assumption1_finite and sgc.holds
-              and witness is None and (cycles is None or cycles.passed))
+    structure, sgc, xi, witness, cycles, failures = _run_gains(
+        graph, window, conf, seed, budget, radii, n_random, xi,
+        conf.get("cycles", True))
     payload = {
-        "passed": passed,
+        "passed": not failures,
         "seed": seed,
         "window": list(window),
         "structure": {
@@ -305,17 +321,8 @@ def cmd_gains_check(args) -> int:
         },
     }
     _write_json(_out_path(args, conf, "gains_check.json"), payload)
-    if not passed:
-        what = []
-        if not structure.assumption1_finite:
-            what.append("unbounded gain sup")
-        if not sgc.holds:
-            what.append("small-gain deficit <= 0 at some sampled radius")
-        if witness is not None:
-            what.append(f"monotone-bound witness of norm {witness.norm_v:g}")
-        if cycles is not None and not cycles.passed:
-            what.append(f"cycle gain not below identity: {cycles.worst_cycle}")
-        print(f"gains check failed ({'; '.join(what)}); seed {seed}, "
+    if failures:
+        print(f"gains check failed ({'; '.join(failures)}); seed {seed}, "
               f"details in gains_check.json", file=sys.stderr)
         return 1
     return 0
@@ -572,23 +579,15 @@ def cmd_subnetwork(args) -> int:
     ok = True
 
     if sub.graph is not None:
-        r_grid = conf.get("r_grid") or list(np.geomspace(1e-3, 1e3, 13))
-        structure = check_graph(sub.graph, r_grid, subset)
-        sgc = estimate_uniform_sgc(sub.graph, subset, seed=seed)
-        witness = None
-        if sgc.xi_hat is not None:
-            witness = falsify_mbi(sub.graph, subset, sgc.xi_hat,
-                                  budget=budget, seed=seed)
-        cycles = finite_cycle_check(sub.graph, subset)
-        gains_ok = (structure.assumption1_finite and sgc.holds
-                    and witness is None and cycles.passed)
+        _structure, sgc, _xi, witness, cycles, failures = _run_gains(
+            sub.graph, subset, conf, seed, budget)
         payload["gains"] = {
-            "passed": gains_ok,
+            "passed": not failures,
             "sgc_holds": sgc.holds,
             "witness_found": witness is not None,
             "cycles_passed": cycles.passed,
         }
-        ok = ok and gains_ok
+        ok = not failures
 
     try:
         cert_payload, cert, hold_runs = _run_certify(sub, subset, conf, seed)

@@ -52,17 +52,15 @@ __all__ = [
 _KINDS = ("linear", "power", "sat", "expdec", "pwl", "compose")
 _CLASSES = ("K", "Kinf", "L", "mono")
 
-# Grid used whenever a parametric curve has to be compared or sampled and the
-# caller gave no grid: 256 points per decade over [1e-3, 1e3], plus 0.
+# Grid used whenever a parametric curve has to be compared or sampled: 256
+# points per decade over [1e-3, 1e3], plus 0.
 GRID_POINTS_PER_DECADE = 256
 GRID_RANGE = (1e-3, 1e3)
 
 
-def default_grid(lo: float = GRID_RANGE[0], hi: float = GRID_RANGE[1],
-                 points_per_decade: int = GRID_POINTS_PER_DECADE) -> np.ndarray:
-    if not (0 < lo < hi):
-        raise ValueError("grid range must satisfy 0 < lo < hi")
-    n = max(2, int(round(points_per_decade * math.log10(hi / lo))))
+def default_grid() -> np.ndarray:
+    lo, hi = GRID_RANGE
+    n = max(2, int(round(GRID_POINTS_PER_DECADE * math.log10(hi / lo))))
     return np.concatenate([[0.0], np.logspace(math.log10(lo), math.log10(hi), n)])
 
 
@@ -353,34 +351,28 @@ def _merge_class(a: ScalarCurve, b: ScalarCurve) -> str:
     return "mono"
 
 
-def _binary_grid(a: ScalarCurve, b: ScalarCurve, grid) -> np.ndarray:
-    pieces = [np.asarray(grid, float)] if grid is not None else []
-    for c in (a, b):
-        if c.kind == "pwl":
-            pieces.append(c.breaks)
-    if not pieces:
-        pieces.append(default_grid())
-    g = np.unique(np.concatenate([[0.0]] + pieces))
-    return g
+def _binary_grid(a: ScalarCurve, b: ScalarCurve) -> np.ndarray:
+    pieces = [c.breaks for c in (a, b) if c.kind == "pwl"] or [default_grid()]
+    return np.unique(np.concatenate([[0.0]] + pieces))
 
 
-def curve_sum(a: ScalarCurve, b: ScalarCurve, grid=None) -> ScalarCurve:
+def curve_sum(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
     """Pointwise a+b.  Exact for linear/pwl operands, sampled otherwise."""
     if a.kind == "linear" and b.kind == "linear":
         return linear(a._pdict()["a"] + b._pdict()["a"], _merge_class(a, b))
-    g = _binary_grid(a, b, grid)
+    g = _binary_grid(a, b)
     va, _ = _as_pwl_on(a, g)
     vb, _ = _as_pwl_on(b, g)
     return ScalarCurve("pwl", _merge_class(a, b), breaks=g, vals=va + vb,
                        floor=a.floor + b.floor)
 
 
-def curve_max(a: ScalarCurve, b: ScalarCurve, grid=None) -> ScalarCurve:
+def curve_max(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
     """Pointwise max(a,b).  Exact for linear/pwl operands (segment crossings
     become breakpoints), sampled on a grid otherwise."""
     if a.kind == "linear" and b.kind == "linear":
         return linear(max(a._pdict()["a"], b._pdict()["a"]), _merge_class(a, b))
-    g = _binary_grid(a, b, grid)
+    g = _binary_grid(a, b)
     exact = all(c.kind in ("linear", "pwl") for c in (a, b))
     va, sa = _as_pwl_on(a, g)
     vb, sb = _as_pwl_on(b, g)
@@ -436,10 +428,10 @@ def fit_monotone_envelope(samples: Iterable[tuple[float, float]],
     return ScalarCurve("pwl", "mono", breaks=radii, vals=vals)
 
 
-def make_strictly_increasing(c: ScalarCurve, min_slope: float = 1e-9) -> ScalarCurve:
+def make_strictly_increasing(c: ScalarCurve) -> ScalarCurve:
     """Lift a nondecreasing pwl curve to class Kinf.
 
-    Flat segments gain slope ``min_slope``; domination of the original curve
+    Flat segments gain slope 1e-9; domination of the original curve
     is preserved because values only move up.  A zero first breakpoint is
     required (anchor the envelope first if needed).
     """
@@ -447,6 +439,7 @@ def make_strictly_increasing(c: ScalarCurve, min_slope: float = 1e-9) -> ScalarC
         return ScalarCurve("linear", "Kinf", c.params)
     if c.kind != "pwl":
         raise ValueError("strictification expects a pwl or linear curve")
+    min_slope = 1e-9
     b, v = c.breaks, c.vals.copy()
     if b[0] != 0.0:
         b = np.concatenate([[0.0], b])
@@ -476,23 +469,20 @@ class ClassReport:
     grid_max: float
 
 
-def check_class(c: ScalarCurve, grid: np.ndarray | None = None,
-                tol: float = 0.0) -> ClassReport:
-    """Verify the claimed class on a sampled grid.
+def check_class(c: ScalarCurve) -> ClassReport:
+    """Verify the claimed class on the default grid.
 
-    Nonstrict steps are tolerated only within ``tol`` (default none beyond
-    exact ties at machine level for 'mono').
+    No decreasing (or, for L, increasing) step is tolerated; 'mono' allows
+    exact ties.
     """
-    if grid is None:
-        grid = default_grid()
-    g = np.asarray(grid, float)
+    g = default_grid()
     y = c(g)
     claimed = c.claimed_class
     if claimed in ("K", "Kinf"):
         if c(0.0) != 0.0:
             return ClassReport(False, claimed, "value at 0 is nonzero", float(y.max()))
-        d = np.diff(y[np.argsort(g)])
-        if np.any(d < -tol):
+        d = np.diff(y)
+        if np.any(d < 0):
             return ClassReport(False, claimed, "decreasing step on grid", float(y.max()))
         if claimed == "K" and np.any(d <= 0) and not c.is_zero():
             return ClassReport(False, claimed, "not strictly increasing on grid", float(y.max()))
@@ -503,13 +493,13 @@ def check_class(c: ScalarCurve, grid: np.ndarray | None = None,
                 return ClassReport(False, claimed, "bounded tail cannot be Kinf", float(y.max()))
     elif claimed == "L":
         d = np.diff(y)
-        if np.any(d > tol):
+        if np.any(d > 0):
             return ClassReport(False, claimed, "increasing step on grid", float(y.max()))
-        if y[-1] > c.floor + max(tol, 1e-9 * max(1.0, y[0])) and c.final_slope() >= 0:
+        if y[-1] > c.floor + 1e-9 * max(1.0, y[0]) and c.final_slope() >= 0:
             return ClassReport(False, claimed, "does not approach the floor", float(y.max()))
     else:  # mono
         d = np.diff(y)
-        if np.any(d < -tol):
+        if np.any(d < 0):
             return ClassReport(False, claimed, "decreasing step on grid", float(y.max()))
         if np.any(y < 0):
             return ClassReport(False, claimed, "negative value", float(y.max()))
@@ -667,7 +657,7 @@ def kl_from_decay_table(table: dict[float, tuple[Sequence[float], Sequence[float
 # Serialization ----------------------------------------------------------
 
 
-def curve_to_json(c: ScalarCurve, grid: np.ndarray | None = None) -> dict:
+def curve_to_json(c: ScalarCurve) -> dict:
     """Wire form.  Composition chains are flattened to sampled pwl (lossy,
     noted in the payload) because the wire format has five kinds."""
     if c.kind == "pwl":
@@ -677,7 +667,7 @@ def curve_to_json(c: ScalarCurve, grid: np.ndarray | None = None) -> dict:
             out["floor"] = float(c.floor)
         return out
     if c.kind == "compose":
-        g = np.asarray(grid, float) if grid is not None else default_grid()
+        g = default_grid()
         v = c(g)
         return {"kind": "pwl", "points": [[float(b), float(y)] for b, y in zip(g, v)],
                 "class": c.claimed_class, "sampled_from": "compose"}

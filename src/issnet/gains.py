@@ -29,7 +29,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .comparison import ScalarCurve, curve_from_json, curve_to_json, zero_curve
+from .comparison import (ScalarCurve, curve_from_json, curve_max,
+                         curve_to_json, zero_curve)
 
 __all__ = [
     "FiniteIndexSet",
@@ -45,6 +46,11 @@ __all__ = [
     "graph_from_json",
     "register_gain_generator",
 ]
+
+# radii of the gains checks: the cycle screen's, and check_graph's in the
+# CLI unless a config gives "r_grid"
+CHECK_GRID = np.geomspace(1e-3, 1e3, 13)
+CHECK_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -204,13 +210,11 @@ class GainGraph:
             return self.external_fn(i)
         return zero_curve()
 
-    def uniform_external_gain(self, window: Sequence[int],
-                              grid: np.ndarray | None = None) -> ScalarCurve:
+    def uniform_external_gain(self, window: Sequence[int]) -> ScalarCurve:
         """Pointwise dominating curve over the window's external gains."""
-        from .comparison import curve_max
         out = zero_curve()
         for i in window:
-            out = curve_max(out, self.external_gain(i), grid=grid)
+            out = curve_max(out, self.external_gain(i))
         return out
 
     def _plan(self, window: Sequence[int]) -> "_WindowPlan":
@@ -434,12 +438,17 @@ def graph_from_json(obj: dict) -> GainGraph:
         return GainGraph(index_set, entries, external)
     if kind == "generator":
         name = idx.get("name")
-        if name not in _GAIN_GENERATORS:
-            raise ValueError(f"unknown gain generator {name!r}")
-        params = idx.get("params", {})
-        row_fn, external_fn, bound = _GAIN_GENERATORS[name](params)
-        return GainGraph(GeneratorIndexSet(int(idx.get("start", 0)), name),
-                         row_fn=row_fn, external_fn=external_fn,
-                         assumption1_bound=bound, generator_name=name,
-                         generator_params=params)
+        return _generated_graph(GeneratorIndexSet(int(idx.get("start", 0)), name),
+                                name, idx.get("params", {}))
     raise ValueError(f"unknown index set kind {kind!r}")
+
+
+def _generated_graph(index_set: GeneratorIndexSet, name: str,
+                     params: Mapping) -> GainGraph:
+    """The graph of the registered generator ``name`` on ``index_set``."""
+    if name not in _GAIN_GENERATORS:
+        raise ValueError(f"unknown gain generator {name!r}")
+    row_fn, external_fn, bound = _GAIN_GENERATORS[name](params)
+    return GainGraph(index_set, row_fn=row_fn, external_fn=external_fn,
+                     assumption1_bound=bound, generator_name=name,
+                     generator_params=params)

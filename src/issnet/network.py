@@ -21,7 +21,6 @@ suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
 from .systems import (DEFAULT_BLOWUP_BOUND, BlowUp, InputSignal, SubsystemSpec,
-                      TimeDomain, Trajectory, _rk4_step)
+                      TimeDomain, Trajectory, _grid_index, _rk4_step)
 
 __all__ = [
     "NetworkSpec",
@@ -111,12 +110,7 @@ class NetworkTrajectory:
         return InputSignal.from_samples(self.times, vals)
 
     def value_at(self, i: int, t: float) -> float:
-        k = int(np.searchsorted(self.times, t))
-        for kk in (k - 1, k):
-            if 0 <= kk < self.times.size and math.isclose(self.times[kk], t,
-                                                          rel_tol=0.0, abs_tol=1e-9):
-                return float(self.states[kk, self._pos(i)])
-        raise KeyError(f"time {t} not on the trajectory grid")
+        return float(self.states[_grid_index(self.times, t), self._pos(i)])
 
 
 def _assembled_map(net: NetworkSpec, window: tuple[int, ...]):
@@ -291,9 +285,7 @@ class _Reductions:
         if tail_starts is not None:
             # the sup from a start is the max of the segment maxima between
             # consecutive distinct start samples from that start on
-            self.starts = np.clip(np.searchsorted(
-                times, np.asarray(tail_starts, float), side="left"),
-                0, times.size - 1)
+            self.starts = _tail_start_samples(times, tail_starts)
             self.bounds = np.unique(self.starts)
             self.segment = np.searchsorted(self.bounds, np.arange(times.size),
                                            side="right") - 1
@@ -325,8 +317,20 @@ class _Reductions:
     def tail_sups(self) -> np.ndarray | None:
         if self.starts is None:
             return None
-        suffix = np.flip(np.maximum.accumulate(np.flip(self.seg_max, 1), 1), 1)
+        suffix = _suffix_max(self.seg_max, axis=1)
         return suffix[:, np.searchsorted(self.bounds, self.starts)]
+
+
+def _tail_start_samples(times: np.ndarray, tail_starts) -> np.ndarray:
+    """The first sample at or after each tail start (the last sample for a
+    start past the end)."""
+    return np.clip(np.searchsorted(times, np.asarray(tail_starts, float),
+                                   side="left"), 0, times.size - 1)
+
+
+def _suffix_max(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Running max from the end along ``axis``."""
+    return np.flip(np.maximum.accumulate(np.flip(values, axis), axis), axis)
 
 
 def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
@@ -371,16 +375,15 @@ def simulate_reference(net: NetworkSpec, window: Sequence[int], x0, u: InputSign
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """Nested window sizes; components outside each window read zero."""
+
     sizes: tuple[int, ...]
-    boundary: str = "zero"
 
     def __post_init__(self):
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError("window sizes must be positive")
         if list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("window sizes must be strictly increasing")
-        if self.boundary != "zero":
-            raise ValueError("only the zero boundary policy is implemented")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,8 @@ Three complementary checks on the gain operator:
   The sample budget (at least 1) bounds the candidates screened.
 * finite_cycle_check enumerates simple cycles of a finite window and folds
   the gains along each cycle; every folded composition must stay below the
-  identity.  For max-type operators this cycle screen is the classical
-  strong small-gain condition.
+  identity on gains.CHECK_GRID.  For max-type operators this cycle screen
+  is the classical strong small-gain condition.
 
 The two views are dual: a falsification witness v with slack w exists
 exactly when the sampled deficit at radius ||v|| drops below what xi's
@@ -46,7 +46,8 @@ import numpy as np
 from ._rng import derived_rng
 from .comparison import (ScalarCurve, compose, linear,
                          make_strictly_increasing, power, pwl)
-from .gains import GainGraph, NonnegSequence, apply_batch, apply_gain_operator
+from .gains import (CHECK_GRID, GainGraph, NonnegSequence, apply_batch,
+                    apply_gain_operator)
 
 __all__ = [
     "dist_to_cone",
@@ -56,7 +57,6 @@ __all__ = [
     "MBIWitness",
     "falsify_mbi",
     "invert_k_curve",
-    "derive_xi_from_eta",
     "CycleReport",
     "finite_cycle_check",
     "exact_eta_two_node",
@@ -250,6 +250,10 @@ def estimate_uniform_sgc(graph: GainGraph,
                      tuple(worst_points), patterns.shape[0], seed, unconverged)
 
 
+# a witness must beat xi by more than _ATOL * max(1, ||v||)
+_ATOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class MBIWitness:
     """A vector violating a claimed monotone bound.
@@ -268,7 +272,7 @@ class MBIWitness:
     samples_used: int
     seed: int
 
-    def validate(self, graph: GainGraph, xi: ScalarCurve, atol: float = 1e-9) -> bool:
+    def validate(self, graph: GainGraph, xi: ScalarCurve, atol: float = _ATOL) -> bool:
         v = np.asarray(self.v, float)
         g = apply_gain_operator(graph, v, self.window)
         w = np.maximum(v - g, 0.0)
@@ -287,16 +291,14 @@ def falsify_mbi(graph: GainGraph,
                 window: Sequence[int],
                 xi: ScalarCurve,
                 budget: int = 10_000,
-                seed: int = 0,
-                norm_range: tuple[float, float] = (1e-2, 1e2),
-                atol: float = 1e-9) -> MBIWitness | None:
+                seed: int = 0) -> MBIWitness | None:
     """Search for a violation of the monotone bound property.
 
-    Samples nonnegative vectors across a sweep of 24 sup-norm levels; each
-    candidate v gets the minimal slack w = (v - Gamma(v))+ and is checked
-    against ||v|| <= xi(||w||) + atol * max(1, ||v||).  The first sweep
-    tries the all-ones row, the extremal directions and the vertex patterns
-    before random rows; later sweeps draw random rows only.
+    Samples nonnegative vectors across a sweep of 24 sup-norm levels from
+    1e-2 to 1e2; each candidate v gets the minimal slack w = (v - Gamma(v))+
+    and is checked against ||v|| <= xi(||w||) + 1e-9 * max(1, ||v||).  The
+    first sweep tries the all-ones row, the extremal directions and the
+    vertex patterns before random rows; later sweeps draw random rows only.
 
     Whole levels are screened together in blocks of about _BLOCK_ENTRIES
     entries, one apply_batch and one xi call per block.  Levels are then
@@ -312,7 +314,7 @@ def falsify_mbi(graph: GainGraph,
     window = tuple(window)
     n = len(window)
     rng = derived_rng(seed, "falsify", n)
-    levels = np.geomspace(norm_range[0], norm_range[1], 24)
+    levels = np.geomspace(1e-2, 1e2, 24)
     # amplified profiles go right after the all-ones row, and a first-sweep
     # level keeps at least n + 1 + len(dirs) rows, so a small chunk cannot
     # slice them away before they are tried; only the budget itself can
@@ -347,7 +349,7 @@ def falsify_mbi(graph: GainGraph,
             ends.append((rows, used))
             if rows * n >= _BLOCK_ENTRIES or used >= budget:
                 witness = _screen_block(graph, window, xi, np.vstack(block),
-                                        ends, seed, atol)
+                                        ends, seed)
                 if witness is not None:
                     return witness
                 block, ends, rows = [], [], 0
@@ -355,7 +357,7 @@ def falsify_mbi(graph: GainGraph,
     return None
 
 
-def _screen_block(graph, window, xi, batch, ends, seed, atol):
+def _screen_block(graph, window, xi, batch, ends, seed):
     """First revalidated witness among a block of levels, or None.
 
     ends holds (end row in batch, samples used) per level; only the first
@@ -369,7 +371,7 @@ def _screen_block(graph, window, xi, batch, ends, seed, atol):
     nv = np.max(batch, axis=1)
     nw = np.max(w, axis=1)
     rhs = np.asarray(xi(nw), float)
-    bad = nv > rhs + atol * np.maximum(1.0, nv)
+    bad = nv > rhs + _ATOL * np.maximum(1.0, nv)
     if not np.any(bad):
         return None
     start = 0
@@ -377,14 +379,14 @@ def _screen_block(graph, window, xi, batch, ends, seed, atol):
         hits = np.flatnonzero(bad[start:stop])
         if hits.size:
             witness = _revalidate(graph, window, xi, batch[start + hits[0]],
-                                  used, seed, atol)
+                                  used, seed)
             if witness is not None:
                 return witness
         start = stop
     return None
 
 
-def _revalidate(graph, window, xi, v, used, seed, atol):
+def _revalidate(graph, window, xi, v, used, seed, atol=_ATOL):
     """Recompute a candidate witness entrywise; discard batch artifacts."""
     v = np.asarray(v, float)
     g = apply_gain_operator(graph, v, window)
@@ -433,16 +435,6 @@ def invert_k_curve(curve: ScalarCurve) -> ScalarCurve:
     raise ValueError(f"no exact inverse for kind {curve.kind!r}")
 
 
-def derive_xi_from_eta(eta: ScalarCurve) -> ScalarCurve:
-    """Monotone bound curve from a uniform deficit curve: the exact inverse.
-
-    If every point on the sphere of radius r has deficit at least eta(r),
-    any v with slack w satisfies eta(||v||) <= ||w||, so ||v|| stays below
-    the inverse of eta at ||w||.
-    """
-    return invert_k_curve(eta)
-
-
 @dataclass(frozen=True, eq=False)
 class CycleReport:
     window: tuple
@@ -459,21 +451,15 @@ class CycleReport:
                 f"worst relative margin {self.worst_margin:.6g}{extra}")
 
 
-def finite_cycle_check(graph: GainGraph,
-                       window: Sequence[int],
-                       r_grid: Sequence[float] | None = None,
-                       max_cycles: int = 10_000,
-                       rel_margin: float = 1e-6) -> CycleReport:
+def finite_cycle_check(graph: GainGraph, window: Sequence[int]) -> CycleReport:
     """Fold gains along every simple cycle of a finite window.
 
     For the cycle i1 <- i2 <- ... <- ik <- i1 the folded map is the
     composition of the edge gains; the screen passes when each folded map
-    stays below the identity by the relative margin on the whole grid.
+    stays below the identity by a relative margin of 1e-6 on the gains
+    check grid, and fails when the window has more than 10 000 cycles.
     """
     window = tuple(window)
-    if r_grid is None:
-        r_grid = np.geomspace(1e-3, 1e3, 13)
-    r_grid = np.asarray(r_grid, float)
 
     g = nx.DiGraph()
     g.add_nodes_from(window)
@@ -489,23 +475,23 @@ def finite_cycle_check(graph: GainGraph,
     worst_cycle = None
     for cycle in nx.simple_cycles(g):
         n_cycles += 1
-        if n_cycles > max_cycles:
+        if n_cycles > 10_000:
             truncated = True
             n_cycles -= 1
             break
-        vals = np.array(r_grid, float)
+        vals = CHECK_GRID
         k = len(cycle)
         for step in range(k):
             j = cycle[step]
             i = cycle[(step + 1) % k]
             vals = np.asarray(graph.row(i)[j](vals), float)
-        margin = float(np.min((r_grid - vals) / r_grid))
+        margin = float(np.min((CHECK_GRID - vals) / CHECK_GRID))
         if margin < worst:
             worst = margin
             worst_cycle = tuple(cycle)
     if n_cycles == 0:
         worst = np.inf
-    passed = (n_cycles == 0) or (worst > rel_margin and not truncated)
+    passed = (n_cycles == 0) or (worst > 1e-6 and not truncated)
     return CycleReport(window, n_cycles, worst, worst_cycle, passed, truncated)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "BlowUp",
     "step_discrete",
     "integrate_ode",
-    "causal_truncate",
     "check_axioms",
     "AxiomReport",
     "SubsystemSystem",
@@ -136,10 +135,6 @@ class InputSignal:
             raise ValueError("step must have positive length")
         return self(0.5 * (t0s + t1s))
 
-    def step_value(self, t0: float, t1: float):
-        """Value on the interior of the step [t0, t1)."""
-        return self.interior_values(t0, t1)
-
     def sup_norm(self, up_to: float | None = None) -> float:
         if up_to is None:
             vals = self.values
@@ -211,10 +206,6 @@ class InputSignal:
         return cls(np.asarray(obj["breaks"], float), np.asarray(obj["values"], float))
 
 
-def causal_truncate(u: InputSignal, t: float) -> InputSignal:
-    return u.truncate(t)
-
-
 @dataclass(frozen=True)
 class SubsystemSpec:
     """One scalar subsystem.
@@ -265,12 +256,17 @@ class Trajectory:
         return float(np.max(np.abs(self.values)))
 
     def at(self, t: float) -> float:
-        k = int(np.searchsorted(self.times, t))
-        for kk in (k - 1, k):
-            if 0 <= kk < self.times.size and math.isclose(self.times[kk], t,
-                                                          rel_tol=0.0, abs_tol=1e-9):
-                return float(self.values[kk])
-        raise KeyError(f"time {t} is not on the trajectory grid")
+        return float(self.values[_grid_index(self.times, t)])
+
+
+def _grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the sample time within 1e-9 of t; KeyError if none is."""
+    k = int(np.searchsorted(times, t))
+    for kk in (k - 1, k):
+        if 0 <= kk < times.size and math.isclose(times[kk], t,
+                                                 rel_tol=0.0, abs_tol=1e-9):
+            return kk
+    raise KeyError(f"time {t} is not on the trajectory grid")
 
 
 def step_discrete(spec: SubsystemSpec, x: float, w: np.ndarray, u: float) -> float:
@@ -394,16 +390,16 @@ def _random_signal(rng: np.random.Generator, horizon: float, level: float,
 
 
 def check_axioms(system, n_samples: int = 20, seed: int = 0,
-                 radius: float = 1.0, input_level: float = 1.0,
-                 horizon: float = 2.0, causality_tol: float = 1e-7,
-                 cocycle_tol: float | None = None) -> AxiomReport:
+                 horizon: float = 2.0) -> AxiomReport:
     """Sampled verification of the transition-system axioms.
 
     The system object must expose ``time_domain``, ``phi(t, x, u)``,
     ``shifted(tau)``, and ``sample_state(rng, radius)``.  Identity is exact
-    by construction and still asserted.  Cocycle split times are aligned
-    with the step grid; the continuous tolerance defaults to 10x a local
-    error estimate obtained by step halving, floored near machine epsilon.
+    by construction and still asserted.  States and input values are drawn
+    from [-1, 1], and causality defects up to 1e-7 pass.  Cocycle split
+    times are aligned with the step grid; the cocycle tolerance is 0 for
+    discrete systems and 10x a local error estimate obtained by step
+    halving for continuous ones, floored near machine epsilon.
     """
     discrete = system.time_domain.kind == "discrete"
     dt = 1.0 if discrete else float(system.dt)
@@ -414,8 +410,8 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
     u_dim = getattr(system, "input_dim", None)
     for m in range(n_samples):
         rng = derived_rng(seed, "axioms", m)
-        x = system.sample_state(rng, radius)
-        u = _random_signal(rng, horizon, input_level, u_dim, discrete)
+        x = system.sample_state(rng, 1.0)
+        u = _random_signal(rng, horizon, 1.0, u_dim, discrete)
         # identity
         d = _state_dist(system.phi(0.0, x, u), x)
         id_defect = max(id_defect, d)
@@ -424,11 +420,11 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
         # causality: change u strictly after t
         steps = int(round(horizon / dt))
         t = dt * int(rng.integers(1, steps))
-        tail = _random_signal(rng, horizon, input_level, u_dim, discrete)
+        tail = _random_signal(rng, horizon, 1.0, u_dim, discrete)
         u_alt = u.concat(tail, t)
         d = _state_dist(system.phi(t, x, u), system.phi(t, x, u_alt))
         caus_defect = max(caus_defect, d)
-        if d > causality_tol:
+        if d > 1e-7:
             failures.append(f"causality defect {d:g} at sample {m}")
         # cocycle on a grid-aligned split
         h = dt * int(rng.integers(1, steps))
@@ -437,12 +433,10 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
         split = system.shifted(t).phi(h, xt, u.shift(t))
         d = _state_dist(direct, split)
         coc_defect = max(coc_defect, d)
-    if cocycle_tol is None:
-        if discrete:
-            cocycle_tol = 0.0
-        else:
-            cocycle_tol = 10.0 * _local_error_estimate(system, radius, input_level,
-                                                       horizon, seed)
+    if discrete:
+        cocycle_tol = 0.0
+    else:
+        cocycle_tol = 10.0 * _local_error_estimate(system, horizon, seed)
     if coc_defect > cocycle_tol:
         failures.append(f"cocycle defect {coc_defect:g} exceeds tol {cocycle_tol:g}")
     return AxiomReport(id_defect, caus_defect, coc_defect, float(cocycle_tol),
@@ -454,12 +448,11 @@ def _state_dist(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))))
 
 
-def _local_error_estimate(system, radius: float, input_level: float,
-                          horizon: float, seed: int) -> float:
+def _local_error_estimate(system, horizon: float, seed: int) -> float:
     """Step-halving (Richardson) estimate of the integrator error scale."""
     rng = derived_rng(seed, "axioms", "localerr")
-    x = system.sample_state(rng, radius)
-    u = _random_signal(rng, horizon, input_level, getattr(system, "input_dim", None), False)
+    x = system.sample_state(rng, 1.0)
+    u = _random_signal(rng, horizon, 1.0, getattr(system, "input_dim", None), False)
     coarse = system.phi(horizon, x, u)
     fine_sys = _with_dt(system, system.dt / 2.0)
     fine = fine_sys.phi(horizon, x, u)

@@ -263,8 +263,6 @@ def test_truncation_policy_validation():
         TruncationPolicy((10, 10))
     with pytest.raises(ValueError):
         TruncationPolicy((5, 3))
-    with pytest.raises(ValueError):
-        TruncationPolicy((4,), boundary="hold")
 
 
 # Subnetworks ------------------------------------------------------------

@@ -11,7 +11,6 @@ from issnet.systems import (
     InputSignal,
     SubsystemSpec,
     SubsystemSystem,
-    causal_truncate,
     check_axioms,
     continuous,
     DISCRETE,
@@ -83,7 +82,7 @@ def test_concat_splices_exactly():
 
 def test_truncate_extends_by_zero():
     u = InputSignal.constant(4.0)
-    t = causal_truncate(u, 1.0)
+    t = u.truncate(1.0)
     assert t(0.5) == 4.0
     assert t(1.0) == 4.0
     assert t(1.5) == 0.0
@@ -99,8 +98,8 @@ def test_truncate_at_zero_keeps_initial_value():
 
 def test_step_value_uses_interior():
     u = InputSignal([0.0, 1.0], [1.0, 2.0])
-    assert u.step_value(1.0, 2.0) == 2.0
-    assert u.step_value(0.0, 1.0) == 1.0
+    assert u.interior_values(1.0, 2.0) == 2.0
+    assert u.interior_values(0.0, 1.0) == 1.0
 
 
 def test_interior_values_match_pointwise_steps():
@@ -109,7 +108,7 @@ def test_interior_values_match_pointwise_steps():
     vals = u.interior_values(t0s, t0s + 0.1)
     assert vals.shape == (15, 2)
     for k, t0 in enumerate(t0s):
-        assert np.array_equal(vals[k], u.step_value(t0, t0 + 0.1))
+        assert np.array_equal(vals[k], u.interior_values(t0, t0 + 0.1))
     assert u.interior_values(np.zeros(0), np.zeros(0)).shape == (0, 2)
     with pytest.raises(ValueError, match="positive length"):
         u.interior_values(t0s, t0s)
