@@ -11,11 +11,13 @@ Five subcommands cover the workflows end to end:
 * trace-theorem1: tail-sup estimates over dyadic input bands checked
   against the gain operator inequality and the norm bound.
 * subnetwork: restrict to a subset of components, then re-run the gain
-  checks and certification there; finite subsets also get the collapsed
-  single-surface certificate.
+  checks (gains-check's, with their defaults) and certification there;
+  finite subsets also get the collapsed single-surface certificate.
 
 Exit codes: 0 all checks passed, 1 a certified failure or falsification
-(details in the written report), 2 configuration or usage errors.
+(details in the written report), 2 configuration or usage errors.  Config
+values go through the _resolve_* helpers, so a bad one exits 2 with a
+message instead of a traceback.
 
 Every command that draws random numbers requires an explicit seed (config
 "seed" or --seed); there is no entropy default, so rerunning a job byte
@@ -133,17 +135,24 @@ def _resolve_float(value, key: str, lo: float, hi: float = math.inf,
     return float(value)
 
 
-def _resolve_list(conf: dict, key: str, default, item) -> tuple:
+def _resolve_list(value, key: str, item) -> tuple:
     """A nonempty list whose entries pass ``item``."""
-    value = conf.get(key, default)
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{key} must be a nonempty list, got {value!r}")
     return tuple(item(v) for v in value)
 
 
-def _resolve_radii(conf: dict) -> tuple[float, ...]:
-    return _resolve_list(conf, "radii", DEFAULT_RADII,
-                         lambda r: _resolve_float(r, "radii", 0.0))
+def _resolve_radii(value, key: str) -> tuple[float, ...]:
+    """A nonempty list of positive radii."""
+    return _resolve_list(value, key, lambda r: _resolve_float(r, key, 0.0))
+
+
+def _resolve_dt(net: NetworkSpec, dt, key: str):
+    """dt as given; on a continuous network it, or the network's default
+    when it is absent, must be positive."""
+    if net.time_domain.kind == "continuous":
+        _resolve_float(net.time_domain.dt if dt is None else dt, key, 0.0)
+    return dt
 
 
 def _resolve_curve(spec, key: str):
@@ -160,7 +169,7 @@ def _resolve_seed(conf: dict, args) -> int:
     seed = args.seed if args.seed is not None else conf.get("seed")
     if seed is None:
         raise ConfigError("an explicit seed is required (config \"seed\" or --seed)")
-    return int(seed)
+    return _resolve_int(seed, "seed", 0)
 
 
 def _jsonable(obj):
@@ -214,13 +223,18 @@ def _parse_input(conf) -> InputSignal:
     spec = conf.get("input")
     if spec is None:
         return InputSignal.zero()
+    if not isinstance(spec, dict):
+        raise ConfigError(f"input must be a signal object, got {spec!r}")
     kind = spec.get("kind", "signal")
-    if kind == "zero":
-        return InputSignal.zero()
-    if kind == "constant":
-        return InputSignal.constant(spec["level"])
-    if kind == "signal" or ("breaks" in spec and "values" in spec):
-        return InputSignal.from_json(spec)
+    try:
+        if kind == "zero":
+            return InputSignal.zero()
+        if kind == "constant":
+            return InputSignal.constant(spec["level"])
+        if kind == "signal" or ("breaks" in spec and "values" in spec):
+            return InputSignal.from_json(spec)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"input is not a valid signal: {e}") from e
     raise ConfigError(f"unknown input kind {kind!r}")
 
 
@@ -237,7 +251,13 @@ def _run_gains(graph, window, conf, seed, budget, radii=None, n_random=64,
     Returns (structure, sgc, xi, witness, cycles, failures); the gains
     pass when failures, a list of reasons, is empty.
     """
-    structure = check_graph(graph, conf.get("r_grid") or CHECK_GRID, window)
+    r_grid = conf.get("r_grid")
+    if r_grid is None:
+        r_grid = CHECK_GRID
+    else:
+        r_grid = _resolve_list(r_grid, "r_grid", lambda r: _resolve_float(
+            r, "r_grid", 0.0, lo_open=False))
+    structure = check_graph(graph, r_grid, window)
     sgc = estimate_uniform_sgc(graph, window, radii=radii, n_random=n_random,
                                seed=seed)
     if xi == "derived":
@@ -274,6 +294,8 @@ def cmd_gains_check(args) -> int:
     budget = _resolve_int(fal_conf.get("budget", 10_000), "falsify.budget", 1)
     sgc_conf = conf.get("sgc", {})
     radii = sgc_conf.get("radii")
+    if radii is not None:
+        radii = _resolve_radii(radii, "sgc.radii")
     n_random = _resolve_int(sgc_conf.get("n_random", 64), "sgc.n_random", 0)
     xi_spec = fal_conf.get("xi", "derived")
     xi = xi_spec if xi_spec == "derived" else _resolve_curve(xi_spec, "falsify.xi")
@@ -331,18 +353,41 @@ def cmd_gains_check(args) -> int:
 # simulate ---------------------------------------------------------------
 
 
+def _resolve_x0(conf: dict, window) -> float | np.ndarray:
+    """A finite number, or one finite number per window label."""
+    x0 = conf.get("x0", 0.0)
+    if not isinstance(x0, list):
+        return _resolve_float(x0, "x0", -math.inf)
+    if len(x0) != len(window):
+        raise ConfigError(f"x0 needs one value per window label "
+                          f"({len(window)}), got {len(x0)}")
+    return np.array([_resolve_float(v, "x0", -math.inf) for v in x0])
+
+
 def cmd_simulate(args) -> int:
     conf = _load_config(args.config)
     net, _oracle = _resolve_network(conf)
     if net is None:
         raise ConfigError("simulate needs a \"network\"")
     window = _resolve_window(net, conf)
-    x0 = conf.get("x0", 0.0)
-    if isinstance(x0, list):
-        x0 = np.asarray(x0, float)
+    x0 = _resolve_x0(conf, window)
     u = _parse_input(conf)
-    horizon = conf["horizon"]
-    dt = conf.get("dt")
+    horizon = _resolve_float(conf["horizon"], "horizon", 0.0, lo_open=False)
+    dt = _resolve_dt(net, conf.get("dt"), "dt")
+    probe_times = conf.get("probe_times", [])
+    if probe_times != []:
+        probe_times = _resolve_list(probe_times, "probe_times", lambda t:
+                                    _resolve_float(t, "probe_times", -math.inf))
+    policy = None
+    if conf.get("sweep_sizes"):
+        sizes = _resolve_list(conf["sweep_sizes"], "sweep_sizes",
+                              lambda n: _resolve_int(n, "sweep_sizes", 1))
+        try:
+            policy = TruncationPolicy(sizes)
+        except ValueError as e:
+            raise ConfigError(f"sweep_sizes: {e}") from e
+        x0_scalar = _resolve_float(conf.get("sweep_x0", 1.0), "sweep_x0",
+                                   -math.inf)
 
     traj = simulate(net, window, x0, u, horizon, dt=dt)
     _atomic_write(_out_path(args, conf, "trajectory.csv"),
@@ -350,8 +395,8 @@ def cmd_simulate(args) -> int:
 
     sups = traj.sup_norms()
     probes = []
-    for t in conf.get("probe_times", []):
-        k = int(np.searchsorted(traj.times, float(t), side="left"))
+    for t in probe_times:
+        k = int(np.searchsorted(traj.times, t, side="left"))
         k = min(max(k, 0), len(traj.times) - 1)
         probes.append({"t": float(traj.times[k]), "sup_norm": float(sups[k])})
     summary = {
@@ -366,10 +411,8 @@ def cmd_simulate(args) -> int:
         },
     }
 
-    if conf.get("sweep_sizes"):
-        policy = TruncationPolicy(tuple(int(s) for s in conf["sweep_sizes"]))
-        x0_scalar = conf.get("sweep_x0", 1.0)
-        report = truncation_sweep(net, policy, lambda w: np.full(len(w), float(x0_scalar)),
+    if policy is not None:
+        report = truncation_sweep(net, policy, lambda w: np.full(len(w), x0_scalar),
                                   u, horizon, dt=dt)
         summary["sweep"] = {
             "sizes": list(report.sizes),
@@ -393,13 +436,9 @@ def _ensemble_config(conf: dict, net: NetworkSpec) -> EnsembleConfig:
     e = conf.get("ensemble")
     if not isinstance(e, dict) or "horizon" not in e:
         raise ConfigError("config needs ensemble.horizon")
-    dt = e.get("dt")
-    if net.time_domain.kind == "continuous":
-        _resolve_float(net.time_domain.dt if dt is None else dt,
-                       "ensemble.dt", 0.0)
     return EnsembleConfig(
         horizon=_resolve_float(e["horizon"], "ensemble.horizon", 0.0),
-        dt=dt,
+        dt=_resolve_dt(net, e.get("dt"), "ensemble.dt"),
         n_random=_resolve_int(e.get("n_random", 5), "ensemble.n_random", 0),
         input_pieces=_resolve_int(e.get("input_pieces", 4),
                                   "ensemble.input_pieces", 1))
@@ -418,7 +457,7 @@ def _run_certify(net, window, conf, seed):
     reproducer in the message on any certified failure.
     """
     cfg = _ensemble_config(conf, net)
-    radii = _resolve_radii(conf)
+    radii = _resolve_radii(conf.get("radii", DEFAULT_RADII), "radii")
     depth = _resolve_int(conf.get("depth", DEFAULT_DEPTH), "depth", 0)
     tolerances = _resolve_tolerances(conf)
     gamma_hat = _resolve_curve(conf["gamma_hat"], "gamma_hat") \
@@ -509,11 +548,11 @@ def cmd_trace_theorem1(args) -> int:
         raise ConfigError("trace needs a network with a gain graph")
     window = _resolve_window(net, conf)
     cfg = _ensemble_config(conf, net)
-    radii = _resolve_radii(conf)
-    bands = _resolve_list(conf, "bands", DEFAULT_BANDS,
+    radii = _resolve_radii(conf.get("radii", DEFAULT_RADII), "radii")
+    bands = _resolve_list(conf.get("bands", DEFAULT_BANDS), "bands",
                           lambda k: _resolve_int(k, "bands", 0))
     fractions = _resolve_list(
-        conf, "tail_fractions", (0.35, 0.55, 0.75, 0.93),
+        conf.get("tail_fractions", (0.35, 0.55, 0.75, 0.93)), "tail_fractions",
         lambda f: _resolve_float(f, "tail_fractions", 0.0, 1.0, lo_open=False))
     tail_starts = [f * cfg.horizon for f in fractions]
     tol = _resolve_float(conf.get("tol", 1e-6), "tol", -math.inf)

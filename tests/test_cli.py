@@ -4,11 +4,16 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from issnet import cli
+from issnet.catalog import instantiate
 from issnet.comparison import linear
 from issnet.gains import FiniteIndexSet, GainGraph, graph_to_json
+from issnet.network import simulate, write_trajectory_csv
+from issnet.smallgain import estimate_uniform_sgc
+from issnet.systems import InputSignal
 
 
 def _read(out_dir, name):
@@ -489,3 +494,144 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_missing_required_flag_exits_2(capsys):
     assert cli.main(["simulate"]) == 2
     capsys.readouterr()
+
+
+# config values resolved before anything runs ----------------------------
+
+
+# each of these exited 1 with a traceback
+@pytest.mark.parametrize("changes", [
+    {"horizon": "abc"},
+    {"dt": 0},
+    {"input": "zero"},
+    {"input": {"kind": "constant", "level": "x"}},
+    {"sweep_sizes": [3, 2]},
+    {"probe_times": ["x"]},
+    {"x0": [1.0, 0.0]},
+    {"x0": "abc"},
+], ids=str)
+def test_bad_simulate_config_is_a_config_error(run_cli, capsys, changes):
+    conf = {"network": "catalog:counterexample-chain", "window": 3,
+            "horizon": 1.0, "dt": 0.1}
+    conf.update(changes)
+    code, out = run_cli("simulate", conf)
+    assert code == 2
+    assert f"config error: {next(iter(changes))}" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("changes", [
+    {"seed": "abc"},
+    {"sgc": {"radii": "x"}},
+    {"sgc": {"radii": [0.0, 1.0]}},
+    {"r_grid": "x"},
+    {"r_grid": [-1, 1]},
+], ids=str)
+def test_bad_gains_check_config_is_a_config_error(run_cli, capsys, changes):
+    conf = {"network": "catalog:uniform-2-cycle", "seed": 1}
+    conf.update(changes)
+    code, out = run_cli("gains-check", conf)
+    assert code == 2
+    key = "sgc.radii" if "sgc" in changes else next(iter(changes))
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (out / "gains_check.json").exists()
+
+
+@pytest.mark.parametrize("changes", [
+    {"seed": "abc"},
+    {"r_grid": "x"},
+    {"r_grid": [-1, 1]},
+], ids=str)
+def test_bad_subnetwork_config_is_a_config_error(run_cli, capsys, changes):
+    conf = {"network": "catalog:nonuniform-discrete-chain",
+            "subset": [0, 1, 2], "ensemble": {"horizon": 40}, "seed": 1}
+    conf.update(changes)
+    code, out = run_cli("subnetwork", conf)
+    assert code == 2
+    assert f"config error: {next(iter(changes))}" in capsys.readouterr().err
+    assert not (out / "subnetwork.json").exists()
+
+
+def test_gains_check_uses_the_given_r_grid(run_cli):
+    code, out = run_cli("gains-check", {"network": "catalog:uniform-2-cycle",
+                                        "seed": 1, "r_grid": [0, 1, 2]})
+    assert code == 0
+    # the stored cycle gains are (c / (1 - a)) id = 0.5 id
+    assert _read(out, "gains_check.json")["structure"]["assumption1_sup"] \
+        == [0.0, 0.5, 1.0]
+
+
+# paths of the commands not run above -------------------------------------
+
+
+@pytest.mark.parametrize("spec, signal", [
+    ({"kind": "zero"}, InputSignal.zero()),
+    ({"kind": "constant", "level": 0.5}, InputSignal.constant(0.5)),
+    ({"breaks": [0.0, 3.0], "values": [1.0, -0.5]},
+     InputSignal([0.0, 3.0], [1.0, -0.5])),
+], ids=["zero", "constant", "signal"])
+def test_simulate_reads_each_input_kind(run_cli, tmp_path, spec, signal):
+    net, _ = instantiate("uniform-2-cycle")
+    code, out = run_cli("simulate", {"network": "catalog:uniform-2-cycle",
+                                     "x0": [1.0, 0.0], "horizon": 8,
+                                     "input": spec})
+    assert code == 0
+    want = tmp_path / "want.csv"
+    write_trajectory_csv(simulate(net, (1, 2), np.array([1.0, 0.0]), signal,
+                                  8), want)
+    assert (out / "trajectory.csv").read_bytes() == want.read_bytes()
+
+
+def test_certify_reports_a_failed_holdout_validation(run_cli, capsys):
+    # a negative tolerance demands a margin no holdout member can show
+    code, out = run_cli("certify", dict(CERT_CONF, tol_abs=-10.0))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "failed holdout validation" in err and "seed 5" in err
+    payload = _read(out, "certificate.json")
+    assert payload["noniss"]["valid"] is False
+    assert payload["uniform"]["valid"] is False
+
+
+TRACE_CONF = {
+    "network": "catalog:nonuniform-discrete-chain",
+    "window": 6,
+    "ensemble": {"horizon": 300, "n_random": 2},
+    "radii": [1.0],
+    "bands": [1, 2],
+    "seed": 2,
+}
+
+
+def test_trace_with_a_derived_xi(run_cli):
+    code, out = run_cli("trace-theorem1", dict(TRACE_CONF, xi="derived"))
+    assert code == 0
+    payload = _read(out, "proof_trace.json")
+    net, _ = instantiate("nonuniform-discrete-chain")
+    xi = estimate_uniform_sgc(net.graph, net.window(6), seed=2).xi_hat
+    for row, entry in zip(payload["check"]["rows"], payload["entries"]):
+        # every external gain of the chain is the identity
+        assert row["norm_margin"] == float(xi(row["level"])) \
+            - max(entry["y_hat"][-1])
+
+
+def test_trace_exits_1_when_the_inequality_fails(run_cli, capsys):
+    tiny = {"kind": "linear", "params": {"a": 0.01}, "class": "Kinf"}
+    code, out = run_cli("trace-theorem1", dict(TRACE_CONF, xi=tiny))
+    assert code == 1
+    assert "small-gain inequality failed on 3 of 3 cells" \
+        in capsys.readouterr().err
+    assert _read(out, "proof_trace.json")["check"]["all_passed"] is False
+
+
+def test_subnetwork_exits_1_when_the_gains_fail(run_cli, capsys):
+    # c / (1 - a) = 1.2: the stored cycle gain exceeds the identity
+    code, out = run_cli("subnetwork", {
+        "network": "catalog:uniform-2-cycle?a=0.5&c=0.6",
+        "subset": [1, 2], "ensemble": {"horizon": 40, "n_random": 2},
+        "radii": [0.5, 1.0], "depth": 4, "seed": 3,
+    })
+    assert code == 1
+    assert "subnetwork checks failed" in capsys.readouterr().err
+    gains = _read(out, "subnetwork.json")["gains"]
+    assert gains["passed"] is False and gains["cycles_passed"] is False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from issnet.catalog import instantiate
 from issnet.comparison import linear, power, zero_curve
 from issnet.gains import (
     FiniteIndexSet,
@@ -203,10 +204,16 @@ def test_graph_json_round_trip(cycle_graph):
                        apply_gain_operator(cycle_graph, x, (0, 1)))
 
 
-def test_generator_graph_json_round_trip(chain):
-    net, _ = chain
+@pytest.mark.parametrize("name", ["counterexample-chain",
+                                  "nonuniform-discrete-chain",
+                                  "linear-diffusive-chain"])
+def test_generator_graph_json_round_trip(name):
+    # the catalog builds these graphs from the same registered generators
+    # that graph_from_json rebuilds them with
+    net, _ = instantiate(name)
     back = graph_from_json(graph_to_json(net.graph))
-    win = (0, 1, 2, 3, 4)
+    win = net.window(5)
     x = np.linspace(0.0, 4.0, 5)
-    assert np.allclose(apply_gain_operator(back, x, win),
-                       apply_gain_operator(net.graph, x, win))
+    assert np.array_equal(apply_gain_operator(back, x, win),
+                          apply_gain_operator(net.graph, x, win))
+    assert graph_to_json(back, win) == graph_to_json(net.graph, win)
