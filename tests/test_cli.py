@@ -499,7 +499,6 @@ def test_missing_required_flag_exits_2(capsys):
 # config values resolved before anything runs ----------------------------
 
 
-# each of these exited 1 with a traceback
 @pytest.mark.parametrize("changes", [
     {"horizon": "abc"},
     {"dt": 0},

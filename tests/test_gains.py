@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from issnet.catalog import instantiate
 from issnet.comparison import linear, power, zero_curve
 from issnet.gains import (
+    CHECK_GRID,
     FiniteIndexSet,
     GainGraph,
     GeneratorIndexSet,
@@ -217,3 +218,7 @@ def test_generator_graph_json_round_trip(name):
     assert np.array_equal(apply_gain_operator(back, x, win),
                           apply_gain_operator(net.graph, x, win))
     assert graph_to_json(back, win) == graph_to_json(net.graph, win)
+
+
+def test_check_grid_is_the_geometric_13_point_grid():
+    assert np.array_equal(CHECK_GRID, np.geomspace(1e-3, 1e3, 13))
