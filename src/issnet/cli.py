@@ -135,6 +135,21 @@ def _resolve_float(value, key: str, lo: float, hi: float = math.inf,
     return float(value)
 
 
+def _resolve_bool(value, key: str) -> bool:
+    """A JSON true or false; no other value counts as either."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _resolve_section(conf: dict, key: str) -> dict:
+    """An optional object of sub-keys; empty when absent."""
+    value = conf.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def _resolve_list(value, key: str, item) -> tuple:
     """A nonempty list whose entries pass ``item``."""
     if not isinstance(value, (list, tuple)) or not value:
@@ -145,6 +160,16 @@ def _resolve_list(value, key: str, item) -> tuple:
 def _resolve_radii(value, key: str) -> tuple[float, ...]:
     """A nonempty list of positive radii."""
     return _resolve_list(value, key, lambda r: _resolve_float(r, key, 0.0))
+
+
+def _resolve_graph(spec):
+    """A gain graph from its JSON object."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"graph must be a gain graph object, got {spec!r}")
+    try:
+        return graph_from_json(spec)
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"graph is not a valid gain graph: {e}") from e
 
 
 def _resolve_dt(net: NetworkSpec, dt, key: str):
@@ -284,25 +309,27 @@ def cmd_gains_check(args) -> int:
     seed = _resolve_seed(conf, args)
     net, _oracle = _resolve_network(conf)
     if "graph" in conf:
-        graph = graph_from_json(conf["graph"])
+        graph = _resolve_graph(conf["graph"])
     elif net is not None and net.graph is not None:
         graph = net.graph
     else:
         raise ConfigError("config needs a \"graph\" or a network with gains")
     window = _resolve_window(net, conf, graph)
-    fal_conf = conf.get("falsify", {})
+    fal_conf = _resolve_section(conf, "falsify")
     budget = _resolve_int(fal_conf.get("budget", 10_000), "falsify.budget", 1)
-    sgc_conf = conf.get("sgc", {})
+    sgc_conf = _resolve_section(conf, "sgc")
     radii = sgc_conf.get("radii")
     if radii is not None:
         radii = _resolve_radii(radii, "sgc.radii")
+        if len(set(radii)) != len(radii):
+            raise ConfigError(f"sgc.radii must be distinct, got {list(radii)}")
     n_random = _resolve_int(sgc_conf.get("n_random", 64), "sgc.n_random", 0)
     xi_spec = fal_conf.get("xi", "derived")
     xi = xi_spec if xi_spec == "derived" else _resolve_curve(xi_spec, "falsify.xi")
 
     structure, sgc, xi, witness, cycles, failures = _run_gains(
         graph, window, conf, seed, budget, radii, n_random, xi,
-        conf.get("cycles", True))
+        _resolve_bool(conf.get("cycles", True), "cycles"))
     payload = {
         "passed": not failures,
         "seed": seed,
@@ -372,6 +399,10 @@ def cmd_simulate(args) -> int:
     window = _resolve_window(net, conf)
     x0 = _resolve_x0(conf, window)
     u = _parse_input(conf)
+    if u.values.ndim > 1 and u.values.shape[1:] != (len(window),):
+        raise ConfigError(f"input values must be scalars or vectors of the "
+                          f"window's width {len(window)}, got pieces of "
+                          f"shape {u.values.shape[1:]}")
     horizon = _resolve_float(conf["horizon"], "horizon", 0.0, lo_open=False)
     dt = _resolve_dt(net, conf.get("dt"), "dt")
     probe_times = conf.get("probe_times", [])
@@ -382,6 +413,14 @@ def cmd_simulate(args) -> int:
     if conf.get("sweep_sizes"):
         sizes = _resolve_list(conf["sweep_sizes"], "sweep_sizes",
                               lambda n: _resolve_int(n, "sweep_sizes", 1))
+        n_labels = len(net.index_set.window()) if net.index_set.finite \
+            else math.inf
+        if max(sizes) > n_labels:
+            raise ConfigError(f"sweep_sizes entry {max(sizes)} exceeds the "
+                              f"{n_labels} labels of the index set")
+        if u.values.ndim > 1 and set(sizes) != {len(window)}:
+            raise ConfigError(f"sweep_sizes must be [{len(window)}] with a "
+                              f"vector input, got {list(sizes)}")
         try:
             policy = TruncationPolicy(sizes)
         except ValueError as e:
@@ -494,6 +533,8 @@ def cmd_certify(args) -> int:
     if net is None:
         raise ConfigError("certify needs a \"network\"")
     window = _resolve_window(net, conf)
+    emit_uniform = _resolve_bool(conf.get("emit_uniform", False),
+                                 "emit_uniform")
     try:
         payload, cert, hold_runs = _run_certify(net, window, conf, seed)
     except CertificationError as e:
@@ -501,7 +542,7 @@ def cmd_certify(args) -> int:
                     {"error": str(e), "seed": seed})
         print(f"certification failed: {e}", file=sys.stderr)
         return 1
-    if conf.get("emit_uniform", False):
+    if emit_uniform:
         uni = uniform_from_nonuniform(cert, hold_runs,
                                       **_resolve_tolerances(conf))
         payload["uniform"] = uni.to_json()

@@ -425,6 +425,7 @@ def _with(conf, **changes):
     ("radii", [-1.0, 1.0]),
     ("tol_abs", "x"),
     ("gamma_hat", {"kind": "linear", "params": {"a": -1.0}}),
+    ("emit_uniform", "yes"),
 ], ids=str)
 def test_bad_certify_config_is_a_config_error(run_cli, capsys, key, value):
     code, out = run_cli("certify", _with(SMALL_CERT, **{key: value}))
@@ -508,6 +509,9 @@ def test_missing_required_flag_exits_2(capsys):
     {"probe_times": ["x"]},
     {"x0": [1.0, 0.0]},
     {"x0": "abc"},
+    {"sweep_sizes": [1, 5], "network": "catalog:uniform-2-cycle", "window": 2},
+    {"input": {"breaks": [0.0], "values": [[1.0, 2.0]]}},
+    {"sweep_sizes": [2, 3], "input": {"breaks": [0.0], "values": [[1.0] * 3]}},
 ], ids=str)
 def test_bad_simulate_config_is_a_config_error(run_cli, capsys, changes):
     conf = {"network": "catalog:counterexample-chain", "window": 3,
@@ -519,19 +523,30 @@ def test_bad_simulate_config_is_a_config_error(run_cli, capsys, changes):
     assert not (out / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("changes", [
-    {"seed": "abc"},
-    {"sgc": {"radii": "x"}},
-    {"sgc": {"radii": [0.0, 1.0]}},
-    {"r_grid": "x"},
-    {"r_grid": [-1, 1]},
+BAD_GAIN = {"index_set": {"kind": "finite", "labels": [1, 2]},
+            "edges": [{"i": 1, "j": 2, "gain": {"kind": "nope"}}]}
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"seed": "abc"}, "seed"),
+    ({"sgc": {"radii": "x"}}, "sgc.radii"),
+    ({"sgc": {"radii": [0.0, 1.0]}}, "sgc.radii"),
+    ({"sgc": {"radii": [1.0, 1.0]}}, "sgc.radii"),
+    ({"sgc": 5}, "sgc"),
+    ({"falsify": 5}, "falsify"),
+    ({"graph": {"index_set": {"kind": "bogus"}}}, "graph"),
+    ({"graph": {"index_set": 5}}, "graph"),
+    ({"graph": BAD_GAIN}, "graph"),
+    ({"cycles": "no"}, "cycles"),
+    ({"r_grid": "x"}, "r_grid"),
+    ({"r_grid": [-1, 1]}, "r_grid"),
 ], ids=str)
-def test_bad_gains_check_config_is_a_config_error(run_cli, capsys, changes):
+def test_bad_gains_check_config_is_a_config_error(run_cli, capsys, changes,
+                                                  key):
     conf = {"network": "catalog:uniform-2-cycle", "seed": 1}
     conf.update(changes)
     code, out = run_cli("gains-check", conf)
     assert code == 2
-    key = "sgc.radii" if "sgc" in changes else next(iter(changes))
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (out / "gains_check.json").exists()
 

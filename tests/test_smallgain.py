@@ -1,5 +1,10 @@
 """Small-gain estimation, falsification, and cycle screening."""
 
+import os
+import subprocess
+import sys
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from issnet import smallgain
 from issnet._rng import derived_rng
 from issnet.comparison import compose, linear, power, pwl, saturating
-from issnet.gains import FiniteIndexSet, GainGraph, apply_batch
+from issnet.gains import CHECK_GRID, FiniteIndexSet, GainGraph, apply_batch
 from issnet.network import subnetwork
 from issnet.smallgain import (
     _extremal_directions,
@@ -340,6 +345,172 @@ def test_cycle_check_acyclic(chain):
     report = finite_cycle_check(sub.graph, subset)
     assert report.passed
     assert report.n_cycles == 0
+
+
+def _listed_cycles(monkeypatch, graph, window):
+    """The report and the label cycles finite_cycle_check enumerated."""
+    found = []
+
+    def recorded(succ):
+        for cycle in enumerate_cycles(succ):
+            found.append(tuple(window[p] for p in cycle))
+            yield cycle
+
+    enumerate_cycles = smallgain._simple_cycles
+    monkeypatch.setattr(smallgain, "_simple_cycles", recorded)
+    report = finite_cycle_check(graph, window)
+    monkeypatch.undo()
+    return report, found
+
+
+def _least_label_first(cycle):
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:]) + tuple(cycle[:k])
+
+
+def _oracle_cycles(graph, window):
+    """nx.simple_cycles on the window, edges j -> i for j in row i."""
+    g = nx.DiGraph()
+    g.add_nodes_from(window)
+    g.add_edges_from((j, i) for i in window for j in graph.row(i)
+                     if j in window)
+    return sorted(_least_label_first(c) for c in nx.simple_cycles(g))
+
+
+def _random_digraph(rng, n):
+    """Random linear gains on n unsorted labels, with a permuted window."""
+    labels = tuple(int(v) for v in rng.choice(100, size=n, replace=False))
+    density = rng.uniform(0.1, 0.7)
+    coeffs = {(i, j): float(rng.uniform(0.1, 0.9))
+              for i in labels for j in labels
+              if i != j and rng.random() < density}
+    window = tuple(labels[k] for k in rng.permutation(n))
+    return _linear_graph(coeffs, labels), window
+
+
+def test_cycles_match_networkx_on_random_digraphs(monkeypatch):
+    rng = np.random.default_rng(8)
+    total = 0
+    for _ in range(300):
+        graph, window = _random_digraph(rng, int(rng.integers(2, 9)))
+        report, found = _listed_cycles(monkeypatch, graph, window)
+        want = _oracle_cycles(graph, window)
+        positions = {label: p for p, label in enumerate(window)}
+        # each cycle once, from its least window position
+        assert all(positions[c[0]] == min(positions[i] for i in c)
+                   for c in found)
+        assert sorted(_least_label_first(c) for c in found) == want
+        assert report.n_cycles == len(want) and not report.truncated
+        total += len(want)
+    assert total > 5_000
+
+
+def test_cycles_match_networkx_on_the_diffusive_chain(monkeypatch, diffusive):
+    net, _ = diffusive
+    window = net.index_set.window(300)
+    report, found = _listed_cycles(monkeypatch, net.graph, window)
+    assert sorted(found) == _oracle_cycles(net.graph, window)
+    assert report.n_cycles == 299
+    assert report.worst_margin == 0.84 and report.worst_cycle == (0, 1)
+
+
+def _random_gain(rng):
+    a = float(rng.uniform(0.2, 1.5))
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return linear(a)
+    if kind == 1:
+        return power(a, float(rng.uniform(0.5, 2.0)))
+    if kind == 2:
+        return saturating(a)
+    if kind == 3:
+        return pwl([(0.0, 0.0), (1.0, a), (5.0, a + 2.0 * rng.random())], "Kinf")
+    return compose(power(1.0, float(rng.uniform(0.8, 1.2))), linear(a))
+
+
+def _rotation_folds(gains):
+    """Relative margin of the fold started at each edge, one at a time."""
+    k = len(gains)
+    margins = []
+    for r in range(k):
+        vals = CHECK_GRID
+        for step in range(k):
+            vals = np.asarray(gains[(r + step) % k](vals), float)
+        margins.append(float(np.min((CHECK_GRID - vals) / CHECK_GRID)))
+    return margins
+
+
+def test_batched_fold_equals_every_rotation_folded_alone():
+    rng = np.random.default_rng(3)
+    spread = 0
+    for _ in range(200):
+        gains = [_random_gain(rng) for _ in range(int(rng.integers(1, 8)))]
+        margins = _rotation_folds(gains)
+        assert smallgain._cycle_margin(gains) == min(margins)
+        spread += min(margins) < max(margins)
+    assert spread > 50          # the starting edge matters on most cycles
+
+
+@pytest.mark.parametrize("labels", [(0, 1), (1, 0)])
+def test_cycle_verdict_does_not_depend_on_labels(labels):
+    # one labeling used to pass with margin 0.5: its single fold ran the
+    # power gain first, which stays below the identity on CHECK_GRID
+    a, b = labels
+    g = GainGraph(FiniteIndexSet((0, 1)),
+                  entries={(b, a): power(1e-4, 2.0), (a, b): linear(5.0)})
+    report = finite_cycle_check(g, (0, 1))
+    assert not report.passed
+    assert report.worst_margin == pytest.approx(-1.5)
+
+
+def test_cycle_verdict_survives_relabeling_and_window_order():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        entries = {(i, j): _random_gain(rng) for i in range(n)
+                   for j in range(n) if i != j and rng.random() < 0.5}
+        graph = GainGraph(FiniteIndexSet(tuple(range(n))), entries=entries)
+        base = finite_cycle_check(graph, tuple(range(n)))
+        relabel = [int(v) for v in rng.choice(50, size=n, replace=False)]
+        moved = GainGraph(FiniteIndexSet(tuple(relabel)), entries={
+            (relabel[i], relabel[j]): c for (i, j), c in entries.items()})
+        window = tuple(relabel[k] for k in rng.permutation(n))
+        report = finite_cycle_check(moved, window)
+        assert (report.n_cycles, report.worst_margin, report.passed) \
+            == (base.n_cycles, base.worst_margin, base.passed)
+
+
+def test_cycle_screen_fails_above_the_cap():
+    labels = tuple(range(9))
+    g = _linear_graph({(i, j): 0.1 for i in labels for j in labels if i != j},
+                      labels)
+    report = finite_cycle_check(g, labels)
+    assert report.truncated
+    assert report.n_cycles == 10_000
+    assert not report.passed       # every listed cycle contracts
+
+
+def test_cycle_screen_walks_a_long_ring():
+    labels = tuple(range(2000))
+    g = _linear_graph({((i + 1) % 2000, i): 0.9 for i in labels}, labels)
+    report = finite_cycle_check(g, labels)
+    assert report.n_cycles == 1 and report.passed
+    assert report.worst_cycle == labels
+
+
+def test_the_cli_runs_without_networkx():
+    src = os.path.dirname(os.path.dirname(smallgain.__file__))
+    code = ("import sys\n"
+            "import issnet.cli\n"
+            "from issnet.catalog import instantiate\n"
+            "net, _ = instantiate('uniform-2-cycle')\n"
+            "issnet.cli.finite_cycle_check(net.graph, net.window())\n"
+            "print('networkx' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 # Shrinking and restriction never create witnesses -----------------------
