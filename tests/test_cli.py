@@ -527,7 +527,7 @@ BAD_GAIN = {"index_set": {"kind": "finite", "labels": [1, 2]},
             "edges": [{"i": 1, "j": 2, "gain": {"kind": "nope"}}]}
 
 
-@pytest.mark.parametrize("changes, key", [
+BAD_GAINS_CHECK_CONFIGS = [
     ({"seed": "abc"}, "seed"),
     ({"sgc": {"radii": "x"}}, "sgc.radii"),
     ({"sgc": {"radii": [0.0, 1.0]}}, "sgc.radii"),
@@ -540,7 +540,13 @@ BAD_GAIN = {"index_set": {"kind": "finite", "labels": [1, 2]},
     ({"cycles": "no"}, "cycles"),
     ({"r_grid": "x"}, "r_grid"),
     ({"r_grid": [-1, 1]}, "r_grid"),
-], ids=str)
+]
+
+
+# name each case by its config change alone
+@pytest.mark.parametrize("changes, key", [
+    pytest.param(changes, key, id=str(changes))
+    for changes, key in BAD_GAINS_CHECK_CONFIGS])
 def test_bad_gains_check_config_is_a_config_error(run_cli, capsys, changes,
                                                   key):
     conf = {"network": "catalog:uniform-2-cycle", "seed": 1}
