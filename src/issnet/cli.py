@@ -94,7 +94,7 @@ def _resolve_window(net: NetworkSpec | None, conf: dict, graph=None):
         if index_set.finite:
             return index_set.window()
         raise ConfigError("window (size or label list) is required")
-    if isinstance(w, int):
+    if isinstance(w, int) and not isinstance(w, bool):
         if w <= 0:
             raise ConfigError(f"window size must be positive, got {w}")
         return index_set.window(w)

@@ -261,8 +261,9 @@ class _WindowPlan:
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(b)
-        out[:, self.targets] = np.maximum.reduceat(
-            b[:, self.cols] * self.coeffs, self.starts, axis=1)
+        prod = b[:, self.cols]       # a fresh gather, scaled in place
+        prod *= self.coeffs
+        out[:, self.targets] = np.maximum.reduceat(prod, self.starts, axis=1)
         for k, j, g in self.other:
             np.maximum(out[:, k], g._eval(b[:, j]), out=out[:, k])
         return out

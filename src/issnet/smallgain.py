@@ -28,14 +28,18 @@ exactly when the sampled deficit at radius ||v|| drops below what xi's
 inverse demands, so shrinking gains or restricting to a subnetwork (both
 of which only increase deficits) can never create new witnesses.
 
-Both searches are seeded with iterated-slack directions: the fixed point
+Both searches are seeded with extremal directions: the least fixed point
 of v -> Gamma(v) + r*ones dominates every solution of v <= Gamma(v) + w
 with ||w|| <= r once the cycle screen passes, so its normalized profile
 is the extremal sphere pattern.  With these seeds the deficit estimate
 and the falsifier agree on linear-gain graphs instead of bracketing the
-true bound from opposite sides.  The fixed-point iterations of all radii
-run as one batch, one apply_batch call per step; radii that exhaust the
-iteration budget without converging are counted in SGCReport.unconverged.
+true bound from opposite sides.  On a window whose edges are all linear
+the fixed point is r * v*(1), with v*(1) solving v_i = 1 + max_j a_ij v_j,
+so one direction serves every radius; policy iteration solves for it
+exactly and a fixed-point residual check accepts it.  Any other window
+(or a solve that fails its checks) iterates all radii as one batch, one
+apply_batch call per step, and radii that exhaust the iteration budget
+without converging are counted in SGCReport.unconverged.
 """
 
 from __future__ import annotations
@@ -122,6 +126,111 @@ def _random_patterns(n: int, m: int, rng) -> np.ndarray:
 
 
 def _extremal_directions(graph: GainGraph, window: tuple,
+                         radii: Sequence[float]) -> tuple[np.ndarray, int]:
+    """Normalized least fixed points of v -> Gamma(v) + r*ones.
+
+    When every in-window edge is linear, v*(r) = r * v*(1) for all radii,
+    so the answer is the single row v*(1) / ||v*(1)|| with no unconverged
+    radius.  v*(1) solves v_i = 1 + max_j a_ij v_j; policy iteration
+    (Howard 1960) finds it exactly, and it is accepted only when one more
+    application of the operator moves it by at most the tolerance on which
+    the iteration stops.  Anything else (a nonlinear edge, a policy cycle
+    of gain at least 1, a failed check, the round cap) falls back to
+    _iterated_directions, one row per radius.
+    """
+    v = _linear_fixed_point(graph, window)
+    if v is None:
+        return _iterated_directions(graph, window, radii)
+    return v[None, :] / np.max(v), 0
+
+
+# policy iteration gives up after this many improvement rounds
+_POLICY_ROUNDS = 100
+
+
+def _linear_fixed_point(graph: GainGraph, window: tuple) -> np.ndarray | None:
+    """v solving v_i = 1 + max_j a_ij v_j on an all-linear window, or None.
+
+    A policy picks one edge per row with edges; its values follow the
+    policy's functional graph in O(n).  A row switches edge only when the
+    new product beats its current one by more than 1e-12 relative, so
+    exact ties cannot make the policy flip-flop.  None when an edge is not
+    linear, a policy cycle has gain at least 1, the rounds run out or the
+    result fails the fixed-point check.
+    """
+    plan = graph._plan(window)
+    if plan.other:
+        return None
+    n = len(window)
+    succ = np.full(n, -1)
+    gain = np.zeros(n)
+    choice = _segment_argmax(plan.coeffs, plan.starts)
+    for _ in range(_POLICY_ROUNDS):
+        succ[plan.targets] = plan.cols[choice]
+        gain[plan.targets] = plan.coeffs[choice]
+        v = _policy_values(succ.tolist(), gain.tolist())
+        if v is None:
+            return None
+        cand = plan.coeffs * v[plan.cols]
+        best = _segment_argmax(cand, plan.starts)
+        better = cand[best] - cand[choice] > 1e-12 * cand[choice]
+        if not better.any():
+            break
+        choice = np.where(better, best, choice)
+    else:
+        return None
+    nxt = apply_batch(graph, v[None, :], window)[0] + 1.0
+    if np.max(np.abs(nxt - v)) > 1e-13 * max(1.0, float(np.max(nxt))):
+        return None
+    return v
+
+
+def _segment_argmax(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Index of the first maximum of each nonempty segment of vals."""
+    best = np.maximum.reduceat(vals, starts)
+    sizes = np.diff(np.append(starts, vals.size))
+    hits = np.flatnonzero(vals == np.repeat(best, sizes))
+    seg = np.searchsorted(starts, hits, side="right")
+    return hits[np.flatnonzero(np.diff(seg, prepend=0))]
+
+
+def _policy_values(succ: list, gain: list) -> np.ndarray | None:
+    """Values of v_i = 1 + gain_i v_succ(i), with v_i = 1 where succ is -1.
+
+    Every walk along succ ends at a row without an edge or enters a cycle;
+    a cycle solves in closed form, v_c = alpha / (1 - p) with p the product
+    of its gains, and the rows leading to it are filled in backwards.
+    None when a cycle has p >= 1 and so no finite solution.
+    """
+    n = len(succ)
+    v = [1.0] * n
+    state = [0] * n              # 0 unseen, 1 on the current walk, 2 solved
+    for s in range(n):
+        walk = []
+        i = s
+        while i >= 0 and state[i] == 0:
+            state[i] = 1
+            walk.append(i)
+            i = succ[i]
+        if i >= 0 and state[i] == 1:
+            k = walk.index(i)
+            alpha, p = 0.0, 1.0  # v_i = alpha + p * v_i, folded backwards
+            for c in reversed(walk[k:]):
+                alpha = 1.0 + gain[c] * alpha
+                p *= gain[c]
+            if p >= 1.0:
+                return None
+            v[i] = alpha / (1.0 - p)
+            state[i] = 2
+            walk.pop(k)
+        for c in reversed(walk):
+            if succ[c] >= 0:
+                v[c] = 1.0 + gain[c] * v[succ[c]]
+            state[c] = 2
+    return np.array(v)
+
+
+def _iterated_directions(graph: GainGraph, window: tuple,
                          radii: Sequence[float],
                          max_iter: int = 500) -> tuple[np.ndarray, int]:
     """Normalized fixed points of v -> Gamma(v) + r*ones, one per radius.
@@ -186,7 +295,8 @@ class SGCReport:
     witnesses: tuple             # per-radius argmin points (tuples)
     samples_per_radius: int
     seed: int
-    unconverged: int = 0         # radii whose extremal iteration hit max_iter
+    unconverged: int = 0         # radii whose extremal iteration hit max_iter;
+                                 # 0 on windows solved exactly (all linear)
 
     def summary(self) -> str:
         verdict = "holds" if self.holds else "FAILS"
@@ -212,7 +322,8 @@ def estimate_uniform_sgc(graph: GainGraph,
     minimized over deterministic vertex patterns (unit vectors, all-ones,
     leave-one-out) plus random patterns; the condition holds at the sampled
     resolution when every per-radius minimum is positive relative to the
-    radius.
+    radius.  The radii are sorted first, so the report lists them in
+    ascending order whatever order they came in.
     """
     if window is None:
         if not graph.index_set.finite:
@@ -222,7 +333,8 @@ def estimate_uniform_sgc(graph: GainGraph,
     n = len(window)
     if radii is None:
         radii = np.geomspace(1e-2, 1e2, 9)
-    radii = tuple(float(r) for r in radii)
+    # the deficit floor below is a running minimum from the largest radius
+    radii = tuple(sorted(float(r) for r in radii))
     rng = derived_rng(seed, "sgc", n)
     dirs, unconverged = _extremal_directions(graph, window, radii)
     sphere = np.vstack([_vertex_patterns(n, rng),

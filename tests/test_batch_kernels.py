@@ -1,6 +1,6 @@
 """The batched fast paths against their per-row references, bit for bit.
 
-apply_batch runs a compiled per-window plan and _extremal_directions steps
+apply_batch runs a compiled per-window plan and _iterated_directions steps
 all radii as one batch; both must reproduce the one-vector-at-a-time
 reference exactly, so every comparison here is np.array_equal.
 """
@@ -14,7 +14,7 @@ from issnet import smallgain
 from issnet.comparison import compose, linear, power, pwl, saturating
 from issnet.gains import (FiniteIndexSet, GainGraph, apply_batch,
                           apply_gain_operator)
-from issnet.smallgain import _extremal_directions, estimate_uniform_sgc
+from issnet.smallgain import _iterated_directions, estimate_uniform_sgc
 
 RADII = np.geomspace(1e-2, 1e2, 24)
 
@@ -129,7 +129,7 @@ def test_apply_batch_rejects_non_finite_entries():
 
 
 def _assert_directions_match(graph, window, radii=RADII, max_iter=500):
-    got = _extremal_directions(graph, window, radii, max_iter=max_iter)
+    got = _iterated_directions(graph, window, radii, max_iter=max_iter)
     want = _per_radius_directions(graph, window, radii, max_iter=max_iter)
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
@@ -174,9 +174,11 @@ def test_extremal_directions_all_rows_blow_up():
 def test_estimate_reports_unconverged_radii(two_cycle, monkeypatch):
     net, _ = two_cycle
     assert estimate_uniform_sgc(net.graph, (1, 2), seed=0).unconverged == 0
-    slow = _graph({(0, 1): linear(0.9), (1, 0): linear(0.9)}, 2)
-    monkeypatch.setattr(smallgain, "_extremal_directions",
-                        functools.partial(_extremal_directions, max_iter=3))
+    # a power curve of exponent 1 is not compiled as linear, so the window
+    # takes the iterated path
+    slow = _graph({(0, 1): power(0.9, 1.0), (1, 0): power(0.9, 1.0)}, 2)
+    monkeypatch.setattr(smallgain, "_iterated_directions",
+                        functools.partial(_iterated_directions, max_iter=3))
     sgc = estimate_uniform_sgc(slow, (0, 1), seed=0)
     assert sgc.unconverged == len(sgc.radii)
     assert f"{len(sgc.radii)} of {len(sgc.radii)} extremal" in sgc.summary()

@@ -540,6 +540,7 @@ BAD_GAINS_CHECK_CONFIGS = [
     ({"cycles": "no"}, "cycles"),
     ({"r_grid": "x"}, "r_grid"),
     ({"r_grid": [-1, 1]}, "r_grid"),
+    ({"window": True}, "window"),
 ]
 
 

@@ -14,8 +14,10 @@ from issnet._rng import derived_rng
 from issnet.comparison import compose, linear, power, pwl, saturating
 from issnet.gains import CHECK_GRID, FiniteIndexSet, GainGraph, apply_batch
 from issnet.network import subnetwork
+from issnet.catalog import instantiate
 from issnet.smallgain import (
     _extremal_directions,
+    _iterated_directions,
     _revalidate,
     dist_to_cone,
     estimate_uniform_sgc,
@@ -82,6 +84,128 @@ def test_estimate_detects_failure():
     assert not sgc.holds
     assert sgc.eta_hat is None
     assert sgc.xi_hat is None
+
+
+def test_radii_order_does_not_change_the_estimate(two_cycle):
+    # the deficit floor is a running minimum over ascending radii, so the
+    # order in which radii are given must not reach eta_hat or xi_hat
+    net, _ = two_cycle
+    up = estimate_uniform_sgc(net.graph, (1, 2), radii=[0.1, 1.0, 10.0])
+    down = estimate_uniform_sgc(net.graph, (1, 2), radii=[10.0, 1.0, 0.1])
+    for field in ("radii", "deficits", "holds", "witnesses",
+                  "samples_per_radius", "unconverged"):
+        assert getattr(down, field) == getattr(up, field), field
+    grid = np.geomspace(1e-3, 1e3, 25)
+    assert np.array_equal(down.eta_hat(grid), up.eta_hat(grid))
+    assert np.array_equal(down.xi_hat(grid), up.xi_hat(grid))
+    assert up.radii == (0.1, 1.0, 10.0)
+    assert down.xi_hat(1.0) == pytest.approx(2.0)
+
+
+# Extremal directions ----------------------------------------------------
+
+RADII = np.geomspace(1e-2, 1e2, 24)
+
+
+def _max_cycle_mean(coeffs):
+    """Largest geometric mean gain per edge over the simple cycles: the
+    rate at which the fixed-point iteration contracts."""
+    worst = 0.0
+    for cycle in nx.simple_cycles(nx.DiGraph(list(coeffs))):
+        k = len(cycle)
+        gains = [coeffs[(cycle[e], cycle[(e + 1) % k])] for e in range(k)]
+        worst = max(worst, float(np.prod(gains)) ** (1.0 / k))
+    return worst
+
+
+def _contracting_cases(count):
+    """Random linear graphs on 2-8 unsorted labels whose cycle means stay
+    at most 0.9, each with a permuted window; some nodes are isolated."""
+    cases = []
+    seed = 0
+    while len(cases) < count:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        n = int(rng.integers(2, 9))
+        labels = tuple(int(i) for i in rng.choice(100, size=n, replace=False))
+        isolated = set(rng.choice(labels, size=int(rng.integers(0, n // 2 + 1)),
+                                  replace=False).tolist())
+        coeffs = {(i, j): float(rng.uniform(0.05, 1.6))
+                  for i in labels for j in labels
+                  if i != j and i not in isolated and j not in isolated
+                  and rng.random() < 0.5}
+        if _max_cycle_mean(coeffs) > 0.9:
+            continue
+        window = tuple(int(i) for i in rng.permutation(labels))
+        cases.append((_linear_graph(coeffs, labels), window))
+    return cases
+
+
+def test_exact_directions_match_the_iteration():
+    for graph, window in _contracting_cases(200):
+        exact, unconverged = _extremal_directions(graph, window, RADII)
+        assert exact.shape == (1, len(window)) and unconverged == 0
+        dirs, unconverged = _iterated_directions(graph, window, RADII)
+        assert dirs.shape == (len(RADII), len(window)) and unconverged == 0
+        # both directions peak at 1, so this is relative to the sup norm;
+        # below r = 1 the iteration stops on an absolute step of 1e-13, so
+        # its rows are only that close relative to r
+        err = np.max(np.abs(dirs - exact), axis=1)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, 1.0 / RADII))
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (3.0, 0.2), (0.2, 4.5),
+                                  (0.999, 1.0), (1.5, 0.6666)])
+def test_exact_direction_meets_the_two_node_closed_form(a, b):
+    g = _linear_graph({(0, 1): a, (1, 0): b}, (0, 1))
+    dirs, unconverged = _extremal_directions(g, (0, 1), RADII)
+    assert dirs.shape == (1, 2) and unconverged == 0
+    want = float(exact_eta_two_node(a, b)(1.0))
+    assert operator_deficit(g, dirs[0], (0, 1)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, sizes, norm", [
+    ("linear-diffusive-chain", (10, 100, 1000), 5.0 / 3.0),
+    ("nonuniform-discrete-chain", (100, 1000), 2.0),
+])
+def test_exact_fixed_point_norm_on_catalog_chains(name, sizes, norm):
+    net, _ = instantiate(name)
+    for size in sizes:
+        v = smallgain._linear_fixed_point(net.graph,
+                                          net.graph.index_set.window(size))
+        assert float(np.max(v)) == pytest.approx(norm, rel=1e-12), size
+
+
+@pytest.mark.parametrize("coeffs, rows", [
+    ({(0, 1): power(0.5, 1.2), (1, 0): linear(0.5), (2, 0): linear(0.3)}, 22),
+    ({(0, 1): linear(2.0), (1, 0): linear(2.0)}, 0),
+    ({(0, 1): linear(0.5), (1, 0): linear(2.0), (2, 1): linear(0.7)}, 24),
+])
+def test_extremal_directions_fall_back_to_the_iteration(coeffs, rows):
+    # a nonlinear edge (the two largest radii blow up), a cycle gain of 4
+    # (every row blows up) and a cycle gain of exactly 1 (none converges)
+    graph = GainGraph(FiniteIndexSet((0, 1, 2)), entries=coeffs)
+    window = (0, 1, 2)
+    got = _extremal_directions(graph, window, RADII)
+    want = _iterated_directions(graph, window, RADII)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert got[0].shape[0] == rows
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_policy_values", lambda succ, gain: np.full(len(succ), 5.0)),
+    ("_POLICY_ROUNDS", 0),
+])
+def test_a_failed_solve_falls_back_to_the_iteration(monkeypatch, name, value):
+    # a wrong policy value fails the fixed-point check; no rounds hit the cap
+    graph = _linear_graph({(0, 1): 0.5, (1, 2): 0.7, (2, 0): 1.2}, (0, 1, 2))
+    window = (0, 1, 2)
+    want = _iterated_directions(graph, window, RADII)
+    monkeypatch.setattr(smallgain, name, value)
+    got = _extremal_directions(graph, window, RADII)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert got[0].shape == (len(RADII), 3)
 
 
 # Curve inversion --------------------------------------------------------
