@@ -176,9 +176,11 @@ def test_certify_is_deterministic(run_cli):
 
 # sha256 of the result files of the criterion-2 certify and criterion-4
 # trace configs (at their gate seeds and one more), of a discrete certify
-# run with the collapsed uniform certificate, and of gains-check on the
-# 300-window diffusive chain (the falsifier's widest blocks); any change to
-# the numerics or the writers shows here
+# run with the collapsed uniform certificate, of gains-check on the
+# 300-window diffusive chain (the falsifier's widest blocks), of a discrete
+# simulate with a window sweep, of a continuous simulate with a vector
+# input and of a subnetwork run; any change to the numerics or the writers
+# shows here
 CHAIN50 = {
     "network": "catalog:counterexample-chain",
     "window": 50,
@@ -227,6 +229,42 @@ GOLDEN = [
         "emit_uniform": True,
     }, {"certificate.json": "dbd827657ab1124d93b60d682a411339"
                             "61d275c27502b748ef902262959b5e35"}),
+    ("simulate-discrete-sweep", "simulate", {
+        "network": "catalog:nonuniform-discrete-chain",
+        "window": 8,
+        "x0": 1.0,
+        "horizon": 40,
+        "probe_times": [10, 40],
+        "input": {"breaks": [0.0, 5.0, 12.0], "values": [0.2, -0.1, 0.0]},
+        "sweep_sizes": [4, 8, 16],
+        "sweep_x0": 0.5,
+    }, {"trajectory.csv": "457654e536de5a8d3ac9ca3b15a26baf"
+                          "0cfb11d29b0844771dccaac641835b98",
+        "simulate_summary.json": "0990a9c4b45c621b05bd15e207a55ba7"
+                                 "af6f9062dfdb1b4ddb1270796c2840bb"}),
+    ("simulate-continuous-vector-input", "simulate", {
+        "network": "catalog:linear-diffusive-chain",
+        "window": 4,
+        "x0": [1.0, -0.5, 0.25, 0.0],
+        "horizon": 2.0,
+        "dt": 0.05,
+        "probe_times": [1.0],
+        "input": {"breaks": [0.0, 0.3, 1.1],
+                  "values": [[0.1, 0.0, -0.2, 0.3], [0.0, 0.5, 0.0, -0.1],
+                             [0.0, 0.0, 0.0, 0.0]]},
+    }, {"trajectory.csv": "0cdba2219199813b1f9f0a4c11fdf8a3"
+                          "ec17da9646fac1b7f008d9979885c3cb",
+        "simulate_summary.json": "1f84e88647c0652c66441a6333581c24"
+                                 "d3acf872905c78ce4e7699bf3cc04067"}),
+    ("subnetwork-chain-prefix", "subnetwork", {
+        "network": "catalog:nonuniform-discrete-chain",
+        "subset": [0, 1, 2, 3],
+        "ensemble": {"horizon": 80, "n_random": 2},
+        "radii": [0.5, 1.0],
+        "depth": 6,
+        "seed": 9,
+    }, {"subnetwork.json": "88b00a85acf08a095697cac68c40e5d5"
+                           "d505a5d0df2108df80c574e197079e1e"}),
 ]
 
 
