@@ -22,7 +22,7 @@ from .comparison import (KLSurface, ScalarCurve, check_class, compose,
                          zero_curve)
 from .systems import (DISCRETE, BlowUp, InputSignal, SubsystemSpec, TimeDomain,
                       Trajectory, check_axioms, continuous,
-                      integrate_ode, step_discrete)
+                      integrate_ode)
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
                     NonnegSequence, apply_batch, apply_gain_operator,
                     check_graph, graph_from_json, graph_to_json, iterate,
@@ -32,8 +32,8 @@ from .smallgain import (MBIWitness, SGCReport, dist_to_cone,
                         finite_cycle_check, invert_k_curve, operator_deficit)
 from .network import (NetworkSpec, NetworkSystem, NetworkTrajectory,
                       SweepReport, TruncationPolicy, simulate,
-                      simulate_ensemble, simulate_reference, subnetwork,
-                      truncation_sweep, write_trajectory_csv)
+                      simulate_ensemble, subnetwork, truncation_sweep,
+                      write_trajectory_csv)
 from .certify import (AttainmentTable, BandEntry, CertificationError,
                       EnsembleConfig, LabeledRun, NonUniformISSCertificate,
                       ProofTrace, UGSCertificate, UniformISSCertificate,

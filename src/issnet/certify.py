@@ -31,7 +31,10 @@ makes two passes: build_fit_and_holdout steps the fit and holdout members
 together, then estimate_attainment_times steps the members of every
 radius, whose thresholds need the fitted sigma.  Only holdout members
 keep their trajectories, because build_nonuniform_iss validates them
-pointwise; build_ensemble keeps every trajectory it returns.
+pointwise; build_ensemble keeps every trajectory it returns.  Every
+stage hands its planned member families to one helper, _run_pass, which
+makes the single _simulate call, raises on the first blown-up member in
+family order and returns each family's rows.
 
 All limit quantities are replaced by finite-horizon tail sups with the
 decay across tail starts recorded as convergence evidence; certificates
@@ -162,48 +165,47 @@ def _members_for_bin(net, window, r_x, r_u, cfg, job_seed, tag):
 
 
 def _plan_bins(net, window, bins, cfg, seed, tag):
-    """The (r_x, r_u, name, x0, u) members of every bin, in bin order."""
-    return [(float(r_x), float(r_u), name, x0, u) for r_x, r_u in bins
+    """The (r_x, r_u, name, where, x0, u) members of every bin, in bin
+    order; where names the member in a blow-up message."""
+    return [(float(r_x), float(r_u), name,
+             f"member {name!r} of bin (r_x={r_x:g}, r_u={r_u:g})", x0, u)
+            for r_x, r_u in bins
             for name, x0, u in _members_for_bin(net, window, r_x, r_u,
                                                 cfg, seed, tag)]
 
 
-def _step(net, window, cfg, members, **reductions):
-    """Step planned members, whose last two fields are (x0, u), in one pass."""
-    return _simulate(net, window, [(x0, u) for *_, x0, u in members],
-                     cfg.horizon, cfg.dt, DEFAULT_BLOWUP_BOUND,
-                     reference=False, **reductions)
+def _run_pass(net, window, cfg, seed, families, **reductions):
+    """Step planned (members, keep) families in one _simulate pass.
 
-
-def _raise_first_blowup(family, stepped, seed):
-    for j, (r_x, r_u, name, _x0, _u) in enumerate(family):
-        blowup = stepped.blowups[j]
-        if blowup is not None:
-            raise CertificationError(
-                f"trajectory blow-up at t={blowup.time:g} "
-                f"in member {name!r} of bin "
-                f"(r_x={r_x:g}, r_u={r_u:g}), seed {seed}")
-
-
-def _run_families(net, window, cfg, seed, families):
-    """Step several (planned family, keeps trajectories) pairs in one pass.
-
-    Returns one LabeledRun list per family.  The first member (in family
-    and bin order) that blows up raises.
+    The last three fields of a member are (where, x0, u); only the members
+    of a family with keep set store their states.  The first member, in
+    family order, that blew up raises, named by its where.  Returns the
+    pass and each family's slice of its rows.
     """
-    family = [member for fam, _keep in families for member in fam]
-    keep = [kept for fam, kept in families for _member in fam]
-    stepped = _step(net, window, cfg, family, keep=keep)
-    _raise_first_blowup(family, stepped, seed)
-    runs = [LabeledRun(stepped.trajectory(j) if keep[j] else None,
+    members = [member for fam, _keep in families for member in fam]
+    stepped = _simulate(net, window, [(x0, u) for *_, x0, u in members],
+                        cfg.horizon, cfg.dt, DEFAULT_BLOWUP_BOUND,
+                        keep=[kept for fam, kept in families for _m in fam],
+                        **reductions)
+    for (*_, where, _x0, _u), blowup in zip(members, stepped.blowups):
+        if blowup is not None:
+            raise CertificationError(f"trajectory blow-up at t={blowup.time:g} "
+                                     f"in {where}, seed {seed}")
+    spans, start = [], 0
+    for fam, _keep in families:
+        spans.append(slice(start, start + len(fam)))
+        start += len(fam)
+    return stepped, spans
+
+
+def _labeled_runs(stepped, rows, family, seed):
+    """LabeledRuns of the planned bin members stepped at ``rows``; only
+    the members that kept their states carry a trajectory."""
+    return [LabeledRun(stepped.trajectory(j) if j in stepped.states else None,
                        r_x, r_u, u.sup_norm(), name, seed,
                        float(stepped.peaks[j]))
-            for j, (r_x, r_u, name, _x0, u) in enumerate(family)]
-    out, start = [], 0
-    for fam, _keep in families:
-        out.append(runs[start:start + len(fam)])
-        start += len(fam)
-    return out
+            for j, (r_x, r_u, name, _where, _x0, u) in enumerate(family,
+                                                                  rows.start)]
 
 
 def build_ensemble(net: NetworkSpec,
@@ -220,7 +222,8 @@ def build_ensemble(net: NetworkSpec,
     """
     window = tuple(window)
     family = _plan_bins(net, window, bins, cfg, seed, tag)
-    return _run_families(net, window, cfg, seed, [(family, True)])[0]
+    stepped, (rows,) = _run_pass(net, window, cfg, seed, [(family, True)])
+    return _labeled_runs(stepped, rows, family, seed)
 
 
 def build_fit_and_holdout(net: NetworkSpec,
@@ -239,9 +242,10 @@ def build_fit_and_holdout(net: NetworkSpec,
     window = tuple(window)
     fit = _plan_bins(net, window, bins, cfg, seed, "fit")
     hold = _plan_bins(net, window, bins, cfg, seed, "holdout")
-    fit_runs, hold_runs = _run_families(net, window, cfg, seed,
-                                        [(fit, False), (hold, True)])
-    return fit_runs, hold_runs
+    stepped, (fit_rows, hold_rows) = _run_pass(net, window, cfg, seed,
+                                               [(fit, False), (hold, True)])
+    return (_labeled_runs(stepped, fit_rows, fit, seed),
+            _labeled_runs(stepped, hold_rows, hold, seed))
 
 
 # UGS fitting ------------------------------------------------------------
@@ -395,28 +399,27 @@ def estimate_attainment_times(net: NetworkSpec,
 
     # every radius's members are stepped in one pass; each member only
     # records, per (level, component), the last sample above its threshold
-    family, spans = [], []
+    families = []
     for r in radii:
         bins = [(r, r), (r, 0.5 * r), (r, 0.0)] if r > 0 else [(0.0, 0.0)]
-        planned = _plan_bins(net, window, bins, cfg, seed, f"attain:{r:g}")
-        spans.append((len(family), len(family) + len(planned)))
-        family += planned
+        families.append((_plan_bins(net, window, bins, cfg, seed,
+                                    f"attain:{r:g}"), False))
+    members = [(r, u) for r, (fam, _keep) in zip(radii, families)
+               for *_, u in fam]
     width = max((level_map[r].size for r in radii), default=0)
-    thresholds = np.full((len(family), width), np.inf)
-    for r, (lo, hi) in zip(radii, spans):
+    thresholds = np.full((len(members), width), np.inf)
+    for j, (r, u) in enumerate(members):
         lv = level_map[r]
-        for j in range(lo, hi):
-            thresholds[j, :lv.size] = lv + float(gamma_hat(family[j][4].sup_norm()))
-    stepped = _step(net, window, cfg, family, keep=[False] * len(family),
-                    thresholds=thresholds)
-    _raise_first_blowup(family, stepped, seed)
+        thresholds[j, :lv.size] = lv + float(gamma_hat(u.sup_norm()))
+    stepped, spans = _run_pass(net, window, cfg, seed, families,
+                               thresholds=thresholds)
 
     # the tail from sample last + 1 on stays below the level; "never"
     # means the final sample is still above it
     final = stepped.times.size - 1
     times: dict[float, np.ndarray] = {}
-    for r, (lo, hi) in zip(radii, spans):
-        last = stepped.last_exceed[lo:hi, :level_map[r].size]
+    for r, rows in zip(radii, spans):
+        last = stepped.last_exceed[rows, :level_map[r].size]
         member_times = np.where(last == final, np.nan,
                                 stepped.times[np.minimum(last + 1, final)])
         times[r] = np.max(member_times, axis=0)   # NaN if any member never
@@ -724,27 +727,20 @@ def compute_band_cells(net: NetworkSpec,
     if any(t >= cfg.horizon for t in tail_starts) or not tail_starts:
         raise ValueError("tail starts must be nonempty and precede the horizon")
 
-    family, spans = [], []
+    families = []
     for (r, _k, q), (lo, hi, tag) in zip(cells, limits):
-        members = _band_members(net, window, r, lo, hi, cfg, seed, tag)
-        if q is not None and q == 0.0:
-            members = [(name, x0, InputSignal.zero())
-                       for name, x0, _u in members]
-        spans.append((len(family), len(family) + len(members)))
-        family += members
-    stepped = _step(net, window, cfg, family, keep=[False] * len(family),
-                    tail_starts=tail_starts)
-    entries = []
-    for (r, k, q), (lo, hi, tag), (a, b) in zip(cells, limits, spans):
-        for blowup in stepped.blowups[a:b]:
-            if blowup is not None:
-                raise CertificationError(
-                    f"trajectory blow-up at t={blowup.time:g} in band cell "
-                    f"(r={r:g}, {tag}), seed {seed}")
-        y = np.max(stepped.tail_sups[a:b], axis=0)
-        entries.append(BandEntry(float(r), k, q, (lo, hi), tail_starts, y,
-                                 b - a, seed))
-    return entries
+        zero = q is not None and q == 0.0
+        families.append(([(f"band cell (r={r:g}, {tag})", x0,
+                           InputSignal.zero() if zero else u)
+                          for _name, x0, u in _band_members(
+                              net, window, r, lo, hi, cfg, seed, tag)],
+                         False))
+    stepped, spans = _run_pass(net, window, cfg, seed, families,
+                               tail_starts=tail_starts)
+    return [BandEntry(float(r), k, q, (lo, hi), tail_starts,
+                      np.max(stepped.tail_sups[rows], axis=0),
+                      rows.stop - rows.start, seed)
+            for (r, k, q), (lo, hi, _tag), rows in zip(cells, limits, spans)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,10 +13,13 @@ the step grid; a single run is an ensemble of one.  The stepper can reduce
 each sample's |x| rows per member as they are produced (the peak sup norm,
 the last sample above given thresholds, the suffix sups at given tail
 starts), and only the members asked to keep their states store them, so
-an ensemble need not hold all of its trajectories.  Entries may supply a
-vectorized coupled map for speed; the per-component assembly path is the
-semantic reference and the two are checked against each other in the test
-suite.
+an ensemble need not hold all of its trajectories.
+
+A spec may supply a vectorized coupled map (fast_factory) for speed;
+without one the map is assembled from the per-component dynamics.  The
+assembled map is the semantic reference: the same spec with
+fast_factory=None runs it, and the test suite checks the two against each
+other.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "SweepReport",
     "simulate",
     "simulate_ensemble",
-    "simulate_reference",
     "truncation_sweep",
     "subnetwork",
     "NetworkSystem",
@@ -135,12 +137,6 @@ def _assembled_map(net: NetworkSpec, window: tuple[int, ...]):
     return f
 
 
-def _coupled_map(net: NetworkSpec, window: tuple[int, ...], reference: bool):
-    if not reference and net.fast_factory is not None:
-        return net.fast_factory(window)
-    return _assembled_map(net, window)
-
-
 def _input_block(members, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
     """Every member's input on the step interiors: (steps, m, 1) when all
     inputs are scalar, (steps, m, n) when some input is vector valued."""
@@ -182,11 +178,12 @@ class _Stepped:
 
 def _simulate(net: NetworkSpec, window: Sequence[int], members,
               horizon: float, dt: float | None, blowup_bound: float,
-              reference: bool, keep=None, thresholds=None,
-              tail_starts=None) -> _Stepped:
+              keep=None, thresholds=None, tail_starts=None) -> _Stepped:
     """Step every (x0, u) member together as one (m, n) state array.
 
-    Each sample's |x| rows are reduced as they are produced: the running
+    The coupled map is the spec's fast_factory(window), or the map
+    assembled from the per-component dynamics when it has none.  Each
+    sample's |x| rows are reduced as they are produced: the running
     peak sup norm always; with ``thresholds`` (an (m, L) array) the last
     sample at which |x_i| of member j exceeds thresholds[j, l]; with
     ``tail_starts`` the sup of |x_i| from each start on.  Only the members
@@ -208,7 +205,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
         if x0.shape != (n,):
             raise ValueError("x0 must be scalar or aligned with the window")
         x[j] = x0
-    f = _coupled_map(net, window, reference)
+    f = net.fast_factory(window) if net.fast_factory is not None \
+        else _assembled_map(net, window)
     if net.time_domain.kind == "discrete":
         steps = int(round(horizon))
         times = np.arange(steps + 1, dtype=float)
@@ -344,8 +342,8 @@ def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
     steps; continuous horizons are integrated in n = round(horizon/dt)
     RK4 steps.
     """
-    return _simulate(net, window, [(x0, u)], horizon, dt, blowup_bound,
-                     reference=False).trajectory(0)
+    return _simulate(net, window, [(x0, u)], horizon, dt,
+                     blowup_bound).trajectory(0)
 
 
 def simulate_ensemble(net: NetworkSpec, window: Sequence[int],
@@ -359,18 +357,8 @@ def simulate_ensemble(net: NetworkSpec, window: Sequence[int],
     member's own :func:`simulate` run; a member that blows up is truncated
     exactly as that run would be, without stopping the others.
     """
-    run = _simulate(net, window, members, horizon, dt, blowup_bound,
-                    reference=False)
+    run = _simulate(net, window, members, horizon, dt, blowup_bound)
     return [run.trajectory(j) for j in range(len(members))]
-
-
-def simulate_reference(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
-                       horizon: float, dt: float | None = None,
-                       blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> NetworkTrajectory:
-    """Same semantics as :func:`simulate` but always assembles the coupled
-    map from per-component dynamics; used as the semantic reference."""
-    return _simulate(net, window, [(x0, u)], horizon, dt, blowup_bound,
-                     reference=True).trajectory(0)
 
 
 @dataclass(frozen=True)
@@ -454,10 +442,7 @@ class NetworkSystem:
         self.input_dim = None     # scalar external input broadcast to components
 
     def phi(self, t: float, x, u: InputSignal):
-        traj = _simulate(self.net, self.window, [(x, u)], t,
-                         None if self.time_domain.kind == "discrete" else self.dt,
-                         DEFAULT_BLOWUP_BOUND,
-                         reference=False).trajectory(0)
+        traj = simulate(self.net, self.window, x, u, t, self.dt)
         if traj.blowup is not None:
             raise ArithmeticError("trajectory blew up during axiom checking")
         return traj.states[-1]

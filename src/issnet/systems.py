@@ -9,10 +9,12 @@ keeps the single point value through a duplicated leading breakpoint).
 Steppers and integrators read the interior value of each step, so a signal
 break aligned with the step grid switches cleanly at that step.
 
-Continuous-time subsystems are integrated with the classical fixed-step
-RK4 scheme, inputs held left-constant over each step.  Trajectories that
-exceed the blow-up bound are truncated and flagged instead of poisoning
-later arithmetic with infinities.
+One stepper serves both time domains: discrete subsystems take their
+synchronous update, continuous-time ones a classical fixed-step RK4 step,
+inputs held left-constant over each step.  integrate_ode and the axiom
+adapter SubsystemSystem both run it.  Trajectories that exceed the blow-up
+bound are truncated and flagged instead of poisoning later arithmetic with
+infinities.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "SubsystemSpec",
     "Trajectory",
     "BlowUp",
-    "step_discrete",
     "integrate_ode",
     "check_axioms",
     "AxiomReport",
@@ -269,14 +270,6 @@ def _grid_index(times: np.ndarray, t: float) -> int:
     raise KeyError(f"time {t} is not on the trajectory grid")
 
 
-def step_discrete(spec: SubsystemSpec, x: float, w: np.ndarray, u: float) -> float:
-    """One synchronous update.  A non-finite result is the blow-up signal;
-    it is returned as-is for the caller to detect."""
-    if spec.time_domain.kind != "discrete":
-        raise ValueError("step_discrete needs a discrete-time spec")
-    return float(spec.dynamics(float(x), np.asarray(w, float), float(u)))
-
-
 def _rk4_step(f, x, h, *args):
     """One classical RK4 step of x' = f(x, *args), the args held over it."""
     k1 = f(x, *args)
@@ -284,6 +277,40 @@ def _rk4_step(f, x, h, *args):
     k3 = f(x + 0.5 * h * k2, *args)
     k4 = f(x + h * k3, *args)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_subsystem(spec: SubsystemSpec, x0: float, w: InputSignal | None,
+                    u: InputSignal, steps: int, h: float,
+                    blowup_bound: float) -> Trajectory:
+    """The one subsystem stepper: ``steps`` steps of length h from x0.
+
+    Discrete specs take the synchronous update, continuous ones an RK4
+    step; both read each step's interior value of u and of w (None means
+    zero neighbor signals).  A state that is not finite or exceeds the
+    blow-up bound ends the trajectory there.
+    """
+    times = h * np.arange(steps + 1)
+    t0s = times[:-1]
+    us = u.interior_values(t0s, t0s + h)
+    ws = None if w is None else w.interior_values(t0s, t0s + h)
+    zeros_w = np.zeros(len(spec.neighbors))
+    f = spec.dynamics
+    if spec.time_domain.kind == "discrete":
+        def update(x, wk, uk):
+            return float(f(float(x), wk, uk))
+    else:
+        def update(x, wk, uk):
+            return _rk4_step(f, x, h, wk, uk)
+    vals = np.empty(steps + 1)
+    vals[0] = x = float(x0)
+    for k in range(steps):
+        wk = zeros_w if ws is None else np.atleast_1d(ws[k])
+        x = update(x, wk, float(us[k]))
+        vals[k + 1] = x
+        if not np.isfinite(x) or abs(x) > blowup_bound:
+            return Trajectory(times[:k + 2], vals[:k + 2],
+                              BlowUp(float(times[k + 1]), float(x), blowup_bound))
+    return Trajectory(times, vals)
 
 
 def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
@@ -299,24 +326,8 @@ def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
         raise ValueError("integrate_ode needs a continuous-time spec")
     if dt <= 0 or horizon < 0:
         raise ValueError("need dt > 0 and horizon >= 0")
-    n = int(round(horizon / dt))
-    nw = len(spec.neighbors)
-    zeros_w = np.zeros(nw)
-    times = dt * np.arange(n + 1)
-    t0s = times[:-1]
-    us = u.interior_values(t0s, t0s + dt)
-    ws = None if w is None else w.interior_values(t0s, t0s + dt)
-    vals = np.empty(n + 1)
-    vals[0] = x = float(x0)
-    f = spec.dynamics
-    for k in range(n):
-        wk = zeros_w if ws is None else np.atleast_1d(ws[k])
-        x = _rk4_step(f, x, dt, wk, float(us[k]))
-        vals[k + 1] = x
-        if not np.isfinite(x) or abs(x) > blowup_bound:
-            return Trajectory(times[:k + 2], vals[:k + 2],
-                              BlowUp(float(times[k + 1]), float(x), blowup_bound))
-    return Trajectory(times, vals)
+    return _step_subsystem(spec, x0, w, u, int(round(horizon / dt)), dt,
+                           blowup_bound)
 
 
 # Axiom harness ----------------------------------------------------------
@@ -334,20 +345,9 @@ class SubsystemSystem:
         self.dt = dt if dt is not None else (spec.time_domain.dt or 1e-3)
 
     def phi(self, t: float, x: float, u: InputSignal) -> float:
-        if self.time_domain.kind == "discrete":
-            steps = int(round(t))
-            xs = float(x)
-            t0s = np.arange(steps, dtype=float)
-            us = u.interior_values(t0s, t0s + 1.0)
-            ws = None if self.w is None else self.w.interior_values(t0s, t0s + 1.0)
-            nw = len(self.spec.neighbors)
-            for k in range(steps):
-                wk = np.zeros(nw) if ws is None else np.atleast_1d(ws[k])
-                xs = step_discrete(self.spec, xs, wk, float(us[k]))
-                if not np.isfinite(xs) or abs(xs) > DEFAULT_BLOWUP_BOUND:
-                    raise ArithmeticError("trajectory blew up during axiom checking")
-            return xs
-        traj = integrate_ode(self.spec, x, self.w, u, t, self.dt)
+        h = 1.0 if self.time_domain.kind == "discrete" else self.dt
+        traj = _step_subsystem(self.spec, x, self.w, u, int(round(t / h)), h,
+                               DEFAULT_BLOWUP_BOUND)
         if traj.blowup is not None:
             raise ArithmeticError("trajectory blew up during axiom checking")
         return float(traj.values[-1])

@@ -385,8 +385,7 @@ def test_reductions_of_blown_members_cover_their_samples():
                                  np.array([0.0, -1.0])))]
     thresholds = np.array([[2.0, 0.1, 1e-9]] * len(members))
     stepped = _simulate(net, (0,), members, 80.0, None, 1e12,
-                        reference=False, thresholds=thresholds,
-                        tail_starts=(0.0, 5.0))
+                        thresholds=thresholds, tail_starts=(0.0, 5.0))
     trajs = simulate_ensemble(net, (0,), members, 80.0)
     assert [t.blowup is not None for t in trajs] == [True, False, True, True]
     for j, traj in enumerate(trajs):

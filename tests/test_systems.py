@@ -14,8 +14,8 @@ from issnet.systems import (
     check_axioms,
     continuous,
     DISCRETE,
+    _step_subsystem,
     integrate_ode,
-    step_discrete,
 )
 
 
@@ -146,7 +146,7 @@ def _decay_spec(kind):
 
 def test_discrete_step():
     spec = _decay_spec(DISCRETE)
-    assert step_discrete(spec, 2.0, np.array([]), 1.0) == 2.0
+    assert SubsystemSystem(spec).phi(1.0, 2.0, InputSignal.constant(1.0)) == 2.0
 
 
 def test_ode_matches_exponential():
@@ -207,6 +207,136 @@ def test_blowup_record_fields():
     # the healthy system stays below any sane bound
     ok = integrate_ode(spec, 1.0, None, InputSignal.zero(), 2.0, 1e-3)
     assert ok.blowup is None
+
+
+# The loops the subsystem stepper replaced, kept as references -----------
+
+
+def _reference_ode(spec, x0, w, u, horizon, dt, blowup_bound=1e12):
+    """integrate_ode's own RK4 loop: (times, values, blow-up or None)."""
+    n = int(round(horizon / dt))
+    zeros_w = np.zeros(len(spec.neighbors))
+    times = dt * np.arange(n + 1)
+    t0s = times[:-1]
+    us = u.interior_values(t0s, t0s + dt)
+    ws = None if w is None else w.interior_values(t0s, t0s + dt)
+    vals = np.empty(n + 1)
+    vals[0] = x = float(x0)
+    f = spec.dynamics
+    for k in range(n):
+        wk = zeros_w if ws is None else np.atleast_1d(ws[k])
+        uk = float(us[k])
+        k1 = f(x, wk, uk)
+        k2 = f(x + 0.5 * dt * k1, wk, uk)
+        k3 = f(x + 0.5 * dt * k2, wk, uk)
+        k4 = f(x + dt * k3, wk, uk)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        vals[k + 1] = x
+        if not np.isfinite(x) or abs(x) > blowup_bound:
+            return times[:k + 2], vals[:k + 2], (float(times[k + 1]), float(x))
+    return times, vals, None
+
+
+def _reference_discrete(spec, x, w, u, t):
+    """SubsystemSystem.phi's own discrete loop, recording every state:
+    (times, values, blow-up or None)."""
+    steps = int(round(t))
+    xs = float(x)
+    t0s = np.arange(steps, dtype=float)
+    us = u.interior_values(t0s, t0s + 1.0)
+    ws = None if w is None else w.interior_values(t0s, t0s + 1.0)
+    nw = len(spec.neighbors)
+    vals = [xs]
+    for k in range(steps):
+        wk = np.zeros(nw) if ws is None else np.atleast_1d(ws[k])
+        xs = float(spec.dynamics(float(xs), np.asarray(wk, float),
+                                 float(us[k])))
+        vals.append(xs)
+        if not np.isfinite(xs) or abs(xs) > 1e12:
+            return (np.arange(k + 2, dtype=float), np.array(vals),
+                    (float(k + 1), xs))
+    return np.arange(steps + 1, dtype=float), np.array(vals), None
+
+
+def _coupled_spec(kind):
+    """A subsystem reading two neighbor channels nonlinearly."""
+    if kind.kind == "discrete":
+        def dyn(x, w, u):
+            return 0.5 * math.sin(x) + 0.3 * w[0] * w[1] - 0.2 * w[1] + u
+    else:
+        def dyn(x, w, u):
+            return -x + 0.4 * math.tanh(w[0]) - 0.1 * w[1] * x + u
+    return SubsystemSpec("coupled", kind, dyn, neighbors=(4, 7))
+
+
+def _signals(h):
+    """(u, w) pairs whose breaks lie on the step grid, off it, or both."""
+    on_grid = h * np.array([0.0, 3.0, 7.0])
+    off_grid = h * np.array([0.0, 2.5, 8.3])
+    rng = np.random.default_rng(11)
+    return [
+        (InputSignal.zero(), None),
+        (InputSignal(on_grid, [0.3, -0.2, 0.7]),
+         InputSignal(on_grid, rng.uniform(-1, 1, (3, 2)))),
+        (InputSignal(off_grid, rng.uniform(-1, 1, 3)),
+         InputSignal(off_grid, rng.uniform(-1, 1, (3, 2)))),
+        (InputSignal(on_grid, rng.uniform(-1, 1, 3)),
+         InputSignal(off_grid, rng.uniform(-1, 1, (3, 2)))),
+    ]
+
+
+def _assert_same(traj, ref):
+    times, vals, blowup = ref
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.values, vals)
+    if blowup is None:
+        assert traj.blowup is None
+    else:
+        assert (traj.blowup.time, traj.blowup.value) == blowup
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_stepper_matches_the_discrete_loop_bitwise(case):
+    spec = _coupled_spec(DISCRETE)
+    u, w = _signals(1.0)[case]
+    ref = _reference_discrete(spec, 0.8, w, u, 40.0)
+    _assert_same(_step_subsystem(spec, 0.8, w, u, 40, 1.0, 1e12), ref)
+    assert SubsystemSystem(spec, w).phi(40.0, 0.8, u) == ref[1][-1]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_stepper_matches_the_ode_loop_bitwise(case):
+    # at this step a reordered RK4 combination already changes the bits
+    spec = _coupled_spec(continuous())
+    dt = 0.1
+    u, w = _signals(dt)[case]
+    ref = _reference_ode(spec, 0.8, w, u, 40 * dt, dt)
+    _assert_same(integrate_ode(spec, 0.8, w, u, 40 * dt, dt), ref)
+    assert SubsystemSystem(spec, w, dt).phi(40 * dt, 0.8, u) == ref[1][-1]
+
+
+def test_stepper_matches_the_loops_at_a_blowup():
+    u, w = _signals(1.0)[2]
+    grow = SubsystemSpec("grow", DISCRETE,
+                         lambda x, w, u: 3.0 * x + w[0] + u, neighbors=(1,))
+    w1 = InputSignal(w.breaks, w.values[:, :1])
+    ref = _reference_discrete(grow, 1.0, w1, u, 60.0)
+    assert ref[2] is not None
+    _assert_same(_step_subsystem(grow, 1.0, w1, u, 60, 1.0, 1e12), ref)
+    with pytest.raises(ArithmeticError):
+        SubsystemSystem(grow, w1).phi(60.0, 1.0, u)
+
+    quad = SubsystemSpec("quad", continuous(),
+                         lambda x, w, u: x * x + w[0] + u, neighbors=(1,))
+    dt = 1e-2
+    u, w = _signals(dt)[2]
+    w1 = InputSignal(w.breaks, w.values[:, :1])
+    ref = _reference_ode(quad, 3.0, w1, u, 2.0, dt, blowup_bound=1e6)
+    assert ref[2] is not None
+    _assert_same(integrate_ode(quad, 3.0, w1, u, 2.0, dt, blowup_bound=1e6),
+                 ref)
+    with pytest.raises(ArithmeticError):
+        SubsystemSystem(quad, w1, dt).phi(2.0, 3.0, u)
 
 
 # Axiom harness ----------------------------------------------------------
