@@ -277,7 +277,6 @@ class GraphCheckReport:
     assumption1_sup: np.ndarray     # sup over checked entries of gamma_ij(r), per grid r
     assumption1_finite: bool
     window_only: bool               # True when only a window of a generated graph was checked
-    external_sup: np.ndarray
     notes: str = ""
 
 
@@ -296,14 +295,12 @@ def check_graph(graph: GainGraph, r_grid: Sequence[float],
     if np.any(r < 0):
         raise ValueError("check grid must be nonnegative")
     sup = np.zeros_like(r)
-    ext = np.zeros_like(r)
     max_row = 0
     for i in window:
         row = graph.row(i)
         max_row = max(max_row, len(row))
         for g in row.values():
             sup = np.maximum(sup, g(r))
-        ext = np.maximum(ext, graph.external_gain(i)(r))
     window_only = not graph.index_set.finite
     notes = ""
     if graph.assumption1_bound is not None:
@@ -319,7 +316,6 @@ def check_graph(graph: GainGraph, r_grid: Sequence[float],
         assumption1_sup=sup,
         assumption1_finite=bool(np.all(np.isfinite(sup))),
         window_only=window_only,
-        external_sup=ext,
         notes=notes,
     )
 
