@@ -58,13 +58,21 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> dict:
+    """The config object.  Its "out" entry, which every command reads, is
+    checked here, before anything runs."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            conf = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    if not isinstance(conf, dict):
+        raise ConfigError(f"config must be a JSON object, got {conf!r}")
+    out = conf.get("out", ".")
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"out must be a nonempty string, got {out!r}")
+    return conf
 
 
 def _resolve_network(conf: dict):
@@ -81,7 +89,7 @@ def _resolve_network(conf: dict):
                 return catalog.network_from_json(json.load(fh))
         if isinstance(src, dict):
             return catalog.network_from_json(src)
-    except ValueError as e:
+    except (AttributeError, OSError, TypeError, ValueError) as e:
         raise ConfigError(f"cannot build the network: {e}") from e
     raise ConfigError("network must be a catalog ref, a file path, or an object")
 
@@ -94,20 +102,34 @@ def _resolve_window(net: NetworkSpec | None, conf: dict, graph=None):
         if index_set.finite:
             return index_set.window()
         raise ConfigError("window (size or label list) is required")
-    if isinstance(w, int) and not isinstance(w, bool):
+    if _is_int(w):
         if w <= 0:
             raise ConfigError(f"window size must be positive, got {w}")
+        if w > _label_count(index_set):
+            raise ConfigError(f"window size {w} exceeds the "
+                              f"{_label_count(index_set)} labels of the "
+                              f"index set")
         return index_set.window(w)
     return _resolve_labels(index_set, w, "window")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: a Python bool is an int, but true is no label."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _label_count(index_set) -> float:
+    """The number of labels of a finite index set; inf for a generated one."""
+    return len(index_set.window()) if index_set.finite else math.inf
+
+
 def _resolve_labels(index_set, value, key: str) -> tuple[int, ...]:
     """A nonempty list of distinct labels of the index set."""
-    try:
-        labels = tuple(int(i) for i in value)
-    except (TypeError, ValueError):
+    if not isinstance(value, (list, tuple)) \
+            or not all(_is_int(i) for i in value):
         raise ConfigError(f"{key} must be a list of integer labels, "
                           f"got {value!r}")
+    labels = tuple(value)
     if not labels or len(set(labels)) != len(labels):
         raise ConfigError(f"{key} labels must be nonempty and distinct, "
                           f"got {list(labels)}")
@@ -119,7 +141,7 @@ def _resolve_labels(index_set, value, key: str) -> tuple[int, ...]:
 
 def _resolve_int(value, key: str, least: int) -> int:
     """An integer of at least ``least`` from the config."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not _is_int(value) or value < least:
         raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
 
@@ -239,8 +261,7 @@ def _atomic_write(path: str, writer) -> None:
 
 
 def _out_path(args, conf, name: str) -> str:
-    out = args.out or conf.get("out") or "."
-    return os.path.join(out, name)
+    return os.path.join(args.out or conf.get("out", "."), name)
 
 
 def _parse_input(conf) -> InputSignal:
@@ -413,8 +434,7 @@ def cmd_simulate(args) -> int:
     if conf.get("sweep_sizes"):
         sizes = _resolve_list(conf["sweep_sizes"], "sweep_sizes",
                               lambda n: _resolve_int(n, "sweep_sizes", 1))
-        n_labels = len(net.index_set.window()) if net.index_set.finite \
-            else math.inf
+        n_labels = _label_count(net.index_set)
         if max(sizes) > n_labels:
             raise ConfigError(f"sweep_sizes entry {max(sizes)} exceeds the "
                               f"{n_labels} labels of the index set")

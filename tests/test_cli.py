@@ -515,6 +515,85 @@ def test_non_integer_subset_label_is_a_config_error(run_cli, capsys):
     assert "config error: subset" in capsys.readouterr().err
 
 
+LABEL_BASES = {
+    "simulate": {"network": "catalog:uniform-2-cycle", "horizon": 3},
+    "gains-check": {"network": "catalog:uniform-2-cycle", "seed": 1},
+    "subnetwork": {"network": "catalog:uniform-2-cycle", "seed": 1,
+                   "ensemble": {"horizon": 5}},
+}
+
+
+# each of these ran on labels the config never named: int() read "50" as
+# (5, 0), 1.5 as 1 and true as 1, and a size above a finite index set took
+# all of its labels
+@pytest.mark.parametrize("command, changes", [
+    ("simulate", {"network": "catalog:nonuniform-discrete-chain",
+                  "window": "50"}),
+    ("simulate", {"window": [1.5, 2.7]}),
+    ("simulate", {"window": [True, 2]}),
+    ("simulate", {"window": 5}),
+    ("gains-check", {"window": 5}),
+    ("subnetwork", {"subset": "12"}),
+    ("subnetwork", {"subset": [1.5, 2.7]}),
+    ("subnetwork", {"subset": [True, 2]}),
+], ids=str)
+def test_labels_must_be_json_integers_of_the_index_set(run_cli, capsys,
+                                                       command, changes):
+    conf = dict(LABEL_BASES[command], **changes)
+    key = next(k for k in changes if k != "network")
+    code, out = run_cli(command, conf)
+    assert code == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+INLINE_NET = {
+    "time_domain": {"kind": "discrete"},
+    "index_set": {"kind": "finite", "labels": [0]},
+    "subsystems": [{"i": 0, "expr": "0.5*x"}],
+}
+
+
+# each of these escaped as a TypeError or AttributeError traceback
+@pytest.mark.parametrize("changes", [
+    {"subsystems": [5]},
+    {"time_domain": 5},
+    {"index_set": 5},
+    {"subsystems": [{"i": 0, "expr": 5}]},
+], ids=str)
+def test_wrong_typed_inline_network_is_a_config_error(run_cli, capsys,
+                                                      changes):
+    code, out = run_cli("simulate", {"network": dict(INLINE_NET, **changes),
+                                     "window": [0], "horizon": 2})
+    assert code == 2
+    assert "config error: cannot build the network" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_network_path_that_is_a_directory_is_a_config_error(run_cli, tmp_path,
+                                                            capsys):
+    code, out = run_cli("simulate", {"network": str(tmp_path), "window": [0],
+                                     "horizon": 2})
+    assert code == 2
+    assert "config error: cannot build the network" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [5, "", ["out"]], ids=str)
+def test_out_must_be_a_nonempty_string(tmp_path, capsys, out):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"network": "catalog:uniform-2-cycle",
+                               "horizon": 3, "out": out}))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert "config error: out" in capsys.readouterr().err
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"network": "catalog:nonuniform-discrete-chain",
