@@ -1,13 +1,18 @@
-"""Every name a module exports exists on it."""
+"""Every name a module exports exists on it, and so does every function
+the bench tracer patches."""
 
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
+import sys
 
 import pytest
 
 import issnet
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(issnet.__path__))
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -15,3 +20,25 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"issnet.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _tracer_targets():
+    """TARGETS of perfbench/tracer.py, loaded from the file as it is."""
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.TARGETS
+
+
+# a traced function that is renamed or deleted would otherwise only show as
+# a nonzero trace.absent_targets in a traced bench run
+@pytest.mark.parametrize("target", _tracer_targets(), ids=lambda t: t.name)
+def test_bench_tracer_targets_resolve(target):
+    owner = importlib.import_module(target.module)
+    for part in target.attr.split("."):
+        owner = getattr(owner, part, None)
+    assert callable(owner), f"{target.module}.{target.attr} is gone"
