@@ -346,6 +346,8 @@ class SubsystemSystem:
 
     def phi(self, t: float, x: float, u: InputSignal) -> float:
         h = 1.0 if self.time_domain.kind == "discrete" else self.dt
+        if t < 0 or h <= 0:
+            raise ValueError("need t >= 0 and dt > 0")
         traj = _step_subsystem(self.spec, x, self.w, u, int(round(t / h)), h,
                                DEFAULT_BLOWUP_BOUND)
         if traj.blowup is not None:

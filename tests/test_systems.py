@@ -339,6 +339,17 @@ def test_stepper_matches_the_loops_at_a_blowup():
         SubsystemSystem(quad, w1, dt).phi(2.0, 3.0, u)
 
 
+@pytest.mark.parametrize("kind, dt, t", [
+    (DISCRETE, None, -1.0),
+    (continuous(), 0.1, -1.0),
+    (continuous(), 0.0, 1.0),
+], ids=["discrete-negative-t", "continuous-negative-t", "zero-dt"])
+def test_phi_needs_a_nonnegative_time_and_a_positive_step(kind, dt, t):
+    with pytest.raises(ValueError):
+        SubsystemSystem(_coupled_spec(kind), dt=dt).phi(t, 0.5,
+                                                        InputSignal.zero())
+
+
 # Axiom harness ----------------------------------------------------------
 
 
