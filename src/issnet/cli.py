@@ -105,16 +105,16 @@ def _resolve_window(net: NetworkSpec | None, conf: dict, graph=None):
     if _is_int(w):
         if w <= 0:
             raise ConfigError(f"window size must be positive, got {w}")
-        if w > _label_count(index_set):
-            raise ConfigError(f"window size {w} exceeds the "
-                              f"{_label_count(index_set)} labels of the "
-                              f"index set")
+        n_labels = _label_count(index_set)
+        if w > n_labels:
+            raise ConfigError(f"window size {w} exceeds the {n_labels} "
+                              f"labels of the index set")
         return index_set.window(w)
     return _resolve_labels(index_set, w, "window")
 
 
 def _is_int(value) -> bool:
-    """A JSON integer: a Python bool is an int, but true is no label."""
+    """A JSON integer; true and false load as bools, which are ints too."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
