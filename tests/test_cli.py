@@ -277,6 +277,74 @@ def test_result_files_match_golden_digests(run_cli, command, conf, digests):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+BLOWUP_NET = {
+    "time_domain": {"kind": "discrete"},
+    "index_set": {"kind": "finite", "labels": [0]},
+    "subsystems": [{"i": 0, "expr": "2*x"}],
+}
+# the same pins for runs that exit 1: every file written, the exit code and
+# the one stderr line; a certify CertificationError, a trace that cannot
+# derive xi, a gains-check witness, a simulate blow-up and a subnetwork
+# whose gain checks fail
+FAILURE_GOLDEN = [
+    ("certify-unattained-level", "certify",
+     dict(CERT_CONF, ensemble={"horizon": 4, "n_random": 2}, depth=10),
+     "certification failed: level 5 not attained for component 1 at radius "
+     "0.5 within horizon 4 (seed 5)",
+     {"certificate.json": "317db6c83a4fd3e3c4626c65eebbf52d"
+                          "c05837df23aa50bde7be83d7738bf41d"}),
+    ("trace-underived-xi", "trace-theorem1", {
+        "network": "catalog:uniform-2-cycle?a=0.5&c=0.6",
+        "ensemble": {"horizon": 40, "n_random": 1},
+        "radii": [1.0],
+        "bands": [1],
+        "seed": 2,
+        "xi": "derived",
+    }, "trace failed: small-gain estimate failed on the window; cannot "
+       "derive a monotone bound curve (seed 2)",
+     {"proof_trace.json": "2cf9f8bfabe2cdb5eca7b1ca312e2825"
+                          "86b0c302f1e198d5e334a78986e329d0"}),
+    ("gains-check-witness", "gains-check", {
+        "network": "catalog:uniform-2-cycle",
+        "seed": 0,
+        "falsify": {"xi": TIGHT_XI, "budget": 2000},
+    }, "gains check failed (monotone-bound witness of norm 0.01); seed 0, "
+       "details in gains_check.json",
+     {"gains_check.json": "4c780b43050f7933d1bdbed70d49c897"
+                          "06834fcc76f3f5eb6f769050051216eb"}),
+    ("simulate-blowup", "simulate",
+     {"network": BLOWUP_NET, "window": [0], "x0": 1.0, "horizon": 60},
+     "trajectory blow-up at t=40 (|x| reached 1.09951e+12, bound 1e+12)",
+     {"trajectory.csv": "aa15b61f3cabedb608927f2246ff362a"
+                        "af9ce58b1399e8f1bf29d15192b8a2a3",
+      "simulate_summary.json": "48b8abb987994dc399799f3454b98ef7"
+                               "5ef0e06ceddd6599a50da9e2be3bb011"}),
+    ("subnetwork-failed-gains", "subnetwork", {
+        "network": "catalog:uniform-2-cycle?a=0.5&c=0.6",
+        "subset": [1, 2],
+        "ensemble": {"horizon": 40, "n_random": 2},
+        "radii": [0.5, 1.0],
+        "depth": 4,
+        "seed": 3,
+    }, "subnetwork checks failed (seed 3); see subnetwork.json",
+     {"subnetwork.json": "180f5d5efc61cfb62295ce16c5f5c57a"
+                         "75d4eb4e4ce037f0c2affcedab602444"}),
+]
+
+
+@pytest.mark.parametrize("command,conf,line,digests",
+                         [g[1:] for g in FAILURE_GOLDEN],
+                         ids=[g[0] for g in FAILURE_GOLDEN])
+def test_failure_files_match_golden_digests(run_cli, capsys, command, conf,
+                                            line, digests):
+    code, out = run_cli(command, conf)
+    assert code == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_certify_failure_names_the_reproducer(run_cli, capsys):
     conf = dict(CERT_CONF)
     conf["ensemble"] = {"horizon": 4, "n_random": 2}
