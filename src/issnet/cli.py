@@ -14,6 +14,11 @@ Five subcommands cover the workflows end to end:
   checks (gains-check's, with their defaults) and certification there;
   finite subsets also get the collapsed single-surface certificate.
 
+Each command takes the loaded config and returns its result files (name
+to JSON payload, or to a path-taking writer) and its failure line, or
+None.  main does the rest: it writes every file atomically, prints the
+failure line and picks the exit code.
+
 Exit codes: 0 all checks passed, 1 a certified failure or falsification
 (details in the written report), 2 configuration or usage errors.  Config
 values go through the _resolve_* helpers, so a bad one exits 2 with a
@@ -21,7 +26,7 @@ message instead of a traceback.
 
 Every command that draws random numbers requires an explicit seed (config
 "seed" or --seed); there is no entropy default, so rerunning a job byte
-for byte reproduces its reports.  Output files are written atomically.
+for byte reproduces its reports.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +64,7 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> dict:
-    """The config object.  Its "out" entry, which every command reads, is
+    """The config object.  Its "out" entry, which main writes to, is
     checked here, before anything runs."""
     try:
         with open(path) as fh:
@@ -219,49 +225,25 @@ def _resolve_seed(conf: dict, args) -> int:
     return _resolve_int(seed, "seed", 0)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-
-    def write(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(text)
-
-    _atomic_write(path, write)
-
-
-def _atomic_write(path: str, writer) -> None:
-    """Run a path-taking writer against a sibling temp file, then swap."""
+def _atomic_write(path: str, content) -> None:
+    """Write a JSON payload (sorted keys, two-space indent), or run a
+    path-taking writer, against a sibling temp file, then swap."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     os.close(fd)
     try:
-        writer(tmp)
+        if callable(content):
+            content(tmp)
+        else:
+            with open(tmp, "w") as fh:
+                json.dump(content, fh, sort_keys=True, indent=2)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _out_path(args, conf, name: str) -> str:
-    return os.path.join(args.out or conf.get("out", "."), name)
 
 
 def _parse_input(conf) -> InputSignal:
@@ -325,8 +307,7 @@ def _run_gains(graph, window, conf, seed, budget, radii=None, n_random=64,
     return structure, sgc, xi, witness, cycles, failures
 
 
-def cmd_gains_check(args) -> int:
-    conf = _load_config(args.config)
+def cmd_gains_check(conf: dict, args) -> tuple[dict, str | None]:
     seed = _resolve_seed(conf, args)
     net, _oracle = _resolve_network(conf)
     if "graph" in conf:
@@ -390,12 +371,9 @@ def cmd_gains_check(args) -> int:
             "truncated": cycles.truncated,
         },
     }
-    _write_json(_out_path(args, conf, "gains_check.json"), payload)
-    if failures:
-        print(f"gains check failed ({'; '.join(failures)}); seed {seed}, "
-              f"details in gains_check.json", file=sys.stderr)
-        return 1
-    return 0
+    return {"gains_check.json": payload}, None if not failures else (
+        f"gains check failed ({'; '.join(failures)}); seed {seed}, "
+        f"details in gains_check.json")
 
 
 # simulate ---------------------------------------------------------------
@@ -412,8 +390,7 @@ def _resolve_x0(conf: dict, window) -> float | np.ndarray:
     return np.array([_resolve_float(v, "x0", -math.inf) for v in x0])
 
 
-def cmd_simulate(args) -> int:
-    conf = _load_config(args.config)
+def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
     net, _oracle = _resolve_network(conf)
     if net is None:
         raise ConfigError("simulate needs a \"network\"")
@@ -449,9 +426,6 @@ def cmd_simulate(args) -> int:
                                    -math.inf)
 
     traj = simulate(net, window, x0, u, horizon, dt=dt)
-    _atomic_write(_out_path(args, conf, "trajectory.csv"),
-                  lambda p: write_trajectory_csv(traj, p))
-
     sups = traj.sup_norms()
     probes = []
     for t in probe_times:
@@ -478,14 +452,13 @@ def cmd_simulate(args) -> int:
             "final_sups": [float(v) for v in report.final_sups()],
             "drifts": [float(v) for v in report.drifts],
         }
-
-    _write_json(_out_path(args, conf, "simulate_summary.json"), summary)
+    failure = None
     if traj.blowup is not None:
-        print(f"trajectory blow-up at t={traj.blowup.time:g} "
-              f"(|x| reached {traj.blowup.value:g}, bound {traj.blowup.bound:g})",
-              file=sys.stderr)
-        return 1
-    return 0
+        failure = (f"trajectory blow-up at t={traj.blowup.time:g} "
+                   f"(|x| reached {traj.blowup.value:g}, "
+                   f"bound {traj.blowup.bound:g})")
+    return {"trajectory.csv": partial(write_trajectory_csv, traj),
+            "simulate_summary.json": summary}, failure
 
 
 # certify ----------------------------------------------------------------
@@ -546,8 +519,7 @@ def _run_certify(net, window, conf, seed):
     return payload, cert, hold_runs
 
 
-def cmd_certify(args) -> int:
-    conf = _load_config(args.config)
+def cmd_certify(conf: dict, args) -> tuple[dict, str | None]:
     seed = _resolve_seed(conf, args)
     net, _oracle = _resolve_network(conf)
     if net is None:
@@ -558,23 +530,17 @@ def cmd_certify(args) -> int:
     try:
         payload, cert, hold_runs = _run_certify(net, window, conf, seed)
     except CertificationError as e:
-        _write_json(_out_path(args, conf, "certificate.json"),
-                    {"error": str(e), "seed": seed})
-        print(f"certification failed: {e}", file=sys.stderr)
-        return 1
+        return ({"certificate.json": {"error": str(e), "seed": seed}},
+                f"certification failed: {e}")
     if emit_uniform:
         uni = uniform_from_nonuniform(cert, hold_runs,
                                       **_resolve_tolerances(conf))
         payload["uniform"] = uni.to_json()
-    _write_json(_out_path(args, conf, "certificate.json"), payload)
-    if not cert.valid:
-        worst = cert.worst_case
-        print(f"certificate failed holdout validation at component "
-              f"{worst[0]} t={worst[1]:g} member {worst[2]!r} "
-              f"(residual {cert.holdout_residual:g}, seed {seed})",
-              file=sys.stderr)
-        return 1
-    return 0
+    worst = cert.worst_case
+    return {"certificate.json": payload}, None if cert.valid else (
+        f"certificate failed holdout validation at component "
+        f"{worst[0]} t={worst[1]:g} member {worst[2]!r} "
+        f"(residual {cert.holdout_residual:g}, seed {seed})")
 
 
 # trace-theorem1 ---------------------------------------------------------
@@ -599,8 +565,7 @@ def _resolve_xi(conf, oracle, graph, window, seed):
     raise ConfigError(f"unknown xi spec {spec!r}")
 
 
-def cmd_trace_theorem1(args) -> int:
-    conf = _load_config(args.config)
+def cmd_trace_theorem1(conf: dict, args) -> tuple[dict, str | None]:
     seed = _resolve_seed(conf, args)
     net, oracle = _resolve_network(conf)
     if net is None:
@@ -631,10 +596,8 @@ def cmd_trace_theorem1(args) -> int:
         trace = ProofTrace(tuple(window), tuple(entries), cfg.horizon, seed)
         xi = _resolve_xi(conf, oracle, net.graph, window, seed)
     except CertificationError as e:
-        _write_json(_out_path(args, conf, "proof_trace.json"),
-                    {"error": str(e), "seed": seed})
-        print(f"trace failed: {e}", file=sys.stderr)
-        return 1
+        return ({"proof_trace.json": {"error": str(e), "seed": seed}},
+                f"trace failed: {e}")
 
     report = verify_sg_inequality(trace, net.graph, xi, tol=tol)
     payload = trace.to_json()
@@ -645,23 +608,18 @@ def cmd_trace_theorem1(args) -> int:
                   "component_margin": cm, "norm_margin": nm, "passed": p}
                  for (r, k, q, level, cm, nm, p) in report.rows],
     }
-    _write_json(_out_path(args, conf, "proof_trace.json"), payload)
-    _atomic_write(_out_path(args, conf, "proof_trace.csv"),
-                  lambda p: trace_to_csv(trace, p))
-    if not report.all_passed:
-        bad = [row for row in report.rows if not row[6]]
-        print(f"small-gain inequality failed on {len(bad)} of "
-              f"{len(report.rows)} cells (seed {seed}); see proof_trace.json",
-              file=sys.stderr)
-        return 1
-    return 0
+    bad = [row for row in report.rows if not row[6]]
+    failure = None if not bad else (
+        f"small-gain inequality failed on {len(bad)} of "
+        f"{len(report.rows)} cells (seed {seed}); see proof_trace.json")
+    return {"proof_trace.json": payload,
+            "proof_trace.csv": partial(trace_to_csv, trace)}, failure
 
 
 # subnetwork -------------------------------------------------------------
 
 
-def cmd_subnetwork(args) -> int:
-    conf = _load_config(args.config)
+def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
     seed = _resolve_seed(conf, args)
     net, _oracle = _resolve_network(conf)
     if net is None:
@@ -693,9 +651,8 @@ def cmd_subnetwork(args) -> int:
         cert_payload, cert, hold_runs = _run_certify(sub, subset, conf, seed)
     except CertificationError as e:
         payload["certificate"] = {"error": str(e)}
-        _write_json(_out_path(args, conf, "subnetwork.json"), payload)
-        print(f"subnetwork certification failed: {e}", file=sys.stderr)
-        return 1
+        return ({"subnetwork.json": payload},
+                f"subnetwork certification failed: {e}")
     payload["certificate"] = cert_payload
     ok = ok and cert.valid
 
@@ -704,12 +661,8 @@ def cmd_subnetwork(args) -> int:
     payload["uniform"] = uni.to_json()
     ok = ok and uni.valid
 
-    _write_json(_out_path(args, conf, "subnetwork.json"), payload)
-    if not ok:
-        print(f"subnetwork checks failed (seed {seed}); see subnetwork.json",
-              file=sys.stderr)
-        return 1
-    return 0
+    return {"subnetwork.json": payload}, None if ok else (
+        f"subnetwork checks failed (seed {seed}); see subnetwork.json")
 
 
 # dispatch ---------------------------------------------------------------
@@ -745,13 +698,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
     try:
-        return _COMMANDS[args.command](args)
+        conf = _load_config(args.config)
+        files, failure = _COMMANDS[args.command](conf, args)
+        out = args.out or conf.get("out", ".")
+        for name, content in files.items():
+            _atomic_write(os.path.join(out, name), content)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (KeyError, FileNotFoundError) as e:
         print(f"config error: missing {e}", file=sys.stderr)
         return 2
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
