@@ -11,9 +11,11 @@ An ensemble of (x0, u) members on one window is stepped together as one
 (members, window) state array, with every member's input evaluated once on
 the step grid; a single run is an ensemble of one.  The stepper can reduce
 each sample's |x| rows per member as they are produced (the peak sup norm,
-the last sample above given thresholds, the suffix sups at given tail
-starts), and only the members asked to keep their states store them, so
-an ensemble need not hold all of its trajectories.
+the last sample above given nonnegative thresholds, the suffix sups at
+given tail starts), and only the members asked to keep their states store
+them, so an ensemble need not hold all of its trajectories.  A member that
+blows up keeps its row, held at zero from then on, which moves none of
+these reductions.
 
 A spec may supply a vectorized coupled map (fast_factory) for speed;
 without one the map is assembled from the per-component dynamics.  The
@@ -158,7 +160,7 @@ class _Stepped:
     """One stepping pass: the step grid plus, per member j, what was kept.
 
     A member that blew up has only its first ends[j] samples, and its
-    reductions cover just those.
+    reductions cover just those: its row was held at zero afterwards.
     """
 
     window: tuple
@@ -184,12 +186,13 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     The coupled map is the spec's fast_factory(window), or the map
     assembled from the per-component dynamics when it has none.  Each
     sample's |x| rows are reduced as they are produced: the running
-    peak sup norm always; with ``thresholds`` (an (m, L) array) the last
-    sample at which |x_i| of member j exceeds thresholds[j, l]; with
-    ``tail_starts`` the sup of |x_i| from each start on.  Only the members
-    flagged in ``keep`` (all when None) store their states.  A member that
-    blows up is truncated at the offending sample and its row leaves the
-    array, so it is never stepped again.
+    peak sup norm always; with ``thresholds`` (an (m, L) array, which must
+    be nonnegative) the last sample at which |x_i| of member j exceeds
+    thresholds[j, l]; with ``tail_starts`` the sup of |x_i| from each start
+    on.  Only the members flagged in ``keep`` (all when None) store their
+    states.  A member that blows up is truncated at the offending sample.
+    Its row is then set to zero after every step, so it adds nothing to
+    the reductions and its arithmetic stays finite.
     """
     window = tuple(int(i) for i in window)
     for i in window:
@@ -222,8 +225,6 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     inputs = _input_block(members, times[:-1], h, n) if m else None
 
     kept = np.arange(m) if keep is None else np.flatnonzero(keep)
-    slot = np.full(m, -1)
-    slot[kept] = np.arange(kept.size)
     block = np.empty((kept.size, steps + 1, n))
     block[:, 0] = x[kept]
     red = _Reductions(m, n, times, thresholds, tail_starts)
@@ -232,31 +233,28 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
 
     ends = np.full(m, steps + 1)
     blowups: list[BlowUp | None] = [None] * m
-    alive = np.arange(m)              # members still stepping, rows of x
-    rows = slice(None)                # alive as an index, a slice while full
-    src, dst = kept, slot[kept]       # kept rows of x and their block slots
+    dead = np.zeros(m, bool)          # blown-up rows, held at zero
+    n_dead = 0                        # no array test per step while 0
     for k in range(steps):
-        if not alive.size:
+        if n_dead == m:
             break
-        x = stepper(x, inputs[k, rows])
-        block[dst, k + 1] = x[src]
+        x = stepper(x, inputs[k])
+        if n_dead:
+            x[dead] = 0.0
+        block[:, k + 1] = x[kept]
         ax = np.abs(x)
         norms = np.max(ax, axis=1, initial=0.0)
         red.update(k + 1, ax, norms)
         bad = ~np.isfinite(norms) | (norms > blowup_bound)
         if bad.any():
-            for r in np.flatnonzero(bad):
-                j = alive[r]
+            for j in np.flatnonzero(bad):
                 ends[j] = k + 2
-                blowups[j] = BlowUp(float(times[k + 1]), float(norms[r]),
+                blowups[j] = BlowUp(float(times[k + 1]), float(norms[j]),
                                     blowup_bound)
-            red.retire(alive, bad)
-            alive, x = alive[~bad], x[~bad]
-            rows = alive
-            src = np.flatnonzero(slot[alive] >= 0)
-            dst = slot[alive[src]]
-    red.retire(alive, np.ones(alive.size, bool))
-    states = {int(j): block[s, :ends[j]] for j, s in zip(kept, slot[kept])}
+            dead |= bad
+            n_dead = int(np.count_nonzero(dead))
+            x[bad] = 0.0
+    states = {int(j): block[s, :ends[j]] for s, j in enumerate(kept)}
     return _Stepped(window, times, ends, blowups, red.peaks, states,
                     red.last_exceed, red.tail_sups())
 
@@ -264,21 +262,21 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
 class _Reductions:
     """Per-member reductions of the |x| rows, fed one sample at a time.
 
-    The running state has one row per member still stepping; a member's
-    row moves to the per-member results when it retires.
+    Each one is a running max, or a test of |x| against a nonnegative
+    threshold, so a row of zeros changes none of them.
     """
 
     def __init__(self, m: int, n: int, times: np.ndarray, thresholds,
                  tail_starts):
         self.peaks = np.zeros(m)
-        self.run_peaks = np.zeros(m)
         self.last_exceed = None
         if thresholds is not None:
             self.thresholds = np.asarray(thresholds, float)[:, :, None]
             if self.thresholds.shape[0] != m:
                 raise ValueError("one threshold row per member required")
+            if np.any(self.thresholds < 0):
+                raise ValueError("thresholds must be nonnegative")
             self.last_exceed = np.full((m, self.thresholds.shape[1], n), -1)
-            self.run_last = self.last_exceed.copy()
         self.starts = None
         if tail_starts is not None:
             # the sup from a start is the max of the segment maxima between
@@ -288,29 +286,15 @@ class _Reductions:
             self.segment = np.searchsorted(self.bounds, np.arange(times.size),
                                            side="right") - 1
             self.seg_max = np.zeros((m, self.bounds.size, n))
-            self.run_seg = self.seg_max.copy()
 
     def update(self, k: int, ax: np.ndarray, norms: np.ndarray) -> None:
-        np.maximum(self.run_peaks, norms, out=self.run_peaks)
+        np.maximum(self.peaks, norms, out=self.peaks)
         if self.last_exceed is not None:
-            np.copyto(self.run_last, k,
+            np.copyto(self.last_exceed, k,
                       where=ax[:, None, :] > self.thresholds)
         if self.starts is not None and self.segment[k] >= 0:
-            seg = self.run_seg[:, self.segment[k]]
+            seg = self.seg_max[:, self.segment[k]]
             np.maximum(seg, ax, out=seg)
-
-    def retire(self, alive: np.ndarray, gone: np.ndarray) -> None:
-        """Store the rows ``gone`` (a mask over alive) and drop them."""
-        stay = ~gone
-        self.peaks[alive[gone]] = self.run_peaks[gone]
-        self.run_peaks = self.run_peaks[stay]
-        if self.last_exceed is not None:
-            self.last_exceed[alive[gone]] = self.run_last[gone]
-            self.run_last = self.run_last[stay]
-            self.thresholds = self.thresholds[stay]
-        if self.starts is not None:
-            self.seg_max[alive[gone]] = self.run_seg[gone]
-            self.run_seg = self.run_seg[stay]
 
     def tail_sups(self) -> np.ndarray | None:
         if self.starts is None:

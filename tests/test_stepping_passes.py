@@ -399,3 +399,12 @@ def test_reductions_of_blown_members_cover_their_samples():
         assert np.array_equal(stepped.tail_sups[j],
                               tail_limsup_estimate(traj.times, ax, (0.0, 5.0)))
     assert stepped.states[1].shape == (81, 1)
+
+
+def test_negative_thresholds_are_rejected():
+    # a blown-up member's row is held at zero, which must never count as
+    # exceeding a threshold
+    net = _trap_net(lambda u: False)
+    with pytest.raises(ValueError, match="thresholds must be nonnegative"):
+        _simulate(net, (0,), [(1.0, InputSignal.zero())], 5.0, None, 1e12,
+                  thresholds=np.array([[0.5, -0.1]]))
