@@ -444,15 +444,20 @@ def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
         },
     }
 
-    if policy is not None:
-        report = truncation_sweep(net, policy, lambda w: np.full(len(w), x0_scalar),
-                                  u, horizon, dt=dt)
-        summary["sweep"] = {
-            "sizes": list(report.sizes),
-            "final_sups": [float(v) for v in report.final_sups()],
-            "drifts": [float(v) for v in report.drifts],
-        }
     failure = None
+    if policy is not None:
+        try:
+            report = truncation_sweep(net, policy,
+                                      lambda w: np.full(len(w), x0_scalar),
+                                      u, horizon, dt=dt)
+        except ArithmeticError as e:      # a sweep window blew up
+            failure = f"truncation sweep failed: {e}"
+        else:
+            summary["sweep"] = {
+                "sizes": list(report.sizes),
+                "final_sups": [float(v) for v in report.final_sups()],
+                "drifts": [float(v) for v in report.drifts],
+            }
     if traj.blowup is not None:
         failure = (f"trajectory blow-up at t={traj.blowup.time:g} "
                    f"(|x| reached {traj.blowup.value:g}, "

@@ -386,7 +386,8 @@ def truncation_sweep(net: NetworkSpec, policy: TruncationPolicy, x0_fn,
         x0 = x0_fn(window) if callable(x0_fn) else x0_fn
         traj = simulate(net, window, x0, u, horizon, dt)
         if traj.blowup is not None:
-            raise ArithmeticError(f"window {size} blew up at t={traj.blowup.time}")
+            raise ArithmeticError(f"window {size} blew up at "
+                                  f"t={traj.blowup.time:g}")
         curves.append(traj.sup_norms())
         times = traj.times
     sup_curves = np.stack(curves)

@@ -141,6 +141,31 @@ def test_simulate_reports_blowup(run_cli, capsys):
     assert summary["blowup"]["value"] > summary["blowup"]["bound"]
 
 
+def test_simulate_reports_a_sweep_blowup(run_cli, capsys):
+    # this escaped as an ArithmeticError traceback with only trajectory.csv
+    # written; the run from x0 = 0 stays at 0, the sweep's from 1 blows up
+    conf = {
+        "network": {
+            "time_domain": {"kind": "discrete"},
+            "index_set": {"kind": "finite", "labels": [0, 1]},
+            "subsystems": [{"i": 0, "expr": "3*x + 0.1*w[0]",
+                            "neighbors": [1]},
+                           {"i": 1, "expr": "3*x"}],
+        },
+        "horizon": 40,
+    }
+    code, plain = run_cli("simulate", conf)
+    assert code == 0
+    code, out = run_cli("simulate", dict(conf, sweep_sizes=[1, 2]))
+    assert code == 1
+    assert capsys.readouterr().err \
+        == "truncation sweep failed: window 1 blew up at t=26\n"
+    assert (out / "trajectory.csv").read_bytes() \
+        == (plain / "trajectory.csv").read_bytes()
+    assert _read(out, "simulate_summary.json") \
+        == _read(plain, "simulate_summary.json")
+
+
 # certify ----------------------------------------------------------------
 
 
