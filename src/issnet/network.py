@@ -194,6 +194,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     Its row is then set to zero after every step, so it adds nothing to
     the reductions and its arithmetic stays finite.
     """
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     window = tuple(int(i) for i in window)
     for i in window:
         if i not in net.index_set:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from issnet.catalog import instantiate
 from issnet.gains import FiniteIndexSet
 from issnet.network import (
     NetworkSpec,
@@ -69,6 +70,19 @@ def test_scalar_x0_broadcasts(counterexample):
     a = simulate(net, window, 1.0, InputSignal.zero(), 1.0, dt=1e-2)
     b = simulate(net, window, np.ones(4), InputSignal.zero(), 1.0, dt=1e-2)
     assert np.array_equal(a.states, b.states)
+
+
+# these raised IndexError or "negative dimensions are not allowed"
+@pytest.mark.parametrize("name, horizon, dt", [
+    ("uniform-2-cycle", -1, None),
+    ("uniform-2-cycle", -3, None),
+    ("counterexample-chain", -0.1, 0.01),
+])
+def test_negative_horizon_is_rejected(name, horizon, dt):
+    net, _ = instantiate(name)
+    with pytest.raises(ValueError, match=f"horizon must be nonnegative, "
+                                         f"got {horizon}"):
+        simulate(net, net.window(2), 1.0, InputSignal.zero(), horizon, dt=dt)
 
 
 def test_vector_input_must_match_window(counterexample):
@@ -152,7 +166,6 @@ def _mixed_members(n, h):
                                   "nonuniform-discrete-chain",
                                   "linear-diffusive-chain"])
 def test_ensemble_matches_solo_runs_bitwise(name):
-    from issnet.catalog import instantiate
     net, _ = instantiate(name)
     window = net.window() if name == "uniform-2-cycle" else net.window(6)
     dt = 0.05 if net.time_domain.kind == "continuous" else None
