@@ -728,10 +728,8 @@ def compute_band_cells(net: NetworkSpec,
         raise ValueError("tail starts must be nonempty and precede the horizon")
 
     families = []
-    for (r, _k, q), (lo, hi, tag) in zip(cells, limits):
-        zero = q is not None and q == 0.0
-        families.append(([(f"band cell (r={r:g}, {tag})", x0,
-                           InputSignal.zero() if zero else u)
+    for (r, _k, _q), (lo, hi, tag) in zip(cells, limits):
+        families.append(([(f"band cell (r={r:g}, {tag})", x0, u)
                           for _name, x0, u in _band_members(
                               net, window, r, lo, hi, cfg, seed, tag)],
                          False))
