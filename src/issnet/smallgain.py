@@ -387,13 +387,9 @@ class MBIWitness:
     seed: int
 
     def validate(self, graph: GainGraph, xi: ScalarCurve, atol: float = _ATOL) -> bool:
-        v = np.asarray(self.v, float)
-        g = apply_gain_operator(graph, v, self.window)
-        w = np.maximum(v - g, 0.0)
-        if not np.array_equal(w, np.asarray(self.w, float)):
-            return False
-        nv, nw = float(np.max(np.abs(v))), float(np.max(np.abs(w)))
-        return nv > float(xi(nw)) + atol * max(1.0, nv)
+        again = _revalidate(graph, self.window, xi, self.v, self.samples_used,
+                            self.seed, atol)
+        return again is not None and np.array_equal(again.w, self.w)
 
 
 # rows x window width screened per apply_batch call; whole levels are
@@ -501,18 +497,19 @@ def _screen_block(graph, window, xi, batch, ends, seed):
 
 
 def _revalidate(graph, window, xi, v, used, seed, atol=_ATOL):
-    """Recompute a candidate witness entrywise; discard batch artifacts."""
+    """Recompute a candidate witness entrywise with the block screen's test,
+    ||v|| > xi(||w||) + atol * max(1, ||v||); discard batch artifacts.
+    MBIWitness.validate applies the same rule."""
     v = np.asarray(v, float)
     g = apply_gain_operator(graph, v, window)
     w = np.maximum(v - g, 0.0)
     nv = float(np.max(np.abs(v)))
     nw = float(np.max(np.abs(w)))
     rhs = float(xi(nw))
-    margin = nv - rhs
-    if margin <= atol * max(1.0, nv):
+    if not nv > rhs + atol * max(1.0, nv):
         return None
     return MBIWitness(tuple(window), tuple(v), tuple(w), nv, nw, rhs,
-                      margin, used, seed)
+                      nv - rhs, used, seed)
 
 
 def invert_k_curve(curve: ScalarCurve) -> ScalarCurve:
