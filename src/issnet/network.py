@@ -5,7 +5,9 @@ neighbors fall outside the simulated window read zero there, which is exactly
 the truncation convention used for infinite interconnections.  Discrete
 networks update synchronously; continuous networks are integrated
 monolithically with fixed-step RK4 so all components advance through the same
-stages.
+stages.  The step grid and the update come from the time domain
+(TimeDomain.grid and TimeDomain.stepper), the rule a single subsystem is
+stepped by as well.
 
 An ensemble of (x0, u) members on one window is stepped together as one
 (members, window) state array, with every member's input evaluated once on
@@ -33,7 +35,7 @@ import numpy as np
 
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
 from .systems import (DEFAULT_BLOWUP_BOUND, BlowUp, InputSignal, SubsystemSpec,
-                      TimeDomain, Trajectory, _grid_index, _rk4_step)
+                      TimeDomain, Trajectory, _grid_index)
 
 __all__ = [
     "NetworkSpec",
@@ -194,8 +196,7 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     Its row is then set to zero after every step, so it adds nothing to
     the reductions and its arithmetic stays finite.
     """
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
+    times, h = net.time_domain.grid(horizon, dt)
     window = tuple(int(i) for i in window)
     for i in window:
         if i not in net.index_set:
@@ -212,18 +213,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
         x[j] = x0
     f = net.fast_factory(window) if net.fast_factory is not None \
         else _assembled_map(net, window)
-    if net.time_domain.kind == "discrete":
-        steps = int(round(horizon))
-        times = np.arange(steps + 1, dtype=float)
-        h, stepper = 1.0, f
-    else:
-        if dt is None:
-            dt = net.time_domain.dt
-        if dt is None or dt <= 0:
-            raise ValueError("continuous simulation needs dt > 0")
-        steps = int(round(horizon / dt))
-        times = dt * np.arange(steps + 1)
-        h, stepper = dt, lambda xk, uk: _rk4_step(f, xk, dt, uk)
+    stepper = net.time_domain.stepper(f, h)
+    steps = times.size - 1
     inputs = _input_block(members, times[:-1], h, n) if m else None
 
     kept = np.arange(m) if keep is None else np.flatnonzero(keep)
@@ -426,7 +417,6 @@ class NetworkSystem:
         self.window = tuple(int(i) for i in window)
         self.time_domain = net.time_domain
         self.dt = dt if dt is not None else (net.time_domain.dt or 1e-3)
-        self.input_dim = None     # scalar external input broadcast to components
 
     def phi(self, t: float, x, u: InputSignal):
         traj = simulate(self.net, self.window, x, u, t, self.dt)

@@ -9,12 +9,14 @@ keeps the single point value through a duplicated leading breakpoint).
 Steppers and integrators read the interior value of each step, so a signal
 break aligned with the step grid switches cleanly at that step.
 
-One stepper serves both time domains: discrete subsystems take their
-synchronous update, continuous-time ones a classical fixed-step RK4 step,
-inputs held left-constant over each step.  integrate_ode and the axiom
-adapter SubsystemSystem both run it.  Trajectories that exceed the blow-up
-bound are truncated and flagged instead of poisoning later arithmetic with
-infinities.
+A time domain owns its step rule: TimeDomain.grid gives the sample times
+and the step of a run (unit steps when discrete, dt when continuous) and
+TimeDomain.stepper the update (the synchronous map when discrete, a
+classical fixed-step RK4 step when continuous), inputs held left-constant
+over each step.  The one subsystem stepper, run by integrate_ode and the
+axiom adapter SubsystemSystem, and the network simulator both use them.
+Trajectories that exceed the blow-up bound are truncated and flagged
+instead of poisoning later arithmetic with infinities.
 """
 
 from __future__ import annotations
@@ -55,6 +57,28 @@ class TimeDomain:
             raise ValueError("time domain kind must be 'discrete' or 'continuous'")
         if self.kind == "continuous" and self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
+
+    def grid(self, horizon: float, dt: float | None = None):
+        """(times, h): the sample times 0, h, ..., n*h of a run over
+        ``horizon`` and its step h, 1 when discrete (the horizon counts
+        steps), dt or else the domain's own dt when continuous, with
+        n = round(horizon / h)."""
+        if not horizon >= 0:
+            raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
+        if self.kind == "discrete":
+            return np.arange(int(round(horizon)) + 1, dtype=float), 1.0
+        if dt is None:
+            dt = self.dt
+        if dt is None or dt <= 0:
+            raise ValueError("continuous simulation needs dt > 0")
+        return dt * np.arange(int(round(horizon / dt)) + 1), dt
+
+    def stepper(self, f, h: float):
+        """One step of length h of the dynamics f(x, *args): the update f
+        itself when discrete, an RK4 step of x' = f when continuous."""
+        if self.kind == "discrete":
+            return f
+        return lambda x, *args: _rk4_step(f, x, h, *args)
 
 
 DISCRETE = TimeDomain("discrete")
@@ -280,30 +304,23 @@ def _rk4_step(f, x, h, *args):
 
 
 def _step_subsystem(spec: SubsystemSpec, x0: float, w: InputSignal | None,
-                    u: InputSignal, steps: int, h: float,
+                    u: InputSignal, horizon: float, dt: float | None,
                     blowup_bound: float) -> Trajectory:
-    """The one subsystem stepper: ``steps`` steps of length h from x0.
+    """The one subsystem stepper: the domain's steps over ``horizon`` from x0.
 
-    Discrete specs take the synchronous update, continuous ones an RK4
-    step; both read each step's interior value of u and of w (None means
-    zero neighbor signals).  A state that is not finite or exceeds the
-    blow-up bound ends the trajectory there.
+    Each step reads its interior value of u and of w (None means zero
+    neighbor signals).  A state that is not finite or exceeds the blow-up
+    bound ends the trajectory there.
     """
-    times = h * np.arange(steps + 1)
+    times, h = spec.time_domain.grid(horizon, dt)
     t0s = times[:-1]
     us = u.interior_values(t0s, t0s + h)
     ws = None if w is None else w.interior_values(t0s, t0s + h)
     zeros_w = np.zeros(len(spec.neighbors))
-    f = spec.dynamics
-    if spec.time_domain.kind == "discrete":
-        def update(x, wk, uk):
-            return float(f(float(x), wk, uk))
-    else:
-        def update(x, wk, uk):
-            return _rk4_step(f, x, h, wk, uk)
-    vals = np.empty(steps + 1)
+    update = spec.time_domain.stepper(spec.dynamics, h)
+    vals = np.empty(times.size)
     vals[0] = x = float(x0)
-    for k in range(steps):
+    for k in range(t0s.size):
         wk = zeros_w if ws is None else np.atleast_1d(ws[k])
         x = update(x, wk, float(us[k]))
         vals[k + 1] = x
@@ -324,10 +341,7 @@ def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
     """
     if spec.time_domain.kind != "continuous":
         raise ValueError("integrate_ode needs a continuous-time spec")
-    if dt <= 0 or horizon < 0:
-        raise ValueError("need dt > 0 and horizon >= 0")
-    return _step_subsystem(spec, x0, w, u, int(round(horizon / dt)), dt,
-                           blowup_bound)
+    return _step_subsystem(spec, x0, w, u, horizon, dt, blowup_bound)
 
 
 # Axiom harness ----------------------------------------------------------
@@ -345,10 +359,7 @@ class SubsystemSystem:
         self.dt = dt if dt is not None else (spec.time_domain.dt or 1e-3)
 
     def phi(self, t: float, x: float, u: InputSignal) -> float:
-        h = 1.0 if self.time_domain.kind == "discrete" else self.dt
-        if t < 0 or h <= 0:
-            raise ValueError("need t >= 0 and dt > 0")
-        traj = _step_subsystem(self.spec, x, self.w, u, int(round(t / h)), h,
+        traj = _step_subsystem(self.spec, x, self.w, u, t, self.dt,
                                DEFAULT_BLOWUP_BOUND)
         if traj.blowup is not None:
             raise ArithmeticError("trajectory blew up during axiom checking")
@@ -379,7 +390,7 @@ class AxiomReport:
 
 
 def _random_signal(rng: np.random.Generator, horizon: float, level: float,
-                   dim: int | None, discrete: bool) -> InputSignal:
+                   discrete: bool) -> InputSignal:
     n = int(rng.integers(2, 6))
     if discrete:
         maxb = max(2, int(horizon))
@@ -387,8 +398,7 @@ def _random_signal(rng: np.random.Generator, horizon: float, level: float,
         breaks = np.concatenate([[0.0], np.sort(picks.astype(float))])
     else:
         breaks = np.concatenate([[0.0], np.sort(rng.uniform(0, horizon, n))])
-    shape = (breaks.size,) if dim is None else (breaks.size, dim)
-    return InputSignal(breaks, rng.uniform(-level, level, shape))
+    return InputSignal(breaks, rng.uniform(-level, level, breaks.size))
 
 
 def check_axioms(system, n_samples: int = 20, seed: int = 0,
@@ -409,11 +419,10 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
     id_defect = 0.0
     caus_defect = 0.0
     coc_defect = 0.0
-    u_dim = getattr(system, "input_dim", None)
     for m in range(n_samples):
         rng = derived_rng(seed, "axioms", m)
         x = system.sample_state(rng, 1.0)
-        u = _random_signal(rng, horizon, 1.0, u_dim, discrete)
+        u = _random_signal(rng, horizon, 1.0, discrete)
         # identity
         d = _state_dist(system.phi(0.0, x, u), x)
         id_defect = max(id_defect, d)
@@ -422,7 +431,7 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
         # causality: change u strictly after t
         steps = int(round(horizon / dt))
         t = dt * int(rng.integers(1, steps))
-        tail = _random_signal(rng, horizon, 1.0, u_dim, discrete)
+        tail = _random_signal(rng, horizon, 1.0, discrete)
         u_alt = u.concat(tail, t)
         d = _state_dist(system.phi(t, x, u), system.phi(t, x, u_alt))
         caus_defect = max(caus_defect, d)
@@ -454,7 +463,7 @@ def _local_error_estimate(system, horizon: float, seed: int) -> float:
     """Step-halving (Richardson) estimate of the integrator error scale."""
     rng = derived_rng(seed, "axioms", "localerr")
     x = system.sample_state(rng, 1.0)
-    u = _random_signal(rng, horizon, 1.0, getattr(system, "input_dim", None), False)
+    u = _random_signal(rng, horizon, 1.0, False)
     coarse = system.phi(horizon, x, u)
     fine_sys = _with_dt(system, system.dt / 2.0)
     fine = fine_sys.phi(horizon, x, u)
