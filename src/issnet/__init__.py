@@ -26,7 +26,7 @@ from .systems import (DISCRETE, BlowUp, InputSignal, SubsystemSpec, TimeDomain,
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
                     NonnegSequence, apply_batch, apply_gain_operator,
                     check_graph, graph_from_json, graph_to_json, iterate,
-                    register_gain_generator, restrict)
+                    restrict)
 from .smallgain import (MBIWitness, SGCReport, dist_to_cone,
                         estimate_uniform_sgc, exact_eta_two_node, falsify_mbi,
                         finite_cycle_check, invert_k_curve, operator_deficit)

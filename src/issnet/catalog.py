@@ -19,8 +19,8 @@ closed forms the test suite compares against:
   a uniformly stable diffusive coupling for eps < 1/2, stored neighbor gains
   2 eps id (tight when both neighbors are driven together).
 
-The three chains take their gain graphs from the gain generators registered
-below, the same ones graph_from_json rebuilds them with.
+The three chains take their gain graphs from the named gain generators of
+issnet.gains, the same ones graph_from_json rebuilds them with.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .comparison import ScalarCurve, identity, linear, zero_curve
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
-                    _generated_graph, graph_from_json, register_gain_generator)
+                    _generated_graph, graph_from_json)
 from .network import NetworkSpec
 from .systems import DISCRETE, SubsystemSpec, continuous
 
@@ -369,41 +369,6 @@ def parse_ref(ref: str):
         for k, vals in urllib.parse.parse_qs(query, strict_parsing=True).items():
             params[k] = float(vals[-1])
     return name, params
-
-
-# Gain generators: the chains' rows, rebuilt by name from graph JSON ------
-
-
-def _gen_decoupled(params):
-    return (lambda i: {}), (lambda i: zero_curve()), zero_curve()
-
-
-def _gen_unidirectional(params):
-    theta = float(params.get("theta", 0.5))
-    g = linear(theta) if theta > 0 else zero_curve()
-    return (lambda i: ({i + 1: g} if theta > 0 else {})), \
-        (lambda i: identity()), g
-
-
-def _gen_bidirectional(params):
-    gain = float(params.get("gain", 0.4))
-    start = int(params.get("start", 0))
-    g = linear(gain) if gain > 0 else zero_curve()
-
-    def row(i):
-        if gain == 0:
-            return {}
-        out = {i + 1: g}
-        if i - 1 >= start:
-            out[i - 1] = g
-        return out
-
-    return row, (lambda i: identity()), g
-
-
-register_gain_generator("decoupled", _gen_decoupled)
-register_gain_generator("unidirectional-chain", _gen_unidirectional)
-register_gain_generator("bidirectional-chain", _gen_bidirectional)
 
 
 # Network JSON loading ---------------------------------------------------

@@ -17,7 +17,7 @@ is a *claim* checked on sampled grids, not a symbolic proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,7 +75,7 @@ class ScalarCurve:
 
     kind: str
     claimed_class: str
-    params: tuple = ()            # ((name, value), ...) for parametric kinds
+    params: dict = field(default_factory=dict)  # parametric kinds: name -> value
     breaks: np.ndarray | None = None
     vals: np.ndarray | None = None
     floor: float = 0.0            # L curves clamp here beyond the data
@@ -111,9 +111,6 @@ class ScalarCurve:
             object.__setattr__(self, "breaks", b)
             object.__setattr__(self, "vals", v)
 
-    def _pdict(self) -> dict:
-        return dict(self.params)
-
     # Evaluation ---------------------------------------------------------
 
     def __call__(self, r):
@@ -126,7 +123,7 @@ class ScalarCurve:
         return float(y[0]) if scalar else y
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
-        p = self._pdict()
+        p = self.params
         if self.kind == "linear":
             return p["a"] * x
         if self.kind == "power":
@@ -154,7 +151,7 @@ class ScalarCurve:
 
     def final_slope(self) -> float:
         """Growth rate past the represented range."""
-        p = self._pdict()
+        p = self.params
         if self.kind == "linear":
             return p["a"]
         if self.kind == "power":
@@ -179,12 +176,10 @@ class ScalarCurve:
         return (v[-1] - v[-2]) / db
 
     def is_zero(self) -> bool:
-        if self.kind == "linear":
-            return self._pdict()["a"] == 0.0
-        if self.kind in ("power", "sat"):
-            return self._pdict()["a"] == 0.0
+        if self.kind in ("linear", "power", "sat"):
+            return self.params["a"] == 0.0
         if self.kind == "expdec":
-            return self._pdict()["c"] == 0.0
+            return self.params["c"] == 0.0
         if self.kind == "pwl":
             return bool(np.all(self.vals == 0.0))
         return all(p.is_zero() for p in self.parts)
@@ -194,7 +189,7 @@ class ScalarCurve:
             return f"ScalarCurve(pwl, {self.claimed_class}, {self.breaks.size} pts)"
         if self.kind == "compose":
             return "ScalarCurve(compose, %s, depth %d)" % (self.claimed_class, len(self.parts))
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params)
+        inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"ScalarCurve({self.kind}, {self.claimed_class}, {inner})"
 
 
@@ -206,7 +201,7 @@ def linear(a: float, claimed_class: str | None = None) -> ScalarCurve:
         raise ValueError("linear curve needs a >= 0")
     if claimed_class is None:
         claimed_class = "mono" if a == 0.0 else "Kinf"
-    return ScalarCurve("linear", claimed_class, (("a", float(a)),))
+    return ScalarCurve("linear", claimed_class, {"a": float(a)})
 
 
 def power(a: float, p: float, claimed_class: str = "Kinf") -> ScalarCurve:
@@ -214,21 +209,21 @@ def power(a: float, p: float, claimed_class: str = "Kinf") -> ScalarCurve:
         raise ValueError("power curve needs a >= 0 and p > 0")
     if a == 0.0:
         claimed_class = "mono"
-    return ScalarCurve("power", claimed_class, (("a", float(a)), ("p", float(p))))
+    return ScalarCurve("power", claimed_class, {"a": float(a), "p": float(p)})
 
 
 def saturating(a: float) -> ScalarCurve:
     """a*r/(1+r): class K, bounded by a (not Kinf)."""
     if a < 0:
         raise ValueError("saturating curve needs a >= 0")
-    return ScalarCurve("sat", "K" if a > 0 else "mono", (("a", float(a)),))
+    return ScalarCurve("sat", "K" if a > 0 else "mono", {"a": float(a)})
 
 
 def expdecay(c: float, lam: float) -> ScalarCurve:
     """c*exp(-lam*t): class L for c >= 0, lam > 0."""
     if c < 0 or lam <= 0:
         raise ValueError("expdecay needs c >= 0 and lam > 0")
-    return ScalarCurve("expdec", "L", (("c", float(c)), ("lam", float(lam))))
+    return ScalarCurve("expdec", "L", {"c": float(c), "lam": float(lam)})
 
 
 def pwl(points: Iterable[tuple[float, float]], claimed_class: str = "mono",
@@ -269,7 +264,7 @@ def compose(f: ScalarCurve, g: ScalarCurve) -> ScalarCurve:
     if f.is_zero() or g.is_zero():
         return zero_curve()
     cls = "Kinf" if f.claimed_class == g.claimed_class == "Kinf" else "K"
-    fp, gp = f._pdict(), g._pdict()
+    fp, gp = f.params, g.params
     if f.kind == "linear" and g.kind == "linear":
         return linear(fp["a"] * gp["a"], cls)
     if f.kind == "linear" and g.kind == "power":
@@ -315,7 +310,7 @@ def scale(c: ScalarCurve, factor: float) -> ScalarCurve:
         raise ValueError("scale factor must be >= 0")
     if factor == 0.0:
         return zero_curve()
-    p = c._pdict()
+    p = dict(c.params)
     if c.kind in ("linear", "power", "sat"):
         p["a"] *= factor
     elif c.kind == "expdec":
@@ -326,22 +321,14 @@ def scale(c: ScalarCurve, factor: float) -> ScalarCurve:
     else:
         return ScalarCurve("compose", c.claimed_class,
                            parts=(scale(c.parts[0], factor),) + c.parts[1:])
-    return ScalarCurve(c.kind, c.claimed_class, tuple(p.items()))
-
-
-def _as_pwl_on(c: ScalarCurve, breaks: np.ndarray) -> tuple[np.ndarray, float]:
-    return c._eval(breaks), c.final_slope()
-
-
-def _is_zero_curve(c: ScalarCurve) -> bool:
-    return c.kind == "linear" and c._pdict()["a"] == 0.0
+    return ScalarCurve(c.kind, c.claimed_class, p)
 
 
 def _merge_class(a: ScalarCurve, b: ScalarCurve) -> str:
     # identically-zero operands are neutral for both sum and max
-    if _is_zero_curve(a):
+    if a.is_zero():
         return b.claimed_class
-    if _is_zero_curve(b):
+    if b.is_zero():
         return a.claimed_class
     if a.claimed_class == b.claimed_class == "L":
         return "L"
@@ -359,11 +346,10 @@ def _binary_grid(a: ScalarCurve, b: ScalarCurve) -> np.ndarray:
 def curve_sum(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
     """Pointwise a+b.  Exact for linear/pwl operands, sampled otherwise."""
     if a.kind == "linear" and b.kind == "linear":
-        return linear(a._pdict()["a"] + b._pdict()["a"], _merge_class(a, b))
+        return linear(a.params["a"] + b.params["a"], _merge_class(a, b))
     g = _binary_grid(a, b)
-    va, _ = _as_pwl_on(a, g)
-    vb, _ = _as_pwl_on(b, g)
-    return ScalarCurve("pwl", _merge_class(a, b), breaks=g, vals=va + vb,
+    return ScalarCurve("pwl", _merge_class(a, b), breaks=g,
+                       vals=a._eval(g) + b._eval(g),
                        floor=a.floor + b.floor)
 
 
@@ -371,12 +357,10 @@ def curve_max(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
     """Pointwise max(a,b).  Exact for linear/pwl operands (segment crossings
     become breakpoints), sampled on a grid otherwise."""
     if a.kind == "linear" and b.kind == "linear":
-        return linear(max(a._pdict()["a"], b._pdict()["a"]), _merge_class(a, b))
+        return linear(max(a.params["a"], b.params["a"]), _merge_class(a, b))
     g = _binary_grid(a, b)
-    exact = all(c.kind in ("linear", "pwl") for c in (a, b))
-    va, sa = _as_pwl_on(a, g)
-    vb, sb = _as_pwl_on(b, g)
-    if exact:
+    va, vb = a._eval(g), b._eval(g)
+    if all(c.kind in ("linear", "pwl") for c in (a, b)):
         # insert interior crossing points so the max is exact between nodes
         extra = []
         for k in range(g.size - 1):
@@ -386,12 +370,12 @@ def curve_max(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
                 t = d0 / (d0 - d1)
                 extra.append(g[k] + t * (g[k + 1] - g[k]))
         # crossing in the extrapolation region
+        sa, sb = a.final_slope(), b.final_slope()
         if (va[-1] - vb[-1]) * (sa - sb) < 0:
             extra.append(g[-1] + (vb[-1] - va[-1]) / (sa - sb))
         if extra:
             g = np.unique(np.concatenate([g, extra]))
-            va, _ = _as_pwl_on(a, g)
-            vb, _ = _as_pwl_on(b, g)
+            va, vb = a._eval(g), b._eval(g)
     return ScalarCurve("pwl", _merge_class(a, b), breaks=g, vals=np.maximum(va, vb),
                        floor=max(a.floor, b.floor))
 
@@ -435,8 +419,8 @@ def make_strictly_increasing(c: ScalarCurve) -> ScalarCurve:
     is preserved because values only move up.  A zero first breakpoint is
     required (anchor the envelope first if needed).
     """
-    if c.kind == "linear" and c._pdict()["a"] > 0:
-        return ScalarCurve("linear", "Kinf", c.params)
+    if c.kind == "linear" and c.params["a"] > 0:
+        return ScalarCurve("linear", "Kinf", dict(c.params))
     if c.kind != "pwl":
         raise ValueError("strictification expects a pwl or linear curve")
     min_slope = 1e-9
@@ -514,9 +498,10 @@ class KLSurface:
     """Two-argument decay surface beta(r, t).
 
     Stored as one class-L pwl curve per grid radius; nondecreasing in r by
-    construction (running sup across radii).  Evaluation anchors r = 0 at 0,
-    interpolates linearly between grid radii, and holds the last radius
-    curve above the grid.
+    construction (running sup across radii).  Evaluation anchors r = 0 at 0
+    and otherwise reads the time curve of _curve_at: the grid curve at a
+    grid radius, the last one above the grid, and between grid radii the
+    linear blend of the bracketing curves, clamped nonincreasing in t.
     """
 
     radii: np.ndarray
@@ -542,17 +527,7 @@ class KLSurface:
     def _eval(self, r: float, t: np.ndarray) -> np.ndarray:
         if r == 0.0:
             return np.zeros_like(t)
-        j = int(np.searchsorted(self.radii, r, side="left"))
-        if j >= self.radii.size:
-            return self.curves[-1](t)
-        if self.radii[j] == r:
-            return self.curves[j](t)
-        hi = self.curves[j](t)
-        if j == 0:
-            return (r / self.radii[0]) * hi
-        lo = self.curves[j - 1](t)
-        w = (r - self.radii[j - 1]) / (self.radii[j] - self.radii[j - 1])
-        return lo + w * (hi - lo)
+        return self._curve_at(r)(t)
 
     def _curve_at(self, r: float) -> ScalarCurve:
         """Exact pwl time-curve at radius r (blend of the bracketing grid
@@ -671,7 +646,7 @@ def curve_to_json(c: ScalarCurve) -> dict:
         v = c(g)
         return {"kind": "pwl", "points": [[float(b), float(y)] for b, y in zip(g, v)],
                 "class": c.claimed_class, "sampled_from": "compose"}
-    return {"kind": c.kind, "params": {k: float(v) for k, v in c.params},
+    return {"kind": c.kind, "params": {k: float(v) for k, v in c.params.items()},
             "class": c.claimed_class}
 
 

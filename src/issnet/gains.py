@@ -9,8 +9,11 @@ gain gamma_i.  The induced operator on nonnegative sequences is
 with the convention gamma_ij = 0 for absent edges, so entries outside the
 working window contribute nothing.  Diagonal entries are rejected and every
 row must be finite.  Infinite index sets are handled through a generator
-callback that materializes rows on demand; all computation happens on a
-finite working window with an implicit zero tail.
+callback that materializes rows on demand, each checked once and then kept
+with the given rows; all computation happens on a finite working window
+with an implicit zero tail.  Graph JSON names one of three fixed
+generators (decoupled, unidirectional-chain, bidirectional-chain), the
+ones the catalog chains are built from.
 
 Two functions apply the operator.  apply_gain_operator is the reference:
 it walks the window's rows and calls every edge curve on one vector.
@@ -29,8 +32,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .comparison import (ScalarCurve, curve_from_json, curve_max,
-                         curve_to_json, zero_curve)
+from .comparison import (ScalarCurve, _require_k_or_zero, curve_from_json,
+                         curve_max, curve_to_json, identity, linear,
+                         zero_curve)
 
 __all__ = [
     "FiniteIndexSet",
@@ -44,7 +48,6 @@ __all__ = [
     "iterate",
     "graph_to_json",
     "graph_from_json",
-    "register_gain_generator",
 ]
 
 # radii of the gains checks: the cycle screen's, and check_graph's in the
@@ -134,15 +137,6 @@ class NonnegSequence:
         return len(self.indices)
 
 
-_GAIN_GENERATORS: dict[str, Callable] = {}
-
-
-def register_gain_generator(name: str, factory: Callable) -> None:
-    """Register a named infinite-graph generator: factory(params) must
-    return (row_fn, external_fn, assumption1_bound_curve_or_None)."""
-    _GAIN_GENERATORS[name] = factory
-
-
 class GainGraph:
     """Sparse row-major gain graph over a finite or generated index set."""
 
@@ -159,31 +153,23 @@ class GainGraph:
             self._add_entry(int(i), int(j), g)
         self.external: dict[int, ScalarCurve] = {}
         for i, g in (external or {}).items():
-            self._check_curve(g, f"external gain of {i}")
+            _require_k_or_zero(g, f"external gain of {i}")
             self.external[int(i)] = g
         self.row_fn = row_fn
         self.external_fn = external_fn
         self.assumption1_bound = assumption1_bound
         self.generator_name = generator_name
         self.generator_params = dict(generator_params or {})
-        self._row_cache: dict[int, dict[int, ScalarCurve]] = {}
         self._plans: dict[tuple, _WindowPlan] = {}
         if not index_set.finite and row_fn is None:
             raise ValueError("generated index sets need a row function")
-
-    @staticmethod
-    def _check_curve(g: ScalarCurve, what: str):
-        if g.is_zero():
-            return
-        if g.claimed_class not in ("K", "Kinf"):
-            raise ValueError(f"{what} must be class K (or the zero curve)")
 
     def _add_entry(self, i: int, j: int, g: ScalarCurve):
         if i == j:
             raise ValueError(f"diagonal gain ({i},{i}) is not allowed")
         if i not in self.index_set or j not in self.index_set:
             raise ValueError(f"edge ({i},{j}) leaves the index set")
-        self._check_curve(g, f"gain ({i},{j})")
+        _require_k_or_zero(g, f"gain ({i},{j})")
         if not g.is_zero():
             self.rows.setdefault(i, {})[j] = g
 
@@ -191,22 +177,17 @@ class GainGraph:
         """Finite row of i: mapping j -> gamma_ij (absent entries are zero)."""
         if i not in self.index_set:
             raise KeyError(f"index {i} outside the index set")
-        if i in self.rows:
-            return self.rows[i]
-        if self.row_fn is not None:
-            if i not in self._row_cache:
-                raw = self.row_fn(i)
-                cleaned = {}
-                for j, g in raw.items():
-                    j = int(j)
-                    if j == i:
-                        raise ValueError(f"generator produced diagonal gain at {i}")
-                    self._check_curve(g, f"generated gain ({i},{j})")
-                    if not g.is_zero():
-                        cleaned[j] = g
-                self._row_cache[i] = cleaned
-            return self._row_cache[i]
-        return {}
+        if i not in self.rows and self.row_fn is not None:
+            cleaned = {}
+            for j, g in self.row_fn(i).items():
+                j = int(j)
+                if j == i:
+                    raise ValueError(f"generator produced diagonal gain at {i}")
+                _require_k_or_zero(g, f"generated gain ({i},{j})")
+                if not g.is_zero():
+                    cleaned[j] = g
+            self.rows[i] = cleaned
+        return self.rows.get(i, {})
 
     def external_gain(self, i: int) -> ScalarCurve:
         if i in self.external:
@@ -250,7 +231,7 @@ class _WindowPlan:
                 if g.kind == "linear":
                     rows.append(k)
                     cols.append(pos[j])
-                    coeffs.append(g._pdict()["a"])
+                    coeffs.append(g.params["a"])
                 else:
                     self.other.append((k, pos[j], g))
         rows = np.asarray(rows, dtype=np.intp)
@@ -445,9 +426,47 @@ def graph_from_json(obj: dict) -> GainGraph:
     raise ValueError(f"unknown index set kind {kind!r}")
 
 
+# Gain generators: the catalog chains' rows, rebuilt by name from graph
+# JSON.  factory(params) returns (row_fn, external_fn, assumption-1 bound).
+
+
+def _gen_decoupled(params):
+    return (lambda i: {}), (lambda i: zero_curve()), zero_curve()
+
+
+def _gen_unidirectional(params):
+    theta = float(params.get("theta", 0.5))
+    g = linear(theta) if theta > 0 else zero_curve()
+    return (lambda i: ({i + 1: g} if theta > 0 else {})), \
+        (lambda i: identity()), g
+
+
+def _gen_bidirectional(params):
+    gain = float(params.get("gain", 0.4))
+    start = int(params.get("start", 0))
+    g = linear(gain) if gain > 0 else zero_curve()
+
+    def row(i):
+        if gain == 0:
+            return {}
+        out = {i + 1: g}
+        if i - 1 >= start:
+            out[i - 1] = g
+        return out
+
+    return row, (lambda i: identity()), g
+
+
+_GAIN_GENERATORS = {
+    "decoupled": _gen_decoupled,
+    "unidirectional-chain": _gen_unidirectional,
+    "bidirectional-chain": _gen_bidirectional,
+}
+
+
 def _generated_graph(index_set: GeneratorIndexSet, name: str,
                      params: Mapping) -> GainGraph:
-    """The graph of the registered generator ``name`` on ``index_set``."""
+    """The graph of the gain generator ``name`` on ``index_set``."""
     if name not in _GAIN_GENERATORS:
         raise ValueError(f"unknown gain generator {name!r}")
     row_fn, external_fn, bound = _GAIN_GENERATORS[name](params)

@@ -520,12 +520,12 @@ def invert_k_curve(curve: ScalarCurve) -> ScalarCurve:
     reversing their parts.  Anything bounded (saturating) is rejected.
     """
     if curve.kind == "linear":
-        a = curve._pdict()["a"]
+        a = curve.params["a"]
         if a <= 0:
             raise ValueError("cannot invert a flat curve")
         return linear(1.0 / a)
     if curve.kind == "power":
-        p = curve._pdict()
+        p = curve.params
         a, q = p["a"], p["p"]
         if a <= 0 or q <= 0:
             raise ValueError("cannot invert a degenerate power curve")

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from issnet.comparison import (
     KLSurface,
+    ScalarCurve,
+    check_class,
     compose,
     curve_from_json,
     curve_max,
     curve_sum,
     curve_to_json,
+    default_grid,
     expdecay,
     fit_monotone_envelope,
     identity,
@@ -105,6 +108,22 @@ def test_compose_order():
     assert compose(g, f)(3.0) == pytest.approx(36.0)   # g(f(3)) = 6^2
 
 
+# f after g in closed form against the lazy chain that evaluates g, then f
+@pytest.mark.parametrize("f, g, kind", [
+    (power(2.0, 1.5), power(0.5, 0.7), "power"),
+    (pwl([(0.0, 0.0), (1.0, 2.0), (3.0, 2.5), (7.0, 9.0)], "K"), linear(2.5),
+     "pwl"),
+    (pwl([(0.0, 0.0), (0.4, 1.0), (2.0, 1.5), (5.0, 8.0)], "K"),
+     pwl([(0.0, 0.0), (0.5, 0.2), (1.5, 3.0), (4.0, 3.5)], "K"), "pwl"),
+], ids=["pow-pow", "pwl-linear", "pwl-pwl"])
+def test_compose_closed_forms_match_the_lazy_chain(f, g, kind):
+    closed = compose(f, g)
+    assert closed.kind == kind
+    lazy = ScalarCurve("compose", "K", parts=(f, g))
+    grid = default_grid()
+    np.testing.assert_allclose(closed(grid), lazy(grid), rtol=1e-12, atol=0.0)
+
+
 def test_curve_sum_exact_linear():
     s = curve_sum(linear(2.0), linear(3.0))
     assert s(4.0) == 20.0
@@ -116,6 +135,14 @@ def test_curve_max_crossing():
     assert m(2.0) == 2.0
     assert m(3.0) == 3.0
     assert m(5.0) == 5.0
+
+
+def test_a_zero_operand_keeps_the_other_class():
+    # a zero power curve is zero too, whatever its kind
+    for merge in (curve_max, curve_sum):
+        assert merge(linear(1.0), power(0.0, 2.0)).claimed_class == "Kinf"
+        assert merge(pwl([(0.0, 0.0), (1.0, 0.0)]), saturating(2.0)) \
+            .claimed_class == "K"
 
 
 def test_floor_propagates_through_sum_and_max():
@@ -234,6 +261,29 @@ def test_max_with_dominates_both():
             assert m(r, t) >= b(r, t) - 1e-12
 
 
+def test_max_with_on_different_radii_dominates_off_the_grid():
+    sigma = identity()
+    a = kl_from_decay_table(_staircase_table((1.0, 2.0), sigma, tau=1.0), sigma)
+    b = kl_from_decay_table(_staircase_table((0.5, 1.5, 3.0), sigma, tau=2.0),
+                            sigma)
+    m = a.max_with(b)
+    assert list(m.radii) == [0.5, 1.0, 1.5, 2.0, 3.0]
+    for r in (0.25, 0.75, 1.25, 1.75, 2.5, 4.0):
+        for t in (0.0, 0.5, 1.5, 2.25, 3.0, 7.5, 10.0):
+            assert m(r, t) >= a(r, t) - 1e-12
+            assert m(r, t) >= b(r, t) - 1e-12
+    with pytest.raises(ValueError):
+        m(1.25, -1.0)
+
+
+def test_kl_surface_holds_its_last_curve_above_the_largest_radius():
+    sigma = identity()
+    surf = kl_from_decay_table(_staircase_table((1.0, 2.0), sigma), sigma)
+    ts = np.array([0.0, 0.5, 2.0, 3.5, 100.0])
+    assert np.array_equal(surf(5.0, ts), surf(2.0, ts))
+    assert np.array_equal(surf(5.0, ts), surf.curves[-1](ts))
+
+
 def test_max_surface_folds():
     sigma = identity()
     surfs = [kl_from_decay_table(_staircase_table((1.0,), sigma, tau=k), sigma)
@@ -250,6 +300,31 @@ def test_decay_table_validation():
         kl_from_decay_table({1.0: ([0.0, 0.0], [2.0, 1.0])}, sigma)  # ties
     with pytest.raises(ValueError):
         kl_from_decay_table({1.0: ([0.0, 1.0], [2.0, 1.5])}, sigma)  # not dyadic
+
+
+# Class checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("curve, detail", [
+    (ScalarCurve("expdec", "K", {"c": 1.0, "lam": 1.0}),
+     "value at 0 is nonzero"),
+    (ScalarCurve("sat", "K", {"a": -1.0}), "decreasing step on grid"),
+    (pwl([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0)], "K"),
+     "not strictly increasing on grid"),
+    (pwl([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0)], "Kinf"),
+     "not strictly increasing on grid"),
+    (ScalarCurve("sat", "Kinf", {"a": 1.0}), "bounded tail cannot be Kinf"),
+    (ScalarCurve("linear", "L", {"a": 1.0}), "increasing step on grid"),
+    (pwl([(0.0, 2.0), (1.0, 1.0), (2.0, 1.0)], "L"),
+     "does not approach the floor"),
+    (ScalarCurve("expdec", "mono", {"c": 1.0, "lam": 1.0}),
+     "decreasing step on grid"),
+    (ScalarCurve("expdec", "mono", {"c": -1.0, "lam": 1.0}), "negative value"),
+], ids=lambda v: v if isinstance(v, str) else v.claimed_class)
+def test_check_class_names_the_failure(curve, detail):
+    report = check_class(curve)
+    assert not report.ok
+    assert (report.claimed, report.detail) == (curve.claimed_class, detail)
 
 
 # Serialization ----------------------------------------------------------

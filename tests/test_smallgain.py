@@ -16,6 +16,7 @@ from issnet.gains import CHECK_GRID, FiniteIndexSet, GainGraph, apply_batch
 from issnet.network import subnetwork
 from issnet.catalog import instantiate
 from issnet.smallgain import (
+    CycleReport,
     _extremal_directions,
     _iterated_directions,
     _revalidate,
@@ -454,6 +455,17 @@ def test_cycle_check_two_cycle(two_cycle):
     assert report.passed
     assert report.n_cycles == 1
     assert report.worst_margin == pytest.approx(0.75)
+
+
+def test_cycle_report_summary(two_cycle):
+    net, _ = two_cycle
+    assert finite_cycle_check(net.graph, (1, 2)).summary() == (
+        "cycle screen passed: 1 simple cycles, worst relative margin 0.75")
+    report = CycleReport((0, 1, 2), 3, -0.125, (0, 1), passed=False,
+                         truncated=True)
+    assert report.summary() == (
+        "cycle screen FAILED: 3 simple cycles, worst relative margin -0.125 "
+        "(cycle list truncated)")
 
 
 def test_cycle_check_rejects_unit_loop():
