@@ -269,22 +269,25 @@ def _parse_input(conf) -> InputSignal:
 # gains-check ------------------------------------------------------------
 
 
-def _run_gains(graph, window, conf, seed, budget, radii=None, n_random=64,
+def _resolve_r_grid(conf: dict) -> tuple[float, ...] | np.ndarray:
+    """conf's "r_grid" of nonnegative radii, default gains.CHECK_GRID."""
+    r_grid = conf.get("r_grid")
+    if r_grid is None:
+        return CHECK_GRID
+    return _resolve_list(r_grid, "r_grid", lambda r: _resolve_float(
+        r, "r_grid", 0.0, lo_open=False))
+
+
+def _run_gains(graph, window, r_grid, seed, budget, radii=None, n_random=64,
                xi="derived", cycles=True):
     """Shared gain checks behind gains-check and subnetwork: the structure
-    check on conf's "r_grid" (default gains.CHECK_GRID), the small-gain
-    estimate, the falsifier against xi ("derived" takes the estimate's
-    xi_hat) and, with ``cycles``, the cycle screen.
+    check on r_grid, the small-gain estimate, the falsifier against xi
+    ("derived" takes the estimate's xi_hat) and, with ``cycles``, the
+    cycle screen.
 
     Returns (structure, sgc, xi, witness, cycles, failures); the gains
     pass when failures, a list of reasons, is empty.
     """
-    r_grid = conf.get("r_grid")
-    if r_grid is None:
-        r_grid = CHECK_GRID
-    else:
-        r_grid = _resolve_list(r_grid, "r_grid", lambda r: _resolve_float(
-            r, "r_grid", 0.0, lo_open=False))
     structure = check_graph(graph, r_grid, window)
     sgc = estimate_uniform_sgc(graph, window, radii=radii, n_random=n_random,
                                seed=seed)
@@ -330,8 +333,8 @@ def cmd_gains_check(conf: dict, args) -> tuple[dict, str | None]:
     xi = xi_spec if xi_spec == "derived" else _resolve_curve(xi_spec, "falsify.xi")
 
     structure, sgc, xi, witness, cycles, failures = _run_gains(
-        graph, window, conf, seed, budget, radii, n_random, xi,
-        _resolve_bool(conf.get("cycles", True), "cycles"))
+        graph, window, _resolve_r_grid(conf), seed, budget, radii, n_random,
+        xi, _resolve_bool(conf.get("cycles", True), "cycles"))
     payload = {
         "passed": not failures,
         "seed": seed,
@@ -487,19 +490,25 @@ def _resolve_tolerances(conf: dict) -> dict:
             for key, default in (("tol_abs", 1e-6), ("tol_rel", 1e-3))}
 
 
-def _run_certify(net, window, conf, seed):
-    """Shared pipeline behind certify and subnetwork.
+def _resolve_certify(conf: dict, net: NetworkSpec) -> dict:
+    """The keys of the certify pipeline, as _run_certify's keywords."""
+    return {
+        "cfg": _ensemble_config(conf, net),
+        "radii": _resolve_radii(conf.get("radii", DEFAULT_RADII), "radii"),
+        "depth": _resolve_int(conf.get("depth", DEFAULT_DEPTH), "depth", 0),
+        "tolerances": _resolve_tolerances(conf),
+        "gamma_hat": _resolve_curve(conf["gamma_hat"], "gamma_hat")
+        if "gamma_hat" in conf else None,
+    }
+
+
+def _run_certify(net, window, seed, cfg, radii, depth, tolerances, gamma_hat):
+    """Shared pipeline behind certify and subnetwork, on the keys that
+    _resolve_certify resolved.
 
     Returns (payload, cert, holdout_runs); raises CertificationError with a
     reproducer in the message on any certified failure.
     """
-    cfg = _ensemble_config(conf, net)
-    radii = _resolve_radii(conf.get("radii", DEFAULT_RADII), "radii")
-    depth = _resolve_int(conf.get("depth", DEFAULT_DEPTH), "depth", 0)
-    tolerances = _resolve_tolerances(conf)
-    gamma_hat = _resolve_curve(conf["gamma_hat"], "gamma_hat") \
-        if "gamma_hat" in conf else None
-
     # two stepping passes: the fit and holdout members first, then the
     # attainment members, whose thresholds need the fitted sigma
     bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
@@ -532,14 +541,14 @@ def cmd_certify(conf: dict, args) -> tuple[dict, str | None]:
     window = _resolve_window(net, conf)
     emit_uniform = _resolve_bool(conf.get("emit_uniform", False),
                                  "emit_uniform")
+    keys = _resolve_certify(conf, net)
     try:
-        payload, cert, hold_runs = _run_certify(net, window, conf, seed)
+        payload, cert, hold_runs = _run_certify(net, window, seed, **keys)
     except CertificationError as e:
         return ({"certificate.json": {"error": str(e), "seed": seed}},
                 f"certification failed: {e}")
     if emit_uniform:
-        uni = uniform_from_nonuniform(cert, hold_runs,
-                                      **_resolve_tolerances(conf))
+        uni = uniform_from_nonuniform(cert, hold_runs, **keys["tolerances"])
         payload["uniform"] = uni.to_json()
     worst = cert.worst_case
     return {"certificate.json": payload}, None if cert.valid else (
@@ -596,10 +605,10 @@ def cmd_trace_theorem1(conf: dict, args) -> tuple[dict, str | None]:
         cells += [(r, k, None) for k in bands]
         cells.append((r, None, 2.0 ** (-max(bands)) * r if cap is None else cap))
     try:
+        xi = _resolve_xi(conf, oracle, net.graph, window, seed)
         entries = compute_band_cells(net, window, cells, cfg, tail_starts,
                                      seed)
         trace = ProofTrace(tuple(window), tuple(entries), cfg.horizon, seed)
-        xi = _resolve_xi(conf, oracle, net.graph, window, seed)
     except CertificationError as e:
         return ({"proof_trace.json": {"error": str(e), "seed": seed}},
                 f"trace failed: {e}")
@@ -637,13 +646,15 @@ def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
 
     budget = _resolve_int(conf.get("falsify_budget", 10_000),
                           "falsify_budget", 1)
+    r_grid = _resolve_r_grid(conf)
+    keys = _resolve_certify(conf, sub)
 
     payload: dict = {"seed": seed, "subset": list(subset)}
     ok = True
 
     if sub.graph is not None:
         _structure, sgc, _xi, witness, cycles, failures = _run_gains(
-            sub.graph, subset, conf, seed, budget)
+            sub.graph, subset, r_grid, seed, budget)
         payload["gains"] = {
             "passed": not failures,
             "sgc_holds": sgc.holds,
@@ -653,7 +664,7 @@ def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
         ok = not failures
 
     try:
-        cert_payload, cert, hold_runs = _run_certify(sub, subset, conf, seed)
+        cert_payload, cert, hold_runs = _run_certify(sub, subset, seed, **keys)
     except CertificationError as e:
         payload["certificate"] = {"error": str(e)}
         return ({"subnetwork.json": payload},
@@ -661,8 +672,7 @@ def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
     payload["certificate"] = cert_payload
     ok = ok and cert.valid
 
-    uni = uniform_from_nonuniform(cert, hold_runs,
-                                  **_resolve_tolerances(conf))
+    uni = uniform_from_nonuniform(cert, hold_runs, **keys["tolerances"])
     payload["uniform"] = uni.to_json()
     ok = ok and uni.valid
 

@@ -410,6 +410,27 @@ def test_trace_checks_every_cell(run_cli):
     assert len(csv) == 1 + 3 * 4 * 6
 
 
+def test_trace_resolves_xi_before_stepping(run_cli, capsys, monkeypatch):
+    # a bad xi used to exit 2 only after every band cell had been stepped
+    calls = []
+    step = cli.compute_band_cells
+
+    def counted(*a, **k):
+        calls.append(a)
+        return step(*a, **k)
+
+    monkeypatch.setattr(cli, "compute_band_cells", counted)
+    code, out = run_cli("trace-theorem1", {
+        "network": "catalog:nonuniform-discrete-chain", "window": 6,
+        "ensemble": {"horizon": 300, "n_random": 2}, "radii": [1.0],
+        "bands": [1, 2], "seed": 2, "xi": "bogus",
+    })
+    assert code == 2
+    assert "config error: unknown xi spec 'bogus'" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "proof_trace.json").exists()
+
+
 def test_trace_needs_a_gain_graph(run_cli, capsys):
     net = {
         "time_domain": {"kind": "discrete"},
@@ -443,6 +464,27 @@ def test_subnetwork_certifies_a_chain_prefix(run_cli):
     assert payload["gains"]["witness_found"] is False
     assert payload["certificate"]["noniss"]["valid"] is True
     assert payload["uniform"]["valid"] is True
+
+
+def test_subnetwork_resolves_every_key_before_the_gains(run_cli, capsys,
+                                                       monkeypatch):
+    # a bad certify key used to exit 2 only after the gains checks had run
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(a)
+        return estimate_uniform_sgc(*a, **k)
+
+    monkeypatch.setattr(cli, "estimate_uniform_sgc", counted)
+    code, out = run_cli("subnetwork", {
+        "network": "catalog:linear-diffusive-chain",
+        "subset": list(range(12)), "ensemble": {"horizon": 4.0},
+        "radii": "bad", "seed": 1,
+    })
+    assert code == 2
+    assert "config error: radii" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "subnetwork.json").exists()
 
 
 def test_subnetwork_requires_a_subset(run_cli, capsys):
