@@ -24,12 +24,11 @@ from .systems import (DISCRETE, BlowUp, InputSignal, SubsystemSpec, TimeDomain,
                       Trajectory, check_axioms, continuous,
                       integrate_ode)
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
-                    NonnegSequence, apply_batch, apply_gain_operator,
-                    check_graph, graph_from_json, graph_to_json, iterate,
-                    restrict)
+                    apply_batch, apply_gain_operator, check_graph,
+                    graph_from_json, graph_to_json, iterate, restrict)
 from .smallgain import (MBIWitness, SGCReport, dist_to_cone,
-                        estimate_uniform_sgc, exact_eta_two_node, falsify_mbi,
-                        finite_cycle_check, invert_k_curve, operator_deficit)
+                        estimate_uniform_sgc, falsify_mbi, finite_cycle_check,
+                        invert_k_curve, operator_deficit)
 from .network import (NetworkSpec, NetworkSystem, NetworkTrajectory,
                       SweepReport, TruncationPolicy, simulate,
                       simulate_ensemble, subnetwork, truncation_sweep,

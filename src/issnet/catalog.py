@@ -36,7 +36,7 @@ from .comparison import ScalarCurve, identity, linear, zero_curve
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
                     _generated_graph, graph_from_json)
 from .network import NetworkSpec
-from .systems import DISCRETE, SubsystemSpec, continuous
+from .systems import DISCRETE, SubsystemSpec, TimeDomain, continuous
 
 __all__ = [
     "CatalogEntry",
@@ -443,7 +443,7 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
         net, oracle = instantiate(obj["catalog"], obj.get("params"))
         return net, oracle
     td = obj["time_domain"]
-    domain = DISCRETE if td["kind"] == "discrete" else continuous(td.get("dt"))
+    domain = TimeDomain(td["kind"], td.get("dt"))
     idx = obj["index_set"]
     if idx.get("kind") != "finite":
         raise ValueError("explicit network files need a finite index set")

@@ -14,8 +14,10 @@ The pipeline has four stages, each producing an inspectable artifact:
 3. build_nonuniform_iss: turns the attainment table into per-component
    decay surfaces via the dyadic staircase construction, with the common
    transient bound sigma_tilde = 2 sigma and the common input gain
-   gamma = max(sigma + gamma_ugs, gamma_hat), then validates the resulting
-   estimate on held-out trajectories.
+   gamma = max(sigma + gamma_ugs, gamma_hat), gamma_hat being the curve
+   of the attainment table, then validates the resulting estimate on
+   held-out trajectories.  uniform_from_nonuniform collapses it to one
+   surface and validates that on the same runs with the same check.
 4. compute_band_limsups / verify_sg_inequality: finite-horizon tail-sup
    estimates over input bands [2^-k r, 2^(1-k) r], checked against the
    vector inequality y <= Gamma(y) + gamma_vec(level) and the norm bound
@@ -495,10 +497,34 @@ class _SurfaceBlocks:
         return self.blocks[key]
 
 
+def _validate_holdout(runs: Sequence[LabeledRun], beta, gamma: ScalarCurve,
+                      values, tol_abs: float, tol_rel: float):
+    """Check values(traj) <= beta(r_x, times) + gamma(||u||) on every
+    holdout run, column by column of (T, columns) blocks.
+
+    Returns (raw, exceed, worst): the largest violation, at least 0; the
+    largest violation less the tolerance tol_abs + tol_rel * bound, -inf
+    without runs; and (column, time, member) where the latter occurs,
+    runs in order, columns in order, each column at its first worst sample.
+    """
+    raw, exceed, worst = 0.0, -np.inf, None
+    for run in runs:
+        traj = run.trajectory
+        bound = beta(run.r_x, traj.times) + float(gamma(run.u_norm))
+        viol = values(traj) - bound
+        over = viol - (tol_abs + tol_rel * bound)
+        ks, k2s = np.argmax(viol, axis=0), np.argmax(over, axis=0)
+        for col in range(viol.shape[1]):
+            raw = max(raw, float(viol[ks[col], col]))
+            if over[k2s[col], col] > exceed:
+                exceed = float(over[k2s[col], col])
+                worst = (col, float(traj.times[k2s[col]]), run.member)
+    return raw, exceed, worst
+
+
 def build_nonuniform_iss(attainment: AttainmentTable,
                          ugs: UGSCertificate,
                          holdout: Sequence[LabeledRun],
-                         gamma_hat: ScalarCurve | None = None,
                          tol_abs: float = 1e-6,
                          tol_rel: float = 1e-3) -> NonUniformISSCertificate:
     """Assemble and validate the per-component certificate.
@@ -507,9 +533,12 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     eps_n = 2^-n sigma(r) at the recorded attainment times, starts at
     2 sigma(r), and is majorized into a monotone decay surface.  The
     common curves are sigma_tilde = 2 sigma and
-    gamma = max(sigma + gamma_ugs, gamma_hat).
+    gamma = max(sigma + gamma_ugs, gamma_hat), with gamma_hat the curve
+    the attainment table was estimated with.  Every component of every
+    holdout run must stay below its bound within the tolerance
+    tol_abs + tol_rel * bound.
     """
-    gamma_hat = attainment.gamma_hat if gamma_hat is None else gamma_hat
+    gamma_hat = attainment.gamma_hat
     window = attainment.window
     sigma = ugs.sigma
 
@@ -535,27 +564,16 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     sigma_tilde = scale(sigma, 2.0)
     gamma = curve_max(curve_sum(sigma, ugs.gamma), gamma_hat)
 
-    raw = 0.0                     # largest |x_i(t)| - bound, before tolerance
-    exceed = -np.inf              # same, after the per-point tolerance
-    worst = None
     beta = _SurfaceBlocks(lambda r, t: np.stack(
         [surfaces[i](r, t) for i in window], axis=-1))
-    for run in holdout:
-        traj = run.trajectory
-        bound = beta(run.r_x, traj.times) + float(gamma(run.u_norm))
-        viol = np.abs(traj.states) - bound
-        over = viol - (tol_abs + tol_rel * bound)
-        ks, k2s = np.argmax(viol, axis=0), np.argmax(over, axis=0)
-        # components in window order, each at its first worst sample
-        for pos, i in enumerate(window):
-            raw = max(raw, float(viol[ks[pos], pos]))
-            if over[k2s[pos], pos] > exceed:
-                exceed = float(over[k2s[pos], pos])
-                worst = (i, float(traj.times[k2s[pos]]), run.member)
-    valid = exceed <= 0.0
+    raw, exceed, worst = _validate_holdout(
+        holdout, beta, gamma, lambda traj: np.abs(traj.states),
+        tol_abs, tol_rel)
+    if worst is not None:
+        worst = (window[worst[0]],) + worst[1:]
     return NonUniformISSCertificate(window, surfaces, sigma_tilde, gamma,
-                                    gamma_hat, max(0.0, raw), worst,
-                                    len(holdout), attainment.seed, valid)
+                                    gamma_hat, raw, worst, len(holdout),
+                                    attainment.seed, exceed <= 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,27 +598,18 @@ class UniformISSCertificate:
 
 
 def uniform_from_nonuniform(cert: NonUniformISSCertificate,
-                            holdout: Sequence[LabeledRun] | None = None,
+                            holdout: Sequence[LabeledRun],
                             tol_abs: float = 1e-6,
                             tol_rel: float = 1e-3) -> UniformISSCertificate:
-    """Collapse a finite-window certificate to a common decay surface."""
+    """Collapse a finite-window certificate to a common decay surface,
+    validated like the certificate itself, with the sup norm of each
+    holdout run against the common surface."""
     beta = max_surface([cert.surfaces[i] for i in cert.window])
-    residual = 0.0
-    exceed = 0.0
-    valid = cert.valid
-    if holdout is not None:
-        beta_at = _SurfaceBlocks(beta)
-        for run in holdout:
-            traj = run.trajectory
-            g_term = float(cert.gamma(run.u_norm))
-            bound = beta_at(run.r_x, traj.times) + g_term
-            viol = traj.sup_norms() - bound
-            residual = max(residual, float(np.max(viol)))
-            exceed = max(exceed, float(np.max(viol - (tol_abs + tol_rel * bound))))
-        residual = max(0.0, residual)
-        valid = cert.valid and exceed <= 0.0
-    return UniformISSCertificate(cert.window, beta, cert.gamma,
-                                 residual, valid)
+    residual, exceed, _ = _validate_holdout(
+        holdout, _SurfaceBlocks(lambda r, t: beta(r, t)[:, None]), cert.gamma,
+        lambda traj: traj.sup_norms()[:, None], tol_abs, tol_rel)
+    return UniformISSCertificate(cert.window, beta, cert.gamma, residual,
+                                 cert.valid and exceed <= 0.0)
 
 
 # Band tail-sup estimates ------------------------------------------------

@@ -522,8 +522,7 @@ def _run_certify(net, window, seed, cfg, radii, depth, tolerances, gamma_hat):
         gamma_hat = ugs.gamma
     attain = estimate_attainment_times(net, window, levels, radii, gamma_hat,
                                        cfg, seed)
-    cert = build_nonuniform_iss(attain, ugs, hold_runs, gamma_hat,
-                                **tolerances)
+    cert = build_nonuniform_iss(attain, ugs, hold_runs, **tolerances)
     payload = {
         "seed": seed,
         "window": list(window),

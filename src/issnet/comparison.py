@@ -412,12 +412,18 @@ def fit_monotone_envelope(samples: Iterable[tuple[float, float]],
     return ScalarCurve("pwl", "mono", breaks=radii, vals=vals)
 
 
+def _above(prev: float, lifted: float) -> float:
+    """lifted, or the next float above prev where the lift rounded away."""
+    return lifted if lifted > prev else float(np.nextafter(prev, np.inf))
+
+
 def make_strictly_increasing(c: ScalarCurve) -> ScalarCurve:
     """Lift a nondecreasing pwl curve to class Kinf.
 
-    Flat segments gain slope 1e-9; domination of the original curve
-    is preserved because values only move up.  A zero first breakpoint is
-    required (anchor the envelope first if needed).
+    Flat segments gain slope 1e-9, or the next float up where a lift that
+    small rounds away at the value's magnitude; domination of the original
+    curve is preserved because values only move up.  A zero first
+    breakpoint is required (anchor the envelope first if needed).
     """
     if c.kind == "linear" and c.params["a"] > 0:
         return ScalarCurve("linear", "Kinf", dict(c.params))
@@ -431,14 +437,15 @@ def make_strictly_increasing(c: ScalarCurve) -> ScalarCurve:
     if v[0] != 0.0:
         raise ValueError("a class-K curve must vanish at 0")
     for k in range(1, v.size):
-        v[k] = max(v[k], v[k - 1] + min_slope * (b[k] - b[k - 1]))
+        lifted = max(v[k], v[k - 1] + min_slope * (b[k] - b[k - 1]))
+        v[k] = _above(v[k - 1], lifted)
     if b.size == 1:
         b = np.concatenate([b, [1.0]])
         v = np.concatenate([v, [min_slope]])
     if (v[-1] - v[-2]) / (b[-1] - b[-2]) < min_slope:
         # guarantee unbounded growth past the data
         b = np.concatenate([b, [b[-1] + 1.0]])
-        v = np.concatenate([v, [v[-1] + min_slope]])
+        v = np.concatenate([v, [_above(v[-1], v[-1] + min_slope)]])
     return ScalarCurve("pwl", "Kinf", breaks=b, vals=v)
 
 

@@ -15,6 +15,8 @@ with an implicit zero tail.  Graph JSON names one of three fixed
 generators (decoupled, unidirectional-chain, bidirectional-chain), the
 ones the catalog chains are built from.
 
+A sequence is given as a float array of finite entries >= 0 aligned
+with a working window of labels; the entries outside the window are zero.
 Two functions apply the operator.  apply_gain_operator is the reference:
 it walks the window's rows and calls every edge curve on one vector.
 apply_batch is the kernel used by the small-gain searches: on first use
@@ -39,7 +41,6 @@ from .comparison import (ScalarCurve, _require_k_or_zero, curve_from_json,
 __all__ = [
     "FiniteIndexSet",
     "GeneratorIndexSet",
-    "NonnegSequence",
     "GainGraph",
     "GraphCheckReport",
     "apply_gain_operator",
@@ -104,37 +105,6 @@ class GeneratorIndexSet:
         if n is None or n <= 0:
             raise ValueError("infinite index sets need an explicit window size")
         return tuple(range(self.start, self.start + n))
-
-
-@dataclass(frozen=True, eq=False)
-class NonnegSequence:
-    """Dense nonnegative vector over a finite working window; the values at
-    indices outside the window are implicitly zero."""
-
-    indices: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size != len(self.indices):
-            raise ValueError("values must be 1-d and aligned with indices")
-        if np.any(~np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("sequence entries must be finite and >= 0")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(self.values)) if self.values.size else 0.0
-
-    def __getitem__(self, i: int) -> float:
-        try:
-            return float(self.values[self.indices.index(i)])
-        except ValueError:
-            return 0.0
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 class GainGraph:
@@ -263,15 +233,14 @@ class GraphCheckReport:
 
 def check_graph(graph: GainGraph, r_grid: Sequence[float],
                 window: Sequence[int] | None = None) -> GraphCheckReport:
-    """Structural invariants on a working window.
+    """Structural invariants on a working window, by default every label
+    of a finite index set (a generated one needs an explicit window).
 
     For generated graphs without a closed-form bound the Assumption-1 sup is
     taken over the window only and the gap is flagged, not hidden.
     """
     if window is None:
-        if not graph.index_set.finite:
-            raise ValueError("checking a generated graph needs an explicit window")
-        window = graph.index_set.window()
+        window = graph.index_set.window(None)
     r = np.asarray(r_grid, float)
     if np.any(r < 0):
         raise ValueError("check grid must be nonnegative")
@@ -301,39 +270,32 @@ def check_graph(graph: GainGraph, r_grid: Sequence[float],
     )
 
 
-def _window_and_values(s, window):
-    if isinstance(s, NonnegSequence):
-        if window is not None and tuple(window) != s.indices:
-            raise ValueError("sequence window does not match the requested window")
-        return s.indices, s.values, True
-    v = np.asarray(s, dtype=float)
-    if window is None:
-        raise ValueError("plain arrays need an explicit window")
+def _checked_vector(v, window: Sequence[int]) -> np.ndarray:
+    """v as a float vector aligned with the window, entries finite and >= 0."""
+    v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size != len(window):
         raise ValueError("value array must align with the window")
     if np.any(v < 0) or np.any(~np.isfinite(v)):
         raise ValueError("sequence entries must be finite and >= 0")
-    return tuple(int(i) for i in window), v, False
+    return v
 
 
-def apply_gain_operator(graph: GainGraph, s, window: Sequence[int] | None = None):
-    """One application of the max-type operator on the window.
+def apply_gain_operator(graph: GainGraph, v,
+                        window: Sequence[int]) -> np.ndarray:
+    """One application of the max-type operator to the vector v on the window.
 
-    Accepts a NonnegSequence or a plain array plus window; returns the same
-    flavor.  Neighbors outside the window contribute zero (gamma fixes 0).
-    This edge-by-edge loop is the reference semantics of the operator;
+    Neighbors outside the window contribute zero (gamma fixes 0).  This
+    edge-by-edge loop is the reference semantics of the operator;
     apply_batch must match it bit for bit.
     """
-    idx, v, wrapped = _window_and_values(s, window)
-    pos = {i: k for k, i in enumerate(idx)}
-    b = v[None, :]
+    b = _checked_vector(v, window)[None, :]
+    pos = {int(i): k for k, i in enumerate(window)}
     out = np.zeros_like(b)
-    for i in idx:
-        k = pos[i]
+    for i, k in pos.items():
         for j, g in graph.row(i).items():
             if j in pos:
                 np.maximum(out[:, k], g(b[:, pos[j]]), out=out[:, k])
-    return NonnegSequence(idx, out[0]) if wrapped else out[0]
+    return out[0]
 
 
 def apply_batch(graph: GainGraph, batch: np.ndarray, window: Sequence[int]) -> np.ndarray:
@@ -348,14 +310,15 @@ def apply_batch(graph: GainGraph, batch: np.ndarray, window: Sequence[int]) -> n
     return graph._plan(window).apply(b)
 
 
-def iterate(graph: GainGraph, s, n: int, window: Sequence[int] | None = None):
-    """n-fold application; n = 0 is the identity."""
+def iterate(graph: GainGraph, v, n: int, window: Sequence[int]) -> np.ndarray:
+    """n-fold application to the vector v on the window; n = 0 is the
+    identity."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    idx, v, wrapped = _window_and_values(s, window)
+    v = _checked_vector(v, window)
     for _ in range(n):
-        v = apply_batch(graph, v[None, :], idx)[0]
-    return NonnegSequence(idx, v) if wrapped else v
+        v = apply_batch(graph, v[None, :], window)[0]
+    return v
 
 
 def restrict(graph: GainGraph, subset: Sequence[int]) -> GainGraph:

@@ -113,7 +113,7 @@ class NetworkTrajectory:
             else:
                 cols.append(np.zeros(self.times.size))
         vals = np.stack(cols, axis=1) if cols else np.zeros((self.times.size, 0))
-        return InputSignal.from_samples(self.times, vals)
+        return InputSignal(self.times, vals)
 
     def value_at(self, i: int, t: float) -> float:
         return float(self.states[_grid_index(self.times, t), self._pos(i)])

@@ -52,8 +52,7 @@ import numpy as np
 from ._rng import derived_rng
 from .comparison import (ScalarCurve, compose, linear,
                          make_strictly_increasing, power, pwl)
-from .gains import (CHECK_GRID, GainGraph, NonnegSequence, apply_batch,
-                    apply_gain_operator)
+from .gains import CHECK_GRID, GainGraph, apply_batch, apply_gain_operator
 
 __all__ = [
     "dist_to_cone",
@@ -65,7 +64,6 @@ __all__ = [
     "invert_k_curve",
     "CycleReport",
     "finite_cycle_check",
-    "exact_eta_two_node",
 ]
 
 
@@ -77,20 +75,15 @@ def dist_to_cone(v) -> float:
     return float(max(0.0, -np.min(v)))
 
 
-def operator_deficit(graph: GainGraph, x, window: Sequence[int] | None = None) -> float:
-    """Contraction deficit at x: distance of Gamma(x) - x from the cone.
+def operator_deficit(graph: GainGraph, x, window: Sequence[int]) -> float:
+    """Contraction deficit at the vector x on the window: distance of
+    Gamma(x) - x from the cone.
 
     Equals max_i (x_i - Gamma(x)_i) clipped at zero; positive means at
     least one component strictly contracts at x.
     """
-    if window is None:
-        window = tuple(x.indices) if isinstance(x, NonnegSequence) else None
-        if window is None:
-            raise ValueError("window required for plain arrays")
-    arr = x.values if isinstance(x, NonnegSequence) else np.asarray(x, float)
-    g = apply_gain_operator(graph, arr, window)
-    g = g.values if isinstance(g, NonnegSequence) else g
-    return dist_to_cone(g - arr)
+    x = np.asarray(x, float)
+    return dist_to_cone(apply_gain_operator(graph, x, window) - x)
 
 
 _FULL_VERTEX_N = 64   # up to this width every vertex pattern is enumerated
@@ -323,13 +316,10 @@ def estimate_uniform_sgc(graph: GainGraph,
     leave-one-out) plus random patterns; the condition holds at the sampled
     resolution when every per-radius minimum is positive relative to the
     radius.  The radii are sorted first, so the report lists them in
-    ascending order whatever order they came in.
+    ascending order whatever order they came in.  The window defaults to
+    every label of a finite index set; a generated one needs it given.
     """
-    if window is None:
-        if not graph.index_set.finite:
-            raise ValueError("window required for an infinite index set")
-        window = graph.index_set.labels
-    window = tuple(window)
+    window = tuple(graph.index_set.window(None) if window is None else window)
     n = len(window)
     if radii is None:
         radii = np.geomspace(1e-2, 1e2, 9)
@@ -670,17 +660,3 @@ def finite_cycle_check(graph: GainGraph, window: Sequence[int]) -> CycleReport:
             worst_cycle = tuple(window[p] for p in cycle)
     passed = (n_cycles == 0) or (worst > 1e-6 and not truncated)
     return CycleReport(window, n_cycles, worst, worst_cycle, passed, truncated)
-
-
-def exact_eta_two_node(a: float, b: float) -> ScalarCurve:
-    """Closed-form uniform deficit for two nodes with linear mutual gains.
-
-    With Gamma(x) = (a x2, b x1) the minimum deficit over the positive
-    sphere of radius r is r (1 - a b) / (1 + max(a, b)); positive exactly
-    when a b < 1.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("gains must be nonnegative")
-    if a * b >= 1:
-        raise ValueError("closed form needs a b < 1")
-    return linear((1.0 - a * b) / (1.0 + max(a, b)))

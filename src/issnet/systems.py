@@ -128,12 +128,6 @@ class InputSignal:
             return cls(np.array([0.0]), np.array([0.0]))
         return cls(np.array([0.0]), np.zeros((1, dim)))
 
-    @classmethod
-    def from_samples(cls, times, samples) -> "InputSignal":
-        """Trajectory samples as a held signal: value samples[k] on
-        (times[k], times[k+1]] and at 0."""
-        return cls(np.asarray(times, float), np.asarray(samples, float))
-
     # Evaluation ---------------------------------------------------------
 
     @property
@@ -273,13 +267,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    @property
-    def norms(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def at(self, t: float) -> float:
         return float(self.values[_grid_index(self.times, t)])
 
@@ -408,13 +395,15 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
     The system object must expose ``time_domain``, ``phi(t, x, u)``,
     ``shifted(tau)``, and ``sample_state(rng, radius)``.  Identity is exact
     by construction and still asserted.  States and input values are drawn
-    from [-1, 1], and causality defects up to 1e-7 pass.  Cocycle split
-    times are aligned with the step grid; the cocycle tolerance is 0 for
-    discrete systems and 10x a local error estimate obtained by step
-    halving for continuous ones, floored near machine epsilon.
+    from [-1, 1], and causality defects up to 1e-7 pass.  Split times are
+    drawn from the sample times of TimeDomain.grid; the cocycle tolerance
+    is 0 for discrete systems and 10x a local error estimate obtained by
+    step halving for continuous ones, floored near machine epsilon.
     """
     discrete = system.time_domain.kind == "discrete"
-    dt = 1.0 if discrete else float(system.dt)
+    times, _ = system.time_domain.grid(horizon,
+                                       None if discrete else float(system.dt))
+    steps = times.size - 1
     failures: list[str] = []
     id_defect = 0.0
     caus_defect = 0.0
@@ -429,8 +418,7 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
         if d != 0.0:
             failures.append(f"identity defect {d:g} at sample {m}")
         # causality: change u strictly after t
-        steps = int(round(horizon / dt))
-        t = dt * int(rng.integers(1, steps))
+        t = times[rng.integers(1, steps)]
         tail = _random_signal(rng, horizon, 1.0, discrete)
         u_alt = u.concat(tail, t)
         d = _state_dist(system.phi(t, x, u), system.phi(t, x, u_alt))
@@ -438,7 +426,7 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
         if d > 1e-7:
             failures.append(f"causality defect {d:g} at sample {m}")
         # cocycle on a grid-aligned split
-        h = dt * int(rng.integers(1, steps))
+        h = times[rng.integers(1, steps)]
         xt = system.phi(t, x, u)
         direct = system.phi(t + h, x, u)
         split = system.shifted(t).phi(h, xt, u.shift(t))

@@ -84,6 +84,23 @@ def test_two_cycle_oracle_component_values(two_cycle):
     assert oracle.gain_slack == 2.0
 
 
+# the decoupled closed forms exist only at theta = 0 and eps = 0
+@pytest.mark.parametrize("name, params, horizon, dt, atol", [
+    ("nonuniform-discrete-chain", {"theta": 0.0}, 30, None, 1e-15),
+    ("linear-diffusive-chain", {"eps": 0.0}, 3.0, 1e-2, 1e-10),
+])
+def test_decoupled_chain_oracle_component_values(name, params, horizon, dt,
+                                                 atol):
+    net, oracle = instantiate(name, params)
+    window = net.window(5)
+    x0 = np.linspace(-1.0, 1.0, 5)
+    traj = simulate(net, window, x0, InputSignal.zero(), horizon, dt=dt)
+    for c, i in enumerate(window):
+        want = [oracle.component_value(i, t, x0[c]) for t in traj.times]
+        np.testing.assert_allclose(traj.states[:, c], want, rtol=0.0,
+                                   atol=atol)
+
+
 def test_chain_steady_state_oracle(chain):
     net, oracle = chain
     window = net.window(6)

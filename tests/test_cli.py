@@ -9,7 +9,7 @@ import pytest
 
 from issnet import cli
 from issnet.catalog import instantiate
-from issnet.comparison import linear
+from issnet.comparison import linear, power
 from issnet.gains import FiniteIndexSet, GainGraph, graph_to_json
 from issnet.network import simulate, write_trajectory_csv
 from issnet.smallgain import estimate_uniform_sgc
@@ -54,6 +54,20 @@ def test_gains_check_fails_on_a_unit_cycle(run_cli, capsys):
     assert payload["structure"]["assumption1_finite"] is True
     assert payload["cycles"]["passed"] is False
     assert payload["cycles"]["worst_margin"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_gains_check_fits_a_flat_deficit_floor_at_large_radii(run_cli):
+    # the sampled deficits fall from 5e7 to 49999999.5 between the radii,
+    # so the fitted floor is flat there, and a lift of 1e-9 is below the
+    # float spacing at 5e7; inverting the fit used to raise a ValueError
+    g = GainGraph(FiniteIndexSet((0, 1)),
+                  entries={(0, 1): power(5e-17, 3), (1, 0): power(5e-17, 3)})
+    code, out = run_cli("gains-check", {
+        "graph": graph_to_json(g), "seed": 0,
+        "sgc": {"radii": [1e8, 100000001.0]},
+    })
+    assert code == 0
+    assert _read(out, "gains_check.json")["sgc"]["holds"] is True
 
 
 TIGHT_XI = {"kind": "linear", "params": {"a": 1.2}, "class": "Kinf"}
@@ -689,12 +703,14 @@ INLINE_NET = {
 }
 
 
-# each of these escaped as a TypeError or AttributeError traceback
+# each of these escaped as a TypeError or AttributeError traceback, except
+# the misspelled kind, which ran as a continuous network
 @pytest.mark.parametrize("changes", [
     {"subsystems": [5]},
     {"time_domain": 5},
     {"index_set": 5},
     {"subsystems": [{"i": 0, "expr": 5}]},
+    {"time_domain": {"kind": "Discrete", "dt": 0.5}},
 ], ids=str)
 def test_wrong_typed_inline_network_is_a_config_error(run_cli, capsys,
                                                       changes):

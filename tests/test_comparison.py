@@ -26,6 +26,7 @@ from issnet.comparison import (
     power,
     pwl,
     saturating,
+    scale,
     surface_from_json,
     surface_to_json,
     zero_curve,
@@ -194,6 +195,31 @@ def test_make_strictly_increasing_prepends_origin():
     k = make_strictly_increasing(pwl([(1.0, 0.0), (2.0, 1.0)], "mono"))
     assert k(0.0) == 0.0
     assert k.claimed_class == "Kinf"
+
+
+def test_make_strictly_increasing_lifts_flats_where_the_lift_rounds_away():
+    # 1e-9 is below the float spacing at 4.7e7, so the flat segment must
+    # rise by at least one ulp to stay strictly increasing
+    k = make_strictly_increasing(pwl([(0, 0), (1e8, 4.7e7), (1e8 + 1, 4.7e7)]))
+    assert np.all(np.diff(k.vals) > 0)
+    assert k.vals[2] == np.nextafter(4.7e7, np.inf)
+    assert check_class(k).ok
+    # here the lifted segment's slope rounds below 1e-9, so a tail point
+    # is added, and its lift of 1e-9 rounds away too
+    k = make_strictly_increasing(pwl([(0, 0), (1e8, 4.7e7), (1.1e8, 4.7e7)]))
+    assert k.breaks.size == 4
+    assert np.all(np.diff(k.vals) > 0)
+    assert k.vals[3] == np.nextafter(k.vals[2], np.inf)
+
+
+def test_scale_and_final_slope_of_a_lazy_chain():
+    # a power after a pwl curve has no closed form, so compose keeps the chain
+    f, g = power(2.0, 3.0), pwl([(0.0, 0.0), (1.0, 2.0), (3.0, 3.0)], "Kinf")
+    c = compose(f, g)
+    assert c.kind == "compose"
+    r = np.geomspace(1e-3, 1e3)
+    assert np.array_equal(scale(c, 2.5)(r), 2.5 * c(r))
+    assert c.final_slope() == f.final_slope() * g.final_slope() == 3e6
 
 
 # Decay surfaces ---------------------------------------------------------

@@ -11,7 +11,6 @@ from issnet.gains import (
     FiniteIndexSet,
     GainGraph,
     GeneratorIndexSet,
-    NonnegSequence,
     apply_batch,
     apply_gain_operator,
     check_graph,
@@ -60,15 +59,6 @@ def test_row_lookup(cycle_graph):
         cycle_graph.row(7)
 
 
-def test_nonneg_sequence_validation():
-    with pytest.raises(ValueError):
-        NonnegSequence((0, 1), np.array([1.0, -0.5]))
-    s = NonnegSequence((3, 4), np.array([1.0, 2.0]))
-    assert s.sup_norm == 2.0
-    assert s[3] == 1.0
-    assert s[99] == 0.0        # outside the window the tail is zero
-
-
 # Operator ---------------------------------------------------------------
 
 
@@ -78,12 +68,16 @@ def test_apply_on_two_cycle(cycle_graph):
     assert isinstance(out, np.ndarray)
 
 
-def test_apply_preserves_sequence_flavor(cycle_graph):
-    s = NonnegSequence((0, 1), np.array([1.0, 2.0]))
-    out = apply_gain_operator(cycle_graph, s)
-    assert isinstance(out, NonnegSequence)
-    assert out.indices == (0, 1)
-    assert np.allclose(out.values, [1.0, 0.5])
+@pytest.mark.parametrize("v, match", [
+    ([1.0, -0.5], "finite and >= 0"),
+    ([1.0, np.inf], "finite and >= 0"),
+    ([1.0, 2.0, 3.0], "align with the window"),
+], ids=["negative", "inf", "misaligned"])
+def test_operator_rejects_bad_vectors(cycle_graph, v, match):
+    with pytest.raises(ValueError, match=match):
+        apply_gain_operator(cycle_graph, np.array(v), (0, 1))
+    with pytest.raises(ValueError, match=match):
+        iterate(cycle_graph, np.array(v), 2, (0, 1))
 
 
 def test_apply_on_chain(chain):

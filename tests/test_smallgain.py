@@ -22,7 +22,6 @@ from issnet.smallgain import (
     _revalidate,
     dist_to_cone,
     estimate_uniform_sgc,
-    exact_eta_two_node,
     falsify_mbi,
     finite_cycle_check,
     invert_k_curve,
@@ -33,6 +32,20 @@ from issnet.smallgain import (
 def _linear_graph(coeffs, labels):
     entries = {(i, j): linear(c) for (i, j), c in coeffs.items()}
     return GainGraph(FiniteIndexSet(tuple(labels)), entries=entries)
+
+
+def exact_eta_two_node(a: float, b: float):
+    """Closed-form uniform deficit for two nodes with linear mutual gains.
+
+    With Gamma(x) = (a x2, b x1) the minimum deficit over the positive
+    sphere of radius r is r (1 - a b) / (1 + max(a, b)); positive exactly
+    when a b < 1.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("gains must be nonnegative")
+    if a * b >= 1:
+        raise ValueError("closed form needs a b < 1")
+    return linear((1.0 - a * b) / (1.0 + max(a, b)))
 
 
 # Deficits ---------------------------------------------------------------
@@ -229,6 +242,18 @@ def test_invert_compose():
     inv = invert_k_curve(c)
     for r in (0.5, 1.0, 3.0):
         assert inv(c(r)) == pytest.approx(r, rel=1e-9)
+
+
+def test_invert_a_lazy_chain():
+    # a power after a pwl curve has no closed form, so compose keeps the
+    # chain and the inverse reverses its parts
+    c = compose(power(2.0, 3.0),
+                pwl([(0.0, 0.0), (1.0, 2.0), (3.0, 3.0)], "Kinf"))
+    assert c.kind == "compose"
+    inv = invert_k_curve(c)
+    r = np.geomspace(1e-3, 1e3)
+    np.testing.assert_allclose(inv(c(r)), r, rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(c(inv(r)), r, rtol=2e-15, atol=0.0)
 
 
 # Falsification ----------------------------------------------------------
