@@ -18,7 +18,7 @@ import numpy as np
 
 from issnet import (
     EnsembleConfig,
-    build_ensemble,
+    build_fit_and_holdout,
     build_nonuniform_iss,
     estimate_attainment_times,
     fit_ugs,
@@ -35,8 +35,7 @@ bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
     + [(r, r) for r in radii]
 
 print("== ensemble and global envelope ==")
-fit_runs = build_ensemble(net, window, bins, cfg, seed=7)
-holdout = build_ensemble(net, window, bins, cfg, seed=11, tag="holdout")
+fit_runs, holdout = build_fit_and_holdout(net, window, bins, cfg, seed=7)
 print(f"  {len(fit_runs)} fit members, {len(holdout)} holdout members")
 ugs = fit_ugs(fit_runs, holdout=holdout)
 print(f"  sigma(1) = {float(ugs.sigma(1.0)):.4f}, "

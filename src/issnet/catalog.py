@@ -219,7 +219,7 @@ def _build_nonuniform_chain(p):
         return step
 
     graph = _generated_graph(index_set, "unidirectional-chain",
-                             {"theta": theta, "start": 0})
+                             {"theta": theta})
     net = NetworkSpec("nonuniform-discrete-chain", DISCRETE, index_set,
                       subsystem, graph, fast)
 
@@ -291,7 +291,7 @@ def _build_diffusive(p):
         return field
 
     graph = _generated_graph(index_set, "bidirectional-chain",
-                             {"gain": 2.0 * eps, "start": 0})
+                             {"gain": 2.0 * eps})
     net = NetworkSpec("linear-diffusive-chain", continuous(1e-3), index_set,
                       subsystem, graph, fast)
 

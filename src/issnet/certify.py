@@ -58,8 +58,9 @@ from .comparison import (KLSurface, ScalarCurve, curve_max, curve_sum,
                          kl_from_decay_table, make_strictly_increasing,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import (NetworkSpec, NetworkTrajectory, _simulate, _suffix_max,
-                      _tail_start_samples, simulate)
+from .network import (NetworkSpec, NetworkTrajectory, TruncationPolicy,
+                      _simulate, _suffix_max, _tail_start_samples,
+                      truncation_sweep)
 from .systems import DEFAULT_BLOWUP_BOUND, InputSignal
 
 __all__ = [
@@ -90,6 +91,9 @@ __all__ = [
 DEFAULT_RADII = (0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_DEPTH = 10
 DEFAULT_BANDS = tuple(range(1, 9))
+DEFAULT_TOL_ABS = 1e-6        # holdout tolerance tol_abs + tol_rel * bound
+DEFAULT_TOL_REL = 1e-3
+DEFAULT_SG_TOL = 1e-6         # slack of verify_sg_inequality
 
 
 class CertificationError(RuntimeError):
@@ -276,10 +280,6 @@ class UGSCertificate:
             ok = ok and self.holdout_residual <= 1e-6
         return ok
 
-    def mu(self) -> ScalarCurve:
-        """Combined bound mu(r) = sigma(r) + gamma(r)."""
-        return curve_sum(self.sigma, self.gamma)
-
     def to_json(self) -> dict:
         return {
             "sigma": curve_to_json(self.sigma),
@@ -379,7 +379,7 @@ class AttainmentTable:
 
 def estimate_attainment_times(net: NetworkSpec,
                               window: Sequence[int],
-                              levels,
+                              levels: Mapping[float, np.ndarray],
                               radii: Sequence[float],
                               gamma_hat: ScalarCurve,
                               cfg: EnsembleConfig,
@@ -389,15 +389,12 @@ def estimate_attainment_times(net: NetworkSpec,
     For every member with ||x0|| <= r and ||u|| <= r, the component's tail
     max must be below level + gamma_hat(||u||); the recorded time is the
     earliest grid time working for all members (max over members of the
-    first crossing).  `levels` is either one array shared by all radii or
-    a mapping radius -> array.  With a shared array the times are also
-    monotonized over increasing r, matching the nesting of the balls.
+    first crossing).  `levels` maps each radius to its own levels, as
+    build_nonuniform_iss needs them: the dyadic ladder 2^-n sigma(r).
     """
     window = tuple(window)
     radii = tuple(float(r) for r in radii)
-    shared = not isinstance(levels, Mapping)
-    level_map = {r: np.asarray(levels if shared else levels[r], float)
-                 for r in radii}
+    level_map = {r: np.asarray(levels[r], float) for r in radii}
 
     # every radius's members are stepped in one pass; each member only
     # records, per (level, component), the last sample above its threshold
@@ -425,11 +422,6 @@ def estimate_attainment_times(net: NetworkSpec,
         member_times = np.where(last == final, np.nan,
                                 stepped.times[np.minimum(last + 1, final)])
         times[r] = np.max(member_times, axis=0)   # NaN if any member never
-    if shared:
-        # balls nest, so a time valid for radius r must also cover r' < r;
-        # an unattained level at either radius stays unattained at r
-        for lo, hi in zip(radii, radii[1:]):
-            times[hi] = np.maximum(times[hi], times[lo])
     return AttainmentTable(window, radii, level_map, times, gamma_hat,
                            cfg.horizon, seed)
 
@@ -525,8 +517,9 @@ def _validate_holdout(runs: Sequence[LabeledRun], beta, gamma: ScalarCurve,
 def build_nonuniform_iss(attainment: AttainmentTable,
                          ugs: UGSCertificate,
                          holdout: Sequence[LabeledRun],
-                         tol_abs: float = 1e-6,
-                         tol_rel: float = 1e-3) -> NonUniformISSCertificate:
+                         tol_abs: float = DEFAULT_TOL_ABS,
+                         tol_rel: float = DEFAULT_TOL_REL
+                         ) -> NonUniformISSCertificate:
     """Assemble and validate the per-component certificate.
 
     The staircase for component i and radius r walks the dyadic levels
@@ -599,8 +592,9 @@ class UniformISSCertificate:
 
 def uniform_from_nonuniform(cert: NonUniformISSCertificate,
                             holdout: Sequence[LabeledRun],
-                            tol_abs: float = 1e-6,
-                            tol_rel: float = 1e-3) -> UniformISSCertificate:
+                            tol_abs: float = DEFAULT_TOL_ABS,
+                            tol_rel: float = DEFAULT_TOL_REL
+                            ) -> UniformISSCertificate:
     """Collapse a finite-window certificate to a common decay surface,
     validated like the certificate itself, with the sup norm of each
     holdout run against the common surface."""
@@ -770,7 +764,7 @@ class SGInequalityReport:
 def verify_sg_inequality(trace: ProofTrace,
                          graph: GainGraph,
                          xi: ScalarCurve,
-                         tol: float = 1e-6) -> SGInequalityReport:
+                         tol: float = DEFAULT_SG_TOL) -> SGInequalityReport:
     """Check each trace cell against the gain operator.
 
     Componentwise: y <= Gamma(y) + gamma_vec(level) + tol, with y the
@@ -814,17 +808,18 @@ def uniformity_probe(net: NetworkSpec,
                      r: float,
                      t: float,
                      dt: float | None = None) -> dict[int, float]:
-    """Sup norm at time t for all-ones starts across window sizes.
+    """Sup norm at time t from the start r, zero input, for each window
+    size: the final sups of truncation_sweep, so the sizes must be strictly
+    increasing, and a window that blows up raises ArithmeticError.
 
     A sequence approaching r as the window grows is direct evidence that
     no single decay curve covers every window.
     """
-    out = {}
-    for n in sizes:
-        window = net.window(n)
-        traj = simulate(net, window, float(r), InputSignal.zero(), t, dt=dt)
-        out[int(n)] = float(traj.sup_norms()[-1])
-    return out
+    report = truncation_sweep(net, TruncationPolicy(tuple(sizes)),
+                              lambda window: float(r), InputSignal.zero(),
+                              t, dt)
+    return {int(n): float(v)
+            for n, v in zip(report.sizes, report.final_sups())}
 
 
 def trace_to_csv(trace: ProofTrace, path: str) -> None:

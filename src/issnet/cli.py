@@ -44,16 +44,18 @@ import numpy as np
 
 from . import catalog
 from .certify import (DEFAULT_BANDS, DEFAULT_DEPTH, DEFAULT_RADII,
-                      CertificationError, EnsembleConfig, ProofTrace,
-                      build_fit_and_holdout, build_nonuniform_iss,
+                      DEFAULT_SG_TOL, CertificationError, EnsembleConfig,
+                      ProofTrace, build_fit_and_holdout, build_nonuniform_iss,
                       compute_band_cells, estimate_attainment_times,
                       fit_ugs, trace_to_csv, uniform_from_nonuniform,
                       verify_sg_inequality)
 from .comparison import curve_from_json
 from .gains import CHECK_GRID, check_graph, graph_from_json
-from .network import (NetworkSpec, TruncationPolicy, simulate, subnetwork,
-                      truncation_sweep, write_trajectory_csv)
-from .smallgain import estimate_uniform_sgc, falsify_mbi, finite_cycle_check
+from .network import (NetworkSpec, TruncationPolicy, _tail_start_samples,
+                      simulate, subnetwork, truncation_sweep,
+                      write_trajectory_csv)
+from .smallgain import (DEFAULT_FALSIFY_BUDGET, DEFAULT_SGC_RANDOM,
+                        estimate_uniform_sgc, falsify_mbi, finite_cycle_check)
 from .systems import InputSignal
 
 __all__ = ["main"]
@@ -278,8 +280,8 @@ def _resolve_r_grid(conf: dict) -> tuple[float, ...] | np.ndarray:
         r, "r_grid", 0.0, lo_open=False))
 
 
-def _run_gains(graph, window, r_grid, seed, budget, radii=None, n_random=64,
-               xi="derived", cycles=True):
+def _run_gains(graph, window, r_grid, seed, budget, radii=None,
+               n_random=DEFAULT_SGC_RANDOM, xi="derived", cycles=True):
     """Shared gain checks behind gains-check and subnetwork: the structure
     check on r_grid, the small-gain estimate, the falsifier against xi
     ("derived" takes the estimate's xi_hat) and, with ``cycles``, the
@@ -321,14 +323,16 @@ def cmd_gains_check(conf: dict, args) -> tuple[dict, str | None]:
         raise ConfigError("config needs a \"graph\" or a network with gains")
     window = _resolve_window(net, conf, graph)
     fal_conf = _resolve_section(conf, "falsify")
-    budget = _resolve_int(fal_conf.get("budget", 10_000), "falsify.budget", 1)
+    budget = _resolve_int(fal_conf.get("budget", DEFAULT_FALSIFY_BUDGET),
+                          "falsify.budget", 1)
     sgc_conf = _resolve_section(conf, "sgc")
     radii = sgc_conf.get("radii")
     if radii is not None:
         radii = _resolve_radii(radii, "sgc.radii")
         if len(set(radii)) != len(radii):
             raise ConfigError(f"sgc.radii must be distinct, got {list(radii)}")
-    n_random = _resolve_int(sgc_conf.get("n_random", 64), "sgc.n_random", 0)
+    n_random = _resolve_int(sgc_conf.get("n_random", DEFAULT_SGC_RANDOM),
+                            "sgc.n_random", 0)
     xi_spec = fal_conf.get("xi", "derived")
     xi = xi_spec if xi_spec == "derived" else _resolve_curve(xi_spec, "falsify.xi")
 
@@ -430,11 +434,8 @@ def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
 
     traj = simulate(net, window, x0, u, horizon, dt=dt)
     sups = traj.sup_norms()
-    probes = []
-    for t in probe_times:
-        k = int(np.searchsorted(traj.times, t, side="left"))
-        k = min(max(k, 0), len(traj.times) - 1)
-        probes.append({"t": float(traj.times[k]), "sup_norm": float(sups[k])})
+    probes = [{"t": float(traj.times[k]), "sup_norm": float(sups[k])}
+              for k in _tail_start_samples(traj.times, probe_times)]
     summary = {
         "window_size": len(window),
         "final_time": float(traj.times[-1]),
@@ -476,18 +477,20 @@ def _ensemble_config(conf: dict, net: NetworkSpec) -> EnsembleConfig:
     e = conf.get("ensemble")
     if not isinstance(e, dict) or "horizon" not in e:
         raise ConfigError("config needs ensemble.horizon")
-    return EnsembleConfig(
-        horizon=_resolve_float(e["horizon"], "ensemble.horizon", 0.0),
-        dt=_resolve_dt(net, e.get("dt"), "ensemble.dt"),
-        n_random=_resolve_int(e.get("n_random", 5), "ensemble.n_random", 0),
-        input_pieces=_resolve_int(e.get("input_pieces", 4),
-                                  "ensemble.input_pieces", 1))
+    horizon = _resolve_float(e["horizon"], "ensemble.horizon", 0.0)
+    dt = _resolve_dt(net, e.get("dt"), "ensemble.dt")
+    # member counts left out take EnsembleConfig's defaults
+    counts = {key: _resolve_int(e[key], f"ensemble.{key}", least)
+              for key, least in (("n_random", 0), ("input_pieces", 1))
+              if key in e}
+    return EnsembleConfig(horizon, dt, **counts)
 
 
 def _resolve_tolerances(conf: dict) -> dict:
-    """The holdout validation tolerances, finite numbers."""
-    return {key: _resolve_float(conf.get(key, default), key, -math.inf)
-            for key, default in (("tol_abs", 1e-6), ("tol_rel", 1e-3))}
+    """The holdout validation tolerances the config gives, finite numbers;
+    the validators' defaults stand in for the others."""
+    return {key: _resolve_float(conf[key], key, -math.inf)
+            for key in ("tol_abs", "tol_rel") if key in conf}
 
 
 def _resolve_certify(conf: dict, net: NetworkSpec) -> dict:
@@ -594,7 +597,7 @@ def cmd_trace_theorem1(conf: dict, args) -> tuple[dict, str | None]:
         conf.get("tail_fractions", (0.35, 0.55, 0.75, 0.93)), "tail_fractions",
         lambda f: _resolve_float(f, "tail_fractions", 0.0, 1.0, lo_open=False))
     tail_starts = [f * cfg.horizon for f in fractions]
-    tol = _resolve_float(conf.get("tol", 1e-6), "tol", -math.inf)
+    tol = _resolve_float(conf.get("tol", DEFAULT_SG_TOL), "tol", -math.inf)
 
     cap = conf.get("small_cap")
     if cap is not None:
@@ -643,7 +646,7 @@ def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
     subset = _resolve_labels(net.index_set, subset, "subset")
     sub = subnetwork(net, subset)
 
-    budget = _resolve_int(conf.get("falsify_budget", 10_000),
+    budget = _resolve_int(conf.get("falsify_budget", DEFAULT_FALSIFY_BUDGET),
                           "falsify_budget", 1)
     r_grid = _resolve_r_grid(conf)
     keys = _resolve_certify(conf, sub)

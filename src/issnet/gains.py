@@ -7,11 +7,12 @@ gain gamma_i.  The induced operator on nonnegative sequences is
     (Gamma s)_i = sup_j gamma_ij(s_j),
 
 with the convention gamma_ij = 0 for absent edges, so entries outside the
-working window contribute nothing.  Diagonal entries are rejected and every
-row must be finite.  Infinite index sets are handled through a generator
-callback that materializes rows on demand, each checked once and then kept
-with the given rows; all computation happens on a finite working window
-with an implicit zero tail.  Graph JSON names one of three fixed
+working window contribute nothing.  Every row is finite, and every gain,
+given or generated, is of class K or zero, off the diagonal and inside the
+index set.  Infinite index sets are handled through generator callbacks
+that materialize rows and external gains on demand, each checked once and
+then kept with the given ones; all computation happens on a finite working
+window with an implicit zero tail.  Graph JSON names one of three fixed
 generators (decoupled, unidirectional-chain, bidirectional-chain), the
 ones the catalog chains are built from.
 
@@ -120,7 +121,9 @@ class GainGraph:
         self.index_set = index_set
         self.rows: dict[int, dict[int, ScalarCurve]] = {}
         for (i, j), g in (entries or {}).items():
-            self._add_entry(int(i), int(j), g)
+            i, j = int(i), int(j)
+            if self._nonzero_edge(i, j, g):
+                self.rows.setdefault(i, {})[j] = g
         self.external: dict[int, ScalarCurve] = {}
         for i, g in (external or {}).items():
             _require_k_or_zero(g, f"external gain of {i}")
@@ -134,37 +137,30 @@ class GainGraph:
         if not index_set.finite and row_fn is None:
             raise ValueError("generated index sets need a row function")
 
-    def _add_entry(self, i: int, j: int, g: ScalarCurve):
+    def _nonzero_edge(self, i: int, j: int, g: ScalarCurve) -> bool:
+        """Check gamma_ij, given or generated; True when it is nonzero."""
         if i == j:
             raise ValueError(f"diagonal gain ({i},{i}) is not allowed")
         if i not in self.index_set or j not in self.index_set:
             raise ValueError(f"edge ({i},{j}) leaves the index set")
         _require_k_or_zero(g, f"gain ({i},{j})")
-        if not g.is_zero():
-            self.rows.setdefault(i, {})[j] = g
+        return not g.is_zero()
 
     def row(self, i: int) -> dict[int, ScalarCurve]:
         """Finite row of i: mapping j -> gamma_ij (absent entries are zero)."""
         if i not in self.index_set:
             raise KeyError(f"index {i} outside the index set")
         if i not in self.rows and self.row_fn is not None:
-            cleaned = {}
-            for j, g in self.row_fn(i).items():
-                j = int(j)
-                if j == i:
-                    raise ValueError(f"generator produced diagonal gain at {i}")
-                _require_k_or_zero(g, f"generated gain ({i},{j})")
-                if not g.is_zero():
-                    cleaned[j] = g
-            self.rows[i] = cleaned
+            self.rows[i] = {int(j): g for j, g in self.row_fn(i).items()
+                            if self._nonzero_edge(i, int(j), g)}
         return self.rows.get(i, {})
 
     def external_gain(self, i: int) -> ScalarCurve:
-        if i in self.external:
-            return self.external[i]
-        if self.external_fn is not None:
-            return self.external_fn(i)
-        return zero_curve()
+        if i not in self.external and self.external_fn is not None:
+            g = self.external_fn(i)
+            _require_k_or_zero(g, f"external gain of {i}")
+            self.external[i] = g
+        return self.external[i] if i in self.external else zero_curve()
 
     def uniform_external_gain(self, window: Sequence[int]) -> ScalarCurve:
         """Pointwise dominating curve over the window's external gains."""
@@ -390,23 +386,23 @@ def graph_from_json(obj: dict) -> GainGraph:
 
 
 # Gain generators: the catalog chains' rows, rebuilt by name from graph
-# JSON.  factory(params) returns (row_fn, external_fn, assumption-1 bound).
+# JSON.  factory(params, start) returns (row_fn, external_fn, assumption-1
+# bound); start is the index set's first label, below which no row reaches.
 
 
-def _gen_decoupled(params):
+def _gen_decoupled(params, start):
     return (lambda i: {}), (lambda i: zero_curve()), zero_curve()
 
 
-def _gen_unidirectional(params):
+def _gen_unidirectional(params, start):
     theta = float(params.get("theta", 0.5))
     g = linear(theta) if theta > 0 else zero_curve()
     return (lambda i: ({i + 1: g} if theta > 0 else {})), \
         (lambda i: identity()), g
 
 
-def _gen_bidirectional(params):
+def _gen_bidirectional(params, start):
     gain = float(params.get("gain", 0.4))
-    start = int(params.get("start", 0))
     g = linear(gain) if gain > 0 else zero_curve()
 
     def row(i):
@@ -432,7 +428,7 @@ def _generated_graph(index_set: GeneratorIndexSet, name: str,
     """The graph of the gain generator ``name`` on ``index_set``."""
     if name not in _GAIN_GENERATORS:
         raise ValueError(f"unknown gain generator {name!r}")
-    row_fn, external_fn, bound = _GAIN_GENERATORS[name](params)
+    row_fn, external_fn, bound = _GAIN_GENERATORS[name](params, index_set.start)
     return GainGraph(index_set, row_fn=row_fn, external_fn=external_fn,
                      assumption1_bound=bound, generator_name=name,
                      generator_params=params)

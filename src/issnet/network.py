@@ -34,8 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
-from .systems import (DEFAULT_BLOWUP_BOUND, BlowUp, InputSignal, SubsystemSpec,
-                      TimeDomain, Trajectory, _grid_index)
+from .systems import (DEFAULT_AXIOM_DT, DEFAULT_BLOWUP_BOUND, BlowUp,
+                      InputSignal, SubsystemSpec, TimeDomain, Trajectory,
+                      _grid_index)
 
 __all__ = [
     "NetworkSpec",
@@ -89,9 +90,6 @@ class NetworkTrajectory:
     def sup_norms(self) -> np.ndarray:
         """Network norm at each sample: exactly the max component norm."""
         return np.max(np.abs(self.states), axis=1)
-
-    def component_norms(self) -> np.ndarray:
-        return np.abs(self.states)
 
     def _pos(self, i: int) -> int:
         try:
@@ -367,8 +365,9 @@ def truncation_sweep(net: NetworkSpec, policy: TruncationPolicy, x0_fn,
                      dt: float | None = None) -> SweepReport:
     """Simulate nested windows and report how the sup-norm curve moves.
 
-    ``x0_fn`` maps a window tuple to an initial vector (a scalar is
-    broadcast).  Boundary components outside each window contribute zero.
+    ``x0_fn`` is called with each window tuple and returns its initial
+    vector (a scalar is broadcast).  Boundary components outside each
+    window contribute zero; a window that blows up raises ArithmeticError.
     """
     curves = []
     times = None
@@ -376,8 +375,7 @@ def truncation_sweep(net: NetworkSpec, policy: TruncationPolicy, x0_fn,
         window = net.window(size)
         if len(window) < size:
             raise ValueError(f"index set has no window of size {size}")
-        x0 = x0_fn(window) if callable(x0_fn) else x0_fn
-        traj = simulate(net, window, x0, u, horizon, dt)
+        traj = simulate(net, window, x0_fn(window), u, horizon, dt)
         if traj.blowup is not None:
             raise ArithmeticError(f"window {size} blew up at "
                                   f"t={traj.blowup.time:g}")
@@ -416,7 +414,8 @@ class NetworkSystem:
         self.net = net
         self.window = tuple(int(i) for i in window)
         self.time_domain = net.time_domain
-        self.dt = dt if dt is not None else (net.time_domain.dt or 1e-3)
+        self.dt = dt if dt is not None else (net.time_domain.dt
+                                             or DEFAULT_AXIOM_DT)
 
     def phi(self, t: float, x, u: InputSignal):
         traj = simulate(self.net, self.window, x, u, t, self.dt)

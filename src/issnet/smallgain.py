@@ -87,6 +87,8 @@ def operator_deficit(graph: GainGraph, x, window: Sequence[int]) -> float:
 
 
 _FULL_VERTEX_N = 64   # up to this width every vertex pattern is enumerated
+DEFAULT_SGC_RANDOM = 64        # random sphere patterns of estimate_uniform_sgc
+DEFAULT_FALSIFY_BUDGET = 10_000
 
 
 def _vertex_patterns(n: int, rng) -> np.ndarray:
@@ -307,7 +309,7 @@ class SGCReport:
 def estimate_uniform_sgc(graph: GainGraph,
                          window: Sequence[int] | None = None,
                          radii: Sequence[float] | None = None,
-                         n_random: int = 64,
+                         n_random: int = DEFAULT_SGC_RANDOM,
                          seed: int = 0) -> SGCReport:
     """Estimate the uniform small-gain deficit over sampled spheres.
 
@@ -376,9 +378,9 @@ class MBIWitness:
     samples_used: int
     seed: int
 
-    def validate(self, graph: GainGraph, xi: ScalarCurve, atol: float = _ATOL) -> bool:
+    def validate(self, graph: GainGraph, xi: ScalarCurve) -> bool:
         again = _revalidate(graph, self.window, xi, self.v, self.samples_used,
-                            self.seed, atol)
+                            self.seed)
         return again is not None and np.array_equal(again.w, self.w)
 
 
@@ -390,7 +392,7 @@ _BLOCK_ENTRIES = 1 << 12
 def falsify_mbi(graph: GainGraph,
                 window: Sequence[int],
                 xi: ScalarCurve,
-                budget: int = 10_000,
+                budget: int = DEFAULT_FALSIFY_BUDGET,
                 seed: int = 0) -> MBIWitness | None:
     """Search for a violation of the monotone bound property.
 
@@ -486,9 +488,9 @@ def _screen_block(graph, window, xi, batch, ends, seed):
     return None
 
 
-def _revalidate(graph, window, xi, v, used, seed, atol=_ATOL):
+def _revalidate(graph, window, xi, v, used, seed):
     """Recompute a candidate witness entrywise with the block screen's test,
-    ||v|| > xi(||w||) + atol * max(1, ||v||); discard batch artifacts.
+    ||v|| > xi(||w||) + _ATOL * max(1, ||v||); discard batch artifacts.
     MBIWitness.validate applies the same rule."""
     v = np.asarray(v, float)
     g = apply_gain_operator(graph, v, window)
@@ -496,7 +498,7 @@ def _revalidate(graph, window, xi, v, used, seed, atol=_ATOL):
     nv = float(np.max(np.abs(v)))
     nw = float(np.max(np.abs(w)))
     rhs = float(xi(nw))
-    if not nv > rhs + atol * max(1.0, nv):
+    if not nv > rhs + _ATOL * max(1.0, nv):
         return None
     return MBIWitness(tuple(window), tuple(v), tuple(w), nv, nw, rhs,
                       nv - rhs, used, seed)

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP_BOUND = 1e12
+DEFAULT_AXIOM_DT = 1e-3    # axiom adapters' step where the domain has none
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,8 @@ class SubsystemSystem:
         self.spec = spec
         self.w = w
         self.time_domain = spec.time_domain
-        self.dt = dt if dt is not None else (spec.time_domain.dt or 1e-3)
+        self.dt = dt if dt is not None else (spec.time_domain.dt
+                                             or DEFAULT_AXIOM_DT)
 
     def phi(self, t: float, x: float, u: InputSignal) -> float:
         traj = _step_subsystem(self.spec, x, self.w, u, t, self.dt,

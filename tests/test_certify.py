@@ -12,6 +12,7 @@ from issnet.certify import (
     EnsembleConfig,
     ProofTrace,
     build_ensemble,
+    build_fit_and_holdout,
     build_nonuniform_iss,
     compute_band_limsups,
     estimate_attainment_times,
@@ -22,7 +23,7 @@ from issnet.certify import (
     uniformity_probe,
     verify_sg_inequality,
 )
-from issnet.comparison import identity
+from issnet.comparison import curve_sum, identity
 from issnet.gains import FiniteIndexSet
 from issnet.network import NetworkSpec
 from issnet.systems import DISCRETE, SubsystemSpec
@@ -61,7 +62,7 @@ def test_ugs_fit_is_exact_for_the_cycle(cycle_pipeline):
     assert ugs.sigma(1.0) == pytest.approx(1.0, abs=1e-8)
     assert ugs.sigma(0.5) == pytest.approx(0.5, abs=1e-8)
     assert ugs.gamma(1.0) == pytest.approx(1.0, abs=1e-8)
-    assert ugs.mu()(1.0) == pytest.approx(2.0, abs=1e-7)
+    assert curve_sum(ugs.sigma, ugs.gamma)(1.0) == pytest.approx(2.0, abs=1e-7)
 
 
 def test_ugs_json_is_serializable(cycle_pipeline):
@@ -125,7 +126,7 @@ def test_short_horizon_is_an_unattained_level(cycle_pipeline, two_cycle):
     net, _ = two_cycle
     _, window, _, hold, ugs, *_ = cycle_pipeline
     cfg = EnsembleConfig(horizon=5.0, n_random=1)
-    att = estimate_attainment_times(net, window, 2.0 ** -np.arange(11),
+    att = estimate_attainment_times(net, window, {1.0: 2.0 ** -np.arange(11)},
                                     (1.0,), identity(), cfg, seed=7)
     assert att.unattained() != []
     with pytest.raises(CertificationError, match="not attained"):
@@ -163,6 +164,28 @@ def test_decay_surface_staircase_values(cycle_pipeline):
     other = cert.surfaces[2]
     for t in (0.0, 3.0, 10.0, 25.0):
         assert surf(1.0, t) == other(1.0, t)
+
+
+def test_tied_attainment_times_are_lifted_apart():
+    # x+ = 0 x + u forgets its start in one step, so every level is first
+    # attained at t = 1; the staircase needs strictly increasing times, so
+    # each tie moves one gap later, gap = 1e-9 * horizon
+    spec = SubsystemSpec("memoryless", DISCRETE, lambda x, w, u: 0.0 * x + u)
+    net = NetworkSpec("memoryless", DISCRETE, FiniteIndexSet((0, 1)),
+                      lambda i: spec)
+    cfg = EnsembleConfig(horizon=6.0, n_random=1)
+    bins = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    fit, hold = build_fit_and_holdout(net, (0, 1), bins, cfg, seed=0)
+    ugs = fit_ugs(fit, holdout=hold)
+    levels = {1.0: float(ugs.sigma(1.0)) * 2.0 ** -np.arange(4)}
+    att = estimate_attainment_times(net, (0, 1), levels, (1.0,), ugs.gamma,
+                                    cfg, seed=0)
+    assert np.array_equal(att.times[1.0][:, 0], [0.0, 1.0, 1.0, 1.0])
+    cert = build_nonuniform_iss(att, ugs, hold)
+    gap = 1e-9 * cfg.horizon
+    assert np.array_equal(cert.surfaces[0].curves[0].breaks,
+                          [0.0, 1.0, 1.0 + gap, 1.0 + gap + gap])
+    assert cert.valid
 
 
 def test_surface_dominates_trajectories(cycle_pipeline, two_cycle):

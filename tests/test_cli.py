@@ -70,6 +70,19 @@ def test_gains_check_fits_a_flat_deficit_floor_at_large_radii(run_cli):
     assert _read(out, "gains_check.json")["sgc"]["holds"] is True
 
 
+def test_gains_check_keeps_a_generated_chain_in_its_index_set(run_cli):
+    # the chain's first label is the index set's start: row 5 has only
+    # its edge to 6, none to the label 4 outside the index set
+    code, out = run_cli("gains-check", {
+        "graph": {"index_set": {"kind": "generator",
+                                "name": "bidirectional-chain", "start": 5,
+                                "params": {"gain": 0.4}}},
+        "window": 1, "seed": 0,
+    })
+    assert code == 0
+    assert _read(out, "gains_check.json")["structure"]["max_row_size"] == 1
+
+
 TIGHT_XI = {"kind": "linear", "params": {"a": 1.2}, "class": "Kinf"}
 
 

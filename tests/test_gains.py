@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from issnet.catalog import instantiate
-from issnet.comparison import linear, power, zero_curve
+from issnet.comparison import expdecay, identity, linear, power, zero_curve
 from issnet.gains import (
     CHECK_GRID,
     FiniteIndexSet,
@@ -172,6 +172,37 @@ def test_generator_backed_window(chain):
     report = check_graph(g, r_grid=np.geomspace(0.1, 10.0, 5), window=win)
     assert report.assumption1_finite
     assert report.zero_diagonal
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({3: linear(0.5)}, "diagonal"),
+    ({1: linear(0.5)}, "leaves the index set"),
+    ({5: expdecay(1.0, 1.0)}, "class-K"),
+])
+def test_generated_rows_are_checked_like_given_ones(bad, match):
+    # labels start at 2, so label 1 is outside the index set; the valid
+    # edge to 4 comes first, so a half-built row would hold it
+    g = GainGraph(GeneratorIndexSet(start=2),
+                  row_fn=lambda i: {4: linear(0.5), **bad})
+    with pytest.raises(ValueError, match=match):
+        g.row(3)
+    with pytest.raises(ValueError, match=match):
+        g.row(3)
+
+
+def test_generated_external_gains_are_checked_and_kept():
+    calls = []
+
+    def external_fn(i):
+        calls.append(i)
+        return identity() if i < 5 else expdecay(1.0, 1.0)
+
+    g = GainGraph(GeneratorIndexSet(), row_fn=lambda i: {},
+                  external_fn=external_fn)
+    assert g.external_gain(2) is g.external_gain(2)
+    assert calls == [2]
+    with pytest.raises(ValueError, match="class-K"):
+        g.external_gain(5)
 
 
 def test_check_graph_window_coverage_is_flagged():

@@ -244,7 +244,6 @@ def test_trajectory_accessors(chain):
     traj = simulate(net, window, np.ones(4), InputSignal.zero(), 10)
     assert traj.sup_norms().shape == (11,)
     assert traj.sup_norms()[0] == 1.0
-    assert traj.component_norms().shape == (11, 4)
     comp = traj.component(2)
     assert comp.values[0] == 1.0
     assert traj.value_at(2, 0.0) == 1.0

@@ -394,7 +394,7 @@ def _reference_falsify(graph, window, xi, budget, seed, atol=1e-9):
             if np.any(bad):
                 witness = _revalidate(graph, window, xi,
                                       batch[int(np.argmax(bad))], used,
-                                      seed, atol)
+                                      seed)
                 if witness is not None:
                     return witness, first
         first = False

@@ -39,10 +39,9 @@ def _reference_attainment(net, window, levels, radii, gamma_hat, cfg, seed):
 
     A level that some member never attains stays NaN.
     """
-    shared = not isinstance(levels, dict)
     times = {}
     for r in radii:
-        lv = np.asarray(levels if shared else levels[r], float)
+        lv = np.asarray(levels[r], float)
         bins = [(r, r), (r, 0.5 * r), (r, 0.0)]
         runs = build_ensemble(net, window, bins, cfg, seed,
                               tag=f"attain:{r:g}")
@@ -59,9 +58,6 @@ def _reference_attainment(net, window, levels, radii, gamma_hat, cfg, seed):
                 traj.times[np.nan_to_num(first).astype(int)])
             tab = np.maximum(tab, member_times)
         times[r] = tab
-    if shared:
-        for lo, hi in zip(radii, radii[1:]):
-            times[hi] = np.maximum(times[hi], times[lo])
     return times
 
 
@@ -162,15 +158,12 @@ def test_fit_and_holdout_match_their_separate_ensembles(setting):
     assert ugs.to_json() == ref_ugs.to_json()
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_attainment_equals_the_stored_trajectory_loop(setting, shared):
+def test_attainment_equals_the_stored_trajectory_loop(setting):
     net, window, cfg = setting
     radii = (0.5, 1.0)
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=5)
     ugs = fit_ugs(fit, holdout=hold)
     levels = _levels(ugs, radii)
-    if shared:
-        levels = levels[1.0]
     gamma_hat = linear(0.5)
     att = estimate_attainment_times(net, window, levels, radii, gamma_hat,
                                     cfg, seed=5)
