@@ -34,7 +34,7 @@ import numpy as np
 
 from .comparison import ScalarCurve, identity, linear, zero_curve
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
-                    _generated_graph, graph_from_json)
+                    _generated_graph, _with_defaults, graph_from_json)
 from .network import NetworkSpec
 from .systems import DISCRETE, SubsystemSpec, TimeDomain, continuous
 
@@ -71,13 +71,8 @@ class CatalogEntry:
     build: Callable[[Mapping[str, float]], tuple[NetworkSpec, Oracle]]
 
     def instantiate(self, params: Mapping[str, float] | None = None):
-        p = dict(self.defaults)
-        if params:
-            unknown = set(params) - set(p)
-            if unknown:
-                raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
-            p.update({k: float(v) for k, v in params.items()})
-        return self.build(p)
+        p = _with_defaults(self.defaults, params or {}, self.name)
+        return self.build({k: float(v) for k, v in p.items()})
 
 
 def _pad_zero(x: np.ndarray) -> np.ndarray:
@@ -457,7 +452,7 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
     labels = idx.get("labels")
     if labels is None:
         labels = sorted(subs)
-    index_set = FiniteIndexSet(tuple(int(i) for i in labels))
+    index_set = FiniteIndexSet(labels)
     missing = [i for i in index_set.labels if i not in subs]
     if missing:
         raise ValueError(f"no subsystem given for labels {missing}")

@@ -61,7 +61,7 @@ from .gains import GainGraph, apply_gain_operator
 from .network import (NetworkSpec, NetworkTrajectory, TruncationPolicy,
                       _simulate, _suffix_max, _tail_start_samples,
                       truncation_sweep)
-from .systems import DEFAULT_BLOWUP_BOUND, InputSignal
+from .systems import InputSignal
 
 __all__ = [
     "CertificationError",
@@ -162,7 +162,7 @@ def _members_for_bin(net, window, r_x, r_u, cfg, job_seed, tag):
         seed = [job_seed, tag, "rx", float(r_x), "ru", float(r_u), "m", k]
         rng = derived_rng(*seed)
         x0 = float(r_x) * (2.0 * rng.random(n) - 1.0)
-        if r_x > 0 and n > 0:
+        if r_x > 0:
             x0[rng.integers(0, n)] = float(r_x) * (1.0 if rng.random() < 0.5 else -1.0)
         level = float(r_u) if rng.random() < 0.5 else float(r_u) * rng.random()
         u = _random_input(rng, domain, cfg.horizon, level, cfg.input_pieces)
@@ -190,7 +190,7 @@ def _run_pass(net, window, cfg, seed, families, **reductions):
     """
     members = [member for fam, _keep in families for member in fam]
     stepped = _simulate(net, window, [(x0, u) for *_, x0, u in members],
-                        cfg.horizon, cfg.dt, DEFAULT_BLOWUP_BOUND,
+                        cfg.horizon, cfg.dt,
                         keep=[kept for fam, kept in families for _m in fam],
                         **reductions)
     for (*_, where, _x0, _u), blowup in zip(members, stepped.blowups):
@@ -226,7 +226,7 @@ def build_ensemble(net: NetworkSpec,
     (seed, tag, bin, member index), so the same call is reproducible.  The
     first member (in bin order) that blows up raises.
     """
-    window = tuple(window)
+    window = net.window(window)
     family = _plan_bins(net, window, bins, cfg, seed, tag)
     stepped, (rows,) = _run_pass(net, window, cfg, seed, [(family, True)])
     return _labeled_runs(stepped, rows, family, seed)
@@ -245,7 +245,7 @@ def build_fit_and_holdout(net: NetworkSpec,
     validates them pointwise.  A fit blow-up is reported before a holdout
     one.
     """
-    window = tuple(window)
+    window = net.window(window)
     fit = _plan_bins(net, window, bins, cfg, seed, "fit")
     hold = _plan_bins(net, window, bins, cfg, seed, "holdout")
     stepped, (fit_rows, hold_rows) = _run_pass(net, window, cfg, seed,
@@ -392,7 +392,7 @@ def estimate_attainment_times(net: NetworkSpec,
     first crossing).  `levels` maps each radius to its own levels, as
     build_nonuniform_iss needs them: the dyadic ladder 2^-n sigma(r).
     """
-    window = tuple(window)
+    window = net.window(window)
     radii = tuple(float(r) for r in radii)
     level_map = {r: np.asarray(levels[r], float) for r in radii}
 
@@ -724,7 +724,7 @@ def compute_band_cells(net: NetworkSpec,
     Each member keeps only its suffix sups at the tail starts, never its
     trajectory.  The first cell (in order) with a blown-up member raises.
     """
-    window = tuple(window)
+    window = net.window(window)
     limits = [_band_limits(r, k, q) for r, k, q in cells]
     tail_starts = tuple(float(t) for t in tail_starts)
     if any(t >= cfg.horizon for t in tail_starts) or not tail_starts:

@@ -102,54 +102,17 @@ def _resolve_network(conf: dict):
     raise ConfigError("network must be a catalog ref, a file path, or an object")
 
 
-def _resolve_window(net: NetworkSpec | None, conf: dict, graph=None):
-    """Window from the config: a positive size, or labels of the index set."""
-    index_set = (net if net is not None else graph).index_set
-    w = conf.get("window")
-    if w is None:
-        if index_set.finite:
-            return index_set.window()
-        raise ConfigError("window (size or label list) is required")
-    if _is_int(w):
-        if w <= 0:
-            raise ConfigError(f"window size must be positive, got {w}")
-        n_labels = _label_count(index_set)
-        if w > n_labels:
-            raise ConfigError(f"window size {w} exceeds the {n_labels} "
-                              f"labels of the index set")
-        return index_set.window(w)
-    return _resolve_labels(index_set, w, "window")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; true and false load as bools, which are ints too."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _label_count(index_set) -> float:
-    """The number of labels of a finite index set; inf for a generated one."""
-    return len(index_set.window()) if index_set.finite else math.inf
-
-
-def _resolve_labels(index_set, value, key: str) -> tuple[int, ...]:
-    """A nonempty list of distinct labels of the index set."""
-    if not isinstance(value, (list, tuple)) \
-            or not all(_is_int(i) for i in value):
-        raise ConfigError(f"{key} must be a list of integer labels, "
-                          f"got {value!r}")
-    labels = tuple(value)
-    if not labels or len(set(labels)) != len(labels):
-        raise ConfigError(f"{key} labels must be nonempty and distinct, "
-                          f"got {list(labels)}")
-    outside = [i for i in labels if i not in index_set]
-    if outside:
-        raise ConfigError(f"{key} labels {outside} outside the index set")
-    return labels
+def _resolve_window(owner, value, key: str = "window") -> tuple[int, ...]:
+    """The window ``value`` names on a network's or graph's index set."""
+    try:
+        return owner.index_set.window(value)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
 
 
 def _resolve_int(value, key: str, least: int) -> int:
-    """An integer of at least ``least`` from the config."""
-    if not _is_int(value) or value < least:
+    """An integer of at least ``least`` from the config; not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
 
@@ -321,7 +284,7 @@ def cmd_gains_check(conf: dict, args) -> tuple[dict, str | None]:
         graph = net.graph
     else:
         raise ConfigError("config needs a \"graph\" or a network with gains")
-    window = _resolve_window(net, conf, graph)
+    window = _resolve_window(graph, conf.get("window"))
     fal_conf = _resolve_section(conf, "falsify")
     budget = _resolve_int(fal_conf.get("budget", DEFAULT_FALSIFY_BUDGET),
                           "falsify.budget", 1)
@@ -401,7 +364,7 @@ def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
     net, _oracle = _resolve_network(conf)
     if net is None:
         raise ConfigError("simulate needs a \"network\"")
-    window = _resolve_window(net, conf)
+    window = _resolve_window(net, conf.get("window"))
     x0 = _resolve_x0(conf, window)
     u = _parse_input(conf)
     if u.values.ndim > 1 and u.values.shape[1:] != (len(window),):
@@ -418,10 +381,7 @@ def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
     if conf.get("sweep_sizes"):
         sizes = _resolve_list(conf["sweep_sizes"], "sweep_sizes",
                               lambda n: _resolve_int(n, "sweep_sizes", 1))
-        n_labels = _label_count(net.index_set)
-        if max(sizes) > n_labels:
-            raise ConfigError(f"sweep_sizes entry {max(sizes)} exceeds the "
-                              f"{n_labels} labels of the index set")
+        _resolve_window(net, max(sizes), "sweep_sizes")
         if u.values.ndim > 1 and set(sizes) != {len(window)}:
             raise ConfigError(f"sweep_sizes must be [{len(window)}] with a "
                               f"vector input, got {list(sizes)}")
@@ -540,7 +500,7 @@ def cmd_certify(conf: dict, args) -> tuple[dict, str | None]:
     net, _oracle = _resolve_network(conf)
     if net is None:
         raise ConfigError("certify needs a \"network\"")
-    window = _resolve_window(net, conf)
+    window = _resolve_window(net, conf.get("window"))
     emit_uniform = _resolve_bool(conf.get("emit_uniform", False),
                                  "emit_uniform")
     keys = _resolve_certify(conf, net)
@@ -588,7 +548,7 @@ def cmd_trace_theorem1(conf: dict, args) -> tuple[dict, str | None]:
         raise ConfigError("trace needs a \"network\"")
     if net.graph is None:
         raise ConfigError("trace needs a network with a gain graph")
-    window = _resolve_window(net, conf)
+    window = _resolve_window(net, conf.get("window"))
     cfg = _ensemble_config(conf, net)
     radii = _resolve_radii(conf.get("radii", DEFAULT_RADII), "radii")
     bands = _resolve_list(conf.get("bands", DEFAULT_BANDS), "bands",
@@ -610,7 +570,7 @@ def cmd_trace_theorem1(conf: dict, args) -> tuple[dict, str | None]:
         xi = _resolve_xi(conf, oracle, net.graph, window, seed)
         entries = compute_band_cells(net, window, cells, cfg, tail_starts,
                                      seed)
-        trace = ProofTrace(tuple(window), tuple(entries), cfg.horizon, seed)
+        trace = ProofTrace(window, tuple(entries), cfg.horizon, seed)
     except CertificationError as e:
         return ({"proof_trace.json": {"error": str(e), "seed": seed}},
                 f"trace failed: {e}")
@@ -640,10 +600,7 @@ def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
     net, _oracle = _resolve_network(conf)
     if net is None:
         raise ConfigError("subnetwork needs a \"network\"")
-    subset = conf.get("subset")
-    if not subset:
-        raise ConfigError("subnetwork needs a nonempty \"subset\" of labels")
-    subset = _resolve_labels(net.index_set, subset, "subset")
+    subset = _resolve_window(net, conf.get("subset") or (), "subset")
     sub = subnetwork(net, subset)
 
     budget = _resolve_int(conf.get("falsify_budget", DEFAULT_FALSIFY_BUDGET),

@@ -14,10 +14,13 @@ that materialize rows and external gains on demand, each checked once and
 then kept with the given ones; all computation happens on a finite working
 window with an implicit zero tail.  Graph JSON names one of three fixed
 generators (decoupled, unidirectional-chain, bidirectional-chain), the
-ones the catalog chains are built from.
+ones the catalog chains are built from, each with only its own params.
 
-A sequence is given as a float array of finite entries >= 0 aligned
-with a working window of labels; the entries outside the window are zero.
+A working window is a nonempty tuple of distinct labels of the index
+set, resolved from None (every label of a finite set), a positive size or
+a label sequence by the index set's window(spec), the one window rule:
+every function that takes a window, in any module, calls it once.  A
+sequence is a float array of finite entries >= 0 aligned with a window.
 Two functions apply the operator.  apply_gain_operator is the reference:
 it walks the window's rows and calls every edge curve on one vector.
 apply_batch is the kernel used by the small-gain searches: on first use
@@ -63,15 +66,54 @@ CHECK_GRID = np.array([0.001, 0.0031622776601683794, 0.01, 0.03162277660168379,
 CHECK_GRID.flags.writeable = False
 
 
+def _is_label(i) -> bool:
+    """A Python or numpy integer; a bool is not a label."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
+def _labels(spec) -> tuple[int, ...]:
+    """Nonempty, distinct integer labels, as a tuple of Python ints."""
+    try:
+        labels = tuple(spec)
+    except TypeError:
+        raise ValueError(f"labels must be a sequence of integers, "
+                         f"got {spec!r}") from None
+    if not labels:
+        raise ValueError("labels must be nonempty")
+    if not all(_is_label(i) for i in labels):
+        raise ValueError(f"labels must be integers, got {list(labels)}")
+    if any(type(i) is not int for i in labels):     # numpy integers
+        labels = tuple(map(int, labels))
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"labels must be distinct, got {list(labels)}")
+    return labels
+
+
+class _WindowRule:
+    """The window rule, shared by both index sets."""
+
+    def window(self, spec=None) -> tuple[int, ...]:
+        """The window ``spec`` names (None, a positive size or labels of
+        the set) as a tuple of Python ints; ValueError if it breaks a rule."""
+        if spec is None:
+            return self._first(None)
+        if _is_label(spec):
+            if spec <= 0:
+                raise ValueError(f"window size must be positive, got {spec}")
+            return self._first(int(spec))
+        labels = _labels(spec)
+        outside = [i for i in labels if i not in self]
+        if outside:
+            raise ValueError(f"labels {outside} outside the index set")
+        return labels
+
+
 @dataclass(frozen=True)
-class FiniteIndexSet:
+class FiniteIndexSet(_WindowRule):
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.labels) == 0:
-            raise ValueError("finite index set cannot be empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("index labels must be distinct")
+        object.__setattr__(self, "labels", _labels(self.labels))
 
     @property
     def finite(self) -> bool:
@@ -80,16 +122,17 @@ class FiniteIndexSet:
     def __contains__(self, i: int) -> bool:
         return i in self.labels
 
-    def window(self, n: int | None = None) -> tuple[int, ...]:
+    def _first(self, n: int | None) -> tuple[int, ...]:
         if n is None:
             return self.labels
-        if n <= 0:
-            raise ValueError("window size must be positive")
+        if n > len(self.labels):
+            raise ValueError(f"window size {n} exceeds the "
+                             f"{len(self.labels)} labels of the index set")
         return self.labels[:n]
 
 
 @dataclass(frozen=True)
-class GeneratorIndexSet:
+class GeneratorIndexSet(_WindowRule):
     """Countably infinite index set start, start+1, ..."""
 
     start: int = 0
@@ -102,9 +145,9 @@ class GeneratorIndexSet:
     def __contains__(self, i: int) -> bool:
         return int(i) >= self.start
 
-    def window(self, n: int) -> tuple[int, ...]:
-        if n is None or n <= 0:
-            raise ValueError("infinite index sets need an explicit window size")
+    def _first(self, n: int | None) -> tuple[int, ...]:
+        if n is None:
+            raise ValueError("infinite index sets need an explicit window")
         return tuple(range(self.start, self.start + n))
 
 
@@ -156,6 +199,8 @@ class GainGraph:
         return self.rows.get(i, {})
 
     def external_gain(self, i: int) -> ScalarCurve:
+        if i not in self.index_set:
+            raise KeyError(f"index {i} outside the index set")
         if i not in self.external and self.external_fn is not None:
             g = self.external_fn(i)
             _require_k_or_zero(g, f"external gain of {i}")
@@ -169,11 +214,16 @@ class GainGraph:
             out = curve_max(out, self.external_gain(i))
         return out
 
-    def _plan(self, window: Sequence[int]) -> "_WindowPlan":
-        key = tuple(window)
-        plan = self._plans.get(key)
+    def _plan(self, window) -> "_WindowPlan":
+        """The compiled operator on the window.  Only a tuple of Python ints
+        skips the check on a cached plan: (True, 2) hashes like (1, 2)."""
+        plan = None
+        if type(window) is tuple and all(type(i) is int for i in window):
+            plan = self._plans.get(window)
         if plan is None:
-            plan = self._plans[key] = _WindowPlan(self, key)
+            window = self.index_set.window(window)
+            plan = self._plans.get(window) or _WindowPlan(self, window)
+            self._plans[window] = plan
         return plan
 
 
@@ -186,11 +236,11 @@ class _WindowPlan:
     contributes a product.  Other curve kinds stay a per-edge list.
     """
 
-    def __init__(self, graph: GainGraph, window: tuple):
-        idx = [int(i) for i in window]
-        pos = {i: k for k, i in enumerate(idx)}
+    def __init__(self, graph: GainGraph, window: tuple[int, ...]):
+        self.window = window
+        pos = {i: k for k, i in enumerate(window)}
         rows, cols, coeffs, self.other = [], [], [], []
-        for k, i in enumerate(idx):
+        for k, i in enumerate(window):
             for j, g in graph.row(i).items():
                 if j not in pos:
                     continue
@@ -235,8 +285,7 @@ def check_graph(graph: GainGraph, r_grid: Sequence[float],
     For generated graphs without a closed-form bound the Assumption-1 sup is
     taken over the window only and the gap is flagged, not hidden.
     """
-    if window is None:
-        window = graph.index_set.window(None)
+    window = graph.index_set.window(window)
     r = np.asarray(r_grid, float)
     if np.any(r < 0):
         raise ValueError("check grid must be nonnegative")
@@ -284,8 +333,9 @@ def apply_gain_operator(graph: GainGraph, v,
     edge-by-edge loop is the reference semantics of the operator;
     apply_batch must match it bit for bit.
     """
+    window = graph.index_set.window(window)
     b = _checked_vector(v, window)[None, :]
-    pos = {int(i): k for k, i in enumerate(window)}
+    pos = {i: k for k, i in enumerate(window)}
     out = np.zeros_like(b)
     for i, k in pos.items():
         for j, g in graph.row(i).items():
@@ -298,12 +348,13 @@ def apply_batch(graph: GainGraph, batch: np.ndarray, window: Sequence[int]) -> n
     """Vectorized operator application to many sequences at once
     (batch rows are independent vectors on the same window), through the
     graph's compiled plan for the window."""
+    plan = graph._plan(window)
     b = np.asarray(batch, dtype=float)
-    if b.ndim != 2 or b.shape[1] != len(window):
+    if b.ndim != 2 or b.shape[1] != len(plan.window):
         raise ValueError("batch must have shape (m, |window|)")
     if not np.all(np.isfinite(b)) or np.any(b < 0):
         raise ValueError("sequence entries must be finite and >= 0")
-    return graph._plan(window).apply(b)
+    return plan.apply(b)
 
 
 def iterate(graph: GainGraph, v, n: int, window: Sequence[int]) -> np.ndarray:
@@ -311,6 +362,7 @@ def iterate(graph: GainGraph, v, n: int, window: Sequence[int]) -> np.ndarray:
     identity."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
+    window = graph.index_set.window(window)
     v = _checked_vector(v, window)
     for _ in range(n):
         v = apply_batch(graph, v[None, :], window)[0]
@@ -321,12 +373,7 @@ def restrict(graph: GainGraph, subset: Sequence[int]) -> GainGraph:
     """Finite subgraph on ``subset``: rows and columns meeting the subset,
     external gains carried over.  Equivalent to zeroing all gains into and
     out of the complement."""
-    labels = tuple(int(i) for i in subset)
-    if len(labels) == 0:
-        raise ValueError("cannot restrict to an empty subset")
-    for i in labels:
-        if i not in graph.index_set:
-            raise ValueError(f"index {i} outside the index set")
+    labels = graph.index_set.window(subset)
     keep = set(labels)
     entries = {}
     external = {}
@@ -372,7 +419,7 @@ def graph_from_json(obj: dict) -> GainGraph:
         labels = idx.get("labels")
         if labels is None:
             labels = list(range(int(idx["n"])))
-        index_set = FiniteIndexSet(tuple(int(i) for i in labels))
+        index_set = FiniteIndexSet(labels)
         entries = {(int(e["i"]), int(e["j"])): curve_from_json(e["gain"])
                    for e in obj.get("edges", [])}
         external = {int(e["i"]): curve_from_json(e["gain"])
@@ -385,9 +432,18 @@ def graph_from_json(obj: dict) -> GainGraph:
     raise ValueError(f"unknown index set kind {kind!r}")
 
 
+def _with_defaults(defaults: Mapping, params: Mapping, owner: str) -> dict:
+    """params over defaults; a key without a default raises."""
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown parameters for {owner}: {sorted(unknown)}")
+    return {**defaults, **params}
+
+
 # Gain generators: the catalog chains' rows, rebuilt by name from graph
-# JSON.  factory(params, start) returns (row_fn, external_fn, assumption-1
-# bound); start is the index set's first label, below which no row reaches.
+# JSON.  Each is (factory, defaults of every parameter it reads), and
+# factory(params, start) returns (row_fn, external_fn, assumption-1 bound);
+# start is the index set's first label, below which no row reaches.
 
 
 def _gen_decoupled(params, start):
@@ -395,14 +451,14 @@ def _gen_decoupled(params, start):
 
 
 def _gen_unidirectional(params, start):
-    theta = float(params.get("theta", 0.5))
+    theta = float(params["theta"])
     g = linear(theta) if theta > 0 else zero_curve()
     return (lambda i: ({i + 1: g} if theta > 0 else {})), \
         (lambda i: identity()), g
 
 
 def _gen_bidirectional(params, start):
-    gain = float(params.get("gain", 0.4))
+    gain = float(params["gain"])
     g = linear(gain) if gain > 0 else zero_curve()
 
     def row(i):
@@ -417,9 +473,9 @@ def _gen_bidirectional(params, start):
 
 
 _GAIN_GENERATORS = {
-    "decoupled": _gen_decoupled,
-    "unidirectional-chain": _gen_unidirectional,
-    "bidirectional-chain": _gen_bidirectional,
+    "decoupled": (_gen_decoupled, {}),
+    "unidirectional-chain": (_gen_unidirectional, {"theta": 0.5}),
+    "bidirectional-chain": (_gen_bidirectional, {"gain": 0.4}),
 }
 
 
@@ -428,7 +484,10 @@ def _generated_graph(index_set: GeneratorIndexSet, name: str,
     """The graph of the gain generator ``name`` on ``index_set``."""
     if name not in _GAIN_GENERATORS:
         raise ValueError(f"unknown gain generator {name!r}")
-    row_fn, external_fn, bound = _GAIN_GENERATORS[name](params, index_set.start)
+    factory, defaults = _GAIN_GENERATORS[name]
+    row_fn, external_fn, bound = factory(
+        _with_defaults(defaults, params, f"gain generator {name!r}"),
+        index_set.start)
     return GainGraph(index_set, row_fn=row_fn, external_fn=external_fn,
                      assumption1_bound=bound, generator_name=name,
                      generator_params=params)

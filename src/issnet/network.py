@@ -2,12 +2,13 @@
 
 A network couples scalar subsystems through neighbor lists; subsystems whose
 neighbors fall outside the simulated window read zero there, which is exactly
-the truncation convention used for infinite interconnections.  Discrete
-networks update synchronously; continuous networks are integrated
-monolithically with fixed-step RK4 so all components advance through the same
-stages.  The step grid and the update come from the time domain
-(TimeDomain.grid and TimeDomain.stepper), the rule a single subsystem is
-stepped by as well.
+the truncation convention used for infinite interconnections.  A window is
+resolved and checked by the index set's window rule (see gains), once per
+stepping pass and before any step.  Discrete networks update synchronously;
+continuous networks are integrated monolithically with fixed-step RK4 so all
+components advance through the same stages.  The step grid and the update
+come from the time domain (TimeDomain.grid and TimeDomain.stepper), the rule
+a single subsystem is stepped by as well.
 
 An ensemble of (x0, u) members on one window is stepped together as one
 (members, window) state array, with every member's input evaluated once on
@@ -72,8 +73,8 @@ class NetworkSpec:
     graph: GainGraph | None = None
     fast_factory: Callable[[tuple[int, ...]], Callable] | None = None
 
-    def window(self, n: int | None = None) -> tuple[int, ...]:
-        return self.index_set.window(n)
+    def window(self, spec=None) -> tuple[int, ...]:
+        return self.index_set.window(spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +180,8 @@ class _Stepped:
 
 
 def _simulate(net: NetworkSpec, window: Sequence[int], members,
-              horizon: float, dt: float | None, blowup_bound: float,
-              keep=None, thresholds=None, tail_starts=None) -> _Stepped:
+              horizon: float, dt: float | None, keep=None, thresholds=None,
+              tail_starts=None) -> _Stepped:
     """Step every (x0, u) member together as one (m, n) state array.
 
     The coupled map is the spec's fast_factory(window), or the map
@@ -195,10 +196,7 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     the reductions and its arithmetic stays finite.
     """
     times, h = net.time_domain.grid(horizon, dt)
-    window = tuple(int(i) for i in window)
-    for i in window:
-        if i not in net.index_set:
-            raise ValueError(f"window label {i} outside the index set")
+    window = net.window(window)
     n = len(window)
     m = len(members)
     x = np.empty((m, n))
@@ -236,12 +234,12 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
         ax = np.abs(x)
         norms = np.max(ax, axis=1, initial=0.0)
         red.update(k + 1, ax, norms)
-        bad = ~np.isfinite(norms) | (norms > blowup_bound)
+        bad = ~np.isfinite(norms) | (norms > DEFAULT_BLOWUP_BOUND)
         if bad.any():
             for j in np.flatnonzero(bad):
                 ends[j] = k + 2
                 blowups[j] = BlowUp(float(times[k + 1]), float(norms[j]),
-                                    blowup_bound)
+                                    DEFAULT_BLOWUP_BOUND)
             dead |= bad
             n_dead = int(np.count_nonzero(dead))
             x[bad] = 0.0
@@ -307,8 +305,7 @@ def _suffix_max(values: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
-             horizon: float, dt: float | None = None,
-             blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> NetworkTrajectory:
+             horizon: float, dt: float | None = None) -> NetworkTrajectory:
     """Simulate the interconnection on a finite window.
 
     x0 is a vector aligned with the window (or a scalar broadcast to it);
@@ -317,22 +314,19 @@ def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
     steps; continuous horizons are integrated in n = round(horizon/dt)
     RK4 steps.
     """
-    return _simulate(net, window, [(x0, u)], horizon, dt,
-                     blowup_bound).trajectory(0)
+    return _simulate(net, window, [(x0, u)], horizon, dt).trajectory(0)
 
 
 def simulate_ensemble(net: NetworkSpec, window: Sequence[int],
                       members: Sequence[tuple], horizon: float,
-                      dt: float | None = None,
-                      blowup_bound: float = DEFAULT_BLOWUP_BOUND
-                      ) -> list[NetworkTrajectory]:
+                      dt: float | None = None) -> list[NetworkTrajectory]:
     """Simulate many (x0, u) members on one window, stepped together.
 
     Returns one trajectory per member, in order, each equal to the
     member's own :func:`simulate` run; a member that blows up is truncated
     exactly as that run would be, without stopping the others.
     """
-    run = _simulate(net, window, members, horizon, dt, blowup_bound)
+    run = _simulate(net, window, members, horizon, dt)
     return [run.trajectory(j) for j in range(len(members))]
 
 
@@ -343,10 +337,9 @@ class TruncationPolicy:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.sizes or any(s <= 0 for s in self.sizes):
-            raise ValueError("window sizes must be positive")
-        if list(self.sizes) != sorted(set(self.sizes)):
-            raise ValueError("window sizes must be strictly increasing")
+        if not self.sizes or list(self.sizes) != sorted(set(self.sizes)):
+            raise ValueError("window sizes must be nonempty and strictly "
+                             "increasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,16 +361,14 @@ def truncation_sweep(net: NetworkSpec, policy: TruncationPolicy, x0_fn,
     ``x0_fn`` is called with each window tuple and returns its initial
     vector (a scalar is broadcast).  Boundary components outside each
     window contribute zero; a window that blows up raises ArithmeticError.
+    Every window is checked before the first one is stepped.
     """
     curves = []
     times = None
-    for size in policy.sizes:
-        window = net.window(size)
-        if len(window) < size:
-            raise ValueError(f"index set has no window of size {size}")
+    for window in [net.window(size) for size in policy.sizes]:
         traj = simulate(net, window, x0_fn(window), u, horizon, dt)
         if traj.blowup is not None:
-            raise ArithmeticError(f"window {size} blew up at "
+            raise ArithmeticError(f"window {len(window)} blew up at "
                                   f"t={traj.blowup.time:g}")
         curves.append(traj.sup_norms())
         times = traj.times
@@ -390,10 +381,7 @@ def truncation_sweep(net: NetworkSpec, policy: TruncationPolicy, x0_fn,
 def subnetwork(net: NetworkSpec, subset: Sequence[int]) -> NetworkSpec:
     """Restriction to ``subset``: same dynamics, neighbors outside the subset
     read zero, gain graph restricted accordingly."""
-    labels = tuple(int(i) for i in subset)
-    for i in labels:
-        if i not in net.index_set:
-            raise ValueError(f"index {i} outside the index set")
+    labels = net.window(subset)
     graph = restrict_graph(net.graph, labels) if net.graph is not None else None
     return NetworkSpec(
         name=f"{net.name}|{len(labels)}",
@@ -412,7 +400,7 @@ class NetworkSystem:
     def __init__(self, net: NetworkSpec, window: Sequence[int],
                  dt: float | None = None):
         self.net = net
-        self.window = tuple(int(i) for i in window)
+        self.window = net.window(window)
         self.time_domain = net.time_domain
         self.dt = dt if dt is not None else (net.time_domain.dt
                                              or DEFAULT_AXIOM_DT)

@@ -321,7 +321,7 @@ def estimate_uniform_sgc(graph: GainGraph,
     ascending order whatever order they came in.  The window defaults to
     every label of a finite index set; a generated one needs it given.
     """
-    window = tuple(graph.index_set.window(None) if window is None else window)
+    window = graph.index_set.window(window)
     n = len(window)
     if radii is None:
         radii = np.geomspace(1e-2, 1e2, 9)
@@ -413,7 +413,7 @@ def falsify_mbi(graph: GainGraph,
     """
     if budget < 1:
         raise ValueError(f"falsification budget must be at least 1, got {budget}")
-    window = tuple(window)
+    window = graph.index_set.window(window)
     n = len(window)
     rng = derived_rng(seed, "falsify", n)
     levels = np.geomspace(1e-2, 1e2, 24)
@@ -500,7 +500,7 @@ def _revalidate(graph, window, xi, v, used, seed):
     rhs = float(xi(nw))
     if not nv > rhs + _ATOL * max(1.0, nv):
         return None
-    return MBIWitness(tuple(window), tuple(v), tuple(w), nv, nw, rhs,
+    return MBIWitness(window, tuple(v), tuple(w), nv, nw, rhs,
                       nv - rhs, used, seed)
 
 
@@ -635,7 +635,7 @@ def finite_cycle_check(graph: GainGraph, window: Sequence[int]) -> CycleReport:
     Johnson's search, so worst_cycle (the first cycle of least margin)
     starts there, and the verdict does not depend on labels or window order.
     """
-    window = tuple(window)
+    window = graph.index_set.window(window)
     pos = {label: p for p, label in enumerate(window)}
     rows = [graph.row(i) for i in window]
     succ = [[] for _ in window]

@@ -44,7 +44,7 @@ __all__ = [
     "DEFAULT_BLOWUP_BOUND",
 ]
 
-DEFAULT_BLOWUP_BOUND = 1e12
+DEFAULT_BLOWUP_BOUND = 1e12    # |x| above it ends a trajectory as a blow-up
 DEFAULT_AXIOM_DT = 1e-3    # axiom adapters' step where the domain has none
 
 
@@ -292,13 +292,13 @@ def _rk4_step(f, x, h, *args):
 
 
 def _step_subsystem(spec: SubsystemSpec, x0: float, w: InputSignal | None,
-                    u: InputSignal, horizon: float, dt: float | None,
-                    blowup_bound: float) -> Trajectory:
+                    u: InputSignal, horizon: float,
+                    dt: float | None) -> Trajectory:
     """The one subsystem stepper: the domain's steps over ``horizon`` from x0.
 
     Each step reads its interior value of u and of w (None means zero
-    neighbor signals).  A state that is not finite or exceeds the blow-up
-    bound ends the trajectory there.
+    neighbor signals).  A state that is not finite or exceeds
+    DEFAULT_BLOWUP_BOUND ends the trajectory there.
     """
     times, h = spec.time_domain.grid(horizon, dt)
     t0s = times[:-1]
@@ -312,15 +312,15 @@ def _step_subsystem(spec: SubsystemSpec, x0: float, w: InputSignal | None,
         wk = zeros_w if ws is None else np.atleast_1d(ws[k])
         x = update(x, wk, float(us[k]))
         vals[k + 1] = x
-        if not np.isfinite(x) or abs(x) > blowup_bound:
+        if not np.isfinite(x) or abs(x) > DEFAULT_BLOWUP_BOUND:
             return Trajectory(times[:k + 2], vals[:k + 2],
-                              BlowUp(float(times[k + 1]), float(x), blowup_bound))
+                              BlowUp(float(times[k + 1]), float(x),
+                                     DEFAULT_BLOWUP_BOUND))
     return Trajectory(times, vals)
 
 
 def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
-                  u: InputSignal, horizon: float, dt: float,
-                  blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> Trajectory:
+                  u: InputSignal, horizon: float, dt: float) -> Trajectory:
     """Classical RK4 with fixed step dt and left-constant input sampling.
 
     w feeds the neighbor channels (vector signal ordered like
@@ -329,7 +329,7 @@ def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
     """
     if spec.time_domain.kind != "continuous":
         raise ValueError("integrate_ode needs a continuous-time spec")
-    return _step_subsystem(spec, x0, w, u, horizon, dt, blowup_bound)
+    return _step_subsystem(spec, x0, w, u, horizon, dt)
 
 
 # Axiom harness ----------------------------------------------------------
@@ -348,8 +348,7 @@ class SubsystemSystem:
                                              or DEFAULT_AXIOM_DT)
 
     def phi(self, t: float, x: float, u: InputSignal) -> float:
-        traj = _step_subsystem(self.spec, x, self.w, u, t, self.dt,
-                               DEFAULT_BLOWUP_BOUND)
+        traj = _step_subsystem(self.spec, x, self.w, u, t, self.dt)
         if traj.blowup is not None:
             raise ArithmeticError("trajectory blew up during axiom checking")
         return float(traj.values[-1])

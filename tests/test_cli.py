@@ -229,7 +229,8 @@ def test_certify_is_deterministic(run_cli):
 # sha256 of the result files of the criterion-2 certify and criterion-4
 # trace configs (at their gate seeds and one more), of a discrete certify
 # run with the collapsed uniform certificate, of gains-check on the
-# 300-window diffusive chain (the falsifier's widest blocks), of a discrete
+# 300-window diffusive chain (the falsifier's widest blocks) and on an
+# inline generated chain with a label-list window, of a discrete
 # simulate with a window sweep, of a continuous simulate with a vector
 # input and of a subnetwork run; any change to the numerics or the writers
 # shows here
@@ -264,6 +265,14 @@ GOLDEN = [
         "seed": 3,
     }, {"gains_check.json": "7958e301a5cef2b23f3d8167b0094639"
                             "3097a8fb212c3f742f0950ef3097467d"}),
+    ("gains-check-generator-labels", "gains-check", {
+        "graph": {"index_set": {"kind": "generator",
+                                "name": "bidirectional-chain", "start": 2,
+                                "params": {"gain": 0.3}}},
+        "window": [3, 2, 4, 7],
+        "seed": 5,
+    }, {"gains_check.json": "5416e0d20b1b27aa329fdf930caca3c2"
+                            "3c094d15f7211f4cd84c1a11364d3580"}),
     ("certify-chain50-seed13", "certify", dict(CHAIN50, seed=13),
      {"certificate.json": "6f5d575d878ce2353b34d016373612ae"
                           "b9a991b15057885af7a0cd0d50763211"}),
@@ -818,6 +827,9 @@ BAD_GAINS_CHECK_CONFIGS = [
     ({"graph": {"index_set": {"kind": "bogus"}}}, "graph"),
     ({"graph": {"index_set": 5}}, "graph"),
     ({"graph": BAD_GAIN}, "graph"),
+    ({"graph": {"index_set": {"kind": "generator",
+                              "name": "bidirectional-chain",
+                              "params": {"gian": 0.9}}}}, "graph"),
     ({"cycles": "no"}, "cycles"),
     ({"r_grid": "x"}, "r_grid"),
     ({"r_grid": [-1, 1]}, "r_grid"),

@@ -45,10 +45,25 @@ def test_finite_window_sizes_must_be_positive():
     labels = FiniteIndexSet((1, 2, 3))
     assert labels.window() == (1, 2, 3)
     assert labels.window(2) == (1, 2)
-    assert labels.window(7) == (1, 2, 3)
+    with pytest.raises(ValueError, match="exceeds the 3 labels"):
+        labels.window(7)
     for n in (0, -1):
         with pytest.raises(ValueError, match="positive"):
             labels.window(n)
+
+
+def test_windows_are_tuples_of_python_ints():
+    labels = FiniteIndexSet((1, 2, 3))
+    assert labels.window(np.array([3, 1])) == (3, 1)
+    assert labels.window(np.int64(2)) == (1, 2)
+    chain = GeneratorIndexSet(start=2)
+    assert chain.window(range(5, 8)) == (5, 6, 7)
+    for w in (labels.window(np.array([3, 1])), chain.window(np.int64(2))):
+        assert all(type(i) is int for i in w)
+    with pytest.raises(ValueError, match="explicit window"):
+        chain.window()
+    with pytest.raises(ValueError, match="outside the index set"):
+        chain.window((1, 2))
 
 
 def test_row_lookup(cycle_graph):
@@ -203,6 +218,25 @@ def test_generated_external_gains_are_checked_and_kept():
     assert calls == [2]
     with pytest.raises(ValueError, match="class-K"):
         g.external_gain(5)
+
+
+def test_external_gain_checks_its_label_like_row():
+    g = graph_from_json({"index_set": {"kind": "generator",
+                                       "name": "bidirectional-chain"}})
+    assert g.external_gain(0)(2.0) == 2.0
+    for lookup in (g.row, g.external_gain):
+        with pytest.raises(KeyError, match="index -3 outside the index set"):
+            lookup(-3)
+
+
+@pytest.mark.parametrize("params", [{"gian": 0.9}, {"start": 5},
+                                    {"gain": 0.3, "theta": 0.5}], ids=str)
+def test_unknown_generator_params_are_rejected(params):
+    # a misspelled key used to build the default 0.4-gain chain
+    with pytest.raises(ValueError, match="unknown parameters"):
+        graph_from_json({"index_set": {"kind": "generator",
+                                       "name": "bidirectional-chain",
+                                       "params": params}})
 
 
 def test_check_graph_window_coverage_is_flagged():

@@ -96,10 +96,9 @@ def test_blowup_truncates_trajectory():
     spec = SubsystemSpec("doubling", DISCRETE, lambda x, w, u: 2.0 * x)
     net = NetworkSpec("explosive", DISCRETE, FiniteIndexSet((0,)),
                       lambda i: spec)
-    traj = simulate(net, (0,), np.array([1.0]), InputSignal.zero(), 100,
-                    blowup_bound=1e6)
+    traj = simulate(net, (0,), np.array([1.0]), InputSignal.zero(), 100)
     assert traj.blowup is not None
-    assert traj.blowup.value > 1e6
+    assert traj.blowup.value > 1e12
     assert traj.times[-1] == traj.blowup.time
     assert len(traj.times) < 101
 
@@ -192,8 +191,8 @@ def _squaring_net():
 
 
 def test_ensemble_blowup_is_per_member():
-    # the member holding a 10 crosses 1e6 at step 3, the one holding a 3 at
-    # step 4; stepped on, either row would overflow a few steps later,
+    # the member holding a 10 crosses 1e12 at step 4, the one holding a 3
+    # at step 5; stepped on, either row would overflow a few steps later,
     # which errstate turns into an error
     net = _squaring_net()
     members = [
@@ -204,17 +203,14 @@ def test_ensemble_blowup_is_per_member():
                                                 [0.0, 0.0, -0.1]]))),
     ]
     with np.errstate(over="raise", invalid="raise"):
-        runs = simulate_ensemble(net, (0, 1, 2), members, 30, blowup_bound=1e6)
-        solo = [simulate(net, (0, 1, 2), x0, u, 30, blowup_bound=1e6)
-                for x0, u in members]
-        ref = [simulate(_reference(net), (0, 1, 2), x0, u, 30,
-                        blowup_bound=1e6)
+        runs = simulate_ensemble(net, (0, 1, 2), members, 30)
+        solo = [simulate(net, (0, 1, 2), x0, u, 30) for x0, u in members]
+        ref = [simulate(_reference(net), (0, 1, 2), x0, u, 30)
                for x0, u in members]
-        both = simulate_ensemble(net, (0, 1, 2), members[1:3], 30,
-                                 blowup_bound=1e6)
+        both = simulate_ensemble(net, (0, 1, 2), members[1:3], 30)
     assert [r.blowup is None for r in runs] == [True, False, False, True]
-    assert runs[1].blowup.time == 3.0 and runs[2].blowup.time == 4.0
-    assert len(runs[0].times) == 31 and len(runs[1].times) == 4
+    assert runs[1].blowup.time == 4.0 and runs[2].blowup.time == 5.0
+    assert len(runs[0].times) == 31 and len(runs[1].times) == 5
     for run, a, b in zip(runs, solo, ref):
         _same_run(run, a)
         _same_run(run, b)

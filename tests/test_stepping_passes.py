@@ -377,7 +377,7 @@ def test_reductions_of_blown_members_cover_their_samples():
                (0.3, InputSignal(np.array([0.0, 20.0]),
                                  np.array([0.0, -1.0])))]
     thresholds = np.array([[2.0, 0.1, 1e-9]] * len(members))
-    stepped = _simulate(net, (0,), members, 80.0, None, 1e12,
+    stepped = _simulate(net, (0,), members, 80.0, None,
                         thresholds=thresholds, tail_starts=(0.0, 5.0))
     trajs = simulate_ensemble(net, (0,), members, 80.0)
     assert [t.blowup is not None for t in trajs] == [True, False, True, True]
@@ -399,5 +399,5 @@ def test_negative_thresholds_are_rejected():
     # exceeding a threshold
     net = _trap_net(lambda u: False)
     with pytest.raises(ValueError, match="thresholds must be nonnegative"):
-        _simulate(net, (0,), [(1.0, InputSignal.zero())], 5.0, None, 1e12,
+        _simulate(net, (0,), [(1.0, InputSignal.zero())], 5.0, None,
                   thresholds=np.array([[0.5, -0.1]]))
