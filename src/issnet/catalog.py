@@ -34,7 +34,7 @@ import numpy as np
 
 from .comparison import ScalarCurve, identity, linear, zero_curve
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
-                    _generated_graph, _with_defaults, graph_from_json)
+                    _generated_graph, _label, _with_defaults, graph_from_json)
 from .network import NetworkSpec
 from .systems import DISCRETE, SubsystemSpec, TimeDomain, continuous
 
@@ -444,11 +444,12 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
         raise ValueError("explicit network files need a finite index set")
     subs = {}
     for s in obj["subsystems"]:
-        i = int(s["i"])
+        i = _label(s["i"], "subsystem label")
         dyn = _compile_dynamics(s["expr"])
+        neighbors = tuple(_label(j, f"neighbor of {i}")
+                          for j in s.get("neighbors", ()))
         subs[i] = SubsystemSpec(s.get("name", f"node{i}"), domain, dyn,
-                                neighbors=tuple(int(j) for j in s.get("neighbors", ())),
-                                expression=s["expr"])
+                                neighbors=neighbors, expression=s["expr"])
     labels = idx.get("labels")
     if labels is None:
         labels = sorted(subs)

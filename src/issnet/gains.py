@@ -71,6 +71,13 @@ def _is_label(i) -> bool:
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
+def _label(i, what: str) -> int:
+    """One label as a Python int; ValueError if it is not an integer."""
+    if not _is_label(i):
+        raise ValueError(f"{what} must be an integer, got {i!r}")
+    return int(i)
+
+
 def _labels(spec) -> tuple[int, ...]:
     """Nonempty, distinct integer labels, as a tuple of Python ints."""
     try:
@@ -120,7 +127,7 @@ class FiniteIndexSet(_WindowRule):
         return True
 
     def __contains__(self, i: int) -> bool:
-        return i in self.labels
+        return _is_label(i) and i in self.labels
 
     def _first(self, n: int | None) -> tuple[int, ...]:
         if n is None:
@@ -138,12 +145,15 @@ class GeneratorIndexSet(_WindowRule):
     start: int = 0
     name: str = "integers"
 
+    def __post_init__(self):
+        object.__setattr__(self, "start", _label(self.start, "index set start"))
+
     @property
     def finite(self) -> bool:
         return False
 
     def __contains__(self, i: int) -> bool:
-        return int(i) >= self.start
+        return _is_label(i) and i >= self.start
 
     def _first(self, n: int | None) -> tuple[int, ...]:
         if n is None:
@@ -164,13 +174,12 @@ class GainGraph:
         self.index_set = index_set
         self.rows: dict[int, dict[int, ScalarCurve]] = {}
         for (i, j), g in (entries or {}).items():
-            i, j = int(i), int(j)
             if self._nonzero_edge(i, j, g):
-                self.rows.setdefault(i, {})[j] = g
+                self.rows.setdefault(int(i), {})[int(j)] = g
         self.external: dict[int, ScalarCurve] = {}
         for i, g in (external or {}).items():
             _require_k_or_zero(g, f"external gain of {i}")
-            self.external[int(i)] = g
+            self.external[_label(i, "external gain label")] = g
         self.row_fn = row_fn
         self.external_fn = external_fn
         self.assumption1_bound = assumption1_bound
@@ -182,6 +191,7 @@ class GainGraph:
 
     def _nonzero_edge(self, i: int, j: int, g: ScalarCurve) -> bool:
         """Check gamma_ij, given or generated; True when it is nonzero."""
+        i, j = _label(i, "edge label"), _label(j, "edge label")
         if i == j:
             raise ValueError(f"diagonal gain ({i},{i}) is not allowed")
         if i not in self.index_set or j not in self.index_set:
@@ -195,7 +205,7 @@ class GainGraph:
             raise KeyError(f"index {i} outside the index set")
         if i not in self.rows and self.row_fn is not None:
             self.rows[i] = {int(j): g for j, g in self.row_fn(i).items()
-                            if self._nonzero_edge(i, int(j), g)}
+                            if self._nonzero_edge(i, j, g)}
         return self.rows.get(i, {})
 
     def external_gain(self, i: int) -> ScalarCurve:
@@ -418,16 +428,17 @@ def graph_from_json(obj: dict) -> GainGraph:
     if kind == "finite":
         labels = idx.get("labels")
         if labels is None:
-            labels = list(range(int(idx["n"])))
+            labels = list(range(_label(idx["n"], "index set n")))
         index_set = FiniteIndexSet(labels)
-        entries = {(int(e["i"]), int(e["j"])): curve_from_json(e["gain"])
-                   for e in obj.get("edges", [])}
-        external = {int(e["i"]): curve_from_json(e["gain"])
-                    for e in obj.get("external", [])}
+        # checked before they become keys: True and 1 are one dict key
+        entries = {(_label(e["i"], "edge label"), _label(e["j"], "edge label")):
+                   curve_from_json(e["gain"]) for e in obj.get("edges", [])}
+        external = {_label(e["i"], "external gain label"):
+                    curve_from_json(e["gain"]) for e in obj.get("external", [])}
         return GainGraph(index_set, entries, external)
     if kind == "generator":
         name = idx.get("name")
-        return _generated_graph(GeneratorIndexSet(int(idx.get("start", 0)), name),
+        return _generated_graph(GeneratorIndexSet(idx.get("start", 0), name),
                                 name, idx.get("params", {}))
     raise ValueError(f"unknown index set kind {kind!r}")
 

@@ -14,7 +14,10 @@ Three complementary checks on the gain operator:
   block; a hit is revalidated with the reference operator
   apply_gain_operator, which walks the edges one at a time and never uses
   the compiled plan, so a reported witness is exact, not a batch artifact.
-  The sample budget (at least 1) bounds the candidates screened.
+  The sample budget (at least 1) bounds the candidates screened.  On a
+  window whose edges are all linear and a class-K xi, the least fixed
+  point below decides exactly when no candidate can fail, and then nothing
+  is drawn or screened.
 * finite_cycle_check enumerates simple cycles of a finite window with
   Johnson's blocking search, each from its least window position in a
   fixed order, and folds the gains along each cycle from every starting
@@ -402,25 +405,47 @@ def falsify_mbi(graph: GainGraph,
     first sweep tries the all-ones row, the extremal directions and the
     vertex patterns before random rows; later sweeps draw random rows only.
 
+    On a window whose edges are all linear, with v*(1) the least fixed
+    point of v = Gamma(v) + 1 and c = ||v*(1)||, a class-K (or Kinf) xi is
+    first tested exactly: every nonnegative row v at level L has
+    ||w|| >= L / c, with equality at L * v*(1) / c.  Proof: let
+    u = ||w|| * v*(1) and t = max_i v_i / u_i; if t > 1, then
+    v <= Gamma(v) + ||w|| <= t * u - (t - 1) * ||w|| < t * u, which
+    contradicts v_i = t * u_i at the maximizing i.  Since xi is
+    nondecreasing, when no level fails at xi(L / c) (with L / c shrunk by
+    1e-12 as a rounding guard), no candidate can, and None is returned
+    without drawing or screening a row.  Otherwise the search below runs as it
+    would without the test, with v*(1) / c as its extremal direction.
+
     Whole levels are screened together in blocks of about _BLOCK_ENTRIES
     entries, one apply_batch and one xi call per block.  Levels are then
     scanned in order, and the first hit of each level is recomputed
     entrywise before being returned, with samples_used at that level's end.
     The random stream is local to the call, so the result equals screening
-    one level at a time.  budget (at least 1) is a hard bound: exactly
-    budget candidates are screened when no witness turns up, and None is
-    returned.
+    one level at a time.  budget (at least 1) is a hard bound on the
+    candidates screened: when the search runs and no witness turns up,
+    exactly budget candidates are screened and None is returned.
     """
     if budget < 1:
         raise ValueError(f"falsification budget must be at least 1, got {budget}")
     window = graph.index_set.window(window)
     n = len(window)
-    rng = derived_rng(seed, "falsify", n)
     levels = np.geomspace(1e-2, 1e2, 24)
+    v = _linear_fixed_point(graph, window)
+    if v is None:
+        dirs, _ = _iterated_directions(graph, window, levels)
+    else:
+        c = float(np.max(v))
+        if xi.claimed_class in ("K", "Kinf"):
+            # the least slack at each level, shrunk by a rounding guard
+            rhs = np.asarray(xi(levels / c * (1.0 - 1e-12)), float)
+            if not np.any(levels > rhs + _ATOL * np.maximum(1.0, levels)):
+                return None
+        dirs = v[None, :] / c
+    rng = derived_rng(seed, "falsify", n)
     # amplified profiles go right after the all-ones row, and a first-sweep
     # level keeps at least n + 1 + len(dirs) rows, so a small chunk cannot
     # slice them away before they are tried; only the budget itself can
-    dirs, _ = _extremal_directions(graph, window, levels)
     base = np.vstack([np.ones((1, n)), dirs])
     # up to _FULL_VERTEX_N nodes the vertex rows draw nothing from rng, so
     # they are deduplicated once; wider windows draw them again per level

@@ -118,7 +118,8 @@ def test_c3_derived_bound_is_tight_on_the_two_cycle(record_criterion,
     ok = (abs(eta1 - 0.5) <= 0.025 and safe is None and revalidates
           and wit.samples_used <= 10_000)
     record_criterion(3, ok,
-                     f"eta(1)={eta1:.4f}; 2id survived 1e5 samples; 1.2id "
+                     f"eta(1)={eta1:.4f}; 2id held, decided exactly on the "
+                     f"linear window (budget 1e5); 1.2id "
                      f"fell in {wit.samples_used if wit else -1} samples and "
                      f"the witness revalidated")
 

@@ -209,6 +209,17 @@ def test_network_from_json_validation():
         network_from_json(obj)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("i", 1.2), ("i", True), ("neighbors", [1.9]), ("neighbors", [True]),
+], ids=str)
+def test_network_json_labels_must_be_integers(field, value):
+    # int() used to turn subsystem 1.2 with neighbor 1.9 into label 1
+    obj = _toy_obj()
+    obj["subsystems"][0][field] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        network_from_json(obj)
+
+
 def test_expression_whitelist_blocks_escapes():
     for expr in ("__import__('os').system('true')",
                  "open('/etc/passwd')",

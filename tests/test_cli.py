@@ -599,6 +599,27 @@ def test_subset_label_outside_the_index_set_is_a_config_error(run_cli, capsys):
     assert "outside the index set" in capsys.readouterr().err
 
 
+_TOY_NET = {
+    "time_domain": {"kind": "discrete"},
+    "index_set": {"kind": "finite", "labels": [0, 1]},
+    "subsystems": [{"i": 0, "expr": "0.5*x", "neighbors": [True]},
+                   {"i": 1, "expr": "0.5*x"}],
+}
+_LIN = {"kind": "linear", "params": {"a": 0.5}, "class": "Kinf"}
+
+
+@pytest.mark.parametrize("command, conf", [
+    ("gains-check", {"graph": {"index_set": {"kind": "finite", "labels": [0, 1]},
+                               "edges": [{"i": 0.7, "j": True, "gain": _LIN}]},
+                     "seed": 1}),
+    ("simulate", {"network": _TOY_NET, "horizon": 2}),
+], ids=["graph", "network"])
+def test_non_integer_json_label_is_a_config_error(run_cli, capsys, command, conf):
+    code, _ = run_cli(command, conf)
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 SMALL_CERT = {
     "network": "catalog:counterexample-chain",
     "window": 3,

@@ -239,6 +239,36 @@ def test_unknown_generator_params_are_rejected(params):
                                        "params": params}})
 
 
+_LIN = {"kind": "linear", "params": {"a": 0.5}, "class": "Kinf"}
+
+
+@pytest.mark.parametrize("obj", [
+    {"index_set": {"kind": "finite", "labels": [0, 1]},
+     "edges": [{"i": 0.7, "j": True, "gain": _LIN}]},
+    {"index_set": {"kind": "finite", "labels": [0, 1]},
+     "edges": [{"i": 1, "j": 0, "gain": _LIN}, {"i": True, "j": 0, "gain": _LIN}]},
+    {"index_set": {"kind": "finite", "labels": [0, 1]},
+     "external": [{"i": 1.0, "gain": _LIN}]},
+    {"index_set": {"kind": "finite", "n": 2.5}},
+    {"index_set": {"kind": "finite", "n": True}},
+    {"index_set": {"kind": "generator", "name": "bidirectional-chain",
+                   "start": 1.5}},
+], ids=["edge", "edge-bool", "external", "n", "n-bool", "start"])
+def test_graph_json_labels_must_be_integers(obj):
+    # int() used to turn the edge {"i": 0.7, "j": true} into (0, 1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        graph_from_json(obj)
+
+
+def test_only_integers_are_members_of_an_index_set():
+    assert 0.7 not in GeneratorIndexSet()
+    assert True not in FiniteIndexSet((0, 1))
+    assert np.int64(1) in FiniteIndexSet((0, 1))
+    with pytest.raises(KeyError):
+        graph_from_json({"index_set": {"kind": "generator",
+                                       "name": "bidirectional-chain"}}).row(0.7)
+
+
 def test_check_graph_window_coverage_is_flagged():
     g = _graph({(0, 1): power(1.0, 2.0), (1, 0): linear(0.5)}, labels=(0, 1))
     report = check_graph(g, r_grid=np.geomspace(0.1, 1e3, 7))

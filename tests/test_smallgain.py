@@ -301,12 +301,14 @@ def test_falsify_needs_a_positive_budget(two_cycle):
 def _count_screening(monkeypatch, graph, window):
     """Rows of every screening apply_batch call made by falsify_mbi.
 
-    The extremal directions are computed up front and handed back, so the
-    fixed-point iteration's own apply_batch calls are not counted.
+    The linear fixed point and the iterated directions are computed up
+    front and handed back, so their own apply_batch calls are not counted.
     """
     levels = np.geomspace(1e-2, 1e2, 24)
-    dirs = _extremal_directions(graph, tuple(window), levels)
-    monkeypatch.setattr(smallgain, "_extremal_directions", lambda *a: dirs)
+    v = smallgain._linear_fixed_point(graph, tuple(window))
+    dirs = _iterated_directions(graph, tuple(window), levels) if v is None else None
+    monkeypatch.setattr(smallgain, "_linear_fixed_point", lambda *a: v)
+    monkeypatch.setattr(smallgain, "_iterated_directions", lambda *a: dirs)
     rows = []
 
     def counted(g, batch, w):
@@ -317,20 +319,32 @@ def _count_screening(monkeypatch, graph, window):
     return rows
 
 
+def _one_saturating_edge(coeffs, labels):
+    """The linear graph of coeffs with its first edge a*s turned into
+    a*s / (1 + a*s): a nonlinear window, so falsify_mbi runs its random
+    search, with gains below the linear graph's, so every bound that
+    graph keeps still holds."""
+    first = next(iter(coeffs))
+    entries = {(i, j): linear(c) for (i, j), c in coeffs.items()}
+    entries[first] = compose(saturating(1.0), linear(coeffs[first]))
+    return GainGraph(FiniteIndexSet(tuple(labels)), entries=entries)
+
+
 @pytest.mark.parametrize("budget", [37, 500])
-def test_screened_rows_equal_the_budget(two_cycle, monkeypatch, budget):
+def test_screened_rows_equal_the_budget(monkeypatch, budget):
     # the first sweep's all-ones, extremal and vertex rows used to overrun
-    # a budget smaller than themselves (59 rows at 37, 507 at 500)
-    net, _ = two_cycle
-    rows = _count_screening(monkeypatch, net.graph, (1, 2))
-    assert falsify_mbi(net.graph, (1, 2), linear(2.0),
+    # a budget smaller than themselves (59 rows at 37, 507 at 500); the
+    # two-cycle with one saturating edge keeps the search running
+    g = _one_saturating_edge({(1, 2): 0.5, (2, 1): 0.5}, (1, 2))
+    rows = _count_screening(monkeypatch, g, (1, 2))
+    assert falsify_mbi(g, (1, 2), linear(2.0),
                        budget=budget, seed=3) is None
     assert sum(rows) == budget
 
 
 def test_small_windows_screen_few_blocks(monkeypatch):
     labels = tuple(range(6))
-    g = _linear_graph({(i, (i + 1) % 6): 0.5 for i in labels}, labels)
+    g = _one_saturating_edge({(i, (i + 1) % 6): 0.5 for i in labels}, labels)
     rows = _count_screening(monkeypatch, g, labels)
     assert falsify_mbi(g, labels, linear(4.0), budget=2000, seed=1) is None
     assert sum(rows) == 2000
@@ -469,6 +483,73 @@ def test_blocked_screening_equals_the_per_level_loop():
             assert getattr(got, field) == getattr(want, field), (seed, budget, field)
         assert got.samples_used <= budget
     assert outcomes == {None, "first", "later"}
+
+
+# The exact test on all-linear windows -----------------------------------
+
+
+def _ring(n, a):
+    labels = tuple(range(n))
+    return _linear_graph({(i, (i + 1) % n): a for i in labels}, labels)
+
+
+@pytest.mark.parametrize("graph, xi", [
+    (_ring(2, 0.5), linear(2.0)),        # xi = ||v*(1)|| id, the tight bound
+    (_ring(6, 0.5), linear(4.0)),
+    (_ring(6, 0.5), pwl([(0.0, 0.0), (1.0, 2.0), (2.0, 5.0)], "K")),
+])
+def test_linear_windows_decide_without_a_draw(monkeypatch, graph, xi):
+    window = graph.index_set.labels
+    rows = _count_screening(monkeypatch, graph, window)
+
+    def no_draw(*args):
+        raise AssertionError("random rows drawn on an exactly decided window")
+
+    monkeypatch.setattr(smallgain, "_random_patterns", no_draw)
+    assert falsify_mbi(graph, window, xi, budget=2000, seed=1) is None
+    assert rows == []
+
+
+@pytest.mark.parametrize("xi", [linear(4.0, "mono"), pwl([(0.0, 1e3)], "L")])
+def test_bounds_outside_class_k_still_screen_the_budget(monkeypatch, xi):
+    # the exact test needs a nondecreasing xi; any other class searches
+    g = _ring(6, 0.5)
+    rows = _count_screening(monkeypatch, g, g.index_set.labels)
+    assert falsify_mbi(g, g.index_set.labels, xi, budget=500, seed=1) is None
+    assert sum(rows) == 500
+
+
+def _random_linear_graph(seed):
+    """Linear gains in [0.1, 0.9] on 2-6 nodes: every cycle contracts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    coeffs = {(i, j): float(rng.uniform(0.1, 0.9))
+              for i in range(n) for j in range(n)
+              if i != j and rng.random() < 0.5}
+    return _linear_graph(coeffs or {(0, 1): 0.5}, range(n))
+
+
+def test_exact_test_equals_the_search_on_linear_windows():
+    outcomes = set()
+    for seed in range(6):
+        graph = _random_linear_graph(seed)
+        window = graph.index_set.labels
+        c = float(np.max(smallgain._linear_fixed_point(graph, window)))
+        bend = pwl([(0.0, 0.0), (1.0, 1.2 * c), (10.0, 9.0 * c)], "Kinf")
+        for xi in (linear(0.999 * c), linear(c), linear(1.001 * c),
+                   power(c, 1.1), power(c, 0.9), bend):
+            for budget in (37, 2000):
+                want, _ = _reference_falsify(graph, window, xi, budget, seed)
+                got = falsify_mbi(graph, window, xi, budget=budget, seed=seed)
+                outcomes.add(want is None)
+                if want is None:
+                    assert got is None, (seed, xi, budget)
+                    continue
+                assert got is not None, (seed, xi, budget)
+                for field in _FIELDS:
+                    assert getattr(got, field) == getattr(want, field), \
+                        (seed, xi, budget, field)
+    assert outcomes == {True, False}
 
 
 # Cycle screening --------------------------------------------------------
