@@ -34,7 +34,8 @@ import numpy as np
 
 from .comparison import ScalarCurve, identity, linear, zero_curve
 from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
-                    _generated_graph, _label, _with_defaults, graph_from_json)
+                    _generated_graph, _label, _unique, _with_defaults,
+                    graph_from_json)
 from .network import NetworkSpec
 from .systems import DISCRETE, SubsystemSpec, TimeDomain, continuous
 
@@ -435,29 +436,30 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
     {"i": label, "expr": str, "neighbors": [...]}.
     """
     if "catalog" in obj:
-        net, oracle = instantiate(obj["catalog"], obj.get("params"))
-        return net, oracle
+        return instantiate(obj["catalog"], obj.get("params"))
     td = obj["time_domain"]
     domain = TimeDomain(td["kind"], td.get("dt"))
     idx = obj["index_set"]
     if idx.get("kind") != "finite":
         raise ValueError("explicit network files need a finite index set")
-    subs = {}
-    for s in obj["subsystems"]:
-        i = _label(s["i"], "subsystem label")
-        dyn = _compile_dynamics(s["expr"])
-        neighbors = tuple(_label(j, f"neighbor of {i}")
-                          for j in s.get("neighbors", ()))
-        subs[i] = SubsystemSpec(s.get("name", f"node{i}"), domain, dyn,
-                                neighbors=neighbors, expression=s["expr"])
+    subs = _unique([(_label(s["i"], "subsystem label"), s)
+                    for s in obj["subsystems"]], "subsystem")
     labels = idx.get("labels")
-    if labels is None:
-        labels = sorted(subs)
-    index_set = FiniteIndexSet(labels)
+    index_set = FiniteIndexSet(sorted(subs) if labels is None else labels)
     missing = [i for i in index_set.labels if i not in subs]
     if missing:
         raise ValueError(f"no subsystem given for labels {missing}")
+    for i, s in subs.items():
+        dyn = _compile_dynamics(s["expr"])
+        neighbors = tuple(_label(j, f"neighbor of {i}")
+                          for j in s.get("neighbors", ()))
+        for j in neighbors:
+            if j == i:
+                raise ValueError(f"subsystem {i} lists itself as a neighbor")
+            if j not in index_set:
+                raise ValueError(f"neighbor {j} of {i} leaves the index set")
+        subs[i] = SubsystemSpec(s.get("name", f"node{i}"), domain, dyn,
+                                neighbors=neighbors, expression=s["expr"])
     graph = graph_from_json(obj["gain_graph"]) if "gain_graph" in obj else None
-    net = NetworkSpec(obj.get("name", "network"), domain, index_set,
-                      lambda i: subs[i], graph, None)
-    return net, None
+    return NetworkSpec(obj.get("name", "network"), domain, index_set,
+                       lambda i: subs[i], graph, None), None

@@ -21,14 +21,16 @@ set, resolved from None (every label of a finite set), a positive size or
 a label sequence by the index set's window(spec), the one window rule:
 every function that takes a window, in any module, calls it once.  A
 sequence is a float array of finite entries >= 0 aligned with a window.
-Two functions apply the operator.  apply_gain_operator is the reference:
-it walks the window's rows and calls every edge curve on one vector.
-apply_batch is the kernel used by the small-gain searches: on first use
-for a window, the graph compiles a plan that holds its linear edges as
-row-sorted (rows, cols, coeffs) arrays, applied to all batch rows at once
-as a gather, a product and a segmented max, and its other edges as a
-per-edge list evaluated without re-validating the input.  Both produce
-the same bits for every input row.
+A graph compiles each window, on first use, into a plan that walks the
+window's edges once and keeps them in walk order; restrict and the cycle
+screen read that list, and on an all-linear window the plan also solves
+v*(1), the least fixed point of v = Gamma(v) + 1, on first use.  Two
+functions apply the operator.  apply_gain_operator is the reference: it
+walks the window's rows and calls every edge curve on one vector.
+apply_batch, the kernel of the small-gain searches, runs the plan: linear
+edges on all batch rows at once as a gather, a product and a segmented
+max, other edges one by one without re-validating the input.  Both
+produce the same bits for every input row.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ def _label(i, what: str) -> int:
     if not _is_label(i):
         raise ValueError(f"{what} must be an integer, got {i!r}")
     return int(i)
+
+
+def _unique(items, what: str) -> dict:
+    """The (key, value) pairs as a dict; ValueError on a repeated key."""
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise ValueError(f"{what} {key} is given twice")
+        out[key] = value
+    return out
 
 
 def _labels(spec) -> tuple[int, ...]:
@@ -238,31 +250,21 @@ class GainGraph:
 
 
 class _WindowPlan:
-    """The operator of one graph on one window, compiled for apply_batch.
-
-    Linear edges are stored sorted by row as parallel (rows, cols, coeffs)
-    arrays; the segment of each target row starts at ``starts``.  Only
-    present edges are gathered and multiplied, so an absent edge never
-    contributes a product.  Other curve kinds stay a per-edge list.
-    """
+    """One graph on one window: ``edges`` in walk order as (row position,
+    column position, curve), and what is derived from them.  Linear edges
+    are row-sorted (rows, cols, coeffs) arrays, each row's segment starting
+    at ``starts``; other curve kinds stay the per-edge list ``other``."""
 
     def __init__(self, graph: GainGraph, window: tuple[int, ...]):
         self.window = window
         pos = {i: k for k, i in enumerate(window)}
-        rows, cols, coeffs, self.other = [], [], [], []
-        for k, i in enumerate(window):
-            for j, g in graph.row(i).items():
-                if j not in pos:
-                    continue
-                if g.kind == "linear":
-                    rows.append(k)
-                    cols.append(pos[j])
-                    coeffs.append(g.params["a"])
-                else:
-                    self.other.append((k, pos[j], g))
-        rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.edges = [(k, pos[j], g) for k, i in enumerate(window)
+                      for j, g in graph.row(i).items() if j in pos]
+        lin = [e for e in self.edges if e[2].kind == "linear"]
+        self.other = [e for e in self.edges if e[2].kind != "linear"]
+        rows = np.array([k for k, _, _ in lin], dtype=np.intp)
+        self.cols = np.array([j for _, j, _ in lin], dtype=np.intp)
+        self.coeffs = np.array([g.params["a"] for _, _, g in lin], dtype=float)
         self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self.targets = rows[self.starts]
 
@@ -274,6 +276,104 @@ class _WindowPlan:
         for k, j, g in self.other:
             np.maximum(out[:, k], g._eval(b[:, j]), out=out[:, k])
         return out
+
+    @property
+    def fixed_point(self) -> np.ndarray | None:
+        """v*(1), read-only, solved on first use; see _linear_fixed_point."""
+        if not hasattr(self, "_fixed_point"):
+            self._fixed_point = _linear_fixed_point(self)
+        return self._fixed_point
+
+
+# policy iteration gives up after this many improvement rounds
+_POLICY_ROUNDS = 100
+
+
+def _linear_fixed_point(plan: _WindowPlan) -> np.ndarray | None:
+    """v*(1) solving v_i = 1 + max_j a_ij v_j on an all-linear window.
+
+    Policy iteration (Howard 1960): a policy picks one edge per row with
+    edges; its values follow the policy's functional graph in O(n).  A row
+    switches edge only when the new product beats its current one by more
+    than 1e-12 relative, so exact ties cannot make the policy flip-flop.
+    None on a nonlinear edge, a policy cycle of gain at least 1, a value or
+    product that overflows, the round cap, or a v that one more operator
+    application moves by more than the fixed-point iteration's tolerance.
+    """
+    if plan.other:
+        return None
+    succ = np.full(len(plan.window), -1)
+    gain = np.zeros(len(plan.window))
+    choice = _segment_argmax(plan.coeffs, plan.starts)
+    for _ in range(_POLICY_ROUNDS):
+        succ[plan.targets] = plan.cols[choice]
+        gain[plan.targets] = plan.coeffs[choice]
+        v = _policy_values(succ.tolist(), gain.tolist())
+        if v is None:
+            return None
+        with np.errstate(over="ignore"):
+            cand = plan.coeffs * v[plan.cols]
+        if not np.all(np.isfinite(cand)):
+            return None
+        best = _segment_argmax(cand, plan.starts)
+        better = cand[best] - cand[choice] > 1e-12 * cand[choice]
+        if not better.any():
+            break
+        choice = np.where(better, best, choice)
+    else:
+        return None
+    nxt = plan.apply(v[None, :])[0] + 1.0
+    if np.max(np.abs(nxt - v)) > 1e-13 * max(1.0, float(np.max(nxt))):
+        return None
+    v.flags.writeable = False
+    return v
+
+
+def _segment_argmax(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Index of the first maximum of each nonempty segment of vals."""
+    best = np.maximum.reduceat(vals, starts)
+    sizes = np.diff(np.append(starts, vals.size))
+    hits = np.flatnonzero(vals == np.repeat(best, sizes))
+    seg = np.searchsorted(starts, hits, side="right")
+    return hits[np.flatnonzero(np.diff(seg, prepend=0))]
+
+
+def _policy_values(succ: list, gain: list) -> np.ndarray | None:
+    """Values of v_i = 1 + gain_i v_succ(i), with v_i = 1 where succ is -1.
+
+    Every walk along succ ends at a row without an edge or enters a cycle;
+    a cycle solves in closed form, v_c = alpha / (1 - p) with p the product
+    of its gains, and the rows leading to it are filled in backwards.
+    None when a cycle has p >= 1 and so no finite solution, or a value
+    overflows.
+    """
+    n = len(succ)
+    v = [1.0] * n
+    state = [0] * n              # 0 unseen, 1 on the current walk, 2 solved
+    for s in range(n):
+        walk = []
+        i = s
+        while i >= 0 and state[i] == 0:
+            state[i] = 1
+            walk.append(i)
+            i = succ[i]
+        if i >= 0 and state[i] == 1:
+            k = walk.index(i)
+            alpha, p = 0.0, 1.0  # v_i = alpha + p * v_i, folded backwards
+            for c in reversed(walk[k:]):
+                alpha = 1.0 + gain[c] * alpha
+                p *= gain[c]
+            if p >= 1.0:
+                return None
+            v[i] = alpha / (1.0 - p)
+            state[i] = 2
+            walk.pop(k)
+        for c in reversed(walk):
+            if succ[c] >= 0:
+                v[c] = 1.0 + gain[c] * v[succ[c]]
+            state[c] = 2
+    v = np.array(v)
+    return v if np.all(np.isfinite(v)) else None
 
 
 @dataclass(frozen=True)
@@ -383,17 +483,11 @@ def restrict(graph: GainGraph, subset: Sequence[int]) -> GainGraph:
     """Finite subgraph on ``subset``: rows and columns meeting the subset,
     external gains carried over.  Equivalent to zeroing all gains into and
     out of the complement."""
-    labels = graph.index_set.window(subset)
-    keep = set(labels)
-    entries = {}
-    external = {}
-    for i in labels:
-        for j, g in graph.row(i).items():
-            if j in keep:
-                entries[(i, j)] = g
-        ext = graph.external_gain(i)
-        if not ext.is_zero():
-            external[i] = ext
+    plan = graph._plan(subset)
+    labels = plan.window
+    entries = {(labels[k], labels[j]): g for k, j, g in plan.edges}
+    external = {i: g for i in labels
+                if not (g := graph.external_gain(i)).is_zero()}
     return GainGraph(FiniteIndexSet(labels), entries, external)
 
 
@@ -431,10 +525,14 @@ def graph_from_json(obj: dict) -> GainGraph:
             labels = list(range(_label(idx["n"], "index set n")))
         index_set = FiniteIndexSet(labels)
         # checked before they become keys: True and 1 are one dict key
-        entries = {(_label(e["i"], "edge label"), _label(e["j"], "edge label")):
-                   curve_from_json(e["gain"]) for e in obj.get("edges", [])}
-        external = {_label(e["i"], "external gain label"):
-                    curve_from_json(e["gain"]) for e in obj.get("external", [])}
+        entries = _unique([((_label(e["i"], "edge label"),
+                             _label(e["j"], "edge label")),
+                            curve_from_json(e["gain"]))
+                           for e in obj.get("edges", [])], "edge")
+        external = _unique([(_label(e["i"], "external gain label"),
+                             curve_from_json(e["gain"]))
+                            for e in obj.get("external", [])],
+                           "external gain of")
         return GainGraph(index_set, entries, external)
     if kind == "generator":
         name = idx.get("name")

@@ -38,11 +38,11 @@ is the extremal sphere pattern.  With these seeds the deficit estimate
 and the falsifier agree on linear-gain graphs instead of bracketing the
 true bound from opposite sides.  On a window whose edges are all linear
 the fixed point is r * v*(1), with v*(1) solving v_i = 1 + max_j a_ij v_j,
-so one direction serves every radius; policy iteration solves for it
-exactly and a fixed-point residual check accepts it.  Any other window
-(or a solve that fails its checks) iterates all radii as one batch, one
-apply_batch call per step, and radii that exhaust the iteration budget
-without converging are counted in SGCReport.unconverged.
+so one direction serves every radius; the window's plan (gains) solves
+for it exactly once and keeps it.  Any other window (or a failed solve)
+iterates all radii as one batch, one apply_batch call per step, and radii
+that exhaust the iteration budget without converging are counted in
+SGCReport.unconverged.  _directions makes this choice for both searches.
 """
 
 from __future__ import annotations
@@ -123,109 +123,15 @@ def _random_patterns(n: int, m: int, rng) -> np.ndarray:
     return rand
 
 
-def _extremal_directions(graph: GainGraph, window: tuple,
-                         radii: Sequence[float]) -> tuple[np.ndarray, int]:
-    """Normalized least fixed points of v -> Gamma(v) + r*ones.
-
-    When every in-window edge is linear, v*(r) = r * v*(1) for all radii,
-    so the answer is the single row v*(1) / ||v*(1)|| with no unconverged
-    radius.  v*(1) solves v_i = 1 + max_j a_ij v_j; policy iteration
-    (Howard 1960) finds it exactly, and it is accepted only when one more
-    application of the operator moves it by at most the tolerance on which
-    the iteration stops.  Anything else (a nonlinear edge, a policy cycle
-    of gain at least 1, a failed check, the round cap) falls back to
-    _iterated_directions, one row per radius.
-    """
-    v = _linear_fixed_point(graph, window)
+def _directions(graph: GainGraph, window: tuple, radii: Sequence[float]
+                ) -> tuple[float | None, np.ndarray, int]:
+    """(c, rows, unconverged) for v -> Gamma(v) + r*ones: c = ||v*(1)|| and one
+    row v*(1) / c from the plan, else c None and _iterated_directions."""
+    v = graph._plan(window).fixed_point
     if v is None:
-        return _iterated_directions(graph, window, radii)
-    return v[None, :] / np.max(v), 0
-
-
-# policy iteration gives up after this many improvement rounds
-_POLICY_ROUNDS = 100
-
-
-def _linear_fixed_point(graph: GainGraph, window: tuple) -> np.ndarray | None:
-    """v solving v_i = 1 + max_j a_ij v_j on an all-linear window, or None.
-
-    A policy picks one edge per row with edges; its values follow the
-    policy's functional graph in O(n).  A row switches edge only when the
-    new product beats its current one by more than 1e-12 relative, so
-    exact ties cannot make the policy flip-flop.  None when an edge is not
-    linear, a policy cycle has gain at least 1, the rounds run out or the
-    result fails the fixed-point check.
-    """
-    plan = graph._plan(window)
-    if plan.other:
-        return None
-    n = len(window)
-    succ = np.full(n, -1)
-    gain = np.zeros(n)
-    choice = _segment_argmax(plan.coeffs, plan.starts)
-    for _ in range(_POLICY_ROUNDS):
-        succ[plan.targets] = plan.cols[choice]
-        gain[plan.targets] = plan.coeffs[choice]
-        v = _policy_values(succ.tolist(), gain.tolist())
-        if v is None:
-            return None
-        cand = plan.coeffs * v[plan.cols]
-        best = _segment_argmax(cand, plan.starts)
-        better = cand[best] - cand[choice] > 1e-12 * cand[choice]
-        if not better.any():
-            break
-        choice = np.where(better, best, choice)
-    else:
-        return None
-    nxt = apply_batch(graph, v[None, :], window)[0] + 1.0
-    if np.max(np.abs(nxt - v)) > 1e-13 * max(1.0, float(np.max(nxt))):
-        return None
-    return v
-
-
-def _segment_argmax(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Index of the first maximum of each nonempty segment of vals."""
-    best = np.maximum.reduceat(vals, starts)
-    sizes = np.diff(np.append(starts, vals.size))
-    hits = np.flatnonzero(vals == np.repeat(best, sizes))
-    seg = np.searchsorted(starts, hits, side="right")
-    return hits[np.flatnonzero(np.diff(seg, prepend=0))]
-
-
-def _policy_values(succ: list, gain: list) -> np.ndarray | None:
-    """Values of v_i = 1 + gain_i v_succ(i), with v_i = 1 where succ is -1.
-
-    Every walk along succ ends at a row without an edge or enters a cycle;
-    a cycle solves in closed form, v_c = alpha / (1 - p) with p the product
-    of its gains, and the rows leading to it are filled in backwards.
-    None when a cycle has p >= 1 and so no finite solution.
-    """
-    n = len(succ)
-    v = [1.0] * n
-    state = [0] * n              # 0 unseen, 1 on the current walk, 2 solved
-    for s in range(n):
-        walk = []
-        i = s
-        while i >= 0 and state[i] == 0:
-            state[i] = 1
-            walk.append(i)
-            i = succ[i]
-        if i >= 0 and state[i] == 1:
-            k = walk.index(i)
-            alpha, p = 0.0, 1.0  # v_i = alpha + p * v_i, folded backwards
-            for c in reversed(walk[k:]):
-                alpha = 1.0 + gain[c] * alpha
-                p *= gain[c]
-            if p >= 1.0:
-                return None
-            v[i] = alpha / (1.0 - p)
-            state[i] = 2
-            walk.pop(k)
-        for c in reversed(walk):
-            if succ[c] >= 0:
-                v[c] = 1.0 + gain[c] * v[succ[c]]
-            state[c] = 2
-    return np.array(v)
+        return (None, *_iterated_directions(graph, window, radii))
+    c = float(np.max(v))
+    return c, v[None, :] / c, 0
 
 
 def _iterated_directions(graph: GainGraph, window: tuple,
@@ -331,7 +237,7 @@ def estimate_uniform_sgc(graph: GainGraph,
     # the deficit floor below is a running minimum from the largest radius
     radii = tuple(sorted(float(r) for r in radii))
     rng = derived_rng(seed, "sgc", n)
-    dirs, unconverged = _extremal_directions(graph, window, radii)
+    _, dirs, unconverged = _directions(graph, window, radii)
     sphere = np.vstack([_vertex_patterns(n, rng),
                         _random_patterns(n, n_random, rng)])
     patterns = _append_new_rows(sphere, dirs)
@@ -431,17 +337,12 @@ def falsify_mbi(graph: GainGraph,
     window = graph.index_set.window(window)
     n = len(window)
     levels = np.geomspace(1e-2, 1e2, 24)
-    v = _linear_fixed_point(graph, window)
-    if v is None:
-        dirs, _ = _iterated_directions(graph, window, levels)
-    else:
-        c = float(np.max(v))
-        if xi.claimed_class in ("K", "Kinf"):
-            # the least slack at each level, shrunk by a rounding guard
-            rhs = np.asarray(xi(levels / c * (1.0 - 1e-12)), float)
-            if not np.any(levels > rhs + _ATOL * np.maximum(1.0, levels)):
-                return None
-        dirs = v[None, :] / c
+    c, dirs, _ = _directions(graph, window, levels)
+    if c is not None and xi.claimed_class in ("K", "Kinf"):
+        # the least slack at each level, shrunk by a rounding guard
+        rhs = np.asarray(xi(levels / c * (1.0 - 1e-12)), float)
+        if not np.any(levels > rhs + _ATOL * np.maximum(1.0, levels)):
+            return None
     rng = derived_rng(seed, "falsify", n)
     # amplified profiles go right after the all-ones row, and a first-sweep
     # level keeps at least n + 1 + len(dirs) rows, so a small chunk cannot
@@ -449,9 +350,8 @@ def falsify_mbi(graph: GainGraph,
     base = np.vstack([np.ones((1, n)), dirs])
     # up to _FULL_VERTEX_N nodes the vertex rows draw nothing from rng, so
     # they are deduplicated once; wider windows draw them again per level
-    head = None
-    if n <= _FULL_VERTEX_N:
-        head = _append_new_rows(base, _vertex_patterns(n, rng))
+    head = (_append_new_rows(base, _vertex_patterns(n, rng))
+            if n <= _FULL_VERTEX_N else None)
     block, ends = [], []        # level batches; (block rows, used) per level
     rows = used = 0
     first = True
@@ -660,14 +560,13 @@ def finite_cycle_check(graph: GainGraph, window: Sequence[int]) -> CycleReport:
     Johnson's search, so worst_cycle (the first cycle of least margin)
     starts there, and the verdict does not depend on labels or window order.
     """
-    window = graph.index_set.window(window)
-    pos = {label: p for p, label in enumerate(window)}
-    rows = [graph.row(i) for i in window]
+    plan = graph._plan(window)
+    window = plan.window
     succ = [[] for _ in window]
-    for q, row in enumerate(rows):
-        for j in row:
-            if j in pos:
-                succ[pos[j]].append(q)   # influence flows from j into window[q]
+    gain = {}
+    for q, p, g in plan.edges:
+        succ[p].append(q)        # influence flows from position p into q
+        gain[q, p] = g
 
     n_cycles = 0
     truncated = False
@@ -680,7 +579,7 @@ def finite_cycle_check(graph: GainGraph, window: Sequence[int]) -> CycleReport:
             n_cycles -= 1
             break
         k = len(cycle)
-        margin = _cycle_margin([rows[cycle[(e + 1) % k]][window[cycle[e]]]
+        margin = _cycle_margin([gain[cycle[(e + 1) % k], cycle[e]]
                                 for e in range(k)])
         if margin < worst:
             worst = margin

@@ -220,6 +220,28 @@ def test_network_json_labels_must_be_integers(field, value):
         network_from_json(obj)
 
 
+def test_network_json_subsystem_labels_must_not_repeat():
+    # the second subsystem 0 used to replace the first
+    obj = _toy_obj()
+    obj["subsystems"].append({"i": 0, "expr": "0.1*x"})
+    with pytest.raises(ValueError, match="subsystem 0 is given twice"):
+        network_from_json(obj)
+
+
+@pytest.mark.parametrize("neighbors, match", [
+    ([0], "subsystem 0 lists itself"),
+    ([1, 7], "neighbor 7 of 0 leaves the index set"),
+    ([-1], "neighbor -1 of 0 leaves the index set"),
+], ids=["self", "outside", "below"])
+def test_network_json_neighbors_are_other_labels_of_the_index_set(neighbors,
+                                                                  match):
+    # [1, 7] on subsystem 0 of labels [0, 1] used to load as (1, 7)
+    obj = _toy_obj()
+    obj["subsystems"][0]["neighbors"] = neighbors
+    with pytest.raises(ValueError, match=match):
+        network_from_json(obj)
+
+
 def test_expression_whitelist_blocks_escapes():
     for expr in ("__import__('os').system('true')",
                  "open('/etc/passwd')",

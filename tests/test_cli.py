@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -618,6 +619,48 @@ def test_non_integer_json_label_is_a_config_error(run_cli, capsys, command, conf
     code, _ = run_cli(command, conf)
     assert code == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+_LIN3 = {"kind": "linear", "params": {"a": 3.0}, "class": "Kinf"}
+_PAIR = {"kind": "finite", "labels": [0, 1]}
+
+
+@pytest.mark.parametrize("command, conf, match", [
+    ("gains-check", {"graph": {"index_set": _PAIR,
+                               "edges": [{"i": 0, "j": 1, "gain": _LIN},
+                                         {"i": 0, "j": 1, "gain": _LIN3}]},
+                     "seed": 1}, "edge (0, 1) is given twice"),
+    ("simulate", {"network": {**_TOY_NET, "subsystems": [
+        {"i": 0, "expr": "0.5*x"}, {"i": 1, "expr": "0.5*x"},
+        {"i": 0, "expr": "0.1*x"}]}, "horizon": 2},
+     "subsystem 0 is given twice"),
+    ("simulate", {"network": {**_TOY_NET, "subsystems": [
+        {"i": 0, "expr": "0.5*x", "neighbors": [7]},
+        {"i": 1, "expr": "0.5*x"}]}, "horizon": 2}, "leaves the index set"),
+    ("simulate", {"network": {**_TOY_NET, "subsystems": [
+        {"i": 0, "expr": "0.5*x", "neighbors": [0]},
+        {"i": 1, "expr": "0.5*x"}]}, "horizon": 2}, "lists itself"),
+], ids=["edge", "subsystem", "outside", "self"])
+def test_a_repeated_or_stray_json_label_is_a_config_error(run_cli, capsys,
+                                                          command, conf, match):
+    code, _ = run_cli(command, conf)
+    assert code == 2
+    assert match in capsys.readouterr().err
+
+
+def test_an_overflowing_fixed_point_is_an_honest_negative(run_cli, capsys):
+    # v*(1) overflows on this chain; the solve used to end in a traceback
+    big = {"kind": "linear", "params": {"a": 1e200}, "class": "Kinf"}
+    graph = {"index_set": {"kind": "finite", "labels": [0, 1, 2]},
+             "edges": [{"i": 0, "j": 1, "gain": big},
+                       {"i": 1, "j": 2, "gain": big}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("gains-check", {"graph": graph, "seed": 1})
+    assert code == 1
+    result = json.loads((out / "gains_check.json").read_text())
+    assert result["falsify"]["witness"] is not None
+    assert "monotone-bound witness" in capsys.readouterr().err
 
 
 SMALL_CERT = {

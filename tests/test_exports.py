@@ -1,6 +1,7 @@
 """Every name a module exports exists on it, and so does every function
 the bench tracer patches."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -42,3 +43,18 @@ def test_bench_tracer_targets_resolve(target):
     for part in target.attr.split("."):
         owner = getattr(owner, part, None)
     assert callable(owner), f"{target.module}.{target.attr} is gone"
+
+
+# the compiled plan's layout is gains' own: other modules ask the plan
+# (apply_batch, edges, fixed_point) instead of reading its arrays
+_PLAN_LAYOUT = {"coeffs", "cols", "starts", "targets", "other"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "gains"])
+def test_only_gains_reads_the_plan_layout(name):
+    path = pathlib.Path(issnet.__file__).parent / f"{name}.py"
+    reads = [f"{ast.unparse(node)} (line {node.lineno})"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in _PLAN_LAYOUT
+             and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert reads == []

@@ -1,9 +1,12 @@
 """Gain graphs and the max-type coupling operator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from issnet import gains
 from issnet.catalog import instantiate
 from issnet.comparison import expdecay, identity, linear, power, zero_curve
 from issnet.gains import (
@@ -19,6 +22,7 @@ from issnet.gains import (
     iterate,
     restrict,
 )
+from issnet.smallgain import _directions, _iterated_directions
 
 
 def _graph(entries, labels=None, external=None):
@@ -260,6 +264,21 @@ def test_graph_json_labels_must_be_integers(obj):
         graph_from_json(obj)
 
 
+@pytest.mark.parametrize("obj, match", [
+    ({"index_set": {"kind": "finite", "labels": [0, 1]},
+      "edges": [{"i": 0, "j": 1, "gain": _LIN},
+                {"i": 0, "j": 1, "gain": {**_LIN, "params": {"a": 3.0}}}]},
+     r"edge \(0, 1\) is given twice"),
+    ({"index_set": {"kind": "finite", "labels": [0, 1]},
+      "external": [{"i": 1, "gain": _LIN}, {"i": 1, "gain": _LIN}]},
+     "external gain of 1 is given twice"),
+], ids=["edge", "external"])
+def test_graph_json_labels_must_not_repeat(obj, match):
+    # the last of the repeated edges used to win: row(0) == {1: linear(3.0)}
+    with pytest.raises(ValueError, match=match):
+        graph_from_json(obj)
+
+
 def test_only_integers_are_members_of_an_index_set():
     assert 0.7 not in GeneratorIndexSet()
     assert True not in FiniteIndexSet((0, 1))
@@ -282,6 +301,82 @@ def test_check_graph_window_coverage_is_flagged():
                           window=g2.index_set.window(6))
     assert report2.window_only
     assert "window" in report2.notes
+
+
+# The compiled plan ------------------------------------------------------
+
+
+def test_plan_edges_follow_the_walk_order():
+    # row positions ascend, each row in its own order, whatever the kind
+    g = _graph({(2, 0): power(0.5, 2.0), (2, 1): linear(0.5),
+                (0, 2): linear(0.25), (1, 2): power(0.1, 1.5)},
+               labels=(0, 1, 2))
+    plan = g._plan((2, 0, 1))
+    assert [(k, j) for k, j, _ in plan.edges] == [(0, 1), (0, 2), (1, 0),
+                                                  (2, 0)]
+    assert [e[2] for e in plan.edges] == [g.row(2)[0], g.row(2)[1],
+                                          g.row(0)[2], g.row(1)[2]]
+    assert [(k, j) for k, j, _ in plan.other] == [(0, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("name, sizes, norm", [
+    ("linear-diffusive-chain", (10, 100, 1000), 5.0 / 3.0),
+    ("nonuniform-discrete-chain", (100, 1000), 2.0),
+])
+def test_exact_fixed_point_norm_on_catalog_chains(name, sizes, norm):
+    net, _ = instantiate(name)
+    for size in sizes:
+        v = net.graph._plan(net.graph.index_set.window(size)).fixed_point
+        assert float(np.max(v)) == pytest.approx(norm, rel=1e-12), size
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_policy_values", lambda succ, gain: np.full(len(succ), 5.0)),
+    ("_POLICY_ROUNDS", 0),
+])
+def test_a_failed_solve_falls_back_to_the_iteration(monkeypatch, name, value):
+    # a wrong policy value fails the fixed-point check; no rounds hit the cap
+    radii = np.geomspace(1e-2, 1e2, 24)
+    graph = _graph({(0, 1): linear(0.5), (1, 2): linear(0.7),
+                    (2, 0): linear(1.2)}, labels=(0, 1, 2))
+    window = (0, 1, 2)
+    want = _iterated_directions(graph, window, radii)
+    monkeypatch.setattr(gains, name, value)
+    assert graph._plan(window).fixed_point is None
+    got = _directions(graph, window, radii)[1:]
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert got[0].shape == (len(radii), 3)
+
+
+def test_the_fixed_point_is_solved_once_and_kept(monkeypatch):
+    calls = []
+
+    def counted(plan):
+        calls.append(plan.window)
+        return solve(plan)
+
+    solve = gains._linear_fixed_point
+    monkeypatch.setattr(gains, "_linear_fixed_point", counted)
+    g = _graph({(0, 1): linear(0.5), (1, 0): linear(0.5)}, labels=(0, 1))
+    v = g._plan((0, 1)).fixed_point
+    assert np.array_equal(v, [2.0, 2.0]) and not v.flags.writeable
+    assert g._plan([0, 1]).fixed_point is v
+    nonlinear = _graph({(0, 1): power(0.5, 2.0)}, labels=(0, 1))
+    assert nonlinear._plan((0, 1)).fixed_point is None
+    assert nonlinear._plan((0, 1)).fixed_point is None
+    assert calls == [(0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): 1e200, (1, 2): 1e200},                  # a policy value
+    {(0, 1): 1e200, (2, 3): 1e200, (2, 0): 1e190},   # an edge product
+], ids=["value", "product"])
+def test_an_overflowing_fixed_point_is_no_solve(entries):
+    # the solve used to hand an infinite v to apply_batch, which raised
+    g = _graph({k: linear(a) for k, a in entries.items()}, labels=(0, 1, 2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g._plan((0, 1, 2, 3)).fixed_point is None
 
 
 # Serialization ----------------------------------------------------------

@@ -3,21 +3,21 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from issnet import smallgain
+from issnet import gains, smallgain
 from issnet._rng import derived_rng
 from issnet.comparison import compose, linear, power, pwl, saturating
 from issnet.gains import CHECK_GRID, FiniteIndexSet, GainGraph, apply_batch
 from issnet.network import subnetwork
-from issnet.catalog import instantiate
 from issnet.smallgain import (
     CycleReport,
-    _extremal_directions,
+    _directions,
     _iterated_directions,
     _revalidate,
     dist_to_cone,
@@ -157,7 +157,7 @@ def _contracting_cases(count):
 
 def test_exact_directions_match_the_iteration():
     for graph, window in _contracting_cases(200):
-        exact, unconverged = _extremal_directions(graph, window, RADII)
+        _, exact, unconverged = _directions(graph, window, RADII)
         assert exact.shape == (1, len(window)) and unconverged == 0
         dirs, unconverged = _iterated_directions(graph, window, RADII)
         assert dirs.shape == (len(RADII), len(window)) and unconverged == 0
@@ -172,22 +172,10 @@ def test_exact_directions_match_the_iteration():
                                   (0.999, 1.0), (1.5, 0.6666)])
 def test_exact_direction_meets_the_two_node_closed_form(a, b):
     g = _linear_graph({(0, 1): a, (1, 0): b}, (0, 1))
-    dirs, unconverged = _extremal_directions(g, (0, 1), RADII)
+    _, dirs, unconverged = _directions(g, (0, 1), RADII)
     assert dirs.shape == (1, 2) and unconverged == 0
     want = float(exact_eta_two_node(a, b)(1.0))
     assert operator_deficit(g, dirs[0], (0, 1)) == pytest.approx(want, rel=1e-12)
-
-
-@pytest.mark.parametrize("name, sizes, norm", [
-    ("linear-diffusive-chain", (10, 100, 1000), 5.0 / 3.0),
-    ("nonuniform-discrete-chain", (100, 1000), 2.0),
-])
-def test_exact_fixed_point_norm_on_catalog_chains(name, sizes, norm):
-    net, _ = instantiate(name)
-    for size in sizes:
-        v = smallgain._linear_fixed_point(net.graph,
-                                          net.graph.index_set.window(size))
-        assert float(np.max(v)) == pytest.approx(norm, rel=1e-12), size
 
 
 @pytest.mark.parametrize("coeffs, rows", [
@@ -200,26 +188,11 @@ def test_extremal_directions_fall_back_to_the_iteration(coeffs, rows):
     # (every row blows up) and a cycle gain of exactly 1 (none converges)
     graph = GainGraph(FiniteIndexSet((0, 1, 2)), entries=coeffs)
     window = (0, 1, 2)
-    got = _extremal_directions(graph, window, RADII)
+    got = _directions(graph, window, RADII)[1:]
     want = _iterated_directions(graph, window, RADII)
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
     assert got[0].shape[0] == rows
-
-
-@pytest.mark.parametrize("name, value", [
-    ("_policy_values", lambda succ, gain: np.full(len(succ), 5.0)),
-    ("_POLICY_ROUNDS", 0),
-])
-def test_a_failed_solve_falls_back_to_the_iteration(monkeypatch, name, value):
-    # a wrong policy value fails the fixed-point check; no rounds hit the cap
-    graph = _linear_graph({(0, 1): 0.5, (1, 2): 0.7, (2, 0): 1.2}, (0, 1, 2))
-    window = (0, 1, 2)
-    want = _iterated_directions(graph, window, RADII)
-    monkeypatch.setattr(smallgain, name, value)
-    got = _extremal_directions(graph, window, RADII)
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-    assert got[0].shape == (len(RADII), 3)
 
 
 # Curve inversion --------------------------------------------------------
@@ -301,13 +274,13 @@ def test_falsify_needs_a_positive_budget(two_cycle):
 def _count_screening(monkeypatch, graph, window):
     """Rows of every screening apply_batch call made by falsify_mbi.
 
-    The linear fixed point and the iterated directions are computed up
-    front and handed back, so their own apply_batch calls are not counted.
+    The plan's linear fixed point is solved up front and kept, and the
+    iterated directions are computed up front and handed back, so their
+    own apply_batch calls are not counted.
     """
     levels = np.geomspace(1e-2, 1e2, 24)
-    v = smallgain._linear_fixed_point(graph, tuple(window))
+    v = graph._plan(tuple(window)).fixed_point
     dirs = _iterated_directions(graph, tuple(window), levels) if v is None else None
-    monkeypatch.setattr(smallgain, "_linear_fixed_point", lambda *a: v)
     monkeypatch.setattr(smallgain, "_iterated_directions", lambda *a: dirs)
     rows = []
 
@@ -380,7 +353,7 @@ def _reference_falsify(graph, window, xi, budget, seed, atol=1e-9):
     n = len(window)
     rng = derived_rng(seed, "falsify", n)
     levels = np.geomspace(1e-2, 1e2, 24)
-    dirs, _ = _extremal_directions(graph, window, levels)
+    _, dirs, _ = _directions(graph, window, levels)
     used, first = 0, True
     while used < budget:
         for level in levels:
@@ -529,12 +502,43 @@ def _random_linear_graph(seed):
     return _linear_graph(coeffs or {(0, 1): 0.5}, range(n))
 
 
+def test_both_searches_share_one_solve(monkeypatch):
+    calls = []
+
+    def counted(plan):
+        calls.append(plan.window)
+        return solve(plan)
+
+    solve = gains._linear_fixed_point
+    monkeypatch.setattr(gains, "_linear_fixed_point", counted)
+    graph = _ring(6, 0.5)
+    window = graph.index_set.labels
+    report = estimate_uniform_sgc(graph, window, seed=1)
+    assert falsify_mbi(graph, window, report.xi_hat, budget=100, seed=1) is None
+    assert calls == [window]
+
+
+def test_an_overflowing_solve_falls_back_to_the_iteration():
+    # a window whose v*(1) overflows used to make the solve raise in
+    # apply_batch; both searches now take the iterated directions
+    g = _linear_graph({(0, 1): 1e200, (1, 2): 1e200}, (0, 1, 2))
+    window = (0, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, dirs, unconverged = _directions(g, window, RADII)
+        report = estimate_uniform_sgc(g, window, seed=1)
+        witness = falsify_mbi(g, window, report.xi_hat, budget=1000, seed=1)
+    assert c is None and dirs.shape == (0, 3) and unconverged == 0
+    assert report.holds
+    assert witness is not None and witness.validate(g, report.xi_hat)
+
+
 def test_exact_test_equals_the_search_on_linear_windows():
     outcomes = set()
     for seed in range(6):
         graph = _random_linear_graph(seed)
         window = graph.index_set.labels
-        c = float(np.max(smallgain._linear_fixed_point(graph, window)))
+        c = float(np.max(graph._plan(window).fixed_point))
         bend = pwl([(0.0, 0.0), (1.0, 1.2 * c), (10.0, 9.0 * c)], "Kinf")
         for xi in (linear(0.999 * c), linear(c), linear(1.001 * c),
                    power(c, 1.1), power(c, 0.9), bend):
@@ -587,6 +591,27 @@ def test_cycle_check_acyclic(chain):
     report = finite_cycle_check(sub.graph, subset)
     assert report.passed
     assert report.n_cycles == 0
+
+
+@pytest.mark.parametrize("window, worst_cycle", [
+    ((0, 1, 2, 3), (0, 1)),
+    ((3, 1, 0, 2), (1, 0)),
+])
+def test_cycle_check_on_mixed_edge_kinds(window, worst_cycle):
+    # the cycles (0, 1) and (0, 2) tie at the least margin, and row 1's
+    # edge into it is nonlinear: successors taken in walk order list the
+    # cycle through 1 first, linear edges first would list (0, 2) first
+    entries = {(0, 1): linear(1.0), (0, 2): linear(1.0),
+               (1, 0): power(0.5, 1.0), (2, 0): linear(0.5),
+               (1, 3): compose(saturating(1.0), linear(0.6)),
+               (3, 2): linear(0.9), (2, 1): linear(0.7),
+               (3, 0): power(0.4, 1.5)}
+    g = GainGraph(FiniteIndexSet((0, 1, 2, 3)), entries=entries)
+    report = finite_cycle_check(g, window)
+    assert report.n_cycles == 7
+    assert report.worst_cycle == worst_cycle
+    assert report.worst_margin == 0.5
+    assert report.passed
 
 
 def _listed_cycles(monkeypatch, graph, window):
