@@ -12,7 +12,6 @@ import numpy as np
 from issnet import (
     InputSignal,
     NetworkSystem,
-    TruncationPolicy,
     check_axioms,
     simulate,
     truncation_sweep,
@@ -35,9 +34,8 @@ print(f"  worst gap to the closed form at t=2.5: {err:.2e}")
 
 print()
 print("== nested truncations ==")
-policy = TruncationPolicy(sizes=(10, 50, 100))
-sweep = truncation_sweep(net, policy, lambda w: 1.0, InputSignal.zero(),
-                         5.0, dt=1e-2)
+sweep = truncation_sweep(net, (10, 50, 100), 1.0, InputSignal.zero(), 5.0,
+                         dt=1e-2)
 for n, s in zip(sweep.sizes, sweep.final_sups()):
     print(f"  window {n:>4}: sup at t=5 is {s:.6f}  (exp(-5/n) = "
           f"{np.exp(-5.0 / n):.6f})")

@@ -30,9 +30,8 @@ from .smallgain import (MBIWitness, SGCReport, dist_to_cone,
                         estimate_uniform_sgc, falsify_mbi, finite_cycle_check,
                         invert_k_curve, operator_deficit)
 from .network import (NetworkSpec, NetworkSystem, NetworkTrajectory,
-                      SweepReport, TruncationPolicy, simulate,
-                      simulate_ensemble, subnetwork, truncation_sweep,
-                      write_trajectory_csv)
+                      SweepReport, simulate, simulate_ensemble, subnetwork,
+                      truncation_sweep, write_trajectory_csv)
 from .certify import (AttainmentTable, BandEntry, CertificationError,
                       EnsembleConfig, LabeledRun, NonUniformISSCertificate,
                       ProofTrace, UGSCertificate, UniformISSCertificate,

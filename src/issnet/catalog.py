@@ -33,9 +33,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .comparison import ScalarCurve, identity, linear, zero_curve
-from .gains import (FiniteIndexSet, GainGraph, GeneratorIndexSet,
-                    _generated_graph, _label, _unique, _with_defaults,
-                    graph_from_json)
+from .gains import (FiniteIndexSet, GainGraph, _GeneratedGraph, _label,
+                    _unique, _with_defaults, graph_from_json)
 from .network import NetworkSpec
 from .systems import DISCRETE, SubsystemSpec, TimeDomain, continuous
 
@@ -86,8 +85,6 @@ def _pad_zero(x: np.ndarray) -> np.ndarray:
 
 
 def _build_counterexample(p):
-    index_set = GeneratorIndexSet(start=1, name="counterexample-chain")
-
     def subsystem(i: int) -> SubsystemSpec:
         if i < 1:
             raise ValueError("labels start at 1")
@@ -106,9 +103,9 @@ def _build_counterexample(p):
 
         return field
 
-    graph = _generated_graph(index_set, "decoupled", {})
-    net = NetworkSpec("counterexample-chain", continuous(1e-3), index_set,
-                      subsystem, graph, fast)
+    graph = _GeneratedGraph("decoupled", {}, start=1)
+    net = NetworkSpec("counterexample-chain", continuous(1e-3),
+                      graph.index_set, subsystem, graph, fast)
 
     def component_value(i, t, x0):
         return float(np.exp(-np.asarray(t, float) / i) * x0)
@@ -190,7 +187,6 @@ def _build_nonuniform_chain(p):
     theta = p["theta"]
     if not (0 <= theta < 1):
         raise ValueError("need 0 <= theta < 1 for the monotone-bound closed form")
-    index_set = GeneratorIndexSet(start=0, name="nonuniform-discrete-chain")
 
     def subsystem(i: int) -> SubsystemSpec:
         if i < 0:
@@ -214,9 +210,8 @@ def _build_nonuniform_chain(p):
 
         return step
 
-    graph = _generated_graph(index_set, "unidirectional-chain",
-                             {"theta": theta})
-    net = NetworkSpec("nonuniform-discrete-chain", DISCRETE, index_set,
+    graph = _GeneratedGraph("unidirectional-chain", {"theta": theta})
+    net = NetworkSpec("nonuniform-discrete-chain", DISCRETE, graph.index_set,
                       subsystem, graph, fast)
 
     def component_value(i, k, x0):
@@ -262,7 +257,6 @@ def _build_diffusive(p):
     eps = p["eps"]
     if not (0 <= eps < 0.5):
         raise ValueError("need 0 <= eps < 1/2 for stability of the coupling")
-    index_set = GeneratorIndexSet(start=0, name="linear-diffusive-chain")
 
     def subsystem(i: int) -> SubsystemSpec:
         if i < 0:
@@ -286,10 +280,9 @@ def _build_diffusive(p):
 
         return field
 
-    graph = _generated_graph(index_set, "bidirectional-chain",
-                             {"gain": 2.0 * eps})
-    net = NetworkSpec("linear-diffusive-chain", continuous(1e-3), index_set,
-                      subsystem, graph, fast)
+    graph = _GeneratedGraph("bidirectional-chain", {"gain": 2.0 * eps})
+    net = NetworkSpec("linear-diffusive-chain", continuous(1e-3),
+                      graph.index_set, subsystem, graph, fast)
 
     def linear_matrix(window):
         n = len(window)
@@ -432,8 +425,9 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
     """Build a network from its JSON description.
 
     Either {"catalog": name, "params": {...}} or an explicit description
-    with time_domain, index_set, and a subsystem list of
-    {"i": label, "expr": str, "neighbors": [...]}.
+    with time_domain, index_set, a subsystem list of
+    {"i": label, "expr": str, "neighbors": [...]}, one per label, and an
+    optional gain_graph on the same index set.
     """
     if "catalog" in obj:
         return instantiate(obj["catalog"], obj.get("params"))
@@ -449,6 +443,9 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
     missing = [i for i in index_set.labels if i not in subs]
     if missing:
         raise ValueError(f"no subsystem given for labels {missing}")
+    outside = [i for i in subs if i not in index_set]
+    if outside:
+        raise ValueError(f"subsystems {outside} outside the index set")
     for i, s in subs.items():
         dyn = _compile_dynamics(s["expr"])
         neighbors = tuple(_label(j, f"neighbor of {i}")
@@ -461,5 +458,7 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
         subs[i] = SubsystemSpec(s.get("name", f"node{i}"), domain, dyn,
                                 neighbors=neighbors, expression=s["expr"])
     graph = graph_from_json(obj["gain_graph"]) if "gain_graph" in obj else None
+    if graph is not None and graph.index_set != index_set:
+        raise ValueError("gain_graph is on another index set than the network")
     return NetworkSpec(obj.get("name", "network"), domain, index_set,
                        lambda i: subs[i], graph, None), None

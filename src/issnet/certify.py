@@ -58,9 +58,8 @@ from .comparison import (KLSurface, ScalarCurve, curve_max, curve_sum,
                          kl_from_decay_table, make_strictly_increasing,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import (NetworkSpec, NetworkTrajectory, TruncationPolicy,
-                      _simulate, _suffix_max, _tail_start_samples,
-                      truncation_sweep)
+from .network import (NetworkSpec, NetworkTrajectory, _simulate, _suffix_max,
+                      _tail_start_samples, truncation_sweep)
 from .systems import InputSignal
 
 __all__ = [
@@ -815,9 +814,7 @@ def uniformity_probe(net: NetworkSpec,
     A sequence approaching r as the window grows is direct evidence that
     no single decay curve covers every window.
     """
-    report = truncation_sweep(net, TruncationPolicy(tuple(sizes)),
-                              lambda window: float(r), InputSignal.zero(),
-                              t, dt)
+    report = truncation_sweep(net, sizes, r, InputSignal.zero(), t, dt)
     return {int(n): float(v)
             for n, v in zip(report.sizes, report.final_sups())}
 

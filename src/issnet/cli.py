@@ -22,7 +22,8 @@ failure line and picks the exit code.
 Exit codes: 0 all checks passed, 1 a certified failure or falsification
 (details in the written report), 2 configuration or usage errors.  Config
 values go through the _resolve_* helpers, so a bad one exits 2 with a
-message instead of a traceback.
+message instead of a traceback, and so does a key that the command, or
+its ensemble, falsify or sgc object, never reads.
 
 Every command that draws random numbers requires an explicit seed (config
 "seed" or --seed); there is no entropy default, so rerunning a job byte
@@ -51,7 +52,7 @@ from .certify import (DEFAULT_BANDS, DEFAULT_DEPTH, DEFAULT_RADII,
                       verify_sg_inequality)
 from .comparison import curve_from_json
 from .gains import CHECK_GRID, check_graph, graph_from_json
-from .network import (NetworkSpec, TruncationPolicy, _tail_start_samples,
+from .network import (NetworkSpec, _nested_sizes, _tail_start_samples,
                       simulate, subnetwork, truncation_sweep,
                       write_trajectory_csv)
 from .smallgain import (DEFAULT_FALSIFY_BUDGET, DEFAULT_SGC_RANDOM,
@@ -81,6 +82,13 @@ def _load_config(path: str) -> dict:
     if not isinstance(out, str) or not out:
         raise ConfigError(f"out must be a nonempty string, got {out!r}")
     return conf
+
+
+def _check_keys(obj: dict, known, where: str) -> None:
+    """ConfigError naming every key of obj outside ``known``."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {sorted(unknown)}")
 
 
 def _resolve_network(conf: dict):
@@ -135,11 +143,12 @@ def _resolve_bool(value, key: str) -> bool:
     return value
 
 
-def _resolve_section(conf: dict, key: str) -> dict:
-    """An optional object of sub-keys; empty when absent."""
+def _resolve_section(conf: dict, key: str, known) -> dict:
+    """An optional object of the sub-keys ``known``; empty when absent."""
     value = conf.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object, got {value!r}")
+    _check_keys(value, known, key)
     return value
 
 
@@ -285,10 +294,10 @@ def cmd_gains_check(conf: dict, args) -> tuple[dict, str | None]:
     else:
         raise ConfigError("config needs a \"graph\" or a network with gains")
     window = _resolve_window(graph, conf.get("window"))
-    fal_conf = _resolve_section(conf, "falsify")
+    fal_conf = _resolve_section(conf, "falsify", ("budget", "xi"))
     budget = _resolve_int(fal_conf.get("budget", DEFAULT_FALSIFY_BUDGET),
                           "falsify.budget", 1)
-    sgc_conf = _resolve_section(conf, "sgc")
+    sgc_conf = _resolve_section(conf, "sgc", ("radii", "n_random"))
     radii = sgc_conf.get("radii")
     if radii is not None:
         radii = _resolve_radii(radii, "sgc.radii")
@@ -377,20 +386,19 @@ def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
     if probe_times != []:
         probe_times = _resolve_list(probe_times, "probe_times", lambda t:
                                     _resolve_float(t, "probe_times", -math.inf))
-    policy = None
-    if conf.get("sweep_sizes"):
+    sizes = None
+    if conf.get("sweep_sizes") is not None:
         sizes = _resolve_list(conf["sweep_sizes"], "sweep_sizes",
                               lambda n: _resolve_int(n, "sweep_sizes", 1))
-        _resolve_window(net, max(sizes), "sweep_sizes")
+        try:
+            net.window(max(_nested_sizes(sizes)))
+        except ValueError as e:
+            raise ConfigError(f"sweep_sizes: {e}") from e
         if u.values.ndim > 1 and set(sizes) != {len(window)}:
             raise ConfigError(f"sweep_sizes must be [{len(window)}] with a "
                               f"vector input, got {list(sizes)}")
-        try:
-            policy = TruncationPolicy(sizes)
-        except ValueError as e:
-            raise ConfigError(f"sweep_sizes: {e}") from e
-        x0_scalar = _resolve_float(conf.get("sweep_x0", 1.0), "sweep_x0",
-                                   -math.inf)
+        sweep_x0 = _resolve_float(conf.get("sweep_x0", 1.0), "sweep_x0",
+                                  -math.inf)
 
     traj = simulate(net, window, x0, u, horizon, dt=dt)
     sups = traj.sup_norms()
@@ -409,11 +417,9 @@ def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
     }
 
     failure = None
-    if policy is not None:
+    if sizes is not None:
         try:
-            report = truncation_sweep(net, policy,
-                                      lambda w: np.full(len(w), x0_scalar),
-                                      u, horizon, dt=dt)
+            report = truncation_sweep(net, sizes, sweep_x0, u, horizon, dt=dt)
         except ArithmeticError as e:      # a sweep window blew up
             failure = f"truncation sweep failed: {e}"
         else:
@@ -437,6 +443,7 @@ def _ensemble_config(conf: dict, net: NetworkSpec) -> EnsembleConfig:
     e = conf.get("ensemble")
     if not isinstance(e, dict) or "horizon" not in e:
         raise ConfigError("config needs ensemble.horizon")
+    _check_keys(e, ("horizon", "dt", "n_random", "input_pieces"), "ensemble")
     horizon = _resolve_float(e["horizon"], "ensemble.horizon", 0.0)
     dt = _resolve_dt(net, e.get("dt"), "ensemble.dt")
     # member counts left out take EnsembleConfig's defaults
@@ -451,6 +458,10 @@ def _resolve_tolerances(conf: dict) -> dict:
     the validators' defaults stand in for the others."""
     return {key: _resolve_float(conf[key], key, -math.inf)
             for key in ("tol_abs", "tol_rel") if key in conf}
+
+
+_CERTIFY_KEYS = ("ensemble", "radii", "depth", "tol_abs", "tol_rel",
+                 "gamma_hat")
 
 
 def _resolve_certify(conf: dict, net: NetworkSpec) -> dict:
@@ -642,12 +653,19 @@ def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
 # dispatch ---------------------------------------------------------------
 
 
+# each command and the config keys it reads besides seed, out and network,
+# which every command accepts
 _COMMANDS = {
-    "gains-check": cmd_gains_check,
-    "simulate": cmd_simulate,
-    "certify": cmd_certify,
-    "trace-theorem1": cmd_trace_theorem1,
-    "subnetwork": cmd_subnetwork,
+    "gains-check": (cmd_gains_check, ("graph", "window", "falsify", "sgc",
+                                      "r_grid", "cycles")),
+    "simulate": (cmd_simulate, ("window", "x0", "input", "horizon", "dt",
+                                "probe_times", "sweep_sizes", "sweep_x0")),
+    "certify": (cmd_certify, ("window", "emit_uniform", *_CERTIFY_KEYS)),
+    "trace-theorem1": (cmd_trace_theorem1, (
+        "window", "ensemble", "radii", "bands", "tail_fractions", "tol",
+        "small_cap", "xi")),
+    "subnetwork": (cmd_subnetwork, ("subset", "falsify_budget", "r_grid",
+                                    *_CERTIFY_KEYS)),
 }
 
 
@@ -673,7 +691,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         conf = _load_config(args.config)
-        files, failure = _COMMANDS[args.command](conf, args)
+        command, keys = _COMMANDS[args.command]
+        _check_keys(conf, ("seed", "out", "network", *keys), "config")
+        files, failure = command(conf, args)
         out = args.out or conf.get("out", ".")
         for name, content in files.items():
             _atomic_write(os.path.join(out, name), content)

@@ -9,12 +9,12 @@ gain gamma_i.  The induced operator on nonnegative sequences is
 with the convention gamma_ij = 0 for absent edges, so entries outside the
 working window contribute nothing.  Every row is finite, and every gain,
 given or generated, is of class K or zero, off the diagonal and inside the
-index set.  Infinite index sets are handled through generator callbacks
-that materialize rows and external gains on demand, each checked once and
-then kept with the given ones; all computation happens on a finite working
-window with an implicit zero tail.  Graph JSON names one of three fixed
-generators (decoupled, unidirectional-chain, bidirectional-chain), the
-ones the catalog chains are built from, each with only its own params.
+index set.  A graph is given on a finite index set, or generated on start,
+start+1, ... by a named generator (decoupled, unidirectional-chain or
+bidirectional-chain, each with only its own finite params >= 0), built
+through _GeneratedGraph from graph JSON and the catalog chains alike, which
+makes rows and external gains on demand, each checked once and kept.  All
+computation happens on a finite working window with an implicit zero tail.
 
 A working window is a nonempty tuple of distinct labels of the index
 set, resolved from None (every label of a finite set), a positive size or
@@ -36,7 +36,7 @@ produce the same bits for every input row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -130,13 +130,10 @@ class _WindowRule:
 @dataclass(frozen=True)
 class FiniteIndexSet(_WindowRule):
     labels: tuple[int, ...]
+    finite = True                   # a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _labels(self.labels))
-
-    @property
-    def finite(self) -> bool:
-        return True
 
     def __contains__(self, i: int) -> bool:
         return _is_label(i) and i in self.labels
@@ -155,14 +152,10 @@ class GeneratorIndexSet(_WindowRule):
     """Countably infinite index set start, start+1, ..."""
 
     start: int = 0
-    name: str = "integers"
+    finite = False                  # a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "start", _label(self.start, "index set start"))
-
-    @property
-    def finite(self) -> bool:
-        return False
 
     def __contains__(self, i: int) -> bool:
         return _is_label(i) and i >= self.start
@@ -174,15 +167,13 @@ class GeneratorIndexSet(_WindowRule):
 
 
 class GainGraph:
-    """Sparse row-major gain graph over a finite or generated index set."""
+    """Sparse row-major gain graph given on a finite index set; a graph on
+    an infinite one is generated (see _GeneratedGraph)."""
 
     def __init__(self, index_set, entries: Mapping[tuple[int, int], ScalarCurve] | None = None,
-                 external: Mapping[int, ScalarCurve] | None = None,
-                 row_fn: Callable[[int], Mapping[int, ScalarCurve]] | None = None,
-                 external_fn: Callable[[int], ScalarCurve] | None = None,
-                 assumption1_bound: ScalarCurve | None = None,
-                 generator_name: str | None = None,
-                 generator_params: Mapping | None = None):
+                 external: Mapping[int, ScalarCurve] | None = None):
+        if not index_set.finite:
+            raise ValueError("a given gain graph needs a finite index set")
         self.index_set = index_set
         self.rows: dict[int, dict[int, ScalarCurve]] = {}
         for (i, j), g in (entries or {}).items():
@@ -192,14 +183,7 @@ class GainGraph:
         for i, g in (external or {}).items():
             _require_k_or_zero(g, f"external gain of {i}")
             self.external[_label(i, "external gain label")] = g
-        self.row_fn = row_fn
-        self.external_fn = external_fn
-        self.assumption1_bound = assumption1_bound
-        self.generator_name = generator_name
-        self.generator_params = dict(generator_params or {})
         self._plans: dict[tuple, _WindowPlan] = {}
-        if not index_set.finite and row_fn is None:
-            raise ValueError("generated index sets need a row function")
 
     def _nonzero_edge(self, i: int, j: int, g: ScalarCurve) -> bool:
         """Check gamma_ij, given or generated; True when it is nonzero."""
@@ -215,18 +199,11 @@ class GainGraph:
         """Finite row of i: mapping j -> gamma_ij (absent entries are zero)."""
         if i not in self.index_set:
             raise KeyError(f"index {i} outside the index set")
-        if i not in self.rows and self.row_fn is not None:
-            self.rows[i] = {int(j): g for j, g in self.row_fn(i).items()
-                            if self._nonzero_edge(i, j, g)}
         return self.rows.get(i, {})
 
     def external_gain(self, i: int) -> ScalarCurve:
         if i not in self.index_set:
             raise KeyError(f"index {i} outside the index set")
-        if i not in self.external and self.external_fn is not None:
-            g = self.external_fn(i)
-            _require_k_or_zero(g, f"external gain of {i}")
-            self.external[i] = g
         return self.external[i] if i in self.external else zero_curve()
 
     def uniform_external_gain(self, window: Sequence[int]) -> ScalarCurve:
@@ -322,11 +299,16 @@ def _linear_fixed_point(plan: _WindowPlan) -> np.ndarray | None:
         choice = np.where(better, best, choice)
     else:
         return None
-    nxt = plan.apply(v[None, :])[0] + 1.0
-    if np.max(np.abs(nxt - v)) > 1e-13 * max(1.0, float(np.max(nxt))):
+    nxt = plan.apply(v[None, :]) + 1.0
+    if not _settled(nxt, v[None, :], np.max(nxt, axis=1))[0]:
         return None
     v.flags.writeable = False
     return v
+
+
+def _settled(nxt: np.ndarray, prev: np.ndarray, peak) -> np.ndarray:
+    """Rows whose step prev -> nxt moved by at most 1e-13 * max(1, peak)."""
+    return np.max(np.abs(nxt - prev), axis=1) <= 1e-13 * np.maximum(1.0, peak)
 
 
 def _segment_argmax(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -383,7 +365,7 @@ class GraphCheckReport:
     max_row_size: int
     assumption1_sup: np.ndarray     # sup over checked entries of gamma_ij(r), per grid r
     assumption1_finite: bool
-    window_only: bool               # True when only a window of a generated graph was checked
+    window_only: bool = False       # a generated graph's bound covers its tail
     notes: str = ""
 
 
@@ -392,8 +374,8 @@ def check_graph(graph: GainGraph, r_grid: Sequence[float],
     """Structural invariants on a working window, by default every label
     of a finite index set (a generated one needs an explicit window).
 
-    For generated graphs without a closed-form bound the Assumption-1 sup is
-    taken over the window only and the gap is flagged, not hidden.
+    On a generated graph the Assumption-1 sup also takes the generator's
+    closed-form bound, so it covers the labels beyond the window.
     """
     window = graph.index_set.window(window)
     r = np.asarray(r_grid, float)
@@ -406,31 +388,27 @@ def check_graph(graph: GainGraph, r_grid: Sequence[float],
         max_row = max(max_row, len(row))
         for g in row.values():
             sup = np.maximum(sup, g(r))
-    window_only = not graph.index_set.finite
     notes = ""
-    if graph.assumption1_bound is not None:
-        sup = np.maximum(sup, graph.assumption1_bound(r))
-        window_only = False
+    if isinstance(graph, _GeneratedGraph):
+        sup = np.maximum(sup, graph.bound(r))
         notes = "assumption-1 sup taken from the generator's closed-form bound"
-    elif window_only:
-        notes = "assumption-1 sup covers the materialized window only"
     return GraphCheckReport(
         zero_diagonal=True,      # enforced at construction
         row_finite=True,         # rows are materialized finite dicts
         max_row_size=max_row,
         assumption1_sup=sup,
         assumption1_finite=bool(np.all(np.isfinite(sup))),
-        window_only=window_only,
         notes=notes,
     )
 
 
-def _checked_vector(v, window: Sequence[int]) -> np.ndarray:
-    """v as a float vector aligned with the window, entries finite and >= 0."""
+def _sequences(v, window: Sequence[int], batch: bool = False) -> np.ndarray:
+    """v as a float vector aligned with the window, or with ``batch`` an
+    (m, |window|) array of such rows; entries finite and >= 0."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size != len(window):
-        raise ValueError("value array must align with the window")
-    if np.any(v < 0) or np.any(~np.isfinite(v)):
+    if v.ndim != 1 + batch or v.shape[-1] != len(window):
+        raise ValueError(f"shape {v.shape} does not align with the window")
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValueError("sequence entries must be finite and >= 0")
     return v
 
@@ -444,7 +422,7 @@ def apply_gain_operator(graph: GainGraph, v,
     apply_batch must match it bit for bit.
     """
     window = graph.index_set.window(window)
-    b = _checked_vector(v, window)[None, :]
+    b = _sequences(v, window)[None, :]
     pos = {i: k for k, i in enumerate(window)}
     out = np.zeros_like(b)
     for i, k in pos.items():
@@ -459,12 +437,7 @@ def apply_batch(graph: GainGraph, batch: np.ndarray, window: Sequence[int]) -> n
     (batch rows are independent vectors on the same window), through the
     graph's compiled plan for the window."""
     plan = graph._plan(window)
-    b = np.asarray(batch, dtype=float)
-    if b.ndim != 2 or b.shape[1] != len(plan.window):
-        raise ValueError("batch must have shape (m, |window|)")
-    if not np.all(np.isfinite(b)) or np.any(b < 0):
-        raise ValueError("sequence entries must be finite and >= 0")
-    return plan.apply(b)
+    return plan.apply(_sequences(batch, plan.window, batch=True))
 
 
 def iterate(graph: GainGraph, v, n: int, window: Sequence[int]) -> np.ndarray:
@@ -473,7 +446,7 @@ def iterate(graph: GainGraph, v, n: int, window: Sequence[int]) -> np.ndarray:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     window = graph.index_set.window(window)
-    v = _checked_vector(v, window)
+    v = _sequences(v, window)
     for _ in range(n):
         v = apply_batch(graph, v[None, :], window)[0]
     return v
@@ -500,9 +473,8 @@ def graph_to_json(graph: GainGraph, window: Sequence[int] | None = None) -> dict
                "labels": list(graph.index_set.labels)}
         window = graph.index_set.labels
     else:
-        idx = {"kind": "generator", "name": graph.generator_name or graph.index_set.name,
-               "params": dict(graph.generator_params),
-               "start": graph.index_set.start}
+        idx = {"kind": "generator", "name": graph.name,
+               "params": dict(graph.params), "start": graph.index_set.start}
         if window is None:
             window = ()
     edges = []
@@ -535,24 +507,32 @@ def graph_from_json(obj: dict) -> GainGraph:
                            "external gain of")
         return GainGraph(index_set, entries, external)
     if kind == "generator":
-        name = idx.get("name")
-        return _generated_graph(GeneratorIndexSet(idx.get("start", 0), name),
-                                name, idx.get("params", {}))
+        return _GeneratedGraph(idx.get("name"), idx.get("params", {}),
+                               idx.get("start", 0))
     raise ValueError(f"unknown index set kind {kind!r}")
 
 
 def _with_defaults(defaults: Mapping, params: Mapping, owner: str) -> dict:
-    """params over defaults; a key without a default raises."""
+    """params over defaults; a key without a default, or a value that is
+    not a finite number (a bool is not a number), raises."""
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {owner}: {sorted(unknown)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)) \
+                or not np.isfinite(value):
+            raise ValueError(f"parameter {key!r} of {owner} must be a finite "
+                             f"number, got {value!r}")
     return {**defaults, **params}
 
 
 # Gain generators: the catalog chains' rows, rebuilt by name from graph
 # JSON.  Each is (factory, defaults of every parameter it reads), and
 # factory(params, start) returns (row_fn, external_fn, assumption-1 bound);
-# start is the index set's first label, below which no row reaches.
+# start is the index set's first label, below which no row reaches.  Every
+# parameter is a gain coefficient, so linear() rejects a negative one, and a
+# zero gain is no edge.
 
 
 def _gen_decoupled(params, start):
@@ -560,25 +540,14 @@ def _gen_decoupled(params, start):
 
 
 def _gen_unidirectional(params, start):
-    theta = float(params["theta"])
-    g = linear(theta) if theta > 0 else zero_curve()
-    return (lambda i: ({i + 1: g} if theta > 0 else {})), \
-        (lambda i: identity()), g
+    g = linear(params["theta"])
+    return (lambda i: {i + 1: g}), (lambda i: identity()), g
 
 
 def _gen_bidirectional(params, start):
-    gain = float(params["gain"])
-    g = linear(gain) if gain > 0 else zero_curve()
-
-    def row(i):
-        if gain == 0:
-            return {}
-        out = {i + 1: g}
-        if i - 1 >= start:
-            out[i - 1] = g
-        return out
-
-    return row, (lambda i: identity()), g
+    g = linear(params["gain"])
+    return (lambda i: {i + 1: g, i - 1: g} if i > start else {i + 1: g}), \
+        (lambda i: identity()), g
 
 
 _GAIN_GENERATORS = {
@@ -588,15 +557,30 @@ _GAIN_GENERATORS = {
 }
 
 
-def _generated_graph(index_set: GeneratorIndexSet, name: str,
-                     params: Mapping) -> GainGraph:
-    """The graph of the gain generator ``name`` on ``index_set``."""
-    if name not in _GAIN_GENERATORS:
-        raise ValueError(f"unknown gain generator {name!r}")
-    factory, defaults = _GAIN_GENERATORS[name]
-    row_fn, external_fn, bound = factory(
-        _with_defaults(defaults, params, f"gain generator {name!r}"),
-        index_set.start)
-    return GainGraph(index_set, row_fn=row_fn, external_fn=external_fn,
-                     assumption1_bound=bound, generator_name=name,
-                     generator_params=params)
+class _GeneratedGraph(GainGraph):
+    """The graph of the gain generator ``name`` on start, start+1, ...,
+    with its closed-form Assumption-1 ``bound`` and ``params`` as given."""
+
+    def __init__(self, name: str, params: Mapping, start: int = 0):
+        if name not in _GAIN_GENERATORS:
+            raise ValueError(f"unknown gain generator {name!r}")
+        factory, defaults = _GAIN_GENERATORS[name]
+        full = _with_defaults(defaults, params, f"gain generator {name!r}")
+        self.index_set = GeneratorIndexSet(start)
+        self.name, self.params = name, dict(params)
+        self._row_fn, self._external_fn, self.bound = factory(
+            full, self.index_set.start)
+        self.rows, self.external, self._plans = {}, {}, {}
+
+    def row(self, i: int) -> dict[int, ScalarCurve]:
+        if i not in self.rows and i in self.index_set:
+            self.rows[i] = {int(j): g for j, g in self._row_fn(i).items()
+                            if self._nonzero_edge(i, j, g)}
+        return super().row(i)
+
+    def external_gain(self, i: int) -> ScalarCurve:
+        if i not in self.external and i in self.index_set:
+            g = self._external_fn(i)
+            _require_k_or_zero(g, f"external gain of {i}")
+            self.external[i] = g
+        return super().external_gain(i)

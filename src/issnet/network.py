@@ -4,7 +4,8 @@ A network couples scalar subsystems through neighbor lists; subsystems whose
 neighbors fall outside the simulated window read zero there, which is exactly
 the truncation convention used for infinite interconnections.  A window is
 resolved and checked by the index set's window rule (see gains), once per
-stepping pass and before any step.  Discrete networks update synchronously;
+stepping pass and before any step; a truncation sweep steps its nested
+windows from one start value.  Discrete networks update synchronously;
 continuous networks are integrated monolithically with fixed-step RK4 so all
 components advance through the same stages.  The step grid and the update
 come from the time domain (TimeDomain.grid and TimeDomain.stepper), the rule
@@ -42,7 +43,6 @@ from .systems import (DEFAULT_AXIOM_DT, DEFAULT_BLOWUP_BOUND, BlowUp,
 __all__ = [
     "NetworkSpec",
     "NetworkTrajectory",
-    "TruncationPolicy",
     "SweepReport",
     "simulate",
     "simulate_ensemble",
@@ -330,16 +330,13 @@ def simulate_ensemble(net: NetworkSpec, window: Sequence[int],
     return [run.trajectory(j) for j in range(len(members))]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Nested window sizes; components outside each window read zero."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.sizes or list(self.sizes) != sorted(set(self.sizes)):
-            raise ValueError("window sizes must be nonempty and strictly "
-                             "increasing")
+def _nested_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """A sweep's window sizes, nonempty and strictly increasing, as a tuple."""
+    sizes = tuple(sizes)
+    if not sizes or list(sizes) != sorted(set(sizes)):
+        raise ValueError("window sizes must be nonempty and strictly "
+                         "increasing")
+    return sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,29 +350,28 @@ class SweepReport:
         return self.sup_curves[:, -1]
 
 
-def truncation_sweep(net: NetworkSpec, policy: TruncationPolicy, x0_fn,
+def truncation_sweep(net: NetworkSpec, sizes: Sequence[int], x0: float,
                      u: InputSignal, horizon: float,
                      dt: float | None = None) -> SweepReport:
-    """Simulate nested windows and report how the sup-norm curve moves.
+    """Simulate nested windows of the given sizes, nonempty and strictly
+    increasing, and report how the sup-norm curve moves.
 
-    ``x0_fn`` is called with each window tuple and returns its initial
-    vector (a scalar is broadcast).  Boundary components outside each
-    window contribute zero; a window that blows up raises ArithmeticError.
-    Every window is checked before the first one is stepped.
+    Every component of every window starts at the number ``x0``.  Boundary
+    components outside each window contribute zero; a window that blows up
+    raises ArithmeticError.  The sizes and every window are checked before
+    the first one is stepped.
     """
+    sizes = _nested_sizes(sizes)
     curves = []
-    times = None
-    for window in [net.window(size) for size in policy.sizes]:
-        traj = simulate(net, window, x0_fn(window), u, horizon, dt)
+    for window in [net.window(size) for size in sizes]:
+        traj = simulate(net, window, float(x0), u, horizon, dt)
         if traj.blowup is not None:
             raise ArithmeticError(f"window {len(window)} blew up at "
                                   f"t={traj.blowup.time:g}")
         curves.append(traj.sup_norms())
-        times = traj.times
     sup_curves = np.stack(curves)
-    drifts = np.max(np.abs(np.diff(sup_curves, axis=0)), axis=1) if len(curves) > 1 \
-        else np.zeros(0)
-    return SweepReport(tuple(policy.sizes), times, sup_curves, drifts)
+    drifts = np.max(np.abs(np.diff(sup_curves, axis=0)), axis=1)
+    return SweepReport(sizes, traj.times, sup_curves, drifts)
 
 
 def subnetwork(net: NetworkSpec, subset: Sequence[int]) -> NetworkSpec:

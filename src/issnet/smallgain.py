@@ -55,7 +55,8 @@ import numpy as np
 from ._rng import derived_rng
 from .comparison import (ScalarCurve, compose, linear,
                          make_strictly_increasing, power, pwl)
-from .gains import CHECK_GRID, GainGraph, apply_batch, apply_gain_operator
+from .gains import (CHECK_GRID, GainGraph, _settled, apply_batch,
+                    apply_gain_operator)
 
 __all__ = [
     "dist_to_cone",
@@ -160,7 +161,7 @@ def _iterated_directions(graph: GainGraph, window: tuple,
         nxt = apply_batch(graph, prev, window) + w[active]
         peak = np.max(nxt, axis=1)
         blown = peak > 1e9 * r[active]
-        done = np.max(np.abs(nxt - prev), axis=1) <= 1e-13 * np.maximum(1.0, peak)
+        done = _settled(nxt, prev, peak)
         v[active] = nxt
         kept[active[blown]] = False
         active = active[~(blown | done)]

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from issnet.catalog import entries, instantiate, network_from_json, parse_ref
-from issnet.gains import graph_to_json
+from issnet.comparison import linear
+from issnet.gains import FiniteIndexSet, GainGraph, graph_to_json
 from issnet.network import simulate
 from issnet.systems import InputSignal
 
@@ -38,6 +39,14 @@ def test_instantiate_rejects_unknown_names_and_params():
         instantiate("nonuniform-discrete-chain", {"theta": 1.5})
     with pytest.raises(ValueError):
         instantiate("linear-diffusive-chain", {"eps": 0.6})
+
+
+@pytest.mark.parametrize("value", [True, "0.3", None, float("nan")], ids=str)
+def test_instantiate_params_must_be_finite_numbers(value):
+    # float() used to read true as 1.0 and "0.3" as 0.3
+    with pytest.raises(ValueError, match="'a' of uniform-2-cycle must be a "
+                                         "finite number"):
+        instantiate("uniform-2-cycle", {"a": value})
 
 
 def test_instantiate_applies_overrides():
@@ -190,12 +199,19 @@ def test_network_from_json_catalog_ref():
     assert oracle is not None
 
 
-def test_network_from_json_carries_gain_graph(two_cycle):
+def _toy_graph(labels=(0, 1)) -> dict:
+    """Graph JSON of the toy network's coupling 0 <- 1 on ``labels``."""
+    return graph_to_json(GainGraph(FiniteIndexSet(labels),
+                                   {(0, 1): linear(0.5)}))
+
+
+def test_network_from_json_carries_gain_graph():
     obj = _toy_obj()
-    obj["gain_graph"] = graph_to_json(two_cycle[0].graph)
+    obj["gain_graph"] = _toy_graph()
     net, _ = network_from_json(obj)
     assert net.graph is not None
-    assert net.graph.row(1)[2](1.0) == pytest.approx(0.5)
+    assert net.graph.index_set == net.index_set
+    assert net.graph.row(0)[1](1.0) == pytest.approx(0.5)
 
 
 def test_network_from_json_validation():
@@ -217,6 +233,25 @@ def test_network_json_labels_must_be_integers(field, value):
     obj = _toy_obj()
     obj["subsystems"][0][field] = value
     with pytest.raises(ValueError, match="must be an integer"):
+        network_from_json(obj)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"subsystems": [{"i": 0, "expr": "0.5*x"}, {"i": 1, "expr": "0.5*x"},
+                     {"i": 5, "expr": "0.5*x"}]},
+     r"subsystems \[5\] outside the index set"),
+    ({"gain_graph": _toy_graph((0, 1, 2))}, "another index set"),
+    ({"gain_graph": _toy_graph((1, 0))}, "another index set"),
+    ({"gain_graph": {"index_set": {"kind": "generator",
+                                   "name": "decoupled"}}},
+     "another index set"),
+], ids=["stray-subsystem", "larger-graph", "reordered-graph",
+        "generated-graph"])
+def test_network_json_parts_share_the_index_set(change, match):
+    # labels [0, 1] with subsystems 0, 1 and 5 used to load as a two-node
+    # network, and a graph on labels [0, 1, 2] used to be accepted
+    obj = {**_toy_obj(), **change}
+    with pytest.raises(ValueError, match=match):
         network_from_json(obj)
 
 

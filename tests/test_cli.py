@@ -640,7 +640,16 @@ _PAIR = {"kind": "finite", "labels": [0, 1]}
     ("simulate", {"network": {**_TOY_NET, "subsystems": [
         {"i": 0, "expr": "0.5*x", "neighbors": [0]},
         {"i": 1, "expr": "0.5*x"}]}, "horizon": 2}, "lists itself"),
-], ids=["edge", "subsystem", "outside", "self"])
+    ("simulate", {"network": {**_TOY_NET, "subsystems": [
+        {"i": 0, "expr": "0.5*x"}, {"i": 1, "expr": "0.5*x"},
+        {"i": 5, "expr": "0.5*x"}]}, "horizon": 2},
+     "subsystems [5] outside the index set"),
+    ("simulate", {"network": {**_TOY_NET, "subsystems": [
+        {"i": 0, "expr": "0.5*x"}, {"i": 1, "expr": "0.5*x"}],
+        "gain_graph": {"index_set": {"kind": "finite", "labels": [0, 1, 2]}}},
+        "horizon": 2}, "gain_graph is on another index set"),
+], ids=["edge", "subsystem", "outside", "self", "stray-subsystem",
+        "other-graph"])
 def test_a_repeated_or_stray_json_label_is_a_config_error(run_cli, capsys,
                                                           command, conf, match):
     code, _ = run_cli(command, conf)
@@ -860,6 +869,8 @@ def test_missing_required_flag_exits_2(capsys):
     {"input": "zero"},
     {"input": {"kind": "constant", "level": "x"}},
     {"sweep_sizes": [3, 2]},
+    {"sweep_sizes": []},        # an empty or false list used to skip the sweep
+    {"sweep_sizes": False},
     {"probe_times": ["x"]},
     {"x0": [1.0, 0.0]},
     {"x0": "abc"},
@@ -894,6 +905,20 @@ BAD_GAINS_CHECK_CONFIGS = [
     ({"graph": {"index_set": {"kind": "generator",
                               "name": "bidirectional-chain",
                               "params": {"gian": 0.9}}}}, "graph"),
+    # each of these three built a graph with no edges, or a theta of 1.0,
+    # and passed
+    ({"graph": {"index_set": {"kind": "generator",
+                              "name": "bidirectional-chain",
+                              "params": {"gain": -0.3}}},
+      "window": 4}, "graph"),
+    ({"graph": {"index_set": {"kind": "generator",
+                              "name": "unidirectional-chain",
+                              "params": {"theta": float("nan")}}},
+      "window": 4}, "graph"),
+    ({"graph": {"index_set": {"kind": "generator",
+                              "name": "unidirectional-chain",
+                              "params": {"theta": True}}},
+      "window": 4}, "graph"),
     ({"cycles": "no"}, "cycles"),
     ({"r_grid": "x"}, "r_grid"),
     ({"r_grid": [-1, 1]}, "r_grid"),
@@ -928,6 +953,52 @@ def test_bad_subnetwork_config_is_a_config_error(run_cli, capsys, changes):
     assert code == 2
     assert f"config error: {next(iter(changes))}" in capsys.readouterr().err
     assert not (out / "subnetwork.json").exists()
+
+
+# each misspelling used to be ignored: certify ran on the default radii and
+# depth and failed at radius 0.25 with depth 10
+@pytest.mark.parametrize("command, conf, unknown", [
+    ("certify", {**SMALL_CERT, "raddi": [0.25], "detph": 10},
+     "unknown config keys ['detph', 'raddi']"),
+    ("certify", _with(SMALL_CERT, **{"ensemble.n_randm": 2}),
+     "unknown ensemble keys ['n_randm']"),
+    ("certify", {**SMALL_CERT, "sweep_x0": 1.0},
+     "unknown config keys ['sweep_x0']"),
+    ("gains-check", {"network": "catalog:uniform-2-cycle", "seed": 1,
+                     "falsify": {"bugdet": 5}},
+     "unknown falsify keys ['bugdet']"),
+    ("gains-check", {"network": "catalog:uniform-2-cycle", "seed": 1,
+                     "sgc": {"radius": [1.0]}}, "unknown sgc keys ['radius']"),
+    ("gains-check", {"network": "catalog:uniform-2-cycle", "seed": 1,
+                     "falsify_budget": 5},
+     "unknown config keys ['falsify_budget']"),
+    ("simulate", {"network": "catalog:counterexample-chain", "window": 3,
+                  "horizon": 1.0, "dt": 0.1, "sweep_size": [2, 3]},
+     "unknown config keys ['sweep_size']"),
+    ("trace-theorem1", {"network": "catalog:nonuniform-discrete-chain",
+                        "window": 3, "ensemble": {"horizon": 40}, "seed": 1,
+                        "band": [1]}, "unknown config keys ['band']"),
+    ("subnetwork", {"network": "catalog:nonuniform-discrete-chain",
+                    "subset": [0, 1, 2], "ensemble": {"horizon": 40},
+                    "seed": 1, "falsify": {"budget": 5}},
+     "unknown config keys ['falsify']"),
+], ids=["certify", "ensemble", "certify-sweep-key", "falsify", "sgc",
+        "gains-check-key", "simulate", "trace", "subnetwork"])
+def test_an_unknown_config_key_is_a_config_error(run_cli, capsys, command,
+                                                 conf, unknown):
+    code, out = run_cli(command, conf)
+    assert code == 2
+    assert f"config error: {unknown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_accepts_seed_and_out(run_cli, tmp_path):
+    # every command accepts both keys, simulate even though it draws nothing
+    code, out = run_cli("simulate", {
+        "network": "catalog:counterexample-chain", "window": 3,
+        "horizon": 1.0, "dt": 0.1, "seed": 7, "out": str(tmp_path / "x")})
+    assert code == 0
+    assert (out / "simulate_summary.json").exists()
 
 
 def test_gains_check_uses_the_given_r_grid(run_cli):

@@ -198,26 +198,35 @@ def test_generator_backed_window(chain):
     ({1: linear(0.5)}, "leaves the index set"),
     ({5: expdecay(1.0, 1.0)}, "class-K"),
 ])
-def test_generated_rows_are_checked_like_given_ones(bad, match):
+def test_generated_rows_are_checked_like_given_ones(monkeypatch, bad, match):
     # labels start at 2, so label 1 is outside the index set; the valid
     # edge to 4 comes first, so a half-built row would hold it
-    g = GainGraph(GeneratorIndexSet(start=2),
-                  row_fn=lambda i: {4: linear(0.5), **bad})
+    def factory(params, start):
+        return (lambda i: {4: linear(0.5), **bad}), \
+            (lambda i: zero_curve()), zero_curve()
+
+    monkeypatch.setitem(gains._GAIN_GENERATORS, "bad-rows", (factory, {}))
+    g = graph_from_json({"index_set": {"kind": "generator",
+                                       "name": "bad-rows", "start": 2}})
     with pytest.raises(ValueError, match=match):
         g.row(3)
     with pytest.raises(ValueError, match=match):
         g.row(3)
 
 
-def test_generated_external_gains_are_checked_and_kept():
+def test_generated_external_gains_are_checked_and_kept(monkeypatch):
     calls = []
 
     def external_fn(i):
         calls.append(i)
         return identity() if i < 5 else expdecay(1.0, 1.0)
 
-    g = GainGraph(GeneratorIndexSet(), row_fn=lambda i: {},
-                  external_fn=external_fn)
+    monkeypatch.setitem(
+        gains._GAIN_GENERATORS, "counted-external",
+        (lambda params, start: ((lambda i: {}), external_fn, zero_curve()),
+         {}))
+    g = graph_from_json({"index_set": {"kind": "generator",
+                                       "name": "counted-external"}})
     assert g.external_gain(2) is g.external_gain(2)
     assert calls == [2]
     with pytest.raises(ValueError, match="class-K"):
@@ -231,6 +240,40 @@ def test_external_gain_checks_its_label_like_row():
     for lookup in (g.row, g.external_gain):
         with pytest.raises(KeyError, match="index -3 outside the index set"):
             lookup(-3)
+
+
+def test_a_given_graph_needs_a_finite_index_set():
+    with pytest.raises(ValueError, match="needs a finite index set"):
+        GainGraph(GeneratorIndexSet(), {(0, 1): linear(0.5)})
+
+
+@pytest.mark.parametrize("name, params, match", [
+    ("bidirectional-chain", {"gain": -0.3}, "needs a >= 0"),
+    ("unidirectional-chain", {"theta": -1e-9}, "needs a >= 0"),
+    ("unidirectional-chain", {"theta": float("nan")}, "finite number"),
+    ("bidirectional-chain", {"gain": float("inf")}, "finite number"),
+    ("unidirectional-chain", {"theta": True}, "finite number"),
+    ("bidirectional-chain", {"gain": "0.3"}, "finite number"),
+    ("bidirectional-chain", {"gain": None}, "finite number"),
+], ids=["negative-gain", "negative-theta", "nan", "inf", "bool", "string",
+        "null"])
+def test_generator_params_must_be_finite_and_nonnegative(name, params, match):
+    # a negative or NaN gain used to build a graph with no edges, and true
+    # was read as 1.0
+    with pytest.raises(ValueError, match=match):
+        graph_from_json({"index_set": {"kind": "generator", "name": name,
+                                       "params": params}})
+
+
+def test_generator_params_may_be_zero_or_numpy_numbers():
+    g = graph_from_json({"index_set": {"kind": "generator",
+                                       "name": "bidirectional-chain",
+                                       "params": {"gain": 0}}})
+    assert g.row(3) == {}
+    g = gains._GeneratedGraph("unidirectional-chain",
+                              {"theta": np.float64(0.25)}, np.int64(2))
+    assert g.row(2)[3](4.0) == 1.0
+    assert g.index_set == GeneratorIndexSet(2)
 
 
 @pytest.mark.parametrize("params", [{"gian": 0.9}, {"start": 5},
@@ -293,14 +336,6 @@ def test_check_graph_window_coverage_is_flagged():
     report = check_graph(g, r_grid=np.geomspace(0.1, 1e3, 7))
     assert report.assumption1_finite          # finite window: sup is a max
     assert not report.window_only
-    # a generated graph with no closed-form bound only certifies the window
-    g2 = GainGraph(GeneratorIndexSet(),
-                   row_fn=lambda i: {i + 1: linear(float(i + 1))},
-                   external_fn=lambda i: zero_curve())
-    report2 = check_graph(g2, r_grid=np.geomspace(0.1, 10.0, 5),
-                          window=g2.index_set.window(6))
-    assert report2.window_only
-    assert "window" in report2.notes
 
 
 # The compiled plan ------------------------------------------------------
@@ -397,6 +432,8 @@ def test_generator_graph_json_round_trip(name):
     # that graph_from_json rebuilds them with
     net, _ = instantiate(name)
     back = graph_from_json(graph_to_json(net.graph))
+    # an index set is its labels: the graph's, the network's and the copy's
+    assert back.index_set == net.index_set == net.graph.index_set
     win = net.window(5)
     x = np.linspace(0.0, 4.0, 5)
     assert np.array_equal(apply_gain_operator(back, x, win),

@@ -12,7 +12,6 @@ from issnet.gains import FiniteIndexSet
 from issnet.network import (
     NetworkSpec,
     NetworkSystem,
-    TruncationPolicy,
     simulate,
     simulate_ensemble,
     subnetwork,
@@ -265,20 +264,33 @@ def test_trajectory_csv_format(tmp_path, two_cycle):
 
 def test_truncation_sweep_counterexample(counterexample):
     net, _ = counterexample
-    policy = TruncationPolicy((10, 50, 100))
-    report = truncation_sweep(net, policy, lambda w: np.ones(len(w)),
-                              InputSignal.zero(), 5.0, dt=1e-2)
+    report = truncation_sweep(net, (10, 50, 100), 1.0, InputSignal.zero(),
+                              5.0, dt=1e-2)
     expect = [math.exp(-5.0 / n) for n in (10, 50, 100)]
     assert np.allclose(report.final_sups(), expect, atol=1e-7)
     assert report.drifts.shape == (2,)
     assert np.all(report.drifts > 0)
 
 
-def test_truncation_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy((10, 10))
-    with pytest.raises(ValueError):
-        TruncationPolicy((5, 3))
+def test_truncation_sweep_broadcasts_its_start(counterexample):
+    # the start value is broadcast to each window: the sweep equals, bit
+    # for bit, per-window runs from a vector of that value
+    net, _ = counterexample
+    u = InputSignal.constant(0.3)
+    report = truncation_sweep(net, (3, 7, 12), 0.7, u, 2.0, dt=1e-2)
+    assert report.sizes == (3, 7, 12)
+    for n, curve in zip(report.sizes, report.sup_curves):
+        traj = simulate(net, net.window(n), np.full(n, 0.7), u, 2.0, dt=1e-2)
+        assert np.array_equal(curve, traj.sup_norms())
+        assert np.array_equal(report.times, traj.times)
+
+
+def test_truncation_sweep_sizes_must_increase(counterexample):
+    for sizes in [(), (10, 10), (5, 3)]:
+        with pytest.raises(ValueError,
+                           match="nonempty and strictly increasing"):
+            truncation_sweep(counterexample[0], sizes, 1.0,
+                             InputSignal.zero(), 1.0, dt=1e-2)
 
 
 # Subnetworks ------------------------------------------------------------

@@ -10,8 +10,8 @@ from issnet.certify import EnsembleConfig, build_ensemble
 from issnet.comparison import linear
 from issnet.gains import (CHECK_GRID, apply_batch, apply_gain_operator,
                           check_graph, iterate, restrict)
-from issnet.network import (NetworkSpec, TruncationPolicy, simulate,
-                            simulate_ensemble, subnetwork, truncation_sweep)
+from issnet.network import (NetworkSpec, simulate, simulate_ensemble,
+                            subnetwork, truncation_sweep)
 from issnet.smallgain import (estimate_uniform_sgc, falsify_mbi,
                               finite_cycle_check)
 from issnet.systems import InputSignal
@@ -92,6 +92,5 @@ def test_truncation_sweep_checks_every_size_before_stepping():
     calls = []
     net = _counted_two_cycle(calls)
     with pytest.raises(ValueError, match="exceeds the 2 labels"):
-        truncation_sweep(net, TruncationPolicy((1, 5)), lambda w: 1.0, ZERO,
-                         2.0)
+        truncation_sweep(net, (1, 5), 1.0, ZERO, 2.0)
     assert calls == []
