@@ -15,7 +15,6 @@ from issnet import (
     check_axioms,
     simulate,
     truncation_sweep,
-    uniformity_probe,
 )
 from issnet.catalog import instantiate
 
@@ -43,8 +42,9 @@ print(f"  drift between consecutive curves: {sweep.drifts}")
 
 print()
 print("== the decay rate is not uniform ==")
-probe = uniformity_probe(net, (10, 100, 1000), 1.0, 5.0, dt=0.01)
-for n, v in probe.items():
+probe = truncation_sweep(net, (10, 100, 1000), 1.0, InputSignal.zero(), 5.0,
+                         dt=0.01)
+for n, v in zip(probe.sizes, probe.final_sups()):
     print(f"  window {n:>5}: sup at t=5 = {v:.6f}")
 print("  the value climbs toward 1: a single decay profile beta(r, t)")
 print("  valid for every window would have to be constant in t")

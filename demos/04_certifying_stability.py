@@ -47,8 +47,7 @@ print(f"  fit residual {ugs.fit_residual:.2e}, "
 print()
 print("== attainment times ==")
 levels = {r: float(ugs.sigma(r)) * 2.0 ** -np.arange(9) for r in radii}
-att = estimate_attainment_times(net, window, levels, radii, identity(),
-                                cfg, seed=7)
+att = estimate_attainment_times(net, window, levels, identity(), cfg, seed=7)
 row = [att.time(1, 1.0, n) for n in range(9)]
 print("  component 1, r=1, levels sigma/2^n:",
       " ".join(f"{t:.0f}" for t in row))

@@ -28,12 +28,8 @@ cfg = EnsembleConfig(horizon=400.0, n_random=3)
 tails = (140.0, 220.0, 300.0, 372.0)
 
 print("== band tail sups ==")
-entries = []
-for k in (1, 2, 3):
-    entries.append(compute_band_limsups(net, window, 1.0, k, cfg, tails,
-                                        seed=5))
-entries.append(compute_band_limsups(net, window, 1.0, None, cfg, tails,
-                                    seed=5, q=0.05))
+cells = [(1.0, k, None) for k in (1, 2, 3)] + [(1.0, None, 0.05)]
+entries = compute_band_limsups(net, window, cells, cfg, tails, seed=5)
 for e in entries:
     tag = f"band k={e.k}" if e.k is not None else f"small q={e.q:g}"
     print(f"  {tag:<12} level {e.level:.4f}  y_hat = "

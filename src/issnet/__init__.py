@@ -36,10 +36,9 @@ from .certify import (AttainmentTable, BandEntry, CertificationError,
                       EnsembleConfig, LabeledRun, NonUniformISSCertificate,
                       ProofTrace, UGSCertificate, UniformISSCertificate,
                       build_ensemble, build_fit_and_holdout,
-                      build_nonuniform_iss, compute_band_cells,
-                      compute_band_limsups, estimate_attainment_times, fit_ugs,
-                      tail_limsup_estimate, trace_to_csv,
-                      uniform_from_nonuniform, uniformity_probe,
+                      build_nonuniform_iss, compute_band_limsups,
+                      estimate_attainment_times, fit_ugs, tail_limsup_estimate,
+                      trace_to_csv, uniform_from_nonuniform,
                       verify_sg_inequality)
 from . import catalog
 

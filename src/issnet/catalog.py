@@ -389,13 +389,14 @@ def _allowed_node(node: ast.AST) -> bool:
     return isinstance(node, _EXPR_NODES)
 
 
-def _compile_dynamics(expr: str):
+def _compile_dynamics(expr: str, n_neighbors: int):
     """Restricted arithmetic expression in x, w, u.
 
     The syntax tree is a whitelist: the names x, w, u and the helpers in
     _SAFE_FUNCS, int and float constants, arithmetic, comparison, boolean
     and conditional expressions, positional calls to the helpers, and
-    w[<int>].  Anything else raises ValueError; no builtins are exposed.
+    w[k] for an int k below n_neighbors, the only use of w.  Anything else
+    raises ValueError; no builtins are exposed.
     """
     try:
         tree = ast.parse(expr, "<subsystem-expression>", mode="eval")
@@ -412,6 +413,12 @@ def _compile_dynamics(expr: str):
         if not _allowed_node(node):
             raise ValueError(f"expression uses disallowed syntax "
                              f"{ast.unparse(node)!r}")
+    ks = [node.slice.value for node in nodes          # each is a w[int]
+          if isinstance(node, ast.Subscript)]
+    n_w = sum(isinstance(node, ast.Name) and node.id == "w" for node in nodes)
+    if n_w > len(ks) or any(k >= n_neighbors for k in ks):
+        raise ValueError(f"expression {expr!r} must use w only as w[k] with "
+                         f"0 <= k < {n_neighbors}, its neighbor count")
     code = compile(tree, "<subsystem-expression>", "eval")
 
     def dyn(x, w, u):
@@ -447,7 +454,6 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
     if outside:
         raise ValueError(f"subsystems {outside} outside the index set")
     for i, s in subs.items():
-        dyn = _compile_dynamics(s["expr"])
         neighbors = tuple(_label(j, f"neighbor of {i}")
                           for j in s.get("neighbors", ()))
         for j in neighbors:
@@ -455,6 +461,7 @@ def network_from_json(obj: dict) -> tuple[NetworkSpec, Oracle | None]:
                 raise ValueError(f"subsystem {i} lists itself as a neighbor")
             if j not in index_set:
                 raise ValueError(f"neighbor {j} of {i} leaves the index set")
+        dyn = _compile_dynamics(s["expr"], len(neighbors))
         subs[i] = SubsystemSpec(s.get("name", f"node{i}"), domain, dyn,
                                 neighbors=neighbors, expression=s["expr"])
     graph = graph_from_json(obj["gain_graph"]) if "gain_graph" in obj else None

@@ -19,8 +19,9 @@ The pipeline has four stages, each producing an inspectable artifact:
    held-out trajectories.  uniform_from_nonuniform collapses it to one
    surface and validates that on the same runs with the same check.
 4. compute_band_limsups / verify_sg_inequality: finite-horizon tail-sup
-   estimates over input bands [2^-k r, 2^(1-k) r], checked against the
-   vector inequality y <= Gamma(y) + gamma_vec(level) and the norm bound
+   estimates per (r, k, q) cell, an input band [2^-k r, 2^(1-k) r] or a
+   small-input cap q, all stepped in one pass, checked against the vector
+   inequality y <= Gamma(y) + gamma_vec(level) and the norm bound
    ||y|| <= xi(gamma(level)).
 
 Ensembles are planned, stepped, then reduced.  Member draws depend only on
@@ -28,7 +29,7 @@ the config and the seed, so a stage plans all of its members and steps
 them in one network._simulate pass that reduces each sample's |x| rows as
 they are produced: the running peak sup norm (fit_ugs), the last sample
 above each attainment threshold (estimate_attainment_times) and the
-suffix sups at the tail starts (compute_band_cells).  A certification
+suffix sups at the tail starts (compute_band_limsups).  A certification
 makes two passes: build_fit_and_holdout steps the fit and holdout members
 together, then estimate_attainment_times steps the members of every
 radius, whose thresholds need the fitted sigma.  Only holdout members
@@ -59,7 +60,7 @@ from .comparison import (KLSurface, ScalarCurve, curve_max, curve_sum,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
 from .network import (NetworkSpec, NetworkTrajectory, _simulate, _suffix_max,
-                      _tail_start_samples, truncation_sweep)
+                      _tail_start_samples)
 from .systems import InputSignal
 
 __all__ = [
@@ -79,11 +80,9 @@ __all__ = [
     "BandEntry",
     "ProofTrace",
     "compute_band_limsups",
-    "compute_band_cells",
     "SGInequalityReport",
     "verify_sg_inequality",
     "tail_limsup_estimate",
-    "uniformity_probe",
     "trace_to_csv",
 ]
 
@@ -357,12 +356,16 @@ class AttainmentTable:
     """
 
     window: tuple
-    radii: tuple
     levels: Mapping[float, np.ndarray]
     times: Mapping[float, np.ndarray]
     gamma_hat: ScalarCurve
     horizon: float
     seed: int
+
+    @property
+    def radii(self) -> tuple:
+        """The radii, the keys of levels in order."""
+        return tuple(self.levels)
 
     def time(self, i: int, r: float, n: int) -> float:
         return float(self.times[r][n, self.window.index(i)])
@@ -379,7 +382,6 @@ class AttainmentTable:
 def estimate_attainment_times(net: NetworkSpec,
                               window: Sequence[int],
                               levels: Mapping[float, np.ndarray],
-                              radii: Sequence[float],
                               gamma_hat: ScalarCurve,
                               cfg: EnsembleConfig,
                               seed: int) -> AttainmentTable:
@@ -388,23 +390,23 @@ def estimate_attainment_times(net: NetworkSpec,
     For every member with ||x0|| <= r and ||u|| <= r, the component's tail
     max must be below level + gamma_hat(||u||); the recorded time is the
     earliest grid time working for all members (max over members of the
-    first crossing).  `levels` maps each radius to its own levels, as
-    build_nonuniform_iss needs them: the dyadic ladder 2^-n sigma(r).
+    first crossing).  `levels` maps each radius, in the order the table
+    keeps them, to its own levels, as build_nonuniform_iss needs them: the
+    dyadic ladder 2^-n sigma(r).
     """
     window = net.window(window)
-    radii = tuple(float(r) for r in radii)
-    level_map = {r: np.asarray(levels[r], float) for r in radii}
+    level_map = {float(r): np.asarray(lv, float) for r, lv in levels.items()}
 
     # every radius's members are stepped in one pass; each member only
     # records, per (level, component), the last sample above its threshold
     families = []
-    for r in radii:
+    for r in level_map:
         bins = [(r, r), (r, 0.5 * r), (r, 0.0)] if r > 0 else [(0.0, 0.0)]
         families.append((_plan_bins(net, window, bins, cfg, seed,
                                     f"attain:{r:g}"), False))
-    members = [(r, u) for r, (fam, _keep) in zip(radii, families)
+    members = [(r, u) for r, (fam, _keep) in zip(level_map, families)
                for *_, u in fam]
-    width = max((level_map[r].size for r in radii), default=0)
+    width = max((lv.size for lv in level_map.values()), default=0)
     thresholds = np.full((len(members), width), np.inf)
     for j, (r, u) in enumerate(members):
         lv = level_map[r]
@@ -416,13 +418,13 @@ def estimate_attainment_times(net: NetworkSpec,
     # means the final sample is still above it
     final = stepped.times.size - 1
     times: dict[float, np.ndarray] = {}
-    for r, rows in zip(radii, spans):
+    for r, rows in zip(level_map, spans):
         last = stepped.last_exceed[rows, :level_map[r].size]
         member_times = np.where(last == final, np.nan,
                                 stepped.times[np.minimum(last + 1, final)])
         times[r] = np.max(member_times, axis=0)   # NaN if any member never
-    return AttainmentTable(window, radii, level_map, times, gamma_hat,
-                           cfg.horizon, seed)
+    return AttainmentTable(window, level_map, times, gamma_hat, cfg.horizon,
+                           seed)
 
 
 # Non-uniform certificates -----------------------------------------------
@@ -696,30 +698,16 @@ def _band_limits(r, k, q):
 
 def compute_band_limsups(net: NetworkSpec,
                          window: Sequence[int],
-                         r: float,
-                         k: int | None,
+                         cells: Sequence[tuple],
                          cfg: EnsembleConfig,
                          tail_starts: Sequence[float],
-                         seed: int,
-                         q: float | None = None) -> BandEntry:
-    """Tail-sup estimates over one input band or small-input cell.
+                         seed: int) -> list[BandEntry]:
+    """Tail-sup estimates for each (r, k, q) cell, all stepped in one pass.
 
-    Band k means ||u|| in [2^-k r, 2^(1-k) r]; passing q instead bounds
-    ||u|| <= q (q = 0 is the zero-input cell).  Tail starts must precede
-    the horizon; each row of the result is the suffix sup from that start.
-    """
-    return compute_band_cells(net, window, [(r, k, q)], cfg, tail_starts,
-                              seed)[0]
-
-
-def compute_band_cells(net: NetworkSpec,
-                       window: Sequence[int],
-                       cells: Sequence[tuple],
-                       cfg: EnsembleConfig,
-                       tail_starts: Sequence[float],
-                       seed: int) -> list[BandEntry]:
-    """compute_band_limsups for each (r, k, q) cell, all stepped in one pass.
-
+    A cell gives exactly one of k and q.  Band k means ||u|| in
+    [2^-k r, 2^(1-k) r]; q instead bounds ||u|| <= q (q = 0 is the
+    zero-input cell).  A single cell is a one-item list.  Tail starts must
+    precede the horizon; row m of an entry is the suffix sup from start m.
     Each member keeps only its suffix sups at the tail starts, never its
     trajectory.  The first cell (in order) with a blown-up member raises.
     """
@@ -800,23 +788,6 @@ def tail_limsup_estimate(times, values, tail_starts) -> np.ndarray:
     """
     idx = _tail_start_samples(np.asarray(times, float), tail_starts)
     return _suffix_max(np.asarray(values, float))[idx]
-
-
-def uniformity_probe(net: NetworkSpec,
-                     sizes: Sequence[int],
-                     r: float,
-                     t: float,
-                     dt: float | None = None) -> dict[int, float]:
-    """Sup norm at time t from the start r, zero input, for each window
-    size: the final sups of truncation_sweep, so the sizes must be strictly
-    increasing, and a window that blows up raises ArithmeticError.
-
-    A sequence approaching r as the window grows is direct evidence that
-    no single decay curve covers every window.
-    """
-    report = truncation_sweep(net, sizes, r, InputSignal.zero(), t, dt)
-    return {int(n): float(v)
-            for n, v in zip(report.sizes, report.final_sups())}
 
 
 def trace_to_csv(trace: ProofTrace, path: str) -> None:

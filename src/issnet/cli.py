@@ -47,7 +47,7 @@ from . import catalog
 from .certify import (DEFAULT_BANDS, DEFAULT_DEPTH, DEFAULT_RADII,
                       DEFAULT_SG_TOL, CertificationError, EnsembleConfig,
                       ProofTrace, build_fit_and_holdout, build_nonuniform_iss,
-                      compute_band_cells, estimate_attainment_times,
+                      compute_band_limsups, estimate_attainment_times,
                       fit_ugs, trace_to_csv, uniform_from_nonuniform,
                       verify_sg_inequality)
 from .comparison import curve_from_json
@@ -160,8 +160,11 @@ def _resolve_list(value, key: str, item) -> tuple:
 
 
 def _resolve_radii(value, key: str) -> tuple[float, ...]:
-    """A nonempty list of positive radii."""
-    return _resolve_list(value, key, lambda r: _resolve_float(r, key, 0.0))
+    """A nonempty list of distinct positive radii."""
+    radii = _resolve_list(value, key, lambda r: _resolve_float(r, key, 0.0))
+    if len(set(radii)) != len(radii):
+        raise ConfigError(f"{key} must be distinct, got {list(radii)}")
+    return radii
 
 
 def _resolve_graph(spec):
@@ -174,11 +177,16 @@ def _resolve_graph(spec):
         raise ConfigError(f"graph is not a valid gain graph: {e}") from e
 
 
-def _resolve_dt(net: NetworkSpec, dt, key: str):
-    """dt as given; on a continuous network it, or the network's default
-    when it is absent, must be positive."""
-    if net.time_domain.kind == "continuous":
-        _resolve_float(net.time_domain.dt if dt is None else dt, key, 0.0)
+def _resolve_dt(net: NetworkSpec, horizon: float, dt, prefix: str = ""):
+    """dt as given, a number or absent, once the network's time domain can
+    step the resolved ``horizon`` with it (TimeDomain.grid's rule); the
+    keys are ``prefix`` + "horizon" and "dt"."""
+    if dt is not None:
+        _resolve_float(dt, f"{prefix}dt", -math.inf)
+    try:
+        net.time_domain.grid(horizon, dt)
+    except ValueError as e:              # its message names horizon or dt
+        raise ConfigError(f"{prefix}{e}") from e
     return dt
 
 
@@ -301,8 +309,6 @@ def cmd_gains_check(conf: dict, args) -> tuple[dict, str | None]:
     radii = sgc_conf.get("radii")
     if radii is not None:
         radii = _resolve_radii(radii, "sgc.radii")
-        if len(set(radii)) != len(radii):
-            raise ConfigError(f"sgc.radii must be distinct, got {list(radii)}")
     n_random = _resolve_int(sgc_conf.get("n_random", DEFAULT_SGC_RANDOM),
                             "sgc.n_random", 0)
     xi_spec = fal_conf.get("xi", "derived")
@@ -381,7 +387,7 @@ def cmd_simulate(conf: dict, args) -> tuple[dict, str | None]:
                           f"window's width {len(window)}, got pieces of "
                           f"shape {u.values.shape[1:]}")
     horizon = _resolve_float(conf["horizon"], "horizon", 0.0, lo_open=False)
-    dt = _resolve_dt(net, conf.get("dt"), "dt")
+    dt = _resolve_dt(net, horizon, conf.get("dt"))
     probe_times = conf.get("probe_times", [])
     if probe_times != []:
         probe_times = _resolve_list(probe_times, "probe_times", lambda t:
@@ -445,7 +451,7 @@ def _ensemble_config(conf: dict, net: NetworkSpec) -> EnsembleConfig:
         raise ConfigError("config needs ensemble.horizon")
     _check_keys(e, ("horizon", "dt", "n_random", "input_pieces"), "ensemble")
     horizon = _resolve_float(e["horizon"], "ensemble.horizon", 0.0)
-    dt = _resolve_dt(net, e.get("dt"), "ensemble.dt")
+    dt = _resolve_dt(net, horizon, e.get("dt"), "ensemble.")
     # member counts left out take EnsembleConfig's defaults
     counts = {key: _resolve_int(e[key], f"ensemble.{key}", least)
               for key, least in (("n_random", 0), ("input_pieces", 1))
@@ -494,8 +500,8 @@ def _run_certify(net, window, seed, cfg, radii, depth, tolerances, gamma_hat):
                            for n in range(depth + 1)]) for r in radii}
     if gamma_hat is None:
         gamma_hat = ugs.gamma
-    attain = estimate_attainment_times(net, window, levels, radii, gamma_hat,
-                                       cfg, seed)
+    attain = estimate_attainment_times(net, window, levels, gamma_hat, cfg,
+                                       seed)
     cert = build_nonuniform_iss(attain, ugs, hold_runs, **tolerances)
     payload = {
         "seed": seed,
@@ -579,8 +585,8 @@ def cmd_trace_theorem1(conf: dict, args) -> tuple[dict, str | None]:
         cells.append((r, None, 2.0 ** (-max(bands)) * r if cap is None else cap))
     try:
         xi = _resolve_xi(conf, oracle, net.graph, window, seed)
-        entries = compute_band_cells(net, window, cells, cfg, tail_starts,
-                                     seed)
+        entries = compute_band_limsups(net, window, cells, cfg, tail_starts,
+                                       seed)
         trace = ProofTrace(window, tuple(entries), cfg.horizon, seed)
     except CertificationError as e:
         return ({"proof_trace.json": {"error": str(e), "seed": seed}},

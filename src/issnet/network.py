@@ -36,9 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
-from .systems import (DEFAULT_AXIOM_DT, DEFAULT_BLOWUP_BOUND, BlowUp,
-                      InputSignal, SubsystemSpec, TimeDomain, Trajectory,
-                      _grid_index)
+from .systems import (DEFAULT_BLOWUP_BOUND, BlowUp, InputSignal,
+                      SubsystemSpec, TimeDomain, Trajectory, _axiom_dt,
+                      _grid_index, _no_blowup)
 
 __all__ = [
     "NetworkSpec",
@@ -398,14 +398,11 @@ class NetworkSystem:
         self.net = net
         self.window = net.window(window)
         self.time_domain = net.time_domain
-        self.dt = dt if dt is not None else (net.time_domain.dt
-                                             or DEFAULT_AXIOM_DT)
+        self.dt = _axiom_dt(net.time_domain, dt)
 
     def phi(self, t: float, x, u: InputSignal):
-        traj = simulate(self.net, self.window, x, u, t, self.dt)
-        if traj.blowup is not None:
-            raise ArithmeticError("trajectory blew up during axiom checking")
-        return traj.states[-1]
+        return _no_blowup(simulate(self.net, self.window, x, u, t,
+                                   self.dt)).states[-1]
 
     def shifted(self, tau: float) -> "NetworkSystem":
         return NetworkSystem(self.net, self.window, self.dt)

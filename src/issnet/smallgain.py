@@ -266,8 +266,10 @@ def estimate_uniform_sgc(graph: GainGraph,
                      tuple(worst_points), patterns.shape[0], seed, unconverged)
 
 
-# a witness must beat xi by more than _ATOL * max(1, ||v||)
-_ATOL = 1e-9
+def _beats(nv, rhs):
+    """Whether ||v|| = nv beats xi(||w||) = rhs by more than
+    1e-9 * max(1, nv): the witness test, elementwise on arrays."""
+    return nv > rhs + 1e-9 * np.maximum(1.0, nv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +344,7 @@ def falsify_mbi(graph: GainGraph,
     if c is not None and xi.claimed_class in ("K", "Kinf"):
         # the least slack at each level, shrunk by a rounding guard
         rhs = np.asarray(xi(levels / c * (1.0 - 1e-12)), float)
-        if not np.any(levels > rhs + _ATOL * np.maximum(1.0, levels)):
+        if not np.any(_beats(levels, rhs)):
             return None
     rng = derived_rng(seed, "falsify", n)
     # amplified profiles go right after the all-ones row, and a first-sweep
@@ -399,7 +401,7 @@ def _screen_block(graph, window, xi, batch, ends, seed):
     nv = np.max(batch, axis=1)
     nw = np.max(w, axis=1)
     rhs = np.asarray(xi(nw), float)
-    bad = nv > rhs + _ATOL * np.maximum(1.0, nv)
+    bad = _beats(nv, rhs)
     if not np.any(bad):
         return None
     start = 0
@@ -416,15 +418,15 @@ def _screen_block(graph, window, xi, batch, ends, seed):
 
 def _revalidate(graph, window, xi, v, used, seed):
     """Recompute a candidate witness entrywise with the block screen's test,
-    ||v|| > xi(||w||) + _ATOL * max(1, ||v||); discard batch artifacts.
-    MBIWitness.validate applies the same rule."""
+    _beats; discard batch artifacts.  MBIWitness.validate applies the same
+    rule."""
     v = np.asarray(v, float)
     g = apply_gain_operator(graph, v, window)
     w = np.maximum(v - g, 0.0)
     nv = float(np.max(np.abs(v)))
     nw = float(np.max(np.abs(w)))
     rhs = float(xi(nw))
-    if not nv > rhs + _ATOL * max(1.0, nv):
+    if not _beats(nv, rhs):
         return None
     return MBIWitness(window, tuple(v), tuple(w), nv, nw, rhs,
                       nv - rhs, used, seed)

@@ -61,17 +61,22 @@ class TimeDomain:
 
     def grid(self, horizon: float, dt: float | None = None):
         """(times, h): the sample times 0, h, ..., n*h of a run over
-        ``horizon`` and its step h, 1 when discrete (the horizon counts
-        steps), dt or else the domain's own dt when continuous, with
-        n = round(horizon / h)."""
+        ``horizon`` and its step h.  When discrete, h is 1 and the horizon
+        counts the steps, so it must be whole; when continuous, h is dt or
+        else the domain's own dt, and n = round(horizon / h).  Each
+        ValueError message starts with the name of the value at fault."""
         if not horizon >= 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
         if self.kind == "discrete":
-            return np.arange(int(round(horizon)) + 1, dtype=float), 1.0
+            if horizon % 1:
+                raise ValueError(f"horizon must be a whole number of steps "
+                                 f"on a discrete time domain, got {horizon!r}")
+            return np.arange(int(horizon) + 1, dtype=float), 1.0
         if dt is None:
             dt = self.dt
         if dt is None or dt <= 0:
-            raise ValueError("continuous simulation needs dt > 0")
+            raise ValueError(f"dt must be positive on a continuous time "
+                             f"domain, got {dt!r}")
         return dt * np.arange(int(round(horizon / dt)) + 1), dt
 
     def stepper(self, f, h: float):
@@ -335,6 +340,18 @@ def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
 # Axiom harness ----------------------------------------------------------
 
 
+def _axiom_dt(domain: TimeDomain, dt: float | None) -> float:
+    """An axiom adapter's step: dt, else the domain's, else the default."""
+    return dt if dt is not None else (domain.dt or DEFAULT_AXIOM_DT)
+
+
+def _no_blowup(traj):
+    """An axiom adapter's run, which must not have blown up."""
+    if traj.blowup is not None:
+        raise ArithmeticError("trajectory blew up during axiom checking")
+    return traj
+
+
 class SubsystemSystem:
     """Adapter exposing one subsystem (with a frozen internal signal) as a
     transition system phi(t, x, u) for the axiom harness."""
@@ -344,14 +361,11 @@ class SubsystemSystem:
         self.spec = spec
         self.w = w
         self.time_domain = spec.time_domain
-        self.dt = dt if dt is not None else (spec.time_domain.dt
-                                             or DEFAULT_AXIOM_DT)
+        self.dt = _axiom_dt(spec.time_domain, dt)
 
     def phi(self, t: float, x: float, u: InputSignal) -> float:
-        traj = _step_subsystem(self.spec, x, self.w, u, t, self.dt)
-        if traj.blowup is not None:
-            raise ArithmeticError("trajectory blew up during axiom checking")
-        return float(traj.values[-1])
+        return float(_no_blowup(_step_subsystem(self.spec, x, self.w, u, t,
+                                                self.dt)).values[-1])
 
     def shifted(self, tau: float) -> "SubsystemSystem":
         w = self.w.shift(tau) if self.w is not None else None

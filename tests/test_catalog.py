@@ -296,6 +296,24 @@ def test_expression_whitelist_blocks_escapes():
             network_from_json(obj)
 
 
+@pytest.mark.parametrize("expr, neighbors", [
+    ("0.5*x + 0.1*w[3]", [1]),
+    ("0.5*x + 0.1*w[1]", [1]),
+    ("0.5*x + w[0]", []),
+    ("0.5*x + 0.1*w", [1, 2]),
+    ("0.5*x + w[0] + 0.1*w", [1]),
+], ids=str)
+def test_expression_uses_w_only_below_its_neighbor_count(expr, neighbors):
+    # each used to load, then fail while stepping
+    obj = _toy_obj()
+    obj["index_set"]["labels"] = [0, 1, 2]
+    obj["subsystems"] = [{"i": 0, "expr": expr, "neighbors": neighbors},
+                         {"i": 1, "expr": "0.5*x"}, {"i": 2, "expr": "0.5*x"}]
+    with pytest.raises(ValueError, match=r"w only as w\[k\] with 0 <= k < "
+                                         f"{len(neighbors)},"):
+        network_from_json(obj)
+
+
 def test_expression_math_helpers_work():
     obj = _toy_obj()
     obj["subsystems"][1]["expr"] = "0.5*tanh(x) + max(u, 0)"

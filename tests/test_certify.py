@@ -20,13 +20,12 @@ from issnet.certify import (
     tail_limsup_estimate,
     trace_to_csv,
     uniform_from_nonuniform,
-    uniformity_probe,
     verify_sg_inequality,
 )
 from issnet.comparison import curve_sum, identity
 from issnet.gains import FiniteIndexSet
-from issnet.network import NetworkSpec
-from issnet.systems import DISCRETE, SubsystemSpec
+from issnet.network import NetworkSpec, truncation_sweep
+from issnet.systems import DISCRETE, InputSignal, SubsystemSpec
 
 BINS = ((0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, 1.0), (1.0, 1.0))
 
@@ -41,8 +40,8 @@ def cycle_pipeline(two_cycle):
     ugs = fit_ugs(ens, holdout=hold)
     levels = {r: float(ugs.sigma(r)) * 2.0 ** -np.arange(11)
               for r in (0.5, 1.0)}
-    att = estimate_attainment_times(net, window, levels, (0.5, 1.0),
-                                    identity(), cfg, seed=7)
+    att = estimate_attainment_times(net, window, levels, identity(), cfg,
+                                    seed=7)
     cert = build_nonuniform_iss(att, ugs, hold)
     return net, window, cfg, hold, ugs, att, cert
 
@@ -127,7 +126,7 @@ def test_short_horizon_is_an_unattained_level(cycle_pipeline, two_cycle):
     _, window, _, hold, ugs, *_ = cycle_pipeline
     cfg = EnsembleConfig(horizon=5.0, n_random=1)
     att = estimate_attainment_times(net, window, {1.0: 2.0 ** -np.arange(11)},
-                                    (1.0,), identity(), cfg, seed=7)
+                                    identity(), cfg, seed=7)
     assert att.unattained() != []
     with pytest.raises(CertificationError, match="not attained"):
         build_nonuniform_iss(att, ugs, hold)
@@ -178,8 +177,8 @@ def test_tied_attainment_times_are_lifted_apart():
     fit, hold = build_fit_and_holdout(net, (0, 1), bins, cfg, seed=0)
     ugs = fit_ugs(fit, holdout=hold)
     levels = {1.0: float(ugs.sigma(1.0)) * 2.0 ** -np.arange(4)}
-    att = estimate_attainment_times(net, (0, 1), levels, (1.0,), ugs.gamma,
-                                    cfg, seed=0)
+    att = estimate_attainment_times(net, (0, 1), levels, ugs.gamma, cfg,
+                                    seed=0)
     assert np.array_equal(att.times[1.0][:, 0], [0.0, 1.0, 1.0, 1.0])
     cert = build_nonuniform_iss(att, ugs, hold)
     gap = 1e-9 * cfg.horizon
@@ -222,9 +221,8 @@ def chain_trace(chain):
     net, _ = chain
     window = net.window(8)
     cfg = EnsembleConfig(horizon=400.0, n_random=3)
-    band = compute_band_limsups(net, window, 1.0, 1, cfg, TAILS, seed=5)
-    small = compute_band_limsups(net, window, 1.0, None, cfg, TAILS,
-                                 seed=5, q=0.0)
+    band, small = compute_band_limsups(
+        net, window, [(1.0, 1, None), (1.0, None, 0.0)], cfg, TAILS, seed=5)
     trace = ProofTrace(window, (band, small), cfg.horizon, 5)
     return net, window, trace, band, small
 
@@ -252,14 +250,12 @@ def test_band_argument_validation(chain):
     net, _ = chain
     cfg = EnsembleConfig(horizon=40.0, n_random=1)
     window = net.window(3)
-    with pytest.raises(ValueError):
-        compute_band_limsups(net, window, 1.0, 1, cfg, (10.0,), seed=0, q=0.5)
-    with pytest.raises(ValueError):
-        compute_band_limsups(net, window, 1.0, None, cfg, (10.0,), seed=0)
-    with pytest.raises(ValueError):
-        compute_band_limsups(net, window, 1.0, -1, cfg, (10.0,), seed=0)
-    with pytest.raises(ValueError):
-        compute_band_limsups(net, window, 1.0, 1, cfg, (40.0,), seed=0)
+    for cell, tails in (((1.0, 1, 0.5), (10.0,)),
+                        ((1.0, None, None), (10.0,)),
+                        ((1.0, -1, None), (10.0,)),
+                        ((1.0, 1, None), (40.0,))):
+        with pytest.raises(ValueError):
+            compute_band_limsups(net, window, [cell], cfg, tails, seed=0)
 
 
 def test_trace_satisfies_the_gain_inequality(chain_trace, chain):
@@ -340,9 +336,10 @@ def test_tail_limsup_is_clock_invariant():
     assert a[0] == b[0]
 
 
-def test_uniformity_probe_grows_with_the_window(counterexample):
+def test_sweep_final_sups_grow_with_the_window(counterexample):
     net, _ = counterexample
-    probe = uniformity_probe(net, (10, 100), 1.0, 5.0, dt=0.01)
-    assert probe[10] == pytest.approx(math.exp(-0.5), abs=1e-6)
-    assert probe[100] == pytest.approx(math.exp(-0.05), abs=1e-6)
-    assert probe[100] > probe[10]
+    probe = truncation_sweep(net, (10, 100), 1.0, InputSignal.zero(), 5.0,
+                             0.01).final_sups()
+    assert probe[0] == pytest.approx(math.exp(-0.5), abs=1e-6)
+    assert probe[1] == pytest.approx(math.exp(-0.05), abs=1e-6)
+    assert probe[1] > probe[0]

@@ -450,13 +450,13 @@ def test_trace_checks_every_cell(run_cli):
 def test_trace_resolves_xi_before_stepping(run_cli, capsys, monkeypatch):
     # a bad xi used to exit 2 only after every band cell had been stepped
     calls = []
-    step = cli.compute_band_cells
+    step = cli.compute_band_limsups
 
     def counted(*a, **k):
         calls.append(a)
         return step(*a, **k)
 
-    monkeypatch.setattr(cli, "compute_band_cells", counted)
+    monkeypatch.setattr(cli, "compute_band_limsups", counted)
     code, out = run_cli("trace-theorem1", {
         "network": "catalog:nonuniform-discrete-chain", "window": 6,
         "ensemble": {"horizon": 300, "n_random": 2}, "radii": [1.0],
@@ -657,6 +657,21 @@ def test_a_repeated_or_stray_json_label_is_a_config_error(run_cli, capsys,
     assert match in capsys.readouterr().err
 
 
+# these exited 1 with a traceback: an IndexError, then a TypeError
+@pytest.mark.parametrize("subsystem", [
+    {"i": 0, "expr": "0.5*x + 0.1*w[3]", "neighbors": [1]},
+    {"i": 0, "expr": "0.5*x + 0.1*w", "neighbors": [1, 2]},
+], ids=["index", "bare"])
+def test_w_beyond_the_neighbors_is_a_config_error(run_cli, capsys, subsystem):
+    net = {**_TOY_NET, "index_set": {"kind": "finite", "labels": [0, 1, 2]},
+           "subsystems": [subsystem, {"i": 1, "expr": "0.5*x"},
+                          {"i": 2, "expr": "0.5*x"}]}
+    code, out = run_cli("simulate", {"network": net, "horizon": 2})
+    assert code == 2
+    assert "must use w only as w[k]" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_an_overflowing_fixed_point_is_an_honest_negative(run_cli, capsys):
     # v*(1) overflows on this chain; the solve used to end in a traceback
     big = {"kind": "linear", "params": {"a": 1e200}, "class": "Kinf"}
@@ -705,6 +720,7 @@ def _with(conf, **changes):
     ("depth", "x"),
     ("radii", []),
     ("radii", [-1.0, 1.0]),
+    ("radii", [0.5, 1.0, 1.0]),     # ran on 45 fit members instead of 30
     ("tol_abs", "x"),
     ("gamma_hat", {"kind": "linear", "params": {"a": -1.0}}),
     ("emit_uniform", "yes"),
@@ -722,6 +738,8 @@ def test_bad_certify_config_is_a_config_error(run_cli, capsys, key, value):
     ("small_cap", -1.0),
     ("tail_fractions", [0.5, 1.2]),
     ("radii", [0.0]),
+    ("radii", [1.0, 1.0]),
+    ("ensemble.horizon", 40.5),     # round() used to pick the step count
     ("tol", "x"),
     ("xi", {"kind": "nope"}),
 ], ids=str)
@@ -875,6 +893,7 @@ def test_missing_required_flag_exits_2(capsys):
     {"x0": [1.0, 0.0]},
     {"x0": "abc"},
     {"sweep_sizes": [1, 5], "network": "catalog:uniform-2-cycle", "window": 2},
+    {"horizon": 2.5, "network": "catalog:uniform-2-cycle", "window": 2},
     {"input": {"breaks": [0.0], "values": [[1.0, 2.0]]}},
     {"sweep_sizes": [2, 3], "input": {"breaks": [0.0], "values": [[1.0] * 3]}},
 ], ids=str)

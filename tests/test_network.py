@@ -84,6 +84,14 @@ def test_negative_horizon_is_rejected(name, horizon, dt):
         simulate(net, net.window(2), 1.0, InputSignal.zero(), horizon, dt=dt)
 
 
+# round() used to run 0, 2, 2 and 4 steps for these
+@pytest.mark.parametrize("horizon", [0.5, 1.5, 2.5, 3.5, float("inf")])
+def test_discrete_horizon_must_be_whole(chain, horizon):
+    net, _ = chain
+    with pytest.raises(ValueError, match="horizon must be a whole number"):
+        simulate(net, net.window(2), 1.0, InputSignal.zero(), horizon)
+
+
 def test_vector_input_must_match_window(counterexample):
     net, _ = counterexample
     u = InputSignal([0.0], np.zeros((1, 3)))

@@ -14,9 +14,9 @@ from issnet import certify
 from issnet.catalog import instantiate
 from issnet.certify import (CertificationError, EnsembleConfig,
                             build_ensemble, build_fit_and_holdout,
-                            build_nonuniform_iss, compute_band_cells,
-                            compute_band_limsups, estimate_attainment_times,
-                            fit_ugs, tail_limsup_estimate,
+                            build_nonuniform_iss, compute_band_limsups,
+                            estimate_attainment_times, fit_ugs,
+                            tail_limsup_estimate,
                             uniform_from_nonuniform)
 from issnet.comparison import KLSurface, identity, linear
 from issnet.gains import FiniteIndexSet
@@ -165,8 +165,8 @@ def test_attainment_equals_the_stored_trajectory_loop(setting):
     ugs = fit_ugs(fit, holdout=hold)
     levels = _levels(ugs, radii)
     gamma_hat = linear(0.5)
-    att = estimate_attainment_times(net, window, levels, radii, gamma_hat,
-                                    cfg, seed=5)
+    att = estimate_attainment_times(net, window, levels, gamma_hat, cfg,
+                                    seed=5)
     ref = _reference_attainment(net, window, levels, radii, gamma_hat, cfg, 5)
     for r in radii:
         assert np.array_equal(att.times[r], ref[r], equal_nan=True)
@@ -185,8 +185,8 @@ def test_an_unattained_member_level_stays_unattained():
     window = net.window(3)
     cfg = EnsembleConfig(horizon=2.0, dt=0.1, n_random=1)
     levels = {0.5: np.array([0.5, 0.25])}
-    att = estimate_attainment_times(net, window, levels, (0.5,), identity(),
-                                    cfg, seed=1)
+    att = estimate_attainment_times(net, window, levels, identity(), cfg,
+                                    seed=1)
     ref = _reference_attainment(net, window, levels, (0.5,), identity(),
                                 cfg, 1)
     assert np.array_equal(att.times[0.5], ref[0.5], equal_nan=True)
@@ -204,8 +204,8 @@ def test_holdout_validation_equals_the_per_component_loop(setting):
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
     ugs = fit_ugs(fit, holdout=hold)
     levels = {r: float(ugs.sigma(r)) * 2.0 ** -np.arange(4) for r in radii}
-    att = estimate_attainment_times(net, window, levels, radii, ugs.gamma,
-                                    cfg, seed=8)
+    att = estimate_attainment_times(net, window, levels, ugs.gamma, cfg,
+                                    seed=8)
     # holdout runs on a second, shorter time grid share start radii with
     # the first ones but not their surface values
     short = EnsembleConfig(horizon=0.5 * cfg.horizon, dt=cfg.dt, n_random=1)
@@ -235,8 +235,8 @@ def test_surfaces_are_evaluated_once_per_radius_and_grid(setting,
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
     ugs = fit_ugs(fit, holdout=hold)
     levels = {1.0: float(ugs.sigma(1.0)) * 2.0 ** -np.arange(3)}
-    att = estimate_attainment_times(net, window, levels, (1.0,), ugs.gamma,
-                                    cfg, seed=8)
+    att = estimate_attainment_times(net, window, levels, ugs.gamma, cfg,
+                                    seed=8)
     calls = []
     evaluate = KLSurface.__call__
 
@@ -266,7 +266,7 @@ def test_holdout_worst_case_keeps_the_first_maximum():
     ugs = fit_ugs(fit, holdout=hold)
     att = estimate_attainment_times(net, (0, 1),
                                     {1.0: np.array([float(ugs.sigma(1.0))])},
-                                    (1.0,), ugs.gamma, cfg, seed=0)
+                                    ugs.gamma, cfg, seed=0)
     cert = build_nonuniform_iss(att, ugs, hold, tol_abs=-1.0, tol_rel=0.0)
     assert cert.worst_case == _reference_validation(cert, hold, -1.0, 0.0)[1]
     assert cert.worst_case[0] == 0
@@ -287,7 +287,7 @@ def test_band_cells_equal_per_cell_ensembles(setting, tails):
                   0.6 * h + 0.5 * step, h - 0.5 * step)
     cells = [(1.0, 1, None), (1.0, 3, None), (0.5, 2, None),
              (1.0, None, 0.125), (0.5, None, 0.0)]
-    entries = compute_band_cells(net, window, cells, cfg, starts, seed=6)
+    entries = compute_band_limsups(net, window, cells, cfg, starts, seed=6)
     assert len(entries) == len(cells)
     for (r, k, q), entry in zip(cells, entries):
         band, y, n_members = _reference_cell(net, window, r, k, q, cfg,
@@ -296,8 +296,8 @@ def test_band_cells_equal_per_cell_ensembles(setting, tails):
         assert entry.tail_starts == tuple(starts)
         assert entry.n_members == n_members and entry.seed == 6
         assert np.array_equal(entry.y_hat, y)
-        single = compute_band_limsups(net, window, r, k, cfg, starts, seed=6,
-                                      q=q)
+        single, = compute_band_limsups(net, window, [(r, k, q)], cfg, starts,
+                                       seed=6)
         assert np.array_equal(single.y_hat, y)
 
 
@@ -346,7 +346,7 @@ def test_blowup_at_the_second_radius_reports_todays_member():
         tag="attain:2"))
     merged = _message(lambda: estimate_attainment_times(
         net, (0,), {0.25: np.array([0.25]), 2.0: np.array([2.0])},
-        (0.25, 2.0), identity(), cfg, 4))
+        identity(), cfg, 4))
     assert merged == today
     assert "member 'ones+const' of bin (r_x=2, r_u=2)" in merged
 
@@ -355,11 +355,11 @@ def test_blowup_in_the_second_band_cell_reports_that_cell():
     net = _trap_net(lambda u: u > 1.5)
     cfg = EnsembleConfig(horizon=60.0, n_random=1, input_pieces=1)
     cells = [(0.25, 1, None), (2.0, 1, None)]
-    compute_band_limsups(net, (0,), 0.25, 1, cfg, (10.0,), seed=2)
-    today = _message(lambda: compute_band_limsups(net, (0,), 2.0, 1, cfg,
+    compute_band_limsups(net, (0,), cells[:1], cfg, (10.0,), seed=2)
+    today = _message(lambda: compute_band_limsups(net, (0,), cells[1:], cfg,
                                                   (10.0,), seed=2))
-    merged = _message(lambda: compute_band_cells(net, (0,), cells, cfg,
-                                                 (10.0,), seed=2))
+    merged = _message(lambda: compute_band_limsups(net, (0,), cells, cfg,
+                                                   (10.0,), seed=2))
     assert merged == today
     assert "band cell (r=2, band:1)" in merged
 
