@@ -635,7 +635,7 @@ class BandEntry:
     @property
     def reported(self) -> np.ndarray:
         """The estimate at the largest tail start."""
-        return self.y_hat[-1]
+        return self.y_hat[int(np.argmax(self.tail_starts))]
 
 
 @dataclass(frozen=True, eq=False)

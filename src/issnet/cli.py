@@ -159,12 +159,17 @@ def _resolve_list(value, key: str, item) -> tuple:
     return tuple(item(v) for v in value)
 
 
+def _distinct(values: tuple, key: str) -> tuple:
+    """``values``, which must not repeat an entry."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{key} must be distinct, got {list(values)}")
+    return values
+
+
 def _resolve_radii(value, key: str) -> tuple[float, ...]:
     """A nonempty list of distinct positive radii."""
-    radii = _resolve_list(value, key, lambda r: _resolve_float(r, key, 0.0))
-    if len(set(radii)) != len(radii):
-        raise ConfigError(f"{key} must be distinct, got {list(radii)}")
-    return radii
+    return _distinct(_resolve_list(
+        value, key, lambda r: _resolve_float(r, key, 0.0)), key)
 
 
 def _resolve_graph(spec):
@@ -228,6 +233,14 @@ def _atomic_write(path: str, content) -> None:
         raise
 
 
+# each input kind: the keys it reads besides "kind", and its signal
+_INPUT_KINDS = {
+    "zero": ((), lambda spec: InputSignal.zero()),
+    "constant": (("level",), lambda spec: InputSignal.constant(spec["level"])),
+    "signal": (("breaks", "values"), InputSignal.from_json),
+}
+
+
 def _parse_input(conf) -> InputSignal:
     """The "input" signal object; zero when absent."""
     spec = conf.get("input")
@@ -236,16 +249,14 @@ def _parse_input(conf) -> InputSignal:
     if not isinstance(spec, dict):
         raise ConfigError(f"input must be a signal object, got {spec!r}")
     kind = spec.get("kind", "signal")
+    if not isinstance(kind, str) or kind not in _INPUT_KINDS:
+        raise ConfigError(f"unknown input kind {kind!r}")
+    keys, build = _INPUT_KINDS[kind]
+    _check_keys(spec, ("kind", *keys), "input")
     try:
-        if kind == "zero":
-            return InputSignal.zero()
-        if kind == "constant":
-            return InputSignal.constant(spec["level"])
-        if kind == "signal" or ("breaks" in spec and "values" in spec):
-            return InputSignal.from_json(spec)
+        return build(spec)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"input is not a valid signal: {e}") from e
-    raise ConfigError(f"unknown input kind {kind!r}")
 
 
 # gains-check ------------------------------------------------------------
@@ -568,11 +579,15 @@ def cmd_trace_theorem1(conf: dict, args) -> tuple[dict, str | None]:
     window = _resolve_window(net, conf.get("window"))
     cfg = _ensemble_config(conf, net)
     radii = _resolve_radii(conf.get("radii", DEFAULT_RADII), "radii")
-    bands = _resolve_list(conf.get("bands", DEFAULT_BANDS), "bands",
-                          lambda k: _resolve_int(k, "bands", 0))
+    bands = _distinct(_resolve_list(conf.get("bands", DEFAULT_BANDS), "bands",
+                                    lambda k: _resolve_int(k, "bands", 0)),
+                      "bands")
     fractions = _resolve_list(
         conf.get("tail_fractions", (0.35, 0.55, 0.75, 0.93)), "tail_fractions",
         lambda f: _resolve_float(f, "tail_fractions", 0.0, 1.0, lo_open=False))
+    if list(fractions) != sorted(set(fractions)):
+        raise ConfigError(f"tail_fractions must be strictly increasing, got "
+                          f"{list(fractions)}")
     tail_starts = [f * cfg.horizon for f in fractions]
     tol = _resolve_float(conf.get("tol", DEFAULT_SG_TOL), "tol", -math.inf)
 

@@ -556,28 +556,25 @@ class KLSurface:
         return ScalarCurve("pwl", "L", breaks=t, vals=np.minimum.accumulate(v),
                            floor=(1.0 - w) * lo.floor + w * hi.floor)
 
-    def max_with(self, other: "KLSurface") -> "KLSurface":
-        """Pointwise max of two surfaces (exact: segment crossings of the
-        per-radius pwl curves become breakpoints)."""
-        radii = np.unique(np.concatenate([self.radii, other.radii]))
+
+def max_surface(surfaces: Sequence[KLSurface]) -> KLSurface:
+    """Pointwise max of the surfaces, folded pairwise in order (exact:
+    segment crossings of the per-radius pwl curves become breakpoints)."""
+    if not surfaces:
+        raise ValueError("need at least one surface")
+    out = surfaces[0]
+    for other in surfaces[1:]:
+        radii = np.unique(np.concatenate([out.radii, other.radii]))
         curves = []
         for r in radii:
-            m = curve_max(self._curve_at(float(r)), other._curve_at(float(r)))
+            m = curve_max(out._curve_at(float(r)), other._curve_at(float(r)))
             v = np.minimum.accumulate(m.vals)
             curves.append(ScalarCurve("pwl", "L", breaks=m.breaks, vals=v,
                                       floor=m.floor))
         dom = None
-        if self.dominator is not None and other.dominator is not None:
-            dom = curve_max(self.dominator, other.dominator)
-        return KLSurface(radii, tuple(curves), dom)
-
-
-def max_surface(surfaces: Sequence[KLSurface]) -> KLSurface:
-    if not surfaces:
-        raise ValueError("need at least one surface")
-    out = surfaces[0]
-    for s in surfaces[1:]:
-        out = out.max_with(s)
+        if out.dominator is not None and other.dominator is not None:
+            dom = curve_max(out.dominator, other.dominator)
+        out = KLSurface(radii, tuple(curves), dom)
     return out
 
 

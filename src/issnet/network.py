@@ -8,18 +8,18 @@ stepping pass and before any step; a truncation sweep steps its nested
 windows from one start value.  Discrete networks update synchronously;
 continuous networks are integrated monolithically with fixed-step RK4 so all
 components advance through the same stages.  The step grid and the update
-come from the time domain (TimeDomain.grid and TimeDomain.stepper), the rule
-a single subsystem is stepped by as well.
+come from the time domain (TimeDomain.grid and TimeDomain.stepper).
 
 An ensemble of (x0, u) members on one window is stepped together as one
 (members, window) state array, with every member's input evaluated once on
-the step grid; a single run is an ensemble of one.  The stepper can reduce
-each sample's |x| rows per member as they are produced (the peak sup norm,
-the last sample above given nonnegative thresholds, the suffix sups at
-given tail starts), and only the members asked to keep their states store
-them, so an ensemble need not hold all of its trajectories.  A member that
-blows up keeps its row, held at zero from then on, which moves none of
-these reductions.
+the step grid; a single run is an ensemble of one.  This module sets a
+pass up (start states, coupled map, input block) and systems._step_rows,
+the one stepping loop, steps it.  The pass reduces each sample's |x| rows
+per member as they are produced (the peak sup norm, the last sample above
+given nonnegative thresholds, the suffix sups at given tail starts), and
+only the members asked to keep their states store them, so an ensemble
+need not hold all of its trajectories.  A member that blows up keeps its
+row, held at zero from then on, which moves none of these reductions.
 
 A spec may supply a vectorized coupled map (fast_factory) for speed;
 without one the map is assembled from the per-component dynamics.  The
@@ -36,9 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
-from .systems import (DEFAULT_BLOWUP_BOUND, BlowUp, InputSignal,
-                      SubsystemSpec, TimeDomain, Trajectory, _axiom_dt,
-                      _grid_index, _no_blowup)
+from .systems import (BlowUp, InputSignal, SubsystemSpec, TimeDomain,
+                      Trajectory, _axiom_dt, _grid_index, _no_blowup,
+                      _step_rows)
 
 __all__ = [
     "NetworkSpec",
@@ -105,13 +105,10 @@ class NetworkTrajectory:
     def neighbor_signal(self, i: int, neighbors: Sequence[int]) -> InputSignal:
         """Recorded neighbor trajectories of i frozen as a held vector signal
         (components outside the window read zero)."""
-        cols = []
-        for j in neighbors:
+        vals = np.zeros((self.times.size, len(neighbors)))
+        for c, j in enumerate(neighbors):
             if j in self.window:
-                cols.append(self.states[:, self._pos(j)])
-            else:
-                cols.append(np.zeros(self.times.size))
-        vals = np.stack(cols, axis=1) if cols else np.zeros((self.times.size, 0))
+                vals[:, c] = self.states[:, self._pos(j)]
         return InputSignal(self.times, vals)
 
     def value_at(self, i: int, t: float) -> float:
@@ -190,10 +187,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     peak sup norm always; with ``thresholds`` (an (m, L) array, which must
     be nonnegative) the last sample at which |x_i| of member j exceeds
     thresholds[j, l]; with ``tail_starts`` the sup of |x_i| from each start
-    on.  Only the members flagged in ``keep`` (all when None) store their
-    states.  A member that blows up is truncated at the offending sample.
-    Its row is then set to zero after every step, so it adds nothing to
-    the reductions and its arithmetic stays finite.
+    on.  systems._step_rows steps the pass; only the members flagged in
+    ``keep`` (all when None) store their states.
     """
     times, h = net.time_domain.grid(horizon, dt)
     window = net.window(window)
@@ -209,41 +204,10 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
         x[j] = x0
     f = net.fast_factory(window) if net.fast_factory is not None \
         else _assembled_map(net, window)
-    stepper = net.time_domain.stepper(f, h)
-    steps = times.size - 1
     inputs = _input_block(members, times[:-1], h, n) if m else None
-
-    kept = np.arange(m) if keep is None else np.flatnonzero(keep)
-    block = np.empty((kept.size, steps + 1, n))
-    block[:, 0] = x[kept]
     red = _Reductions(m, n, times, thresholds, tail_starts)
-    ax = np.abs(x)
-    red.update(0, ax, np.max(ax, axis=1, initial=0.0))
-
-    ends = np.full(m, steps + 1)
-    blowups: list[BlowUp | None] = [None] * m
-    dead = np.zeros(m, bool)          # blown-up rows, held at zero
-    n_dead = 0                        # no array test per step while 0
-    for k in range(steps):
-        if n_dead == m:
-            break
-        x = stepper(x, inputs[k])
-        if n_dead:
-            x[dead] = 0.0
-        block[:, k + 1] = x[kept]
-        ax = np.abs(x)
-        norms = np.max(ax, axis=1, initial=0.0)
-        red.update(k + 1, ax, norms)
-        bad = ~np.isfinite(norms) | (norms > DEFAULT_BLOWUP_BOUND)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                ends[j] = k + 2
-                blowups[j] = BlowUp(float(times[k + 1]), float(norms[j]),
-                                    DEFAULT_BLOWUP_BOUND)
-            dead |= bad
-            n_dead = int(np.count_nonzero(dead))
-            x[bad] = 0.0
-    states = {int(j): block[s, :ends[j]] for s, j in enumerate(kept)}
+    states, ends, blowups = _step_rows(times, net.time_domain.stepper(f, h),
+                                       x, inputs, keep, red.update)
     return _Stepped(window, times, ends, blowups, red.peaks, states,
                     red.last_exceed, red.tail_sups())
 

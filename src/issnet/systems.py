@@ -1,22 +1,20 @@
-"""Subsystem abstraction: signals, dynamics, integration, and system axioms.
+"""Subsystem abstraction: signals, dynamics, stepping, and system axioms.
 
-Input signals are piecewise constant.  Pieces are left-open right-closed,
-(b_k, b_{k+1}], with u(0) defined as the first value; a value change at a
-breakpoint therefore takes effect immediately after it.  This convention
-realizes causal truncation on the closed interval [0, t] exactly on the
-representation (the value at the splice time is retained; truncation at 0
-keeps the single point value through a duplicated leading breakpoint).
-Steppers and integrators read the interior value of each step, so a signal
-break aligned with the step grid switches cleanly at that step.
+Input signals are piecewise constant on strictly increasing breakpoints.
+Pieces are left-open right-closed, (b_k, b_{k+1}], with u(0) defined as
+the first value, so a causal splice on [0, t] (concat) keeps the value at
+t.  Steppers read the interior value of each step, so a signal break
+aligned with the step grid switches cleanly at that step.
 
 A time domain owns its step rule: TimeDomain.grid gives the sample times
-and the step of a run (unit steps when discrete, dt when continuous) and
-TimeDomain.stepper the update (the synchronous map when discrete, a
-classical fixed-step RK4 step when continuous), inputs held left-constant
-over each step.  The one subsystem stepper, run by integrate_ode and the
-axiom adapter SubsystemSystem, and the network simulator both use them.
-Trajectories that exceed the blow-up bound are truncated and flagged
-instead of poisoning later arithmetic with infinities.
+and the step of a run (unit steps and no dt when discrete, dt when
+continuous) and TimeDomain.stepper the update (the synchronous map, or a
+classical RK4 step), inputs held left-constant over each step.
+_step_rows is the one stepping loop, over an (m, n) state with a row per
+member; a network ensemble is one run of it, and a single subsystem (behind
+integrate_ode and SubsystemSystem) a one-row, one-column run whose inputs
+are u and the neighbor signals w.  A row that exceeds the blow-up bound
+ends there with a BlowUp of its |x| instead of poisoning later arithmetic.
 """
 
 from __future__ import annotations
@@ -51,26 +49,30 @@ DEFAULT_AXIOM_DT = 1e-3    # axiom adapters' step where the domain has none
 @dataclass(frozen=True)
 class TimeDomain:
     kind: str                 # "discrete" | "continuous"
-    dt: float | None = None   # default integrator step for continuous systems
+    dt: float | None = None   # default integrator step; continuous only
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):
             raise ValueError("time domain kind must be 'discrete' or 'continuous'")
-        if self.kind == "continuous" and self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None:
+            self.grid(0.0, self.dt)       # the dt rule of either kind
 
     def grid(self, horizon: float, dt: float | None = None):
         """(times, h): the sample times 0, h, ..., n*h of a run over
-        ``horizon`` and its step h.  When discrete, h is 1 and the horizon
-        counts the steps, so it must be whole; when continuous, h is dt or
-        else the domain's own dt, and n = round(horizon / h).  Each
-        ValueError message starts with the name of the value at fault."""
+        ``horizon`` and its step h.  When discrete, h is 1, the horizon
+        counts the steps, so it must be whole, and no dt may be given;
+        when continuous, h is dt or else the domain's own dt, and
+        n = round(horizon / h).  Each ValueError message starts with the
+        name of the value at fault."""
         if not horizon >= 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
         if self.kind == "discrete":
             if horizon % 1:
                 raise ValueError(f"horizon must be a whole number of steps "
                                  f"on a discrete time domain, got {horizon!r}")
+            if dt is not None:
+                raise ValueError(f"dt has no meaning on a discrete time "
+                                 f"domain, got {dt!r}")
             return np.arange(int(horizon) + 1, dtype=float), 1.0
         if dt is None:
             dt = self.dt
@@ -109,11 +111,8 @@ class InputSignal:
             raise ValueError("breaks must be a nonempty 1-d array")
         if b[0] != 0.0:
             raise ValueError("the first breakpoint must be 0")
-        if np.any(np.diff(b) < 0):
-            raise ValueError("breakpoints must be nondecreasing")
-        # at most one duplicated pair, produced by truncation at a point
-        if np.any(np.diff(b) == 0) and np.count_nonzero(np.diff(b) == 0) > 1:
-            raise ValueError("only a single duplicated breakpoint is representable")
+        if np.any(np.diff(b) <= 0):
+            raise ValueError("breakpoints must be strictly increasing")
         if v.shape[0] != b.size:
             raise ValueError("one value per piece required")
         if np.any(~np.isfinite(v)):
@@ -160,15 +159,8 @@ class InputSignal:
             raise ValueError("step must have positive length")
         return self(0.5 * (t0s + t1s))
 
-    def sup_norm(self, up_to: float | None = None) -> float:
-        if up_to is None:
-            vals = self.values
-        else:
-            if up_to < 0:
-                raise ValueError("horizon must be >= 0")
-            last = int(np.searchsorted(self.breaks, up_to, side="left"))
-            vals = self.values[:max(1, last)]
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     # Operations ---------------------------------------------------------
 
@@ -194,22 +186,6 @@ class InputSignal:
         keep = self.breaks < t
         breaks = np.concatenate([self.breaks[keep], other.breaks + t])
         values = np.concatenate([self.values[keep], other.values])
-        return InputSignal(breaks, values)
-
-    def truncate(self, t: float) -> "InputSignal":
-        """Restriction to [0, t] extended by zero after t."""
-        if t < 0:
-            raise ValueError("truncation time must be >= 0")
-        zero = np.zeros((1,) + self.values.shape[1:])
-        if t == 0.0:
-            # degenerate closed interval {0}: duplicated leading breakpoint
-            first = self.values[:1]
-            if np.all(first == 0.0):
-                return InputSignal(np.array([0.0]), zero)
-            return InputSignal(np.array([0.0, 0.0]), np.concatenate([first, zero]))
-        keep = self.breaks < t
-        breaks = np.concatenate([self.breaks[keep], [t]])
-        values = np.concatenate([self.values[keep], zero])
         return InputSignal(breaks, values)
 
     def __eq__(self, other):
@@ -296,42 +272,86 @@ def _rk4_step(f, x, h, *args):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
+               keep=None, observe=None):
+    """Step the rows of x (m, n) by ``update(x, inputs[k])`` over ``times``.
+
+    ``observe(k, |x|, row sup norms)`` sees every sample.  Rows flagged in
+    ``keep`` (all when None) store their states.  A row whose norm is not
+    finite or exceeds DEFAULT_BLOWUP_BOUND ends at that sample with a BlowUp
+    of that norm, and is held at zero after every later step.  Returns
+    (states, ends, blowups): kept (ends[j], n) samples by row j, each row's
+    sample count and BlowUp or None.
+    """
+    m, n = x.shape
+    steps = times.size - 1
+    kept = np.arange(m) if keep is None else np.flatnonzero(keep)
+    block = np.empty((kept.size, steps + 1, n))
+    block[:, 0] = x[kept]
+    ax = np.abs(x)
+    if observe is not None:
+        observe(0, ax, np.max(ax, axis=1, initial=0.0))
+
+    ends = np.full(m, steps + 1)
+    blowups: list[BlowUp | None] = [None] * m
+    dead = np.zeros(m, bool)          # blown-up rows, held at zero
+    n_dead = 0                        # no array test per step while 0
+    for k in range(steps):
+        if n_dead == m:
+            break
+        x = update(x, inputs[k])
+        if n_dead:
+            x[dead] = 0.0
+        block[:, k + 1] = x[kept]
+        ax = np.abs(x)
+        norms = np.max(ax, axis=1, initial=0.0)
+        if observe is not None:
+            observe(k + 1, ax, norms)
+        bad = ~np.isfinite(norms) | (norms > DEFAULT_BLOWUP_BOUND)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                ends[j] = k + 2
+                blowups[j] = BlowUp(float(times[k + 1]), float(norms[j]),
+                                    DEFAULT_BLOWUP_BOUND)
+            dead |= bad
+            n_dead = int(np.count_nonzero(dead))
+            x[bad] = 0.0
+    states = {int(j): block[s, :ends[j]] for s, j in enumerate(kept)}
+    return states, ends, blowups
+
+
 def _step_subsystem(spec: SubsystemSpec, x0: float, w: InputSignal | None,
                     u: InputSignal, horizon: float,
                     dt: float | None) -> Trajectory:
-    """The one subsystem stepper: the domain's steps over ``horizon`` from x0.
-
-    Each step reads its interior value of u and of w (None means zero
-    neighbor signals).  A state that is not finite or exceeds
-    DEFAULT_BLOWUP_BOUND ends the trajectory there.
-    """
+    """One subsystem as a one-row, one-column _step_rows run: each step
+    reads its interior value of u and of w, one channel per neighbor (None
+    means zero neighbor signals)."""
+    nw = len(spec.neighbors)
+    if w is not None and w.dim != nw:
+        raise ValueError(f"w has {w.dim} channels, {spec.name} has {nw} "
+                         f"neighbors")
     times, h = spec.time_domain.grid(horizon, dt)
     t0s = times[:-1]
-    us = u.interior_values(t0s, t0s + h)
-    ws = None if w is None else w.interior_values(t0s, t0s + h)
-    zeros_w = np.zeros(len(spec.neighbors))
-    update = spec.time_domain.stepper(spec.dynamics, h)
-    vals = np.empty(times.size)
-    vals[0] = x = float(x0)
-    for k in range(t0s.size):
-        wk = zeros_w if ws is None else np.atleast_1d(ws[k])
-        x = update(x, wk, float(us[k]))
-        vals[k + 1] = x
-        if not np.isfinite(x) or abs(x) > DEFAULT_BLOWUP_BOUND:
-            return Trajectory(times[:k + 2], vals[:k + 2],
-                              BlowUp(float(times[k + 1]), float(x),
-                                     DEFAULT_BLOWUP_BOUND))
-    return Trajectory(times, vals)
+    uw = np.zeros((t0s.size, 1, 1 + nw))     # u in column 0, then w
+    uw[:, 0, 0] = u.interior_values(t0s, t0s + h)
+    if w is not None:
+        uw[:, 0, 1:] = w.interior_values(t0s, t0s + h).reshape(t0s.size, nw)
+
+    def f(x, uw):
+        out = np.empty((1, 1))
+        out[0, 0] = spec.dynamics(x[0, 0], uw[0, 1:], uw[0, 0])
+        return out
+
+    states, ends, blowups = _step_rows(
+        times, spec.time_domain.stepper(f, h), np.full((1, 1), float(x0)), uw)
+    return Trajectory(times[:ends[0]], states[0][:, 0], blowups[0])
 
 
 def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
                   u: InputSignal, horizon: float, dt: float) -> Trajectory:
-    """Classical RK4 with fixed step dt and left-constant input sampling.
-
-    w feeds the neighbor channels (vector signal ordered like
-    spec.neighbors; None means no neighbors or all zero).  The trajectory is
-    sampled at 0, dt, ..., n*dt with n = round(horizon/dt).
-    """
+    """Classical RK4 with fixed step dt at 0, dt, ..., n*dt, n =
+    round(horizon/dt); w feeds the neighbor channels in spec.neighbors
+    order (None means all zero), and inputs are held left-constant."""
     if spec.time_domain.kind != "continuous":
         raise ValueError("integrate_ode needs a continuous-time spec")
     return _step_subsystem(spec, x0, w, u, horizon, dt)
@@ -340,9 +360,12 @@ def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
 # Axiom harness ----------------------------------------------------------
 
 
-def _axiom_dt(domain: TimeDomain, dt: float | None) -> float:
-    """An axiom adapter's step: dt, else the domain's, else the default."""
-    return dt if dt is not None else (domain.dt or DEFAULT_AXIOM_DT)
+def _axiom_dt(domain: TimeDomain, dt: float | None) -> float | None:
+    """An axiom adapter's step: dt as given on a discrete domain; on a
+    continuous one dt, else the domain's, else the default."""
+    if dt is not None or domain.kind == "discrete":
+        return dt
+    return domain.dt or DEFAULT_AXIOM_DT
 
 
 def _no_blowup(traj):

@@ -239,6 +239,14 @@ def test_band_entry_reaches_the_driven_steady_state(chain_trace):
     assert np.all(np.diff(band.y_hat, axis=0) <= 1e-15)
 
 
+def test_reported_reads_the_row_of_the_largest_tail_start():
+    # the rows of unordered starts; reported used to read the last row
+    y_hat = np.array([[0.25, 0.5], [2.0, 4.0], [1.0, 3.0]])
+    entry = BandEntry(1.0, 1, None, (0.5, 1.0), (180.0, 60.0, 100.0), y_hat,
+                      4, 5)
+    assert np.array_equal(entry.reported, [0.25, 0.5])
+
+
 def test_small_input_cell_decays_to_zero(chain_trace):
     *_, small = chain_trace
     assert small.level == 0.0

@@ -740,6 +740,10 @@ def test_bad_certify_config_is_a_config_error(run_cli, capsys, key, value):
     ("radii", [0.0]),
     ("radii", [1.0, 1.0]),
     ("ensemble.horizon", 40.5),     # round() used to pick the step count
+    ("ensemble.dt", 0.5),           # a discrete network ignored it
+    ("bands", [1, 1, 2]),           # stepped the cell (r, 1) twice
+    ("tail_fractions", [0.9, 0.3, 0.5]),   # checked the row of start 0.5
+    ("tail_fractions", [0.3, 0.3]),
     ("tol", "x"),
     ("xi", {"kind": "nope"}),
 ], ids=str)
@@ -824,6 +828,7 @@ INLINE_NET = {
     {"index_set": 5},
     {"subsystems": [{"i": 0, "expr": 5}]},
     {"time_domain": {"kind": "Discrete", "dt": 0.5}},
+    {"time_domain": {"kind": "discrete", "dt": 0.5}},   # its dt was ignored
 ], ids=str)
 def test_wrong_typed_inline_network_is_a_config_error(run_cli, capsys,
                                                       changes):
@@ -892,8 +897,11 @@ def test_missing_required_flag_exits_2(capsys):
     {"probe_times": ["x"]},
     {"x0": [1.0, 0.0]},
     {"x0": "abc"},
-    {"sweep_sizes": [1, 5], "network": "catalog:uniform-2-cycle", "window": 2},
+    {"sweep_sizes": [1, 5], "network": "catalog:uniform-2-cycle", "window": 2,
+     "dt": None},
     {"horizon": 2.5, "network": "catalog:uniform-2-cycle", "window": 2},
+    {"dt": -5, "network": "catalog:uniform-2-cycle", "window": 2},   # ran
+    {"dt": 0.5, "network": "catalog:uniform-2-cycle", "window": 2},  # ran
     {"input": {"breaks": [0.0], "values": [[1.0, 2.0]]}},
     {"sweep_sizes": [2, 3], "input": {"breaks": [0.0], "values": [[1.0] * 3]}},
 ], ids=str)
@@ -905,6 +913,25 @@ def test_bad_simulate_config_is_a_config_error(run_cli, capsys, changes):
     assert code == 2
     assert f"config error: {next(iter(changes))}" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+# each of these but the list kind ran and exited 0: an unknown kind ran as
+# a signal, and a kind ignored the keys it does not read
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "bogus", "breaks": [0], "values": [2]}, "unknown input kind"),
+    ({"kind": ["signal"]}, "unknown input kind"),
+    ({"kind": "constant", "level": 1, "breaks": [0], "values": [5]},
+     "unknown input keys ['breaks', 'values']"),
+    ({"kind": "zero", "level": 7}, "unknown input keys ['level']"),
+    ({"breaks": [0], "values": [2], "level": 1}, "unknown input keys"),
+], ids=str)
+def test_input_takes_only_the_keys_of_its_kind(run_cli, capsys, spec,
+                                               message):
+    code, out = run_cli("simulate", {"network": "catalog:uniform-2-cycle",
+                                     "horizon": 3, "input": spec})
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 BAD_GAIN = {"index_set": {"kind": "finite", "labels": [1, 2]},
@@ -1037,7 +1064,9 @@ def test_gains_check_uses_the_given_r_grid(run_cli):
     ({"kind": "constant", "level": 0.5}, InputSignal.constant(0.5)),
     ({"breaks": [0.0, 3.0], "values": [1.0, -0.5]},
      InputSignal([0.0, 3.0], [1.0, -0.5])),
-], ids=["zero", "constant", "signal"])
+    ({"kind": "signal", "breaks": [0.0, 3.0], "values": [1.0, -0.5]},
+     InputSignal([0.0, 3.0], [1.0, -0.5])),
+], ids=["zero", "constant", "signal", "explicit-signal"])
 def test_simulate_reads_each_input_kind(run_cli, tmp_path, spec, signal):
     net, _ = instantiate("uniform-2-cycle")
     code, out = run_cli("simulate", {"network": "catalog:uniform-2-cycle",

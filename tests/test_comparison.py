@@ -280,7 +280,7 @@ def test_max_with_dominates_both():
     sigma = identity()
     a = kl_from_decay_table(_staircase_table((1.0, 2.0), sigma, tau=1.0), sigma)
     b = kl_from_decay_table(_staircase_table((1.0, 2.0), sigma, tau=2.0), sigma)
-    m = a.max_with(b)
+    m = max_surface([a, b])
     for r in (1.0, 2.0):
         for t in (0.0, 0.5, 1.5, 3.0, 10.0):
             assert m(r, t) >= a(r, t) - 1e-12
@@ -292,7 +292,7 @@ def test_max_with_on_different_radii_dominates_off_the_grid():
     a = kl_from_decay_table(_staircase_table((1.0, 2.0), sigma, tau=1.0), sigma)
     b = kl_from_decay_table(_staircase_table((0.5, 1.5, 3.0), sigma, tau=2.0),
                             sigma)
-    m = a.max_with(b)
+    m = max_surface([a, b])
     assert list(m.radii) == [0.5, 1.0, 1.5, 2.0, 3.0]
     for r in (0.25, 0.75, 1.25, 1.75, 2.5, 4.0):
         for t in (0.0, 0.5, 1.5, 2.25, 3.0, 7.5, 10.0):

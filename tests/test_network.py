@@ -18,7 +18,8 @@ from issnet.network import (
     truncation_sweep,
     write_trajectory_csv,
 )
-from issnet.systems import DISCRETE, InputSignal, SubsystemSpec, check_axioms
+from issnet.systems import (DISCRETE, InputSignal, SubsystemSpec,
+                            _step_subsystem, check_axioms)
 
 
 # Simulation against closed forms ---------------------------------------
@@ -108,6 +109,18 @@ def test_blowup_truncates_trajectory():
     assert traj.blowup.value > 1e12
     assert traj.times[-1] == traj.blowup.time
     assert len(traj.times) < 101
+
+
+def test_a_negative_blowup_reports_its_norm_on_both_paths():
+    # x+ = -3x from -1 passes the bound at t = 26 with x = -3**26
+    spec = SubsystemSpec("flipping", DISCRETE, lambda x, w, u: -3.0 * x)
+    net = NetworkSpec("flipping", DISCRETE, FiniteIndexSet((0,)),
+                      lambda i: spec)
+    alone = _step_subsystem(spec, -1.0, None, InputSignal.zero(), 40, None)
+    coupled = simulate(net, (0,), -1.0, InputSignal.zero(), 40)
+    assert alone.values[-1] == -3.0 ** 26
+    for blowup in (alone.blowup, coupled.blowup):
+        assert (blowup.time, blowup.value) == (26.0, 3.0 ** 26)
 
 
 # Fast path --------------------------------------------------------------
@@ -236,6 +249,31 @@ def test_ensemble_input_and_state_checks(counterexample):
     with pytest.raises(ValueError, match="x0"):
         simulate_ensemble(net, window, [(np.ones(3), InputSignal.zero())],
                           1.0, dt=1e-2)
+
+
+# One stepping loop ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, size", [("uniform-2-cycle", None),
+                                        ("nonuniform-discrete-chain", 6)])
+@pytest.mark.parametrize("assembled", [False, True], ids=["fast", "assembled"])
+def test_component_equals_its_subsystem_on_the_recorded_neighbors(
+        name, size, assembled):
+    net, _ = instantiate(name)
+    if assembled:
+        net = _reference(net)
+    window = net.window(size)
+    x0 = np.linspace(-0.9, 0.8, len(window))
+    u = InputSignal([0.0, 4.0, 9.0, 13.0], [0.3, -0.6, 0.15, 0.0])
+    traj = simulate(net, window, x0, u, 20)
+    for c, i in enumerate(window):
+        spec = net.subsystem_fn(i)
+        alone = _step_subsystem(spec, x0[c],
+                                traj.neighbor_signal(i, spec.neighbors),
+                                u, 20, None)
+        assert alone.blowup is None
+        assert np.array_equal(alone.times, traj.times)
+        assert np.array_equal(alone.values, traj.states[:, c])
 
 
 # Trajectory accessors ---------------------------------------------------

@@ -1,19 +1,28 @@
 """Signals, single-subsystem solvers, and the transition-axiom harness."""
 
+import ast
 import math
+import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import issnet
+from issnet.gains import FiniteIndexSet
+from issnet.network import NetworkSpec, NetworkSystem, simulate
 from issnet.systems import (
     BlowUp,
     InputSignal,
     SubsystemSpec,
     SubsystemSystem,
+    TimeDomain,
     check_axioms,
     continuous,
     DISCRETE,
+    DEFAULT_AXIOM_DT,
+    _axiom_dt,
     _step_subsystem,
     integrate_ode,
 )
@@ -36,6 +45,9 @@ def test_signal_validation():
         InputSignal([1.0, 2.0], [0.0, 0.0])       # must start at 0
     with pytest.raises(ValueError):
         InputSignal([0.0, 2.0, 1.0], [0.0, 0.0, 0.0])
+    for breaks in ([0.0, 0.0], [0.0, 1.0, 1.0]):    # strictly increasing
+        with pytest.raises(ValueError, match="strictly increasing"):
+            InputSignal(breaks, np.zeros(len(breaks)))
     with pytest.raises(ValueError):
         InputSignal([0.0], [np.inf])
     with pytest.raises(ValueError):
@@ -59,8 +71,6 @@ def test_constant_and_zero():
 def test_sup_norm_respects_horizon():
     u = InputSignal([0.0, 1.0, 2.0], [1.0, -5.0, 2.0])
     assert u.sup_norm() == 5.0
-    assert u.sup_norm(up_to=1.0) == 1.0    # the later pieces start after 1
-    assert u.sup_norm(up_to=1.5) == 5.0
 
 
 def test_shift_drops_earlier_pieces():
@@ -78,22 +88,6 @@ def test_concat_splices_exactly():
     assert w(1.5) == 2.0
     assert w(2.0) == 2.0       # closed on the left segment
     assert w(2.5) == 9.0
-
-
-def test_truncate_extends_by_zero():
-    u = InputSignal.constant(4.0)
-    t = u.truncate(1.0)
-    assert t(0.5) == 4.0
-    assert t(1.0) == 4.0
-    assert t(1.5) == 0.0
-    assert t.sup_norm() == 4.0
-
-
-def test_truncate_at_zero_keeps_initial_value():
-    u = InputSignal.constant(4.0)
-    t = u.truncate(0.0)
-    assert t(0.0) == 4.0
-    assert t(0.5) == 0.0
 
 
 def test_step_value_uses_interior():
@@ -299,7 +293,7 @@ def test_stepper_matches_the_discrete_loop_bitwise(case):
     spec = _coupled_spec(DISCRETE)
     u, w = _signals(1.0)[case]
     ref = _reference_discrete(spec, 0.8, w, u, 40.0)
-    _assert_same(_step_subsystem(spec, 0.8, w, u, 40, 1.0), ref)
+    _assert_same(_step_subsystem(spec, 0.8, w, u, 40, None), ref)
     assert SubsystemSystem(spec, w).phi(40.0, 0.8, u) == ref[1][-1]
 
 
@@ -321,7 +315,7 @@ def test_stepper_matches_the_loops_at_a_blowup():
     w1 = InputSignal(w.breaks, w.values[:, :1])
     ref = _reference_discrete(grow, 1.0, w1, u, 60.0)
     assert ref[2] is not None
-    _assert_same(_step_subsystem(grow, 1.0, w1, u, 60, 1.0), ref)
+    _assert_same(_step_subsystem(grow, 1.0, w1, u, 60, None), ref)
     with pytest.raises(ArithmeticError):
         SubsystemSystem(grow, w1).phi(60.0, 1.0, u)
 
@@ -335,6 +329,67 @@ def test_stepper_matches_the_loops_at_a_blowup():
     _assert_same(integrate_ode(quad, 3.0, w1, u, 2.0, dt), ref)
     with pytest.raises(ArithmeticError):
         SubsystemSystem(quad, w1, dt).phi(2.0, 3.0, u)
+
+
+def test_w_needs_one_channel_per_neighbor():
+    spec = _coupled_spec(DISCRETE)            # two neighbors
+    u = InputSignal.zero()
+    for w in (InputSignal.zero(), InputSignal.zero(dim=3)):
+        with pytest.raises(ValueError, match="channels"):
+            _step_subsystem(spec, 0.5, w, u, 5, None)
+        with pytest.raises(ValueError, match="channels"):
+            SubsystemSystem(spec, w).phi(5.0, 0.5, u)
+    grow = SubsystemSpec("grow", DISCRETE, lambda x, w, u: x + w[0],
+                         neighbors=(1,))
+    scalar = _step_subsystem(grow, 0.0, InputSignal.constant(1.0), u, 3, None)
+    assert list(scalar.values) == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_array_valued_dynamics_fail_alike_on_both_paths():
+    spec = SubsystemSpec("pair", DISCRETE,
+                         lambda x, w, u: np.array([x, x]))
+    net = NetworkSpec("pair", DISCRETE, FiniteIndexSet((0,)), lambda i: spec)
+    for run in (lambda: _step_subsystem(spec, 1.0, None, InputSignal.zero(),
+                                        3, None),
+                lambda: simulate(net, (0,), 1.0, InputSignal.zero(), 3)):
+        with pytest.raises(ValueError, match="sequence"):
+            run()
+
+
+def test_a_dt_on_a_discrete_domain_is_an_error():
+    with pytest.raises(ValueError, match="^dt"):
+        TimeDomain("discrete", 0.5)
+    with pytest.raises(ValueError, match="^dt"):
+        DISCRETE.grid(3, 1.0)
+    with pytest.raises(ValueError, match="^horizon"):     # checked first
+        DISCRETE.grid(2.5, 1.0)
+    assert DISCRETE.grid(3)[1] == 1.0
+    assert _axiom_dt(DISCRETE, None) is None
+    assert _axiom_dt(continuous(), None) == DEFAULT_AXIOM_DT
+    assert _axiom_dt(continuous(0.25), None) == 0.25
+    spec = _decay_spec(DISCRETE)
+    with pytest.raises(ValueError, match="^dt"):
+        _step_subsystem(spec, 1.0, None, InputSignal.zero(), 3, 1.0)
+    with pytest.raises(ValueError, match="^dt"):
+        SubsystemSystem(spec, dt=1.0).phi(3.0, 1.0, InputSignal.zero())
+    net = NetworkSpec("decay", DISCRETE, FiniteIndexSet((0,)), lambda i: spec)
+    with pytest.raises(ValueError, match="^dt"):
+        NetworkSystem(net, (0,), dt=1.0).phi(3.0, np.ones(1),
+                                             InputSignal.zero())
+
+
+# only the stepping loop records a blow-up, so both paths share its rule
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(issnet.__path__)
+    if m.name != "systems"))
+def test_only_systems_constructs_blowup(name):
+    path = pathlib.Path(issnet.__file__).parent / f"{name}.py"
+    calls = [f"{ast.unparse(node)} (line {node.lineno})"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "BlowUp"
+                  or getattr(node.func, "attr", None) == "BlowUp")]
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind, dt, t", [

@@ -53,7 +53,7 @@ ENTRY_POINTS = {
         net, w, [(1.0, ZERO)], 2.0),
     "subnetwork": lambda net, w: subnetwork(net, w),
     "build_ensemble": lambda net, w: build_ensemble(
-        net, w, [(1.0, 0.0)], EnsembleConfig(2.0, 0.1, n_random=1), 0),
+        net, w, [(1.0, 0.0)], EnsembleConfig(2.0, n_random=1), 0),
 }
 
 
