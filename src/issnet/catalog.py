@@ -96,10 +96,10 @@ def _build_counterexample(p):
         return SubsystemSpec(f"node{i}", continuous(1e-3), dyn, neighbors=())
 
     def fast(window):
-        inv = 1.0 / np.asarray(window, float)
+        neg_inv = -1.0 / np.asarray(window, float)    # the bits of -(1/i)
 
         def field(x, u):
-            return -inv * x
+            return neg_inv * x
 
         return field
 

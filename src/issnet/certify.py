@@ -34,7 +34,12 @@ makes two passes: build_fit_and_holdout steps the fit and holdout members
 together, then estimate_attainment_times steps the members of every
 radius, whose thresholds need the fitted sigma.  Only holdout members
 keep their trajectories, because build_nonuniform_iss validates them
-pointwise; build_ensemble keeps every trajectory it returns.  Every
+pointwise; build_ensemble keeps every trajectory it returns.  A pass steps
+each distinct member once, so the deterministic members that fit and
+holdout share cost one row, and equal kept members share one trajectory.
+Validation (_validate_holdout) evaluates the decay surfaces once per start
+radius and time grid, one group at a time, and checks a repeated run
+once.  Every
 stage hands its planned member families to one helper, _run_pass, which
 makes the single _simulate call, raises on the first blown-up member in
 family order and returns each family's rows.
@@ -475,44 +480,68 @@ def _lift_strict(times: np.ndarray, gap: float) -> np.ndarray:
     return out
 
 
-class _SurfaceBlocks:
-    """A surface evaluated once per distinct (radius, time grid): holdout
-    members share few start radii and one step grid."""
-
-    def __init__(self, evaluate):
-        self.evaluate = evaluate
-        self.blocks = {}
-
-    def __call__(self, r: float, times: np.ndarray) -> np.ndarray:
-        key = (float(r), times.tobytes())
-        if key not in self.blocks:
-            self.blocks[key] = self.evaluate(r, times)
-        return self.blocks[key]
-
-
 def _validate_holdout(runs: Sequence[LabeledRun], beta, gamma: ScalarCurve,
                       values, tol_abs: float, tol_rel: float):
     """Check values(traj) <= beta(r_x, times) + gamma(||u||) on every
     holdout run, column by column of (T, columns) blocks.
 
-    Returns (raw, exceed, worst): the largest violation, at least 0; the
-    largest violation less the tolerance tol_abs + tol_rel * bound, -inf
-    without runs; and (column, time, member) where the latter occurs,
-    runs in order, columns in order, each column at its first worst sample.
+    Runs are grouped by (r_x, time grid) and beta is evaluated once per
+    group; a run whose states array, r_x and u_norm are an earlier run's
+    is checked once, since it can change neither maximum.  Returns (raw,
+    exceed, worst): the largest violation, at least 0; the largest
+    violation less the tolerance tol_abs + tol_rel * bound, -inf without
+    runs; and (column, time, member) where the latter occurs, runs in
+    order, columns in order, each column at its first worst sample.
     """
+    groups: dict[tuple, list[int]] = {}
+    for pos, run in enumerate(runs):
+        key = (float(run.r_x), run.trajectory.times.tobytes())
+        groups.setdefault(key, []).append(pos)
+    maxima = {}
+    for positions in groups.values():
+        maxima.update(_group_maxima(runs, positions, beta, gamma, values,
+                                    tol_abs, tol_rel))
     raw, exceed, worst = 0.0, -np.inf, None
-    for run in runs:
-        traj = run.trajectory
-        bound = beta(run.r_x, traj.times) + float(gamma(run.u_norm))
-        viol = values(traj) - bound
-        over = viol - (tol_abs + tol_rel * bound)
-        ks, k2s = np.argmax(viol, axis=0), np.argmax(over, axis=0)
-        for col in range(viol.shape[1]):
-            raw = max(raw, float(viol[ks[col], col]))
-            if over[k2s[col], col] > exceed:
-                exceed = float(over[k2s[col], col])
-                worst = (col, float(traj.times[k2s[col]]), run.member)
+    for pos, run in enumerate(runs):
+        if pos not in maxima:
+            continue
+        viol, over, at = maxima[pos]
+        for col in range(viol.size):
+            raw = max(raw, float(viol[col]))
+            if over[col] > exceed:
+                exceed = float(over[col])
+                worst = (col, float(at[col]), run.member)
     return raw, exceed, worst
+
+
+def _group_maxima(runs, positions, beta, gamma, values, tol_abs, tol_rel):
+    """Per-column (largest violation, largest excess, its time) by
+    position of each run at ``positions``, which share r_x and a time
+    grid, but a repeated one.  The beta block lives for this group only,
+    and each run's bound and violation are computed in place in the order
+    of the plain expressions, so the bits are theirs."""
+    first = runs[positions[0]]
+    block = beta(first.r_x, first.trajectory.times)
+    bound = np.empty_like(block)
+    seen, maxima = set(), {}
+    for pos in positions:
+        run = runs[pos]
+        traj = run.trajectory
+        key = (id(traj.states), run.u_norm)
+        if key in seen:
+            continue
+        seen.add(key)
+        np.add(block, float(gamma(run.u_norm)), out=bound)
+        viol = values(traj)
+        viol -= bound                                 # values - bound
+        bound *= tol_rel
+        bound += tol_abs
+        over = np.subtract(viol, bound, out=bound)    # viol - (tol_abs + ...)
+        k2s = np.argmax(over, axis=0)
+        maxima[pos] = (np.max(viol, axis=0),
+                       over[k2s, np.arange(over.shape[1])], traj.times[k2s])
+        del viol                  # freed before the next run's values
+    return maxima
 
 
 def build_nonuniform_iss(attainment: AttainmentTable,
@@ -558,8 +587,12 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     sigma_tilde = scale(sigma, 2.0)
     gamma = curve_max(curve_sum(sigma, ugs.gamma), gamma_hat)
 
-    beta = _SurfaceBlocks(lambda r, t: np.stack(
-        [surfaces[i](r, t) for i in window], axis=-1))
+    def beta(r, t):
+        block = np.empty((t.size, len(window)))
+        for pos, i in enumerate(window):
+            block[:, pos] = surfaces[i](r, t)
+        return block
+
     raw, exceed, worst = _validate_holdout(
         holdout, beta, gamma, lambda traj: np.abs(traj.states),
         tol_abs, tol_rel)
@@ -601,7 +634,7 @@ def uniform_from_nonuniform(cert: NonUniformISSCertificate,
     holdout run against the common surface."""
     beta = max_surface([cert.surfaces[i] for i in cert.window])
     residual, exceed, _ = _validate_holdout(
-        holdout, _SurfaceBlocks(lambda r, t: beta(r, t)[:, None]), cert.gamma,
+        holdout, lambda r, t: beta(r, t)[:, None], cert.gamma,
         lambda traj: traj.sup_norms()[:, None], tol_abs, tol_rel)
     return UniformISSCertificate(cert.window, beta, cert.gamma, residual,
                                  cert.valid and exceed <= 0.0)

@@ -18,8 +18,11 @@ the one stepping loop, steps it.  The pass reduces each sample's |x| rows
 per member as they are produced (the peak sup norm, the last sample above
 given nonnegative thresholds, the suffix sups at given tail starts), and
 only the members asked to keep their states store them, so an ensemble
-need not hold all of its trajectories.  A member that blows up keeps its
-row, held at zero from then on, which moves none of these reductions.
+need not hold all of its trajectories.  Equal members (start row, input
+and threshold row) share one row, so each distinct member is stepped and
+stored once and its results are handed to every copy.  A member that
+blows up keeps its row, held at zero from then on, which moves none of
+these reductions.
 
 A spec may supply a vectorized coupled map (fast_factory) for speed;
 without one the map is assembled from the per-component dynamics.  The
@@ -166,7 +169,8 @@ class _Stepped:
     ends: np.ndarray                 # samples member j has
     blowups: list                    # BlowUp or None
     peaks: np.ndarray                # largest sup norm over the samples
-    states: dict                     # j -> (ends[j], n) samples, kept members
+    states: dict                     # j -> (ends[j], n) samples, kept
+                                     # members; equal members share one
     last_exceed: np.ndarray | None   # (m, L, n) last sample with |x_i| above
                                      # threshold l, -1 if none
     tail_sups: np.ndarray | None     # (m, starts, n) sup from each start on
@@ -189,27 +193,73 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     thresholds[j, l]; with ``tail_starts`` the sup of |x_i| from each start
     on.  systems._step_rows steps the pass; only the members flagged in
     ``keep`` (all when None) store their states.
+
+    Members with equal start rows, inputs (breaks and values) and
+    threshold rows share one row, which the map's row contract makes
+    exact: each distinct member is stepped, and kept, once.  Kept rows go
+    first, so the stepper stores a leading slice; every result is mapped
+    back to each member, and kept duplicates share one states array.
     """
     times, h = net.time_domain.grid(horizon, dt)
     window = net.window(window)
     n = len(window)
     m = len(members)
-    x = np.empty((m, n))
+    starts = np.empty((m, n))
     for j, (x0, _u) in enumerate(members):
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim == 0:
             x0 = np.full(n, float(x0))
         if x0.shape != (n,):
             raise ValueError("x0 must be scalar or aligned with the window")
-        x[j] = x0
+        starts[j] = x0
+    if thresholds is not None:
+        thresholds = np.asarray(thresholds, float)
+        if thresholds.ndim != 2 or thresholds.shape[0] != m:
+            raise ValueError("one threshold row per member required")
+
+    keep = np.ones(m, bool) if keep is None else np.asarray(keep, bool)
+    order, row, n_kept = _distinct_rows(starts, members, thresholds, keep)
     f = net.fast_factory(window) if net.fast_factory is not None \
         else _assembled_map(net, window)
-    inputs = _input_block(members, times[:-1], h, n) if m else None
-    red = _Reductions(m, n, times, thresholds, tail_starts)
-    states, ends, blowups = _step_rows(times, net.time_domain.stepper(f, h),
-                                       x, inputs, keep, red.update)
-    return _Stepped(window, times, ends, blowups, red.peaks, states,
-                    red.last_exceed, red.tail_sups())
+    inputs = _input_block([members[d] for d in order], times[:-1], h, n) \
+        if m else None
+    red = _Reductions(order.size, n, times,
+                      None if thresholds is None else thresholds[order],
+                      tail_starts)
+    states, ends, blowups = _step_rows(
+        times, net.time_domain.stepper(f, h), starts[order], inputs, n_kept,
+        red.update)
+    tail_sups = red.tail_sups()
+    return _Stepped(window, times, ends[row], [blowups[r] for r in row],
+                    red.peaks[row],
+                    {int(j): states[row[j]] for j in np.flatnonzero(keep)},
+                    None if red.last_exceed is None else red.last_exceed[row],
+                    None if tail_sups is None else tail_sups[row])
+
+
+def _distinct_rows(starts: np.ndarray, members, thresholds, keep):
+    """(order, row, n_kept): the first member of each distinct key, kept
+    ones first, in member order otherwise; the row in that order stepping
+    each member; and how many rows keep their states.  A member's key is
+    its start row, its input's breaks and values, and its threshold row;
+    a row keeps its states when any member with its key is flagged in
+    ``keep``."""
+    m = len(members)
+    first = {}
+    rep = np.empty(m, int)            # the first member equal to member j
+    for j, (_x0, u) in enumerate(members):
+        key = (starts[j].tobytes(), u.breaks.tobytes(), u.values.shape,
+               u.values.tobytes(),
+               None if thresholds is None else thresholds[j].tobytes())
+        rep[j] = first.setdefault(key, j)
+    distinct = np.flatnonzero(rep == np.arange(m))
+    held = np.zeros(m, bool)          # some member equal to it is kept
+    held[rep[keep]] = True
+    order = np.concatenate([distinct[held[distinct]],
+                            distinct[~held[distinct]]])
+    row = np.empty(m, int)
+    row[order] = np.arange(order.size)
+    return order, row[rep], int(np.count_nonzero(held))
 
 
 class _Reductions:
@@ -224,9 +274,7 @@ class _Reductions:
         self.peaks = np.zeros(m)
         self.last_exceed = None
         if thresholds is not None:
-            self.thresholds = np.asarray(thresholds, float)[:, :, None]
-            if self.thresholds.shape[0] != m:
-                raise ValueError("one threshold row per member required")
+            self.thresholds = thresholds[:, :, None]
             if np.any(self.thresholds < 0):
                 raise ValueError("thresholds must be nonnegative")
             self.last_exceed = np.full((m, self.thresholds.shape[1], n), -1)

@@ -14,7 +14,8 @@ _step_rows is the one stepping loop, over an (m, n) state with a row per
 member; a network ensemble is one run of it, and a single subsystem (behind
 integrate_ode and SubsystemSystem) a one-row, one-column run whose inputs
 are u and the neighbor signals w.  A row that exceeds the blow-up bound
-ends there with a BlowUp of its |x| instead of poisoning later arithmetic.
+at a sample, the start one included, ends there with a BlowUp of its |x|
+instead of poisoning later arithmetic.
 """
 
 from __future__ import annotations
@@ -273,50 +274,48 @@ def _rk4_step(f, x, h, *args):
 
 
 def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
-               keep=None, observe=None):
+               kept: int | None = None, observe=None):
     """Step the rows of x (m, n) by ``update(x, inputs[k])`` over ``times``.
 
-    ``observe(k, |x|, row sup norms)`` sees every sample.  Rows flagged in
-    ``keep`` (all when None) store their states.  A row whose norm is not
-    finite or exceeds DEFAULT_BLOWUP_BOUND ends at that sample with a BlowUp
-    of that norm, and is held at zero after every later step.  Returns
-    (states, ends, blowups): kept (ends[j], n) samples by row j, each row's
-    sample count and BlowUp or None.
+    ``observe(k, |x|, row sup norms)`` sees every sample.  The first
+    ``kept`` rows (all when None) store their states.  A row whose norm is
+    not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample, the start one
+    included, ends there with a BlowUp of that norm, and is held at zero
+    after every later step.  Returns (states, ends, blowups): kept
+    (ends[j], n) samples by row j, each row's sample count and BlowUp or
+    None.
     """
     m, n = x.shape
     steps = times.size - 1
-    kept = np.arange(m) if keep is None else np.flatnonzero(keep)
-    block = np.empty((kept.size, steps + 1, n))
-    block[:, 0] = x[kept]
-    ax = np.abs(x)
-    if observe is not None:
-        observe(0, ax, np.max(ax, axis=1, initial=0.0))
-
+    kept = m if kept is None else kept
+    block = np.empty((kept, steps + 1, n))
     ends = np.full(m, steps + 1)
     blowups: list[BlowUp | None] = [None] * m
     dead = np.zeros(m, bool)          # blown-up rows, held at zero
     n_dead = 0                        # no array test per step while 0
-    for k in range(steps):
-        if n_dead == m:
-            break
-        x = update(x, inputs[k])
-        if n_dead:
-            x[dead] = 0.0
-        block[:, k + 1] = x[kept]
+    for k in range(steps + 1):
+        if k:
+            if n_dead == m:
+                break
+            x = update(x, inputs[k - 1])
+            if n_dead:
+                x[dead] = 0.0
+        if kept:
+            block[:, k] = x[:kept]
         ax = np.abs(x)
         norms = np.max(ax, axis=1, initial=0.0)
         if observe is not None:
-            observe(k + 1, ax, norms)
+            observe(k, ax, norms)
         bad = ~np.isfinite(norms) | (norms > DEFAULT_BLOWUP_BOUND)
         if bad.any():
             for j in np.flatnonzero(bad):
-                ends[j] = k + 2
-                blowups[j] = BlowUp(float(times[k + 1]), float(norms[j]),
+                ends[j] = k + 1
+                blowups[j] = BlowUp(float(times[k]), float(norms[j]),
                                     DEFAULT_BLOWUP_BOUND)
             dead |= bad
             n_dead = int(np.count_nonzero(dead))
             x[bad] = 0.0
-    states = {int(j): block[s, :ends[j]] for s, j in enumerate(kept)}
+    states = {j: block[j, :ends[j]] for j in range(kept)}
     return states, ends, blowups
 
 

@@ -169,6 +169,18 @@ def test_simulate_reports_blowup(run_cli, capsys):
     assert summary["blowup"]["value"] > summary["blowup"]["bound"]
 
 
+def test_simulate_reports_a_start_past_the_bound_at_t0(run_cli, capsys):
+    code, out = run_cli("simulate", {"network": "catalog:counterexample-chain",
+                                     "window": 3, "x0": 1e300,
+                                     "horizon": 1.0, "dt": 0.1})
+    assert code == 1
+    assert "trajectory blow-up at t=0 (|x| reached 1e+300" in \
+        capsys.readouterr().err
+    summary = _read(out, "simulate_summary.json")
+    assert summary["blowup"] == {"time": 0.0, "value": 1e300, "bound": 1e12}
+    assert summary["final_time"] == 0.0
+
+
 def test_simulate_reports_a_sweep_blowup(run_cli, capsys):
     # this escaped as an ArithmeticError traceback with only trajectory.csv
     # written; the run from x0 = 0 stays at 0, the sweep's from 1 blows up

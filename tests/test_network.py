@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from issnet.gains import FiniteIndexSet
 from issnet.network import (
     NetworkSpec,
     NetworkSystem,
+    _simulate,
     simulate,
     simulate_ensemble,
     subnetwork,
@@ -121,6 +123,38 @@ def test_a_negative_blowup_reports_its_norm_on_both_paths():
     assert alone.values[-1] == -3.0 ** 26
     for blowup in (alone.blowup, coupled.blowup):
         assert (blowup.time, blowup.value) == (26.0, 3.0 ** 26)
+
+
+@pytest.mark.parametrize("x0, norm", [(1e13, 1e13), (np.nan, np.nan),
+                                      (np.inf, np.inf),
+                                      ([1.0, -np.inf, 2.0], np.inf)])
+def test_a_start_past_the_bound_ends_at_t0(counterexample, x0, norm):
+    # the rule applies to the start sample: no step is taken, so neither
+    # a NaN nor an inf start reaches the arithmetic
+    net, _ = counterexample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(net, 3, x0, InputSignal.zero(), 1.0, 0.1)
+    assert np.array_equal(traj.times, [0.0])
+    assert np.array_equal(traj.states, np.broadcast_to(x0, (1, 3)),
+                          equal_nan=True)
+    assert traj.blowup.time == 0.0
+    assert np.array_equal(traj.blowup.value, norm, equal_nan=True)
+
+
+def test_a_start_past_the_bound_ends_only_its_member(counterexample):
+    net, _ = counterexample
+    members = [(0.5, InputSignal.zero()), (1e13, InputSignal.zero()),
+               (2.0, InputSignal.zero())]
+    stepped = _simulate(net, 3, members, 1.0, 0.1, tail_starts=(0.0,))
+    assert list(stepped.ends) == [11, 1, 11]
+    assert [b is None for b in stepped.blowups] == [True, False, True]
+    assert stepped.peaks[1] == 1e13
+    assert np.all(stepped.tail_sups[1] == 1e13)
+    assert np.all(stepped.tail_sups[[0, 2]] < 1e13)
+    for j in (0, 2):
+        solo = simulate(net, 3, members[j][0], InputSignal.zero(), 1.0, 0.1)
+        assert np.array_equal(stepped.states[j], solo.states)
 
 
 # Fast path --------------------------------------------------------------

@@ -7,10 +7,12 @@ stored trajectories, kept as references: every reduced result must equal
 them bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from issnet import certify
+from issnet import certify, network
 from issnet.catalog import instantiate
 from issnet.certify import (CertificationError, EnsembleConfig,
                             build_ensemble, build_fit_and_holdout,
@@ -401,3 +403,258 @@ def test_negative_thresholds_are_rejected():
     with pytest.raises(ValueError, match="thresholds must be nonnegative"):
         _simulate(net, (0,), [(1.0, InputSignal.zero())], 5.0, None,
                   thresholds=np.array([[0.5, -0.1]]))
+
+
+# distinct rows -----------------------------------------------------------
+
+
+def _copy(x0, u):
+    """An equal member built from fresh arrays."""
+    return (np.array(x0, float), InputSignal(u.breaks.copy(), u.values.copy()))
+
+
+def _duplicated_members(n, h):
+    rng = np.random.default_rng(3)
+    a = (rng.uniform(-1, 1, n), InputSignal(h * np.array([0.0, 2.5, 7.0]),
+                                            [0.3, -0.6, 0.2]))
+    b = (np.ones(n), InputSignal.zero())
+    c = (np.ones(n), InputSignal.constant(0.0))   # equal to b
+    d = (0.5, InputSignal.constant(0.4))
+    members = [a, b, _copy(*a), d, c, a, _copy(*d)]
+    keep = [True, False, False, False, True, False, False]
+    # a is kept at its first copy, b at its second (c), d never
+    return members, keep
+
+
+def _rows_seen(monkeypatch):
+    seen = []
+    step_rows = network._step_rows
+
+    def recorded(times, update, x, inputs, kept=None, observe=None):
+        seen.append((x.shape[0], kept))
+        return step_rows(times, update, x, inputs, kept, observe)
+
+    monkeypatch.setattr(network, "_step_rows", recorded)
+    return seen
+
+
+def test_duplicate_members_equal_their_solo_runs(setting, monkeypatch):
+    net, window, cfg = setting
+    h = cfg.dt or 1.0
+    members, keep = _duplicated_members(len(window), h)
+    thresholds = np.tile([1e3, 0.5, 0.05], (len(members), 1))
+    starts = (0.0, 0.5 * cfg.horizon)
+    seen = _rows_seen(monkeypatch)
+    stepped = _simulate(net, window, members, cfg.horizon, cfg.dt, keep=keep,
+                        thresholds=thresholds, tail_starts=starts)
+    assert seen == [(3, 2)]                 # a, d and b; a and b kept
+    assert sorted(stepped.states) == [0, 4]
+    for j, (x0, u) in enumerate(members):
+        solo = _simulate(net, window, [(x0, u)], cfg.horizon, cfg.dt,
+                         thresholds=thresholds[j:j + 1], tail_starts=starts)
+        assert stepped.ends[j] == solo.ends[0]
+        assert stepped.blowups[j] == solo.blowups[0] is None
+        assert stepped.peaks[j] == solo.peaks[0]
+        assert np.array_equal(stepped.last_exceed[j], solo.last_exceed[0])
+        assert np.array_equal(stepped.tail_sups[j], solo.tail_sups[0])
+        if keep[j]:
+            assert np.array_equal(stepped.states[j], solo.states[0])
+
+
+def test_kept_duplicates_share_one_states_array(setting):
+    net, window, cfg = setting
+    members, _keep = _duplicated_members(len(window), cfg.dt or 1.0)
+    trajs = simulate_ensemble(net, window, members, cfg.horizon, cfg.dt)
+    for i, j in [(0, 2), (0, 5), (1, 4), (3, 6)]:
+        assert np.shares_memory(trajs[i].states, trajs[j].states)
+    assert not np.shares_memory(trajs[0].states, trajs[1].states)
+    for (x0, u), traj in zip(members, trajs):
+        solo = simulate_ensemble(net, window, [(x0, u)], cfg.horizon, cfg.dt)
+        assert np.array_equal(traj.states, solo[0].states)
+
+
+def test_duplicates_that_blow_up_equal_their_solo_runs(monkeypatch):
+    net = _trap_net(lambda u: u < -0.5)
+    bad = (0.5, InputSignal.constant(-1.0))
+    members = [(1.0, InputSignal.zero()), bad, _copy(*bad), (0.25, bad[1]),
+               bad]
+    keep = [False, False, True, True, False]
+    seen = _rows_seen(monkeypatch)
+    stepped = _simulate(net, (0,), members, 60.0, None, keep=keep,
+                        tail_starts=(0.0,))
+    assert seen == [(3, 2)]
+    for j, (x0, u) in enumerate(members):
+        solo = _simulate(net, (0,), [(x0, u)], 60.0, None, tail_starts=(0.0,))
+        assert stepped.ends[j] == solo.ends[0]
+        assert stepped.blowups[j] == solo.blowups[0]
+        assert stepped.peaks[j] == solo.peaks[0]
+        assert np.array_equal(stepped.tail_sups[j], solo.tail_sups[0])
+        if keep[j]:
+            assert np.array_equal(stepped.states[j], solo.states[0])
+    assert stepped.blowups[1] is not None and stepped.ends[1] < 61
+
+
+def test_a_duplicated_blowup_names_its_first_member():
+    # the kept copy is stepped first, yet the unkept one comes first in
+    # family order, so it is the member named
+    net = _trap_net(lambda u: u < -0.5)
+    cfg = EnsembleConfig(horizon=60.0)
+    bad = (0.5, InputSignal.constant(-1.0))
+    families = [([("first", 1.0, InputSignal.zero()), ("second", *bad)],
+                 False),
+                ([("third", *_copy(*bad))], True)]
+    with pytest.raises(CertificationError, match="in second, seed 0"):
+        certify._run_pass(net, (0,), cfg, 0, families)
+
+
+def test_equal_runs_with_different_thresholds_stay_separate(monkeypatch):
+    net, _ = instantiate("counterexample-chain")
+    members = [(1.0, InputSignal.zero()), (1.0, InputSignal.zero())]
+    thresholds = np.array([[0.5], [0.9]])
+    seen = _rows_seen(monkeypatch)
+    stepped = _simulate(net, 2, members, 2.0, 0.1, keep=[True, True],
+                        thresholds=thresholds)
+    assert seen == [(2, 2)]
+    assert stepped.last_exceed[0, 0, 1] > stepped.last_exceed[1, 0, 1]
+    assert not np.shares_memory(stepped.states[0], stepped.states[1])
+    for j in range(2):
+        solo = _simulate(net, 2, members[j:j + 1], 2.0, 0.1,
+                         thresholds=thresholds[j:j + 1])
+        assert np.array_equal(stepped.last_exceed[j], solo.last_exceed[0])
+
+
+def test_a_certify_pass_steps_each_distinct_member_once(monkeypatch):
+    # the deterministic members repeat across the fit and holdout tags,
+    # and ones+const at r_u = 0 repeats ones+zero of the same r_x
+    net, _ = instantiate("counterexample-chain")
+    window = net.window(4)
+    cfg = EnsembleConfig(horizon=2.0, dt=0.1, n_random=1)
+    bins = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    fit = certify._plan_bins(net, window, bins, cfg, 0, "fit")
+    hold = certify._plan_bins(net, window, bins, cfg, 0, "holdout")
+    keys = [(np.broadcast_to(np.asarray(x0, float), 4).tobytes(), u.to_json())
+            for *_, x0, u in fit + hold]
+    distinct = len({(x, str(u)) for x, u in keys})
+    kept = len({(x, str(u)) for x, u in keys[len(fit):]})
+    seen = _rows_seen(monkeypatch)
+    fit_runs, hold_runs = build_fit_and_holdout(net, window, bins, cfg, 0)
+    assert seen == [(distinct, kept)]
+    assert (distinct, kept) == (12, 9)      # of 24 members, 12 of them kept
+    assert all(run.trajectory is None for run in fit_runs)
+    assert len(hold_runs) == 12
+
+
+# holdout validation -------------------------------------------------------
+
+
+def _todays_validate_holdout(runs, beta, gamma, values, tol_abs, tol_rel):
+    """The per-run validation loop the grouped one replaced."""
+    raw, exceed, worst = 0.0, -np.inf, None
+    for run in runs:
+        traj = run.trajectory
+        bound = beta(run.r_x, traj.times) + float(gamma(run.u_norm))
+        viol = values(traj) - bound
+        over = viol - (tol_abs + tol_rel * bound)
+        ks, k2s = np.argmax(viol, axis=0), np.argmax(over, axis=0)
+        for col in range(viol.shape[1]):
+            raw = max(raw, float(viol[ks[col], col]))
+            if over[k2s[col], col] > exceed:
+                exceed = float(over[k2s[col], col])
+                worst = (col, float(traj.times[k2s[col]]), run.member)
+    return raw, exceed, worst
+
+
+def _with_duplicates(hold):
+    """hold plus a second name for a run (the same states), an equal copy
+    of it, the same states under another r_x and under another ||u||, and
+    a repeated run."""
+    run = hold[0]
+    copy = certify.LabeledRun(
+        dataclasses.replace(run.trajectory, states=run.trajectory.states.copy()),
+        run.r_x, run.r_u, run.u_norm, "copied", run.seed, run.peak)
+    return [dataclasses.replace(run, member="again"), *hold, copy,
+            dataclasses.replace(run, r_x=2.0 * run.r_x, member="wider"),
+            dataclasses.replace(run, u_norm=run.u_norm + 0.5, member="louder"),
+            hold[-1]]
+
+
+def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
+    net, window, cfg = setting
+    fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
+    ugs = fit_ugs(fit, holdout=hold)
+    levels = {r: float(ugs.sigma(r)) * 2.0 ** -np.arange(4)
+              for r in (0.5, 1.0)}
+    att = estimate_attainment_times(net, window, levels, ugs.gamma, cfg,
+                                    seed=8)
+    runs = _with_duplicates(hold)
+    shared = {id(run.trajectory.states) for run in runs}
+    assert len(shared) < len(runs) - 2     # repeats from the pass itself
+    for tol_abs, tol_rel in ((1e-6, 1e-3), (-1.0, 0.0), (-1.0, 0.5)):
+        # a negative tolerance makes every point a violation: ties
+        # between runs, copies and components all reach the tie-break
+        cert = build_nonuniform_iss(att, ugs, runs, tol_abs, tol_rel)
+        uni = uniform_from_nonuniform(cert, runs, tol_abs, tol_rel)
+
+        def beta(r, t):
+            return np.stack([cert.surfaces[i](r, t) for i in window], -1)
+
+        checks = [(beta, lambda traj: np.abs(traj.states)),
+                  (lambda r, t: uni.beta(r, t)[:, None],
+                   lambda traj: traj.sup_norms()[:, None])]
+        for beta_of, values in checks:
+            want = _todays_validate_holdout(runs, beta_of, cert.gamma, values,
+                                            tol_abs, tol_rel)
+            calls = []
+
+            def counted(traj, values=values):
+                calls.append(id(traj.states))
+                return values(traj)
+
+            got = certify._validate_holdout(runs, beta_of, cert.gamma,
+                                            counted, tol_abs, tol_rel)
+            assert got == want
+            # a run equal to an earlier one (states, r_x, u_norm) is skipped
+            assert len(calls) == len({(id(run.trajectory.states), run.r_x,
+                                       run.u_norm) for run in runs})
+        raw, exceed, worst = _todays_validate_holdout(
+            runs, beta, cert.gamma, lambda traj: np.abs(traj.states),
+            tol_abs, tol_rel)
+        assert cert.holdout_residual == raw
+        assert cert.valid == (exceed <= 0.0)
+        assert cert.worst_case == (None if worst is None else
+                                   (window[worst[0]],) + worst[1:])
+        raw, exceed, _ = _todays_validate_holdout(
+            runs, lambda r, t: uni.beta(r, t)[:, None], cert.gamma,
+            lambda traj: traj.sup_norms()[:, None], tol_abs, tol_rel)
+        assert uni.holdout_residual == raw
+        assert uni.valid == (cert.valid and exceed <= 0.0)
+
+
+def test_grouped_validation_names_the_first_of_tied_runs():
+    times = np.arange(4.0)
+    states = np.array([[1.0, -3.0], [2.0, 3.0], [0.5, 0.0], [3.0, 1.0]])
+    traj = certify.NetworkTrajectory(times, (0, 1), states)
+    copy = dataclasses.replace(traj, states=states.copy())
+
+    def run(traj, member, r_x=1.0):
+        return certify.LabeledRun(traj, r_x, 0.0, 0.0, member, 0, 3.0)
+
+    def beta(r, t):
+        return np.full((t.size, 2), r)
+
+    def values(traj):
+        return np.abs(traj.states)
+
+    for runs, name in (([run(traj, "one"), run(traj, "two"),
+                         run(copy, "three")], "one"),
+                       ([run(copy, "three"), run(traj, "one"),
+                         run(traj, "two")], "three"),
+                       ([run(traj, "wide", 2.0), run(traj, "one"),
+                         run(copy, "three")], "one")):
+        got = certify._validate_holdout(runs, beta, identity(), values,
+                                        0.0, 0.0)
+        assert got == _todays_validate_holdout(runs, beta, identity(), values,
+                                               0.0, 0.0)
+        # both columns peak at 3, column 0 at t=3 and column 1 first at
+        # t=0; the tie goes to column 0 of the first run at radius 1
+        assert got == (2.0, 2.0, (0, 3.0, name))

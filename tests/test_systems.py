@@ -202,6 +202,16 @@ def test_blowup_record_fields():
     assert ok.blowup is None
 
 
+@pytest.mark.parametrize("x0", [1e13, -1e13, math.inf, math.nan])
+def test_integrate_ode_ends_a_start_past_the_bound_at_t0(x0):
+    spec = _decay_spec(continuous())
+    traj = integrate_ode(spec, x0, None, InputSignal.zero(), 1.0, 0.1)
+    assert np.array_equal(traj.times, [0.0])
+    assert np.array_equal(traj.values, [x0], equal_nan=True)
+    assert traj.blowup.time == 0.0
+    assert np.array_equal(traj.blowup.value, abs(x0), equal_nan=True)
+
+
 # The loops the subsystem stepper replaced, kept as references -----------
 
 
