@@ -21,6 +21,8 @@ closed forms the test suite compares against:
 
 The three chains take their gain graphs from the named gain generators of
 issnet.gains, the same ones graph_from_json rebuilds them with.
+Each fast map is its formula over the neighbor block w that network
+hands it; the per-component dynamics stay an independent reference.
 """
 
 from __future__ import annotations
@@ -75,12 +77,6 @@ class CatalogEntry:
         return self.build({k: float(v) for k, v in p.items()})
 
 
-def _pad_zero(x: np.ndarray) -> np.ndarray:
-    """x with one zero appended along the last axis: the slot that window
-    neighbors outside the window read (fast maps take (..., n) arrays)."""
-    return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-
-
 # counterexample-chain ---------------------------------------------------
 
 
@@ -97,11 +93,7 @@ def _build_counterexample(p):
 
     def fast(window):
         neg_inv = -1.0 / np.asarray(window, float)    # the bits of -(1/i)
-
-        def field(x, u):
-            return neg_inv * x
-
-        return field
+        return lambda x, w, u: neg_inv * x
 
     graph = _GeneratedGraph("decoupled", {}, start=1)
     net = NetworkSpec("counterexample-chain", continuous(1e-3),
@@ -143,14 +135,7 @@ def _build_two_cycle(p):
         return SubsystemSpec(f"node{i}", DISCRETE, dyn, neighbors=(3 - i,))
 
     def fast(window):
-        pos = {i: k for k, i in enumerate(window)}
-        other = np.array([pos.get(3 - i, len(window)) for i in window])
-
-        def step(x, u):
-            xp = _pad_zero(x)
-            return np.maximum(np.maximum(a * x, c * xp[..., other]), u)
-
-        return step
+        return lambda x, w, u: np.maximum(np.maximum(a * x, c * w[..., 0]), u)
 
     g = linear(c / (1.0 - a)) if c > 0 else zero_curve()
     graph = GainGraph(index_set,
@@ -199,16 +184,8 @@ def _build_nonuniform_chain(p):
         return SubsystemSpec(f"node{i}", DISCRETE, dyn, neighbors=(i + 1,))
 
     def fast(window):
-        w = np.asarray(window, float)
-        a, b, cc = _chain_coeffs(w, theta)
-        pos = {i: k for k, i in enumerate(window)}
-        nxt = np.array([pos.get(i + 1, len(window)) for i in window])
-
-        def step(x, u):
-            xp = _pad_zero(x)
-            return a * x + b * xp[..., nxt] + cc * u
-
-        return step
+        a, b, cc = _chain_coeffs(np.asarray(window, float), theta)
+        return lambda x, w, u: a * x + b * w[..., 0] + cc * u
 
     graph = _GeneratedGraph("unidirectional-chain", {"theta": theta})
     net = NetworkSpec("nonuniform-discrete-chain", DISCRETE, graph.index_set,
@@ -221,22 +198,17 @@ def _build_nonuniform_chain(p):
 
     def steady_state(window, level):
         # x*_i = theta x*_{i+1} + level, solved from the right edge (zero beyond)
-        out = np.zeros(len(window))
-        pos = {i: k for k, i in enumerate(window)}
+        at = {}
         for i in sorted(window, reverse=True):
-            nxt = out[pos[i + 1]] if (i + 1) in pos else 0.0
-            out[pos[i]] = theta * nxt + level
-        return out
+            at[i] = theta * at.get(i + 1, 0.0) + level
+        return np.array([at[i] for i in window])
 
     def linear_matrix(window):
         labels = np.asarray(window, float)
         a, b, cc = _chain_coeffs(labels, theta)
-        A = np.diag(a)
-        pos = {i: k for k, i in enumerate(window)}
-        for k, i in enumerate(window):
-            if (i + 1) in pos:
-                A[k, pos[i + 1]] = b[k]
-        return A, np.diag(cc)
+        # b_i in column i + 1 of row i
+        return (np.where(labels == labels[:, None] + 1, b[:, None],
+                         np.diag(a)), np.diag(cc))
 
     oracle = Oracle(
         sigma=identity(),
@@ -269,30 +241,20 @@ def _build_diffusive(p):
         return SubsystemSpec(f"node{i}", continuous(1e-3), dyn, neighbors=nbrs)
 
     def fast(window):
-        pos = {i: k for k, i in enumerate(window)}
-        n = len(window)
-        left = np.array([pos.get(i - 1, n) for i in window])
-        right = np.array([pos.get(i + 1, n) for i in window])
-
-        def field(x, u):
-            xp = _pad_zero(x)
-            return -x + eps * (xp[..., left] + xp[..., right]) + u
-
-        return field
+        # a sum, not w[..., 0] + w[..., 1]: on the window (0,) the block has
+        # one column, label 0's one neighbor
+        return lambda x, w, u: -x + eps * np.sum(w, axis=-1) + u
 
     graph = _GeneratedGraph("bidirectional-chain", {"gain": 2.0 * eps})
     net = NetworkSpec("linear-diffusive-chain", continuous(1e-3),
                       graph.index_set, subsystem, graph, fast)
 
     def linear_matrix(window):
+        labels = np.asarray(window, float)
         n = len(window)
-        pos = {i: k for k, i in enumerate(window)}
-        A = -np.eye(n)
-        for k, i in enumerate(window):
-            for j in (i - 1, i + 1):
-                if j in pos:
-                    A[k, pos[j]] = eps
-        return A, np.eye(n)
+        # eps in columns i - 1 and i + 1 of row i
+        return (np.where(np.abs(labels - labels[:, None]) == 1, eps,
+                         -np.eye(n)), np.eye(n))
 
     def component_value(i, t, x0):
         # exact only when eps == 0

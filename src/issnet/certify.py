@@ -522,7 +522,8 @@ def _group_maxima(runs, positions, beta, gamma, values, tol_abs, tol_rel):
     of the plain expressions, so the bits are theirs."""
     first = runs[positions[0]]
     block = beta(first.r_x, first.trajectory.times)
-    bound = np.empty_like(block)
+    # column-major, so the argmax down each column below reads it in place
+    bound = np.empty_like(block, order="F")
     seen, maxima = set(), {}
     for pos in positions:
         run = runs[pos]
@@ -588,13 +589,14 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     gamma = curve_max(curve_sum(sigma, ugs.gamma), gamma_hat)
 
     def beta(r, t):
-        block = np.empty((t.size, len(window)))
+        # column-major like the bound and |x| blocks _group_maxima reduces
+        block = np.empty((t.size, len(window)), order="F")
         for pos, i in enumerate(window):
             block[:, pos] = surfaces[i](r, t)
         return block
 
     raw, exceed, worst = _validate_holdout(
-        holdout, beta, gamma, lambda traj: np.abs(traj.states),
+        holdout, beta, gamma, lambda traj: np.abs(traj.states, order="F"),
         tol_abs, tol_rel)
     if worst is not None:
         worst = (window[worst[0]],) + worst[1:]

@@ -24,11 +24,12 @@ stored once and its results are handed to every copy.  A member that
 blows up keeps its row, held at zero from then on, which moves none of
 these reductions.
 
-A spec may supply a vectorized coupled map (fast_factory) for speed;
-without one the map is assembled from the per-component dynamics.  The
-assembled map is the semantic reference: the same spec with
-fast_factory=None runs it, and the test suite checks the two against each
-other.
+The truncation rule has one copy, _neighbor_gather, which hands every
+coupled map f(x, w, u) the block w of neighbor states.  A spec may supply
+a vectorized map (fast_factory) for speed; without one the map is
+assembled from the per-component dynamics.  The assembled map is the
+semantic reference: the same spec with fast_factory=None runs it, and the
+test suite checks the two against each other.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ class NetworkSpec:
 
     ``subsystem_fn`` must be deterministic in the label.  ``fast_factory``
     optionally maps a window (tuple of labels) to a vectorized coupled map
-    f(x, u) -> update (next state when discrete, derivative when
-    continuous) with zero boundary outside the window.  The map takes
-    (..., n) arrays, n = len(window): the simulator calls it with an (m, n)
-    ensemble state and an (m, n) input, or an (m, 1) input column for
-    scalar inputs, and row j of the result must equal f(x[j], u[j]).
+    f(x, w, u) -> update (next state when discrete, derivative when
+    continuous).  The simulator calls it with an (m, n) ensemble state,
+    n = len(window), the (m, n, d) neighbor block w (see _neighbor_gather)
+    and an (m, n) input, or an (m, 1) input column for scalar inputs; row
+    j of the result must equal f(x[j], w[j], u[j]).
     """
 
     name: str
@@ -108,33 +109,45 @@ class NetworkTrajectory:
     def neighbor_signal(self, i: int, neighbors: Sequence[int]) -> InputSignal:
         """Recorded neighbor trajectories of i frozen as a held vector signal
         (components outside the window read zero)."""
-        vals = np.zeros((self.times.size, len(neighbors)))
-        for c, j in enumerate(neighbors):
-            if j in self.window:
-                vals[:, c] = self.states[:, self._pos(j)]
-        return InputSignal(self.times, vals)
+        gather = _neighbor_gather(self.window, [neighbors])
+        return InputSignal(self.times, gather(self.states)[:, 0])
 
     def value_at(self, i: int, t: float) -> float:
         return float(self.states[_grid_index(self.times, t), self._pos(i)])
 
 
-def _assembled_map(net: NetworkSpec, window: tuple[int, ...]):
-    """Reference coupled map built from per-component dynamics."""
+def _neighbor_gather(window: tuple, neighbor_lists):
+    """The truncation rule, x -> w: w[..., k, c] is the state in x of the
+    c-th label of neighbor_lists[k], zero outside the window and past that
+    list's end, and w's last axis d is the longest list (an empty block,
+    nothing padded, when d is 0).  Positions are found here, once."""
     n = len(window)
-    specs = [net.subsystem_fn(i) for i in window]
     pos = {i: k for k, i in enumerate(window)}
-    pads = []
-    for s in specs:
-        pads.append(np.array([pos.get(j, n) for j in s.neighbors], dtype=int))
+    d = max(map(len, neighbor_lists), default=0)
+    if d == 0:
+        return lambda x: np.empty(x.shape[:-1] + (len(neighbor_lists), 0))
+    slots = np.full((len(neighbor_lists), d), n)
+    for k, labels in enumerate(neighbor_lists):
+        slots[k, :len(labels)] = [pos.get(j, n) for j in labels]
 
-    def f(x: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    def gather(x: np.ndarray) -> np.ndarray:
+        xp = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+        return xp[..., slots]
+
+    return gather
+
+
+def _assembled_map(specs: list):
+    """Reference coupled map built from per-component dynamics; component
+    k reads w[k, :len(neighbors)]."""
+
+    def f(x: np.ndarray, w: np.ndarray, uv: np.ndarray) -> np.ndarray:
         if x.ndim == 2:               # an ensemble: one member at a time
             uv = np.broadcast_to(uv, x.shape)
-            return np.stack([f(xj, uj) for xj, uj in zip(x, uv)])
-        xp = np.concatenate([x, [0.0]])   # boundary components read zero
-        out = np.empty(n)
+            return np.stack([f(xj, wj, uj) for xj, wj, uj in zip(x, w, uv)])
+        out = np.empty(x.size)
         for k, s in enumerate(specs):
-            out[k] = s.dynamics(x[k], xp[pads[k]], uv[k])
+            out[k] = s.dynamics(x[k], w[k, :len(s.neighbors)], uv[k])
         return out
 
     return f
@@ -186,12 +199,13 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     """Step every (x0, u) member together as one (m, n) state array.
 
     The coupled map is the spec's fast_factory(window), or the map
-    assembled from the per-component dynamics when it has none.  Each
-    sample's |x| rows are reduced as they are produced: the running
-    peak sup norm always; with ``thresholds`` (an (m, L) array, which must
-    be nonnegative) the last sample at which |x_i| of member j exceeds
-    thresholds[j, l]; with ``tail_starts`` the sup of |x_i| from each start
-    on.  systems._step_rows steps the pass; only the members flagged in
+    assembled from the per-component dynamics when it has none, handed
+    the window's neighbor block.  Each sample's |x| rows are reduced as
+    they are produced: the running peak sup norm always; with
+    ``thresholds`` (an (m, L) array, which must be nonnegative) the last
+    sample at which |x_i| of member j exceeds thresholds[j, l]; with
+    ``tail_starts`` the sup of |x_i| from each start on.
+    systems._step_rows steps the pass; only the members flagged in
     ``keep`` (all when None) store their states.
 
     Members with equal start rows, inputs (breaks and values) and
@@ -219,16 +233,18 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
 
     keep = np.ones(m, bool) if keep is None else np.asarray(keep, bool)
     order, row, n_kept = _distinct_rows(starts, members, thresholds, keep)
+    specs = [net.subsystem_fn(i) for i in window]
+    gather = _neighbor_gather(window, [s.neighbors for s in specs])
     f = net.fast_factory(window) if net.fast_factory is not None \
-        else _assembled_map(net, window)
+        else _assembled_map(specs)
     inputs = _input_block([members[d] for d in order], times[:-1], h, n) \
         if m else None
     red = _Reductions(order.size, n, times,
                       None if thresholds is None else thresholds[order],
                       tail_starts)
     states, ends, blowups = _step_rows(
-        times, net.time_domain.stepper(f, h), starts[order], inputs, n_kept,
-        red.update)
+        times, net.time_domain.stepper(lambda x, u: f(x, gather(x), u), h),
+        starts[order], inputs, n_kept, red.update)
     tail_sups = red.tail_sups()
     return _Stepped(window, times, ends[row], [blowups[r] for r in row],
                     red.peaks[row],

@@ -93,6 +93,22 @@ def operator_deficit(graph: GainGraph, x, window: Sequence[int]) -> float:
 _FULL_VERTEX_N = 64   # up to this width every vertex pattern is enumerated
 DEFAULT_SGC_RANDOM = 64        # random sphere patterns of estimate_uniform_sgc
 DEFAULT_FALSIFY_BUDGET = 10_000
+# estimate_uniform_sgc's default radii and falsify_mbi's levels, written out
+# like gains.CHECK_GRID: np.geomspace(1e-2, 1e2, 9) and (1e-2, 1e2, 24)
+_SGC_RADII = np.array([
+    0.01, 0.03162277660168379, 0.1, 0.31622776601683794, 1.0,
+    3.1622776601683795, 10.0, 31.622776601683793, 100.0])
+_SGC_RADII.flags.writeable = False
+_MBI_LEVELS = np.array([
+    0.01, 0.014924955450518291, 0.022275429519995574, 0.03324597932270942,
+    0.04961947603002903, 0.07405684692262435, 0.11052951411260215,
+    0.16496480740980207, 0.24620924014946255, 0.3674661940736688,
+    0.5484416576121018, 0.8185467307069029, 1.2216773489967918,
+    1.8233480008684404, 2.7213387683753085, 4.061585988376979,
+    6.061898993497572, 9.047357242349293, 13.503140378698722,
+    20.15337685941733, 30.07882518043099, 44.89251258218603,
+    67.0018750350959, 100.0])
+_MBI_LEVELS.flags.writeable = False
 
 
 def _vertex_patterns(n: int, rng) -> np.ndarray:
@@ -227,16 +243,20 @@ def estimate_uniform_sgc(graph: GainGraph,
     minimized over deterministic vertex patterns (unit vectors, all-ones,
     leave-one-out) plus random patterns; the condition holds at the sampled
     resolution when every per-radius minimum is positive relative to the
-    radius.  The radii are sorted first, so the report lists them in
-    ascending order whatever order they came in.  The window defaults to
-    every label of a finite index set; a generated one needs it given.
+    radius.  The radii (at least one, distinct, positive and finite) are
+    sorted first, so the report lists them in ascending order whatever
+    order they came in.  The window defaults to every label of a finite
+    index set; a generated one needs it given.
     """
     window = graph.index_set.window(window)
     n = len(window)
-    if radii is None:
-        radii = np.geomspace(1e-2, 1e2, 9)
-    # the deficit floor below is a running minimum from the largest radius
-    radii = tuple(sorted(float(r) for r in radii))
+    # sorted for the deficit floor below, a running minimum from the largest
+    # radius; then distinct, positive and finite is increasing from 0 to inf
+    radii = tuple(sorted(map(float, _SGC_RADII if radii is None else radii)))
+    if not radii or not all(a < b for a, b in zip((0.0, *radii),
+                                                  (*radii, np.inf))):
+        raise ValueError(f"radii must be a nonempty list of distinct positive "
+                         f"finite numbers, got {list(radii)}")
     rng = derived_rng(seed, "sgc", n)
     _, dirs, unconverged = _directions(graph, window, radii)
     sphere = np.vstack([_vertex_patterns(n, rng),
@@ -339,7 +359,7 @@ def falsify_mbi(graph: GainGraph,
         raise ValueError(f"falsification budget must be at least 1, got {budget}")
     window = graph.index_set.window(window)
     n = len(window)
-    levels = np.geomspace(1e-2, 1e2, 24)
+    levels = _MBI_LEVELS
     c, dirs, _ = _directions(graph, window, levels)
     if c is not None and xi.claimed_class in ("K", "Kinf"):
         # the least slack at each level, shrunk by a rounding guard

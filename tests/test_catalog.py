@@ -6,7 +6,7 @@ import scipy.linalg
 
 from issnet.catalog import entries, instantiate, network_from_json, parse_ref
 from issnet.comparison import linear
-from issnet.gains import FiniteIndexSet, GainGraph, graph_to_json
+from issnet.gains import FiniteIndexSet, GainGraph, graph_to_json, restrict
 from issnet.network import simulate
 from issnet.systems import InputSignal
 
@@ -166,18 +166,45 @@ def _toy_obj():
 def test_fast_maps_take_batched_arrays(name):
     # the (..., n) contract: a 2-D (members, window) call equals the
     # row-by-row 1-D calls bitwise, for vector inputs and for a scalar
-    # input column broadcast along the window
+    # input column broadcast along the window; w is the (..., n, d)
+    # neighbor block, d the window's largest neighbor count
     net, _ = instantiate(name)
     window = net.window() if name == "uniform-2-cycle" else net.window(6)
     n = len(window)
+    d = max(len(net.subsystem_fn(i).neighbors) for i in window)
     f = net.fast_factory(window)
     rng = np.random.default_rng(1)
     x = rng.uniform(-2.0, 2.0, (5, n))
+    w = rng.uniform(-2.0, 2.0, (5, n, d))
     u = rng.uniform(-1.0, 1.0, (5, n))
     c = rng.uniform(-1.0, 1.0, (5, 1))
-    assert np.array_equal(f(x, u), np.stack([f(x[j], u[j]) for j in range(5)]))
-    assert np.array_equal(f(x, c), np.stack([f(x[j], np.full(n, c[j, 0]))
-                                             for j in range(5)]))
+    assert np.array_equal(f(x, w, u),
+                          np.stack([f(x[j], w[j], u[j]) for j in range(5)]))
+    assert np.array_equal(f(x, w, c),
+                          np.stack([f(x[j], w[j], np.full(n, c[j, 0]))
+                                    for j in range(5)]))
+
+
+# a window per entry that cuts the network, in the middle and at the end
+CUT_WINDOWS = {
+    "counterexample-chain": (1, 2, 4, 5, 9),
+    "uniform-2-cycle": (2,),
+    "nonuniform-discrete-chain": (0, 1, 3, 4, 8),
+    "linear-diffusive-chain": (0, 1, 3, 4, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_gain_graph_agrees_with_the_neighbor_lists(name):
+    # the two places that encode a network's coupling: each label's gain
+    # row names exactly its neighbors, inside the window and out of it
+    net, _ = instantiate(name)
+    window = net.window(CUT_WINDOWS[name])
+    sub = restrict(net.graph, window)
+    for i in window:
+        neighbors = set(net.subsystem_fn(i).neighbors)
+        assert set(net.graph.row(i)) == neighbors
+        assert set(sub.row(i)) == neighbors & set(window)
 
 
 def test_network_from_json_explicit():

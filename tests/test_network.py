@@ -164,7 +164,7 @@ def _halving_net(with_fast):
     spec = SubsystemSpec("halving", DISCRETE, lambda x, w, u: 0.5 * x + u)
 
     def fast_factory(window):
-        def f(x, uv):
+        def f(x, w, uv):
             return 0.5 * x + uv
         return f
 
@@ -215,30 +215,41 @@ def _mixed_members(n, h):
     ]
 
 
-@pytest.mark.parametrize("name", ["counterexample-chain", "uniform-2-cycle",
-                                  "nonuniform-discrete-chain",
-                                  "linear-diffusive-chain"])
+# a window per entry with neighbors outside it inside the network, not
+# only past its right edge; a window of one label has every neighbor
+# outside it (on the diffusive chain's (0,) the neighbor block has one
+# column where other windows have two)
+GAPPED_WINDOWS = {
+    "counterexample-chain": (1, 2, 4, 5, 9),
+    "uniform-2-cycle": (2,),
+    "nonuniform-discrete-chain": (0, 1, 3, 4, 8),
+    "linear-diffusive-chain": (0, 1, 3, 4, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAPPED_WINDOWS))
 def test_ensemble_matches_solo_runs_bitwise(name):
     net, _ = instantiate(name)
-    window = net.window() if name == "uniform-2-cycle" else net.window(6)
     dt = 0.05 if net.time_domain.kind == "continuous" else None
     h = dt or 1.0
-    members = _mixed_members(len(window), h)
-    scalar_only = [mem for mem in members if mem[1].values.ndim == 1]
-    for batch in (members, scalar_only):
-        runs = simulate_ensemble(net, window, batch, 12 * h, dt=dt)
-        assert len(runs) == len(batch)
-        for (x0, u), run in zip(batch, runs):
-            _same_run(run, simulate(_reference(net), window, x0, u, 12 * h,
-                                    dt=dt))
-            _same_run(run, simulate(net, window, x0, u, 12 * h, dt=dt))
+    first = net.window() if name == "uniform-2-cycle" else net.window(6)
+    for window in (first, net.window(GAPPED_WINDOWS[name]), net.window(1)):
+        members = _mixed_members(len(window), h)
+        scalar_only = [mem for mem in members if mem[1].values.ndim == 1]
+        for batch in (members, scalar_only):
+            runs = simulate_ensemble(net, window, batch, 12 * h, dt=dt)
+            assert len(runs) == len(batch)
+            for (x0, u), run in zip(batch, runs):
+                _same_run(run, simulate(_reference(net), window, x0, u,
+                                        12 * h, dt=dt))
+                _same_run(run, simulate(net, window, x0, u, 12 * h, dt=dt))
 
 
 def _squaring_net():
     spec = SubsystemSpec("squaring", DISCRETE, lambda x, w, u: x * x + u)
 
     def fast_factory(window):
-        return lambda x, uv: x * x + uv
+        return lambda x, w, uv: x * x + uv
 
     return NetworkSpec("squaring-net", DISCRETE, FiniteIndexSet((0, 1, 2)),
                        lambda i: spec, fast_factory=fast_factory)

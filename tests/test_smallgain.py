@@ -116,6 +116,25 @@ def test_radii_order_does_not_change_the_estimate(two_cycle):
     assert down.xi_hat(1.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("radii", [[], [0.0, 1.0], [-1.0], [1.0, np.nan],
+                                   [1.0, np.inf], [1.0, 1.0]], ids=str)
+def test_estimate_rejects_radii_it_cannot_sample(two_cycle, radii):
+    # no radius at all used to report "holds" with an xi_hat, a radius-0
+    # sphere, whose deficit is 0, used to report a failure, and a repeated
+    # radius failed inside the fit of eta_hat
+    net, _ = two_cycle
+    with pytest.raises(ValueError, match="radii must be a nonempty list of "
+                                         "distinct positive finite numbers"):
+        estimate_uniform_sgc(net.graph, (1, 2), radii=radii)
+
+
+@pytest.mark.parametrize("name, num", [("_SGC_RADII", 9), ("_MBI_LEVELS", 24)])
+def test_radius_and_level_constants_are_their_geomspace(name, num):
+    grid = getattr(smallgain, name)
+    assert grid.tobytes() == np.geomspace(1e-2, 1e2, num).tobytes()
+    assert not grid.flags.writeable
+
+
 # Extremal directions ----------------------------------------------------
 
 RADII = np.geomspace(1e-2, 1e2, 24)
