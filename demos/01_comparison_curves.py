@@ -68,13 +68,11 @@ print(f"  env(1) = {float(env(1.0)):.4f}, env(4) = {float(env(4.0)):.4f}")
 
 print()
 print("== decay surface from a dyadic table ==")
-# at each radius: times at which the level sigma(r) * 2^-n was attained
+# at each radius: the times at which the levels sigma(r) * 2^-n,
+# n = 0..6, were attained; the levels themselves come from sigma
 sigma = identity()
-table = {}
-for r in (0.5, 1.0, 2.0):
-    times = np.concatenate([[0.0], np.cumsum(np.full(6, 2.0))])
-    levels = float(sigma(r)) * 2.0 ** -np.arange(7)
-    table[r] = (times, levels)
+times = np.concatenate([[0.0], np.cumsum(np.full(6, 2.0))])
+table = {r: times for r in (0.5, 1.0, 2.0)}
 surf = kl_from_decay_table(table, sigma)
 print("  beta(1, t):", ", ".join(f"{float(surf(1.0, t)):.4f}"
                                  for t in (0.0, 2.0, 6.0, 12.0, 50.0)))

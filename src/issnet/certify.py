@@ -7,10 +7,10 @@ The pipeline has four stages, each producing an inspectable artifact:
    from the zero-input and zero-state bins; a single multiplicative
    inflation factor (recorded) makes the additive split dominate the mixed
    bins as well.
-2. estimate_attainment_times: for each component, level, and radius, the
-   earliest grid time after which the component's tail stays below
-   level + gamma_hat(||u||) for every ensemble member.  Unattained levels
-   are recorded, not silently dropped.
+2. estimate_attainment_times: for each component, radius r and dyadic
+   level 2^-n sigma(r), n = 0..depth, the earliest grid time after which
+   the component's tail stays below level + gamma_hat(||u||) for every
+   ensemble member.  Unattained levels are recorded, not silently dropped.
 3. build_nonuniform_iss: turns the attainment table into per-component
    decay surfaces via the dyadic staircase construction, with the common
    transient bound sigma_tilde = 2 sigma and the common input gain
@@ -59,8 +59,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._rng import derived_rng
-from .comparison import (KLSurface, ScalarCurve, curve_max, curve_sum,
-                         curve_to_json, fit_monotone_envelope,
+from .comparison import (KLSurface, ScalarCurve, _dyadic_levels, curve_max,
+                         curve_sum, curve_to_json, fit_monotone_envelope,
                          kl_from_decay_table, make_strictly_increasing,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
@@ -356,21 +356,17 @@ def fit_ugs(ensemble: Sequence[LabeledRun],
 class AttainmentTable:
     """Earliest tail-entry times per (component, level, radius).
 
-    times[r] is an (n_levels, n_components) array; NaN marks a level not
-    attained within the horizon for some member.
+    times[r] is a (depth + 1, n_components) array, row n for 2^-n sigma(r);
+    NaN marks a level not attained within the horizon for some member.
     """
 
     window: tuple
-    levels: Mapping[float, np.ndarray]
+    radii: tuple
+    sigma: ScalarCurve
     times: Mapping[float, np.ndarray]
     gamma_hat: ScalarCurve
     horizon: float
     seed: int
-
-    @property
-    def radii(self) -> tuple:
-        """The radii, the keys of levels in order."""
-        return tuple(self.levels)
 
     def time(self, i: int, r: float, n: int) -> float:
         return float(self.times[r][n, self.window.index(i)])
@@ -386,36 +382,37 @@ class AttainmentTable:
 
 def estimate_attainment_times(net: NetworkSpec,
                               window: Sequence[int],
-                              levels: Mapping[float, np.ndarray],
+                              radii: Sequence[float],
+                              depth: int,
+                              sigma: ScalarCurve,
                               gamma_hat: ScalarCurve,
                               cfg: EnsembleConfig,
                               seed: int) -> AttainmentTable:
     """Earliest time after which each component stays below each level.
 
-    For every member with ||x0|| <= r and ||u|| <= r, the component's tail
-    max must be below level + gamma_hat(||u||); the recorded time is the
-    earliest grid time working for all members (max over members of the
-    first crossing).  `levels` maps each radius, in the order the table
-    keeps them, to its own levels, as build_nonuniform_iss needs them: the
-    dyadic ladder 2^-n sigma(r).
+    The levels of radius r are the dyadic ladder 2^-n sigma(r),
+    n = 0..depth.  For every member with ||x0|| <= r and ||u|| <= r, the
+    component's tail max must be below level + gamma_hat(||u||); the
+    recorded time is the earliest grid time working for all members (max
+    over members of the first crossing).  Radii, nonempty, distinct and
+    positive, keep their order.
     """
     window = net.window(window)
-    level_map = {float(r): np.asarray(lv, float) for r, lv in levels.items()}
+    radii = tuple(float(r) for r in radii)
+    if not radii or len(set(radii)) < len(radii) or min(radii) <= 0:
+        raise ValueError(f"radii must be nonempty, distinct and > 0, got {radii}")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth!r}")
 
     # every radius's members are stepped in one pass; each member only
     # records, per (level, component), the last sample above its threshold
-    families = []
-    for r in level_map:
-        bins = [(r, r), (r, 0.5 * r), (r, 0.0)] if r > 0 else [(0.0, 0.0)]
-        families.append((_plan_bins(net, window, bins, cfg, seed,
-                                    f"attain:{r:g}"), False))
-    members = [(r, u) for r, (fam, _keep) in zip(level_map, families)
-               for *_, u in fam]
-    width = max((lv.size for lv in level_map.values()), default=0)
-    thresholds = np.full((len(members), width), np.inf)
-    for j, (r, u) in enumerate(members):
-        lv = level_map[r]
-        thresholds[j, :lv.size] = lv + float(gamma_hat(u.sup_norm()))
+    families = [(_plan_bins(net, window, [(r, r), (r, 0.5 * r), (r, 0.0)],
+                            cfg, seed, f"attain:{r:g}"), False)
+                for r in radii]
+    ladders = [_dyadic_levels(sigma, r, depth) for r in radii]
+    thresholds = np.array([ladder + float(gamma_hat(u.sup_norm()))
+                           for ladder, (fam, _keep) in zip(ladders, families)
+                           for *_, u in fam])
     stepped, spans = _run_pass(net, window, cfg, seed, families,
                                thresholds=thresholds)
 
@@ -423,13 +420,13 @@ def estimate_attainment_times(net: NetworkSpec,
     # means the final sample is still above it
     final = stepped.times.size - 1
     times: dict[float, np.ndarray] = {}
-    for r, rows in zip(level_map, spans):
-        last = stepped.last_exceed[rows, :level_map[r].size]
+    for r, rows in zip(radii, spans):
+        last = stepped.last_exceed[rows]
         member_times = np.where(last == final, np.nan,
                                 stepped.times[np.minimum(last + 1, final)])
         times[r] = np.max(member_times, axis=0)   # NaN if any member never
-    return AttainmentTable(window, level_map, times, gamma_hat, cfg.horizon,
-                           seed)
+    return AttainmentTable(window, radii, sigma, times, gamma_hat,
+                           cfg.horizon, seed)
 
 
 # Non-uniform certificates -----------------------------------------------
@@ -558,13 +555,15 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     2 sigma(r), and is majorized into a monotone decay surface.  The
     common curves are sigma_tilde = 2 sigma and
     gamma = max(sigma + gamma_ugs, gamma_hat), with gamma_hat the curve
-    the attainment table was estimated with.  Every component of every
-    holdout run must stay below its bound within the tolerance
-    tol_abs + tol_rel * bound.
+    the attainment table was estimated with (and ugs.sigma its sigma, or a
+    ValueError).  Every component of every holdout run must stay below its
+    bound within the tolerance tol_abs + tol_rel * bound.
     """
     gamma_hat = attainment.gamma_hat
     window = attainment.window
     sigma = ugs.sigma
+    if attainment.sigma is not sigma:
+        raise ValueError("attainment table of another sigma than ugs.sigma")
 
     for (i, n, r) in attainment.unattained():
         raise CertificationError(
@@ -582,7 +581,7 @@ def build_nonuniform_iss(attainment: AttainmentTable,
                     f"top level not attained immediately for component {i} "
                     f"at radius {r:g}: the fitted envelope does not cover "
                     f"the attainment ensemble (seed {attainment.seed})")
-            table[r] = (times, attainment.levels[r])
+            table[r] = times
         surfaces[i] = kl_from_decay_table(table, sigma)
 
     sigma_tilde = scale(sigma, 2.0)

@@ -507,12 +507,9 @@ def _run_certify(net, window, seed, cfg, radii, depth, tolerances, gamma_hat):
     fit_runs, hold_runs = build_fit_and_holdout(net, window, bins, cfg, seed)
     ugs = fit_ugs(fit_runs, holdout=hold_runs)
 
-    levels = {r: np.array([float(ugs.sigma(r)) * 2.0 ** (-n)
-                           for n in range(depth + 1)]) for r in radii}
-    if gamma_hat is None:
-        gamma_hat = ugs.gamma
-    attain = estimate_attainment_times(net, window, levels, gamma_hat, cfg,
-                                       seed)
+    attain = estimate_attainment_times(
+        net, window, radii, depth, ugs.sigma,
+        ugs.gamma if gamma_hat is None else gamma_hat, cfg, seed)
     cert = build_nonuniform_iss(attain, ugs, hold_runs, **tolerances)
     payload = {
         "seed": seed,

@@ -5,7 +5,8 @@ curves.  A curve of class K is continuous, strictly increasing, and vanishes
 at 0; class Kinf additionally grows without bound; class L is nonincreasing
 with values tending to a floor (0 unless stated); "mono" is a nonnegative
 nondecreasing envelope with no strictness claim.  A KL surface is class K-like
-in the radius argument and class L in the time argument.
+in the radius argument and class L in the time argument.  Decay surfaces
+take attainment times only; _dyadic_levels gives their levels 2^-n sigma(r).
 
 Curves are either parametric (linear a*r, power a*r**p, saturating a*r/(1+r),
 exponential decay c*exp(-lam*t)) or piecewise linear on explicit breakpoints.
@@ -578,14 +579,20 @@ def max_surface(surfaces: Sequence[KLSurface]) -> KLSurface:
     return out
 
 
-def kl_from_decay_table(table: dict[float, tuple[Sequence[float], Sequence[float]]],
+def _dyadic_levels(sigma: ScalarCurve, r: float, depth: int) -> np.ndarray:
+    """eps_n = 2^-n sigma(r), n = 0..depth: sigma(r) times an exact power
+    of two, so the bits do not depend on how the power is formed."""
+    return float(sigma(r)) * np.power(2.0, -np.arange(depth + 1))
+
+
+def kl_from_decay_table(table: dict[float, Sequence[float]],
                         sigma: ScalarCurve) -> KLSurface:
     """Assemble a KL surface from per-radius attainment staircases.
 
-    ``table`` maps each radius r to (times, levels) where times[0] == 0,
-    times are strictly increasing, and levels follow the dyadic ladder
-    levels[n] == 2**-n * sigma(r).  The radius-r curve starts at
-    2*sigma(r), steps down to levels[n-1] at times[n], and is interpolated
+    ``table`` maps each radius r to the attainment times of the dyadic
+    ladder eps_n = 2^-n sigma(r), n = 0..len(times) - 1, with times[0] == 0
+    and times strictly increasing.  The radius-r curve starts at
+    2*sigma(r), steps down to eps_{n-1} at times[n], and is interpolated
     linearly in t.  Curves are completed to a running sup across radii (so
     the surface is nondecreasing in r) and clipped at 2*sigma(r), which
     makes the cap bound exact in floating point.
@@ -597,25 +604,16 @@ def kl_from_decay_table(table: dict[float, tuple[Sequence[float], Sequence[float
         raise ValueError("table radii must be positive")
     stair = []
     for r in radii:
-        times, levels = table[r]
-        t = np.asarray(times, float)
-        lv = np.asarray(levels, float)
-        if t.ndim != 1 or t.shape != lv.shape or t.size < 1:
-            raise ValueError("times/levels must be matching 1-d arrays")
-        if t[0] != 0.0:
-            raise ValueError("attainment times must start at 0")
+        t = np.asarray(table[r], float)
+        if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
+            raise ValueError("attainment times must be 1-d and start at 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("attainment times must be strictly increasing")
-        s_r = sigma(float(r))
-        if s_r <= 0:
+        levels = _dyadic_levels(sigma, float(r), t.size - 1)
+        if levels[0] <= 0:
             raise ValueError("sigma must be positive at every table radius")
-        expect = s_r * np.power(2.0, -np.arange(t.size))
-        if np.any(np.abs(lv - expect) > 1e-9 * s_r):
-            raise ValueError("levels must halve from sigma(r) (dyadic ladder)")
-        # staircase points: (0, 2*eps0), (tau_n, eps_{n-1})
-        tb = t.copy()
-        vb = np.concatenate([[2.0 * s_r], expect[:-1]]) if t.size > 1 else np.array([2.0 * s_r])
-        stair.append((tb, vb))
+        # staircase points: (0, 2*eps_0), (tau_n, eps_{n-1})
+        stair.append((t, np.concatenate([[2.0 * levels[0]], levels[:-1]])))
     t_union = np.unique(np.concatenate([tb for tb, _ in stair]))
     curves = []
     running = np.full(t_union.shape, -np.inf)

@@ -106,9 +106,9 @@ class NetworkTrajectory:
         return Trajectory(self.times.copy(), self.states[:, self._pos(i)].copy(),
                           self.blowup)
 
-    def neighbor_signal(self, i: int, neighbors: Sequence[int]) -> InputSignal:
-        """Recorded neighbor trajectories of i frozen as a held vector signal
-        (components outside the window read zero)."""
+    def neighbor_signal(self, neighbors: Sequence[int]) -> InputSignal:
+        """The recorded trajectories of the labels in ``neighbors``, frozen
+        as a held vector signal (labels outside the window read zero)."""
         gather = _neighbor_gather(self.window, [neighbors])
         return InputSignal(self.times, gather(self.states)[:, 0])
 
@@ -321,10 +321,10 @@ class _Reductions:
 
 
 def _tail_start_samples(times: np.ndarray, tail_starts) -> np.ndarray:
-    """The first sample at or after each tail start (the last sample for a
-    start past the end)."""
-    return np.clip(np.searchsorted(times, np.asarray(tail_starts, float),
-                                   side="left"), 0, times.size - 1)
+    """The first sample at or after each tail start, or within 1e-9 of it
+    (the last sample for a start past the end)."""
+    return np.clip(np.searchsorted(times, np.asarray(tail_starts, float)
+                                   - 1e-9, side="left"), 0, times.size - 1)
 
 
 def _suffix_max(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -340,7 +340,7 @@ def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,
     u is one external signal, scalar (shared by all components) or vector
     valued with one channel per window label.  Discrete horizons count
     steps; continuous horizons are integrated in n = round(horizon/dt)
-    RK4 steps.
+    RK4 steps, n * dt within 1e-9 * max(1, horizon) of the horizon.
     """
     return _simulate(net, window, [(x0, u)], horizon, dt).trajectory(0)
 

@@ -62,9 +62,9 @@ class TimeDomain:
         """(times, h): the sample times 0, h, ..., n*h of a run over
         ``horizon`` and its step h.  When discrete, h is 1, the horizon
         counts the steps, so it must be whole, and no dt may be given;
-        when continuous, h is dt or else the domain's own dt, and
-        n = round(horizon / h).  Each ValueError message starts with the
-        name of the value at fault."""
+        when continuous, h is dt or else the domain's own dt, and n*h,
+        n = round(horizon / h), must be within 1e-9 * max(1, horizon) of
+        the horizon.  Each ValueError names the value at fault first."""
         if not horizon >= 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
         if self.kind == "discrete":
@@ -80,7 +80,11 @@ class TimeDomain:
         if dt is None or dt <= 0:
             raise ValueError(f"dt must be positive on a continuous time "
                              f"domain, got {dt!r}")
-        return dt * np.arange(int(round(horizon / dt)) + 1), dt
+        n = float(np.rint(horizon / dt))              # inf fails the test
+        if not abs(n * dt - horizon) <= 1e-9 * max(1.0, horizon):
+            raise ValueError(f"horizon must be a whole number of dt = {dt!r} "
+                             f"steps, got {horizon!r}")
+        return dt * np.arange(int(n) + 1), dt
 
     def stepper(self, f, h: float):
         """One step of length h of the dynamics f(x, *args): the update f
@@ -348,8 +352,8 @@ def _step_subsystem(spec: SubsystemSpec, x0: float, w: InputSignal | None,
 
 def integrate_ode(spec: SubsystemSpec, x0: float, w: InputSignal | None,
                   u: InputSignal, horizon: float, dt: float) -> Trajectory:
-    """Classical RK4 with fixed step dt at 0, dt, ..., n*dt, n =
-    round(horizon/dt); w feeds the neighbor channels in spec.neighbors
+    """Classical RK4 with fixed step dt at 0, dt, ..., n*dt = horizon
+    (TimeDomain.grid's rule); w feeds the neighbor channels in spec.neighbors
     order (None means all zero), and inputs are held left-constant."""
     if spec.time_domain.kind != "continuous":
         raise ValueError("integrate_ode needs a continuous-time spec")
@@ -433,7 +437,8 @@ def check_axioms(system, n_samples: int = 20, seed: int = 0,
     ``shifted(tau)``, and ``sample_state(rng, radius)``.  Identity is exact
     by construction and still asserted.  States and input values are drawn
     from [-1, 1], and causality defects up to 1e-7 pass.  Split times are
-    drawn from the sample times of TimeDomain.grid; the cocycle tolerance
+    drawn from the sample times of TimeDomain.grid, so a continuous dt
+    must divide the horizon (a ValueError otherwise); the cocycle tolerance
     is 0 for discrete systems and 10x a local error estimate obtained by
     step halving for continuous ones, floored near machine epsilon.
     """

@@ -327,11 +327,9 @@ def test_c8_decay_surfaces_never_exceed_twice_sigma(record_criterion):
         for r in radii:
             depth = int(rng.integers(2, 12))
             steps = np.cumsum(rng.uniform(0.05, 5.0, depth))
-            times = np.concatenate([[0.0], steps])
-            levels = float(sig(r)) * 2.0 ** -np.arange(depth + 1)
-            table[float(r)] = (times, levels)
+            table[float(r)] = np.concatenate([[0.0], steps])
         surf = kl_from_decay_table(table, sig)
-        for r, (times, _levels) in table.items():
+        for r, times in table.items():
             cap = 2.0 * float(sig(r))
             vals = np.asarray(surf(r, times))
             if vals[0] != cap or np.any(vals > cap):

@@ -38,10 +38,8 @@ def cycle_pipeline(two_cycle):
     ens = build_ensemble(net, window, BINS, cfg, seed=7)
     hold = build_ensemble(net, window, BINS, cfg, seed=11, tag="holdout")
     ugs = fit_ugs(ens, holdout=hold)
-    levels = {r: float(ugs.sigma(r)) * 2.0 ** -np.arange(11)
-              for r in (0.5, 1.0)}
-    att = estimate_attainment_times(net, window, levels, identity(), cfg,
-                                    seed=7)
+    att = estimate_attainment_times(net, window, (0.5, 1.0), 10, ugs.sigma,
+                                    identity(), cfg, seed=7)
     cert = build_nonuniform_iss(att, ugs, hold)
     return net, window, cfg, hold, ugs, att, cert
 
@@ -125,10 +123,45 @@ def test_short_horizon_is_an_unattained_level(cycle_pipeline, two_cycle):
     net, _ = two_cycle
     _, window, _, hold, ugs, *_ = cycle_pipeline
     cfg = EnsembleConfig(horizon=5.0, n_random=1)
-    att = estimate_attainment_times(net, window, {1.0: 2.0 ** -np.arange(11)},
+    att = estimate_attainment_times(net, window, (1.0,), 10, ugs.sigma,
                                     identity(), cfg, seed=7)
     assert att.unattained() != []
     with pytest.raises(CertificationError, match="not attained"):
+        build_nonuniform_iss(att, ugs, hold)
+
+
+def test_attainment_rejects_bad_radii(cycle_pipeline, two_cycle):
+    net, _ = two_cycle
+    _, window, cfg, _hold, ugs, *_ = cycle_pipeline
+    for radii in ((), (0.5, 1.0, 0.5), (0.0, 1.0), (1.0, -0.5)):
+        with pytest.raises(ValueError, match="radii must be"):
+            estimate_attainment_times(net, window, radii, 2, ugs.sigma,
+                                      identity(), cfg, seed=7)
+    with pytest.raises(ValueError, match="depth must be"):
+        estimate_attainment_times(net, window, (1.0,), -1, ugs.sigma,
+                                  identity(), cfg, seed=7)
+
+
+def test_attainment_keeps_the_radii_order(cycle_pipeline, two_cycle):
+    net, _ = two_cycle
+    _, window, cfg, _hold, ugs, att, _cert = cycle_pipeline
+    swapped = estimate_attainment_times(net, window, (1.0, 0.5), 10,
+                                        ugs.sigma, identity(), cfg, seed=7)
+    assert att.radii == (0.5, 1.0) and swapped.radii == (1.0, 0.5)
+    for r in att.radii:
+        assert np.array_equal(swapped.times[r], att.times[r])
+
+
+def test_certificate_rejects_a_table_of_another_sigma(cycle_pipeline,
+                                                      two_cycle):
+    # sigma(r) is r up to the strict lift, so identity() gives the same
+    # ladder to 1e-8, yet the table was not estimated with ugs.sigma
+    net, _ = two_cycle
+    _, window, cfg, hold, ugs, *_ = cycle_pipeline
+    att = estimate_attainment_times(net, window, (0.5, 1.0), 10, identity(),
+                                    identity(), cfg, seed=7)
+    assert att.sigma is not ugs.sigma
+    with pytest.raises(ValueError, match="another sigma"):
         build_nonuniform_iss(att, ugs, hold)
 
 
@@ -176,9 +209,8 @@ def test_tied_attainment_times_are_lifted_apart():
     bins = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     fit, hold = build_fit_and_holdout(net, (0, 1), bins, cfg, seed=0)
     ugs = fit_ugs(fit, holdout=hold)
-    levels = {1.0: float(ugs.sigma(1.0)) * 2.0 ** -np.arange(4)}
-    att = estimate_attainment_times(net, (0, 1), levels, ugs.gamma, cfg,
-                                    seed=0)
+    att = estimate_attainment_times(net, (0, 1), (1.0,), 3, ugs.sigma,
+                                    ugs.gamma, cfg, seed=0)
     assert np.array_equal(att.times[1.0][:, 0], [0.0, 1.0, 1.0, 1.0])
     cert = build_nonuniform_iss(att, ugs, hold)
     gap = 1e-9 * cfg.horizon

@@ -597,6 +597,18 @@ def test_bad_window_label_list_is_a_config_error(run_cli, capsys, window, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", [0.6, 0.4])
+def test_simulate_horizon_off_the_dt_grid_is_a_config_error(run_cli, capsys,
+                                                           dt):
+    # exited 0 with final_time 1.2 (dt 0.6) or 0.8 (dt 0.4)
+    code, out = run_cli("simulate", {"network": "catalog:linear-diffusive-chain",
+                                     "window": 4, "horizon": 1.0, "dt": dt})
+    assert code == 2
+    assert ("config error: horizon must be a whole number of dt"
+            in capsys.readouterr().err)
+    assert not (out / "simulate_summary.json").exists()
+
+
 def test_zero_window_on_an_infinite_index_set_is_a_config_error(run_cli, capsys):
     code, _ = run_cli("simulate", {"network": "catalog:nonuniform-discrete-chain",
                                    "window": 0, "horizon": 5})
@@ -733,6 +745,7 @@ def _with(conf, **changes):
     ("radii", []),
     ("radii", [-1.0, 1.0]),
     ("radii", [0.5, 1.0, 1.0]),     # ran on 45 fit members instead of 30
+    ("ensemble.horizon", 2.05),     # round() ran it to 2.0 in 0.1 steps
     ("tol_abs", "x"),
     ("gamma_hat", {"kind": "linear", "params": {"a": -1.0}}),
     ("emit_uniform", "yes"),

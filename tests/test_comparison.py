@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from issnet.comparison import (
+    _dyadic_levels,
     KLSurface,
     ScalarCurve,
     check_class,
@@ -226,12 +227,7 @@ def test_scale_and_final_slope_of_a_lazy_chain():
 
 
 def _staircase_table(radii, sigma, depth=4, tau=1.0):
-    table = {}
-    for r in radii:
-        times = [float(n) * tau for n in range(depth + 1)]
-        levels = [sigma(r) * 2.0 ** (-n) for n in range(depth + 1)]
-        table[r] = (times, levels)
-    return table
+    return {r: [float(n) * tau for n in range(depth + 1)] for r in radii}
 
 
 def test_kl_surface_initial_value_doubles_sigma():
@@ -321,11 +317,27 @@ def test_max_surface_folds():
 def test_decay_table_validation():
     sigma = identity()
     with pytest.raises(ValueError):
-        kl_from_decay_table({1.0: ([1.0, 2.0], [2.0, 1.0])}, sigma)  # t0 != 0
+        kl_from_decay_table({1.0: [1.0, 2.0]}, sigma)  # t0 != 0
     with pytest.raises(ValueError):
-        kl_from_decay_table({1.0: ([0.0, 0.0], [2.0, 1.0])}, sigma)  # ties
+        kl_from_decay_table({1.0: [0.0, 0.0]}, sigma)  # ties
     with pytest.raises(ValueError):
-        kl_from_decay_table({1.0: ([0.0, 1.0], [2.0, 1.5])}, sigma)  # not dyadic
+        kl_from_decay_table({1.0: []}, sigma)          # no times
+    with pytest.raises(ValueError):
+        kl_from_decay_table({0.0: [0.0]}, sigma)       # radius 0
+    with pytest.raises(ValueError):
+        kl_from_decay_table({1.0: [0.0]}, zero_curve())  # sigma(r) == 0
+
+
+@pytest.mark.parametrize("sigma", [
+    linear(1.7), power(0.9, 1.6),
+    pwl([(0.0, 0.0), (0.3, 0.1), (1.0, 0.35), (4.0, 5.0)], "K")],
+    ids=["linear", "power", "pwl"])
+def test_dyadic_levels_equal_the_per_level_formula(sigma):
+    # sigma(r) times an exact power of two: the same float however formed
+    for r in (0.05, 0.7, 1.0, 3.3, 20.0):
+        for depth in range(61):
+            want = [float(sigma(r)) * 2.0 ** (-n) for n in range(depth + 1)]
+            assert _dyadic_levels(sigma, r, depth).tolist() == want
 
 
 # Class checks -----------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from issnet import network
 from issnet.catalog import instantiate
+from issnet.certify import tail_limsup_estimate
 from issnet.gains import FiniteIndexSet
 from issnet.network import (
     NetworkSpec,
@@ -93,6 +95,27 @@ def test_discrete_horizon_must_be_whole(chain, horizon):
     net, _ = chain
     with pytest.raises(ValueError, match="horizon must be a whole number"):
         simulate(net, net.window(2), 1.0, InputSignal.zero(), horizon)
+
+
+# round() used to pick the step count: 1.2 in steps of 0.6, 0.8 in 0.4
+@pytest.mark.parametrize("dt", [0.6, 0.4])
+def test_continuous_horizon_must_be_whole_dt_steps(dt):
+    net, _ = instantiate("linear-diffusive-chain")
+    with pytest.raises(ValueError, match="horizon must be a whole number of "
+                                         f"dt = {dt} steps, got 1.0"):
+        simulate(net, net.window(4), 1.0, InputSignal.zero(), 1.0, dt=dt)
+
+
+def test_a_tail_start_within_1e9_of_a_sample_starts_there():
+    # 0.55 * 50 is 27.500000000000004, and used to start one sample late
+    net, _ = instantiate("linear-diffusive-chain")
+    times = net.time_domain.grid(50.0, 1e-3)[0]
+    start = 0.55 * 50.0
+    assert start > times[27500] == 27.5
+    assert network._tail_start_samples(times, [start, 27.5 + 2e-9]).tolist() \
+        == [27500, 27501]
+    values = np.arange(times.size, 0, -1.0)      # the sup from k is values[k]
+    assert tail_limsup_estimate(times, values, [start])[0] == values[27500]
 
 
 def test_vector_input_must_match_window(counterexample):
@@ -314,7 +337,7 @@ def test_component_equals_its_subsystem_on_the_recorded_neighbors(
     for c, i in enumerate(window):
         spec = net.subsystem_fn(i)
         alone = _step_subsystem(spec, x0[c],
-                                traj.neighbor_signal(i, spec.neighbors),
+                                traj.neighbor_signal(spec.neighbors),
                                 u, 20, None)
         assert alone.blowup is None
         assert np.array_equal(alone.times, traj.times)
@@ -333,7 +356,7 @@ def test_trajectory_accessors(chain):
     comp = traj.component(2)
     assert comp.values[0] == 1.0
     assert traj.value_at(2, 0.0) == 1.0
-    sig = traj.neighbor_signal(0, (1,))
+    sig = traj.neighbor_signal((1,))
     assert sig.dim == 1
 
 

@@ -20,7 +20,7 @@ from issnet.certify import (CertificationError, EnsembleConfig,
                             estimate_attainment_times, fit_ugs,
                             tail_limsup_estimate,
                             uniform_from_nonuniform)
-from issnet.comparison import KLSurface, identity, linear
+from issnet.comparison import KLSurface, identity, linear, scale
 from issnet.gains import FiniteIndexSet
 from issnet.network import NetworkSpec, _simulate, simulate_ensemble
 from issnet.systems import DISCRETE, InputSignal, SubsystemSpec
@@ -128,11 +128,10 @@ def setting(request):
     return net, net.window(size), cfg
 
 
-def _levels(ugs, radii):
-    # a huge top level (attained at step 0), the dyadic ladder, and a level
-    # below anything the horizon reaches (never attained)
-    return {r: np.concatenate([[1e3], float(ugs.sigma(r)) * 2.0 ** -np.arange(5),
-                               [1e-12]]) for r in radii}
+def _ladder(sigma, radii, depth):
+    """The dyadic ladder of each radius, one level at a time."""
+    return {r: np.array([float(sigma(r)) * 2.0 ** (-n)
+                         for n in range(depth + 1)]) for r in radii}
 
 
 def test_fit_and_holdout_match_their_separate_ensembles(setting):
@@ -165,12 +164,17 @@ def test_attainment_equals_the_stored_trajectory_loop(setting):
     radii = (0.5, 1.0)
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=5)
     ugs = fit_ugs(fit, holdout=hold)
-    levels = _levels(ugs, radii)
+    # sigma scaled to 1e3 at the smallest radius and a ladder 60 levels
+    # deep: a huge top level (attained at step 0), and a bottom one below
+    # anything the horizon reaches (never attained)
+    sigma = scale(ugs.sigma, 1e3 / float(ugs.sigma(radii[0])))
+    levels = _ladder(sigma, radii, 60)
     gamma_hat = linear(0.5)
-    att = estimate_attainment_times(net, window, levels, gamma_hat, cfg,
-                                    seed=5)
+    att = estimate_attainment_times(net, window, radii, 60, sigma, gamma_hat,
+                                    cfg, seed=5)
     ref = _reference_attainment(net, window, levels, radii, gamma_hat, cfg, 5)
     for r in radii:
+        assert levels[r][0] > 999.0 and levels[r][-1] < 1e-12
         assert np.array_equal(att.times[r], ref[r], equal_nan=True)
         # the top level holds from step 0, the bottom one never
         assert np.all(att.times[r][0] == 0.0)
@@ -186,11 +190,10 @@ def test_an_unattained_member_level_stays_unattained():
     net, _ = instantiate("counterexample-chain")
     window = net.window(3)
     cfg = EnsembleConfig(horizon=2.0, dt=0.1, n_random=1)
-    levels = {0.5: np.array([0.5, 0.25])}
-    att = estimate_attainment_times(net, window, levels, identity(), cfg,
-                                    seed=1)
-    ref = _reference_attainment(net, window, levels, (0.5,), identity(),
-                                cfg, 1)
+    att = estimate_attainment_times(net, window, (0.5,), 1, identity(),
+                                    identity(), cfg, seed=1)
+    ref = _reference_attainment(net, window, {0.5: np.array([0.5, 0.25])},
+                                (0.5,), identity(), cfg, 1)
     assert np.array_equal(att.times[0.5], ref[0.5], equal_nan=True)
     assert np.isnan(att.times[0.5][1, 2])
     assert (3, 1, 0.5) in att.unattained()
@@ -205,9 +208,8 @@ def test_holdout_validation_equals_the_per_component_loop(setting):
     radii = (0.5, 1.0)
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
     ugs = fit_ugs(fit, holdout=hold)
-    levels = {r: float(ugs.sigma(r)) * 2.0 ** -np.arange(4) for r in radii}
-    att = estimate_attainment_times(net, window, levels, ugs.gamma, cfg,
-                                    seed=8)
+    att = estimate_attainment_times(net, window, radii, 3, ugs.sigma,
+                                    ugs.gamma, cfg, seed=8)
     # holdout runs on a second, shorter time grid share start radii with
     # the first ones but not their surface values
     short = EnsembleConfig(horizon=0.5 * cfg.horizon, dt=cfg.dt, n_random=1)
@@ -236,9 +238,8 @@ def test_surfaces_are_evaluated_once_per_radius_and_grid(setting,
     net, window, cfg = setting
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
     ugs = fit_ugs(fit, holdout=hold)
-    levels = {1.0: float(ugs.sigma(1.0)) * 2.0 ** -np.arange(3)}
-    att = estimate_attainment_times(net, window, levels, ugs.gamma, cfg,
-                                    seed=8)
+    att = estimate_attainment_times(net, window, (1.0,), 2, ugs.sigma,
+                                    ugs.gamma, cfg, seed=8)
     calls = []
     evaluate = KLSurface.__call__
 
@@ -266,8 +267,7 @@ def test_holdout_worst_case_keeps_the_first_maximum():
     fit, hold = build_fit_and_holdout(net, (0, 1), [(1.0, 0.0), (0.0, 1.0)],
                                       cfg, seed=0)
     ugs = fit_ugs(fit, holdout=hold)
-    att = estimate_attainment_times(net, (0, 1),
-                                    {1.0: np.array([float(ugs.sigma(1.0))])},
+    att = estimate_attainment_times(net, (0, 1), (1.0,), 0, ugs.sigma,
                                     ugs.gamma, cfg, seed=0)
     cert = build_nonuniform_iss(att, ugs, hold, tol_abs=-1.0, tol_rel=0.0)
     assert cert.worst_case == _reference_validation(cert, hold, -1.0, 0.0)[1]
@@ -347,8 +347,7 @@ def test_blowup_at_the_second_radius_reports_todays_member():
         net, (0,), [(2.0, 2.0), (2.0, 1.0), (2.0, 0.0)], cfg, 4,
         tag="attain:2"))
     merged = _message(lambda: estimate_attainment_times(
-        net, (0,), {0.25: np.array([0.25]), 2.0: np.array([2.0])},
-        identity(), cfg, 4))
+        net, (0,), (0.25, 2.0), 0, identity(), identity(), cfg, 4))
     assert merged == today
     assert "member 'ones+const' of bin (r_x=2, r_u=2)" in merged
 
@@ -582,10 +581,8 @@ def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
     net, window, cfg = setting
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
     ugs = fit_ugs(fit, holdout=hold)
-    levels = {r: float(ugs.sigma(r)) * 2.0 ** -np.arange(4)
-              for r in (0.5, 1.0)}
-    att = estimate_attainment_times(net, window, levels, ugs.gamma, cfg,
-                                    seed=8)
+    att = estimate_attainment_times(net, window, (0.5, 1.0), 3, ugs.sigma,
+                                    ugs.gamma, cfg, seed=8)
     runs = _with_duplicates(hold)
     shared = {id(run.trajectory.states) for run in runs}
     assert len(shared) < len(runs) - 2     # repeats from the pass itself

@@ -388,6 +388,26 @@ def test_a_dt_on_a_discrete_domain_is_an_error():
                                              InputSignal.zero())
 
 
+def test_a_continuous_horizon_must_be_a_whole_number_of_steps():
+    # round() used to pick the step count: horizon 1 ran to 1.2 in steps
+    # of 0.6 and stopped at 0.8 in steps of 0.4, and inf overflowed
+    for horizon, dt in ((1.0, 0.6), (1.0, 0.4), (math.inf, 0.1)):
+        with pytest.raises(ValueError, match="^horizon"):
+            continuous().grid(horizon, dt)
+    times, h = continuous().grid(240.0, 0.1)   # 2400 steps, off by rounding
+    assert (times.size, h) == (2401, 0.1)
+    assert abs(times[-1] - 240.0) <= 1e-9 * 240.0
+    assert continuous(0.25).grid(1.0)[0][-1] == 1.0
+    spec = _decay_spec(continuous())
+    with pytest.raises(ValueError, match="^horizon"):
+        integrate_ode(spec, 1.0, None, InputSignal.zero(), 1.0, 0.3)
+    # check_axioms steps its horizon with the system's own dt
+    with pytest.raises(ValueError, match="^horizon"):
+        check_axioms(SubsystemSystem(spec, dt=0.3), n_samples=1, horizon=2.0)
+    assert check_axioms(SubsystemSystem(spec, dt=0.25), n_samples=1,
+                        horizon=2.0).ok
+
+
 # only the stepping loop records a blow-up, so both paths share its rule
 @pytest.mark.parametrize("name", sorted(
     m.name for m in pkgutil.iter_modules(issnet.__path__)
