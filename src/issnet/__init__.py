@@ -33,7 +33,8 @@ from .network import (NetworkSpec, NetworkSystem, NetworkTrajectory,
                       SweepReport, simulate, simulate_ensemble, subnetwork,
                       truncation_sweep, write_trajectory_csv)
 from .certify import (AttainmentTable, BandEntry, CertificationError,
-                      EnsembleConfig, LabeledRun, NonUniformISSCertificate,
+                      EnsembleConfig, Holdout, LabeledRun,
+                      NonUniformISSCertificate,
                       ProofTrace, UGSCertificate, UniformISSCertificate,
                       build_ensemble, build_fit_and_holdout,
                       build_nonuniform_iss, compute_band_limsups,

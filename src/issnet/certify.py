@@ -16,8 +16,9 @@ The pipeline has four stages, each producing an inspectable artifact:
    transient bound sigma_tilde = 2 sigma and the common input gain
    gamma = max(sigma + gamma_ugs, gamma_hat), gamma_hat being the curve
    of the attainment table, then validates the resulting estimate on
-   held-out trajectories.  uniform_from_nonuniform collapses it to one
-   surface and validates that on the same runs with the same check.
+   the held-out members, stepped again.  uniform_from_nonuniform collapses
+   it to one surface and validates that on the same runs with the same
+   check (or build_nonuniform_iss does, in its own pass, when asked).
 4. compute_band_limsups / verify_sg_inequality: finite-horizon tail-sup
    estimates per (r, k, q) cell, an input band [2^-k r, 2^(1-k) r] or a
    small-input cap q, all stepped in one pass, checked against the vector
@@ -29,20 +30,23 @@ the config and the seed, so a stage plans all of its members and steps
 them in one network._simulate pass that reduces each sample's |x| rows as
 they are produced: the running peak sup norm (fit_ugs), the last sample
 above each attainment threshold (estimate_attainment_times) and the
-suffix sups at the tail starts (compute_band_limsups).  A certification
-makes two passes: build_fit_and_holdout steps the fit and holdout members
-together, then estimate_attainment_times steps the members of every
-radius, whose thresholds need the fitted sigma.  Only holdout members
-keep their trajectories, because build_nonuniform_iss validates them
-pointwise; build_ensemble keeps every trajectory it returns.  A pass steps
+suffix sups at the tail starts (compute_band_limsups) and each holdout
+bound's largest violation and excess (build_nonuniform_iss).  A
+certification makes three passes, none of which stores states:
+build_fit_and_holdout steps the fit and holdout members together for
+their peaks, estimate_attainment_times steps the members of every radius,
+whose thresholds need the fitted sigma, and build_nonuniform_iss steps the
+holdout members again, because its decay surfaces need the attainment
+times, checking them pointwise as they are produced (_validate_holdout,
+which with uniform set checks the collapse to one surface in the same
+pass).  build_ensemble keeps every trajectory it returns.  A pass steps
 each distinct member once, so the deterministic members that fit and
 holdout share cost one row, and equal kept members share one trajectory.
-Validation (_validate_holdout) evaluates the decay surfaces once per start
-radius and time grid, one group at a time, and checks a repeated run
-once.  Every
-stage hands its planned member families to one helper, _run_pass, which
-makes the single _simulate call, raises on the first blown-up member in
-family order and returns each family's rows.
+Validation evaluates the decay surfaces once per start radius, and a
+repeated run is one target of the pass's bound check.  Every stage hands
+its planned member families to one helper, _run_pass, which makes the
+single _simulate call, raises on the first blown-up member in family
+order and returns each family's rows.
 
 All limit quantities are replaced by finite-horizon tail sups with the
 decay across tail starts recorded as convergence evidence; certificates
@@ -53,7 +57,7 @@ are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,14 +68,15 @@ from .comparison import (KLSurface, ScalarCurve, _dyadic_levels, curve_max,
                          kl_from_decay_table, make_strictly_increasing,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import (NetworkSpec, NetworkTrajectory, _simulate, _suffix_max,
-                      _tail_start_samples)
+from .network import (NetworkSpec, NetworkTrajectory, _BoundCheck, _simulate,
+                      _suffix_max, _tail_start_samples)
 from .systems import InputSignal
 
 __all__ = [
     "CertificationError",
     "EnsembleConfig",
     "LabeledRun",
+    "Holdout",
     "build_ensemble",
     "build_fit_and_holdout",
     "UGSCertificate",
@@ -118,7 +123,8 @@ class EnsembleConfig:
 class LabeledRun:
     """One simulated member with the labels the fitting stages bin by.
 
-    trajectory is None for a member stepped only for its peak sup norm.
+    trajectory is None for a member stepped only for its peak sup norm;
+    x0 and u are its start and input, so it can be stepped again.
     """
 
     trajectory: NetworkTrajectory | None
@@ -128,6 +134,31 @@ class LabeledRun:
     member: str
     seed: int
     peak: float                   # largest sup norm over the run
+    x0: np.ndarray
+    u: InputSignal
+
+
+@dataclass(frozen=True, eq=False)
+class Holdout:
+    """The held-out runs of one certification, a sequence of LabeledRuns
+    without trajectories, with the network, window and ensemble config
+    they were stepped on: validation steps them again instead of storing
+    their states."""
+
+    net: NetworkSpec
+    window: tuple
+    cfg: EnsembleConfig
+    seed: int
+    runs: tuple
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __iter__(self):
+        return iter(self.runs)
+
+    def __getitem__(self, k):
+        return self.runs[k]
 
 
 def _random_input(rng, domain, horizon, level, pieces):
@@ -173,11 +204,15 @@ def _members_for_bin(net, window, r_x, r_u, cfg, job_seed, tag):
     return out
 
 
+def _where(name, r_x, r_u):
+    """A bin member's name in a blow-up message."""
+    return f"member {name!r} of bin (r_x={r_x:g}, r_u={r_u:g})"
+
+
 def _plan_bins(net, window, bins, cfg, seed, tag):
     """The (r_x, r_u, name, where, x0, u) members of every bin, in bin
     order; where names the member in a blow-up message."""
-    return [(float(r_x), float(r_u), name,
-             f"member {name!r} of bin (r_x={r_x:g}, r_u={r_u:g})", x0, u)
+    return [(float(r_x), float(r_u), name, _where(name, r_x, r_u), x0, u)
             for r_x, r_u in bins
             for name, x0, u in _members_for_bin(net, window, r_x, r_u,
                                                 cfg, seed, tag)]
@@ -212,9 +247,9 @@ def _labeled_runs(stepped, rows, family, seed):
     the members that kept their states carry a trajectory."""
     return [LabeledRun(stepped.trajectory(j) if j in stepped.states else None,
                        r_x, r_u, u.sup_norm(), name, seed,
-                       float(stepped.peaks[j]))
-            for j, (r_x, r_u, name, _where, _x0, u) in enumerate(family,
-                                                                  rows.start)]
+                       float(stepped.peaks[j]), x0, u)
+            for j, (r_x, r_u, name, _where, x0, u) in enumerate(family,
+                                                                 rows.start)]
 
 
 def build_ensemble(net: NetworkSpec,
@@ -239,22 +274,23 @@ def build_fit_and_holdout(net: NetworkSpec,
                           window: Sequence[int],
                           bins: Sequence[tuple[float, float]],
                           cfg: EnsembleConfig,
-                          seed: int) -> tuple[list[LabeledRun], list[LabeledRun]]:
+                          seed: int) -> tuple[list[LabeledRun], Holdout]:
     """The "fit" and "holdout" ensembles of one certification, one pass.
 
-    The members equal those of build_ensemble with either tag.  Fit
-    members keep only their peak sup norm, which is all fit_ugs reads;
-    holdout members keep their trajectories, because build_nonuniform_iss
-    validates them pointwise.  A fit blow-up is reported before a holdout
-    one.
+    The members equal those of build_ensemble with either tag.  Every
+    member keeps only its peak sup norm, which is all fit_ugs reads, and
+    no trajectory: build_nonuniform_iss steps the holdout members again
+    to validate them pointwise.  A fit blow-up is reported before a
+    holdout one.
     """
     window = net.window(window)
     fit = _plan_bins(net, window, bins, cfg, seed, "fit")
     hold = _plan_bins(net, window, bins, cfg, seed, "holdout")
     stepped, (fit_rows, hold_rows) = _run_pass(net, window, cfg, seed,
-                                               [(fit, False), (hold, True)])
+                                               [(fit, False), (hold, False)])
     return (_labeled_runs(stepped, fit_rows, fit, seed),
-            _labeled_runs(stepped, hold_rows, hold, seed))
+            Holdout(net, window, cfg, seed,
+                    tuple(_labeled_runs(stepped, hold_rows, hold, seed))))
 
 
 # UGS fitting ------------------------------------------------------------
@@ -313,10 +349,13 @@ def fit_ugs(ensemble: Sequence[LabeledRun],
     Per-bin sups over time and members give a table S(r_x, r_u); the two
     axis restrictions S(., 0) and S(0, .) become monotone envelopes, and
     the smallest factor >= 1 making sigma(r_x) + gamma(r_u) dominate every
-    mixed bin inflates both curves (the factor is recorded).
+    mixed bin inflates both curves (the factor is recorded).  A holdout,
+    when given, must not be empty.
     """
     if not ensemble:
         raise ValueError("empty ensemble")
+    if holdout is not None and not len(holdout):
+        raise ValueError("empty holdout")
     sups: dict[tuple, float] = {}
     for run in ensemble:
         key = (run.r_x, run.r_u)
@@ -437,7 +476,8 @@ class NonUniformISSCertificate:
     """Per-component decay surfaces with common transient and input curves.
 
     Validated claim: |x_i(t)| <= beta_i(||x0||, t) + gamma(||u||) on the
-    held-out ensemble, within the recorded tolerance.
+    held-out ensemble, within the recorded tolerance.  uniform is the
+    collapse to one surface when it was validated in the same pass.
     """
 
     window: tuple
@@ -450,6 +490,7 @@ class NonUniformISSCertificate:
     n_holdout: int
     seed: int
     valid: bool
+    uniform: UniformISSCertificate | None = None
 
     def to_json(self) -> dict:
         return {
@@ -477,76 +518,59 @@ def _lift_strict(times: np.ndarray, gap: float) -> np.ndarray:
     return out
 
 
-def _validate_holdout(runs: Sequence[LabeledRun], beta, gamma: ScalarCurve,
-                      values, tol_abs: float, tol_rel: float):
-    """Check values(traj) <= beta(r_x, times) + gamma(||u||) on every
-    holdout run, column by column of (T, columns) blocks.
+def _validate_holdout(holdout: Holdout, window: tuple, checks,
+                      gamma: ScalarCurve, tol_abs: float, tol_rel: float):
+    """Step the holdout runs again, storing no states, and check each
+    (beta, sup_norm) bound at every sample: |x|, column by column, or the
+    sup norm as one column, at most beta(r_x, times) + gamma(||u||).
 
-    Runs are grouped by (r_x, time grid) and beta is evaluated once per
-    group; a run whose states array, r_x and u_norm are an earlier run's
-    is checked once, since it can change neither maximum.  Returns (raw,
-    exceed, worst): the largest violation, at least 0; the largest
-    violation less the tolerance tol_abs + tol_rel * bound, -inf without
-    runs; and (column, time, member) where the latter occurs, runs in
-    order, columns in order, each column at its first worst sample.
+    beta(r, times), a (samples, columns) block, is evaluated once per
+    start radius r into one (samples, radii, columns) block; the pass
+    folds each (row, r_x, ||u||) target into its running maxima
+    (network._BoundCheck), so a repeated run costs nothing.
+    Returns per check (raw, exceed, worst): the largest violation, at
+    least 0; the largest violation less the tolerance tol_abs + tol_rel *
+    bound; and (column, time, member) where the latter first occurs, runs
+    in order, then columns in order.
     """
-    groups: dict[tuple, list[int]] = {}
-    for pos, run in enumerate(runs):
-        key = (float(run.r_x), run.trajectory.times.tobytes())
-        groups.setdefault(key, []).append(pos)
-    maxima = {}
-    for positions in groups.values():
-        maxima.update(_group_maxima(runs, positions, beta, gamma, values,
-                                    tol_abs, tol_rel))
-    raw, exceed, worst = 0.0, -np.inf, None
-    for pos, run in enumerate(runs):
-        if pos not in maxima:
-            continue
-        viol, over, at = maxima[pos]
-        for col in range(viol.size):
-            raw = max(raw, float(viol[col]))
-            if over[col] > exceed:
-                exceed = float(over[col])
-                worst = (col, float(at[col]), run.member)
-    return raw, exceed, worst
-
-
-def _group_maxima(runs, positions, beta, gamma, values, tol_abs, tol_rel):
-    """Per-column (largest violation, largest excess, its time) by
-    position of each run at ``positions``, which share r_x and a time
-    grid, but a repeated one.  The beta block lives for this group only,
-    and each run's bound and violation are computed in place in the order
-    of the plain expressions, so the bits are theirs."""
-    first = runs[positions[0]]
-    block = beta(first.r_x, first.trajectory.times)
-    # column-major, so the argmax down each column below reads it in place
-    bound = np.empty_like(block, order="F")
-    seen, maxima = set(), {}
-    for pos in positions:
-        run = runs[pos]
-        traj = run.trajectory
-        key = (id(traj.states), run.u_norm)
-        if key in seen:
-            continue
-        seen.add(key)
-        np.add(block, float(gamma(run.u_norm)), out=bound)
-        viol = values(traj)
-        viol -= bound                                 # values - bound
-        bound *= tol_rel
-        bound += tol_abs
-        over = np.subtract(viol, bound, out=bound)    # viol - (tol_abs + ...)
-        k2s = np.argmax(over, axis=0)
-        maxima[pos] = (np.max(viol, axis=0),
-                       over[k2s, np.arange(over.shape[1])], traj.times[k2s])
-        del viol                  # freed before the next run's values
-    return maxima
+    if not len(holdout):
+        raise ValueError("empty holdout")
+    if tuple(holdout.window) != tuple(window):
+        raise ValueError(f"holdout on window {holdout.window}, certificate "
+                         f"on {window}")
+    net, cfg = holdout.net, holdout.cfg
+    times, _h = net.time_domain.grid(cfg.horizon, cfg.dt)
+    slots: dict[float, int] = {}
+    slot = [slots.setdefault(float(run.r_x), len(slots)) for run in holdout]
+    offset = [float(gamma(run.u_norm)) for run in holdout]
+    bounds = []
+    for beta, sup_norm in checks:
+        cols = 1 if sup_norm else len(window)
+        block = np.empty((times.size, len(slots), cols))
+        for r, k in slots.items():
+            block[:, k] = beta(r, times)
+        bounds.append(_BoundCheck(block, np.array(slot), np.array(offset),
+                                  sup_norm, tol_abs, tol_rel))
+    family = [(_where(run.member, run.r_x, run.r_u), run.x0, run.u)
+              for run in holdout]
+    stepped, _spans = _run_pass(net, window, cfg, holdout.seed,
+                                [(family, False)], checks=bounds)
+    results = []
+    for viol, over, first in stepped.checked:
+        # argmax of the flat (run, column) array: the first of tied maxima
+        j, col = np.unravel_index(int(np.argmax(over)), over.shape)
+        results.append((max(0.0, float(np.max(viol))), float(over[j, col]),
+                        (int(col), float(times[first[j, col]]),
+                         holdout[j].member)))
+    return results
 
 
 def build_nonuniform_iss(attainment: AttainmentTable,
                          ugs: UGSCertificate,
-                         holdout: Sequence[LabeledRun],
+                         holdout: Holdout,
                          tol_abs: float = DEFAULT_TOL_ABS,
-                         tol_rel: float = DEFAULT_TOL_REL
+                         tol_rel: float = DEFAULT_TOL_REL,
+                         uniform: bool = False
                          ) -> NonUniformISSCertificate:
     """Assemble and validate the per-component certificate.
 
@@ -557,7 +581,10 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     gamma = max(sigma + gamma_ugs, gamma_hat), with gamma_hat the curve
     the attainment table was estimated with (and ugs.sigma its sigma, or a
     ValueError).  Every component of every holdout run must stay below its
-    bound within the tolerance tol_abs + tol_rel * bound.
+    bound within the tolerance tol_abs + tol_rel * bound; the holdout,
+    nonempty and on the table's window, is stepped again for the check,
+    in one pass that with ``uniform`` also validates the collapse to one
+    surface (uniform_from_nonuniform), kept as the certificate's uniform.
     """
     gamma_hat = attainment.gamma_hat
     window = attainment.window
@@ -588,20 +615,24 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     gamma = curve_max(curve_sum(sigma, ugs.gamma), gamma_hat)
 
     def beta(r, t):
-        # column-major like the bound and |x| blocks _group_maxima reduces
-        block = np.empty((t.size, len(window)), order="F")
-        for pos, i in enumerate(window):
-            block[:, pos] = surfaces[i](r, t)
-        return block
+        return np.stack([surfaces[i](r, t) for i in window], axis=-1)
 
-    raw, exceed, worst = _validate_holdout(
-        holdout, beta, gamma, lambda traj: np.abs(traj.states, order="F"),
-        tol_abs, tol_rel)
-    if worst is not None:
-        worst = (window[worst[0]],) + worst[1:]
-    return NonUniformISSCertificate(window, surfaces, sigma_tilde, gamma,
-                                    gamma_hat, raw, worst, len(holdout),
-                                    attainment.seed, exceed <= 0.0)
+    checks = [(beta, False)]
+    if uniform:
+        collapsed, check = _collapse(surfaces, window)
+        checks.append(check)
+    results = _validate_holdout(holdout, window, checks, gamma, tol_abs,
+                                tol_rel)
+    raw, exceed, (col, t, member) = results[0]
+    cert = NonUniformISSCertificate(window, surfaces, sigma_tilde, gamma,
+                                    gamma_hat, raw, (window[col], t, member),
+                                    len(holdout), attainment.seed,
+                                    exceed <= 0.0)
+    if not uniform:
+        return cert
+    raw, exceed, _worst = results[1]
+    return replace(cert, uniform=UniformISSCertificate(
+        window, collapsed, gamma, raw, cert.valid and exceed <= 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -625,18 +656,25 @@ class UniformISSCertificate:
         }
 
 
+def _collapse(surfaces, window):
+    """The pointwise max of the window's surfaces, and its holdout check:
+    the sup norm, as one column, against it."""
+    beta = max_surface([surfaces[i] for i in window])
+    return beta, (lambda r, t: beta(r, t)[:, None], True)
+
+
 def uniform_from_nonuniform(cert: NonUniformISSCertificate,
-                            holdout: Sequence[LabeledRun],
+                            holdout: Holdout,
                             tol_abs: float = DEFAULT_TOL_ABS,
                             tol_rel: float = DEFAULT_TOL_REL
                             ) -> UniformISSCertificate:
     """Collapse a finite-window certificate to a common decay surface,
     validated like the certificate itself, with the sup norm of each
-    holdout run against the common surface."""
-    beta = max_surface([cert.surfaces[i] for i in cert.window])
-    residual, exceed, _ = _validate_holdout(
-        holdout, lambda r, t: beta(r, t)[:, None], cert.gamma,
-        lambda traj: traj.sup_norms()[:, None], tol_abs, tol_rel)
+    holdout run against the common surface, in a pass of its own
+    (build_nonuniform_iss with uniform set shares its pass instead)."""
+    beta, check = _collapse(cert.surfaces, cert.window)
+    (residual, exceed, _worst), = _validate_holdout(
+        holdout, cert.window, [check], cert.gamma, tol_abs, tol_rel)
     return UniformISSCertificate(cert.window, beta, cert.gamma, residual,
                                  cert.valid and exceed <= 0.0)
 

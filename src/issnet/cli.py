@@ -48,8 +48,7 @@ from .certify import (DEFAULT_BANDS, DEFAULT_DEPTH, DEFAULT_RADII,
                       DEFAULT_SG_TOL, CertificationError, EnsembleConfig,
                       ProofTrace, build_fit_and_holdout, build_nonuniform_iss,
                       compute_band_limsups, estimate_attainment_times,
-                      fit_ugs, trace_to_csv, uniform_from_nonuniform,
-                      verify_sg_inequality)
+                      fit_ugs, trace_to_csv, verify_sg_inequality)
 from .comparison import curve_from_json
 from .gains import CHECK_GRID, check_graph, graph_from_json
 from .network import (NetworkSpec, _nested_sizes, _tail_start_samples,
@@ -493,31 +492,36 @@ def _resolve_certify(conf: dict, net: NetworkSpec) -> dict:
     }
 
 
-def _run_certify(net, window, seed, cfg, radii, depth, tolerances, gamma_hat):
+def _run_certify(net, window, seed, uniform, cfg, radii, depth, tolerances,
+                 gamma_hat):
     """Shared pipeline behind certify and subnetwork, on the keys that
-    _resolve_certify resolved.
+    _resolve_certify resolved; with ``uniform`` the certificate carries
+    its collapse to one surface, validated in the same pass.
 
-    Returns (payload, cert, holdout_runs); raises CertificationError with a
-    reproducer in the message on any certified failure.
+    Returns (payload, cert); raises CertificationError with a reproducer
+    in the message on any certified failure.
     """
-    # two stepping passes: the fit and holdout members first, then the
-    # attainment members, whose thresholds need the fitted sigma
+    # three stepping passes, none of which stores states: the fit and
+    # holdout members first, then the attainment members, whose thresholds
+    # need the fitted sigma, then the holdout members again to validate
+    # the decay surfaces built from the attainment times
     bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
         + [(r, r) for r in radii]
-    fit_runs, hold_runs = build_fit_and_holdout(net, window, bins, cfg, seed)
-    ugs = fit_ugs(fit_runs, holdout=hold_runs)
+    fit_runs, holdout = build_fit_and_holdout(net, window, bins, cfg, seed)
+    ugs = fit_ugs(fit_runs, holdout=holdout)
 
     attain = estimate_attainment_times(
         net, window, radii, depth, ugs.sigma,
         ugs.gamma if gamma_hat is None else gamma_hat, cfg, seed)
-    cert = build_nonuniform_iss(attain, ugs, hold_runs, **tolerances)
+    cert = build_nonuniform_iss(attain, ugs, holdout, uniform=uniform,
+                                **tolerances)
     payload = {
         "seed": seed,
         "window": list(window),
         "ugs": ugs.to_json(),
         "noniss": cert.to_json(),
     }
-    return payload, cert, hold_runs
+    return payload, cert
 
 
 def cmd_certify(conf: dict, args) -> tuple[dict, str | None]:
@@ -530,13 +534,12 @@ def cmd_certify(conf: dict, args) -> tuple[dict, str | None]:
                                  "emit_uniform")
     keys = _resolve_certify(conf, net)
     try:
-        payload, cert, hold_runs = _run_certify(net, window, seed, **keys)
+        payload, cert = _run_certify(net, window, seed, emit_uniform, **keys)
     except CertificationError as e:
         return ({"certificate.json": {"error": str(e), "seed": seed}},
                 f"certification failed: {e}")
     if emit_uniform:
-        uni = uniform_from_nonuniform(cert, hold_runs, **keys["tolerances"])
-        payload["uniform"] = uni.to_json()
+        payload["uniform"] = cert.uniform.to_json()
     worst = cert.worst_case
     return {"certificate.json": payload}, None if cert.valid else (
         f"certificate failed holdout validation at component "
@@ -652,17 +655,14 @@ def cmd_subnetwork(conf: dict, args) -> tuple[dict, str | None]:
         ok = not failures
 
     try:
-        cert_payload, cert, hold_runs = _run_certify(sub, subset, seed, **keys)
+        cert_payload, cert = _run_certify(sub, subset, seed, True, **keys)
     except CertificationError as e:
         payload["certificate"] = {"error": str(e)}
         return ({"subnetwork.json": payload},
                 f"subnetwork certification failed: {e}")
     payload["certificate"] = cert_payload
-    ok = ok and cert.valid
-
-    uni = uniform_from_nonuniform(cert, hold_runs, **keys["tolerances"])
-    payload["uniform"] = uni.to_json()
-    ok = ok and uni.valid
+    payload["uniform"] = cert.uniform.to_json()
+    ok = ok and cert.uniform.valid
 
     return {"subnetwork.json": payload}, None if ok else (
         f"subnetwork checks failed (seed {seed}); see subnetwork.json")

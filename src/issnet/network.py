@@ -16,13 +16,13 @@ the step grid; a single run is an ensemble of one.  This module sets a
 pass up (start states, coupled map, input block) and systems._step_rows,
 the one stepping loop, steps it.  The pass reduces each sample's |x| rows
 per member as they are produced (the peak sup norm, the last sample above
-given nonnegative thresholds, the suffix sups at given tail starts), and
-only the members asked to keep their states store them, so an ensemble
-need not hold all of its trajectories.  Equal members (start row, input
-and threshold row) share one row, so each distinct member is stepped and
-stored once and its results are handed to every copy.  A member that
-blows up keeps its row, held at zero from then on, which moves none of
-these reductions.
+given nonnegative thresholds, the suffix sups at given tail starts, the
+largest violation of given pointwise bounds), and only the members asked
+to keep their states store them, so an ensemble need not hold all of its
+trajectories.  Equal members (start row, input and threshold row) share
+one row, so each distinct member is stepped and stored once and its
+results are handed to every copy.  A member that blows up keeps its row,
+held at zero from then on, which moves none of these reductions.
 
 The truncation rule has one copy, _neighbor_gather, which hands every
 coupled map f(x, w, u) the block w of neighbor states.  A spec may supply
@@ -125,7 +125,15 @@ def _neighbor_gather(window: tuple, neighbor_lists):
     pos = {i: k for k, i in enumerate(window)}
     d = max(map(len, neighbor_lists), default=0)
     if d == 0:
-        return lambda x: np.empty(x.shape[:-1] + (len(neighbor_lists), 0))
+        blocks = {}                   # one empty block per leading shape
+
+        def empty(x: np.ndarray) -> np.ndarray:
+            lead = x.shape[:-1]
+            if lead not in blocks:
+                blocks[lead] = np.empty(lead + (len(neighbor_lists), 0))
+            return blocks[lead]
+
+        return empty
     slots = np.full((len(neighbor_lists), d), n)
     for k, labels in enumerate(neighbor_lists):
         slots[k, :len(labels)] = [pos.get(j, n) for j in labels]
@@ -170,6 +178,21 @@ def _input_block(members, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _BoundCheck:
+    """A pointwise bound a pass checks as it steps: at sample k, member
+    j's |x| columns, or its sup norm as one column when ``sup_norm``, less
+    bound = beta[k, slot[j]] + offset[j], and that violation less the
+    tolerance tol_abs + tol_rel * bound."""
+
+    beta: np.ndarray                 # (samples, slots, columns)
+    slot: np.ndarray                 # (m,) slot of each member
+    offset: np.ndarray               # (m,) offset of each member
+    sup_norm: bool
+    tol_abs: float
+    tol_rel: float
+
+
+@dataclass(frozen=True, eq=False)
 class _Stepped:
     """One stepping pass: the step grid plus, per member j, what was kept.
 
@@ -187,6 +210,9 @@ class _Stepped:
     last_exceed: np.ndarray | None   # (m, L, n) last sample with |x_i| above
                                      # threshold l, -1 if none
     tail_sups: np.ndarray | None     # (m, starts, n) sup from each start on
+    checked: list                    # per _BoundCheck, (m, columns) arrays:
+                                     # largest violation, largest excess
+                                     # over the tolerance, its first sample
 
     def trajectory(self, j: int) -> NetworkTrajectory:
         return NetworkTrajectory(self.times[:self.ends[j]], self.window,
@@ -195,7 +221,7 @@ class _Stepped:
 
 def _simulate(net: NetworkSpec, window: Sequence[int], members,
               horizon: float, dt: float | None, keep=None, thresholds=None,
-              tail_starts=None) -> _Stepped:
+              tail_starts=None, checks=()) -> _Stepped:
     """Step every (x0, u) member together as one (m, n) state array.
 
     The coupled map is the spec's fast_factory(window), or the map
@@ -204,7 +230,9 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     they are produced: the running peak sup norm always; with
     ``thresholds`` (an (m, L) array, which must be nonnegative) the last
     sample at which |x_i| of member j exceeds thresholds[j, l]; with
-    ``tail_starts`` the sup of |x_i| from each start on.
+    ``tail_starts`` the sup of |x_i| from each start on; with ``checks``
+    (_BoundCheck) the largest violation of each bound, the largest excess
+    over its tolerance and the first sample of that excess.
     systems._step_rows steps the pass; only the members flagged in
     ``keep`` (all when None) store their states.
 
@@ -241,7 +269,7 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
         if m else None
     red = _Reductions(order.size, n, times,
                       None if thresholds is None else thresholds[order],
-                      tail_starts)
+                      tail_starts, checks, row)
     states, ends, blowups = _step_rows(
         times, net.time_domain.stepper(lambda x, u: f(x, gather(x), u), h),
         starts[order], inputs, n_kept, red.update)
@@ -250,7 +278,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
                     red.peaks[row],
                     {int(j): states[row[j]] for j in np.flatnonzero(keep)},
                     None if red.last_exceed is None else red.last_exceed[row],
-                    None if tail_sups is None else tail_sups[row])
+                    None if tail_sups is None else tail_sups[row],
+                    red.checked())
 
 
 def _distinct_rows(starts: np.ndarray, members, thresholds, keep):
@@ -278,15 +307,22 @@ def _distinct_rows(starts: np.ndarray, members, thresholds, keep):
     return order, row[rep], int(np.count_nonzero(held))
 
 
+_CHUNK = 32                           # samples per bound-check reduction
+
+
 class _Reductions:
     """Per-member reductions of the |x| rows, fed one sample at a time.
 
     Each one is a running max, or a test of |x| against a nonnegative
-    threshold, so a row of zeros changes none of them.
+    threshold, so a row of zeros changes none of them, and a tail start
+    after a row's blow-up sample reads that sample, as on the row's
+    truncated trajectory.  A bound check's zeros cannot beat the
+    violation of the blow-up sample before them unless a bound is of the
+    order of the blow-up bound.
     """
 
     def __init__(self, m: int, n: int, times: np.ndarray, thresholds,
-                 tail_starts):
+                 tail_starts, checks, row):
         self.peaks = np.zeros(m)
         self.last_exceed = None
         if thresholds is not None:
@@ -303,8 +339,16 @@ class _Reductions:
             self.segment = np.searchsorted(self.bounds, np.arange(times.size),
                                            side="right") - 1
             self.seg_max = np.zeros((m, self.bounds.size, n))
+            self.ends = np.full(m, times.size)    # samples each row has
+            self.final = np.zeros((m, n))         # |x| at its blow-up
+        # a bound check reduces (row, slot, offset) targets, one per
+        # distinct member key, over chunks of buffered samples
+        self.checks = [_CheckTargets(check, row) for check in checks]
+        if self.checks:
+            self.buffer = np.empty((_CHUNK, m, n))
 
-    def update(self, k: int, ax: np.ndarray, norms: np.ndarray) -> None:
+    def update(self, k: int, ax: np.ndarray, norms: np.ndarray,
+               blown) -> None:
         np.maximum(self.peaks, norms, out=self.peaks)
         if self.last_exceed is not None:
             np.copyto(self.last_exceed, k,
@@ -312,12 +356,77 @@ class _Reductions:
         if self.starts is not None and self.segment[k] >= 0:
             seg = self.seg_max[:, self.segment[k]]
             np.maximum(seg, ax, out=seg)
+        if blown is not None and self.starts is not None:
+            self.ends[blown] = k + 1
+            self.final[blown] = ax[blown]
+        if self.checks:
+            self.buffer[k % _CHUNK] = ax
+            if k % _CHUNK == _CHUNK - 1:
+                self._reduce_chunk(k + 1 - _CHUNK, _CHUNK)
+            self.samples = k + 1
+
+    def _reduce_chunk(self, k0: int, c: int) -> None:
+        """Fold buffered samples k0 .. k0 + c - 1 into every bound check,
+        in the operation order of the plain expressions, so the bits are
+        theirs; a strict > keeps each target's first worst sample.  The
+        blocks are (samples, targets x columns), which numpy reduces
+        fastest down the first axis."""
+        ax = self.buffer[:c]
+        for chk in self.checks:
+            vals = np.max(ax, axis=2, initial=0.0)[:, chk.rows] \
+                if chk.check.sup_norm else ax[:, chk.rows]
+            vals = vals.reshape(c, -1)
+            bound = chk.check.beta[k0:k0 + c, chk.slots].reshape(c, -1)
+            bound += chk.offsets
+            vals -= bound                             # values - bound
+            np.maximum(chk.viol, vals.max(axis=0), out=chk.viol)
+            bound *= chk.check.tol_rel
+            bound += chk.check.tol_abs
+            over = np.subtract(vals, bound, out=bound)
+            best = over.max(axis=0)
+            better = np.flatnonzero(best > chk.over)
+            if better.size:
+                chk.over[better] = best[better]
+                chk.first[better] = k0 + over[:, better].argmax(axis=0)
+
+    def checked(self) -> list:
+        """Each bound check's (violation, excess, first sample) by member,
+        (members, columns) arrays."""
+        if self.checks and self.samples % _CHUNK:
+            rest = self.samples % _CHUNK
+            self._reduce_chunk(self.samples - rest, rest)
+        return [tuple(a.reshape(chk.rows.size, -1)[chk.target]
+                      for a in (chk.viol, chk.over, chk.first))
+                for chk in self.checks]
 
     def tail_sups(self) -> np.ndarray | None:
         if self.starts is None:
             return None
         suffix = _suffix_max(self.seg_max, axis=1)
-        return suffix[:, np.searchsorted(self.bounds, self.starts)]
+        sups = suffix[:, np.searchsorted(self.bounds, self.starts)]
+        late = self.starts[None, :] > self.ends[:, None] - 1
+        return np.where(late[:, :, None], self.final[:, None, :], sups)
+
+
+class _CheckTargets:
+    """A bound check's targets: the distinct (row, slot, offset) keys of
+    its members, and each target's running maxima."""
+
+    def __init__(self, check: _BoundCheck, row: np.ndarray):
+        first = {}
+        self.target = np.array([
+            first.setdefault((int(r), int(s), float(o)), len(first))
+            for r, s, o in zip(row, check.slot, check.offset)], int)
+        rows, slots, offsets = zip(*first) if first else ((), (), ())
+        self.check = check
+        self.rows = np.array(rows, int)
+        self.slots = np.array(slots, int)
+        cols = check.beta.shape[2]
+        # the maxima and each target's offset, flat over (target, column)
+        self.offsets = np.repeat(np.array(offsets, float), cols)
+        self.viol = np.full(self.offsets.size, -np.inf)
+        self.over = np.full(self.offsets.size, -np.inf)
+        self.first = np.zeros(self.offsets.size, int)
 
 
 def _tail_start_samples(times: np.ndarray, tail_starts) -> np.ndarray:

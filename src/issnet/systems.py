@@ -269,23 +269,44 @@ def _grid_index(times: np.ndarray, t: float) -> int:
 
 
 def _rk4_step(f, x, h, *args):
-    """One classical RK4 step of x' = f(x, *args), the args held over it."""
+    """One classical RK4 step of x' = f(x, *args), the args held over it.
+
+    The stages are x + (h/2) k1, x + (h/2) k2 and x + h k3, and the step
+    x + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order.  Each sum is
+    formed in place in an array made here, never in one f returned or
+    was handed, and + and * commute exactly, so the bits are those of
+    the plain expressions.
+    """
+    half = 0.5 * h
     k1 = f(x, *args)
-    k2 = f(x + 0.5 * h * k1, *args)
-    k3 = f(x + 0.5 * h * k2, *args)
-    k4 = f(x + h * k3, *args)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = half * k1
+    stage += x
+    k2 = f(stage, *args)
+    stage = half * k2
+    stage += x
+    k3 = f(stage, *args)
+    stage = h * k3
+    stage += x
+    k4 = f(stage, *args)
+    step = 2.0 * k2
+    step += k1
+    step += 2.0 * k3
+    step += k4
+    step *= h / 6.0
+    step += x
+    return step
 
 
 def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
                kept: int | None = None, observe=None):
     """Step the rows of x (m, n) by ``update(x, inputs[k])`` over ``times``.
 
-    ``observe(k, |x|, row sup norms)`` sees every sample.  The first
-    ``kept`` rows (all when None) store their states.  A row whose norm is
-    not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample, the start one
-    included, ends there with a BlowUp of that norm, and is held at zero
-    after every later step.  Returns (states, ends, blowups): kept
+    ``observe(k, |x|, row sup norms, blown)`` sees every sample, blown
+    the mask of the rows that blow up at it, or None when none does.  The
+    first ``kept`` rows (all when None) store their states.  A row whose
+    norm is not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample, the
+    start one included, ends there with a BlowUp of that norm, and is held
+    at zero after every later step.  Returns (states, ends, blowups): kept
     (ends[j], n) samples by row j, each row's sample count and BlowUp or
     None.
     """
@@ -307,11 +328,15 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
         if kept:
             block[:, k] = x[:kept]
         ax = np.abs(x)
-        norms = np.max(ax, axis=1, initial=0.0)
+        norms = ax.max(axis=1, initial=0.0)
+        # one scalar test per sample, which NaN fails too; the rows only
+        # when it fails
+        bad = None
+        if not norms.max(initial=0.0) <= DEFAULT_BLOWUP_BOUND:
+            bad = ~(norms <= DEFAULT_BLOWUP_BOUND)
         if observe is not None:
-            observe(k, ax, norms)
-        bad = ~np.isfinite(norms) | (norms > DEFAULT_BLOWUP_BOUND)
-        if bad.any():
+            observe(k, ax, norms, bad)
+        if bad is not None:
             for j in np.flatnonzero(bad):
                 ends[j] = k + 1
                 blowups[j] = BlowUp(float(times[k]), float(norms[j]),

@@ -36,7 +36,8 @@ def cycle_pipeline(two_cycle):
     window = net.window()
     cfg = EnsembleConfig(horizon=60.0, n_random=3)
     ens = build_ensemble(net, window, BINS, cfg, seed=7)
-    hold = build_ensemble(net, window, BINS, cfg, seed=11, tag="holdout")
+    # the holdout members of seed 11, which the fit at seed 7 never saw
+    _fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=11)
     ugs = fit_ugs(ens, holdout=hold)
     att = estimate_attainment_times(net, window, (0.5, 1.0), 10, ugs.sigma,
                                     identity(), cfg, seed=7)

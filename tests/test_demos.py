@@ -1,6 +1,7 @@
 """Every demo script and the README quick start run to completion against
-the current API."""
+the current API, and each demo prints exactly its pinned output."""
 
+import hashlib
 import os
 import pathlib
 import re
@@ -11,6 +12,25 @@ import pytest
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
+
+# sha256 of each demo's standard output: a change to the library that
+# moves a printed digit shows here, like the CLI's golden digests
+STDOUT_SHA256 = {
+    "01_comparison_curves.py":
+        "d4031350f76c10457c553714e0bc41cc5e438e61492c2e9f99ade79345802088",
+    "02_gain_operators.py":
+        "cdcc3f95fd32688077c152a69f37b59a3cf43620e759817d106f99e42ab846df",
+    "03_simulating_networks.py":
+        "bbc5b36142f5c84c7a7a1e87a0241cf16203a28209df4d67d4e0c1c7e0b0cc4b",
+    "04_certifying_stability.py":
+        "e9744b0f9561cb8408571f5660085e9ee0899aec5caa12332e118fe63fa45b0c",
+    "05_trace_and_subnetworks.py":
+        "a01aa6213b02272c02dd3927fcaa5f480cfee4da543c30cd0c4329336a4682ef",
+}
+
+
+def test_every_demo_has_a_pinned_output():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
@@ -24,6 +44,8 @@ def test_demo_runs(script, tmp_path):
                            str(DEMOS / script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == STDOUT_SHA256.get(script), proc.stdout[-2000:]
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -180,6 +180,29 @@ def test_a_start_past_the_bound_ends_only_its_member(counterexample):
         assert np.array_equal(stepped.states[j], solo.states)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e13])
+def test_one_bad_member_among_finite_ones_ends_alone(counterexample, bad):
+    # one scalar test per sample passes only while every norm is finite
+    # and within the bound; a NaN fails it like a large norm does
+    net, _ = counterexample
+    members = [(0.5, InputSignal.zero()), ([1.0, bad, 0.0], InputSignal.zero())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stepped = _simulate(net, 3, members, 1.0, 0.1)
+    assert list(stepped.ends) == [11, 1]
+    assert stepped.blowups[0] is None
+    assert np.array_equal(stepped.blowups[1].value, abs(bad), equal_nan=True)
+
+
+def test_a_window_without_neighbors_reuses_one_empty_block():
+    gather = network._neighbor_gather((1, 2, 3), [(), (), ()])
+    x = np.ones((4, 3))
+    w = gather(x)
+    assert w.shape == (4, 3, 0)
+    assert gather(2.0 * x) is w
+    assert gather(np.ones(3)).shape == (3, 0)
+
+
 # Fast path --------------------------------------------------------------
 
 

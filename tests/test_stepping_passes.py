@@ -1,13 +1,15 @@
 """The certify and trace passes against the stored-trajectory loops.
 
 Certification steps its members in few passes and reduces each sample as
-it is produced; only holdout members keep their trajectories.  The loops
-below are the per-family, per-run and per-cell computations that read
-stored trajectories, kept as references: every reduced result must equal
-them bit for bit.
+it is produced; no certify pass keeps a trajectory, and holdout
+validation steps the holdout members again.  The loops below are the
+per-family, per-run and per-cell computations that read stored
+trajectories, kept as references: every reduced result must equal them
+bit for bit.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,10 +65,21 @@ def _reference_attainment(net, window, levels, radii, gamma_hat, cfg, seed):
     return times
 
 
+def _stored(holdout):
+    """The holdout's runs, each with its trajectory from one stored
+    ensemble."""
+    trajs = simulate_ensemble(holdout.net, holdout.window,
+                              [(run.x0, run.u) for run in holdout],
+                              holdout.cfg.horizon, holdout.cfg.dt)
+    return [dataclasses.replace(run, trajectory=traj)
+            for run, traj in zip(holdout, trajs)]
+
+
 def _reference_validation(cert, holdout, tol_abs=1e-6, tol_rel=1e-3):
-    """Each (run, component) checked on its own, first worst point kept."""
+    """Each (run, component) of the stored holdout checked on its own,
+    first worst point kept: (residual, exceed, worst)."""
     raw, exceed, worst = 0.0, -np.inf, None
-    for run in holdout:
+    for run in _stored(holdout):
         traj = run.trajectory
         g_term = float(cert.gamma(run.u_norm))
         for pos, i in enumerate(cert.window):
@@ -78,12 +91,12 @@ def _reference_validation(cert, holdout, tol_abs=1e-6, tol_rel=1e-3):
             if over[k] > exceed:
                 exceed = float(over[k])
                 worst = (i, float(traj.times[k]), run.member)
-    return max(0.0, raw), worst, exceed <= 0.0
+    return max(0.0, raw), exceed, worst
 
 
 def _reference_uniform(uni_beta, gamma, holdout, tol_abs=1e-6, tol_rel=1e-3):
     residual, exceed = 0.0, 0.0
-    for run in holdout:
+    for run in _stored(holdout):
         traj = run.trajectory
         bound = uni_beta(run.r_x, traj.times) + float(gamma(run.u_norm))
         viol = traj.sup_norms() - bound
@@ -145,9 +158,12 @@ def test_fit_and_holdout_match_their_separate_ensembles(setting):
                 (want.r_x, want.r_u, want.u_norm, want.member, want.seed)
             assert run.peak == float(np.max(want.trajectory.sup_norms()))
             assert want.peak == run.peak
-            if tag == "fit":
-                assert run.trajectory is None
-            else:
+            assert run.trajectory is None
+        # the holdout steps again to the trajectories it would have stored
+        if tag == "holdout":
+            assert (runs.net, runs.window, runs.cfg, runs.seed) == \
+                (net, window, cfg, 3)
+            for run, want in zip(_stored(runs), ref):
                 assert np.array_equal(run.trajectory.states,
                                       want.trajectory.states)
                 assert np.array_equal(run.trajectory.times,
@@ -210,27 +226,29 @@ def test_holdout_validation_equals_the_per_component_loop(setting):
     ugs = fit_ugs(fit, holdout=hold)
     att = estimate_attainment_times(net, window, radii, 3, ugs.sigma,
                                     ugs.gamma, cfg, seed=8)
-    # holdout runs on a second, shorter time grid share start radii with
-    # the first ones but not their surface values
+    # a second holdout on a shorter time grid is validated on that grid
     short = EnsembleConfig(horizon=0.5 * cfg.horizon, dt=cfg.dt, n_random=1)
-    hold = hold + build_ensemble(net, window, BINS, short, 9, tag="holdout")
-    for tol_abs, tol_rel in ((1e-6, 1e-3), (-1.0, 0.0)):
-        # the negative tolerance makes every point a violation, so the
-        # worst-case tie-break is exercised on real data
-        cert = build_nonuniform_iss(att, ugs, hold, tol_abs=tol_abs,
-                                    tol_rel=tol_rel)
-        residual, worst, valid = _reference_validation(cert, hold, tol_abs,
-                                                       tol_rel)
-        assert cert.holdout_residual == residual
-        assert cert.worst_case == worst
-        assert cert.valid == valid
-        uni = uniform_from_nonuniform(cert, hold, tol_abs=tol_abs,
-                                      tol_rel=tol_rel)
-        ref_residual, ref_exceed = _reference_uniform(uni.beta, cert.gamma,
-                                                      hold, tol_abs, tol_rel)
-        assert uni.holdout_residual == ref_residual
-        assert uni.valid == (cert.valid and ref_exceed <= 0.0)
-    assert not cert.valid
+    _fit, short_hold = build_fit_and_holdout(net, window, BINS, short, 9)
+    for holdout in (hold, short_hold):
+        for tol_abs, tol_rel in ((1e-6, 1e-3), (-1.0, 0.0)):
+            # the negative tolerance makes every point a violation, so the
+            # worst-case tie-break is exercised on real data
+            cert = build_nonuniform_iss(att, ugs, holdout, tol_abs=tol_abs,
+                                        tol_rel=tol_rel, uniform=True)
+            residual, exceed, worst = _reference_validation(
+                cert, holdout, tol_abs, tol_rel)
+            assert cert.holdout_residual == residual
+            assert cert.worst_case == worst
+            assert cert.valid == (exceed <= 0.0)
+            uni = uniform_from_nonuniform(cert, holdout, tol_abs=tol_abs,
+                                          tol_rel=tol_rel)
+            ref_residual, ref_exceed = _reference_uniform(
+                uni.beta, cert.gamma, holdout, tol_abs, tol_rel)
+            assert uni.holdout_residual == ref_residual
+            assert uni.valid == (cert.valid and ref_exceed <= 0.0)
+            # the collapse validated in the certificate's own pass
+            assert cert.uniform.to_json() == uni.to_json()
+        assert not cert.valid
 
 
 def test_surfaces_are_evaluated_once_per_radius_and_grid(setting,
@@ -255,6 +273,10 @@ def test_surfaces_are_evaluated_once_per_radius_and_grid(setting,
     calls.clear()
     uniform_from_nonuniform(cert, hold)
     assert sorted(calls) == sorted(starts)
+    # sharing the pass, the collapsed surface is evaluated once per radius
+    calls.clear()
+    build_nonuniform_iss(att, ugs, hold, uniform=True)
+    assert sorted(calls) == sorted(list(starts) * (len(window) + 1))
 
 
 def test_holdout_worst_case_keeps_the_first_maximum():
@@ -270,7 +292,7 @@ def test_holdout_worst_case_keeps_the_first_maximum():
     att = estimate_attainment_times(net, (0, 1), (1.0,), 0, ugs.sigma,
                                     ugs.gamma, cfg, seed=0)
     cert = build_nonuniform_iss(att, ugs, hold, tol_abs=-1.0, tol_rel=0.0)
-    assert cert.worst_case == _reference_validation(cert, hold, -1.0, 0.0)[1]
+    assert cert.worst_case == _reference_validation(cert, hold, -1.0, 0.0)[2]
     assert cert.worst_case[0] == 0
 
 
@@ -393,6 +415,59 @@ def test_reductions_of_blown_members_cover_their_samples():
         assert np.array_equal(stepped.tail_sups[j],
                               tail_limsup_estimate(traj.times, ax, (0.0, 5.0)))
     assert stepped.states[1].shape == (81, 1)
+
+
+@pytest.mark.parametrize("sup_norm", [False, True])
+def test_bound_checks_of_blown_members_cover_their_samples(sup_norm):
+    # after a blow-up the row is held at zero, and those samples cannot
+    # beat the blow-up sample's violation: the maxima are those of the
+    # truncated trajectory
+    net = _trap_net(lambda u: u < -0.5)
+    members = [(0.5, InputSignal.constant(-1.0)),
+               (1.0, InputSignal.zero()),
+               (100.0, InputSignal.constant(-1.0)),
+               (0.3, InputSignal(np.array([0.0, 20.0]),
+                                 np.array([0.0, -1.0])))]
+    times = np.arange(81.0)
+    beta = np.stack([np.exp(-times / 9.0), 2.0 * np.exp(-times / 3.0)], 1)
+    check = network._BoundCheck(beta[:, :, None], np.array([0, 1, 0, 1]),
+                                np.array([0.25, 0.0, 0.5, 0.25]), sup_norm,
+                                -1e-3, 0.1)
+    stepped = _simulate(net, (0,), members, 80.0, None, checks=[check])
+    trajs = simulate_ensemble(net, (0,), members, 80.0)
+    assert [t.blowup is not None for t in trajs] == [True, False, True, True]
+    (viol, over, first), = stepped.checked
+    for j, traj in enumerate(trajs):
+        bound = beta[:traj.times.size, check.slot[j]] + check.offset[j]
+        want = np.abs(traj.states[:, 0]) - bound
+        excess = want - (check.tol_abs + check.tol_rel * bound)
+        assert viol[j, 0] == want.max()
+        assert over[j, 0] == excess.max()
+        assert first[j, 0] == int(np.argmax(excess))
+
+
+def test_a_tail_start_after_a_blowup_reads_the_last_sample():
+    # a blown-up row is held at zero, yet from a tail start after its last
+    # sample the sup is that sample's, as on its truncated trajectory
+    chain, _ = instantiate("counterexample-chain")
+    trap = _trap_net(lambda u: u < -0.5)
+    cases = [(chain, 3, [(0.5, InputSignal.zero()),
+                         (1e13, InputSignal.zero())], 1.0, 0.1, (0.0, 0.5)),
+             (trap, (0,), [(0.5, InputSignal.constant(-1.0)),
+                           (1.0, InputSignal.zero())], 80.0, None,
+              (0.0, 5.0, 75.0, 39.5))]
+    for net, window, members, horizon, dt, starts in cases:
+        stepped = _simulate(net, window, members, horizon, dt,
+                            tail_starts=starts)
+        trajs = simulate_ensemble(net, window, members, horizon, dt)
+        assert trajs[0].blowup is not None or trajs[1].blowup is not None
+        for j, traj in enumerate(trajs):
+            assert np.array_equal(
+                stepped.tail_sups[j],
+                tail_limsup_estimate(traj.times, np.abs(traj.states), starts))
+    chain_rows = _simulate(chain, 3, cases[0][2], 1.0, 0.1,
+                           tail_starts=(0.0, 0.5)).tail_sups[1]
+    assert np.array_equal(chain_rows, [[1e13] * 3] * 2)
 
 
 def test_negative_thresholds_are_rejected():
@@ -537,17 +612,25 @@ def test_a_certify_pass_steps_each_distinct_member_once(monkeypatch):
     kept = len({(x, str(u)) for x, u in keys[len(fit):]})
     seen = _rows_seen(monkeypatch)
     fit_runs, hold_runs = build_fit_and_holdout(net, window, bins, cfg, 0)
-    assert seen == [(distinct, kept)]
-    assert (distinct, kept) == (12, 9)      # of 24 members, 12 of them kept
-    assert all(run.trajectory is None for run in fit_runs)
+    assert seen == [(distinct, 0)]
+    assert (distinct, kept) == (12, 9)      # of 24 members, 12 of them holdout
+    assert all(run.trajectory is None for run in fit_runs + list(hold_runs))
     assert len(hold_runs) == 12
+    # validation steps the 9 distinct holdout rows again, keeping none
+    ugs = fit_ugs(fit_runs, holdout=hold_runs)
+    att = estimate_attainment_times(net, window, (1.0,), 0, ugs.sigma,
+                                    ugs.gamma, cfg, 0)
+    seen.clear()
+    build_nonuniform_iss(att, ugs, hold_runs, uniform=True)
+    assert seen == [(9, 0)]
 
 
 # holdout validation -------------------------------------------------------
 
 
 def _todays_validate_holdout(runs, beta, gamma, values, tol_abs, tol_rel):
-    """The per-run validation loop the grouped one replaced."""
+    """The per-run validation loop over stored trajectories that the
+    streamed one replaced."""
     raw, exceed, worst = 0.0, -np.inf, None
     for run in runs:
         traj = run.trajectory
@@ -564,17 +647,28 @@ def _todays_validate_holdout(runs, beta, gamma, values, tol_abs, tol_rel):
 
 
 def _with_duplicates(hold):
-    """hold plus a second name for a run (the same states), an equal copy
-    of it, the same states under another r_x and under another ||u||, and
-    a repeated run."""
+    """hold plus a second name for a run, an equal copy of it built from
+    fresh arrays, the same run under another r_x and under another ||u||
+    (both on its row), and a repeated run."""
     run = hold[0]
-    copy = certify.LabeledRun(
-        dataclasses.replace(run.trajectory, states=run.trajectory.states.copy()),
-        run.r_x, run.r_u, run.u_norm, "copied", run.seed, run.peak)
-    return [dataclasses.replace(run, member="again"), *hold, copy,
-            dataclasses.replace(run, r_x=2.0 * run.r_x, member="wider"),
-            dataclasses.replace(run, u_norm=run.u_norm + 0.5, member="louder"),
-            hold[-1]]
+    copy = dataclasses.replace(run, member="copied", x0=np.array(run.x0),
+                               u=InputSignal(run.u.breaks.copy(),
+                                             run.u.values.copy()))
+    return dataclasses.replace(hold, runs=(
+        dataclasses.replace(run, member="again"), *hold, copy,
+        dataclasses.replace(run, r_x=2.0 * run.r_x, member="wider"),
+        dataclasses.replace(run, u_norm=run.u_norm + 0.5, member="louder"),
+        hold[-1]))
+
+
+def _checks(cert, uni_beta):
+    """(beta, sup_norm, values) of the component and the uniform check."""
+    def beta(r, t):
+        return np.stack([cert.surfaces[i](r, t) for i in cert.window], -1)
+
+    return [(beta, False, lambda traj: np.abs(traj.states)),
+            (lambda r, t: uni_beta(r, t)[:, None], True,
+             lambda traj: traj.sup_norms()[:, None])]
 
 
 def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
@@ -584,57 +678,59 @@ def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
     att = estimate_attainment_times(net, window, (0.5, 1.0), 3, ugs.sigma,
                                     ugs.gamma, cfg, seed=8)
     runs = _with_duplicates(hold)
-    shared = {id(run.trajectory.states) for run in runs}
-    assert len(shared) < len(runs) - 2     # repeats from the pass itself
+    stored = _stored(runs)
+    rows = {(np.broadcast_to(np.asarray(run.x0, float), len(window))
+             .tobytes(), str(run.u.to_json())) for run in runs}
+    assert len(rows) < len(runs) - 4       # repeats from the pass itself
+    seen = _rows_seen(monkeypatch)
     for tol_abs, tol_rel in ((1e-6, 1e-3), (-1.0, 0.0), (-1.0, 0.5)):
         # a negative tolerance makes every point a violation: ties
         # between runs, copies and components all reach the tie-break
-        cert = build_nonuniform_iss(att, ugs, runs, tol_abs, tol_rel)
+        seen.clear()
+        cert = build_nonuniform_iss(att, ugs, runs, tol_abs, tol_rel,
+                                    uniform=True)
+        # one pass over the distinct rows, for both checks, keeping none
+        assert seen == [(len(rows), 0)]
         uni = uniform_from_nonuniform(cert, runs, tol_abs, tol_rel)
-
-        def beta(r, t):
-            return np.stack([cert.surfaces[i](r, t) for i in window], -1)
-
-        checks = [(beta, lambda traj: np.abs(traj.states)),
-                  (lambda r, t: uni.beta(r, t)[:, None],
-                   lambda traj: traj.sup_norms()[:, None])]
-        for beta_of, values in checks:
-            want = _todays_validate_holdout(runs, beta_of, cert.gamma, values,
-                                            tol_abs, tol_rel)
-            calls = []
-
-            def counted(traj, values=values):
-                calls.append(id(traj.states))
-                return values(traj)
-
-            got = certify._validate_holdout(runs, beta_of, cert.gamma,
-                                            counted, tol_abs, tol_rel)
-            assert got == want
-            # a run equal to an earlier one (states, r_x, u_norm) is skipped
-            assert len(calls) == len({(id(run.trajectory.states), run.r_x,
-                                       run.u_norm) for run in runs})
-        raw, exceed, worst = _todays_validate_holdout(
-            runs, beta, cert.gamma, lambda traj: np.abs(traj.states),
-            tol_abs, tol_rel)
+        checks = _checks(cert, uni.beta)
+        got = certify._validate_holdout(
+            runs, window, [(beta, sup) for beta, sup, _v in checks],
+            cert.gamma, tol_abs, tol_rel)
+        for (beta, _sup, values), result in zip(checks, got):
+            assert result == _todays_validate_holdout(
+                stored, beta, cert.gamma, values, tol_abs, tol_rel)
+        raw, exceed, worst = _reference_validation(cert, runs, tol_abs,
+                                                   tol_rel)
+        assert got[0][:2] == (raw, exceed)
         assert cert.holdout_residual == raw
         assert cert.valid == (exceed <= 0.0)
-        assert cert.worst_case == (None if worst is None else
-                                   (window[worst[0]],) + worst[1:])
-        raw, exceed, _ = _todays_validate_holdout(
-            runs, lambda r, t: uni.beta(r, t)[:, None], cert.gamma,
-            lambda traj: traj.sup_norms()[:, None], tol_abs, tol_rel)
-        assert uni.holdout_residual == raw
-        assert uni.valid == (cert.valid and exceed <= 0.0)
+        assert cert.worst_case == worst == \
+            (window[got[0][2][0]],) + got[0][2][1:]
+        raw, exceed, _ = got[1]
+        assert uni.holdout_residual == cert.uniform.holdout_residual == raw
+        assert uni.valid == cert.uniform.valid == (cert.valid and exceed <= 0)
+
+
+def _replay_net():
+    # x+ = u: a discrete two-component network whose states replay a
+    # vector input, so a run's trajectory can be written down
+    spec = SubsystemSpec("replay", DISCRETE, lambda x, w, u: u)
+    return NetworkSpec("replay", DISCRETE, FiniteIndexSet((0, 1)),
+                       lambda i: spec)
+
+
+def _replayed(states, member, r_x=1.0):
+    """A holdout run whose trajectory is ``states``."""
+    u = InputSignal(np.arange(len(states) - 1.0), np.array(states[1:]))
+    return certify.LabeledRun(None, r_x, 0.0, 0.0, member, 0, 3.0,
+                              np.array(states[0]), u)
 
 
 def test_grouped_validation_names_the_first_of_tied_runs():
-    times = np.arange(4.0)
-    states = np.array([[1.0, -3.0], [2.0, 3.0], [0.5, 0.0], [3.0, 1.0]])
-    traj = certify.NetworkTrajectory(times, (0, 1), states)
-    copy = dataclasses.replace(traj, states=states.copy())
-
-    def run(traj, member, r_x=1.0):
-        return certify.LabeledRun(traj, r_x, 0.0, 0.0, member, 0, 3.0)
+    states = [[1.0, -3.0], [2.0, 3.0], [0.5, 0.0], [3.0, 1.0]]
+    copy = [list(row) for row in states]
+    net = _replay_net()
+    cfg = EnsembleConfig(horizon=3.0, n_random=0)
 
     def beta(r, t):
         return np.full((t.size, 2), r)
@@ -642,16 +738,111 @@ def test_grouped_validation_names_the_first_of_tied_runs():
     def values(traj):
         return np.abs(traj.states)
 
-    for runs, name in (([run(traj, "one"), run(traj, "two"),
-                         run(copy, "three")], "one"),
-                       ([run(copy, "three"), run(traj, "one"),
-                         run(traj, "two")], "three"),
-                       ([run(traj, "wide", 2.0), run(traj, "one"),
-                         run(copy, "three")], "one")):
-        got = certify._validate_holdout(runs, beta, identity(), values,
-                                        0.0, 0.0)
-        assert got == _todays_validate_holdout(runs, beta, identity(), values,
-                                               0.0, 0.0)
+    for runs, name in (([_replayed(states, "one"), _replayed(states, "two"),
+                         _replayed(copy, "three")], "one"),
+                       ([_replayed(copy, "three"), _replayed(states, "one"),
+                         _replayed(states, "two")], "three"),
+                       ([_replayed(states, "wide", 2.0),
+                         _replayed(states, "one"),
+                         _replayed(copy, "three")], "one")):
+        holdout = certify.Holdout(net, (0, 1), cfg, 0, tuple(runs))
+        stored = _stored(holdout)
+        assert np.array_equal(stored[0].trajectory.states, states)
+        got, = certify._validate_holdout(holdout, (0, 1), [(beta, False)],
+                                         identity(), 0.0, 0.0)
+        assert got == _todays_validate_holdout(stored, beta, identity(),
+                                               values, 0.0, 0.0)
         # both columns peak at 3, column 0 at t=3 and column 1 first at
         # t=0; the tie goes to column 0 of the first run at radius 1
         assert got == (2.0, 2.0, (0, 3.0, name))
+
+
+@pytest.mark.parametrize("late, worst_t", [(2.0, 40.0), (2.5, 100.0)])
+def test_the_worst_sample_is_found_across_chunks(late, worst_t):
+    # samples are reduced a chunk at a time: a tie in a later chunk keeps
+    # the earlier sample, and a larger value there wins
+    steps = 3 * network._CHUNK + 5
+    states = [[0.5, 0.5] for _ in range(steps + 1)]
+    states[40][0] = 2.0
+    states[100][0] = late
+    states[99][1] = 1.9
+    holdout = certify.Holdout(_replay_net(), (0, 1),
+                              EnsembleConfig(horizon=float(steps)), 0,
+                              (_replayed(states, "late"),))
+
+    def beta(r, t):
+        return np.full((t.size, 2), r)
+
+    for tol_abs in (0.0, -1.0):
+        got, = certify._validate_holdout(holdout, (0, 1), [(beta, False)],
+                                         identity(), tol_abs, 0.0)
+        assert got == (late - 1.0, late - 1.0 - tol_abs,
+                       (0, worst_t, "late"))
+
+
+def test_an_empty_holdout_is_rejected(monkeypatch):
+    net, _ = instantiate("counterexample-chain")
+    window = net.window(3)
+    cfg = EnsembleConfig(horizon=2.0, dt=0.1, n_random=1)
+    bins = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    fit, hold = build_fit_and_holdout(net, window, bins, cfg, 0)
+    ugs = fit_ugs(fit, holdout=hold)
+    att = estimate_attainment_times(net, window, (1.0,), 0, ugs.sigma,
+                                    ugs.gamma, cfg, 0)
+    cert = build_nonuniform_iss(att, ugs, hold)
+    empty = dataclasses.replace(hold, runs=())
+    for holdout in ([], empty):
+        with pytest.raises(ValueError, match="empty holdout"):
+            fit_ugs(fit, holdout=holdout)
+        with pytest.raises(ValueError, match="empty holdout"):
+            build_nonuniform_iss(att, ugs, holdout)
+        with pytest.raises(ValueError, match="empty holdout"):
+            uniform_from_nonuniform(cert, holdout)
+    # and a holdout stepped on another window than the certificate's
+    _fit, wider = build_fit_and_holdout(net, net.window(4), bins, cfg, 0)
+    with pytest.raises(ValueError, match="holdout on window"):
+        build_nonuniform_iss(att, ugs, wider)
+    with pytest.raises(ValueError, match="holdout on window"):
+        uniform_from_nonuniform(cert, wider)
+
+
+def test_no_certify_pass_keeps_states(run_cli, monkeypatch):
+    seen = _rows_seen(monkeypatch)
+    base = {"network": "catalog:counterexample-chain",
+            "ensemble": {"horizon": 4.0, "dt": 0.1, "n_random": 1},
+            "radii": [0.5, 1.0], "depth": 1, "seed": 1}
+    for command, conf in (("certify", dict(base, window=4)),
+                          ("certify", dict(base, window=4,
+                                           emit_uniform=True)),
+                          ("subnetwork", dict(base, subset=[1, 2, 3]))):
+        seen.clear()
+        code, _out = run_cli(command, conf)
+        assert code == 0
+        # fit and holdout, attainment, validation: three passes, no states
+        assert len(seen) == 3
+        assert all(kept == 0 for _rows, kept in seen)
+
+
+def test_a_certify_run_holds_no_holdout_block():
+    # the stored holdout would be members x samples x window doubles; the
+    # whole run, validation included, peaks well below a quarter of it
+    net, _ = instantiate("counterexample-chain")
+    window = net.window(40)
+    cfg = EnsembleConfig(horizon=80.0, dt=0.05, n_random=2)
+    radii = (0.5, 1.0)
+    bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
+        + [(r, r) for r in radii]
+    tracemalloc.start()
+    try:
+        fit, hold = build_fit_and_holdout(net, window, bins, cfg, 0)
+        ugs = fit_ugs(fit, holdout=hold)
+        att = estimate_attainment_times(net, window, radii, 0, ugs.sigma,
+                                        ugs.gamma, cfg, 0)
+        cert = build_nonuniform_iss(att, ugs, hold, uniform=True)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.valid and cert.uniform.valid
+    samples = round(cfg.horizon / cfg.dt) + 1
+    block = len(hold) * samples * len(window) * 8
+    assert peak < block / 4, (peak, block)
