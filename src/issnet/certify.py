@@ -525,9 +525,11 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     sup norm as one column, at most beta(r_x, times) + gamma(||u||).
 
     beta(r, times), a (samples, columns) block, is evaluated once per
-    start radius r into one (samples, radii, columns) block; the pass
-    folds each (row, r_x, ||u||) target into its running maxima
-    (network._BoundCheck), so a repeated run costs nothing.
+    positive start radius r into one (samples, radii, columns) block; a
+    decay surface vanishes at r = 0, so a run from rest is bounded by
+    gamma(||u||) alone, with no block and no call.  The pass folds each
+    (row, r_x, ||u||) target into its running maxima (network._BoundCheck),
+    so a repeated run costs nothing.
     Returns per check (raw, exceed, worst): the largest violation, at
     least 0; the largest violation less the tolerance tol_abs + tol_rel *
     bound; and (column, time, member) where the latter first occurs, runs
@@ -541,7 +543,8 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     net, cfg = holdout.net, holdout.cfg
     times, _h = net.time_domain.grid(cfg.horizon, cfg.dt)
     slots: dict[float, int] = {}
-    slot = [slots.setdefault(float(run.r_x), len(slots)) for run in holdout]
+    slot = [slots.setdefault(float(run.r_x), len(slots)) if run.r_x > 0
+            else -1 for run in holdout]
     offset = [float(gamma(run.u_norm)) for run in holdout]
     bounds = []
     for beta, sup_norm in checks:

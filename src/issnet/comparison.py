@@ -59,6 +59,16 @@ GRID_POINTS_PER_DECADE = 256
 GRID_RANGE = (1e-3, 1e3)
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values in ascending order: np.unique's bits on finite
+    input, without the numpy.ma import np.unique makes on its first call."""
+    a = np.sort(values, axis=None)
+    keep = np.empty(a.size, bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def default_grid() -> np.ndarray:
     lo, hi = GRID_RANGE
     n = max(2, int(round(GRID_POINTS_PER_DECADE * math.log10(hi / lo))))
@@ -300,7 +310,7 @@ def _invert_monotone_pwl(b: np.ndarray, v: np.ndarray, y: np.ndarray,
 def _compose_pwl(f: ScalarCurve, g: ScalarCurve, cls: str) -> ScalarCurve:
     pulled = _invert_monotone_pwl(g.breaks, g.vals,
                                   f.breaks[(f.breaks >= g.vals[0])], g.final_slope())
-    b = np.unique(np.concatenate([g.breaks, pulled]))
+    b = _sorted_unique(np.concatenate([g.breaks, pulled]))
     v = f._eval(g._eval(b))
     return ScalarCurve("pwl", cls, breaks=b, vals=v)
 
@@ -341,7 +351,7 @@ def _merge_class(a: ScalarCurve, b: ScalarCurve) -> str:
 
 def _binary_grid(a: ScalarCurve, b: ScalarCurve) -> np.ndarray:
     pieces = [c.breaks for c in (a, b) if c.kind == "pwl"] or [default_grid()]
-    return np.unique(np.concatenate([[0.0]] + pieces))
+    return _sorted_unique(np.concatenate([[0.0]] + pieces))
 
 
 def curve_sum(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
@@ -375,7 +385,7 @@ def curve_max(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
         if (va[-1] - vb[-1]) * (sa - sb) < 0:
             extra.append(g[-1] + (vb[-1] - va[-1]) / (sa - sb))
         if extra:
-            g = np.unique(np.concatenate([g, extra]))
+            g = _sorted_unique(np.concatenate([g, extra]))
             va, vb = a._eval(g), b._eval(g)
     return ScalarCurve("pwl", _merge_class(a, b), breaks=g, vals=np.maximum(va, vb),
                        floor=max(a.floor, b.floor))
@@ -551,7 +561,7 @@ class KLSurface:
             return ScalarCurve("pwl", "L", breaks=hi.breaks.copy(),
                                vals=f * hi.vals, floor=f * hi.floor)
         lo = self.curves[j - 1]
-        t = np.unique(np.concatenate([lo.breaks, hi.breaks]))
+        t = _sorted_unique(np.concatenate([lo.breaks, hi.breaks]))
         w = (r - self.radii[j - 1]) / (self.radii[j] - self.radii[j - 1])
         v = (1.0 - w) * lo(t) + w * hi(t)
         return ScalarCurve("pwl", "L", breaks=t, vals=np.minimum.accumulate(v),
@@ -565,7 +575,7 @@ def max_surface(surfaces: Sequence[KLSurface]) -> KLSurface:
         raise ValueError("need at least one surface")
     out = surfaces[0]
     for other in surfaces[1:]:
-        radii = np.unique(np.concatenate([out.radii, other.radii]))
+        radii = _sorted_unique(np.concatenate([out.radii, other.radii]))
         curves = []
         for r in radii:
             m = curve_max(out._curve_at(float(r)), other._curve_at(float(r)))
@@ -614,7 +624,7 @@ def kl_from_decay_table(table: dict[float, Sequence[float]],
             raise ValueError("sigma must be positive at every table radius")
         # staircase points: (0, 2*eps_0), (tau_n, eps_{n-1})
         stair.append((t, np.concatenate([[2.0 * levels[0]], levels[:-1]])))
-    t_union = np.unique(np.concatenate([tb for tb, _ in stair]))
+    t_union = _sorted_unique(np.concatenate([tb for tb, _ in stair]))
     curves = []
     running = np.full(t_union.shape, -np.inf)
     for (tb, vb), r in zip(stair, radii):

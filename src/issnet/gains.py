@@ -230,7 +230,8 @@ class _WindowPlan:
     """One graph on one window: ``edges`` in walk order as (row position,
     column position, curve), and what is derived from them.  Linear edges
     are row-sorted (rows, cols, coeffs) arrays, each row's segment starting
-    at ``starts``; other curve kinds stay the per-edge list ``other``."""
+    at ``starts`` and each edge's segment number in ``segment``; other
+    curve kinds stay the per-edge list ``other``."""
 
     def __init__(self, graph: GainGraph, window: tuple[int, ...]):
         self.window = window
@@ -242,7 +243,9 @@ class _WindowPlan:
         rows = np.array([k for k, _, _ in lin], dtype=np.intp)
         self.cols = np.array([j for _, j, _ in lin], dtype=np.intp)
         self.coeffs = np.array([g.params["a"] for _, _, g in lin], dtype=float)
-        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        first = np.diff(rows, prepend=-1) != 0
+        self.starts = np.flatnonzero(first)
+        self.segment = np.cumsum(first) - 1
         self.targets = rows[self.starts]
 
     def apply(self, b: np.ndarray) -> np.ndarray:
@@ -281,7 +284,7 @@ def _linear_fixed_point(plan: _WindowPlan) -> np.ndarray | None:
         return None
     succ = np.full(len(plan.window), -1)
     gain = np.zeros(len(plan.window))
-    choice = _segment_argmax(plan.coeffs, plan.starts)
+    choice = _segment_argmax(plan.coeffs, plan)
     for _ in range(_POLICY_ROUNDS):
         succ[plan.targets] = plan.cols[choice]
         gain[plan.targets] = plan.coeffs[choice]
@@ -292,7 +295,7 @@ def _linear_fixed_point(plan: _WindowPlan) -> np.ndarray | None:
             cand = plan.coeffs * v[plan.cols]
         if not np.all(np.isfinite(cand)):
             return None
-        best = _segment_argmax(cand, plan.starts)
+        best = _segment_argmax(cand, plan)
         better = cand[best] - cand[choice] > 1e-12 * cand[choice]
         if not better.any():
             break
@@ -311,13 +314,12 @@ def _settled(nxt: np.ndarray, prev: np.ndarray, peak) -> np.ndarray:
     return np.max(np.abs(nxt - prev), axis=1) <= 1e-13 * np.maximum(1.0, peak)
 
 
-def _segment_argmax(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Index of the first maximum of each nonempty segment of vals."""
-    best = np.maximum.reduceat(vals, starts)
-    sizes = np.diff(np.append(starts, vals.size))
-    hits = np.flatnonzero(vals == np.repeat(best, sizes))
-    seg = np.searchsorted(starts, hits, side="right")
-    return hits[np.flatnonzero(np.diff(seg, prepend=0))]
+def _segment_argmax(vals: np.ndarray, plan: _WindowPlan) -> np.ndarray:
+    """Index of the first maximum of each row segment of vals, a value per
+    linear edge of the plan."""
+    best = np.maximum.reduceat(vals, plan.starts)
+    hits = np.where(vals == best[plan.segment], np.arange(vals.size), vals.size)
+    return np.minimum.reduceat(hits, plan.starts)
 
 
 def _policy_values(succ: list, gain: list) -> np.ndarray | None:

@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .comparison import _sorted_unique
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
 from .systems import (BlowUp, InputSignal, SubsystemSpec, TimeDomain,
                       Trajectory, _axiom_dt, _grid_index, _no_blowup,
@@ -163,12 +164,13 @@ def _assembled_map(specs: list):
 
 def _input_block(members, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
     """Every member's input on the step interiors: (steps, m, 1) when all
-    inputs are scalar, (steps, m, n) when some input is vector valued."""
-    vals = [u.interior_values(t0s, t0s + h) for _x0, u in members]
-    if all(v.ndim == 1 for v in vals):
-        return np.stack(vals, axis=1)[:, :, None]
-    block = np.empty((t0s.size, len(vals), n))
-    for j, v in enumerate(vals):
+    inputs are scalar, (steps, m, n) when some input is vector valued,
+    filled one member at a time."""
+    scalar = all(u.values.ndim == 1 for _x0, u in members)
+    block = np.empty((t0s.size, len(members), 1 if scalar else n))
+    t1s = t0s + h
+    for j, (_x0, u) in enumerate(members):
+        v = u.interior_values(t0s, t1s)
         if v.ndim == 1:
             v = v[:, None]
         elif v.shape[1:] != (n,):
@@ -185,7 +187,8 @@ class _BoundCheck:
     tolerance tol_abs + tol_rel * bound."""
 
     beta: np.ndarray                 # (samples, slots, columns)
-    slot: np.ndarray                 # (m,) slot of each member
+    slot: np.ndarray                 # (m,) slot of each member; -1 for a
+                                     # bound of its offset alone (beta 0)
     offset: np.ndarray               # (m,) offset of each member
     sup_norm: bool
     tol_abs: float
@@ -335,7 +338,7 @@ class _Reductions:
             # the sup from a start is the max of the segment maxima between
             # consecutive distinct start samples from that start on
             self.starts = _tail_start_samples(times, tail_starts)
-            self.bounds = np.unique(self.starts)
+            self.bounds = _sorted_unique(self.starts)
             self.segment = np.searchsorted(self.bounds, np.arange(times.size),
                                            side="right") - 1
             self.seg_max = np.zeros((m, self.bounds.size, n))
@@ -376,7 +379,12 @@ class _Reductions:
             vals = np.max(ax, axis=2, initial=0.0)[:, chk.rows] \
                 if chk.check.sup_norm else ax[:, chk.rows]
             vals = vals.reshape(c, -1)
-            bound = chk.check.beta[k0:k0 + c, chk.slots].reshape(c, -1)
+            if chk.free.size < chk.slots.size:
+                bound = chk.check.beta[k0:k0 + c, chk.slots]
+                bound[:, chk.free] = 0.0
+                bound = bound.reshape(c, -1)
+            else:
+                bound = np.zeros_like(vals)
             bound += chk.offsets
             vals -= bound                             # values - bound
             np.maximum(chk.viol, vals.max(axis=0), out=chk.viol)
@@ -420,7 +428,10 @@ class _CheckTargets:
         rows, slots, offsets = zip(*first) if first else ((), (), ())
         self.check = check
         self.rows = np.array(rows, int)
-        self.slots = np.array(slots, int)
+        slots = np.array(slots, int)
+        # targets of slot -1 gather any slot, and their bound is set to 0
+        self.free = np.flatnonzero(slots < 0)
+        self.slots = np.maximum(slots, 0)
         cols = check.beta.shape[2]
         # the maxima and each target's offset, flat over (target, column)
         self.offsets = np.repeat(np.array(offsets, float), cols)

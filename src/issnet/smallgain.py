@@ -2,10 +2,13 @@
 
 Three complementary checks on the gain operator:
 
-* estimate_uniform_sgc samples the positive sphere at several radii and
-  records the smallest contraction deficit max_i (x_i - Gamma(x)_i) seen.
-  A uniformly positive deficit across radii is the sampled form of the
-  uniform small-gain condition; its fitted envelope eta_hat inverts into a
+* estimate_uniform_sgc records, at several radii, the smallest contraction
+  deficit max_i (x_i - Gamma(x)_i) over the positive sphere.  On a window
+  the plan solves (all edges linear) the extremal row r * v*(1) / c,
+  c = ||v*(1)||, attains the least deficit r / c, so that one row is
+  evaluated and nothing is drawn; on any other window the sphere is
+  sampled.  A uniformly positive deficit across radii is the uniform
+  small-gain condition; its fitted envelope eta_hat inverts into a
   monotone bound curve xi_hat.
 * falsify_mbi hunts for a vector v violating the claimed monotone bound
   ||v|| <= xi(||w||) with w the smallest slack making v <= Gamma(v) + w
@@ -39,7 +42,8 @@ and the falsifier agree on linear-gain graphs instead of bracketing the
 true bound from opposite sides.  On a window whose edges are all linear
 the fixed point is r * v*(1), with v*(1) solving v_i = 1 + max_j a_ij v_j,
 so one direction serves every radius; the window's plan (gains) solves
-for it exactly once and keeps it.  Any other window (or a failed solve)
+for it exactly once and keeps it, and the estimate evaluates that row
+alone.  Any other window (or a failed solve)
 iterates all radii as one batch, one apply_batch call per step, and radii
 that exhaust the iteration budget without converging are counted in
 SGCReport.unconverged.  _directions makes this choice for both searches.
@@ -91,6 +95,10 @@ def operator_deficit(graph: GainGraph, x, window: Sequence[int]) -> float:
 
 
 _FULL_VERTEX_N = 64   # up to this width every vertex pattern is enumerated
+# rows x window width per apply_batch call of both searches: whole radii or
+# levels are gathered until a block reaches it, so a wide one is a block of
+# its own
+_BLOCK_ENTRIES = 1 << 12
 DEFAULT_SGC_RANDOM = 64        # random sphere patterns of estimate_uniform_sgc
 DEFAULT_FALSIFY_BUDGET = 10_000
 # estimate_uniform_sgc's default radii and falsify_mbi's levels, written out
@@ -205,7 +213,8 @@ def _append_new_rows(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SGCReport:
-    """Sampled uniform small-gain estimate."""
+    """Uniform small-gain estimate: exact on a window the plan solves,
+    sampled on any other."""
 
     window: tuple
     radii: tuple
@@ -214,18 +223,21 @@ class SGCReport:
     eta_hat: ScalarCurve | None  # fitted deficit envelope, only when holds
     xi_hat: ScalarCurve | None   # inverse of eta_hat
     witnesses: tuple             # per-radius argmin points (tuples)
-    samples_per_radius: int
+    samples_per_radius: int      # rows evaluated at each radius: 1 when exact
     seed: int
     unconverged: int = 0         # radii whose extremal iteration hit max_iter;
                                  # 0 on windows solved exactly (all linear)
+    exact: bool = False          # deficits are the extremal row's, r / c
 
     def summary(self) -> str:
         verdict = "holds" if self.holds else "FAILS"
         worst = min(self.deficits)
         text = (f"uniform small-gain estimate: {verdict}; "
                 f"worst deficit {worst:.6g} over radii "
-                f"[{self.radii[0]:g}, {self.radii[-1]:g}], "
-                f"{self.samples_per_radius} samples per radius")
+                f"[{self.radii[0]:g}, {self.radii[-1]:g}], ")
+        if self.exact:
+            return text + "exact: the extremal row at each radius"
+        text += f"{self.samples_per_radius} samples per radius"
         if self.unconverged:
             text += (f"; {self.unconverged} of {len(self.radii)} extremal "
                      f"fixed-point iterations did not converge")
@@ -237,16 +249,28 @@ def estimate_uniform_sgc(graph: GainGraph,
                          radii: Sequence[float] | None = None,
                          n_random: int = DEFAULT_SGC_RANDOM,
                          seed: int = 0) -> SGCReport:
-    """Estimate the uniform small-gain deficit over sampled spheres.
+    """Estimate the uniform small-gain deficit over the spheres of radii.
 
     For each radius the signed deficit max_i (x_i - Gamma(x)_i) is
-    minimized over deterministic vertex patterns (unit vectors, all-ones,
-    leave-one-out) plus random patterns; the condition holds at the sampled
-    resolution when every per-radius minimum is positive relative to the
-    radius.  The radii (at least one, distinct, positive and finite) are
-    sorted first, so the report lists them in ascending order whatever
-    order they came in.  The window defaults to every label of a finite
-    index set; a generated one needs it given.
+    minimized over rows on the sphere; the condition holds when every
+    per-radius minimum is positive relative to the radius.
+
+    On a window the plan solves (every edge linear, v*(1) found), the
+    estimate is exact: with c = ||v*(1)||, every row at radius r has
+    deficit at least r / c, and the extremal row r * v*(1) / c attains it
+    (falsify_mbi's proof).  That row alone is evaluated at each radius
+    (samples_per_radius 1, exact True), and no random stream is built.
+    Any other window, or a failed solve, samples: the deterministic vertex
+    patterns (all-ones, unit and leave-one-out rows), n_random random rows
+    of the stream of seed, and the iterated extremal directions, counted
+    in samples_per_radius.  n_random and seed act only there.
+
+    Radii share apply_batch calls of about _BLOCK_ENTRIES entries, so
+    narrow windows take one call for every radius.  The radii (at
+    least one, distinct, positive and finite) are sorted first, so the
+    report lists them in ascending order whatever order they came in.  The
+    window defaults to every label of a finite index set; a generated one
+    needs it given.
     """
     window = graph.index_set.window(window)
     n = len(window)
@@ -257,20 +281,26 @@ def estimate_uniform_sgc(graph: GainGraph,
                                                   (*radii, np.inf))):
         raise ValueError(f"radii must be a nonempty list of distinct positive "
                          f"finite numbers, got {list(radii)}")
-    rng = derived_rng(seed, "sgc", n)
-    _, dirs, unconverged = _directions(graph, window, radii)
-    sphere = np.vstack([_vertex_patterns(n, rng),
-                        _random_patterns(n, n_random, rng)])
-    patterns = _append_new_rows(sphere, dirs)
+    c, patterns, unconverged = _directions(graph, window, radii)
+    if c is None:
+        rng = derived_rng(seed, "sgc", n)
+        sphere = np.vstack([_vertex_patterns(n, rng),
+                            _random_patterns(n, n_random, rng)])
+        patterns = _append_new_rows(sphere, patterns)
 
+    # radii share blocks of about _BLOCK_ENTRIES entries, so a wide sampled
+    # window still holds one radius's rows at a time; batch rows are
+    # independent, so each radius gets the bits of a call of its own
     mins, worst_points = [], []
-    for r in radii:
-        batch = r * patterns
-        g = apply_batch(graph, batch, window)
-        signed = np.max(batch - g, axis=1)
-        k = int(np.argmin(signed))
-        mins.append(float(signed[k]))
-        worst_points.append(tuple(batch[k]))
+    step = max(1, _BLOCK_ENTRIES // patterns.size)
+    for lo in range(0, len(radii), step):
+        batch = np.asarray(radii[lo:lo + step])[:, None, None] * patterns
+        g = apply_batch(graph, batch.reshape(-1, n), window)
+        signed = np.max(batch - g.reshape(batch.shape), axis=2)
+        for rows, row_signed, k in zip(batch, signed,
+                                       np.argmin(signed, axis=1)):
+            mins.append(float(row_signed[k]))
+            worst_points.append(tuple(rows[k]))
     holds = all(m > 1e-9 * r for m, r in zip(mins, radii))
 
     eta_hat = xi_hat = None
@@ -283,7 +313,8 @@ def estimate_uniform_sgc(graph: GainGraph,
         eta_hat = make_strictly_increasing(pwl(zip(br, vals), "K"))
         xi_hat = invert_k_curve(eta_hat)
     return SGCReport(window, radii, tuple(mins), holds, eta_hat, xi_hat,
-                     tuple(worst_points), patterns.shape[0], seed, unconverged)
+                     tuple(worst_points), patterns.shape[0], seed, unconverged,
+                     c is not None)
 
 
 def _beats(nv, rhs):
@@ -314,11 +345,6 @@ class MBIWitness:
         again = _revalidate(graph, self.window, xi, self.v, self.samples_used,
                             self.seed)
         return again is not None and np.array_equal(again.w, self.w)
-
-
-# rows x window width screened per apply_batch call; whole levels are
-# gathered until a block reaches it, so a wide level is a block of its own
-_BLOCK_ENTRIES = 1 << 12
 
 
 def falsify_mbi(graph: GainGraph,

@@ -284,8 +284,8 @@ GOLDEN = [
                                 "params": {"gain": 0.3}}},
         "window": [3, 2, 4, 7],
         "seed": 5,
-    }, {"gains_check.json": "5416e0d20b1b27aa329fdf930caca3c2"
-                            "3c094d15f7211f4cd84c1a11364d3580"}),
+    }, {"gains_check.json": "301362cc45af2b9c68bfd6abd11a3f41"
+                            "eafd8647aeeee4c0fe070d581d93a277"}),
     ("certify-chain50-seed13", "certify", dict(CHAIN50, seed=13),
      {"certificate.json": "6f5d575d878ce2353b34d016373612ae"
                           "b9a991b15057885af7a0cd0d50763211"}),

@@ -19,13 +19,13 @@ STDOUT_SHA256 = {
     "01_comparison_curves.py":
         "d4031350f76c10457c553714e0bc41cc5e438e61492c2e9f99ade79345802088",
     "02_gain_operators.py":
-        "cdcc3f95fd32688077c152a69f37b59a3cf43620e759817d106f99e42ab846df",
+        "b6b0144a5bd349129953fe91659196a441b5ebf391d6057dfe306153b83beba2",
     "03_simulating_networks.py":
         "bbc5b36142f5c84c7a7a1e87a0241cf16203a28209df4d67d4e0c1c7e0b0cc4b",
     "04_certifying_stability.py":
         "e9744b0f9561cb8408571f5660085e9ee0899aec5caa12332e118fe63fa45b0c",
     "05_trace_and_subnetworks.py":
-        "a01aa6213b02272c02dd3927fcaa5f480cfee4da543c30cd0c4329336a4682ef",
+        "01ee1cf5bc76db85e0133108518b0acecdd53f6467049ef97400e66542927717",
 }
 
 

@@ -402,6 +402,35 @@ def test_the_fixed_point_is_solved_once_and_kept(monkeypatch):
     assert calls == [(0, 1), (0, 1)]
 
 
+def _todays_segment_argmax(vals, starts):
+    """_segment_argmax as it was before plans kept each edge's segment."""
+    best = np.maximum.reduceat(vals, starts)
+    sizes = np.diff(np.append(starts, vals.size))
+    hits = np.flatnonzero(vals == np.repeat(best, sizes))
+    seg = np.searchsorted(starts, hits, side="right")
+    return hits[np.flatnonzero(np.diff(seg, prepend=0))]
+
+
+def test_segment_argmax_keeps_the_first_of_tied_maxima():
+    # values from a few integers tie within most segments; some rows have
+    # no edge, some one, and the window is permuted
+    rng = np.random.default_rng(0)
+    ties = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        coeffs = {(i, j): linear(0.5) for i in range(n) for j in range(n)
+                  if i != j and rng.random() < 0.4} or {(0, 1): linear(0.5)}
+        plan = _graph(coeffs, labels=range(n))._plan(
+            tuple(int(i) for i in rng.permutation(n)))
+        vals = rng.integers(0, 3, plan.coeffs.size).astype(float)
+        got = gains._segment_argmax(vals, plan)
+        assert np.array_equal(got, _todays_segment_argmax(vals, plan.starts))
+        assert got.dtype == np.intp
+        at_max = vals == vals[got][plan.segment]
+        ties += int(np.sum(np.bincount(plan.segment, at_max) > 1))
+    assert ties > 100
+
+
 @pytest.mark.parametrize("entries", [
     {(0, 1): 1e200, (1, 2): 1e200},                  # a policy value
     {(0, 1): 1e200, (2, 3): 1e200, (2, 0): 1e190},   # an edge product

@@ -68,7 +68,9 @@ def test_estimate_on_two_cycle(two_cycle):
     net, _ = two_cycle
     sgc = estimate_uniform_sgc(net.graph, (1, 2), seed=0)
     assert sgc.holds
-    assert sgc.samples_per_radius == 69
+    # the plan solves this all-linear window, so the extremal row alone
+    # is evaluated at each radius
+    assert sgc.samples_per_radius == 1
     assert sgc.eta_hat(1.0) == pytest.approx(0.5)
     assert sgc.xi_hat(0.5) == pytest.approx(1.0)
     assert sgc.deficits[0] == pytest.approx(0.005)
@@ -212,6 +214,141 @@ def test_extremal_directions_fall_back_to_the_iteration(coeffs, rows):
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
     assert got[0].shape[0] == rows
+
+
+# The estimate: exact on plan-solved windows, sampled on any other ---------
+
+
+def _per_radius(graph, window, radii, patterns):
+    """Deficits and argmin rows of each radius's own apply_batch call over
+    the rows radius * patterns."""
+    mins, points = [], []
+    for r in radii:
+        batch = r * patterns
+        signed = np.max(batch - apply_batch(graph, batch, window), axis=1)
+        k = int(np.argmin(signed))
+        mins.append(float(signed[k]))
+        points.append(tuple(batch[k]))
+    return tuple(mins), tuple(points)
+
+
+def _todays_estimate(graph, window, radii, n_random, seed):
+    """The sampled estimate every window took before plan-solved windows
+    evaluated the extremal row alone: (deficits, witnesses, samples per
+    radius, the state of its stream after its draws)."""
+    n = len(window)
+    radii = sorted(radii)
+    rng = derived_rng(seed, "sgc", n)
+    _, dirs, _ = _directions(graph, window, radii)
+    sphere = _reference_patterns(n, n_random, rng)
+    seen = np.any(np.all(dirs[:, None, :] == sphere[None], axis=2), axis=1)
+    patterns = np.vstack([sphere, dirs[~seen]])
+    mins, points = _per_radius(graph, window, radii, patterns)
+    return mins, points, patterns.shape[0], rng.bit_generator.state
+
+
+def _recorded_streams(monkeypatch):
+    """Every generator estimate_uniform_sgc builds, in order."""
+    made = []
+
+    def recording(*tags):
+        made.append(derived_rng(*tags))
+        return made[-1]
+
+    monkeypatch.setattr(smallgain, "derived_rng", recording)
+    return made
+
+
+def test_solved_windows_take_the_extremal_row_alone(monkeypatch):
+    made = _recorded_streams(monkeypatch)
+    for graph, window in _contracting_cases(200):
+        c, dirs, _ = _directions(graph, window, RADII)
+        report = estimate_uniform_sgc(graph, window, radii=RADII, seed=3)
+        assert report.exact and report.samples_per_radius == 1
+        assert made == []
+        want, _pts, _m, _state = _todays_estimate(graph, window, RADII, 64, 3)
+        for r, got, sampled, point in zip(RADII, report.deficits, want,
+                                          report.witnesses):
+            row = r * dirs[0]
+            assert point == tuple(row)
+            assert got == float(np.max(
+                row - gains.apply_gain_operator(graph, row, window)))
+            # a difference of two terms of size r: rounding is in ulps of r
+            ulp = np.spacing(r)
+            assert abs(got - r / c) <= 4 * ulp
+            assert 0.0 <= got - sampled <= 4 * ulp
+
+
+def _unsolved_cases():
+    """Windows with a nonlinear edge, windows whose solve fails (cycle gain
+    4, cycle gain exactly 1, an overflowing v*(1)), and a nonlinear window
+    wider than the vertex rows list in full."""
+    mixed = (_mixed_graph(seed, n) for seed in range(40) for n in (2, 4, 8))
+    graphs = [g for g in mixed if g._plan(g.index_set.labels).other][:12]
+    graphs += [_linear_graph(coeffs, (0, 1, 2)) for coeffs in
+               ({(0, 1): 2.0, (1, 0): 2.0}, {(0, 1): 0.5, (1, 0): 2.0,
+                                             (2, 1): 0.7},
+                {(0, 1): 1e200, (1, 2): 1e200})]
+    graphs.append(_one_saturating_edge(
+        {(i, (i + 1) % 70): 0.5 for i in range(70)}, range(70)))
+    return [(g, g.index_set.labels) for g in graphs]
+
+
+def test_unsolved_windows_keep_the_sampled_estimate(monkeypatch):
+    made = _recorded_streams(monkeypatch)
+    for graph, window in _unsolved_cases():
+        assert graph._plan(window).fixed_point is None
+        for n_random, seed in ((0, 0), (16, 5), (64, 2026)):
+            made.clear()
+            report = estimate_uniform_sgc(graph, window, radii=RADII,
+                                          n_random=n_random, seed=seed)
+            mins, points, samples, state = _todays_estimate(
+                graph, window, RADII, n_random, seed)
+            assert not report.exact
+            assert report.deficits == mins
+            assert report.witnesses == points
+            assert report.samples_per_radius == samples
+            assert len(made) == 1 and made[0].bit_generator.state == state
+
+
+def test_batched_radii_equal_the_per_radius_loop():
+    radii = RADII[::-1]          # given in any order, reported ascending
+    cases = [(g, w, False) for g, w in _unsolved_cases()]
+    cases += [(g, w, True) for g, w in _contracting_cases(20)]
+    for graph, window, exact in cases:
+        c, dirs, _ = _directions(graph, window, radii)
+        report = estimate_uniform_sgc(graph, window, radii=radii, seed=7)
+        assert report.exact == exact == (c is not None)
+        if exact:
+            want = _per_radius(graph, window, sorted(radii), dirs)
+        else:
+            want = _todays_estimate(graph, window, radii, 64, 7)[:2]
+        assert (report.deficits, report.witnesses) == want
+
+
+def test_radii_share_calls_up_to_the_block_size(monkeypatch):
+    # each call takes as many radii as fit 4096 entries, at least one: all
+    # 24 on a solved 6-ring, 4 of 105 sampled rows on 8 nodes, and one on
+    # a 70-wide sampled window
+    wide = _one_saturating_edge({(i, (i + 1) % 70): 0.5 for i in range(70)},
+                                range(70))
+    for graph, radii_per_call, samples in ((_ring(6, 0.5), 24, 1),
+                                           (_mixed_graph(13, 8), 4, 105),
+                                           (wide, 1, 153)):
+        window = graph.index_set.labels
+        rows = _count_screening(monkeypatch, graph, window)
+        report = estimate_uniform_sgc(graph, window, radii=RADII)
+        assert report.samples_per_radius == samples
+        assert rows == [radii_per_call * samples] * (24 // radii_per_call)
+
+
+def test_summary_says_whether_the_estimate_is_exact(two_cycle):
+    net, _ = two_cycle
+    exact = estimate_uniform_sgc(net.graph, (1, 2)).summary()
+    assert exact.endswith("exact: the extremal row at each radius")
+    g = _one_saturating_edge({(1, 2): 0.5, (2, 1): 0.5}, (1, 2))
+    sampled = estimate_uniform_sgc(g, (1, 2), n_random=4).summary()
+    assert sampled.endswith("samples per radius")
 
 
 # Curve inversion --------------------------------------------------------

@@ -267,8 +267,11 @@ def test_surfaces_are_evaluated_once_per_radius_and_grid(setting,
 
     monkeypatch.setattr(KLSurface, "__call__", counted)
     cert = build_nonuniform_iss(att, ugs, hold)
-    starts = {run.r_x for run in hold}
-    assert len(hold) > len(starts)
+    # each positive start radius once per component; a run from rest is
+    # bounded by gamma(||u||) alone, so r = 0 is never evaluated
+    starts = {run.r_x for run in hold if run.r_x > 0}
+    assert 0.0 in {run.r_x for run in hold}
+    assert len(hold) > len(starts) + 1
     assert sorted(calls) == sorted(list(starts) * len(window))
     calls.clear()
     uniform_from_nonuniform(cert, hold)
@@ -755,6 +758,35 @@ def test_grouped_validation_names_the_first_of_tied_runs():
         # both columns peak at 3, column 0 at t=3 and column 1 first at
         # t=0; the tie goes to column 0 of the first run at radius 1
         assert got == (2.0, 2.0, (0, 3.0, name))
+
+
+def test_runs_from_rest_are_bounded_by_gamma_alone():
+    # beta vanishes at r = 0, so a run from rest has no beta slot and no
+    # beta call; with every run from rest there is no slot at all
+    states = [[0.0, 0.0], [2.0, 0.5], [0.5, 3.0], [1.0, 1.0]]
+    net = _replay_net()
+    cfg = EnsembleConfig(horizon=3.0, n_random=0)
+    radii = []
+
+    def beta(r, t):
+        radii.append(r)
+        return np.full((t.size, 2), r)
+
+    def values(traj):
+        return np.abs(traj.states)
+
+    rest = dataclasses.replace(_replayed(states, "rest", 0.0), u_norm=1.0)
+    for runs in ([rest], [rest, _replayed(states, "one"),
+                          _replayed(states[::-1], "back", 0.0)]):
+        holdout = certify.Holdout(net, (0, 1), cfg, 0, tuple(runs))
+        stored = _stored(holdout)
+        for tol_abs in (0.0, -1.0):
+            radii.clear()
+            got, = certify._validate_holdout(holdout, (0, 1), [(beta, False)],
+                                             linear(0.5), tol_abs, 0.1)
+            assert radii == [1.0] * (len(runs) > 1)
+            assert got == _todays_validate_holdout(stored, beta, linear(0.5),
+                                                   values, tol_abs, 0.1)
 
 
 @pytest.mark.parametrize("late, worst_t", [(2.0, 40.0), (2.5, 100.0)])
