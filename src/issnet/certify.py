@@ -27,8 +27,8 @@ The pipeline has four stages, each producing an inspectable artifact:
 
 Ensembles are planned, stepped, then reduced.  Member draws depend only on
 the config and the seed, so a stage plans all of its members and steps
-them in one network._simulate pass that reduces each sample's |x| rows as
-they are produced: the running peak sup norm (fit_ugs), the last sample
+them in one network._simulate pass that reduces the |x| rows a block of
+32 samples at a time: the running peak sup norm (fit_ugs), the last sample
 above each attainment threshold (estimate_attainment_times) and the
 suffix sups at the tail starts (compute_band_limsups) and each holdout
 bound's largest violation and excess (build_nonuniform_iss).  A
@@ -37,11 +37,12 @@ build_fit_and_holdout steps the fit and holdout members together for
 their peaks, estimate_attainment_times steps the members of every radius,
 whose thresholds need the fitted sigma, and build_nonuniform_iss steps the
 holdout members again, because its decay surfaces need the attainment
-times, checking them pointwise as they are produced (_validate_holdout,
-which with uniform set checks the collapse to one surface in the same
-pass).  build_ensemble keeps every trajectory it returns.  A pass steps
-each distinct member once, so the deterministic members that fit and
-holdout share cost one row, and equal kept members share one trajectory.
+times, checking them pointwise a block of 32 samples at a time
+(_validate_holdout, which with uniform set checks the collapse to one
+surface in the same pass).  build_ensemble keeps every trajectory it
+returns.  A pass steps each distinct member once, so the deterministic
+members that fit and holdout share cost one row, and equal kept members
+share one trajectory.
 Validation evaluates the decay surfaces once per start radius, and a
 repeated run is one target of the pass's bound check.  Every stage hands
 its planned member families to one helper, _run_pass, which makes the

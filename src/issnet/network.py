@@ -14,18 +14,19 @@ An ensemble of (x0, u) members on one window is stepped together as one
 (members, window) state array, with every member's input evaluated once on
 the step grid; a single run is an ensemble of one.  This module sets a
 pass up (start states, coupled map, input block) and systems._step_rows,
-the one stepping loop, steps it.  The pass reduces each sample's |x| rows
-per member as they are produced (the peak sup norm, the last sample above
-given nonnegative thresholds, the suffix sups at given tail starts, the
-largest violation of given pointwise bounds), and only the members asked
-to keep their states store them, so an ensemble need not hold all of its
-trajectories.  Equal members (start row, input and threshold row) share
-one row, so each distinct member is stepped and stored once and its
-results are handed to every copy.  A member that blows up keeps its row,
+the one stepping loop, steps it.  The pass reduces the |x| rows per
+member a block of 32 samples at a time (the peak sup norm, the last
+sample above given nonnegative thresholds, the suffix sups at given tail
+starts, the largest violation of given pointwise bounds), and only the
+members asked to keep their states store them, so an ensemble need not
+hold all of its trajectories.  Equal members (start row, input and
+threshold row) share one row, so each distinct member is stepped and
+stored once and its results are handed to every copy.  A member that blows up keeps its row,
 held at zero from then on, which moves none of these reductions.
 
 The truncation rule has one copy, _neighbor_gather, which hands every
-coupled map f(x, w, u) the block w of neighbor states.  A spec may supply
+coupled map f(x, w, u) the block w of neighbor states; on a window with no
+neighbors a pass binds that (empty) block once.  A spec may supply
 a vectorized map (fast_factory) for speed; without one the map is
 assembled from the per-component dynamics.  The assembled map is the
 semantic reference: the same spec with fast_factory=None runs it, and the
@@ -41,9 +42,9 @@ import numpy as np
 
 from .comparison import _sorted_unique
 from .gains import FiniteIndexSet, GainGraph, GeneratorIndexSet, restrict as restrict_graph
-from .systems import (BlowUp, InputSignal, SubsystemSpec, TimeDomain,
-                      Trajectory, _axiom_dt, _grid_index, _no_blowup,
-                      _step_rows)
+from .systems import (_CHUNK, BlowUp, InputSignal, SubsystemSpec,
+                      TimeDomain, Trajectory, _axiom_dt, _grid_index,
+                      _no_blowup, _step_rows)
 
 __all__ = [
     "NetworkSpec",
@@ -229,8 +230,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
 
     The coupled map is the spec's fast_factory(window), or the map
     assembled from the per-component dynamics when it has none, handed
-    the window's neighbor block.  Each sample's |x| rows are reduced as
-    they are produced: the running peak sup norm always; with
+    the window's neighbor block.  The |x| rows are reduced a block of 32
+    samples at a time: the running peak sup norm always; with
     ``thresholds`` (an (m, L) array, which must be nonnegative) the last
     sample at which |x_i| of member j exceeds thresholds[j, l]; with
     ``tail_starts`` the sup of |x_i| from each start on; with ``checks``
@@ -265,17 +266,25 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     keep = np.ones(m, bool) if keep is None else np.asarray(keep, bool)
     order, row, n_kept = _distinct_rows(starts, members, thresholds, keep)
     specs = [net.subsystem_fn(i) for i in window]
-    gather = _neighbor_gather(window, [s.neighbors for s in specs])
+    lists = [s.neighbors for s in specs]
+    gather = _neighbor_gather(window, lists)
     f = net.fast_factory(window) if net.fast_factory is not None \
         else _assembled_map(specs)
+    if any(lists):
+        step = net.time_domain.stepper(lambda x, u: f(x, gather(x), u), h)
+    else:                             # one empty block serves every call
+        w = gather(starts[order])
+        step_w = net.time_domain.stepper(f, h)
+
+        def step(x, u):
+            return step_w(x, w, u)
     inputs = _input_block([members[d] for d in order], times[:-1], h, n) \
         if m else None
     red = _Reductions(order.size, n, times,
                       None if thresholds is None else thresholds[order],
                       tail_starts, checks, row)
     states, ends, blowups = _step_rows(
-        times, net.time_domain.stepper(lambda x, u: f(x, gather(x), u), h),
-        starts[order], inputs, n_kept, red.update)
+        times, step, starts[order], inputs, n_kept, red.update)
     tail_sups = red.tail_sups()
     return _Stepped(window, times, ends[row], [blowups[r] for r in row],
                     red.peaks[row],
@@ -310,18 +319,18 @@ def _distinct_rows(starts: np.ndarray, members, thresholds, keep):
     return order, row[rep], int(np.count_nonzero(held))
 
 
-_CHUNK = 32                           # samples per bound-check reduction
-
-
 class _Reductions:
-    """Per-member reductions of the |x| rows, fed one sample at a time.
+    """Per-member reductions of the |x| rows, fed a block of 32 samples at
+    a time.
 
     Each one is a running max, or a test of |x| against a nonnegative
     threshold, so a row of zeros changes none of them, and a tail start
     after a row's blow-up sample reads that sample, as on the row's
-    truncated trajectory.  A bound check's zeros cannot beat the
-    violation of the blow-up sample before them unless a bound is of the
-    order of the blow-up bound.
+    truncated trajectory.  A bound check reads a blown row's zeros too:
+    in the column that blew up they cannot beat the blow-up sample's
+    violation unless a bound is of the order of the blow-up bound, but in
+    its other columns they can (no certify pass reads the checks of a
+    blown member: it raises on the blow-up).
     """
 
     def __init__(self, m: int, n: int, times: np.ndarray, thresholds,
@@ -345,36 +354,52 @@ class _Reductions:
             self.ends = np.full(m, times.size)    # samples each row has
             self.final = np.zeros((m, n))         # |x| at its blow-up
         # a bound check reduces (row, slot, offset) targets, one per
-        # distinct member key, over chunks of buffered samples
+        # distinct member key
         self.checks = [_CheckTargets(check, row) for check in checks]
-        if self.checks:
-            self.buffer = np.empty((_CHUNK, m, n))
 
-    def update(self, k: int, ax: np.ndarray, norms: np.ndarray,
-               blown) -> None:
-        np.maximum(self.peaks, norms, out=self.peaks)
+    def update(self, k0: int, block: np.ndarray, blown) -> None:
+        """Fold samples k0 .. k0 + c - 1, block (c, m, n) of their |x|,
+        into every reduction; blown lists (k, mask) of the rows that blow
+        up at sample k."""
+        c = block.shape[0]
+        top = block.max(axis=0)
+        np.maximum(self.peaks, top.max(axis=1, initial=0.0), out=self.peaks)
         if self.last_exceed is not None:
-            np.copyto(self.last_exceed, k,
-                      where=ax[:, None, :] > self.thresholds)
-        if self.starts is not None and self.segment[k] >= 0:
-            seg = self.seg_max[:, self.segment[k]]
-            np.maximum(seg, ax, out=seg)
-        if blown is not None and self.starts is not None:
-            self.ends[blown] = k + 1
-            self.final[blown] = ax[blown]
-        if self.checks:
-            self.buffer[k % _CHUNK] = ax
-            if k % _CHUNK == _CHUNK - 1:
-                self._reduce_chunk(k + 1 - _CHUNK, _CHUNK)
-            self.samples = k + 1
+            # a cell above at the last sample was last above there; only
+            # the cells above earlier in the block, and not at its end, are
+            # compared sample by sample (NaN cells too, which compare
+            # above nowhere)
+            above = block[-1][:, None, :] > self.thresholds
+            np.copyto(self.last_exceed, k0 + c - 1, where=above)
+            inner = ~(top[:, None, :] <= self.thresholds)
+            inner &= ~above
+            j, lv, i = np.nonzero(inner)
+            if j.size:
+                hit = block[:-1, j, i] > self.thresholds[j, lv, 0]
+                found = hit.any(axis=0)
+                last = c - 2 - np.argmax(hit[::-1], axis=0)
+                self.last_exceed[j[found], lv[found], i[found]] = \
+                    k0 + last[found]
+        if self.starts is not None:
+            segs = self.segment[k0:k0 + c]
+            cuts = np.flatnonzero(segs[1:] != segs[:-1]) + 1
+            for a, b in zip((0, *cuts), (*cuts, c)):
+                if segs[a] >= 0:
+                    seg = self.seg_max[:, segs[a]]
+                    np.maximum(seg, top if b - a == c
+                               else block[a:b].max(axis=0), out=seg)
+            for k, bad in blown:
+                self.ends[bad] = k + 1
+                self.final[bad] = block[k - k0][bad]
+        self._reduce_chunk(k0, block)
 
-    def _reduce_chunk(self, k0: int, c: int) -> None:
-        """Fold buffered samples k0 .. k0 + c - 1 into every bound check,
-        in the operation order of the plain expressions, so the bits are
-        theirs; a strict > keeps each target's first worst sample.  The
-        blocks are (samples, targets x columns), which numpy reduces
-        fastest down the first axis."""
-        ax = self.buffer[:c]
+    def _reduce_chunk(self, k0: int, ax: np.ndarray) -> None:
+        """Fold the |x| block ax of samples k0 .. k0 + c - 1 into every
+        bound check, in the operation order of the plain expressions, so
+        the bits are theirs; a strict > keeps each target's first worst
+        sample.  The blocks are (samples, targets x columns), which numpy
+        reduces fastest down the first axis."""
+        c = ax.shape[0]
         for chk in self.checks:
             vals = np.max(ax, axis=2, initial=0.0)[:, chk.rows] \
                 if chk.check.sup_norm else ax[:, chk.rows]
@@ -400,9 +425,6 @@ class _Reductions:
     def checked(self) -> list:
         """Each bound check's (violation, excess, first sample) by member,
         (members, columns) arrays."""
-        if self.checks and self.samples % _CHUNK:
-            rest = self.samples % _CHUNK
-            self._reduce_chunk(self.samples - rest, rest)
         return [tuple(a.reshape(chk.rows.size, -1)[chk.target]
                       for a in (chk.viol, chk.over, chk.first))
                 for chk in self.checks]

@@ -120,15 +120,19 @@ _MBI_LEVELS.flags.writeable = False
 
 
 def _vertex_patterns(n: int, rng) -> np.ndarray:
-    """All-ones, unit and leave-one-out rows on the positive unit sphere.
+    """All-ones, unit and leave-one-out rows on the positive unit sphere,
+    each row once.
 
     Up to _FULL_VERTEX_N nodes every unit and leave-one-out row is listed and
-    rng is not touched; wider windows draw 32 nodes for them from rng.
+    rng is not touched; wider windows draw 32 nodes for them from rng.  On
+    one node the unit row is the all-ones row, and on two nodes the
+    leave-one-out rows are the unit rows, so neither is listed again.
     """
     rows = [np.ones(n)]
     if n <= _FULL_VERTEX_N:
-        rows.extend(np.eye(n))
         if n > 1:
+            rows.extend(np.eye(n))
+        if n > 2:
             rows.extend(np.ones((n, n)) - np.eye(n))
     else:
         picks = rng.choice(n, size=32, replace=False)

@@ -15,7 +15,9 @@ member; a network ensemble is one run of it, and a single subsystem (behind
 integrate_ode and SubsystemSystem) a one-row, one-column run whose inputs
 are u and the neighbor signals w.  A row that exceeds the blow-up bound
 at a sample, the start one included, ends there with a BlowUp of its |x|
-instead of poisoning later arithmetic.
+instead of poisoning later arithmetic; that test is one scalar max per
+sample.  The loop writes each sample's |x| into one reused block and
+hands its observer a block of 32 samples (_CHUNK) at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
 
 DEFAULT_BLOWUP_BOUND = 1e12    # |x| above it ends a trajectory as a blow-up
 DEFAULT_AXIOM_DT = 1e-3    # axiom adapters' step where the domain has none
+_CHUNK = 32                # samples per block a stepping pass reduces
 
 
 @dataclass(frozen=True)
@@ -301,42 +304,45 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
                kept: int | None = None, observe=None):
     """Step the rows of x (m, n) by ``update(x, inputs[k])`` over ``times``.
 
-    ``observe(k, |x|, row sup norms, blown)`` sees every sample, blown
-    the mask of the rows that blow up at it, or None when none does.  The
-    first ``kept`` rows (all when None) store their states.  A row whose
-    norm is not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample, the
-    start one included, ends there with a BlowUp of that norm, and is held
-    at zero after every later step.  Returns (states, ends, blowups): kept
+    Each sample's |x| goes into one reused (_CHUNK, m, n) block, and
+    ``observe(k0, block, blown)`` sees a block of 32 samples at a time,
+    k0 its first sample and the last block partial: blown lists (k, mask)
+    for each sample k in it at which the rows of mask blow up.  The first
+    ``kept`` rows (all when None) store their states.  A row whose norm is
+    not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample, the start one
+    included, ends there with a BlowUp of that norm, and is held at zero
+    after every later step.  Returns (states, ends, blowups): kept
     (ends[j], n) samples by row j, each row's sample count and BlowUp or
     None.
     """
     m, n = x.shape
     steps = times.size - 1
     kept = m if kept is None else kept
-    block = np.empty((kept, steps + 1, n))
+    stored = np.empty((kept, steps + 1, n))
+    block = np.empty((min(_CHUNK, steps + 1), m, n))
+    blown = []                        # (k, mask) in the current block
     ends = np.full(m, steps + 1)
     blowups: list[BlowUp | None] = [None] * m
     dead = np.zeros(m, bool)          # blown-up rows, held at zero
     n_dead = 0                        # no array test per step while 0
+    k0 = 0                            # first sample of the current block
+    samples = steps + 1               # fewer when every row has blown up
     for k in range(steps + 1):
         if k:
             if n_dead == m:
+                samples = k
                 break
             x = update(x, inputs[k - 1])
             if n_dead:
                 x[dead] = 0.0
         if kept:
-            block[:, k] = x[:kept]
-        ax = np.abs(x)
-        norms = ax.max(axis=1, initial=0.0)
-        # one scalar test per sample, which NaN fails too; the rows only
-        # when it fails
-        bad = None
-        if not norms.max(initial=0.0) <= DEFAULT_BLOWUP_BOUND:
+            stored[:, k] = x[:kept]
+        ax = np.abs(x, out=block[k - k0])
+        # one scalar test per sample, which NaN fails too; the row norms
+        # only when it fails
+        if not ax.max(initial=0.0) <= DEFAULT_BLOWUP_BOUND:
+            norms = ax.max(axis=1, initial=0.0)
             bad = ~(norms <= DEFAULT_BLOWUP_BOUND)
-        if observe is not None:
-            observe(k, ax, norms, bad)
-        if bad is not None:
             for j in np.flatnonzero(bad):
                 ends[j] = k + 1
                 blowups[j] = BlowUp(float(times[k]), float(norms[j]),
@@ -344,7 +350,15 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
             dead |= bad
             n_dead = int(np.count_nonzero(dead))
             x[bad] = 0.0
-    states = {j: block[j, :ends[j]] for j in range(kept)}
+            blown.append((k, bad))
+        if k - k0 == _CHUNK - 1:
+            if observe is not None:
+                observe(k0, block, blown)
+            blown = []
+            k0 = k + 1
+    if observe is not None and k0 < samples:
+        observe(k0, block[:samples - k0], blown)
+    states = {j: stored[j, :ends[j]] for j in range(kept)}
     return states, ends, blowups
 
 

@@ -484,11 +484,13 @@ def test_small_windows_screen_few_blocks(monkeypatch):
 
 
 def _reference_patterns(n, m, rng):
-    """Vertex rows, then m random rows: the draw order of the first sweep."""
+    """Vertex rows, each once, then m random rows: the draw order of the
+    first sweep."""
     rows = [np.ones(n)]
     if n <= 64:
-        rows.extend(np.eye(n))
-        if n > 1:
+        if n > 1:                # one node: the unit row is all ones
+            rows.extend(np.eye(n))
+        if n > 2:                # two nodes: leave-one-out rows are units
             rows.extend(np.ones((n, n)) - np.eye(n))
     else:
         for k in rng.choice(n, size=32, replace=False):

@@ -1,7 +1,7 @@
 """The certify and trace passes against the stored-trajectory loops.
 
-Certification steps its members in few passes and reduces each sample as
-it is produced; no certify pass keeps a trajectory, and holdout
+Certification steps its members in few passes and reduces their samples
+a block of 32 at a time; no certify pass keeps a trajectory, and holdout
 validation steps the holdout members again.  The loops below are the
 per-family, per-run and per-cell computations that read stored
 trajectories, kept as references: every reduced result must equal them
@@ -878,3 +878,192 @@ def test_a_certify_run_holds_no_holdout_block():
     samples = round(cfg.horizon / cfg.dt) + 1
     block = len(hold) * samples * len(window) * 8
     assert peak < block / 4, (peak, block)
+
+
+# blocks of 32 samples ----------------------------------------------------
+
+
+BLOCK = network._CHUNK
+TAIL_STARTS = (0.0, 20.0, 33.0, 64.5, 90.0)
+THRESHOLDS = [0.5, 1.5, 0.0, 1.0]        # in no particular order
+
+
+def _replay_member(states):
+    """A member of _replay_net whose trajectory is ``states``, (T, 2)."""
+    states = np.asarray(states, float)
+    if len(states) == 1:
+        return states[0], InputSignal.zero(2)
+    return states[0], InputSignal(np.arange(len(states) - 1.0), states[1:])
+
+
+def _block_check(samples, m):
+    """A bound check on both columns: two decaying slots, the members in
+    them by turns, and every third member bounded by its offset alone."""
+    t = np.arange(float(samples))
+    beta = np.stack([np.exp(-t / 9.0), 2.0 * np.exp(-t / 30.0)], 1)
+    beta = np.repeat(beta[:, :, None], 2, axis=2)
+    slot = np.array([-1 if j % 3 == 2 else j % 2 for j in range(m)])
+    offset = np.array([0.25 * (j % 4) for j in range(m)])
+    return network._BoundCheck(beta, slot, offset, False, -1e-3, 0.1)
+
+
+def _assert_blocks_equal_the_stored_pass(trajectories):
+    """Every reduction of a pass over the replayed ``trajectories`` (each
+    the same length) equals numpy on its stored ensemble; returns the
+    stepped pass."""
+    net = _replay_net()
+    members = [_replay_member(states) for states in trajectories]
+    m, samples = len(members), len(trajectories[0])
+    thresholds = np.array([THRESHOLDS] * m)
+    check = _block_check(samples, m)
+    stepped = _simulate(net, (0, 1), members, samples - 1.0, None,
+                        thresholds=thresholds, tail_starts=TAIL_STARTS,
+                        checks=[check])
+    trajs = simulate_ensemble(net, (0, 1), members, samples - 1.0)
+    (viol, over, first), = stepped.checked
+    for j, traj in enumerate(trajs):
+        ax = np.abs(traj.states)
+        size = traj.times.size
+        assert stepped.ends[j] == size
+        assert stepped.blowups[j] == traj.blowup
+        assert stepped.peaks[j] == ax.max()
+        above = ax[:, None, :] > thresholds[j][None, :, None]
+        last = np.where(above.any(axis=0),
+                        size - 1 - np.argmax(above[::-1], axis=0), -1)
+        assert np.array_equal(stepped.last_exceed[j], last)
+        assert np.array_equal(stepped.tail_sups[j], tail_limsup_estimate(
+            traj.times, ax, TAIL_STARTS))
+        # a blown-up row is held at zero to the pass's end, and a bound
+        # check reads those zeros too
+        held = np.zeros((stepped.ends.max(), 2))
+        held[:size] = ax
+        slot = check.slot[j]
+        bound = (check.beta[:held.shape[0], slot] if slot >= 0
+                 else np.zeros(held.shape)) + check.offset[j]
+        want = held - bound
+        excess = want - (check.tol_abs + check.tol_rel * bound)
+        assert np.array_equal(viol[j], want.max(axis=0))
+        assert np.array_equal(over[j], excess.max(axis=0))
+        assert np.array_equal(first[j], np.argmax(excess, axis=0))
+    return stepped
+
+
+def _random_trajectories(samples, m, seed):
+    rng = np.random.default_rng(seed)
+    return list(rng.uniform(-2.0, 2.0, (m, samples, 2)))
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                     3 * BLOCK + 5])
+def test_passes_across_block_boundaries_equal_the_stored_pass(samples):
+    _assert_blocks_equal_the_stored_pass(_random_trajectories(samples, 5,
+                                                              samples))
+
+
+def test_blowups_at_block_boundaries_equal_the_stored_pass():
+    trajectories = _random_trajectories(3 * BLOCK + 5, 5, 7)
+    for states, k in zip(trajectories, (0, BLOCK - 1, BLOCK, BLOCK + 1)):
+        states[k, 1] = -1e13
+    stepped = _assert_blocks_equal_the_stored_pass(trajectories)
+    assert list(stepped.ends) == [1, BLOCK, BLOCK + 1, BLOCK + 2,
+                                  3 * BLOCK + 5]
+    assert [b and b.value for b in stepped.blowups] == [1e13] * 4 + [None]
+
+
+@pytest.mark.parametrize("deaths", [(40, 45), (BLOCK - 1, BLOCK - 1)])
+def test_a_pass_whose_rows_all_die_mid_block_equals_the_stored_pass(deaths):
+    # the last row to blow up ends the loop; the samples stepped so far
+    # are reduced, a partial block or none
+    trajectories = _random_trajectories(3 * BLOCK + 5, 2, 11)
+    for states, k in zip(trajectories, deaths):
+        states[k, 0] = 1e13
+    stepped = _assert_blocks_equal_the_stored_pass(trajectories)
+    assert list(stepped.ends) == [k + 1 for k in deaths]
+
+
+def test_crossings_inside_one_block_equal_the_stored_pass():
+    # column 0 crosses threshold 1.0 down and up several times inside the
+    # second block and ends it below; column 1 is above 1.0 only at the
+    # block's last sample
+    states = np.full((3 * BLOCK + 5, 2), 0.25)
+    states[BLOCK + 2:BLOCK + 12:3, 0] = 1.25
+    states[2 * BLOCK - 1, 1] = -1.25
+    stepped = _assert_blocks_equal_the_stored_pass([states])
+    level = THRESHOLDS.index(1.0)
+    assert list(stepped.last_exceed[0, level]) == [BLOCK + 11, 2 * BLOCK - 1]
+
+
+def test_equality_with_a_threshold_is_not_above_it():
+    # |x| equal to a threshold never counts, in a block's interior or at
+    # its last sample; the last sample strictly above does
+    states = np.full((3 * BLOCK + 5, 2), 0.25)
+    states[BLOCK + 3, 0] = -1.5
+    states[BLOCK + 5, 0] = 1.0
+    states[2 * BLOCK - 1, :] = 1.0
+    stepped = _assert_blocks_equal_the_stored_pass([states])
+    at_one = stepped.last_exceed[0, THRESHOLDS.index(1.0)]
+    at_half = stepped.last_exceed[0, THRESHOLDS.index(0.5)]
+    assert list(at_one) == [BLOCK + 3, -1]
+    assert list(at_half) == [2 * BLOCK - 1, 2 * BLOCK - 1]
+
+
+def test_a_pass_observes_one_block_per_32_samples(monkeypatch):
+    blocks = []
+    step_rows = network._step_rows
+
+    def recorded(times, update, x, inputs, kept=None, observe=None):
+        def counted(k0, block, blown):
+            blocks.append((k0, block.shape[0]))
+            observe(k0, block, blown)
+        return step_rows(times, update, x, inputs, kept, counted)
+
+    monkeypatch.setattr(network, "_step_rows", recorded)
+    net = _replay_net()
+    for samples in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+        blocks.clear()
+        members = [_replay_member(s) for s in _random_trajectories(samples,
+                                                                   3, 0)]
+        _simulate(net, (0, 1), members, samples - 1.0, None,
+                  thresholds=np.ones((3, 1)))
+        assert len(blocks) == -(-samples // BLOCK)
+        assert blocks == [(k0, min(BLOCK, samples - k0))
+                          for k0 in range(0, samples, BLOCK)]
+
+
+def test_a_window_without_neighbors_binds_its_block_once():
+    net, _ = instantiate("counterexample-chain")
+    seen = []
+
+    def factory(window):
+        f = net.fast_factory(window)
+
+        def recorded(x, w, u):
+            seen.append(w)
+            return f(x, w, u)
+        return recorded
+
+    recording = dataclasses.replace(net, fast_factory=factory)
+    members = [(0.5, InputSignal.zero()), (1.0, InputSignal.constant(0.2))]
+    stepped = _simulate(recording, 5, members, 1.0, 0.1)
+    assert len(seen) == 4 * 10                    # four RK4 stages a step
+    assert all(w is seen[0] for w in seen)
+    assert seen[0].shape == (2, 5, 0)
+    assert np.array_equal(stepped.trajectory(1).states,
+                          _simulate(net, 5, members, 1.0, 0.1)
+                          .trajectory(1).states)
+
+
+def test_a_nan_sample_is_above_no_threshold():
+    # a NaN row blows up at its sample and compares above nothing there,
+    # though its block's max is NaN; the sample above 0.05 still counts
+    spec = SubsystemSpec("nan", DISCRETE,
+                         lambda x, w, u: np.nan if u > 0.5 else 0.5 * x)
+    net = NetworkSpec("nan", DISCRETE, FiniteIndexSet((0, 1)),
+                      lambda i: spec)
+    members = [(0.1, InputSignal(np.array([0.0, 5.0]), np.array([0.0, 1.0]))),
+               (0.1, InputSignal.zero())]
+    stepped = _simulate(net, (0, 1), members, 40.0, None,
+                        thresholds=np.array([[0.5, 0.05]] * 2))
+    assert list(stepped.ends) == [7, 41]
+    assert np.isnan(stepped.blowups[0].value)
+    assert stepped.last_exceed[:, :, 0].tolist() == [[-1, 0], [-1, 0]]
