@@ -195,7 +195,18 @@ def _build_nonuniform_chain(p):
 
     def fast(window):
         a, b, cc = _chain_coeffs(np.asarray(window, float), theta)
-        return lambda x, w, u: a * x + b * w[..., 0] + cc * u
+        # a and b repeated to each state shape, made once (see the
+        # counterexample chain); cc * u broadcasts the input as given
+        tiles = {}
+
+        def f(x, w, u):
+            if x.shape not in tiles:
+                tiles[x.shape] = (np.broadcast_to(a, x.shape).copy(),
+                                  np.broadcast_to(b, x.shape).copy())
+            ta, tb = tiles[x.shape]
+            return ta * x + tb * w[..., 0] + cc * u
+
+        return f
 
     graph = _GeneratedGraph("unidirectional-chain", {"theta": theta})
     net = NetworkSpec("nonuniform-discrete-chain", DISCRETE, graph.index_set,

@@ -16,9 +16,10 @@ The pipeline has four stages, each producing an inspectable artifact:
    transient bound sigma_tilde = 2 sigma and the common input gain
    gamma = max(sigma + gamma_ugs, gamma_hat), gamma_hat being the curve
    of the attainment table, then validates the resulting estimate on
-   the held-out members, stepped again.  uniform_from_nonuniform collapses
-   it to one surface and validates that on the same runs with the same
-   check (or build_nonuniform_iss does, in its own pass, when asked).
+   the held-out members, from their block records.  uniform_from_nonuniform
+   collapses it to one surface and validates that on the same runs with
+   the same check (or build_nonuniform_iss does, with its own, when
+   asked).
 4. compute_band_limsups / verify_sg_inequality: finite-horizon tail-sup
    estimates per (r, k, q) cell, an input band [2^-k r, 2^(1-k) r] or a
    small-input cap q, all stepped in one pass, checked against the vector
@@ -30,23 +31,27 @@ the config and the seed, so a stage plans all of its members and steps
 them in one network._simulate pass that reduces the |x| rows a block of
 32 samples at a time: the running peak sup norm (fit_ugs), the last sample
 above each attainment threshold (estimate_attainment_times) and the
-suffix sups at the tail starts (compute_band_limsups) and each holdout
-bound's largest violation and excess (build_nonuniform_iss).  A
-certification makes three passes, none of which stores states:
-build_fit_and_holdout steps the fit and holdout members together for
-their peaks, estimate_attainment_times steps the members of every radius,
-whose thresholds need the fitted sigma, and build_nonuniform_iss steps the
-holdout members again, because its decay surfaces need the attainment
-times, checking them pointwise a block of 32 samples at a time
+suffix sups at the tail starts (compute_band_limsups) and the holdout
+rows' block records (build_fit_and_holdout).  A certification makes two
+full passes, neither of which stores states: build_fit_and_holdout steps
+the fit and holdout members together for their peaks, keeping per block
+of 32 samples each holdout row's start state and per-component |x| max,
+and estimate_attainment_times steps the members of every radius, whose
+thresholds need the fitted sigma.  build_nonuniform_iss, whose decay
+surfaces need the attainment times, validates the holdout pointwise
 (_validate_holdout, which with uniform set checks the collapse to one
-surface in the same pass).  build_ensemble keeps every trajectory it
+surface at the same time): the records bound every block's violation
+and excess from above and give exact values at the blocks' first samples,
+and only the blocks whose upper bound reaches the largest of those are
+stepped again, a few 32-sample segments stacked as the rows of short
+runs (network._replay).  build_ensemble keeps every trajectory it
 returns.  A pass steps each distinct member once, so the deterministic
 members that fit and holdout share cost one row, and equal kept members
 share one trajectory.
-Validation evaluates the decay surfaces once per start radius, and a
-repeated run is one target of the pass's bound check.  Every stage hands
-its planned member families to one helper, _run_pass, which makes the
-single _simulate call, raises on the first blown-up member in family
+Validation evaluates the decay surfaces once per start radius, and runs
+that share a row share its records and its replayed blocks.  Every stage
+hands its planned member families to one helper, _run_pass, which makes
+the single _simulate call, raises on the first blown-up member in family
 order and returns each family's rows.
 
 All limit quantities are replaced by finite-horizon tail sups with the
@@ -69,8 +74,9 @@ from .comparison import (KLSurface, ScalarCurve, _dyadic_levels, curve_max,
                          kl_from_decay_table, make_strictly_increasing,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import (NetworkSpec, NetworkTrajectory, _BoundCheck, _simulate,
-                      _suffix_max, _tail_start_samples)
+from .network import (_CHUNK, NetworkSpec, NetworkTrajectory, _BlockRecords,
+                      _replay, _row_key, _simulate, _start_rows, _suffix_max,
+                      _tail_start_samples)
 from .systems import InputSignal
 
 __all__ = [
@@ -143,14 +149,16 @@ class LabeledRun:
 class Holdout:
     """The held-out runs of one certification, a sequence of LabeledRuns
     without trajectories, with the network, window and ensemble config
-    they were stepped on: validation steps them again instead of storing
-    their states."""
+    they were stepped on, and the block records of their rows from that
+    pass (network._BlockRecords, keyed by row): validation steps again
+    only the blocks that can decide it instead of storing their states."""
 
     net: NetworkSpec
     window: tuple
     cfg: EnsembleConfig
     seed: int
     runs: tuple
+    records: _BlockRecords | None = None
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -280,18 +288,20 @@ def build_fit_and_holdout(net: NetworkSpec,
 
     The members equal those of build_ensemble with either tag.  Every
     member keeps only its peak sup norm, which is all fit_ugs reads, and
-    no trajectory: build_nonuniform_iss steps the holdout members again
-    to validate them pointwise.  A fit blow-up is reported before a
-    holdout one.
+    no trajectory; the holdout rows also keep their block records, from
+    which build_nonuniform_iss validates them pointwise.  A fit blow-up
+    is reported before a holdout one.
     """
     window = net.window(window)
     fit = _plan_bins(net, window, bins, cfg, seed, "fit")
     hold = _plan_bins(net, window, bins, cfg, seed, "holdout")
-    stepped, (fit_rows, hold_rows) = _run_pass(net, window, cfg, seed,
-                                               [(fit, False), (hold, False)])
+    stepped, (fit_rows, hold_rows) = _run_pass(
+        net, window, cfg, seed, [(fit, False), (hold, False)],
+        record=[False] * len(fit) + [True] * len(hold))
     return (_labeled_runs(stepped, fit_rows, fit, seed),
             Holdout(net, window, cfg, seed,
-                    tuple(_labeled_runs(stepped, hold_rows, hold, seed))))
+                    tuple(_labeled_runs(stepped, hold_rows, hold, seed)),
+                    stepped.records))
 
 
 # UGS fitting ------------------------------------------------------------
@@ -519,53 +529,153 @@ def _lift_strict(times: np.ndarray, gap: float) -> np.ndarray:
     return out
 
 
+def _holdout_records(holdout: Holdout):
+    """The block records of the holdout's rows and each run's row in them:
+    the holdout's own when they come from a pass on its network, window
+    and grid and hold every run's row (so a holdout built by hand or by
+    dataclasses.replace reads only records of its rows), else those of
+    one records pass over its runs, where a blow-up raises."""
+    net, window, cfg = holdout.net, tuple(holdout.window), holdout.cfg
+    times, _h = net.time_domain.grid(cfg.horizon, cfg.dt)
+    starts = _start_rows([(run.x0, run.u) for run in holdout], len(window))
+    keys = [_row_key(x0, run.u) for x0, run in zip(starts, holdout)]
+    rec = holdout.records
+    if rec is None or rec.net is not net or rec.window != window \
+            or not np.array_equal(rec.times, times) \
+            or any(key not in rec.index for key in keys):
+        family = [(_where(run.member, run.r_x, run.r_u), run.x0, run.u)
+                  for run in holdout]
+        stepped, _spans = _run_pass(net, window, cfg, holdout.seed,
+                                    [(family, False)],
+                                    record=[True] * len(family))
+        rec = stepped.records
+    return rec, np.array([rec.index[key] for key in keys])
+
+
 def _validate_holdout(holdout: Holdout, window: tuple, checks,
                       gamma: ScalarCurve, tol_abs: float, tol_rel: float):
-    """Step the holdout runs again, storing no states, and check each
-    (beta, sup_norm) bound at every sample: |x|, column by column, or the
-    sup norm as one column, at most beta(r_x, times) + gamma(||u||).
+    """Check each (beta, sup_norm) bound at every sample of the holdout
+    runs, storing no states: |x|, column by column, or the sup norm as
+    one column, at most beta(r_x, times) + gamma(||u||).
 
     beta(r, times), a (samples, columns) block, is evaluated once per
-    positive start radius r into one (samples, radii, columns) block; a
-    decay surface vanishes at r = 0, so a run from rest is bounded by
-    gamma(||u||) alone, with no block and no call.  The pass folds each
-    (row, r_x, ||u||) target into its running maxima (network._BoundCheck),
-    so a repeated run costs nothing.
+    positive start radius r, and kept only over the blocks some run must
+    read; a decay surface vanishes at r = 0, so a run from rest is
+    bounded by gamma(||u||) alone, with no call.  The runs' block records
+    (_holdout_records) bound every (run, 32-sample block, column): the
+    violation and excess expressions at the block's largest |x| and its
+    smallest bound (its largest one in the tolerance when tol_rel < 0)
+    are upper bounds, since rounding is monotone, and their exact values
+    at the blocks' first samples are lower bounds on the largest ones.
+    Only the blocks whose upper bound reaches a lower bound are read
+    sample by sample: stepped again by network._replay, in runs of at
+    most the holdout's distinct-row count, or known without a step (a
+    block whose largest |x| is 0, or of one sample).
     Returns per check (raw, exceed, worst): the largest violation, at
     least 0; the largest violation less the tolerance tol_abs + tol_rel *
     bound; and (column, time, member) where the latter first occurs, runs
-    in order, then columns in order.
+    in order, then columns, then samples, in the bits of the plain
+    expressions over every sample.
     """
     if not len(holdout):
         raise ValueError("empty holdout")
     if tuple(holdout.window) != tuple(window):
         raise ValueError(f"holdout on window {holdout.window}, certificate "
                          f"on {window}")
-    net, cfg = holdout.net, holdout.cfg
-    times, _h = net.time_domain.grid(cfg.horizon, cfg.dt)
-    slots: dict[float, int] = {}
-    slot = [slots.setdefault(float(run.r_x), len(slots)) if run.r_x > 0
-            else -1 for run in holdout]
+    records, rows = _holdout_records(holdout)
+    times = records.times
+    edges = np.arange(0, times.size, _CHUNK)      # each block's first sample
+    radius = [float(run.r_x) if run.r_x > 0 else 0.0 for run in holdout]
+    radii: dict[float, list] = {0.0: []}           # start radius -> its runs
+    for j, r in enumerate(radius):
+        radii.setdefault(r, []).append(j)
     offset = [float(gamma(run.u_norm)) for run in holdout]
-    bounds = []
+
+    def tol(bound):
+        return tol_abs + tol_rel * bound
+
+    def values(ax, sup_norm):
+        return ax.max(axis=-1, keepdims=True) if sup_norm else ax
+
+    # per check, the blocks each run must read and beta over them; a radius
+    # is evaluated, bounded and dropped before the next one, runs from rest
+    # first, and a lower bound that is not yet the final one picks more
+    plans = []
     for beta, sup_norm in checks:
         cols = 1 if sup_norm else len(window)
-        block = np.empty((times.size, len(slots), cols))
-        for r, k in slots.items():
-            block[:, k] = beta(r, times)
-        bounds.append(_BoundCheck(block, np.array(slot), np.array(offset),
-                                  sup_norm, tol_abs, tol_rel))
-    family = [(_where(run.member, run.r_x, run.r_u), run.x0, run.u)
-              for run in holdout]
-    stepped, _spans = _run_pass(net, window, cfg, holdout.seed,
-                                [(family, False)], checks=bounds)
+        viol_lo = exceed_lo = -np.inf
+        picks, spans = {}, {}
+        for r, runs in radii.items():
+            blk = beta(r, times) if r > 0 \
+                else np.broadcast_to(np.zeros(cols), (times.size, cols))
+            for j in runs:
+                b0 = blk[edges] + offset[j]
+                viol = values(np.abs(records.states[rows[j]]), sup_norm) - b0
+                viol_lo = max(viol_lo, float(viol.max()))
+                exceed_lo = max(exceed_lo, float((viol - tol(b0)).max()))
+            low = np.minimum.reduceat(blk, edges, axis=0)
+            high = np.maximum.reduceat(blk, edges, axis=0) if tol_rel < 0 \
+                else low                      # where the tolerance is least
+            for j in runs:
+                viol = values(records.tops[rows[j]], sup_norm) \
+                    - (low + offset[j])
+                over = viol - tol(high + offset[j])
+                picks[j] = np.flatnonzero(~(over.max(axis=1) < exceed_lo)
+                                          | (viol.max(axis=1)
+                                             > max(0.0, viol_lo)))
+                for b in picks[j]:
+                    # a copy lets the radius's block go (and a view of the
+                    # zeros of r = 0 holds no memory)
+                    if (r, b) not in spans:
+                        span = blk[records.block(b)]
+                        spans[r, b] = span.copy() if r > 0 else span
+        plans.append((sup_norm, max(0.0, viol_lo), picks, spans))
+
+    # the |x| samples of every picked (row, block), stepped only where
+    # needed (a None until then)
+    zeros = np.zeros((_CHUNK, len(window)))
+    exact = {}
+    segments = []
+    for *_plan, picks, _spans in plans:
+        for j, blocks in picks.items():
+            for b in blocks:
+                key = (int(rows[j]), int(b))
+                if key in exact:
+                    continue
+                span = records.block(key[1])
+                if not records.tops[key].any():
+                    exact[key] = zeros[:span.stop - span.start]
+                elif span.stop - span.start == 1:
+                    exact[key] = np.abs(records.states[key])[None]
+                else:
+                    exact[key] = None
+                    segments.append((*key, holdout[j].u))
+    for (r, b, _u), ax in zip(segments, _replay(records, segments,
+                                                len(set(rows.tolist())))):
+        exact[r, b] = ax
+
+    # folded runs in order, then columns, then samples: a strict > keeps
+    # the first of tied maxima
     results = []
-    for viol, over, first in stepped.checked:
-        # argmax of the flat (run, column) array: the first of tied maxima
-        j, col = np.unravel_index(int(np.argmax(over)), over.shape)
-        results.append((max(0.0, float(np.max(viol))), float(over[j, col]),
-                        (int(col), float(times[first[j, col]]),
-                         holdout[j].member)))
+    for sup_norm, raw, picks, spans in plans:
+        exceed, worst = -np.inf, None
+        for j, run in enumerate(holdout):
+            best = np.full(1 if sup_norm else len(window), -np.inf)
+            first = np.zeros(best.size, int)
+            for b in picks[j]:
+                b_k = spans[radius[j], b] + offset[j]
+                viol = values(exact[rows[j], b], sup_norm) - b_k
+                raw = max(raw, float(viol.max()))
+                over = viol - tol(b_k)
+                top = over.max(axis=0)
+                better = top > best
+                best[better] = top[better]
+                first[better] = b * _CHUNK + over.argmax(axis=0)[better]
+            col = int(np.argmax(best))
+            if best[col] > exceed or worst is None and picks[j].size:
+                exceed = float(best[col])
+                worst = (col, float(times[first[col]]), run.member)
+        results.append((raw, exceed, worst))
     return results
 
 
@@ -586,9 +696,10 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     the attainment table was estimated with (and ugs.sigma its sigma, or a
     ValueError).  Every component of every holdout run must stay below its
     bound within the tolerance tol_abs + tol_rel * bound; the holdout,
-    nonempty and on the table's window, is stepped again for the check,
-    in one pass that with ``uniform`` also validates the collapse to one
-    surface (uniform_from_nonuniform), kept as the certificate's uniform.
+    nonempty and on the table's window, is checked from its block
+    records (_validate_holdout), which with ``uniform`` also validate the
+    collapse to one surface (uniform_from_nonuniform), kept as the
+    certificate's uniform.
     """
     gamma_hat = attainment.gamma_hat
     window = attainment.window
@@ -619,7 +730,10 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     gamma = curve_max(curve_sum(sigma, ugs.gamma), gamma_hat)
 
     def beta(r, t):
-        return np.stack([surfaces[i](r, t) for i in window], axis=-1)
+        out = np.empty((t.size, len(window)))
+        for pos, i in enumerate(window):
+            out[:, pos] = surfaces[i](r, t)
+        return out
 
     checks = [(beta, False)]
     if uniform:
@@ -674,8 +788,8 @@ def uniform_from_nonuniform(cert: NonUniformISSCertificate,
                             ) -> UniformISSCertificate:
     """Collapse a finite-window certificate to a common decay surface,
     validated like the certificate itself, with the sup norm of each
-    holdout run against the common surface, in a pass of its own
-    (build_nonuniform_iss with uniform set shares its pass instead)."""
+    holdout run against the common surface, on its own
+    (build_nonuniform_iss with uniform set checks both at once)."""
     beta, check = _collapse(cert.surfaces, cert.window)
     (residual, exceed, _worst), = _validate_holdout(
         holdout, cert.window, [check], cert.gamma, tol_abs, tol_rel)

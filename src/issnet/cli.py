@@ -501,10 +501,11 @@ def _run_certify(net, window, seed, uniform, cfg, radii, depth, tolerances,
     Returns (payload, cert); raises CertificationError with a reproducer
     in the message on any certified failure.
     """
-    # three stepping passes, none of which stores states: the fit and
-    # holdout members first, then the attainment members, whose thresholds
-    # need the fitted sigma, then the holdout members again to validate
-    # the decay surfaces built from the attainment times
+    # two full stepping passes, neither of which stores states: the fit
+    # and holdout members first, then the attainment members, whose
+    # thresholds need the fitted sigma; the decay surfaces built from the
+    # attainment times are validated from the holdout's block records,
+    # stepping again only the few blocks that can reach the worst excess
     bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
         + [(r, r) for r in radii]
     fit_runs, holdout = build_fit_and_holdout(net, window, bins, cfg, seed)

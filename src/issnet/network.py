@@ -17,9 +17,10 @@ pass up (start states, coupled map, input block) and systems._step_rows,
 the one stepping loop, steps it.  The pass reduces the |x| rows per
 member a block of 32 samples at a time (the peak sup norm, the last
 sample above given nonnegative thresholds, the suffix sups at given tail
-starts, the largest violation of given pointwise bounds), and only the
-members asked to keep their states store them, so an ensemble need not
-hold all of its trajectories.  Equal members (start row, input and
+starts, and for recorded rows each block's start state and per-column
+max), and only the members asked to keep their states store them, so an
+ensemble need not hold all of its trajectories.  _replay steps recorded
+blocks again on their own, from their start states.  Equal members (start row, input and
 threshold row) share one row, so each distinct member is stepped and
 stored once and its results are handed to every copy.  A member that blows up keeps its row,
 held at zero from then on, which moves none of these reductions.
@@ -163,15 +164,17 @@ def _assembled_map(specs: list):
     return f
 
 
-def _input_block(members, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Every member's input on the step interiors: (steps, m, 1) when all
+def _input_block(inputs, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
+    """Every input on the step interiors [t0, t0 + h) of t0s, (steps,)
+    shared or (steps, m) a column per input: (steps, m, 1) when all
     inputs are scalar, (steps, m, n) when some input is vector valued,
-    filled one member at a time."""
-    scalar = all(u.values.ndim == 1 for _x0, u in members)
-    block = np.empty((t0s.size, len(members), 1 if scalar else n))
+    filled one input at a time."""
+    scalar = all(u.values.ndim == 1 for u in inputs)
+    block = np.empty((t0s.shape[0], len(inputs), 1 if scalar else n))
     t1s = t0s + h
-    for j, (_x0, u) in enumerate(members):
-        v = u.interior_values(t0s, t1s)
+    for j, u in enumerate(inputs):
+        v = u.interior_values(t0s, t1s) if t0s.ndim == 1 \
+            else u.interior_values(t0s[:, j], t1s[:, j])
         if v.ndim == 1:
             v = v[:, None]
         elif v.shape[1:] != (n,):
@@ -180,20 +183,66 @@ def _input_block(members, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
     return block
 
 
-@dataclass(frozen=True, eq=False)
-class _BoundCheck:
-    """A pointwise bound a pass checks as it steps: at sample k, member
-    j's |x| columns, or its sup norm as one column when ``sup_norm``, less
-    bound = beta[k, slot[j]] + offset[j], and that violation less the
-    tolerance tol_abs + tol_rel * bound."""
+def _start_rows(members, n: int) -> np.ndarray:
+    """The (m, n) start states of the (x0, u) members, a scalar x0
+    broadcast to the window."""
+    starts = np.empty((len(members), n))
+    for j, (x0, _u) in enumerate(members):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.ndim == 0:
+            x0 = np.full(n, float(x0))
+        if x0.shape != (n,):
+            raise ValueError("x0 must be scalar or aligned with the window")
+        starts[j] = x0
+    return starts
 
-    beta: np.ndarray                 # (samples, slots, columns)
-    slot: np.ndarray                 # (m,) slot of each member; -1 for a
-                                     # bound of its offset alone (beta 0)
-    offset: np.ndarray               # (m,) offset of each member
-    sup_norm: bool
-    tol_abs: float
-    tol_rel: float
+
+def _row_key(start: np.ndarray, u: InputSignal) -> tuple:
+    """A member's start row and its input's breaks and values: members
+    with equal keys step to equal rows."""
+    return (start.tobytes(), u.breaks.tobytes(), u.values.shape,
+            u.values.tobytes())
+
+
+def _coupled_step(net: NetworkSpec, window: tuple, h: float, m: int):
+    """The time domain's update of an (m, n) state on the window: the
+    spec's fast_factory(window), or the map assembled from the
+    per-component dynamics, handed the window's neighbor block (bound once
+    when the window has no neighbors)."""
+    specs = [net.subsystem_fn(i) for i in window]
+    lists = [s.neighbors for s in specs]
+    gather = _neighbor_gather(window, lists)
+    f = net.fast_factory(window) if net.fast_factory is not None \
+        else _assembled_map(specs)
+    if any(lists):
+        return net.time_domain.stepper(lambda x, u: f(x, gather(x), u), h)
+    w = gather(np.empty((m, len(window))))   # one empty block for every call
+    step_w = net.time_domain.stepper(f, h)
+
+    def step(x, u):
+        return step_w(x, w, u)
+    return step
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockRecords:
+    """What a pass keeps of its recorded rows, a 32-sample block at a time:
+    each row's state at the block's first sample and each column's
+    largest |x| over the block, enough to step any block again on its own
+    (_replay).  index maps a row's _row_key to its position; net, window,
+    times and h are the pass's."""
+
+    net: NetworkSpec
+    window: tuple
+    times: np.ndarray
+    h: float
+    index: dict
+    states: np.ndarray               # (rows, blocks, n)
+    tops: np.ndarray                 # (rows, blocks, n)
+
+    def block(self, b: int) -> slice:
+        """The samples of block b."""
+        return slice(b * _CHUNK, min((b + 1) * _CHUNK, self.times.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,9 +263,7 @@ class _Stepped:
     last_exceed: np.ndarray | None   # (m, L, n) last sample with |x_i| above
                                      # threshold l, -1 if none
     tail_sups: np.ndarray | None     # (m, starts, n) sup from each start on
-    checked: list                    # per _BoundCheck, (m, columns) arrays:
-                                     # largest violation, largest excess
-                                     # over the tolerance, its first sample
+    records: _BlockRecords | None    # of the recorded members' rows
 
     def trajectory(self, j: int) -> NetworkTrajectory:
         return NetworkTrajectory(self.times[:self.ends[j]], self.window,
@@ -225,7 +272,7 @@ class _Stepped:
 
 def _simulate(net: NetworkSpec, window: Sequence[int], members,
               horizon: float, dt: float | None, keep=None, thresholds=None,
-              tail_starts=None, checks=()) -> _Stepped:
+              tail_starts=None, record=None) -> _Stepped:
     """Step every (x0, u) member together as one (m, n) state array.
 
     The coupled map is the spec's fast_factory(window), or the map
@@ -234,9 +281,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     samples at a time: the running peak sup norm always; with
     ``thresholds`` (an (m, L) array, which must be nonnegative) the last
     sample at which |x_i| of member j exceeds thresholds[j, l]; with
-    ``tail_starts`` the sup of |x_i| from each start on; with ``checks``
-    (_BoundCheck) the largest violation of each bound, the largest excess
-    over its tolerance and the first sample of that excess.
+    ``tail_starts`` the sup of |x_i| from each start on; with ``record``
+    (a flag per member) the block records of the flagged members' rows.
     systems._step_rows steps the pass; only the members flagged in
     ``keep`` (all when None) store their states.
 
@@ -250,14 +296,7 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     window = net.window(window)
     n = len(window)
     m = len(members)
-    starts = np.empty((m, n))
-    for j, (x0, _u) in enumerate(members):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim == 0:
-            x0 = np.full(n, float(x0))
-        if x0.shape != (n,):
-            raise ValueError("x0 must be scalar or aligned with the window")
-        starts[j] = x0
+    starts = _start_rows(members, n)
     if thresholds is not None:
         thresholds = np.asarray(thresholds, float)
         if thresholds.ndim != 2 or thresholds.shape[0] != m:
@@ -265,33 +304,61 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
 
     keep = np.ones(m, bool) if keep is None else np.asarray(keep, bool)
     order, row, n_kept = _distinct_rows(starts, members, thresholds, keep)
-    specs = [net.subsystem_fn(i) for i in window]
-    lists = [s.neighbors for s in specs]
-    gather = _neighbor_gather(window, lists)
-    f = net.fast_factory(window) if net.fast_factory is not None \
-        else _assembled_map(specs)
-    if any(lists):
-        step = net.time_domain.stepper(lambda x, u: f(x, gather(x), u), h)
-    else:                             # one empty block serves every call
-        w = gather(starts[order])
-        step_w = net.time_domain.stepper(f, h)
-
-        def step(x, u):
-            return step_w(x, w, u)
-    inputs = _input_block([members[d] for d in order], times[:-1], h, n) \
+    step = _coupled_step(net, window, h, order.size)
+    inputs = _input_block([members[d][1] for d in order], times[:-1], h, n) \
         if m else None
+    recorded = None if record is None \
+        else _sorted_unique(row[np.asarray(record, bool)])
     red = _Reductions(order.size, n, times,
                       None if thresholds is None else thresholds[order],
-                      tail_starts, checks, row)
+                      tail_starts, recorded)
     states, ends, blowups = _step_rows(
         times, step, starts[order], inputs, n_kept, red.update)
     tail_sups = red.tail_sups()
+    records = None
+    if recorded is not None:
+        index = {}
+        for k, d in enumerate(order[recorded]):
+            index.setdefault(_row_key(starts[d], members[d][1]), k)
+        records = _BlockRecords(net, window, times, h, index, red.rec_states,
+                                red.rec_tops)
     return _Stepped(window, times, ends[row], [blowups[r] for r in row],
                     red.peaks[row],
                     {int(j): states[row[j]] for j in np.flatnonzero(keep)},
                     None if red.last_exceed is None else red.last_exceed[row],
-                    None if tail_sups is None else tail_sups[row],
-                    red.checked())
+                    None if tail_sups is None else tail_sups[row], records)
+
+
+def _replay(records: _BlockRecords, segments, group: int) -> list:
+    """The |x| samples of each (row, block, u) segment of the records,
+    stepped again from the block's recorded start on the row's input u.
+
+    The segments are stacked as the rows of short runs of at most
+    ``group`` rows, each as long as its longest segment; a shorter
+    segment (the grid's last block) steps on past its block's end on the
+    grid's last step input, and those samples are dropped.  Each run is
+    one systems._step_rows call that keeps no states and hands its one
+    block to the observer.  The map's row contract makes every sample
+    equal the recording pass's.
+    """
+    times = records.times
+    out = []
+    for g0 in range(0, len(segments), group):
+        rows, blocks, inputs = zip(*segments[g0:g0 + group])
+        k0s = np.array(blocks) * _CHUNK
+        sizes = np.minimum(_CHUNK, times.size - k0s)
+        c = int(sizes.max())
+        # each segment's steps, its last one repeated past the grid's end
+        k = np.minimum(k0s + np.arange(c - 1)[:, None], times.size - 2)
+        got = []
+        _step_rows(times[:c], _coupled_step(records.net, records.window,
+                                            records.h, len(rows)),
+                   records.states[list(rows), list(blocks)],
+                   _input_block(inputs, times[k], records.h,
+                                len(records.window)),
+                   0, lambda _k0, block, _blown, _start: got.append(block))
+        out.extend(got[0][:size, i] for i, size in enumerate(sizes))
+    return out
 
 
 def _distinct_rows(starts: np.ndarray, members, thresholds, keep):
@@ -305,8 +372,7 @@ def _distinct_rows(starts: np.ndarray, members, thresholds, keep):
     first = {}
     rep = np.empty(m, int)            # the first member equal to member j
     for j, (_x0, u) in enumerate(members):
-        key = (starts[j].tobytes(), u.breaks.tobytes(), u.values.shape,
-               u.values.tobytes(),
+        key = (_row_key(starts[j], u),
                None if thresholds is None else thresholds[j].tobytes())
         rep[j] = first.setdefault(key, j)
     distinct = np.flatnonzero(rep == np.arange(m))
@@ -326,15 +392,13 @@ class _Reductions:
     Each one is a running max, or a test of |x| against a nonnegative
     threshold, so a row of zeros changes none of them, and a tail start
     after a row's blow-up sample reads that sample, as on the row's
-    truncated trajectory.  A bound check reads a blown row's zeros too:
-    in the column that blew up they cannot beat the blow-up sample's
-    violation unless a bound is of the order of the blow-up bound, but in
-    its other columns they can (no certify pass reads the checks of a
-    blown member: it raises on the blow-up).
+    truncated trajectory.  The recorded rows keep, per block, their state
+    at its first sample and each column's max (_BlockRecords); no certify
+    pass reads the records of a blown row: it raises on the blow-up.
     """
 
     def __init__(self, m: int, n: int, times: np.ndarray, thresholds,
-                 tail_starts, checks, row):
+                 tail_starts, recorded):
         self.peaks = np.zeros(m)
         self.last_exceed = None
         if thresholds is not None:
@@ -353,17 +417,22 @@ class _Reductions:
             self.seg_max = np.zeros((m, self.bounds.size, n))
             self.ends = np.full(m, times.size)    # samples each row has
             self.final = np.zeros((m, n))         # |x| at its blow-up
-        # a bound check reduces (row, slot, offset) targets, one per
-        # distinct member key
-        self.checks = [_CheckTargets(check, row) for check in checks]
+        self.recorded = recorded
+        if recorded is not None:
+            blocks = -(-times.size // _CHUNK)
+            self.rec_states = np.zeros((recorded.size, blocks, n))
+            self.rec_tops = np.zeros((recorded.size, blocks, n))
 
-    def update(self, k0: int, block: np.ndarray, blown) -> None:
+    def update(self, k0: int, block: np.ndarray, blown, start) -> None:
         """Fold samples k0 .. k0 + c - 1, block (c, m, n) of their |x|,
         into every reduction; blown lists (k, mask) of the rows that blow
-        up at sample k."""
+        up at sample k, and start is the state at sample k0."""
         c = block.shape[0]
         top = block.max(axis=0)
         np.maximum(self.peaks, top.max(axis=1, initial=0.0), out=self.peaks)
+        if self.recorded is not None:
+            self.rec_states[:, k0 // _CHUNK] = start[self.recorded]
+            self.rec_tops[:, k0 // _CHUNK] = top[self.recorded]
         if self.last_exceed is not None:
             # a cell above at the last sample was last above there; only
             # the cells above earlier in the block, and not at its end, are
@@ -391,43 +460,6 @@ class _Reductions:
             for k, bad in blown:
                 self.ends[bad] = k + 1
                 self.final[bad] = block[k - k0][bad]
-        self._reduce_chunk(k0, block)
-
-    def _reduce_chunk(self, k0: int, ax: np.ndarray) -> None:
-        """Fold the |x| block ax of samples k0 .. k0 + c - 1 into every
-        bound check, in the operation order of the plain expressions, so
-        the bits are theirs; a strict > keeps each target's first worst
-        sample.  The blocks are (samples, targets x columns), which numpy
-        reduces fastest down the first axis."""
-        c = ax.shape[0]
-        for chk in self.checks:
-            vals = np.max(ax, axis=2, initial=0.0)[:, chk.rows] \
-                if chk.check.sup_norm else ax[:, chk.rows]
-            vals = vals.reshape(c, -1)
-            if chk.free.size < chk.slots.size:
-                bound = chk.check.beta[k0:k0 + c, chk.slots]
-                bound[:, chk.free] = 0.0
-                bound = bound.reshape(c, -1)
-            else:
-                bound = np.zeros_like(vals)
-            bound += chk.offsets
-            vals -= bound                             # values - bound
-            np.maximum(chk.viol, vals.max(axis=0), out=chk.viol)
-            bound *= chk.check.tol_rel
-            bound += chk.check.tol_abs
-            over = np.subtract(vals, bound, out=bound)
-            best = over.max(axis=0)
-            better = np.flatnonzero(best > chk.over)
-            if better.size:
-                chk.over[better] = best[better]
-                chk.first[better] = k0 + over[:, better].argmax(axis=0)
-
-    def checked(self) -> list:
-        """Each bound check's (violation, excess, first sample) by member,
-        (members, columns) arrays."""
-        return [tuple(a.reshape(chk.rows.size, -1)[chk.target]
-                      for a in (chk.viol, chk.over, chk.first))
-                for chk in self.checks]
 
     def tail_sups(self) -> np.ndarray | None:
         if self.starts is None:
@@ -436,30 +468,6 @@ class _Reductions:
         sups = suffix[:, np.searchsorted(self.bounds, self.starts)]
         late = self.starts[None, :] > self.ends[:, None] - 1
         return np.where(late[:, :, None], self.final[:, None, :], sups)
-
-
-class _CheckTargets:
-    """A bound check's targets: the distinct (row, slot, offset) keys of
-    its members, and each target's running maxima."""
-
-    def __init__(self, check: _BoundCheck, row: np.ndarray):
-        first = {}
-        self.target = np.array([
-            first.setdefault((int(r), int(s), float(o)), len(first))
-            for r, s, o in zip(row, check.slot, check.offset)], int)
-        rows, slots, offsets = zip(*first) if first else ((), (), ())
-        self.check = check
-        self.rows = np.array(rows, int)
-        slots = np.array(slots, int)
-        # targets of slot -1 gather any slot, and their bound is set to 0
-        self.free = np.flatnonzero(slots < 0)
-        self.slots = np.maximum(slots, 0)
-        cols = check.beta.shape[2]
-        # the maxima and each target's offset, flat over (target, column)
-        self.offsets = np.repeat(np.array(offsets, float), cols)
-        self.viol = np.full(self.offsets.size, -np.inf)
-        self.over = np.full(self.offsets.size, -np.inf)
-        self.first = np.zeros(self.offsets.size, int)
 
 
 def _tail_start_samples(times: np.ndarray, tail_starts) -> np.ndarray:

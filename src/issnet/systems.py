@@ -17,7 +17,8 @@ are u and the neighbor signals w.  A row that exceeds the blow-up bound
 at a sample, the start one included, ends there with a BlowUp of its |x|
 instead of poisoning later arithmetic; that test is one scalar max per
 sample.  The loop writes each sample's |x| into one reused block and
-hands its observer a block of 32 samples (_CHUNK) at a time.
+hands its observer a block of 32 samples (_CHUNK) at a time, with the
+state at the block's first sample.
 """
 
 from __future__ import annotations
@@ -305,9 +306,10 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
     """Step the rows of x (m, n) by ``update(x, inputs[k])`` over ``times``.
 
     Each sample's |x| goes into one reused (_CHUNK, m, n) block, and
-    ``observe(k0, block, blown)`` sees a block of 32 samples at a time,
-    k0 its first sample and the last block partial: blown lists (k, mask)
-    for each sample k in it at which the rows of mask blow up.  The first
+    ``observe(k0, block, blown, start)`` sees a block of 32 samples at a
+    time, k0 its first sample and the last block partial: blown lists
+    (k, mask) for each sample k in it at which the rows of mask blow up,
+    and start the (m, n) state at sample k0 (a reused buffer).  The first
     ``kept`` rows (all when None) store their states.  A row whose norm is
     not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample, the start one
     included, ends there with a BlowUp of that norm, and is held at zero
@@ -320,6 +322,7 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
     kept = m if kept is None else kept
     stored = np.empty((kept, steps + 1, n))
     block = np.empty((min(_CHUNK, steps + 1), m, n))
+    start = np.empty((m, n))          # the state at the block's first sample
     blown = []                        # (k, mask) in the current block
     ends = np.full(m, steps + 1)
     blowups: list[BlowUp | None] = [None] * m
@@ -337,6 +340,8 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
                 x[dead] = 0.0
         if kept:
             stored[:, k] = x[:kept]
+        if k == k0:
+            start[:] = x
         ax = np.abs(x, out=block[k - k0])
         # one scalar test per sample, which NaN fails too; the row norms
         # only when it fails
@@ -353,11 +358,11 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
             blown.append((k, bad))
         if k - k0 == _CHUNK - 1:
             if observe is not None:
-                observe(k0, block, blown)
+                observe(k0, block, blown, start)
             blown = []
             k0 = k + 1
     if observe is not None and k0 < samples:
-        observe(k0, block[:samples - k0], blown)
+        observe(k0, block[:samples - k0], blown, start)
     states = {j: stored[j, :ends[j]] for j in range(kept)}
     return states, ends, blowups
 

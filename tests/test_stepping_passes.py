@@ -2,7 +2,8 @@
 
 Certification steps its members in few passes and reduces their samples
 a block of 32 at a time; no certify pass keeps a trajectory, and holdout
-validation steps the holdout members again.  The loops below are the
+validation reads the fit pass's block records, stepping again only the
+blocks that can reach the worst excess.  The loops below are the
 per-family, per-run and per-cell computations that read stored
 trajectories, kept as references: every reduced result must equal them
 bit for bit.
@@ -420,35 +421,6 @@ def test_reductions_of_blown_members_cover_their_samples():
     assert stepped.states[1].shape == (81, 1)
 
 
-@pytest.mark.parametrize("sup_norm", [False, True])
-def test_bound_checks_of_blown_members_cover_their_samples(sup_norm):
-    # after a blow-up the row is held at zero, and those samples cannot
-    # beat the blow-up sample's violation: the maxima are those of the
-    # truncated trajectory
-    net = _trap_net(lambda u: u < -0.5)
-    members = [(0.5, InputSignal.constant(-1.0)),
-               (1.0, InputSignal.zero()),
-               (100.0, InputSignal.constant(-1.0)),
-               (0.3, InputSignal(np.array([0.0, 20.0]),
-                                 np.array([0.0, -1.0])))]
-    times = np.arange(81.0)
-    beta = np.stack([np.exp(-times / 9.0), 2.0 * np.exp(-times / 3.0)], 1)
-    check = network._BoundCheck(beta[:, :, None], np.array([0, 1, 0, 1]),
-                                np.array([0.25, 0.0, 0.5, 0.25]), sup_norm,
-                                -1e-3, 0.1)
-    stepped = _simulate(net, (0,), members, 80.0, None, checks=[check])
-    trajs = simulate_ensemble(net, (0,), members, 80.0)
-    assert [t.blowup is not None for t in trajs] == [True, False, True, True]
-    (viol, over, first), = stepped.checked
-    for j, traj in enumerate(trajs):
-        bound = beta[:traj.times.size, check.slot[j]] + check.offset[j]
-        want = np.abs(traj.states[:, 0]) - bound
-        excess = want - (check.tol_abs + check.tol_rel * bound)
-        assert viol[j, 0] == want.max()
-        assert over[j, 0] == excess.max()
-        assert first[j, 0] == int(np.argmax(excess))
-
-
 def test_a_tail_start_after_a_blowup_reads_the_last_sample():
     # a blown-up row is held at zero, yet from a tail start after its last
     # sample the sup is that sample's, as on its truncated trajectory
@@ -509,6 +481,19 @@ def _rows_seen(monkeypatch):
 
     def recorded(times, update, x, inputs, kept=None, observe=None):
         seen.append((x.shape[0], kept))
+        return step_rows(times, update, x, inputs, kept, observe)
+
+    monkeypatch.setattr(network, "_step_rows", recorded)
+    return seen
+
+
+def _calls_seen(monkeypatch):
+    """(rows, kept, samples) of every _step_rows call."""
+    seen = []
+    step_rows = network._step_rows
+
+    def recorded(times, update, x, inputs, kept=None, observe=None):
+        seen.append((x.shape[0], kept, times.size))
         return step_rows(times, update, x, inputs, kept, observe)
 
     monkeypatch.setattr(network, "_step_rows", recorded)
@@ -619,13 +604,16 @@ def test_a_certify_pass_steps_each_distinct_member_once(monkeypatch):
     assert (distinct, kept) == (12, 9)      # of 24 members, 12 of them holdout
     assert all(run.trajectory is None for run in fit_runs + list(hold_runs))
     assert len(hold_runs) == 12
-    # validation steps the 9 distinct holdout rows again, keeping none
+    # validation reads the 9 distinct holdout rows' block records and
+    # steps again only some of their blocks, in runs of at most 9 rows,
+    # keeping none
+    assert len(hold_runs.records.index) == 9
     ugs = fit_ugs(fit_runs, holdout=hold_runs)
     att = estimate_attainment_times(net, window, (1.0,), 0, ugs.sigma,
                                     ugs.gamma, cfg, 0)
     seen.clear()
     build_nonuniform_iss(att, ugs, hold_runs, uniform=True)
-    assert seen == [(9, 0)]
+    assert all(rows <= 9 and kept == 0 for rows, kept in seen)
 
 
 # holdout validation -------------------------------------------------------
@@ -692,8 +680,11 @@ def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
         seen.clear()
         cert = build_nonuniform_iss(att, ugs, runs, tol_abs, tol_rel,
                                     uniform=True)
-        # one pass over the distinct rows, for both checks, keeping none
-        assert seen == [(len(rows), 0)]
+        # every row has block records from the holdout's own pass, so no
+        # pass is made: only replay runs of at most the distinct rows,
+        # for both checks, keeping none
+        assert all(n_rows <= len(rows) and kept == 0
+                   for n_rows, kept in seen)
         uni = uniform_from_nonuniform(cert, runs, tol_abs, tol_rel)
         checks = _checks(cert, uni.beta)
         got = certify._validate_holdout(
@@ -839,7 +830,7 @@ def test_an_empty_holdout_is_rejected(monkeypatch):
 
 
 def test_no_certify_pass_keeps_states(run_cli, monkeypatch):
-    seen = _rows_seen(monkeypatch)
+    seen = _calls_seen(monkeypatch)
     base = {"network": "catalog:counterexample-chain",
             "ensemble": {"horizon": 4.0, "dt": 0.1, "n_random": 1},
             "radii": [0.5, 1.0], "depth": 1, "seed": 1}
@@ -850,9 +841,13 @@ def test_no_certify_pass_keeps_states(run_cli, monkeypatch):
         seen.clear()
         code, _out = run_cli(command, conf)
         assert code == 0
-        # fit and holdout, attainment, validation: three passes, no states
-        assert len(seen) == 3
-        assert all(kept == 0 for _rows, kept in seen)
+        # fit and holdout, then attainment: two full passes; validation
+        # reads the holdout's block records and makes at most one replay
+        # call, of at most 32 samples; no call keeps states
+        assert [samples for _rows, _kept, samples in seen[:2]] == [41, 41]
+        assert len(seen) <= 3
+        assert all(samples <= BLOCK for _rows, _kept, samples in seen[2:])
+        assert all(kept == 0 for _rows, kept, _samples in seen)
 
 
 def test_a_certify_run_holds_no_holdout_block():
@@ -896,31 +891,65 @@ def _replay_member(states):
     return states[0], InputSignal(np.arange(len(states) - 1.0), states[1:])
 
 
-def _block_check(samples, m):
-    """A bound check on both columns: two decaying slots, the members in
-    them by turns, and every third member bounded by its offset alone."""
-    t = np.arange(float(samples))
-    beta = np.stack([np.exp(-t / 9.0), 2.0 * np.exp(-t / 30.0)], 1)
-    beta = np.repeat(beta[:, :, None], 2, axis=2)
-    slot = np.array([-1 if j % 3 == 2 else j % 2 for j in range(m)])
-    offset = np.array([0.25 * (j % 4) for j in range(m)])
-    return network._BoundCheck(beta, slot, offset, False, -1e-3, 0.1)
+def _decaying(r, t):
+    """Two decaying slots on both columns, exp(-t/9) at r = 1 and
+    2 exp(-t/30) at r = 2; a run from rest has none (zero)."""
+    col = {0.0: 0.0 * t, 1.0: np.exp(-t / 9.0),
+           2.0: 2.0 * np.exp(-t / 30.0)}[r]
+    return np.stack([col, col], 1)
+
+
+def _sup_of(beta):
+    """The sup-norm check of a two-column beta: its larger column."""
+    return lambda r, t: beta(r, t).max(axis=1, keepdims=True)
+
+
+def _block_holdout(trajectories):
+    """The replayed ``trajectories`` as a holdout without records: the
+    runs in the two decaying slots by turns, every third one bounded by
+    its offset alone (r_x 0), offsets 0.25 (j mod 4) through identity."""
+    runs = []
+    for j, states in enumerate(trajectories):
+        x0, u = _replay_member(states)
+        r_x = 0.0 if j % 3 == 2 else 1.0 + j % 2
+        runs.append(certify.LabeledRun(None, r_x, 0.0, 0.25 * (j % 4),
+                                       f"run{j}", 0, 0.0, x0, u))
+    return _holdout(runs, len(trajectories[0]))
+
+
+def _validation_equals_the_stored_loop(holdout, beta, tol_abs, tol_rel,
+                                       gamma=identity()):
+    """Both checks of ``beta`` (columns and sup norm) validated from block
+    records equal the per-run loop on stored trajectories; returns the
+    results."""
+    got = certify._validate_holdout(
+        holdout, holdout.window, [(beta, False), (_sup_of(beta), True)],
+        gamma, tol_abs, tol_rel)
+    stored = _stored(holdout)
+    assert got == [
+        _todays_validate_holdout(stored, beta, gamma,
+                                 lambda traj: np.abs(traj.states),
+                                 tol_abs, tol_rel),
+        _todays_validate_holdout(stored, _sup_of(beta), gamma,
+                                 lambda traj: traj.sup_norms()[:, None],
+                                 tol_abs, tol_rel)]
+    return got
 
 
 def _assert_blocks_equal_the_stored_pass(trajectories):
     """Every reduction of a pass over the replayed ``trajectories`` (each
-    the same length) equals numpy on its stored ensemble; returns the
-    stepped pass."""
+    the same length) equals numpy on its stored ensemble, and so do the
+    block records and the holdout validation read from them (which
+    raises on a blown-up run); returns the stepped pass."""
     net = _replay_net()
     members = [_replay_member(states) for states in trajectories]
     m, samples = len(members), len(trajectories[0])
     thresholds = np.array([THRESHOLDS] * m)
-    check = _block_check(samples, m)
     stepped = _simulate(net, (0, 1), members, samples - 1.0, None,
                         thresholds=thresholds, tail_starts=TAIL_STARTS,
-                        checks=[check])
+                        record=[True] * m)
     trajs = simulate_ensemble(net, (0, 1), members, samples - 1.0)
-    (viol, over, first), = stepped.checked
+    records = stepped.records
     for j, traj in enumerate(trajs):
         ax = np.abs(traj.states)
         size = traj.times.size
@@ -933,18 +962,19 @@ def _assert_blocks_equal_the_stored_pass(trajectories):
         assert np.array_equal(stepped.last_exceed[j], last)
         assert np.array_equal(stepped.tail_sups[j], tail_limsup_estimate(
             traj.times, ax, TAIL_STARTS))
-        # a blown-up row is held at zero to the pass's end, and a bound
-        # check reads those zeros too
-        held = np.zeros((stepped.ends.max(), 2))
-        held[:size] = ax
-        slot = check.slot[j]
-        bound = (check.beta[:held.shape[0], slot] if slot >= 0
-                 else np.zeros(held.shape)) + check.offset[j]
-        want = held - bound
-        excess = want - (check.tol_abs + check.tol_rel * bound)
-        assert np.array_equal(viol[j], want.max(axis=0))
-        assert np.array_equal(over[j], excess.max(axis=0))
-        assert np.array_equal(first[j], np.argmax(excess, axis=0))
+        if traj.blowup is None:
+            row = records.index[network._row_key(*members[j])]
+            assert np.array_equal(records.states[row],
+                                  traj.states[::BLOCK])
+            assert np.array_equal(records.tops[row], np.maximum.reduceat(
+                ax, np.arange(0, size, BLOCK), axis=0))
+    holdout = _block_holdout(trajectories)
+    if any(traj.blowup is not None for traj in trajs):
+        with pytest.raises(CertificationError, match="blow-up"):
+            certify._validate_holdout(holdout, (0, 1), [(_decaying, False)],
+                                      identity(), -1e-3, 0.1)
+    else:
+        _validation_equals_the_stored_loop(holdout, _decaying, -1e-3, 0.1)
     return stepped
 
 
@@ -1012,9 +1042,9 @@ def test_a_pass_observes_one_block_per_32_samples(monkeypatch):
     step_rows = network._step_rows
 
     def recorded(times, update, x, inputs, kept=None, observe=None):
-        def counted(k0, block, blown):
+        def counted(k0, block, blown, start):
             blocks.append((k0, block.shape[0]))
-            observe(k0, block, blown)
+            observe(k0, block, blown, start)
         return step_rows(times, update, x, inputs, kept, counted)
 
     monkeypatch.setattr(network, "_step_rows", recorded)
@@ -1067,3 +1097,234 @@ def test_a_nan_sample_is_above_no_threshold():
     assert list(stepped.ends) == [7, 41]
     assert np.isnan(stepped.blowups[0].value)
     assert stepped.last_exceed[:, :, 0].tolist() == [[-1, 0], [-1, 0]]
+
+
+# holdout validation from block records -----------------------------------
+
+
+def _flat(r, t):
+    """beta(r, t) = r on both columns."""
+    return np.full((t.size, 2), r)
+
+
+def _holdout(runs, samples):
+    """A hand-built holdout of replayed runs, which has no records."""
+    return certify.Holdout(_replay_net(), (0, 1),
+                           EnsembleConfig(horizon=samples - 1.0), 0,
+                           tuple(runs))
+
+
+def _replay_calls(seen):
+    """The replay runs among the recorded _step_rows calls."""
+    return [(rows, kept, samples) for rows, kept, samples in seen
+            if samples <= BLOCK]
+
+
+def test_validation_without_a_run_from_rest_finds_a_worst_case_mid_block(
+        monkeypatch):
+    # no run is from rest and every block starts low, so the exact values
+    # at the block starts lie below the worst excess, which sits inside a
+    # block; pruning still leaves blocks out
+    samples = 3 * BLOCK + 5
+    rng = np.random.default_rng(5)
+    runs = []
+    for j in range(4):
+        states = rng.uniform(0.05, 0.3, (samples, 2))
+        states[BLOCK + 7 + j, j % 2] = 1.5 + 0.125 * j
+        states[2 * BLOCK + 3, 1 - j % 2] = -0.75
+        runs.append(_replayed(states, f"run{j}"))
+    holdout = _holdout(runs, samples)
+    seen = _calls_seen(monkeypatch)
+    for tol_abs, tol_rel in ((1e-6, 1e-3), (-1e-3, 0.1)):
+        seen.clear()
+        got = _validation_equals_the_stored_loop(holdout, _flat, tol_abs,
+                                                 tol_rel)
+        assert got[0][2] == (1, BLOCK + 10.0, "run3")
+        replayed = sum(rows for rows, _k, _s in _replay_calls(seen))
+        assert 0 < replayed < 4 * 4
+
+
+@pytest.mark.parametrize("samples, late", [(3 * BLOCK + 5, 3 * BLOCK + 2),
+                                           (3 * BLOCK + 1, 3 * BLOCK)])
+def test_a_certificate_failing_only_in_the_last_partial_block(samples, late):
+    # the bound 1 holds everywhere except at one sample of the grid's last
+    # block: inside a 5-sample block, or the whole of a 1-sample block
+    states = np.full((samples, 2), 0.25)
+    states[late, 1] = -3.0
+    rest = _replayed(np.zeros((samples, 2)), "rest", 0.0)
+    holdout = _holdout([rest, _replayed(states, "late")], samples)
+    got = _validation_equals_the_stored_loop(holdout, _flat, 1e-6, 1e-3)
+    assert got[0][1] > 0.0 and got[1][1] > 0.0
+    assert got[0][2] == (1, float(late), "late")
+    assert got[1][2] == (0, float(late), "late")
+
+
+def test_negative_tolerances_equal_the_stored_loop(setting):
+    net, window, cfg = setting
+    fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
+    ugs = fit_ugs(fit, holdout=hold)
+    att = estimate_attainment_times(net, window, (0.5, 1.0), 3, ugs.sigma,
+                                    ugs.gamma, cfg, seed=8)
+    cert = build_nonuniform_iss(att, ugs, hold)
+    uni = uniform_from_nonuniform(cert, hold)
+    stored = _stored(hold)
+    # a negative tol_rel makes the tolerance least at a block's largest
+    # bound, not at its smallest
+    for tol_abs, tol_rel in ((-1e-3, 0.1), (-0.05, -0.5), (1e-6, -1e-3),
+                             (-0.2, 0.0), (-0.05, -2.0)):
+        checks = _checks(cert, uni.beta)
+        got = certify._validate_holdout(
+            hold, window, [(beta, sup) for beta, sup, _v in checks],
+            cert.gamma, tol_abs, tol_rel)
+        for (beta, _sup, values), result in zip(checks, got):
+            assert result == _todays_validate_holdout(
+                stored, beta, cert.gamma, values, tol_abs, tol_rel)
+
+
+@pytest.mark.parametrize("spots, worst", [
+    # (run, sample, column) of each |x| = 2 spot, and the worst case
+    ([(0, 40, 0), (0, 2 * BLOCK, 0)], (0, 40.0, "run0")),
+    ([(0, BLOCK, 1), (0, 70, 1)], (1, float(BLOCK), "run0")),
+    ([(0, 40, 1), (1, BLOCK, 0)], (1, 40.0, "run0")),
+    ([(0, BLOCK, 1), (0, 40, 0)], (0, 40.0, "run0")),
+    ([(1, 2 * BLOCK, 0), (2, 40, 0)], (0, 2.0 * BLOCK, "run1")),
+])
+def test_a_stepped_sample_tied_with_a_block_start(spots, worst):
+    # the first of tied maxima, runs first, then columns, then samples,
+    # whether it is a block's first sample or one stepped again
+    samples = 3 * BLOCK + 5
+    trajectories = np.full((3, samples, 2), 0.5)
+    for j, k, col in spots:
+        trajectories[j, k, col] = -2.0
+    holdout = _holdout([_replayed(states, f"run{j}")
+                        for j, states in enumerate(trajectories)], samples)
+    for tol_abs in (0.0, -1.0):
+        got = _validation_equals_the_stored_loop(holdout, _flat, tol_abs,
+                                                 0.0)
+        assert got[0] == (1.0, 1.0 - tol_abs, worst)
+
+
+def test_the_largest_violation_is_read_where_the_excess_is_not():
+    # under a large tol_rel the largest violation (run "wide", 0.5 above
+    # its bound 2) has a negative excess, and the largest excess is run
+    # "narrow"'s (0.4 above its bound 0.125): both blocks are read, though
+    # the lower bound from "narrow", bounded first, is above every excess
+    # of "wide"
+    samples = 3 * BLOCK + 5
+    wide = np.full((samples, 2), 1.0)
+    wide[BLOCK + 9, 0] = 2.5
+    narrow = np.full((samples, 2), 0.0625)
+    narrow[2 * BLOCK + 3, 1] = 0.525
+    holdout = _holdout([_replayed(narrow, "narrow", 0.125),
+                        _replayed(wide, "wide", 2.0)], samples)
+    got = _validation_equals_the_stored_loop(holdout, _flat, 0.0, 0.5)
+    assert got[0] == (0.5, 0.4 - 0.0625, (1, 2.0 * BLOCK + 3, "narrow"))
+
+
+def test_the_sup_norm_check_reads_the_larger_column():
+    # column 0 peaks in block 0, column 1 higher in block 2; the sup norm
+    # of a run from rest under input is its gamma alone
+    samples = 3 * BLOCK + 5
+    states = np.full((samples, 2), 0.5)
+    states[5, 0] = 1.25
+    states[2 * BLOCK + 9, 1] = -1.75
+    rest = dataclasses.replace(_replayed(np.zeros((samples, 2)), "rest",
+                                         0.0), u_norm=0.5)
+    holdout = _holdout([rest, _replayed(states, "peaks")], samples)
+    got = _validation_equals_the_stored_loop(holdout, _decaying, 1e-6, 1e-3,
+                                             linear(0.5))
+    assert got[1][2][1:] == (2.0 * BLOCK + 9, "peaks")
+
+
+def test_runs_sharing_a_row_under_other_radii_and_inputs(monkeypatch):
+    # one row under four (r_x, ||u||) labels: one records pass of one row,
+    # and each label bounded on its own
+    samples = 3 * BLOCK + 5
+    states = np.random.default_rng(2).uniform(-1.0, 1.0, (samples, 2))
+    runs = [dataclasses.replace(_replayed(states, f"run{j}", r_x),
+                                u_norm=u_norm)
+            for j, (r_x, u_norm) in enumerate([(1.0, 0.0), (2.0, 0.0),
+                                               (0.0, 0.5), (1.0, 0.25)])]
+    seen = _calls_seen(monkeypatch)
+    for tol_abs in (1e-6, -0.5):
+        seen.clear()
+        _validation_equals_the_stored_loop(_holdout(runs, samples),
+                                           _decaying, tol_abs, 1e-3)
+        assert seen[0] == (1, 0, samples)
+        assert all(rows == 1 for rows, _k, _s in _replay_calls(seen))
+
+
+def test_with_nothing_pruned_replay_runs_stay_within_the_row_count(
+        monkeypatch):
+    # every |x| and every bound is the same, so every block's upper bound
+    # equals the lower bound: all 4 blocks of the 3 rows are stepped again,
+    # in runs of at most 3 rows
+    samples = 3 * BLOCK + 5
+    rows = [np.full((samples, 2), 0.5), np.full((samples, 2), -0.5),
+            np.tile([0.5, -0.5], (samples, 1))]
+    holdout = _holdout([_replayed(states, f"run{j}")
+                        for j, states in enumerate(rows + rows[:1])], samples)
+    seen = _calls_seen(monkeypatch)
+    _validation_equals_the_stored_loop(holdout, _flat, 1e-6, 1e-3)
+    replays = _replay_calls(seen)
+    assert sum(n for n, _k, _s in replays) == 3 * 4
+    assert all(n <= 3 and kept == 0 for n, kept, _s in replays)
+
+
+def test_records_belong_to_their_rows(setting, monkeypatch):
+    # a holdout made by dataclasses.replace carries the records of the
+    # runs it was made from: a run with another x0, or another grid, has
+    # no records there and gets them from one records pass over its runs;
+    # the same rows under other labels (_with_duplicates) read them as they
+    # are, with no pass
+    net, window, cfg = setting
+    fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
+    ugs = fit_ugs(fit, holdout=hold)
+    att = estimate_attainment_times(net, window, (0.5, 1.0), 3, ugs.sigma,
+                                    ugs.gamma, cfg, seed=8)
+    cert = build_nonuniform_iss(att, ugs, hold)
+    uni = uniform_from_nonuniform(cert, hold)
+    moved = dataclasses.replace(hold[1], x0=0.5 * hold[1].x0 + 0.125)
+    short = EnsembleConfig(horizon=0.5 * cfg.horizon, dt=cfg.dt, n_random=2)
+    samples = round(cfg.horizon / (cfg.dt or 1.0)) + 1
+    cases = [(dataclasses.replace(hold, runs=(hold[0], moved, *hold[2:])),
+              samples),
+             (dataclasses.replace(hold, cfg=short), samples // 2 + 1),
+             (_with_duplicates(hold), None)]
+    seen = _calls_seen(monkeypatch)
+    for holdout, full in cases:
+        stored = _stored(holdout)
+        seen.clear()
+        checks = _checks(cert, uni.beta)
+        got = certify._validate_holdout(
+            holdout, window, [(beta, sup) for beta, sup, _v in checks],
+            cert.gamma, 1e-6, 1e-3)
+        for (beta, _sup, values), result in zip(checks, got):
+            assert result == _todays_validate_holdout(
+                stored, beta, cert.gamma, values, 1e-6, 1e-3)
+        # the records pass, when there is one, then replay runs alone
+        replays = seen if full is None else seen[1:]
+        assert full is None or seen[0][2] == full
+        assert all(samples <= BLOCK for _r, _k, samples in replays)
+
+
+def test_certify_chain50_steps_few_segments_again(monkeypatch):
+    # the acceptance config of criterion 2 at seed 12: the fit pass's
+    # records leave at most 64 segments of at most 32 samples to step
+    net, _ = instantiate("counterexample-chain")
+    window = net.window(50)
+    cfg = EnsembleConfig(horizon=240.0, dt=0.1, n_random=3)
+    radii = (0.5, 1.0, 2.0)
+    bins = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii] \
+        + [(r, r) for r in radii]
+    fit, hold = build_fit_and_holdout(net, window, bins, cfg, 12)
+    ugs = fit_ugs(fit, holdout=hold)
+    att = estimate_attainment_times(net, window, radii, 6, ugs.sigma,
+                                    ugs.gamma, cfg, 12)
+    seen = _calls_seen(monkeypatch)
+    cert = build_nonuniform_iss(att, ugs, hold, uniform=True)
+    assert cert.valid and cert.uniform.valid
+    assert seen and all(samples <= BLOCK and kept == 0
+                        for _rows, kept, samples in seen)
+    assert sum(rows for rows, _kept, _samples in seen) <= 64
+    assert all(rows <= len(hold.records.index) for rows, _k, _s in seen)
