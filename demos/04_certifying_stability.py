@@ -22,7 +22,6 @@ from issnet import (
     estimate_attainment_times,
     fit_ugs,
     identity,
-    uniform_from_nonuniform,
 )
 from issnet.catalog import instantiate
 
@@ -54,7 +53,7 @@ print(f"  unattained cells: {att.unattained()}")
 
 print()
 print("== per-component certificate ==")
-cert = build_nonuniform_iss(att, ugs, holdout)
+cert = build_nonuniform_iss(att, ugs, holdout, uniform=True)
 print(f"  valid: {cert.valid}, holdout residual {cert.holdout_residual:.2e}")
 surf = cert.surfaces[1]
 print("  beta_1(1, t) at t = 0, 2, 5, 10:",
@@ -64,7 +63,7 @@ print(f"  sigma_tilde(1) = {float(cert.sigma_tilde(1.0)):.4f} "
 
 print()
 print("== collapse to a uniform certificate ==")
-uni = uniform_from_nonuniform(cert, holdout)
+uni = cert.uniform
 print(f"  valid: {uni.valid}, holdout residual {uni.holdout_residual:.2e}")
 print(f"  shared beta(1, 5) = {float(uni.beta(1.0, 5.0)):.4f}")
 

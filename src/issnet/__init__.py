@@ -39,8 +39,7 @@ from .certify import (AttainmentTable, BandEntry, CertificationError,
                       build_ensemble, build_fit_and_holdout,
                       build_nonuniform_iss, compute_band_limsups,
                       estimate_attainment_times, fit_ugs, tail_limsup_estimate,
-                      trace_to_csv, uniform_from_nonuniform,
-                      verify_sg_inequality)
+                      trace_to_csv, verify_sg_inequality)
 from . import catalog
 
 __version__ = "0.1.0"

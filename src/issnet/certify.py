@@ -16,10 +16,9 @@ The pipeline has four stages, each producing an inspectable artifact:
    transient bound sigma_tilde = 2 sigma and the common input gain
    gamma = max(sigma + gamma_ugs, gamma_hat), gamma_hat being the curve
    of the attainment table, then validates the resulting estimate on
-   the held-out members, from their block records.  uniform_from_nonuniform
-   collapses it to one surface and validates that on the same runs with
-   the same check (or build_nonuniform_iss does, with its own, when
-   asked).
+   the held-out members, from their block records.  With ``uniform`` set
+   it also collapses the certificate to one surface, the pointwise max of
+   the per-component ones, and validates that in the same pass.
 4. compute_band_limsups / verify_sg_inequality: finite-horizon tail-sup
    estimates per (r, k, q) cell, an input band [2^-k r, 2^(1-k) r] or a
    small-input cap q, all stepped in one pass, checked against the vector
@@ -32,20 +31,23 @@ them in one network._simulate pass that reduces the |x| rows a block of
 32 samples at a time: the running peak sup norm (fit_ugs), the last sample
 above each attainment threshold (estimate_attainment_times) and the
 suffix sups at the tail starts (compute_band_limsups) and the holdout
-rows' block records (build_fit_and_holdout).  A certification makes two
+members' block records (build_fit_and_holdout).  A certification makes two
 full passes, neither of which stores states: build_fit_and_holdout steps
 the fit and holdout members together for their peaks, keeping per block
 of 32 samples each holdout row's start state and per-component |x| max,
-and estimate_attainment_times steps the members of every radius, whose
-thresholds need the fitted sigma.  build_nonuniform_iss, whose decay
-surfaces need the attainment times, validates the holdout pointwise
-(_validate_holdout, which with uniform set checks the collapse to one
-surface at the same time): the records bound every block's violation
-and excess from above and give exact values at the blocks' first samples,
-and only the blocks whose upper bound reaches the largest of those are
-stepped again, a few 32-sample segments stacked as the rows of short
-runs (network._replay).  build_ensemble keeps every trajectory it
-returns.  A pass steps each distinct member once, so the deterministic
+which it hands to the Holdout it returns, and estimate_attainment_times
+steps the members of every radius, whose thresholds need the fitted
+sigma.  build_nonuniform_iss, whose decay surfaces need the attainment
+times, validates the holdout pointwise (_validate_holdout, which with
+uniform set checks the collapse to one surface at the same time): the
+records bound every block's violation and excess from above and give
+exact values at the blocks' first samples, and only the blocks whose
+upper bound reaches the largest of those are stepped again, a few
+32-sample segments stacked as the rows of short runs (network._replay).
+A holdout that no pass handed records to (built by hand or by
+dataclasses.replace) gets them from one records pass over its runs.
+build_ensemble keeps every trajectory it returns; every other pass keeps
+none.  A pass steps each distinct member once, so the deterministic
 members that fit and holdout share cost one row, and equal kept members
 share one trajectory.
 Validation evaluates the decay surfaces once per start radius, and runs
@@ -63,7 +65,7 @@ are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,8 +77,7 @@ from .comparison import (KLSurface, ScalarCurve, _dyadic_levels, curve_max,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
 from .network import (_CHUNK, NetworkSpec, NetworkTrajectory, _BlockRecords,
-                      _replay, _row_key, _simulate, _start_rows, _suffix_max,
-                      _tail_start_samples)
+                      _replay, _simulate, _suffix_max, _tail_start_samples)
 from .systems import InputSignal
 
 __all__ = [
@@ -93,7 +94,6 @@ __all__ = [
     "NonUniformISSCertificate",
     "build_nonuniform_iss",
     "UniformISSCertificate",
-    "uniform_from_nonuniform",
     "BandEntry",
     "ProofTrace",
     "compute_band_limsups",
@@ -149,16 +149,27 @@ class LabeledRun:
 class Holdout:
     """The held-out runs of one certification, a sequence of LabeledRuns
     without trajectories, with the network, window and ensemble config
-    they were stepped on, and the block records of their rows from that
-    pass (network._BlockRecords, keyed by row): validation steps again
-    only the blocks that can decide it instead of storing their states."""
+    they were stepped on.
+
+    ``records`` is an init-only field for the pass that stepped these
+    runs: it hands over their block records (network._BlockRecords, a row
+    per run), kept as _records, from which validation steps again only the
+    blocks that can decide it instead of storing their states.
+    holdout.records reads the field's default None, which is what
+    dataclasses.replace passes on, so a holdout built by hand or by
+    dataclasses.replace has no records, and validation makes one records
+    pass over its runs.
+    """
 
     net: NetworkSpec
     window: tuple
     cfg: EnsembleConfig
     seed: int
     runs: tuple
-    records: _BlockRecords | None = None
+    records: InitVar[_BlockRecords | None] = None
+
+    def __post_init__(self, records):
+        object.__setattr__(self, "_records", records)
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -227,34 +238,33 @@ def _plan_bins(net, window, bins, cfg, seed, tag):
                                                 cfg, seed, tag)]
 
 
-def _run_pass(net, window, cfg, seed, families, **reductions):
-    """Step planned (members, keep) families in one _simulate pass.
+def _run_pass(net, window, cfg, seed, families, keep=False, **reductions):
+    """Step planned member families in one _simulate pass, which stores
+    every member's states when ``keep`` is set and none otherwise.
 
-    The last three fields of a member are (where, x0, u); only the members
-    of a family with keep set store their states.  The first member, in
-    family order, that blew up raises, named by its where.  Returns the
-    pass and each family's slice of its rows.
+    The last three fields of a member are (where, x0, u).  The first
+    member, in family order, that blew up raises, named by its where.
+    Returns the pass and each family's slice of its rows.
     """
-    members = [member for fam, _keep in families for member in fam]
+    members = [member for fam in families for member in fam]
     stepped = _simulate(net, window, [(x0, u) for *_, x0, u in members],
-                        cfg.horizon, cfg.dt,
-                        keep=[kept for fam, kept in families for _m in fam],
-                        **reductions)
+                        cfg.horizon, cfg.dt, keep, **reductions)
     for (*_, where, _x0, _u), blowup in zip(members, stepped.blowups):
         if blowup is not None:
             raise CertificationError(f"trajectory blow-up at t={blowup.time:g} "
                                      f"in {where}, seed {seed}")
     spans, start = [], 0
-    for fam, _keep in families:
+    for fam in families:
         spans.append(slice(start, start + len(fam)))
         start += len(fam)
     return stepped, spans
 
 
 def _labeled_runs(stepped, rows, family, seed):
-    """LabeledRuns of the planned bin members stepped at ``rows``; only
-    the members that kept their states carry a trajectory."""
-    return [LabeledRun(stepped.trajectory(j) if j in stepped.states else None,
+    """LabeledRuns of the planned bin members stepped at ``rows``, each
+    with its trajectory when the pass kept states."""
+    kept = stepped.states is not None
+    return [LabeledRun(stepped.trajectory(j) if kept else None,
                        r_x, r_u, u.sup_norm(), name, seed,
                        float(stepped.peaks[j]), x0, u)
             for j, (r_x, r_u, name, _where, x0, u) in enumerate(family,
@@ -275,7 +285,7 @@ def build_ensemble(net: NetworkSpec,
     """
     window = net.window(window)
     family = _plan_bins(net, window, bins, cfg, seed, tag)
-    stepped, (rows,) = _run_pass(net, window, cfg, seed, [(family, True)])
+    stepped, (rows,) = _run_pass(net, window, cfg, seed, [family], keep=True)
     return _labeled_runs(stepped, rows, family, seed)
 
 
@@ -288,15 +298,15 @@ def build_fit_and_holdout(net: NetworkSpec,
 
     The members equal those of build_ensemble with either tag.  Every
     member keeps only its peak sup norm, which is all fit_ugs reads, and
-    no trajectory; the holdout rows also keep their block records, from
-    which build_nonuniform_iss validates them pointwise.  A fit blow-up
-    is reported before a holdout one.
+    no trajectory; the holdout members' block records go to the Holdout,
+    from which build_nonuniform_iss validates them pointwise.  A fit
+    blow-up is reported before a holdout one.
     """
     window = net.window(window)
     fit = _plan_bins(net, window, bins, cfg, seed, "fit")
     hold = _plan_bins(net, window, bins, cfg, seed, "holdout")
     stepped, (fit_rows, hold_rows) = _run_pass(
-        net, window, cfg, seed, [(fit, False), (hold, False)],
+        net, window, cfg, seed, [fit, hold],
         record=[False] * len(fit) + [True] * len(hold))
     return (_labeled_runs(stepped, fit_rows, fit, seed),
             Holdout(net, window, cfg, seed,
@@ -456,12 +466,11 @@ def estimate_attainment_times(net: NetworkSpec,
 
     # every radius's members are stepped in one pass; each member only
     # records, per (level, component), the last sample above its threshold
-    families = [(_plan_bins(net, window, [(r, r), (r, 0.5 * r), (r, 0.0)],
-                            cfg, seed, f"attain:{r:g}"), False)
-                for r in radii]
+    families = [_plan_bins(net, window, [(r, r), (r, 0.5 * r), (r, 0.0)],
+                           cfg, seed, f"attain:{r:g}") for r in radii]
     ladders = [_dyadic_levels(sigma, r, depth) for r in radii]
     thresholds = np.array([ladder + float(gamma_hat(u.sup_norm()))
-                           for ladder, (fam, _keep) in zip(ladders, families)
+                           for ladder, fam in zip(ladders, families)
                            for *_, u in fam])
     stepped, spans = _run_pass(net, window, cfg, seed, families,
                                thresholds=thresholds)
@@ -529,27 +538,18 @@ def _lift_strict(times: np.ndarray, gap: float) -> np.ndarray:
     return out
 
 
-def _holdout_records(holdout: Holdout):
-    """The block records of the holdout's rows and each run's row in them:
-    the holdout's own when they come from a pass on its network, window
-    and grid and hold every run's row (so a holdout built by hand or by
-    dataclasses.replace reads only records of its rows), else those of
-    one records pass over its runs, where a blow-up raises."""
-    net, window, cfg = holdout.net, tuple(holdout.window), holdout.cfg
-    times, _h = net.time_domain.grid(cfg.horizon, cfg.dt)
-    starts = _start_rows([(run.x0, run.u) for run in holdout], len(window))
-    keys = [_row_key(x0, run.u) for x0, run in zip(starts, holdout)]
-    rec = holdout.records
-    if rec is None or rec.net is not net or rec.window != window \
-            or not np.array_equal(rec.times, times) \
-            or any(key not in rec.index for key in keys):
-        family = [(_where(run.member, run.r_x, run.r_u), run.x0, run.u)
-                  for run in holdout]
-        stepped, _spans = _run_pass(net, window, cfg, holdout.seed,
-                                    [(family, False)],
-                                    record=[True] * len(family))
-        rec = stepped.records
-    return rec, np.array([rec.index[key] for key in keys])
+def _holdout_records(holdout: Holdout) -> _BlockRecords:
+    """The block records of the holdout's runs: those the pass that
+    stepped them handed it, else those of one records pass over its runs,
+    where a blow-up raises."""
+    if holdout._records is not None:
+        return holdout._records
+    family = [(_where(run.member, run.r_x, run.r_u), run.x0, run.u)
+              for run in holdout]
+    stepped, _spans = _run_pass(holdout.net, holdout.window, holdout.cfg,
+                                holdout.seed, [family],
+                                record=[True] * len(family))
+    return stepped.records
 
 
 def _validate_holdout(holdout: Holdout, window: tuple, checks,
@@ -569,8 +569,8 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     at the blocks' first samples are lower bounds on the largest ones.
     Only the blocks whose upper bound reaches a lower bound are read
     sample by sample: stepped again by network._replay, in runs of at
-    most the holdout's distinct-row count, or known without a step (a
-    block whose largest |x| is 0, or of one sample).
+    most the records' row count (the holdout's distinct rows), or known
+    without a step (a block whose largest |x| is 0, or of one sample).
     Returns per check (raw, exceed, worst): the largest violation, at
     least 0; the largest violation less the tolerance tol_abs + tol_rel *
     bound; and (column, time, member) where the latter first occurs, runs
@@ -582,7 +582,8 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     if tuple(holdout.window) != tuple(window):
         raise ValueError(f"holdout on window {holdout.window}, certificate "
                          f"on {window}")
-    records, rows = _holdout_records(holdout)
+    records = _holdout_records(holdout)
+    rows = records.rows
     times = records.times
     edges = np.arange(0, times.size, _CHUNK)      # each block's first sample
     radius = [float(run.r_x) if run.r_x > 0 else 0.0 for run in holdout]
@@ -650,8 +651,7 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
                 else:
                     exact[key] = None
                     segments.append((*key, holdout[j].u))
-    for (r, b, _u), ax in zip(segments, _replay(records, segments,
-                                                len(set(rows.tolist())))):
+    for (r, b, _u), ax in zip(segments, _replay(records, segments)):
         exact[r, b] = ax
 
     # folded runs in order, then columns, then samples: a strict > keeps
@@ -697,9 +697,9 @@ def build_nonuniform_iss(attainment: AttainmentTable,
     ValueError).  Every component of every holdout run must stay below its
     bound within the tolerance tol_abs + tol_rel * bound; the holdout,
     nonempty and on the table's window, is checked from its block
-    records (_validate_holdout), which with ``uniform`` also validate the
-    collapse to one surface (uniform_from_nonuniform), kept as the
-    certificate's uniform.
+    records (_validate_holdout).  With ``uniform`` the same pass also
+    checks the sup norm of each holdout run against the pointwise max of
+    the surfaces, kept as the certificate's uniform collapse.
     """
     gamma_hat = attainment.gamma_hat
     window = attainment.window
@@ -737,8 +737,8 @@ def build_nonuniform_iss(attainment: AttainmentTable,
 
     checks = [(beta, False)]
     if uniform:
-        collapsed, check = _collapse(surfaces, window)
-        checks.append(check)
+        collapsed = max_surface([surfaces[i] for i in window])
+        checks.append((lambda r, t: collapsed(r, t)[:, None], True))
     results = _validate_holdout(holdout, window, checks, gamma, tol_abs,
                                 tol_rel)
     raw, exceed, (col, t, member) = results[0]
@@ -772,29 +772,6 @@ class UniformISSCertificate:
             "holdout_residual": self.holdout_residual,
             "valid": self.valid,
         }
-
-
-def _collapse(surfaces, window):
-    """The pointwise max of the window's surfaces, and its holdout check:
-    the sup norm, as one column, against it."""
-    beta = max_surface([surfaces[i] for i in window])
-    return beta, (lambda r, t: beta(r, t)[:, None], True)
-
-
-def uniform_from_nonuniform(cert: NonUniformISSCertificate,
-                            holdout: Holdout,
-                            tol_abs: float = DEFAULT_TOL_ABS,
-                            tol_rel: float = DEFAULT_TOL_REL
-                            ) -> UniformISSCertificate:
-    """Collapse a finite-window certificate to a common decay surface,
-    validated like the certificate itself, with the sup norm of each
-    holdout run against the common surface, on its own
-    (build_nonuniform_iss with uniform set checks both at once)."""
-    beta, check = _collapse(cert.surfaces, cert.window)
-    (residual, exceed, _worst), = _validate_holdout(
-        holdout, cert.window, [check], cert.gamma, tol_abs, tol_rel)
-    return UniformISSCertificate(cert.window, beta, cert.gamma, residual,
-                                 cert.valid and exceed <= 0.0)
 
 
 # Band tail-sup estimates ------------------------------------------------
@@ -909,10 +886,9 @@ def compute_band_limsups(net: NetworkSpec,
 
     families = []
     for (r, _k, _q), (lo, hi, tag) in zip(cells, limits):
-        families.append(([(f"band cell (r={r:g}, {tag})", x0, u)
-                          for _name, x0, u in _band_members(
-                              net, window, r, lo, hi, cfg, seed, tag)],
-                         False))
+        families.append([(f"band cell (r={r:g}, {tag})", x0, u)
+                         for _name, x0, u in _band_members(
+                             net, window, r, lo, hi, cfg, seed, tag)])
     stepped, spans = _run_pass(net, window, cfg, seed, families,
                                tail_starts=tail_starts)
     return [BandEntry(float(r), k, q, (lo, hi), tail_starts,

@@ -17,12 +17,13 @@ pass up (start states, coupled map, input block) and systems._step_rows,
 the one stepping loop, steps it.  The pass reduces the |x| rows per
 member a block of 32 samples at a time (the peak sup norm, the last
 sample above given nonnegative thresholds, the suffix sups at given tail
-starts, and for recorded rows each block's start state and per-column
-max), and only the members asked to keep their states store them, so an
-ensemble need not hold all of its trajectories.  _replay steps recorded
-blocks again on their own, from their start states.  Equal members (start row, input and
-threshold row) share one row, so each distinct member is stepped and
-stored once and its results are handed to every copy.  A member that blows up keeps its row,
+starts, and for recorded members each block's start state and per-column
+max), and it keeps the states of all of its members or of none, so an
+ensemble need not hold its trajectories.  _replay steps recorded
+blocks again on their own, from their start states.  Equal members (start
+row, input and threshold row) share one row, in the order of their first
+members, so each distinct member is stepped and stored once and its
+results are handed to every copy.  A member that blows up keeps its row,
 held at zero from then on, which moves none of these reductions.
 
 The truncation rule has one copy, _neighbor_gather, which hands every
@@ -226,17 +227,18 @@ def _coupled_step(net: NetworkSpec, window: tuple, h: float, m: int):
 
 @dataclass(frozen=True, eq=False)
 class _BlockRecords:
-    """What a pass keeps of its recorded rows, a 32-sample block at a time:
-    each row's state at the block's first sample and each column's
-    largest |x| over the block, enough to step any block again on its own
-    (_replay).  index maps a row's _row_key to its position; net, window,
+    """What a pass keeps of its recorded members' rows, a 32-sample block
+    at a time: each row's state at the block's first sample and each
+    column's largest |x| over the block, enough to step any block again on
+    its own (_replay).  rows gives each recorded member's row in states
+    and tops, in member order; equal members share one.  net, window,
     times and h are the pass's."""
 
     net: NetworkSpec
     window: tuple
     times: np.ndarray
     h: float
-    index: dict
+    rows: np.ndarray                 # (recorded members,)
     states: np.ndarray               # (rows, blocks, n)
     tops: np.ndarray                 # (rows, blocks, n)
 
@@ -258,8 +260,8 @@ class _Stepped:
     ends: np.ndarray                 # samples member j has
     blowups: list                    # BlowUp or None
     peaks: np.ndarray                # largest sup norm over the samples
-    states: dict                     # j -> (ends[j], n) samples, kept
-                                     # members; equal members share one
+    states: list | None              # (ends[j], n) samples of member j, None
+                                     # unless kept; equal members share one
     last_exceed: np.ndarray | None   # (m, L, n) last sample with |x_i| above
                                      # threshold l, -1 if none
     tail_sups: np.ndarray | None     # (m, starts, n) sup from each start on
@@ -271,8 +273,8 @@ class _Stepped:
 
 
 def _simulate(net: NetworkSpec, window: Sequence[int], members,
-              horizon: float, dt: float | None, keep=None, thresholds=None,
-              tail_starts=None, record=None) -> _Stepped:
+              horizon: float, dt: float | None, keep: bool = True,
+              thresholds=None, tail_starts=None, record=None) -> _Stepped:
     """Step every (x0, u) member together as one (m, n) state array.
 
     The coupled map is the spec's fast_factory(window), or the map
@@ -283,14 +285,14 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     sample at which |x_i| of member j exceeds thresholds[j, l]; with
     ``tail_starts`` the sup of |x_i| from each start on; with ``record``
     (a flag per member) the block records of the flagged members' rows.
-    systems._step_rows steps the pass; only the members flagged in
-    ``keep`` (all when None) store their states.
+    systems._step_rows steps the pass, which stores every member's states
+    when ``keep`` is set and none otherwise.
 
     Members with equal start rows, inputs (breaks and values) and
     threshold rows share one row, which the map's row contract makes
-    exact: each distinct member is stepped, and kept, once.  Kept rows go
-    first, so the stepper stores a leading slice; every result is mapped
-    back to each member, and kept duplicates share one states array.
+    exact: each distinct member is stepped, and kept, once.  Every result
+    is mapped back to each member, and kept duplicates share one states
+    array.
     """
     times, h = net.time_domain.grid(horizon, dt)
     window = net.window(window)
@@ -302,46 +304,42 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
         if thresholds.ndim != 2 or thresholds.shape[0] != m:
             raise ValueError("one threshold row per member required")
 
-    keep = np.ones(m, bool) if keep is None else np.asarray(keep, bool)
-    order, row, n_kept = _distinct_rows(starts, members, thresholds, keep)
+    order, row = _distinct_rows(starts, members, thresholds)
     step = _coupled_step(net, window, h, order.size)
     inputs = _input_block([members[d][1] for d in order], times[:-1], h, n) \
         if m else None
-    recorded = None if record is None \
-        else _sorted_unique(row[np.asarray(record, bool)])
+    recorded = None if record is None else row[np.asarray(record, bool)]
     red = _Reductions(order.size, n, times,
                       None if thresholds is None else thresholds[order],
-                      tail_starts, recorded)
+                      tail_starts,
+                      None if recorded is None else _sorted_unique(recorded))
     states, ends, blowups = _step_rows(
-        times, step, starts[order], inputs, n_kept, red.update)
+        times, step, starts[order], inputs, keep, red.update)
     tail_sups = red.tail_sups()
-    records = None
-    if recorded is not None:
-        index = {}
-        for k, d in enumerate(order[recorded]):
-            index.setdefault(_row_key(starts[d], members[d][1]), k)
-        records = _BlockRecords(net, window, times, h, index, red.rec_states,
-                                red.rec_tops)
+    records = None if recorded is None else _BlockRecords(
+        net, window, times, h, np.searchsorted(red.recorded, recorded),
+        red.rec_states, red.rec_tops)
     return _Stepped(window, times, ends[row], [blowups[r] for r in row],
                     red.peaks[row],
-                    {int(j): states[row[j]] for j in np.flatnonzero(keep)},
+                    None if states is None else [states[r] for r in row],
                     None if red.last_exceed is None else red.last_exceed[row],
                     None if tail_sups is None else tail_sups[row], records)
 
 
-def _replay(records: _BlockRecords, segments, group: int) -> list:
+def _replay(records: _BlockRecords, segments) -> list:
     """The |x| samples of each (row, block, u) segment of the records,
     stepped again from the block's recorded start on the row's input u.
 
-    The segments are stacked as the rows of short runs of at most
-    ``group`` rows, each as long as its longest segment; a shorter
-    segment (the grid's last block) steps on past its block's end on the
-    grid's last step input, and those samples are dropped.  Each run is
-    one systems._step_rows call that keeps no states and hands its one
-    block to the observer.  The map's row contract makes every sample
+    The segments are stacked as the rows of short runs of at most as many
+    rows as the records have, each as long as its longest segment; a
+    shorter segment (the grid's last block) steps on past its block's end
+    on the grid's last step input, and those samples are dropped.  Each
+    run is one systems._step_rows call that keeps no states and hands its
+    one block to the observer.  The map's row contract makes every sample
     equal the recording pass's.
     """
     times = records.times
+    group = records.states.shape[0]
     out = []
     for g0 in range(0, len(segments), group):
         rows, blocks, inputs = zip(*segments[g0:g0 + group])
@@ -356,33 +354,27 @@ def _replay(records: _BlockRecords, segments, group: int) -> list:
                    records.states[list(rows), list(blocks)],
                    _input_block(inputs, times[k], records.h,
                                 len(records.window)),
-                   0, lambda _k0, block, _blown, _start: got.append(block))
+                   False, lambda _k0, block, _blown, _start: got.append(block))
         out.extend(got[0][:size, i] for i, size in enumerate(sizes))
     return out
 
 
-def _distinct_rows(starts: np.ndarray, members, thresholds, keep):
-    """(order, row, n_kept): the first member of each distinct key, kept
-    ones first, in member order otherwise; the row in that order stepping
-    each member; and how many rows keep their states.  A member's key is
-    its start row, its input's breaks and values, and its threshold row;
-    a row keeps its states when any member with its key is flagged in
-    ``keep``."""
-    m = len(members)
-    first = {}
-    rep = np.empty(m, int)            # the first member equal to member j
+def _distinct_rows(starts: np.ndarray, members, thresholds):
+    """(order, row): the first member of each distinct key, in member
+    order, and the row in that order stepping each member.  A member's key
+    is its start row, its input's breaks and values, and its threshold
+    row."""
+    first = {}                        # key -> its row
+    order = []
+    row = np.empty(len(members), int)
     for j, (_x0, u) in enumerate(members):
         key = (_row_key(starts[j], u),
                None if thresholds is None else thresholds[j].tobytes())
-        rep[j] = first.setdefault(key, j)
-    distinct = np.flatnonzero(rep == np.arange(m))
-    held = np.zeros(m, bool)          # some member equal to it is kept
-    held[rep[keep]] = True
-    order = np.concatenate([distinct[held[distinct]],
-                            distinct[~held[distinct]]])
-    row = np.empty(m, int)
-    row[order] = np.arange(order.size)
-    return order, row[rep], int(np.count_nonzero(held))
+        if key not in first:
+            first[key] = len(order)
+            order.append(j)
+        row[j] = first[key]
+    return np.array(order, int), row
 
 
 class _Reductions:

@@ -302,25 +302,24 @@ def _rk4_step(f, x, h, *args):
 
 
 def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
-               kept: int | None = None, observe=None):
+               keep: bool = True, observe=None):
     """Step the rows of x (m, n) by ``update(x, inputs[k])`` over ``times``.
 
     Each sample's |x| goes into one reused (_CHUNK, m, n) block, and
     ``observe(k0, block, blown, start)`` sees a block of 32 samples at a
     time, k0 its first sample and the last block partial: blown lists
     (k, mask) for each sample k in it at which the rows of mask blow up,
-    and start the (m, n) state at sample k0 (a reused buffer).  The first
-    ``kept`` rows (all when None) store their states.  A row whose norm is
-    not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample, the start one
-    included, ends there with a BlowUp of that norm, and is held at zero
-    after every later step.  Returns (states, ends, blowups): kept
-    (ends[j], n) samples by row j, each row's sample count and BlowUp or
-    None.
+    and start the (m, n) state at sample k0 (a reused buffer).  Every row
+    stores its states when ``keep`` is set, and none does otherwise.  A row
+    whose norm is not finite or exceeds DEFAULT_BLOWUP_BOUND at a sample,
+    the start one included, ends there with a BlowUp of that norm, and is
+    held at zero after every later step.  Returns (states, ends, blowups):
+    the (ends[j], n) samples of each row j (None unless kept), each row's
+    sample count and BlowUp or None.
     """
     m, n = x.shape
     steps = times.size - 1
-    kept = m if kept is None else kept
-    stored = np.empty((kept, steps + 1, n))
+    stored = np.empty((m if keep else 0, steps + 1, n))
     block = np.empty((min(_CHUNK, steps + 1), m, n))
     start = np.empty((m, n))          # the state at the block's first sample
     blown = []                        # (k, mask) in the current block
@@ -338,8 +337,8 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
             x = update(x, inputs[k - 1])
             if n_dead:
                 x[dead] = 0.0
-        if kept:
-            stored[:, k] = x[:kept]
+        if keep:
+            stored[:, k] = x
         if k == k0:
             start[:] = x
         ax = np.abs(x, out=block[k - k0])
@@ -363,7 +362,7 @@ def _step_rows(times: np.ndarray, update, x: np.ndarray, inputs,
             k0 = k + 1
     if observe is not None and k0 < samples:
         observe(k0, block[:samples - k0], blown, start)
-    states = {j: stored[j, :ends[j]] for j in range(kept)}
+    states = [stored[j, :ends[j]] for j in range(m)] if keep else None
     return states, ends, blowups
 
 

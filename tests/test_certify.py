@@ -19,7 +19,6 @@ from issnet.certify import (
     fit_ugs,
     tail_limsup_estimate,
     trace_to_csv,
-    uniform_from_nonuniform,
     verify_sg_inequality,
 )
 from issnet.comparison import curve_sum, identity
@@ -232,8 +231,8 @@ def test_surface_dominates_trajectories(cycle_pipeline, two_cycle):
 
 
 def test_uniform_certificate_collapses_the_window(cycle_pipeline):
-    hold, cert = cycle_pipeline[3], cycle_pipeline[6]
-    uni = uniform_from_nonuniform(cert, holdout=hold)
+    hold, ugs, att, cert = cycle_pipeline[3:7]
+    uni = build_nonuniform_iss(att, ugs, hold, uniform=True).uniform
     assert uni.valid
     assert uni.holdout_residual == 0.0
     assert uni.beta(1.0, 0.0) == pytest.approx(2.0, abs=1e-8)

@@ -21,8 +21,7 @@ from issnet.certify import (CertificationError, EnsembleConfig,
                             build_ensemble, build_fit_and_holdout,
                             build_nonuniform_iss, compute_band_limsups,
                             estimate_attainment_times, fit_ugs,
-                            tail_limsup_estimate,
-                            uniform_from_nonuniform)
+                            tail_limsup_estimate)
 from issnet.comparison import KLSurface, identity, linear, scale
 from issnet.gains import FiniteIndexSet
 from issnet.network import NetworkSpec, _simulate, simulate_ensemble
@@ -241,14 +240,12 @@ def test_holdout_validation_equals_the_per_component_loop(setting):
             assert cert.holdout_residual == residual
             assert cert.worst_case == worst
             assert cert.valid == (exceed <= 0.0)
-            uni = uniform_from_nonuniform(cert, holdout, tol_abs=tol_abs,
-                                          tol_rel=tol_rel)
+            # the collapse, validated in the certificate's own pass
+            uni = cert.uniform
             ref_residual, ref_exceed = _reference_uniform(
                 uni.beta, cert.gamma, holdout, tol_abs, tol_rel)
             assert uni.holdout_residual == ref_residual
             assert uni.valid == (cert.valid and ref_exceed <= 0.0)
-            # the collapse validated in the certificate's own pass
-            assert cert.uniform.to_json() == uni.to_json()
         assert not cert.valid
 
 
@@ -267,16 +264,13 @@ def test_surfaces_are_evaluated_once_per_radius_and_grid(setting,
         return evaluate(self, r, t)
 
     monkeypatch.setattr(KLSurface, "__call__", counted)
-    cert = build_nonuniform_iss(att, ugs, hold)
+    build_nonuniform_iss(att, ugs, hold)
     # each positive start radius once per component; a run from rest is
     # bounded by gamma(||u||) alone, so r = 0 is never evaluated
     starts = {run.r_x for run in hold if run.r_x > 0}
     assert 0.0 in {run.r_x for run in hold}
     assert len(hold) > len(starts) + 1
     assert sorted(calls) == sorted(list(starts) * len(window))
-    calls.clear()
-    uniform_from_nonuniform(cert, hold)
-    assert sorted(calls) == sorted(starts)
     # sharing the pass, the collapsed surface is evaluated once per radius
     calls.clear()
     build_nonuniform_iss(att, ugs, hold, uniform=True)
@@ -469,32 +463,29 @@ def _duplicated_members(n, h):
     b = (np.ones(n), InputSignal.zero())
     c = (np.ones(n), InputSignal.constant(0.0))   # equal to b
     d = (0.5, InputSignal.constant(0.4))
-    members = [a, b, _copy(*a), d, c, a, _copy(*d)]
-    keep = [True, False, False, False, True, False, False]
-    # a is kept at its first copy, b at its second (c), d never
-    return members, keep
+    return [a, b, _copy(*a), d, c, a, _copy(*d)]
 
 
 def _rows_seen(monkeypatch):
     seen = []
     step_rows = network._step_rows
 
-    def recorded(times, update, x, inputs, kept=None, observe=None):
-        seen.append((x.shape[0], kept))
-        return step_rows(times, update, x, inputs, kept, observe)
+    def recorded(times, update, x, inputs, keep=True, observe=None):
+        seen.append((x.shape[0], keep))
+        return step_rows(times, update, x, inputs, keep, observe)
 
     monkeypatch.setattr(network, "_step_rows", recorded)
     return seen
 
 
 def _calls_seen(monkeypatch):
-    """(rows, kept, samples) of every _step_rows call."""
+    """(rows, keep, samples) of every _step_rows call."""
     seen = []
     step_rows = network._step_rows
 
-    def recorded(times, update, x, inputs, kept=None, observe=None):
-        seen.append((x.shape[0], kept, times.size))
-        return step_rows(times, update, x, inputs, kept, observe)
+    def recorded(times, update, x, inputs, keep=True, observe=None):
+        seen.append((x.shape[0], keep, times.size))
+        return step_rows(times, update, x, inputs, keep, observe)
 
     monkeypatch.setattr(network, "_step_rows", recorded)
     return seen
@@ -503,29 +494,34 @@ def _calls_seen(monkeypatch):
 def test_duplicate_members_equal_their_solo_runs(setting, monkeypatch):
     net, window, cfg = setting
     h = cfg.dt or 1.0
-    members, keep = _duplicated_members(len(window), h)
+    members = _duplicated_members(len(window), h)
     thresholds = np.tile([1e3, 0.5, 0.05], (len(members), 1))
     starts = (0.0, 0.5 * cfg.horizon)
     seen = _rows_seen(monkeypatch)
-    stepped = _simulate(net, window, members, cfg.horizon, cfg.dt, keep=keep,
-                        thresholds=thresholds, tail_starts=starts)
-    assert seen == [(3, 2)]                 # a, d and b; a and b kept
-    assert sorted(stepped.states) == [0, 4]
-    for j, (x0, u) in enumerate(members):
-        solo = _simulate(net, window, [(x0, u)], cfg.horizon, cfg.dt,
-                         thresholds=thresholds[j:j + 1], tail_starts=starts)
-        assert stepped.ends[j] == solo.ends[0]
-        assert stepped.blowups[j] == solo.blowups[0] is None
-        assert stepped.peaks[j] == solo.peaks[0]
-        assert np.array_equal(stepped.last_exceed[j], solo.last_exceed[0])
-        assert np.array_equal(stepped.tail_sups[j], solo.tail_sups[0])
-        if keep[j]:
-            assert np.array_equal(stepped.states[j], solo.states[0])
+    for keep in (True, False):
+        seen.clear()
+        stepped = _simulate(net, window, members, cfg.horizon, cfg.dt,
+                            keep=keep, thresholds=thresholds,
+                            tail_starts=starts)
+        assert seen == [(3, keep)]          # a, b and d
+        assert (stepped.states is None) == (not keep)
+        for j, (x0, u) in enumerate(members):
+            solo = _simulate(net, window, [(x0, u)], cfg.horizon, cfg.dt,
+                             thresholds=thresholds[j:j + 1],
+                             tail_starts=starts)
+            assert stepped.ends[j] == solo.ends[0]
+            assert stepped.blowups[j] == solo.blowups[0] is None
+            assert stepped.peaks[j] == solo.peaks[0]
+            assert np.array_equal(stepped.last_exceed[j],
+                                  solo.last_exceed[0])
+            assert np.array_equal(stepped.tail_sups[j], solo.tail_sups[0])
+            if keep:
+                assert np.array_equal(stepped.states[j], solo.states[0])
 
 
 def test_kept_duplicates_share_one_states_array(setting):
     net, window, cfg = setting
-    members, _keep = _duplicated_members(len(window), cfg.dt or 1.0)
+    members = _duplicated_members(len(window), cfg.dt or 1.0)
     trajs = simulate_ensemble(net, window, members, cfg.horizon, cfg.dt)
     for i, j in [(0, 2), (0, 5), (1, 4), (3, 6)]:
         assert np.shares_memory(trajs[i].states, trajs[j].states)
@@ -540,33 +536,36 @@ def test_duplicates_that_blow_up_equal_their_solo_runs(monkeypatch):
     bad = (0.5, InputSignal.constant(-1.0))
     members = [(1.0, InputSignal.zero()), bad, _copy(*bad), (0.25, bad[1]),
                bad]
-    keep = [False, False, True, True, False]
     seen = _rows_seen(monkeypatch)
-    stepped = _simulate(net, (0,), members, 60.0, None, keep=keep,
-                        tail_starts=(0.0,))
-    assert seen == [(3, 2)]
-    for j, (x0, u) in enumerate(members):
-        solo = _simulate(net, (0,), [(x0, u)], 60.0, None, tail_starts=(0.0,))
-        assert stepped.ends[j] == solo.ends[0]
-        assert stepped.blowups[j] == solo.blowups[0]
-        assert stepped.peaks[j] == solo.peaks[0]
-        assert np.array_equal(stepped.tail_sups[j], solo.tail_sups[0])
-        if keep[j]:
-            assert np.array_equal(stepped.states[j], solo.states[0])
-    assert stepped.blowups[1] is not None and stepped.ends[1] < 61
+    for keep in (True, False):
+        seen.clear()
+        stepped = _simulate(net, (0,), members, 60.0, None, keep=keep,
+                            tail_starts=(0.0,))
+        assert seen == [(3, keep)]
+        assert (stepped.states is None) == (not keep)
+        for j, (x0, u) in enumerate(members):
+            solo = _simulate(net, (0,), [(x0, u)], 60.0, None,
+                             tail_starts=(0.0,))
+            assert stepped.ends[j] == solo.ends[0]
+            assert stepped.blowups[j] == solo.blowups[0]
+            assert stepped.peaks[j] == solo.peaks[0]
+            assert np.array_equal(stepped.tail_sups[j], solo.tail_sups[0])
+            if keep:
+                assert np.array_equal(stepped.states[j], solo.states[0])
+        assert stepped.blowups[1] is not None and stepped.ends[1] < 61
 
 
 def test_a_duplicated_blowup_names_its_first_member():
-    # the kept copy is stepped first, yet the unkept one comes first in
-    # family order, so it is the member named
+    # the copy in the second family shares the row of the first family's
+    # member, which comes first in family order, so it is the member named
     net = _trap_net(lambda u: u < -0.5)
     cfg = EnsembleConfig(horizon=60.0)
     bad = (0.5, InputSignal.constant(-1.0))
-    families = [([("first", 1.0, InputSignal.zero()), ("second", *bad)],
-                 False),
-                ([("third", *_copy(*bad))], True)]
-    with pytest.raises(CertificationError, match="in second, seed 0"):
-        certify._run_pass(net, (0,), cfg, 0, families)
+    families = [[("first", 1.0, InputSignal.zero()), ("second", *bad)],
+                [("third", *_copy(*bad))]]
+    for keep in (True, False):
+        with pytest.raises(CertificationError, match="in second, seed 0"):
+            certify._run_pass(net, (0,), cfg, 0, families, keep)
 
 
 def test_equal_runs_with_different_thresholds_stay_separate(monkeypatch):
@@ -574,15 +573,19 @@ def test_equal_runs_with_different_thresholds_stay_separate(monkeypatch):
     members = [(1.0, InputSignal.zero()), (1.0, InputSignal.zero())]
     thresholds = np.array([[0.5], [0.9]])
     seen = _rows_seen(monkeypatch)
-    stepped = _simulate(net, 2, members, 2.0, 0.1, keep=[True, True],
-                        thresholds=thresholds)
-    assert seen == [(2, 2)]
-    assert stepped.last_exceed[0, 0, 1] > stepped.last_exceed[1, 0, 1]
-    assert not np.shares_memory(stepped.states[0], stepped.states[1])
-    for j in range(2):
-        solo = _simulate(net, 2, members[j:j + 1], 2.0, 0.1,
-                         thresholds=thresholds[j:j + 1])
-        assert np.array_equal(stepped.last_exceed[j], solo.last_exceed[0])
+    for keep in (True, False):
+        seen.clear()
+        stepped = _simulate(net, 2, members, 2.0, 0.1, keep=keep,
+                            thresholds=thresholds)
+        assert seen == [(2, keep)]
+        assert stepped.last_exceed[0, 0, 1] > stepped.last_exceed[1, 0, 1]
+        if keep:
+            assert not np.shares_memory(stepped.states[0], stepped.states[1])
+        for j in range(2):
+            solo = _simulate(net, 2, members[j:j + 1], 2.0, 0.1,
+                             thresholds=thresholds[j:j + 1])
+            assert np.array_equal(stepped.last_exceed[j],
+                                  solo.last_exceed[0])
 
 
 def test_a_certify_pass_steps_each_distinct_member_once(monkeypatch):
@@ -600,20 +603,21 @@ def test_a_certify_pass_steps_each_distinct_member_once(monkeypatch):
     kept = len({(x, str(u)) for x, u in keys[len(fit):]})
     seen = _rows_seen(monkeypatch)
     fit_runs, hold_runs = build_fit_and_holdout(net, window, bins, cfg, 0)
-    assert seen == [(distinct, 0)]
+    assert seen == [(distinct, False)]
     assert (distinct, kept) == (12, 9)      # of 24 members, 12 of them holdout
     assert all(run.trajectory is None for run in fit_runs + list(hold_runs))
     assert len(hold_runs) == 12
-    # validation reads the 9 distinct holdout rows' block records and
-    # steps again only some of their blocks, in runs of at most 9 rows,
-    # keeping none
-    assert len(hold_runs.records.index) == 9
+    # validation reads the block records the pass handed the holdout, a
+    # row per run and 9 distinct rows, and steps again only some of their
+    # blocks, in runs of at most 9 rows, keeping none
+    records = hold_runs._records
+    assert records.rows.size == 12 and records.states.shape[0] == 9
     ugs = fit_ugs(fit_runs, holdout=hold_runs)
     att = estimate_attainment_times(net, window, (1.0,), 0, ugs.sigma,
                                     ugs.gamma, cfg, 0)
     seen.clear()
     build_nonuniform_iss(att, ugs, hold_runs, uniform=True)
-    assert all(rows <= 9 and kept == 0 for rows, kept in seen)
+    assert all(rows <= 9 and not kept for rows, kept in seen)
 
 
 # holdout validation -------------------------------------------------------
@@ -673,19 +677,21 @@ def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
     rows = {(np.broadcast_to(np.asarray(run.x0, float), len(window))
              .tobytes(), str(run.u.to_json())) for run in runs}
     assert len(rows) < len(runs) - 4       # repeats from the pass itself
-    seen = _rows_seen(monkeypatch)
+    seen = _calls_seen(monkeypatch)
     for tol_abs, tol_rel in ((1e-6, 1e-3), (-1.0, 0.0), (-1.0, 0.5)):
         # a negative tolerance makes every point a violation: ties
         # between runs, copies and components all reach the tie-break
         seen.clear()
         cert = build_nonuniform_iss(att, ugs, runs, tol_abs, tol_rel,
                                     uniform=True)
-        # every row has block records from the holdout's own pass, so no
-        # pass is made: only replay runs of at most the distinct rows,
-        # for both checks, keeping none
-        assert all(n_rows <= len(rows) and kept == 0
-                   for n_rows, kept in seen)
-        uni = uniform_from_nonuniform(cert, runs, tol_abs, tol_rel)
+        # a holdout made by dataclasses.replace has no records: one
+        # records pass of the distinct rows, then replay runs of at most
+        # that many rows, for both checks, keeping none
+        samples = stored[0].trajectory.times.size
+        assert seen[0] == (len(rows), False, samples)
+        assert all(n_rows <= len(rows) and not kept and n <= BLOCK
+                   for n_rows, kept, n in seen[1:])
+        uni = cert.uniform
         checks = _checks(cert, uni.beta)
         got = certify._validate_holdout(
             runs, window, [(beta, sup) for beta, sup, _v in checks],
@@ -701,8 +707,8 @@ def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
         assert cert.worst_case == worst == \
             (window[got[0][2][0]],) + got[0][2][1:]
         raw, exceed, _ = got[1]
-        assert uni.holdout_residual == cert.uniform.holdout_residual == raw
-        assert uni.valid == cert.uniform.valid == (cert.valid and exceed <= 0)
+        assert uni.holdout_residual == raw
+        assert uni.valid == (cert.valid and exceed <= 0)
 
 
 def _replay_net():
@@ -812,21 +818,18 @@ def test_an_empty_holdout_is_rejected(monkeypatch):
     ugs = fit_ugs(fit, holdout=hold)
     att = estimate_attainment_times(net, window, (1.0,), 0, ugs.sigma,
                                     ugs.gamma, cfg, 0)
-    cert = build_nonuniform_iss(att, ugs, hold)
     empty = dataclasses.replace(hold, runs=())
     for holdout in ([], empty):
         with pytest.raises(ValueError, match="empty holdout"):
             fit_ugs(fit, holdout=holdout)
-        with pytest.raises(ValueError, match="empty holdout"):
-            build_nonuniform_iss(att, ugs, holdout)
-        with pytest.raises(ValueError, match="empty holdout"):
-            uniform_from_nonuniform(cert, holdout)
+        for uniform in (False, True):
+            with pytest.raises(ValueError, match="empty holdout"):
+                build_nonuniform_iss(att, ugs, holdout, uniform=uniform)
     # and a holdout stepped on another window than the certificate's
     _fit, wider = build_fit_and_holdout(net, net.window(4), bins, cfg, 0)
-    with pytest.raises(ValueError, match="holdout on window"):
-        build_nonuniform_iss(att, ugs, wider)
-    with pytest.raises(ValueError, match="holdout on window"):
-        uniform_from_nonuniform(cert, wider)
+    for uniform in (False, True):
+        with pytest.raises(ValueError, match="holdout on window"):
+            build_nonuniform_iss(att, ugs, wider, uniform=uniform)
 
 
 def test_no_certify_pass_keeps_states(run_cli, monkeypatch):
@@ -847,7 +850,7 @@ def test_no_certify_pass_keeps_states(run_cli, monkeypatch):
         assert [samples for _rows, _kept, samples in seen[:2]] == [41, 41]
         assert len(seen) <= 3
         assert all(samples <= BLOCK for _rows, _kept, samples in seen[2:])
-        assert all(kept == 0 for _rows, kept, _samples in seen)
+        assert all(not kept for _rows, kept, _samples in seen)
 
 
 def test_a_certify_run_holds_no_holdout_block():
@@ -963,7 +966,7 @@ def _assert_blocks_equal_the_stored_pass(trajectories):
         assert np.array_equal(stepped.tail_sups[j], tail_limsup_estimate(
             traj.times, ax, TAIL_STARTS))
         if traj.blowup is None:
-            row = records.index[network._row_key(*members[j])]
+            row = records.rows[j]
             assert np.array_equal(records.states[row],
                                   traj.states[::BLOCK])
             assert np.array_equal(records.tops[row], np.maximum.reduceat(
@@ -1041,11 +1044,11 @@ def test_a_pass_observes_one_block_per_32_samples(monkeypatch):
     blocks = []
     step_rows = network._step_rows
 
-    def recorded(times, update, x, inputs, kept=None, observe=None):
+    def recorded(times, update, x, inputs, keep=True, observe=None):
         def counted(k0, block, blown, start):
             blocks.append((k0, block.shape[0]))
             observe(k0, block, blown, start)
-        return step_rows(times, update, x, inputs, kept, counted)
+        return step_rows(times, update, x, inputs, keep, counted)
 
     monkeypatch.setattr(network, "_step_rows", recorded)
     net = _replay_net()
@@ -1165,8 +1168,8 @@ def test_negative_tolerances_equal_the_stored_loop(setting):
     ugs = fit_ugs(fit, holdout=hold)
     att = estimate_attainment_times(net, window, (0.5, 1.0), 3, ugs.sigma,
                                     ugs.gamma, cfg, seed=8)
-    cert = build_nonuniform_iss(att, ugs, hold)
-    uni = uniform_from_nonuniform(cert, hold)
+    cert = build_nonuniform_iss(att, ugs, hold, uniform=True)
+    uni = cert.uniform
     stored = _stored(hold)
     # a negative tol_rel makes the tolerance least at a block's largest
     # bound, not at its smallest
@@ -1268,29 +1271,28 @@ def test_with_nothing_pruned_replay_runs_stay_within_the_row_count(
     _validation_equals_the_stored_loop(holdout, _flat, 1e-6, 1e-3)
     replays = _replay_calls(seen)
     assert sum(n for n, _k, _s in replays) == 3 * 4
-    assert all(n <= 3 and kept == 0 for n, kept, _s in replays)
+    assert all(n <= 3 and not kept for n, kept, _s in replays)
 
 
 def test_records_belong_to_their_rows(setting, monkeypatch):
-    # a holdout made by dataclasses.replace carries the records of the
-    # runs it was made from: a run with another x0, or another grid, has
-    # no records there and gets them from one records pass over its runs;
-    # the same rows under other labels (_with_duplicates) read them as they
-    # are, with no pass
+    # only the pass that stepped a holdout's runs hands it their records;
+    # a holdout made by dataclasses.replace has none, whether a run has
+    # another x0, the grid is another, or the same rows carry other labels
+    # (_with_duplicates), and gets them from one records pass over its runs
     net, window, cfg = setting
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
     ugs = fit_ugs(fit, holdout=hold)
     att = estimate_attainment_times(net, window, (0.5, 1.0), 3, ugs.sigma,
                                     ugs.gamma, cfg, seed=8)
-    cert = build_nonuniform_iss(att, ugs, hold)
-    uni = uniform_from_nonuniform(cert, hold)
+    cert = build_nonuniform_iss(att, ugs, hold, uniform=True)
+    uni = cert.uniform
     moved = dataclasses.replace(hold[1], x0=0.5 * hold[1].x0 + 0.125)
     short = EnsembleConfig(horizon=0.5 * cfg.horizon, dt=cfg.dt, n_random=2)
     samples = round(cfg.horizon / (cfg.dt or 1.0)) + 1
     cases = [(dataclasses.replace(hold, runs=(hold[0], moved, *hold[2:])),
               samples),
              (dataclasses.replace(hold, cfg=short), samples // 2 + 1),
-             (_with_duplicates(hold), None)]
+             (_with_duplicates(hold), samples)]
     seen = _calls_seen(monkeypatch)
     for holdout, full in cases:
         stored = _stored(holdout)
@@ -1302,10 +1304,37 @@ def test_records_belong_to_their_rows(setting, monkeypatch):
         for (beta, _sup, values), result in zip(checks, got):
             assert result == _todays_validate_holdout(
                 stored, beta, cert.gamma, values, 1e-6, 1e-3)
-        # the records pass, when there is one, then replay runs alone
-        replays = seen if full is None else seen[1:]
-        assert full is None or seen[0][2] == full
-        assert all(samples <= BLOCK for _r, _k, samples in replays)
+        # the records pass, then replay runs alone
+        assert seen[0][2] == full
+        assert all(samples <= BLOCK for _r, _k, samples in seen[1:])
+
+
+def test_a_replaced_holdout_makes_one_records_pass(setting, monkeypatch):
+    # dataclasses.replace hands over no records, even with no field
+    # changed: the copy makes exactly one records pass over its runs, and
+    # both checks read the same bits from it as from the original's
+    net, window, cfg = setting
+    fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
+    ugs = fit_ugs(fit, holdout=hold)
+    att = estimate_attainment_times(net, window, (0.5, 1.0), 3, ugs.sigma,
+                                    ugs.gamma, cfg, seed=8)
+    cert = build_nonuniform_iss(att, ugs, hold, uniform=True)
+    checks = [(beta, sup) for beta, sup, _v in _checks(cert,
+                                                       cert.uniform.beta)]
+    samples = round(cfg.horizon / (cfg.dt or 1.0)) + 1
+    seen = _calls_seen(monkeypatch)
+    want = certify._validate_holdout(hold, window, checks, cert.gamma, 1e-6,
+                                     1e-3)
+    assert all(n <= BLOCK for _r, _k, n in seen)         # replays alone
+    copy = dataclasses.replace(hold)
+    assert copy._records is None and copy.runs == hold.runs
+    seen.clear()
+    got = certify._validate_holdout(copy, window, checks, cert.gamma, 1e-6,
+                                    1e-3)
+    assert seen[0] == (hold._records.states.shape[0], False, samples)
+    assert all(n <= BLOCK for _r, _k, n in seen[1:])
+    assert len(got) == 2
+    assert got == want and repr(got) == repr(want)
 
 
 def test_certify_chain50_steps_few_segments_again(monkeypatch):
@@ -1324,7 +1353,8 @@ def test_certify_chain50_steps_few_segments_again(monkeypatch):
     seen = _calls_seen(monkeypatch)
     cert = build_nonuniform_iss(att, ugs, hold, uniform=True)
     assert cert.valid and cert.uniform.valid
-    assert seen and all(samples <= BLOCK and kept == 0
+    assert seen and all(samples <= BLOCK and not kept
                         for _rows, kept, samples in seen)
     assert sum(rows for rows, _kept, _samples in seen) <= 64
-    assert all(rows <= len(hold.records.index) for rows, _k, _s in seen)
+    assert all(rows <= hold._records.states.shape[0]
+               for rows, _k, _s in seen)
