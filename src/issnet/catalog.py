@@ -99,9 +99,10 @@ def _build_counterexample(p):
         tiles = {}
 
         def f(x, w, u):
-            if x.shape not in tiles:
-                tiles[x.shape] = np.broadcast_to(neg_inv, x.shape).copy()
-            return tiles[x.shape] * x
+            tile = tiles.get(x.shape)
+            if tile is None:
+                tile = tiles[x.shape] = np.broadcast_to(neg_inv, x.shape).copy()
+            return tile * x
 
         return f
 
@@ -200,11 +201,11 @@ def _build_nonuniform_chain(p):
         tiles = {}
 
         def f(x, w, u):
-            if x.shape not in tiles:
-                tiles[x.shape] = (np.broadcast_to(a, x.shape).copy(),
-                                  np.broadcast_to(b, x.shape).copy())
-            ta, tb = tiles[x.shape]
-            return ta * x + tb * w[..., 0] + cc * u
+            tile = tiles.get(x.shape)
+            if tile is None:
+                tile = tiles[x.shape] = (np.broadcast_to(a, x.shape).copy(),
+                                         np.broadcast_to(b, x.shape).copy())
+            return tile[0] * x + tile[1] * w[..., 0] + cc * u
 
         return f
 

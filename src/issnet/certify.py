@@ -567,15 +567,15 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     smallest bound (its largest one in the tolerance when tol_rel < 0)
     are upper bounds, since rounding is monotone, and their exact values
     at the blocks' first samples are lower bounds on the largest ones.
-    Only the blocks whose upper bound reaches a lower bound are read
-    sample by sample: stepped again by network._replay, in runs of at
-    most the records' row count (the holdout's distinct rows), or known
-    without a step (a block whose largest |x| is 0, or of one sample).
+    Only the blocks whose upper bound reaches a lower bound, less those
+    that only tie the excess's after where it first occurs (runs in order,
+    then columns, then samples), are read sample by sample: stepped again
+    by network._replay, in runs of at most the records' row count (the
+    holdout's distinct rows), or read from the records if of one sample.
     Returns per check (raw, exceed, worst): the largest violation, at
     least 0; the largest violation less the tolerance tol_abs + tol_rel *
-    bound; and (column, time, member) where the latter first occurs, runs
-    in order, then columns, then samples, in the bits of the plain
-    expressions over every sample.
+    bound; and (column, time, member) where the latter first occurs, in
+    that order, in the bits of the plain expressions over every sample.
     """
     if not len(holdout):
         raise ValueError("empty holdout")
@@ -605,6 +605,9 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     for beta, sup_norm in checks:
         cols = 1 if sup_norm else len(window)
         viol_lo = exceed_lo = -np.inf
+        # fold order of each (block, column), and exceed_lo's first place
+        order = np.arange(edges.size)[:, None] + edges.size * np.arange(cols)
+        first = np.inf
         picks, spans = {}, {}
         for r, runs in radii.items():
             blk = beta(r, times) if r > 0 \
@@ -613,7 +616,12 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
                 b0 = blk[edges] + offset[j]
                 viol = values(np.abs(records.states[rows[j]]), sup_norm) - b0
                 viol_lo = max(viol_lo, float(viol.max()))
-                exceed_lo = max(exceed_lo, float((viol - tol(b0)).max()))
+                over = viol - tol(b0)
+                top = over.max()
+                if top >= exceed_lo:
+                    at = j * order.size + order[over == top].min()
+                    if top > exceed_lo or at < first:
+                        exceed_lo, first = float(top), at
             low = np.minimum.reduceat(blk, edges, axis=0)
             high = np.maximum.reduceat(blk, edges, axis=0) if tol_rel < 0 \
                 else low                      # where the tolerance is least
@@ -621,9 +629,11 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
                 viol = values(records.tops[rows[j]], sup_norm) \
                     - (low + offset[j])
                 over = viol - tol(high + offset[j])
-                picks[j] = np.flatnonzero(~(over.max(axis=1) < exceed_lo)
-                                          | (viol.max(axis=1)
-                                             > max(0.0, viol_lo)))
+                # a tie after exceed_lo's first place is not the worst case
+                tie = (over == exceed_lo) & (j * order.size + order > first)
+                picks[j] = np.flatnonzero(
+                    ~((over < exceed_lo) | tie).all(axis=1)
+                    | (viol.max(axis=1) > max(0.0, viol_lo)))
                 for b in picks[j]:
                     # a copy lets the radius's block go (and a view of the
                     # zeros of r = 0 holds no memory)
@@ -634,7 +644,6 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
 
     # the |x| samples of every picked (row, block), stepped only where
     # needed (a None until then)
-    zeros = np.zeros((_CHUNK, len(window)))
     exact = {}
     segments = []
     for *_plan, picks, _spans in plans:
@@ -644,9 +653,7 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
                 if key in exact:
                     continue
                 span = records.block(key[1])
-                if not records.tops[key].any():
-                    exact[key] = zeros[:span.stop - span.start]
-                elif span.stop - span.start == 1:
+                if span.stop - span.start == 1:
                     exact[key] = np.abs(records.states[key])[None]
                 else:
                     exact[key] = None

@@ -75,6 +75,56 @@ def default_grid() -> np.ndarray:
     return np.concatenate([[0.0], np.logspace(math.log10(lo), math.log10(hi), n)])
 
 
+def _pwl_fault(b: np.ndarray, v: np.ndarray, claimed_class: str) -> str | None:
+    """The message of the first pwl rule that b and v break, in rule
+    order, or None.  One test clears them all: a NaN fails its comparisons
+    and none of them warns on an infinity.  Finite data breaks a rule when
+    one of its comparisons holds somewhere."""
+    x = np.concatenate((b, v))
+    up = v[:-1] >= v[1:] if claimed_class == "L" else v[1:] >= v[:-1]
+    k = claimed_class in ("K", "Kinf")
+    off_origin = k and (b[0], v[0]) != (0, 0)
+    if (np.maximum.reduce(x) < math.inf
+            and np.concatenate((x >= 0.0, b[1:] >= b[:-1], up)).all()
+            and not off_origin):
+        return None
+    if not (np.isfinite(b).all() and np.isfinite(v).all()):
+        return "pwl data must be finite"
+    rules = [(b[1:] < b[:-1], "pwl breakpoints must be nondecreasing"),
+             (b < 0, "pwl breakpoints must be nonnegative"),
+             (v < 0, "pwl values must be nonnegative"),
+             (off_origin, "class-K pwl curves must start at (0, 0)"),
+             (k and v[1:] < v[:-1], "class-K pwl values must be nondecreasing"),
+             (claimed_class == "L" and v[1:] > v[:-1],
+              "class-L pwl values must be nonincreasing"),
+             (claimed_class == "mono" and v[1:] < v[:-1],
+              "monotone pwl values must be nondecreasing")]
+    broken = [message for fault, message in rules if np.any(fault)]
+    assert broken, "a pwl curve failed the one test but broke no rule"
+    return broken[0]
+
+
+def _pwl_slope(b: np.ndarray, v: np.ndarray) -> float:
+    """The final segment's slope, 0 for one point or a vertical step."""
+    db = b[-1] - b[-2] if b.size > 1 else 0.0
+    return (v[-1] - v[-2]) / db if db > 0 else 0.0
+
+
+def _pwl_values(b: np.ndarray, v: np.ndarray, x: np.ndarray,
+                floor: float | None) -> np.ndarray:
+    """The pwl rule at x: interpolate inside the breakpoints, past the last
+    one extrapolate by the final slope, clamped at floor unless None."""
+    if b.size == 1:
+        return np.full_like(x, v[0])
+    y = np.interp(x, b, v)
+    over = x > b[-1]
+    if over.any():
+        y = np.where(over, v[-1] + _pwl_slope(b, v) * (x - b[-1]), y)
+        if floor is not None:
+            y = np.maximum(y, floor)
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarCurve:
     """One scalar comparison function.
@@ -102,23 +152,9 @@ class ScalarCurve:
             v = np.asarray(self.vals, dtype=float)
             if b.ndim != 1 or b.shape != v.shape or b.size < 1:
                 raise ValueError("pwl curve needs matching 1-d breaks and values")
-            if np.any(~np.isfinite(b)) or np.any(~np.isfinite(v)):
-                raise ValueError("pwl data must be finite")
-            if b.size > 1 and np.any(np.diff(b) < 0):
-                raise ValueError("pwl breakpoints must be nondecreasing")
-            if np.any(b < 0):
-                raise ValueError("pwl breakpoints must be nonnegative")
-            if np.any(v < 0):
-                raise ValueError("pwl values must be nonnegative")
-            if self.claimed_class in ("K", "Kinf"):
-                if b[0] != 0.0 or v[0] != 0.0:
-                    raise ValueError("class-K pwl curves must start at (0, 0)")
-                if np.any(np.diff(v) < 0):
-                    raise ValueError("class-K pwl values must be nondecreasing")
-            if self.claimed_class == "L" and np.any(np.diff(v) > 0):
-                raise ValueError("class-L pwl values must be nonincreasing")
-            if self.claimed_class == "mono" and np.any(np.diff(v) < 0):
-                raise ValueError("monotone pwl values must be nondecreasing")
+            fault = _pwl_fault(b, v, self.claimed_class)
+            if fault:
+                raise ValueError(fault)
             object.__setattr__(self, "breaks", b)
             object.__setattr__(self, "vals", v)
 
@@ -126,12 +162,11 @@ class ScalarCurve:
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
-        if np.any(x < 0):
+        x = arr.reshape(1) if arr.ndim == 0 else arr
+        if (x < 0).any():
             raise ValueError("comparison functions are defined on r >= 0")
         y = self._eval(x)
-        return float(y[0]) if scalar else y
+        return float(y[0]) if arr.ndim == 0 else y
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         p = self.params
@@ -148,17 +183,8 @@ class ScalarCurve:
             for part in reversed(self.parts):
                 y = part._eval(y)
             return y
-        # pwl: interpolate inside, extrapolate by the final slope outside
-        b, v = self.breaks, self.vals
-        if b.size == 1:
-            return np.full_like(x, v[0])
-        y = np.interp(x, b, v)
-        over = x > b[-1]
-        if np.any(over):
-            y = np.where(over, v[-1] + self.final_slope() * (x - b[-1]), y)
-            if self.claimed_class == "L":
-                y = np.maximum(y, self.floor)
-        return y
+        return _pwl_values(self.breaks, self.vals, x,
+                           self.floor if self.claimed_class == "L" else None)
 
     def final_slope(self) -> float:
         """Growth rate past the represented range."""
@@ -169,22 +195,14 @@ class ScalarCurve:
             # slope at the right end of the default range
             hi = GRID_RANGE[1]
             return p["a"] * p["p"] * hi ** (p["p"] - 1.0)
-        if self.kind == "sat":
-            return 0.0
-        if self.kind == "expdec":
+        if self.kind in ("sat", "expdec"):
             return 0.0
         if self.kind == "compose":
             s = 1.0
             for part in self.parts:
                 s *= part.final_slope()
             return s
-        b, v = self.breaks, self.vals
-        if b.size < 2:
-            return 0.0
-        db = b[-1] - b[-2]
-        if db <= 0:
-            return 0.0
-        return (v[-1] - v[-2]) / db
+        return _pwl_slope(self.breaks, self.vals)
 
     def is_zero(self) -> bool:
         if self.kind in ("linear", "power", "sat"):
@@ -261,9 +279,7 @@ def identity() -> ScalarCurve:
 
 
 def _require_k_or_zero(c: ScalarCurve, what: str):
-    if c.is_zero():
-        return
-    if c.claimed_class not in ("K", "Kinf"):
+    if not c.is_zero() and c.claimed_class not in ("K", "Kinf"):
         raise ValueError(f"{what} requires a class-K curve, got {c.claimed_class!r}")
 
 
@@ -373,13 +389,9 @@ def curve_max(a: ScalarCurve, b: ScalarCurve) -> ScalarCurve:
     va, vb = a._eval(g), b._eval(g)
     if all(c.kind in ("linear", "pwl") for c in (a, b)):
         # insert interior crossing points so the max is exact between nodes
-        extra = []
-        for k in range(g.size - 1):
-            d0 = va[k] - vb[k]
-            d1 = va[k + 1] - vb[k + 1]
-            if d0 * d1 < 0:
-                t = d0 / (d0 - d1)
-                extra.append(g[k] + t * (g[k + 1] - g[k]))
+        d = va - vb
+        k = np.flatnonzero(d[:-1] * d[1:] < 0)
+        extra = list(g[k] + d[k] / (d[k] - d[k + 1]) * (g[k + 1] - g[k]))
         # crossing in the extrapolation region
         sa, sb = a.final_slope(), b.final_slope()
         if (va[-1] - vb[-1]) * (sa - sb) < 0:
@@ -479,33 +491,24 @@ def check_class(c: ScalarCurve) -> ClassReport:
     """
     g = default_grid()
     y = c(g)
+    d = np.diff(y)
     claimed = c.claimed_class
     if claimed in ("K", "Kinf"):
-        if c(0.0) != 0.0:
-            return ClassReport(False, claimed, "value at 0 is nonzero", float(y.max()))
-        d = np.diff(y)
-        if np.any(d < 0):
-            return ClassReport(False, claimed, "decreasing step on grid", float(y.max()))
-        if claimed == "K" and np.any(d <= 0) and not c.is_zero():
-            return ClassReport(False, claimed, "not strictly increasing on grid", float(y.max()))
-        if claimed == "Kinf":
-            if np.any(d <= 0):
-                return ClassReport(False, claimed, "not strictly increasing on grid", float(y.max()))
-            if c.final_slope() <= 0:
-                return ClassReport(False, claimed, "bounded tail cannot be Kinf", float(y.max()))
+        faults = [(c(0.0) != 0.0, "value at 0 is nonzero"),
+                  (np.any(d < 0), "decreasing step on grid"),
+                  (np.any(d <= 0) and (claimed == "Kinf" or not c.is_zero()),
+                   "not strictly increasing on grid"),
+                  (claimed == "Kinf" and c.final_slope() <= 0,
+                   "bounded tail cannot be Kinf")]
     elif claimed == "L":
-        d = np.diff(y)
-        if np.any(d > 0):
-            return ClassReport(False, claimed, "increasing step on grid", float(y.max()))
-        if y[-1] > c.floor + 1e-9 * max(1.0, y[0]) and c.final_slope() >= 0:
-            return ClassReport(False, claimed, "does not approach the floor", float(y.max()))
+        faults = [(np.any(d > 0), "increasing step on grid"),
+                  (y[-1] > c.floor + 1e-9 * max(1.0, y[0]) and c.final_slope() >= 0,
+                   "does not approach the floor")]
     else:  # mono
-        d = np.diff(y)
-        if np.any(d < 0):
-            return ClassReport(False, claimed, "decreasing step on grid", float(y.max()))
-        if np.any(y < 0):
-            return ClassReport(False, claimed, "negative value", float(y.max()))
-    return ClassReport(True, claimed, "ok", float(np.max(y)))
+        faults = [(np.any(d < 0), "decreasing step on grid"),
+                  (np.any(y < 0), "negative value")]
+    detail = next((message for broken, message in faults if broken), "ok")
+    return ClassReport(detail == "ok", claimed, detail, float(np.max(y)))
 
 
 # KL surfaces ------------------------------------------------------------
@@ -535,17 +538,11 @@ class KLSurface:
         object.__setattr__(self, "radii", r)
 
     def __call__(self, r: float, t) -> float | np.ndarray:
-        if r < 0:
+        if not r >= 0:
             raise ValueError("radius must be >= 0")
-        tarr = np.asarray(t, dtype=float)
-        scalar = tarr.ndim == 0
-        vals = self._eval(float(r), np.atleast_1d(tarr))
-        return float(vals[0]) if scalar else vals
-
-    def _eval(self, r: float, t: np.ndarray) -> np.ndarray:
-        if r == 0.0:
-            return np.zeros_like(t)
-        return self._curve_at(r)(t)
+        if r == 0:
+            return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
+        return self._curve_at(float(r))(t)
 
     def _curve_at(self, r: float) -> ScalarCurve:
         """Exact pwl time-curve at radius r (blend of the bracketing grid
@@ -622,18 +619,20 @@ def kl_from_decay_table(table: dict[float, Sequence[float]],
         levels = _dyadic_levels(sigma, float(r), t.size - 1)
         if levels[0] <= 0:
             raise ValueError("sigma must be positive at every table radius")
-        # staircase points: (0, 2*eps_0), (tau_n, eps_{n-1})
+        # staircase points (0, 2*eps_0), (tau_n, eps_{n-1}); 2*eps_0 is the cap
         stair.append((t, np.concatenate([[2.0 * levels[0]], levels[:-1]])))
     t_union = _sorted_unique(np.concatenate([tb for tb, _ in stair]))
+    # a staircase can break only the finite rule; a NaN time sorts last
+    if not (math.isfinite(t_union[-1])
+            and all(math.isfinite(vb[0]) for _, vb in stair)):
+        raise ValueError("pwl data must be finite")
     curves = []
     running = np.full(t_union.shape, -np.inf)
-    for (tb, vb), r in zip(stair, radii):
-        c = ScalarCurve("pwl", "L", breaks=tb, vals=vb)
-        running = np.maximum(running, c(t_union))
-        capped = np.minimum(running, 2.0 * sigma(float(r)))
+    for tb, vb in stair:
+        running = np.maximum(running, _pwl_values(tb, vb, t_union, 0.0))
         # L class: running sup of nonincreasing staircases stays nonincreasing,
         # but enforce against float slip before constructing
-        capped = np.minimum.accumulate(capped)
+        capped = np.minimum.accumulate(np.minimum(running, vb[0]))
         # beyond the last recorded time only the last certified level is
         # claimed, so the curve floors there instead of extrapolating to 0
         curves.append(ScalarCurve("pwl", "L", breaks=t_union, vals=capped,
@@ -678,8 +677,7 @@ def curve_from_json(obj: dict) -> ScalarCurve:
     if kind == "power":
         return power(params["a"], params["p"], cls)
     if kind == "sat":
-        c = saturating(params["a"])
-        return c
+        return saturating(params["a"])
     if kind == "expdec":
         return expdecay(params["c"], params["lam"])
     raise ValueError(f"unknown curve kind {kind!r}")

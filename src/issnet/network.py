@@ -169,18 +169,19 @@ def _input_block(inputs, t0s: np.ndarray, h: float, n: int) -> np.ndarray:
     """Every input on the step interiors [t0, t0 + h) of t0s, (steps,)
     shared or (steps, m) a column per input: (steps, m, 1) when all
     inputs are scalar, (steps, m, n) when some input is vector valued,
-    filled one input at a time."""
+    filled one input at a time, a one-piece input with its value."""
     scalar = all(u.values.ndim == 1 for u in inputs)
     block = np.empty((t0s.shape[0], len(inputs), 1 if scalar else n))
     t1s = t0s + h
     for j, u in enumerate(inputs):
+        if u.values.shape[1:] not in ((), (n,)):
+            raise ValueError(f"vector input has dim {u.values.shape[1:]}, window needs {n}")
+        if u.breaks.size == 1:
+            block[:, j] = u.values[0]
+            continue
         v = u.interior_values(t0s, t1s) if t0s.ndim == 1 \
             else u.interior_values(t0s[:, j], t1s[:, j])
-        if v.ndim == 1:
-            v = v[:, None]
-        elif v.shape[1:] != (n,):
-            raise ValueError(f"vector input has dim {v.shape[1:]}, window needs {n}")
-        block[:, j] = v
+        block[:, j] = v[:, None] if v.ndim == 1 else v
     return block
 
 

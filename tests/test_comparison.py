@@ -99,6 +99,109 @@ def test_pwl_floor_clamps_extrapolation_only():
     assert c(2.0) == 0.25
 
 
+_SHAPE = "pwl curve needs matching 1-d breaks and values"
+_FINITE = "pwl data must be finite"
+_BREAKS_UP = "pwl breakpoints must be nondecreasing"
+_BREAKS_POS = "pwl breakpoints must be nonnegative"
+_VALS_POS = "pwl values must be nonnegative"
+_ORIGIN = "class-K pwl curves must start at (0, 0)"
+_K_UP = "class-K pwl values must be nondecreasing"
+_L_DOWN = "class-L pwl values must be nonincreasing"
+_MONO_UP = "monotone pwl values must be nondecreasing"
+
+
+@pytest.mark.parametrize("cls, breaks, vals, message", [
+    # one fault each
+    ("mono", [[0.0, 1.0]], [[0.0, 1.0]], _SHAPE),
+    ("mono", [0.0, 1.0], [0.0, 1.0, 2.0], _SHAPE),
+    ("mono", [], [], _SHAPE),
+    ("mono", [0.0, np.inf], [0.0, 1.0], _FINITE),
+    ("L", [0.0, 1.0], [np.nan, 1.0], _FINITE),
+    ("K", [0.0, 1.0], [0.0, np.inf], _FINITE),
+    ("mono", [0.0, 1.0], [np.inf, np.inf], _FINITE),
+    ("L", [-np.inf, -np.inf], [1.0, 0.0], _FINITE),
+    ("mono", [0.0, 2.0, 1.0], [0.0, 1.0, 2.0], _BREAKS_UP),
+    ("mono", [-1.0, 0.0], [0.0, 1.0], _BREAKS_POS),
+    ("mono", [0.0, 1.0], [-1.0, 0.0], _VALS_POS),
+    ("L", [0.0, 1.0], [-1.0, -2.0], _VALS_POS),
+    ("K", [1.0, 2.0], [0.0, 1.0], _ORIGIN),
+    ("Kinf", [0.0, 1.0], [1.0, 2.0], _ORIGIN),
+    ("K", [0.0, 1.0, 2.0], [0.0, 2.0, 1.0], _K_UP),
+    ("Kinf", [0.0, 1.0, 2.0], [0.0, 2.0, 1.0], _K_UP),
+    ("L", [0.0, 1.0, 2.0], [2.0, 1.0, 1.5], _L_DOWN),
+    ("mono", [0.0, 1.0, 2.0], [0.0, 2.0, 1.0], _MONO_UP),
+    # two faults: the earlier rule's message
+    ("mono", [0.0, 1.0, 2.0], [np.nan], _SHAPE),
+    ("K", [-1.0, np.inf], [1.0, 0.0], _FINITE),
+    ("mono", [0.0, -2.0, -1.0], [0.0, 1.0, 2.0], _BREAKS_UP),
+    ("mono", [-1.0, 0.0], [-1.0, 0.0], _BREAKS_POS),
+    ("K", [0.0, 1.0], [-1.0, 0.0], _VALS_POS),
+    ("mono", [0.0, 1.0], [0.0, -1.0], _VALS_POS),
+    ("K", [0.0, 1.0, 2.0], [1.0, 3.0, 2.0], _ORIGIN),
+    ("L", [0.0, 1.0, 2.0, 3.0], [2.0, 3.0, 1.0, 4.0], _L_DOWN),
+])
+def test_pwl_checks_name_the_first_fault(cls, breaks, vals, message):
+    with pytest.raises(ValueError) as err:
+        ScalarCurve("pwl", cls, breaks=np.array(breaks, float),
+                    vals=np.array(vals, float))
+    assert str(err.value) == message
+
+
+def test_pwl_checks_pass_the_edge_cases():
+    # a signed zero is at the origin, ties are allowed, one point is a curve
+    for cls, breaks, vals in [("K", [-0.0, 1.0], [-0.0, 1.0]),
+                              ("mono", [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]),
+                              ("L", [0.0, 1.0, 2.0], [2.0, 2.0, 0.0]),
+                              ("L", [3.0], [1.0]), ("K", [0.0], [0.0])]:
+        c = ScalarCurve("pwl", cls, breaks=breaks, vals=vals)
+        assert c.breaks.dtype == c.vals.dtype == float
+
+
+def _bits(x):
+    return np.asarray(x, float).view(np.int64)
+
+
+@pytest.mark.parametrize("vals, floor", [
+    ([2.0, 1.0, 0.3], 0.3),       # falls to its floor: the floor past the data
+    ([2.0, 1.0, 0.3], 0.25),
+    ([2.0, 1.0, 0.3], 0.5),
+    ([2.0, 0.3, 0.3], 0.3),       # flat at its floor
+])
+def test_an_l_curve_past_its_data_follows_the_pwl_rule(vals, floor):
+    b, v = np.array([0.0, 1.0, 2.0]), np.array(vals)
+    c = ScalarCurve("pwl", "L", breaks=b, vals=v, floor=floor)
+    x = np.array([0.0, 0.5, 1.0, 1.999, 2.0, 2.001, 2.5, 7.0, 1e300])
+    slope = (v[-1] - v[-2]) / (b[-1] - b[-2])
+    want = np.maximum(np.where(x > b[-1], v[-1] + slope * (x - b[-1]),
+                               np.interp(x, b, v)), floor)
+    assert np.array_equal(_bits(c(x)), _bits(want))
+
+
+@pytest.mark.parametrize("curve, points", [
+    (linear(2.5), (0.0, 0.3, 7.0)),
+    (power(1.5, 0.7), (0.0, 0.3, 7.0)),
+    (saturating(2.0), (0.0, 0.3, 7.0)),
+    (expdecay(3.0, 0.25), (0.0, 0.3, 7.0)),
+    # at, between and past the breakpoints
+    (pwl([(0.0, 0.0), (1.0, 2.0), (3.0, 2.5)], "K"),
+     (0.0, 1.0, 3.0, 0.4, 2.2, 3.0001, 17.5)),
+    # an L curve past its data clamps at its floor
+    (pwl([(0.0, 2.0), (1.0, 0.5), (2.0, 0.3)], "L", floor=0.25),
+     (0.0, 1.0, 1.5, 2.0, 2.1, 2.5, 40.0)),
+    (pwl([(0.5, 1.25)]), (0.0, 0.5, 3.0)),
+    (ScalarCurve("compose", "K", parts=(saturating(2.0), power(1.0, 2.0))),
+     (0.0, 0.3, 7.0)),
+], ids=["linear", "power", "sat", "expdec", "pwl", "pwl-L-floor",
+        "pwl-one-point", "compose"])
+def test_a_float_call_equals_the_one_element_call(curve, points):
+    for r in points:
+        want = curve(np.array([r]))
+        for arg in (r, np.float64(r), np.array(r)):
+            got = curve(arg)
+            assert type(got) is float
+            assert _bits(got) == _bits(want[0])
+
+
 def test_compose_linear():
     c = compose(linear(2.0), linear(3.0))
     assert c(1.5) == 9.0
@@ -326,6 +429,19 @@ def test_decay_table_validation():
         kl_from_decay_table({0.0: [0.0]}, sigma)       # radius 0
     with pytest.raises(ValueError):
         kl_from_decay_table({1.0: [0.0]}, zero_curve())  # sigma(r) == 0
+    for times in ([0.0, np.inf], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="pwl data must be finite"):
+            kl_from_decay_table({1.0: [0.0, 1.0], 2.0: times}, sigma)
+
+
+def test_kl_surface_rejects_a_nan_radius():
+    sigma = identity()
+    surf = kl_from_decay_table(_staircase_table((1.0, 2.0), sigma), sigma)
+    for r in (-1.0, math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            surf(r, 0.5)
+    # a curve itself still evaluates NaN to NaN
+    assert math.isnan(surf.curves[0](math.nan))
 
 
 @pytest.mark.parametrize("sigma", [

@@ -666,6 +666,26 @@ def _checks(cert, uni_beta):
              lambda traj: traj.sup_norms()[:, None])]
 
 
+def _flat_check(window):
+    """(beta, sup_norm, values) of a zero beta: the bound is gamma(||u||)
+    alone, so every run from the largest ball with zero input ties at its
+    start, in every column, while tol_rel > -1."""
+    return (lambda r, t: np.zeros((t.size, len(window))), False,
+            lambda traj: np.abs(traj.states))
+
+
+def _ties(stored, check, gamma, tol_abs, tol_rel):
+    """The runs and the columns that attain the largest excess."""
+    beta, _sup, values = check
+    tops = []
+    for run in stored:
+        bound = beta(run.r_x, run.trajectory.times) + float(gamma(run.u_norm))
+        over = values(run.trajectory) - bound - (tol_abs + tol_rel * bound)
+        tops.append(over.max(axis=0))
+    hits = np.argwhere(np.array(tops) == np.max(tops))
+    return set(hits[:, 0].tolist()), set(hits[:, 1].tolist())
+
+
 def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
     net, window, cfg = setting
     fit, hold = build_fit_and_holdout(net, window, BINS, cfg, seed=8)
@@ -692,13 +712,17 @@ def test_grouped_validation_equals_the_per_run_loop(setting, monkeypatch):
         assert all(n_rows <= len(rows) and not kept and n <= BLOCK
                    for n_rows, kept, n in seen[1:])
         uni = cert.uniform
-        checks = _checks(cert, uni.beta)
+        checks = _checks(cert, uni.beta) + [_flat_check(window)]
         got = certify._validate_holdout(
             runs, window, [(beta, sup) for beta, sup, _v in checks],
             cert.gamma, tol_abs, tol_rel)
         for (beta, _sup, values), result in zip(checks, got):
             assert result == _todays_validate_holdout(
                 stored, beta, cert.gamma, values, tol_abs, tol_rel)
+        # the zero beta's largest excess is tied across runs and columns
+        runs_hit, cols_hit = _ties(stored, checks[-1], cert.gamma, tol_abs,
+                                   tol_rel)
+        assert len(runs_hit) >= 2 and len(cols_hit) >= 2
         raw, exceed, worst = _reference_validation(cert, runs, tol_abs,
                                                    tol_rel)
         assert got[0][:2] == (raw, exceed)
@@ -1175,13 +1199,17 @@ def test_negative_tolerances_equal_the_stored_loop(setting):
     # bound, not at its smallest
     for tol_abs, tol_rel in ((-1e-3, 0.1), (-0.05, -0.5), (1e-6, -1e-3),
                              (-0.2, 0.0), (-0.05, -2.0)):
-        checks = _checks(cert, uni.beta)
+        checks = _checks(cert, uni.beta) + [_flat_check(window)]
         got = certify._validate_holdout(
             hold, window, [(beta, sup) for beta, sup, _v in checks],
             cert.gamma, tol_abs, tol_rel)
         for (beta, _sup, values), result in zip(checks, got):
             assert result == _todays_validate_holdout(
                 stored, beta, cert.gamma, values, tol_abs, tol_rel)
+        if tol_rel > -1:
+            runs_hit, cols_hit = _ties(stored, checks[-1], cert.gamma,
+                                       tol_abs, tol_rel)
+            assert len(runs_hit) >= 2 and len(cols_hit) >= 2
 
 
 @pytest.mark.parametrize("spots, worst", [
@@ -1259,12 +1287,14 @@ def test_runs_sharing_a_row_under_other_radii_and_inputs(monkeypatch):
 
 def test_with_nothing_pruned_replay_runs_stay_within_the_row_count(
         monkeypatch):
-    # every |x| and every bound is the same, so every block's upper bound
-    # equals the lower bound: all 4 blocks of the 3 rows are stepped again,
-    # in runs of at most 3 rows
+    # every |x| is 0.5 but at each block's second sample, where it is
+    # 0.625, under one bound, so every block's upper bound is above the
+    # lower bound: all 4 blocks of the 3 rows are stepped again, in runs
+    # of at most 3 rows
     samples = 3 * BLOCK + 5
-    rows = [np.full((samples, 2), 0.5), np.full((samples, 2), -0.5),
-            np.tile([0.5, -0.5], (samples, 1))]
+    level = np.full(samples, 0.5)
+    level[1::BLOCK] = 0.625
+    rows = [np.c_[level, level], -np.c_[level, level], np.c_[level, -level]]
     holdout = _holdout([_replayed(states, f"run{j}")
                         for j, states in enumerate(rows + rows[:1])], samples)
     seen = _calls_seen(monkeypatch)
@@ -1272,6 +1302,28 @@ def test_with_nothing_pruned_replay_runs_stay_within_the_row_count(
     replays = _replay_calls(seen)
     assert sum(n for n, _k, _s in replays) == 3 * 4
     assert all(n <= 3 and not kept for n, kept, _s in replays)
+
+
+def test_ties_after_the_first_worst_case_are_not_stepped_again(monkeypatch):
+    # every |x| and every bound is the same, so the excess ties at every
+    # sample: the worst case is run 0's first sample in column 0, and only
+    # the first blocks of the runs whose tie was the first one found when
+    # they were bounded are stepped again
+    samples = 3 * BLOCK + 5
+    rows = [np.full((samples, 2), 0.5), np.full((samples, 2), -0.5),
+            np.tile([0.5, -0.5], (samples, 1))]
+    runs = [_replayed(states, f"run{j}")
+            for j, states in enumerate(rows + rows[:1])]
+    # a run from rest under gamma(1) = 1 ties too, and is bounded before
+    # run 0, whose tie then comes first
+    rest = dataclasses.replace(_replayed(rows[1], "rest", 0.0), u_norm=1.0)
+    seen = _calls_seen(monkeypatch)
+    for holdout, stepped in ((_holdout(runs, samples), 1),
+                             (_holdout([runs[0], rest], samples), 2)):
+        seen.clear()
+        got = _validation_equals_the_stored_loop(holdout, _flat, 1e-6, 1e-3)
+        assert [worst for *_r, worst in got] == [(0, 0.0, "run0")] * 2
+        assert sum(n for n, _k, _s in _replay_calls(seen)) == stepped
 
 
 def test_records_belong_to_their_rows(setting, monkeypatch):
