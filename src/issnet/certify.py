@@ -42,8 +42,8 @@ times, validates the holdout pointwise (_validate_holdout, which with
 uniform set checks the collapse to one surface at the same time): the
 records bound every block's violation and excess from above and give
 exact values at the blocks' first samples, and only the blocks whose
-upper bound reaches the largest of those are stepped again, a few
-32-sample segments stacked as the rows of short runs (network._replay).
+upper bound reaches the largest of those are read again, in one call of
+the records' read, which steps them stacked as the rows of short runs.
 A holdout that no pass handed records to (built by hand or by
 dataclasses.replace) gets them from one records pass over its runs.
 build_ensemble keeps every trajectory it returns; every other pass keeps
@@ -76,8 +76,8 @@ from .comparison import (KLSurface, ScalarCurve, _dyadic_levels, curve_max,
                          kl_from_decay_table, make_strictly_increasing,
                          max_surface, scale, surface_to_json)
 from .gains import GainGraph, apply_gain_operator
-from .network import (_CHUNK, NetworkSpec, NetworkTrajectory, _BlockRecords,
-                      _replay, _simulate, _suffix_max, _tail_start_samples)
+from .network import (NetworkSpec, NetworkTrajectory, _BlockRecords,
+                      _simulate, _tail_start_samples)
 from .systems import InputSignal
 
 __all__ = [
@@ -306,8 +306,7 @@ def build_fit_and_holdout(net: NetworkSpec,
     fit = _plan_bins(net, window, bins, cfg, seed, "fit")
     hold = _plan_bins(net, window, bins, cfg, seed, "holdout")
     stepped, (fit_rows, hold_rows) = _run_pass(
-        net, window, cfg, seed, [fit, hold],
-        record=[False] * len(fit) + [True] * len(hold))
+        net, window, cfg, seed, [fit, hold], record=len(fit))
     return (_labeled_runs(stepped, fit_rows, fit, seed),
             Holdout(net, window, cfg, seed,
                     tuple(_labeled_runs(stepped, hold_rows, hold, seed)),
@@ -547,8 +546,7 @@ def _holdout_records(holdout: Holdout) -> _BlockRecords:
     family = [(_where(run.member, run.r_x, run.r_u), run.x0, run.u)
               for run in holdout]
     stepped, _spans = _run_pass(holdout.net, holdout.window, holdout.cfg,
-                                holdout.seed, [family],
-                                record=[True] * len(family))
+                                holdout.seed, [family], record=0)
     return stepped.records
 
 
@@ -569,9 +567,10 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     at the blocks' first samples are lower bounds on the largest ones.
     Only the blocks whose upper bound reaches a lower bound, less those
     that only tie the excess's after where it first occurs (runs in order,
-    then columns, then samples), are read sample by sample: stepped again
-    by network._replay, in runs of at most the records' row count (the
-    holdout's distinct rows), or read from the records if of one sample.
+    then columns, then samples), are read sample by sample, all in one
+    call of records.read, which steps them again in runs of at most the
+    records' row count (the holdout's distinct rows); a sample's position
+    is its block's first sample plus its place in the block.
     Returns per check (raw, exceed, worst): the largest violation, at
     least 0; the largest violation less the tolerance tol_abs + tol_rel *
     bound; and (column, time, member) where the latter first occurs, in
@@ -585,7 +584,7 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
     records = _holdout_records(holdout)
     rows = records.rows
     times = records.times
-    edges = np.arange(0, times.size, _CHUNK)      # each block's first sample
+    edges = records.firsts                         # each block's first sample
     radius = [float(run.r_x) if run.r_x > 0 else 0.0 for run in holdout]
     radii: dict[float, list] = {0.0: []}           # start radius -> its runs
     for j, r in enumerate(radius):
@@ -642,24 +641,10 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
                         spans[r, b] = span.copy() if r > 0 else span
         plans.append((sup_norm, max(0.0, viol_lo), picks, spans))
 
-    # the |x| samples of every picked (row, block), stepped only where
-    # needed (a None until then)
-    exact = {}
-    segments = []
-    for *_plan, picks, _spans in plans:
-        for j, blocks in picks.items():
-            for b in blocks:
-                key = (int(rows[j]), int(b))
-                if key in exact:
-                    continue
-                span = records.block(key[1])
-                if span.stop - span.start == 1:
-                    exact[key] = np.abs(records.states[key])[None]
-                else:
-                    exact[key] = None
-                    segments.append((*key, holdout[j].u))
-    for (r, b, _u), ax in zip(segments, _replay(records, segments)):
-        exact[r, b] = ax
+    # the |x| samples of every picked (row, block), stepped again
+    exact = records.read({(int(rows[j]), int(b)): holdout[j].u
+                          for *_plan, picks, _spans in plans
+                          for j, blocks in picks.items() for b in blocks})
 
     # folded runs in order, then columns, then samples: a strict > keeps
     # the first of tied maxima
@@ -677,7 +662,7 @@ def _validate_holdout(holdout: Holdout, window: tuple, checks,
                 top = over.max(axis=0)
                 better = top > best
                 best[better] = top[better]
-                first[better] = b * _CHUNK + over.argmax(axis=0)[better]
+                first[better] = edges[b] + over.argmax(axis=0)[better]
             col = int(np.argmax(best))
             if best[col] > exceed or worst is None and picks[j].size:
                 exceed = float(best[col])
@@ -960,7 +945,8 @@ def tail_limsup_estimate(times, values, tail_starts) -> np.ndarray:
     makes the finite surrogate meaningful.
     """
     idx = _tail_start_samples(np.asarray(times, float), tail_starts)
-    return _suffix_max(np.asarray(values, float))[idx]
+    values = np.asarray(values, float)
+    return np.maximum.accumulate(values[::-1], axis=0)[::-1][idx]
 
 
 def trace_to_csv(trace: ProofTrace, path: str) -> None:

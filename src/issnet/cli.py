@@ -211,6 +211,17 @@ def _resolve_seed(conf: dict, args) -> int:
     return _resolve_int(seed, "seed", 0)
 
 
+def _resolve_out(out: str) -> str:
+    """``out``, once its nearest existing path is a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"out {out!r} cannot hold the result files: "
+                          f"{path} is not a directory")
+    return out
+
+
 def _atomic_write(path: str, content) -> None:
     """Write a JSON payload (sorted keys, two-space indent), or run a
     path-taking writer, against a sibling temp file, then swap."""
@@ -712,8 +723,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         conf = _load_config(args.config)
         command, keys = _COMMANDS[args.command]
         _check_keys(conf, ("seed", "out", "network", *keys), "config")
+        out = _resolve_out(args.out or conf.get("out", "."))
         files, failure = command(conf, args)
-        out = args.out or conf.get("out", ".")
         for name, content in files.items():
             _atomic_write(os.path.join(out, name), content)
     except ConfigError as e:

@@ -16,11 +16,12 @@ the step grid; a single run is an ensemble of one.  This module sets a
 pass up (start states, coupled map, input block) and systems._step_rows,
 the one stepping loop, steps it.  The pass reduces the |x| rows per
 member a block of 32 samples at a time (the peak sup norm, the last
-sample above given nonnegative thresholds, the suffix sups at given tail
-starts, and for recorded members each block's start state and per-column
-max), and it keeps the states of all of its members or of none, so an
-ensemble need not hold its trajectories.  _replay steps recorded
-blocks again on their own, from their start states.  Equal members (start
+sample above given nonnegative thresholds, one running max per given
+tail start, and for recorded members each block's start state and
+per-column max), and it keeps the states of all of its members or of
+none, so an ensemble need not hold its trajectories.  The block records
+(_BlockRecords) own their blocks: they read any of them again on its own,
+stepped from its start state.  Equal members (start
 row, input and threshold row) share one row, in the order of their first
 members, so each distinct member is stepped and stored once and its
 results are handed to every copy.  A member that blows up keeps its row,
@@ -129,15 +130,7 @@ def _neighbor_gather(window: tuple, neighbor_lists):
     pos = {i: k for k, i in enumerate(window)}
     d = max(map(len, neighbor_lists), default=0)
     if d == 0:
-        blocks = {}                   # one empty block per leading shape
-
-        def empty(x: np.ndarray) -> np.ndarray:
-            lead = x.shape[:-1]
-            if lead not in blocks:
-                blocks[lead] = np.empty(lead + (len(neighbor_lists), 0))
-            return blocks[lead]
-
-        return empty
+        return lambda x: np.empty(x.shape[:-1] + (len(neighbor_lists), 0))
     slots = np.full((len(neighbor_lists), d), n)
     for k, labels in enumerate(neighbor_lists):
         slots[k, :len(labels)] = [pos.get(j, n) for j in labels]
@@ -199,13 +192,6 @@ def _start_rows(members, n: int) -> np.ndarray:
     return starts
 
 
-def _row_key(start: np.ndarray, u: InputSignal) -> tuple:
-    """A member's start row and its input's breaks and values: members
-    with equal keys step to equal rows."""
-    return (start.tobytes(), u.breaks.tobytes(), u.values.shape,
-            u.values.tobytes())
-
-
 def _coupled_step(net: NetworkSpec, window: tuple, h: float, m: int):
     """The time domain's update of an (m, n) state on the window: the
     spec's fast_factory(window), or the map assembled from the
@@ -220,10 +206,7 @@ def _coupled_step(net: NetworkSpec, window: tuple, h: float, m: int):
         return net.time_domain.stepper(lambda x, u: f(x, gather(x), u), h)
     w = gather(np.empty((m, len(window))))   # one empty block for every call
     step_w = net.time_domain.stepper(f, h)
-
-    def step(x, u):
-        return step_w(x, w, u)
-    return step
+    return lambda x, u: step_w(x, w, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +214,7 @@ class _BlockRecords:
     """What a pass keeps of its recorded members' rows, a 32-sample block
     at a time: each row's state at the block's first sample and each
     column's largest |x| over the block, enough to step any block again on
-    its own (_replay).  rows gives each recorded member's row in states
+    its own (read).  rows gives each recorded member's row in states
     and tops, in member order; equal members share one.  net, window,
     times and h are the pass's."""
 
@@ -243,9 +226,46 @@ class _BlockRecords:
     states: np.ndarray               # (rows, blocks, n)
     tops: np.ndarray                 # (rows, blocks, n)
 
+    @property
+    def firsts(self) -> np.ndarray:
+        """Each block's first sample."""
+        return np.arange(0, self.times.size, _CHUNK)
+
     def block(self, b: int) -> slice:
         """The samples of block b."""
         return slice(b * _CHUNK, min((b + 1) * _CHUNK, self.times.size))
+
+    def read(self, wanted: dict) -> dict:
+        """The |x| samples of each (row, block) of ``wanted``, stepped
+        again from the block's recorded start on wanted[row, block], the
+        row's input.
+
+        The blocks are stacked as the rows of runs of at most as many rows
+        as the records have, each as long as its longest block; a shorter
+        block (the grid's last) steps on past its end on the grid's last
+        step input, and those samples are dropped, so a run of one-sample
+        blocks makes no step.  Each run is one systems._step_rows call
+        that keeps no states; the map's row contract makes every sample
+        equal the recording pass's.
+        """
+        times, keys, out = self.times, list(wanted), {}
+        group = self.states.shape[0]
+        for run in (keys[g:g + group] for g in range(0, len(keys), group)):
+            rows, blocks = np.array(run).T
+            k0s = self.firsts[blocks]
+            sizes = np.minimum(_CHUNK, times.size - k0s)
+            c = int(sizes.max())
+            # each block's steps, its last one repeated past the grid's end
+            k = np.minimum(k0s + np.arange(c - 1)[:, None], times.size - 2)
+            step = _coupled_step(self.net, self.window, self.h, len(run))
+            inputs = _input_block([wanted[key] for key in run], times[k],
+                                  self.h, len(self.window))
+            got = []
+            _step_rows(times[:c], step, self.states[rows, blocks], inputs,
+                       False, lambda _k0, ax, _blown, _start: got.append(ax))
+            out.update((key, got[0][:size, i])
+                       for i, (key, size) in enumerate(zip(run, sizes)))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +305,8 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     ``thresholds`` (an (m, L) array, which must be nonnegative) the last
     sample at which |x_i| of member j exceeds thresholds[j, l]; with
     ``tail_starts`` the sup of |x_i| from each start on; with ``record``
-    (a flag per member) the block records of the flagged members' rows.
+    (the index of the first recorded member) the block records of the
+    rows of that member and every later one.
     systems._step_rows steps the pass, which stores every member's states
     when ``keep`` is set and none otherwise.
 
@@ -309,7 +330,7 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
     step = _coupled_step(net, window, h, order.size)
     inputs = _input_block([members[d][1] for d in order], times[:-1], h, n) \
         if m else None
-    recorded = None if record is None else row[np.asarray(record, bool)]
+    recorded = None if record is None else row[record:]
     red = _Reductions(order.size, n, times,
                       None if thresholds is None else thresholds[order],
                       tail_starts,
@@ -327,49 +348,17 @@ def _simulate(net: NetworkSpec, window: Sequence[int], members,
                     None if tail_sups is None else tail_sups[row], records)
 
 
-def _replay(records: _BlockRecords, segments) -> list:
-    """The |x| samples of each (row, block, u) segment of the records,
-    stepped again from the block's recorded start on the row's input u.
-
-    The segments are stacked as the rows of short runs of at most as many
-    rows as the records have, each as long as its longest segment; a
-    shorter segment (the grid's last block) steps on past its block's end
-    on the grid's last step input, and those samples are dropped.  Each
-    run is one systems._step_rows call that keeps no states and hands its
-    one block to the observer.  The map's row contract makes every sample
-    equal the recording pass's.
-    """
-    times = records.times
-    group = records.states.shape[0]
-    out = []
-    for g0 in range(0, len(segments), group):
-        rows, blocks, inputs = zip(*segments[g0:g0 + group])
-        k0s = np.array(blocks) * _CHUNK
-        sizes = np.minimum(_CHUNK, times.size - k0s)
-        c = int(sizes.max())
-        # each segment's steps, its last one repeated past the grid's end
-        k = np.minimum(k0s + np.arange(c - 1)[:, None], times.size - 2)
-        got = []
-        _step_rows(times[:c], _coupled_step(records.net, records.window,
-                                            records.h, len(rows)),
-                   records.states[list(rows), list(blocks)],
-                   _input_block(inputs, times[k], records.h,
-                                len(records.window)),
-                   False, lambda _k0, block, _blown, _start: got.append(block))
-        out.extend(got[0][:size, i] for i, size in enumerate(sizes))
-    return out
-
-
 def _distinct_rows(starts: np.ndarray, members, thresholds):
     """(order, row): the first member of each distinct key, in member
     order, and the row in that order stepping each member.  A member's key
     is its start row, its input's breaks and values, and its threshold
-    row."""
+    row: members with equal keys step to equal rows."""
     first = {}                        # key -> its row
     order = []
     row = np.empty(len(members), int)
     for j, (_x0, u) in enumerate(members):
-        key = (_row_key(starts[j], u),
+        key = (starts[j].tobytes(), u.breaks.tobytes(), u.values.shape,
+               u.values.tobytes(),
                None if thresholds is None else thresholds[j].tobytes())
         if key not in first:
             first[key] = len(order)
@@ -383,9 +372,12 @@ class _Reductions:
     a time.
 
     Each one is a running max, or a test of |x| against a nonnegative
-    threshold, so a row of zeros changes none of them, and a tail start
-    after a row's blow-up sample reads that sample, as on the row's
-    truncated trajectory.  The recorded rows keep, per block, their state
+    threshold, so a row of zeros changes none of them.  A tail sup is one
+    running max per start, which folds a block's column maxima when the
+    start is at or before the block's first sample and the block's samples
+    from the start on when it falls inside; a tail start after a row's
+    blow-up sample reads that sample, as on the row's truncated
+    trajectory.  The recorded rows keep, per block, their state
     at its first sample and each column's max (_BlockRecords); no certify
     pass reads the records of a blown row: it raises on the blow-up.
     """
@@ -401,13 +393,8 @@ class _Reductions:
             self.last_exceed = np.full((m, self.thresholds.shape[1], n), -1)
         self.starts = None
         if tail_starts is not None:
-            # the sup from a start is the max of the segment maxima between
-            # consecutive distinct start samples from that start on
             self.starts = _tail_start_samples(times, tail_starts)
-            self.bounds = _sorted_unique(self.starts)
-            self.segment = np.searchsorted(self.bounds, np.arange(times.size),
-                                           side="right") - 1
-            self.seg_max = np.zeros((m, self.bounds.size, n))
+            self.sups = np.zeros((m, self.starts.size, n))  # from each start
             self.ends = np.full(m, times.size)    # samples each row has
             self.final = np.zeros((m, n))         # |x| at its blow-up
         self.recorded = recorded
@@ -443,13 +430,11 @@ class _Reductions:
                 self.last_exceed[j[found], lv[found], i[found]] = \
                     k0 + last[found]
         if self.starts is not None:
-            segs = self.segment[k0:k0 + c]
-            cuts = np.flatnonzero(segs[1:] != segs[:-1]) + 1
-            for a, b in zip((0, *cuts), (*cuts, c)):
-                if segs[a] >= 0:
-                    seg = self.seg_max[:, segs[a]]
-                    np.maximum(seg, top if b - a == c
-                               else block[a:b].max(axis=0), out=seg)
+            for s, k in enumerate(self.starts):
+                if k < k0 + c:
+                    sup = self.sups[:, s]
+                    np.maximum(sup, top if k <= k0
+                               else block[k - k0:].max(axis=0), out=sup)
             for k, bad in blown:
                 self.ends[bad] = k + 1
                 self.final[bad] = block[k - k0][bad]
@@ -457,10 +442,8 @@ class _Reductions:
     def tail_sups(self) -> np.ndarray | None:
         if self.starts is None:
             return None
-        suffix = _suffix_max(self.seg_max, axis=1)
-        sups = suffix[:, np.searchsorted(self.bounds, self.starts)]
         late = self.starts[None, :] > self.ends[:, None] - 1
-        return np.where(late[:, :, None], self.final[:, None, :], sups)
+        return np.where(late[:, :, None], self.final[:, None, :], self.sups)
 
 
 def _tail_start_samples(times: np.ndarray, tail_starts) -> np.ndarray:
@@ -468,11 +451,6 @@ def _tail_start_samples(times: np.ndarray, tail_starts) -> np.ndarray:
     (the last sample for a start past the end)."""
     return np.clip(np.searchsorted(times, np.asarray(tail_starts, float)
                                    - 1e-9, side="left"), 0, times.size - 1)
-
-
-def _suffix_max(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Running max from the end along ``axis``."""
-    return np.flip(np.maximum.accumulate(np.flip(values, axis), axis), axis)
 
 
 def simulate(net: NetworkSpec, window: Sequence[int], x0, u: InputSignal,

@@ -1,5 +1,6 @@
 """Ensemble fitting, decay certificates, and band proof traces."""
 
+import dataclasses
 import json
 import math
 
@@ -163,6 +164,21 @@ def test_certificate_rejects_a_table_of_another_sigma(cycle_pipeline,
     assert att.sigma is not ugs.sigma
     with pytest.raises(ValueError, match="another sigma"):
         build_nonuniform_iss(att, ugs, hold)
+
+
+def test_a_top_level_reached_late_is_a_certification_error(cycle_pipeline):
+    # the fitted envelope covers the attainment ensemble, so every top
+    # level is attained at t = 0; a column first below it later fails
+    _, window, _cfg, hold, ugs, att, _cert = cycle_pipeline
+    assert np.all(att.times[1.0][0] == 0.0)
+    times = att.times[1.0].copy()
+    times[0, 1] = 0.5
+    late = dataclasses.replace(att, times={**att.times, 1.0: times})
+    with pytest.raises(CertificationError,
+                       match=f"top level not attained immediately for "
+                             f"component {window[1]} at radius 1: the "
+                             f"fitted envelope does not cover"):
+        build_nonuniform_iss(late, ugs, hold)
 
 
 # Decay certificates -----------------------------------------------------

@@ -536,6 +536,24 @@ def test_subnetwork_resolves_every_key_before_the_gains(run_cli, capsys,
     assert not (out / "subnetwork.json").exists()
 
 
+def test_subnetwork_exits_1_when_the_certification_fails(run_cli, capsys):
+    # a horizon of 2 steps is too short to reach level 3 at radius 1; the
+    # gains checks, which ran first, passed and stay in the report
+    code, out = run_cli("subnetwork", {
+        "network": "catalog:uniform-2-cycle", "subset": [1, 2],
+        "ensemble": {"horizon": 2}, "radii": [1.0], "depth": 6, "seed": 0,
+    })
+    assert code == 1
+    message = ("level 3 not attained for component 1 at radius 1 within "
+               "horizon 2 (seed 0)")
+    assert f"subnetwork certification failed: {message}" \
+        in capsys.readouterr().err
+    payload = _read(out, "subnetwork.json")
+    assert payload["gains"]["passed"] is True
+    assert payload["certificate"] == {"error": message}
+    assert "uniform" not in payload
+
+
 def test_subnetwork_requires_a_subset(run_cli, capsys):
     code, _ = run_cli("subnetwork", {
         "network": "catalog:nonuniform-discrete-chain",
@@ -864,6 +882,18 @@ def test_wrong_typed_inline_network_is_a_config_error(run_cli, capsys,
     assert not out.exists()
 
 
+def test_a_network_file_runs_as_its_inline_object(run_cli, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(INLINE_NET))
+    conf = {"window": [0], "x0": 1.0, "horizon": 4}
+    code, inline = run_cli("simulate", dict(conf, network=INLINE_NET))
+    assert code == 0
+    code, from_file = run_cli("simulate", dict(conf, network=str(path)))
+    assert code == 0
+    for name in ("trajectory.csv", "simulate_summary.json"):
+        assert (from_file / name).read_bytes() == (inline / name).read_bytes()
+
+
 def test_network_path_that_is_a_directory_is_a_config_error(run_cli, tmp_path,
                                                             capsys):
     code, out = run_cli("simulate", {"network": str(tmp_path), "window": [0],
@@ -879,6 +909,43 @@ def test_out_must_be_a_nonempty_string(tmp_path, capsys, out):
                                "horizon": 3, "out": out}))
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     assert "config error: out" in capsys.readouterr().err
+
+
+# each of these ran the whole job, then died in os.makedirs with a
+# FileExistsError or NotADirectoryError traceback and exit 1
+@pytest.mark.parametrize("via", ["--out", "config"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "through-file"])
+def test_an_out_path_that_cannot_hold_files_is_a_config_error(
+        tmp_path, capsys, via, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = str(blocker / below) if below else str(blocker)
+    conf = {"network": "catalog:uniform-2-cycle", "horizon": 3}
+    argv = ["simulate", "--config", str(tmp_path / "conf.json")]
+    if via == "config":
+        conf["out"] = out
+    else:
+        argv += ["--out", out]
+    (tmp_path / "conf.json").write_text(json.dumps(conf))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out {out!r} cannot hold")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker",
+                                                          "conf.json"]
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    def failing(path):
+        with open(path, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    target = tmp_path / "out" / "trajectory.csv"
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(str(target), failing)
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_config_must_be_a_json_object(tmp_path, capsys):

@@ -64,6 +64,20 @@ def test_only_gains_reads_the_plan_layout(name):
     assert reads == []
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES
+                                  if m not in ("systems", "network")])
+def test_only_systems_and_network_name_the_block_size(name):
+    # a stepping pass's 32-sample blocks belong to the stepping loop and
+    # the pass's block records, which give every position a reader needs
+    path = pathlib.Path(issnet.__file__).parent / f"{name}.py"
+    names = [f"line {node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "_CHUNK" in (getattr(node, "id", None),
+                             getattr(node, "attr", None),
+                             getattr(node, "name", None))]
+    assert names == []
+
+
 def test_no_module_calls_np_unique():
     # np.unique imports numpy.ma on its first call, which costs a fresh
     # process time and memory; comparison._sorted_unique gives its bits

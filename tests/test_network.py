@@ -194,12 +194,9 @@ def test_one_bad_member_among_finite_ones_ends_alone(counterexample, bad):
     assert np.array_equal(stepped.blowups[1].value, abs(bad), equal_nan=True)
 
 
-def test_a_window_without_neighbors_reuses_one_empty_block():
+def test_a_window_without_neighbors_gathers_an_empty_block():
     gather = network._neighbor_gather((1, 2, 3), [(), (), ()])
-    x = np.ones((4, 3))
-    w = gather(x)
-    assert w.shape == (4, 3, 0)
-    assert gather(2.0 * x) is w
+    assert gather(np.ones((4, 3))).shape == (4, 3, 0)
     assert gather(np.ones(3)).shape == (3, 0)
 
 

@@ -974,7 +974,7 @@ def _assert_blocks_equal_the_stored_pass(trajectories):
     thresholds = np.array([THRESHOLDS] * m)
     stepped = _simulate(net, (0, 1), members, samples - 1.0, None,
                         thresholds=thresholds, tail_starts=TAIL_STARTS,
-                        record=[True] * m)
+                        record=0)
     trajs = simulate_ensemble(net, (0, 1), members, samples - 1.0)
     records = stepped.records
     for j, traj in enumerate(trajs):
