@@ -380,7 +380,11 @@ def _compile_dynamics(expr: str, n_neighbors: int):
     _SAFE_FUNCS, int and float constants, arithmetic, comparison, boolean
     and conditional expressions, positional calls to the helpers, and
     w[k] for an int k below n_neighbors, the only use of w.  Anything else
-    raises ValueError; no builtins are exposed.
+    raises ValueError; no builtins are exposed.  The expression is then
+    evaluated once at x = u = 0 and w = 0, with the types the network's map
+    passes and floating-point warnings off, and any exception it raises
+    there (a wrong helper arity, 1/0 on int constants, an integer power too
+    large for a float) is a ValueError too.
     """
     try:
         tree = ast.parse(expr, "<subsystem-expression>", mode="eval")
@@ -409,6 +413,12 @@ def _compile_dynamics(expr: str, n_neighbors: int):
         return float(eval(code, {"__builtins__": {}},
                           {**_SAFE_FUNCS, "x": x, "w": w, "u": u}))
 
+    try:
+        with np.errstate(all="ignore"):
+            dyn(np.float64(0.0), np.zeros(n_neighbors), np.float64(0.0))
+    except Exception as e:
+        raise ValueError(f"expression {expr!r} cannot be evaluated at "
+                         f"x = w = u = 0: {type(e).__name__}: {e}") from None
     return dyn
 
 

@@ -251,6 +251,13 @@ _INPUT_KINDS = {
 }
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is, or nests in its lists, a true or false."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _parse_input(conf) -> InputSignal:
     """The "input" signal object; zero when absent."""
     spec = conf.get("input")
@@ -263,6 +270,10 @@ def _parse_input(conf) -> InputSignal:
         raise ConfigError(f"unknown input kind {kind!r}")
     keys, build = _INPUT_KINDS[kind]
     _check_keys(spec, ("kind", *keys), "input")
+    for key in keys:
+        if _holds_bool(spec.get(key)):
+            raise ConfigError(f"input {key} must hold numbers, not true or "
+                              f"false, got {spec[key]!r}")
     try:
         return build(spec)
     except (TypeError, ValueError) as e:

@@ -670,7 +670,9 @@ def curve_from_json(obj: dict) -> ScalarCurve:
         pts = obj.get("points")
         if not pts:
             raise ValueError("pwl curve JSON needs points")
-        return pwl([(p[0], p[1]) for p in pts], cls, floor=float(obj.get("floor", 0.0)))
+        if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in pts):
+            raise ValueError(f"pwl points must be [r, value] pairs, got {pts!r}")
+        return pwl(pts, cls, floor=float(obj.get("floor", 0.0)))
     params = obj.get("params", {})
     if kind == "linear":
         return linear(params["a"], cls)

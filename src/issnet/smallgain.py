@@ -12,9 +12,9 @@ Three complementary checks on the gain operator:
   monotone bound curve xi_hat.
 * falsify_mbi hunts for a vector v violating the claimed monotone bound
   ||v|| <= xi(||w||) with w the smallest slack making v <= Gamma(v) + w
-  pointwise.  Candidates are drawn one sup-norm level at a time and
-  screened in blocks of whole levels, one apply_batch and one xi call per
-  block; a hit is revalidated with the reference operator
+  pointwise.  Candidates are drawn one sup-norm level at a time, and each
+  level is screened as it is drawn, with one apply_batch and one xi call;
+  its first hit is revalidated with the reference operator
   apply_gain_operator, which walks the edges one at a time and never uses
   the compiled plan, so a reported witness is exact, not a batch artifact.
   The sample budget (at least 1) bounds the candidates screened.  On a
@@ -95,10 +95,6 @@ def operator_deficit(graph: GainGraph, x, window: Sequence[int]) -> float:
 
 
 _FULL_VERTEX_N = 64   # up to this width every vertex pattern is enumerated
-# rows x window width per apply_batch call of both searches: whole radii or
-# levels are gathered until a block reaches it, so a wide one is a block of
-# its own
-_BLOCK_ENTRIES = 1 << 12
 DEFAULT_SGC_RANDOM = 64        # random sphere patterns of estimate_uniform_sgc
 DEFAULT_FALSIFY_BUDGET = 10_000
 # estimate_uniform_sgc's default radii and falsify_mbi's levels, written out
@@ -269,8 +265,7 @@ def estimate_uniform_sgc(graph: GainGraph,
     of the stream of seed, and the iterated extremal directions, counted
     in samples_per_radius.  n_random and seed act only there.
 
-    Radii share apply_batch calls of about _BLOCK_ENTRIES entries, so
-    narrow windows take one call for every radius.  The radii (at
+    Every radius is evaluated in one apply_batch call.  The radii (at
     least one, distinct, positive and finite) are sorted first, so the
     report lists them in ascending order whatever order they came in.  The
     window defaults to every label of a finite index set; a generated one
@@ -292,19 +287,14 @@ def estimate_uniform_sgc(graph: GainGraph,
                             _random_patterns(n, n_random, rng)])
         patterns = _append_new_rows(sphere, patterns)
 
-    # radii share blocks of about _BLOCK_ENTRIES entries, so a wide sampled
-    # window still holds one radius's rows at a time; batch rows are
-    # independent, so each radius gets the bits of a call of its own
-    mins, worst_points = [], []
-    step = max(1, _BLOCK_ENTRIES // patterns.size)
-    for lo in range(0, len(radii), step):
-        batch = np.asarray(radii[lo:lo + step])[:, None, None] * patterns
-        g = apply_batch(graph, batch.reshape(-1, n), window)
-        signed = np.max(batch - g.reshape(batch.shape), axis=2)
-        for rows, row_signed, k in zip(batch, signed,
-                                       np.argmin(signed, axis=1)):
-            mins.append(float(row_signed[k]))
-            worst_points.append(tuple(rows[k]))
+    # every radius in one call: batch rows are independent, so each radius
+    # keeps the bits of a call of its own
+    batch = np.asarray(radii)[:, None, None] * patterns
+    g = apply_batch(graph, batch.reshape(-1, n), window)
+    signed = np.max(batch - g.reshape(batch.shape), axis=2)
+    worst = np.argmin(signed, axis=1)
+    mins = signed[np.arange(len(radii)), worst].tolist()
+    worst_points = [tuple(rows[k]) for rows, k in zip(batch, worst)]
     holds = all(m > 1e-9 * r for m, r in zip(mins, radii))
 
     eta_hat = xi_hat = None
@@ -376,13 +366,11 @@ def falsify_mbi(graph: GainGraph,
     without drawing or screening a row.  Otherwise the search below runs as it
     would without the test, with v*(1) / c as its extremal direction.
 
-    Whole levels are screened together in blocks of about _BLOCK_ENTRIES
-    entries, one apply_batch and one xi call per block.  Levels are then
-    scanned in order, and the first hit of each level is recomputed
-    entrywise before being returned, with samples_used at that level's end.
-    The random stream is local to the call, so the result equals screening
-    one level at a time.  budget (at least 1) is a hard bound on the
-    candidates screened: when the search runs and no witness turns up,
+    Each level is screened as soon as it is drawn, with one apply_batch and
+    one xi call, and its first hit is recomputed entrywise before being
+    returned, with samples_used at that level's end; a hit the recomputation
+    rejects lets the search go on.  budget (at least 1) is a hard bound on
+    the candidates screened: when the search runs and no witness turns up,
     exactly budget candidates are screened and None is returned.
     """
     if budget < 1:
@@ -401,12 +389,7 @@ def falsify_mbi(graph: GainGraph,
     # level keeps at least n + 1 + len(dirs) rows, so a small chunk cannot
     # slice them away before they are tried; only the budget itself can
     base = np.vstack([np.ones((1, n)), dirs])
-    # up to _FULL_VERTEX_N nodes the vertex rows draw nothing from rng, so
-    # they are deduplicated once; wider windows draw them again per level
-    head = (_append_new_rows(base, _vertex_patterns(n, rng))
-            if n <= _FULL_VERTEX_N else None)
-    block, ends = [], []        # level batches; (block rows, used) per level
-    rows = used = 0
+    used = 0
     first = True
     while used < budget:
         for level in levels:
@@ -414,8 +397,7 @@ def falsify_mbi(graph: GainGraph,
                 break
             chunk = min(max(32, budget // (2 * len(levels))), budget - used)
             if first:
-                top = head if head is not None else _append_new_rows(
-                    base, _vertex_patterns(n, rng))
+                top = _append_new_rows(base, _vertex_patterns(n, rng))
                 # random rows are checked against base, not the vertex rows
                 rand = _new_rows(base, _random_patterns(n, chunk, rng))
                 keep = min(max(chunk, n + 1 + dirs.shape[0]), budget - used)
@@ -423,51 +405,21 @@ def falsify_mbi(graph: GainGraph,
             else:
                 pats = _random_patterns(n, chunk, rng)
             pats *= level          # pats is a fresh array in both branches
-            block.append(pats)
-            rows += pats.shape[0]
             used += pats.shape[0]
-            ends.append((rows, used))
-            if rows * n >= _BLOCK_ENTRIES or used >= budget:
-                witness = _screen_block(graph, window, xi, np.vstack(block),
-                                        ends, seed)
+            w = np.maximum(pats - apply_batch(graph, pats, window), 0.0)
+            bad = _beats(np.max(pats, axis=1),
+                         np.asarray(xi(np.max(w, axis=1)), float))
+            if np.any(bad):
+                witness = _revalidate(graph, window, xi,
+                                      pats[np.argmax(bad)], used, seed)
                 if witness is not None:
                     return witness
-                block, ends, rows = [], [], 0
         first = False
     return None
 
 
-def _screen_block(graph, window, xi, batch, ends, seed):
-    """First revalidated witness among a block of levels, or None.
-
-    ends holds (end row in batch, samples used) per level; only the first
-    hit of each level is revalidated, as when levels are screened alone.
-    """
-    # the slack overwrites apply_batch's fresh output: on wide windows each
-    # block-sized temporary costs page faults
-    w = apply_batch(graph, batch, window)
-    np.subtract(batch, w, out=w)
-    np.maximum(w, 0.0, out=w)
-    nv = np.max(batch, axis=1)
-    nw = np.max(w, axis=1)
-    rhs = np.asarray(xi(nw), float)
-    bad = _beats(nv, rhs)
-    if not np.any(bad):
-        return None
-    start = 0
-    for stop, used in ends:
-        hits = np.flatnonzero(bad[start:stop])
-        if hits.size:
-            witness = _revalidate(graph, window, xi, batch[start + hits[0]],
-                                  used, seed)
-            if witness is not None:
-                return witness
-        start = stop
-    return None
-
-
 def _revalidate(graph, window, xi, v, used, seed):
-    """Recompute a candidate witness entrywise with the block screen's test,
+    """Recompute a candidate witness entrywise with the screen's test,
     _beats; discard batch artifacts.  MBIWitness.validate applies the same
     rule."""
     v = np.asarray(v, float)

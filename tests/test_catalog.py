@@ -1,5 +1,7 @@
 """Benchmark entries, their oracles, and network JSON loading."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -347,3 +349,17 @@ def test_expression_math_helpers_work():
     net, _ = network_from_json(obj)
     traj = simulate(net, (0, 1), np.ones(2), InputSignal.zero(), 1)
     assert traj.states[1, 1] == pytest.approx(0.5 * np.tanh(1.0))
+
+
+@pytest.mark.parametrize("expr", [
+    "1/x + log(u)",                  # inf and -inf at 0 are values
+    "0.5*x + sqrt(w[0] - 1)",        # nan at 0 is a value too
+    "x if x < 1 else 1/0",           # fails only on states zero never takes
+], ids=str)
+def test_an_expression_legal_at_zero_still_loads(expr):
+    obj = _toy_obj()
+    obj["subsystems"][0]["expr"] = expr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the load check warns of nothing
+        net, _ = network_from_json(obj)
+    assert net.subsystem_fn(0).expression == expr

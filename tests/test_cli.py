@@ -864,7 +864,9 @@ INLINE_NET = {
 
 
 # each of these escaped as a TypeError or AttributeError traceback, except
-# the misspelled kind, which ran as a continuous network
+# the misspelled kind, which ran as a continuous network; the expressions
+# passed the whitelist, and simulate then ended in a TypeError,
+# ZeroDivisionError or OverflowError traceback
 @pytest.mark.parametrize("changes", [
     {"subsystems": [5]},
     {"time_domain": 5},
@@ -872,13 +874,19 @@ INLINE_NET = {
     {"subsystems": [{"i": 0, "expr": 5}]},
     {"time_domain": {"kind": "Discrete", "dt": 0.5}},
     {"time_domain": {"kind": "discrete", "dt": 0.5}},   # its dt was ignored
+    {"subsystems": [{"i": 0, "expr": "min()"}]},
+    {"subsystems": [{"i": 0, "expr": "abs(x, u)"}]},
+    {"subsystems": [{"i": 0, "expr": "x + 1/0"}]},
+    {"subsystems": [{"i": 0, "expr": "x + 2**100000"}]},
 ], ids=str)
 def test_wrong_typed_inline_network_is_a_config_error(run_cli, capsys,
                                                       changes):
     code, out = run_cli("simulate", {"network": dict(INLINE_NET, **changes),
                                      "window": [0], "horizon": 2})
     assert code == 2
-    assert "config error: cannot build the network" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot build the network")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -996,6 +1004,10 @@ def test_missing_required_flag_exits_2(capsys):
     {"dt": 0.5, "network": "catalog:uniform-2-cycle", "window": 2},  # ran
     {"input": {"breaks": [0.0], "values": [[1.0, 2.0]]}},
     {"sweep_sizes": [2, 3], "input": {"breaks": [0.0], "values": [[1.0] * 3]}},
+    # a bool ran as 0.0 or 1.0 and exited 0
+    {"input": {"kind": "constant", "level": True}},
+    {"input": {"breaks": [0.0, True], "values": [1.0, 2.0]}},
+    {"input": {"breaks": [0.0], "values": [[1.0, 0.0, False]]}},
 ], ids=str)
 def test_bad_simulate_config_is_a_config_error(run_cli, capsys, changes):
     conf = {"network": "catalog:counterexample-chain", "window": 3,
@@ -1003,8 +1015,10 @@ def test_bad_simulate_config_is_a_config_error(run_cli, capsys, changes):
     conf.update(changes)
     code, out = run_cli("simulate", conf)
     assert code == 2
-    assert f"config error: {next(iter(changes))}" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {next(iter(changes))}")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # each of these but the list kind ran and exited 0: an unknown kind ran as
@@ -1023,6 +1037,34 @@ def test_input_takes_only_the_keys_of_its_kind(run_cli, capsys, spec,
                                      "horizon": 3, "input": spec})
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the config routes that read a curve object, by the key each names
+CURVE_ROUTES = {
+    "falsify.xi": lambda curve: ("gains-check", {
+        "network": "catalog:uniform-2-cycle", "seed": 1,
+        "falsify": {"xi": curve}}),
+    "graph": lambda curve: ("gains-check", {"seed": 1, "graph": {
+        "index_set": {"kind": "finite", "labels": [1, 2]},
+        "edges": [{"i": 1, "j": 2, "gain": curve}]}}),
+    "gamma_hat": lambda curve: ("certify", dict(SMALL_CERT, gamma_hat=curve)),
+}
+
+
+# a one-entry point ended in an IndexError traceback and exit 1 on each
+# route, and a three-entry point ran on its first two entries
+@pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]], ids=str)
+@pytest.mark.parametrize("key", list(CURVE_ROUTES))
+def test_a_pwl_point_that_is_not_a_pair_is_a_config_error(run_cli, capsys,
+                                                          point, key):
+    curve = {"kind": "pwl", "class": "K", "points": [[0.0, 0.0], point]}
+    code, out = run_cli(*CURVE_ROUTES[key](curve))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}")
+    assert "pwl points must be [r, value] pairs" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -326,22 +326,6 @@ def test_batched_radii_equal_the_per_radius_loop():
         assert (report.deficits, report.witnesses) == want
 
 
-def test_radii_share_calls_up_to_the_block_size(monkeypatch):
-    # each call takes as many radii as fit 4096 entries, at least one: all
-    # 24 on a solved 6-ring, 4 of 105 sampled rows on 8 nodes, and one on
-    # a 70-wide sampled window
-    wide = _one_saturating_edge({(i, (i + 1) % 70): 0.5 for i in range(70)},
-                                range(70))
-    for graph, radii_per_call, samples in ((_ring(6, 0.5), 24, 1),
-                                           (_mixed_graph(13, 8), 4, 105),
-                                           (wide, 1, 153)):
-        window = graph.index_set.labels
-        rows = _count_screening(monkeypatch, graph, window)
-        report = estimate_uniform_sgc(graph, window, radii=RADII)
-        assert report.samples_per_radius == samples
-        assert rows == [radii_per_call * samples] * (24 // radii_per_call)
-
-
 def test_summary_says_whether_the_estimate_is_exact(two_cycle):
     net, _ = two_cycle
     exact = estimate_uniform_sgc(net.graph, (1, 2)).summary()
@@ -471,16 +455,34 @@ def test_screened_rows_equal_the_budget(monkeypatch, budget):
     assert sum(rows) == budget
 
 
-def test_small_windows_screen_few_blocks(monkeypatch):
+def test_one_apply_batch_call_per_screened_level_and_per_estimate(
+        monkeypatch, two_cycle):
+    # the 6-ring with one saturating edge screens its whole budget: 48
+    # levels of 41 rows (budget // 48), then one cut to the 32 rows left
     labels = tuple(range(6))
     g = _one_saturating_edge({(i, (i + 1) % 6): 0.5 for i in labels}, labels)
     rows = _count_screening(monkeypatch, g, labels)
     assert falsify_mbi(g, labels, linear(4.0), budget=2000, seed=1) is None
-    assert sum(rows) == 2000
-    assert len(rows) <= 4          # one call per level would make 49
+    assert rows == [41] * 48 + [32]
+    # criterion 3's witness lies in the first level, so one call screens it
+    net, _ = two_cycle
+    rows = _count_screening(monkeypatch, net.graph, (1, 2))
+    wit = falsify_mbi(net.graph, (1, 2), linear(1.2), budget=10_000, seed=0)
+    assert wit.samples_used == 208 and rows == [208]
+    # the estimate takes every radius in one call: on a solved 6-ring, on
+    # 105 sampled rows over 8 nodes and on a 70-wide sampled window
+    wide = _one_saturating_edge({(i, (i + 1) % 70): 0.5 for i in range(70)},
+                                range(70))
+    for graph, samples in ((_ring(6, 0.5), 1), (_mixed_graph(13, 8), 105),
+                           (wide, 153)):
+        window = graph.index_set.labels
+        rows = _count_screening(monkeypatch, graph, window)
+        report = estimate_uniform_sgc(graph, window, radii=RADII)
+        assert report.samples_per_radius == samples
+        assert rows == [len(RADII) * samples]
 
 
-# Blocked screening against the per-level loop ---------------------------
+# The search against the reference per-level loop -----------------------
 
 
 def _reference_patterns(n, m, rng):
@@ -587,7 +589,7 @@ _LATER_SWEEP = [(1, 3, linear(2.0587), 5000), (4, 6, linear(8.252), 5000),
                 (14, 2, linear(1.8529), 5000)]
 
 
-def test_blocked_screening_equals_the_per_level_loop():
+def test_falsify_equals_the_reference_per_level_loop():
     cases = [(seed, n, xi, budget)
              for seed, n in [(0, 2), (1, 3), (2, 4), (3, 5), (25, 6),
                              (12, 7), (13, 8), (17, 5), (23, 4)]
