@@ -661,7 +661,15 @@ def curve_to_json(c: ScalarCurve) -> dict:
             "class": c.claimed_class}
 
 
+def _is_number(value) -> bool:
+    """A Python or numpy number; a bool is not a number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
+
+
 def curve_from_json(obj: dict) -> ScalarCurve:
+    """A curve from its wire form; every number in it must be a number,
+    not a bool or a string."""
     kind = obj.get("kind")
     cls = obj.get("class", "mono")
     if cls not in _CLASSES:
@@ -672,8 +680,19 @@ def curve_from_json(obj: dict) -> ScalarCurve:
             raise ValueError("pwl curve JSON needs points")
         if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in pts):
             raise ValueError(f"pwl points must be [r, value] pairs, got {pts!r}")
-        return pwl(pts, cls, floor=float(obj.get("floor", 0.0)))
+        if not all(_is_number(x) for p in pts for x in p):
+            raise ValueError(f"pwl points must be numbers, got {pts!r}")
+        floor = obj.get("floor", 0.0)
+        if not _is_number(floor):
+            raise ValueError(f"pwl floor must be a number, got {floor!r}")
+        return pwl(pts, cls, floor=float(floor))
     params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"curve params must be an object, got {params!r}")
+    for key, value in params.items():
+        if not _is_number(value):
+            raise ValueError(f"curve parameter {key!r} must be a number, "
+                             f"got {value!r}")
     if kind == "linear":
         return linear(params["a"], cls)
     if kind == "power":

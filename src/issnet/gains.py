@@ -22,9 +22,12 @@ a label sequence by the index set's window(spec), the one window rule:
 every function that takes a window, in any module, calls it once.  A
 sequence is a float array of finite entries >= 0 aligned with a window.
 A graph compiles each window, on first use, into a plan that walks the
-window's edges once and keeps them in walk order; restrict and the cycle
-screen read that list, and on an all-linear window the plan also solves
-v*(1), the least fixed point of v = Gamma(v) + 1, on first use.  Two
+window's edges once, keeps them in walk order and builds the kernel's
+arrays in the same walk; restrict and the cycle screen read that list, and
+a restricted graph keeps the plan of its subset.  On an all-linear window
+the plan also solves v*(1), the least fixed point of v = Gamma(v) + 1, on
+first use: policy iteration on Python floats read from the edge list, with
+one closing application of the kernel to check the result.  Two
 functions apply the operator.  apply_gain_operator is the reference: it
 walks the window's rows and calls every edge curve on one vector.
 apply_batch, the kernel of the small-gain searches, runs the plan: linear
@@ -35,14 +38,15 @@ produce the same bits for every input row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comparison import (ScalarCurve, _require_k_or_zero, curve_from_json,
-                         curve_max, curve_to_json, identity, linear,
-                         zero_curve)
+from .comparison import (ScalarCurve, _is_number, _require_k_or_zero,
+                         curve_from_json, curve_max, curve_to_json, identity,
+                         linear, zero_curve)
 
 __all__ = [
     "FiniteIndexSet",
@@ -99,17 +103,21 @@ def _labels(spec) -> tuple[int, ...]:
                          f"got {spec!r}") from None
     if not labels:
         raise ValueError("labels must be nonempty")
-    if not all(_is_label(i) for i in labels):
-        raise ValueError(f"labels must be integers, got {list(labels)}")
-    if any(type(i) is not int for i in labels):     # numpy integers
-        labels = tuple(map(int, labels))
+    if any(type(i) is not int for i in labels):
+        if not all(map(_is_label, labels)):
+            raise ValueError(f"labels must be integers, got {list(labels)}")
+        labels = tuple(map(int, labels))            # numpy integers
     if len(set(labels)) != len(labels):
         raise ValueError(f"labels must be distinct, got {list(labels)}")
     return labels
 
 
 class _WindowRule:
-    """The window rule, shared by both index sets."""
+    """The window rule and the label test, shared by both index sets; each
+    set's _holds(i) tells whether the Python int i is one of its labels."""
+
+    def __contains__(self, i) -> bool:
+        return _is_label(i) and self._holds(i)
 
     def window(self, spec=None) -> tuple[int, ...]:
         """The window ``spec`` names (None, a positive size or labels of
@@ -121,7 +129,7 @@ class _WindowRule:
                 raise ValueError(f"window size must be positive, got {spec}")
             return self._first(int(spec))
         labels = _labels(spec)
-        outside = [i for i in labels if i not in self]
+        outside = [i for i in labels if not self._holds(i)]
         if outside:
             raise ValueError(f"labels {outside} outside the index set")
         return labels
@@ -133,10 +141,12 @@ class FiniteIndexSet(_WindowRule):
     finite = True                   # a class constant, not a field
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _labels(self.labels))
+        labels = _labels(self.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_label_set", frozenset(labels))
 
-    def __contains__(self, i: int) -> bool:
-        return _is_label(i) and i in self.labels
+    def _holds(self, i: int) -> bool:
+        return i in self._label_set
 
     def _first(self, n: int | None) -> tuple[int, ...]:
         if n is None:
@@ -157,8 +167,8 @@ class GeneratorIndexSet(_WindowRule):
     def __post_init__(self):
         object.__setattr__(self, "start", _label(self.start, "index set start"))
 
-    def __contains__(self, i: int) -> bool:
-        return _is_label(i) and i >= self.start
+    def _holds(self, i: int) -> bool:
+        return i >= self.start
 
     def _first(self, n: int | None) -> tuple[int, ...]:
         if n is None:
@@ -190,7 +200,7 @@ class GainGraph:
         i, j = _label(i, "edge label"), _label(j, "edge label")
         if i == j:
             raise ValueError(f"diagonal gain ({i},{i}) is not allowed")
-        if i not in self.index_set or j not in self.index_set:
+        if not (self.index_set._holds(i) and self.index_set._holds(j)):
             raise ValueError(f"edge ({i},{j}) leaves the index set")
         _require_k_or_zero(g, f"gain ({i},{j})")
         return not g.is_zero()
@@ -229,24 +239,33 @@ class GainGraph:
 class _WindowPlan:
     """One graph on one window: ``edges`` in walk order as (row position,
     column position, curve), and what is derived from them.  Linear edges
-    are row-sorted (rows, cols, coeffs) arrays, each row's segment starting
-    at ``starts`` and each edge's segment number in ``segment``; other
-    curve kinds stay the per-edge list ``other``."""
+    are row-sorted (cols, coeffs) arrays, the edges of row ``targets[s]``
+    starting at ``starts[s]``; other curve kinds stay the per-edge list
+    ``other``."""
 
     def __init__(self, graph: GainGraph, window: tuple[int, ...]):
         self.window = window
         pos = {i: k for k, i in enumerate(window)}
-        self.edges = [(k, pos[j], g) for k, i in enumerate(window)
-                      for j, g in graph.row(i).items() if j in pos]
-        lin = [e for e in self.edges if e[2].kind == "linear"]
-        self.other = [e for e in self.edges if e[2].kind != "linear"]
-        rows = np.array([k for k, _, _ in lin], dtype=np.intp)
-        self.cols = np.array([j for _, j, _ in lin], dtype=np.intp)
-        self.coeffs = np.array([g.params["a"] for _, _, g in lin], dtype=float)
-        first = np.diff(rows, prepend=-1) != 0
-        self.starts = np.flatnonzero(first)
-        self.segment = np.cumsum(first) - 1
-        self.targets = rows[self.starts]
+        self.edges, self.other = [], []
+        cols, coeffs, starts, targets = [], [], [], []
+        for k, i in enumerate(window):
+            for j, g in graph.row(i).items():
+                if j not in pos:
+                    continue
+                edge = (k, pos[j], g)
+                self.edges.append(edge)
+                if g.kind != "linear":
+                    self.other.append(edge)
+                    continue
+                if not targets or targets[-1] != k:
+                    starts.append(len(cols))
+                    targets.append(k)
+                cols.append(edge[1])
+                coeffs.append(g.params["a"])
+        self.cols = np.array(cols, dtype=np.intp)
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.targets = np.array(targets, dtype=np.intp)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(b)
@@ -272,36 +291,47 @@ _POLICY_ROUNDS = 100
 def _linear_fixed_point(plan: _WindowPlan) -> np.ndarray | None:
     """v*(1) solving v_i = 1 + max_j a_ij v_j on an all-linear window.
 
-    Policy iteration (Howard 1960): a policy picks one edge per row with
-    edges; its values follow the policy's functional graph in O(n).  A row
-    switches edge only when the new product beats its current one by more
-    than 1e-12 relative, so exact ties cannot make the policy flip-flop.
-    None on a nonlinear edge, a policy cycle of gain at least 1, a value or
-    product that overflows, the round cap, or a v that one more operator
-    application moves by more than the fixed-point iteration's tolerance.
+    Policy iteration (Howard 1960) on Python floats read from plan.edges:
+    a policy picks one edge per row with edges, the first of the largest
+    coefficients to start with; its values follow the policy's functional
+    graph in O(n).  A row switches to its first largest product a_ij v_j
+    only when that beats its current one by more than 1e-12 relative, so
+    exact ties cannot make the policy flip-flop.  None on a nonlinear edge,
+    a policy cycle of gain at least 1, a value or product that overflows,
+    the round cap, or a v that one more operator application (plan.apply,
+    the kernel) moves by more than the fixed-point iteration's tolerance.
     """
     if plan.other:
         return None
-    succ = np.full(len(plan.window), -1)
-    gain = np.zeros(len(plan.window))
-    choice = _segment_argmax(plan.coeffs, plan)
+    n = len(plan.window)
+    coeffs = [g.params["a"] for _, _, g in plan.edges]
+    succ, gain = [-1] * n, [0.0] * n
+    for (k, j, _), a in zip(plan.edges, coeffs):
+        if a > gain[k]:                   # the first largest coefficient
+            succ[k], gain[k] = j, a
+    heads = [k for k in range(n) if succ[k] >= 0]
     for _ in range(_POLICY_ROUNDS):
-        succ[plan.targets] = plan.cols[choice]
-        gain[plan.targets] = plan.coeffs[choice]
-        v = _policy_values(succ.tolist(), gain.tolist())
+        v = _policy_values(succ, gain)
         if v is None:
             return None
-        with np.errstate(over="ignore"):
-            cand = plan.coeffs * v[plan.cols]
-        if not np.all(np.isfinite(cand)):
+        best, to, by = [0.0] * n, [-1] * n, [0.0] * n
+        for (k, j, _), a in zip(plan.edges, coeffs):
+            c = a * v[j]
+            if c > best[k]:               # the first largest product
+                best[k], to[k], by[k] = c, j, a
+        if math.inf in best:
             return None
-        best = _segment_argmax(cand, plan)
-        better = cand[best] - cand[choice] > 1e-12 * cand[choice]
-        if not better.any():
+        switched = False
+        for k in heads:
+            now = gain[k] * v[succ[k]]
+            if best[k] - now > 1e-12 * now:
+                succ[k], gain[k] = to[k], by[k]
+                switched = True
+        if not switched:
             break
-        choice = np.where(better, best, choice)
     else:
         return None
+    v = np.array(v)
     nxt = plan.apply(v[None, :]) + 1.0
     if not _settled(nxt, v[None, :], np.max(nxt, axis=1))[0]:
         return None
@@ -314,15 +344,7 @@ def _settled(nxt: np.ndarray, prev: np.ndarray, peak) -> np.ndarray:
     return np.max(np.abs(nxt - prev), axis=1) <= 1e-13 * np.maximum(1.0, peak)
 
 
-def _segment_argmax(vals: np.ndarray, plan: _WindowPlan) -> np.ndarray:
-    """Index of the first maximum of each row segment of vals, a value per
-    linear edge of the plan."""
-    best = np.maximum.reduceat(vals, plan.starts)
-    hits = np.where(vals == best[plan.segment], np.arange(vals.size), vals.size)
-    return np.minimum.reduceat(hits, plan.starts)
-
-
-def _policy_values(succ: list, gain: list) -> np.ndarray | None:
+def _policy_values(succ: list, gain: list) -> list | None:
     """Values of v_i = 1 + gain_i v_succ(i), with v_i = 1 where succ is -1.
 
     Every walk along succ ends at a row without an edge or enters a cycle;
@@ -356,8 +378,7 @@ def _policy_values(succ: list, gain: list) -> np.ndarray | None:
             if succ[c] >= 0:
                 v[c] = 1.0 + gain[c] * v[succ[c]]
             state[c] = 2
-    v = np.array(v)
-    return v if np.all(np.isfinite(v)) else None
+    return v if all(map(math.isfinite, v)) else None
 
 
 @dataclass(frozen=True)
@@ -457,13 +478,17 @@ def iterate(graph: GainGraph, v, n: int, window: Sequence[int]) -> np.ndarray:
 def restrict(graph: GainGraph, subset: Sequence[int]) -> GainGraph:
     """Finite subgraph on ``subset``: rows and columns meeting the subset,
     external gains carried over.  Equivalent to zeroing all gains into and
-    out of the complement."""
+    out of the complement.  The subgraph takes the plan compiled for the
+    subset as its plan on all its labels: its rows hold the same edges in
+    the same order."""
     plan = graph._plan(subset)
     labels = plan.window
     entries = {(labels[k], labels[j]): g for k, j, g in plan.edges}
     external = {i: g for i in labels
                 if not (g := graph.external_gain(i)).is_zero()}
-    return GainGraph(FiniteIndexSet(labels), entries, external)
+    sub = GainGraph(FiniteIndexSet(labels), entries, external)
+    sub._plans[labels] = plan
+    return sub
 
 
 # Serialization ----------------------------------------------------------
@@ -521,9 +546,7 @@ def _with_defaults(defaults: Mapping, params: Mapping, owner: str) -> dict:
     if unknown:
         raise ValueError(f"unknown parameters for {owner}: {sorted(unknown)}")
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)) \
-                or not np.isfinite(value):
+        if not _is_number(value) or not np.isfinite(value):
             raise ValueError(f"parameter {key!r} of {owner} must be a finite "
                              f"number, got {value!r}")
     return {**defaults, **params}

@@ -1068,6 +1068,28 @@ def test_a_pwl_point_that_is_not_a_pair_is_a_config_error(run_cli, capsys,
     assert not out.exists()
 
 
+# a bool ran as 1.0: a linear xi with "a": true found a witness on the
+# 2-cycle and exited 1, and a pwl floor of true ran as 1.0
+@pytest.mark.parametrize("curve, message", [
+    ({"kind": "linear", "params": {"a": True}},
+     "curve parameter 'a' must be a number, got True"),
+    ({"kind": "pwl", "class": "K", "points": [[0.0, 0.0], [True, 2.0]]},
+     "pwl points must be numbers"),
+    ({"kind": "pwl", "class": "K", "points": [[0.0, 0.0], [1.0, 2.0]],
+      "floor": True}, "pwl floor must be a number, got True"),
+], ids=["params", "points", "floor"])
+@pytest.mark.parametrize("key", list(CURVE_ROUTES))
+def test_a_bool_in_a_curve_is_a_config_error(run_cli, capsys, curve, message,
+                                             key):
+    code, out = run_cli(*CURVE_ROUTES[key](curve))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 BAD_GAIN = {"index_set": {"kind": "finite", "labels": [1, 2]},
             "edges": [{"i": 1, "j": 2, "gain": {"kind": "nope"}}]}
 

@@ -505,6 +505,25 @@ def test_curve_json_preserves_floor():
     assert curve_from_json(obj)(100.0) == 0.125
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "linear", "params": {"a": True}}, "parameter 'a'"),
+    ({"kind": "power", "params": {"a": 1.0, "p": False}}, "parameter 'p'"),
+    ({"kind": "sat", "params": {"a": "2"}}, "parameter 'a'"),
+    ({"kind": "linear", "params": [2.0]}, "params must be an object"),
+    ({"kind": "pwl", "points": [[0.0, 1.0], [1.0, True]]}, "points"),
+    ({"kind": "pwl", "points": [[0.0, 1.0]], "floor": False}, "floor"),
+    ({"kind": "pwl", "points": [[0.0, 1.0]], "floor": "0.5"}, "floor"),
+])
+def test_curve_json_numbers_are_numbers(obj, message):
+    with pytest.raises(ValueError, match=message):
+        curve_from_json(obj)
+    # numpy numbers, as a library caller may pass them, still read
+    assert curve_from_json({"kind": "linear",
+                            "params": {"a": np.float64(2.0)}})(1.5) == 3.0
+    assert curve_from_json({"kind": "pwl", "points": [[np.int64(0), 0.0],
+                                                      [1, 2]]})(0.5) == 1.0
+
+
 def test_surface_json_round_trip():
     sigma = identity()
     surf = kl_from_decay_table(_staircase_table((0.5, 1.0), sigma), sigma)

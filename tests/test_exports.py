@@ -51,7 +51,7 @@ def test_bench_tracer_targets_resolve(target):
 
 # the compiled plan's layout is gains' own: other modules ask the plan
 # (apply_batch, edges, fixed_point) instead of reading its arrays
-_PLAN_LAYOUT = {"coeffs", "cols", "starts", "segment", "targets", "other"}
+_PLAN_LAYOUT = {"coeffs", "cols", "starts", "targets", "other"}
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "gains"])

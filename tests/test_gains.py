@@ -1,5 +1,6 @@
 """Gain graphs and the max-type coupling operator."""
 
+import collections
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from issnet.gains import (
     iterate,
     restrict,
 )
+from issnet.network import subnetwork
 from issnet.smallgain import _directions, _iterated_directions
 
 
@@ -68,6 +70,25 @@ def test_windows_are_tuples_of_python_ints():
         chain.window()
     with pytest.raises(ValueError, match="outside the index set"):
         chain.window((1, 2))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ((0, True), "labels must be integers, got [0, True]"),
+    ((1, 0, 1), "labels must be distinct, got [1, 0, 1]"),
+    ((0, 5, 2, -1), "labels [5, -1] outside the index set"),
+    ((0, 1.0), "labels must be integers, got [0, 1.0]"),
+    ((), "labels must be nonempty"),
+])
+def test_the_window_rule_checks_each_label(spec, message):
+    for labels in (FiniteIndexSet((0, 1, 2)), GeneratorIndexSet(start=0)):
+        if labels.finite or "outside" not in message:
+            with pytest.raises(ValueError) as caught:
+                labels.window(spec)
+            assert str(caught.value) == message
+    assert GeneratorIndexSet(start=0).window((0, 5, 2)) == (0, 5, 2)
+    assert GeneratorIndexSet(start=1).window(np.array([3, 1])) == (3, 1)
+    with pytest.raises(ValueError, match=r"labels \[0\] outside"):
+        GeneratorIndexSet(start=1).window((0, 2))
 
 
 def test_row_lookup(cycle_graph):
@@ -177,6 +198,53 @@ def test_restrict_never_increases(cycle_graph):
     for v in (0.5, 1.0, 3.0):
         out = apply_gain_operator(sub, np.array([v]), (0,))
         assert out[0] == 0.0
+
+
+def _same_plan(plan, fresh):
+    assert plan.window == fresh.window
+    assert [(k, j) for k, j, _ in plan.edges] == \
+        [(k, j) for k, j, _ in fresh.edges]
+    assert all(g is h for (_, _, g), (_, _, h) in zip(plan.edges, fresh.edges))
+    assert plan.other == fresh.other
+    for name in ("cols", "coeffs", "starts", "targets"):
+        mine, theirs = getattr(plan, name), getattr(fresh, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    v, w = plan.fixed_point, gains._linear_fixed_point(fresh)
+    assert (v is None and w is None) or v.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("name, subset", [
+    ("linear-diffusive-chain", (7, 3, 4, 5, 12)),
+    ("nonuniform-discrete-chain", range(2, 40)),
+    ("uniform-2-cycle", [2]),
+])
+def test_a_restricted_graph_keeps_the_subsets_plan(name, subset):
+    net, _ = instantiate(name)
+    sub = restrict(net.graph, subset)
+    labels = sub.index_set.labels
+    assert labels == net.graph.index_set.window(subset)
+    plan = sub._plan(labels)
+    assert plan is net.graph._plan(labels) and sub._plans == {labels: plan}
+    _same_plan(plan, gains._WindowPlan(sub, labels))
+    # the subgraph is the one it was before it took the plan
+    rebuilt = GainGraph(FiniteIndexSet(labels),
+                        {(i, j): g for i in labels
+                         for j, g in net.graph.row(i).items() if j in labels},
+                        {i: net.graph.external_gain(i) for i in labels})
+    assert graph_to_json(sub) == graph_to_json(rebuilt)
+
+
+def test_subnetworks_keep_their_graphs_and_solves():
+    net, _ = instantiate("linear-diffusive-chain")
+    for subset in ((0, 1, 2), (3, 1, 2, 9), tuple(range(5, 60))):
+        sub = subnetwork(net, subset)
+        labels = sub.index_set.labels
+        assert sub.graph.index_set == sub.index_set
+        _same_plan(sub.graph._plan(labels), gains._WindowPlan(sub.graph,
+                                                               labels))
+        x = np.linspace(0.0, 3.0, len(labels))
+        assert np.array_equal(apply_batch(sub.graph, x[None, :], labels)[0],
+                              apply_gain_operator(net.graph, x, labels))
 
 
 # Generators and structure checks ---------------------------------------
@@ -325,7 +393,12 @@ def test_graph_json_labels_must_not_repeat(obj, match):
 def test_only_integers_are_members_of_an_index_set():
     assert 0.7 not in GeneratorIndexSet()
     assert True not in FiniteIndexSet((0, 1))
+    assert 1.0 not in FiniteIndexSet((0, 1))
     assert np.int64(1) in FiniteIndexSet((0, 1))
+    assert 2 not in FiniteIndexSet((0, 1))
+    chain = GeneratorIndexSet(start=3)
+    assert True not in chain and 3.0 not in chain and 2 not in chain
+    assert np.int64(3) in chain and 10**20 in chain
     with pytest.raises(KeyError):
         graph_from_json({"index_set": {"kind": "generator",
                                        "name": "bidirectional-chain"}}).row(0.7)
@@ -402,33 +475,126 @@ def test_the_fixed_point_is_solved_once_and_kept(monkeypatch):
     assert calls == [(0, 1), (0, 1)]
 
 
-def _todays_segment_argmax(vals, starts):
-    """_segment_argmax as it was before plans kept each edge's segment."""
-    best = np.maximum.reduceat(vals, starts)
-    sizes = np.diff(np.append(starts, vals.size))
-    hits = np.flatnonzero(vals == np.repeat(best, sizes))
-    seg = np.searchsorted(starts, hits, side="right")
-    return hits[np.flatnonzero(np.diff(seg, prepend=0))]
+def _numpy_fixed_point(plan):
+    """The numpy policy iteration that solved v*(1) before the solve read
+    Python floats from plan.edges: the reference, bit for bit.  It rebuilds
+    the linear arrays the way plans did then, with each edge's segment, and
+    returns (v or None, the step that ended the solve)."""
+    if plan.other:
+        return None, "nonlinear"
+    rows = np.array([k for k, _, _ in plan.edges], dtype=np.intp)
+    cols = np.array([j for _, j, _ in plan.edges], dtype=np.intp)
+    coeffs = np.array([g.params["a"] for _, _, g in plan.edges], dtype=float)
+    first = np.diff(rows, prepend=-1) != 0
+    starts = np.flatnonzero(first)
+    segment = np.cumsum(first) - 1
+    targets = rows[starts]
+    for mine, theirs in ((cols, plan.cols), (coeffs, plan.coeffs),
+                         (starts, plan.starts), (targets, plan.targets)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+    def segment_argmax(vals):
+        best = np.maximum.reduceat(vals, starts)
+        hits = np.where(vals == best[segment], np.arange(vals.size), vals.size)
+        return np.minimum.reduceat(hits, starts)
+
+    succ = np.full(len(plan.window), -1)
+    gain = np.zeros(len(plan.window))
+    choice = segment_argmax(coeffs)
+    for _ in range(gains._POLICY_ROUNDS):
+        succ[targets] = cols[choice]
+        gain[targets] = coeffs[choice]
+        v = gains._policy_values(succ.tolist(), gain.tolist())
+        if v is None:
+            return None, "values"
+        v = np.array(v)
+        with np.errstate(over="ignore"):
+            cand = coeffs * v[cols]
+        if not np.all(np.isfinite(cand)):
+            return None, "products"
+        best = segment_argmax(cand)
+        better = cand[best] - cand[choice] > 1e-12 * cand[choice]
+        if not better.any():
+            break
+        choice = np.where(better, best, choice)
+    else:
+        return None, "rounds"
+    nxt = plan.apply(v[None, :]) + 1.0
+    if not gains._settled(nxt, v[None, :], np.max(nxt, axis=1))[0]:
+        return None, "unsettled"
+    return v, "solved"
 
 
-def test_segment_argmax_keeps_the_first_of_tied_maxima():
-    # values from a few integers tie within most segments; some rows have
-    # no edge, some one, and the window is permuted
+def _same_solve(plan, monkeypatch):
+    """The plan's v*(1) has the reference's bits, or both are None, after
+    the same policies in the same rounds; the step that ended the
+    reference's solve."""
+    values = gains._policy_values
+
+    def recorded(seen):
+        def policy_values(succ, gain):
+            seen.append((list(succ), list(gain)))
+            return values(succ, gain)
+        return policy_values
+
+    theirs, mine = [], []
+    monkeypatch.setattr(gains, "_policy_values", recorded(theirs))
+    want, why = _numpy_fixed_point(plan)
+    monkeypatch.setattr(gains, "_policy_values", recorded(mine))
+    got = gains._linear_fixed_point(plan)
+    monkeypatch.setattr(gains, "_policy_values", values)
+    assert mine == theirs
+    if want is None or got is None:
+        assert want is None and got is None, plan.window
+    else:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return why
+
+
+def _oracle_graph(rng):
+    """A linear graph on 2-11 nodes in one of four families: tied
+    coefficients, contracting rows, coefficients up to 1e160 on an acyclic
+    graph, whose values and products overflow, and coefficients around 1
+    that close cycles of gain >= 1."""
+    n = int(rng.integers(2, 12))
+    family = int(rng.integers(4))
+    draw = [lambda: float(rng.choice([0.125, 0.25, 0.5])),
+            lambda: float(rng.uniform(0.05, 0.9)),
+            lambda: float(10.0 ** rng.uniform(-1.0, 160.0)),
+            lambda: float(rng.uniform(0.5, 1.5))][family]
+    coeffs = {(i, j): linear(draw()) for i in range(n) for j in range(n)
+              if (i < j if family == 2 else i != j) and rng.random() < 0.45}
+    return family, _graph(coeffs or {(0, 1): linear(0.5)}, labels=range(n))
+
+
+def test_the_fixed_point_keeps_the_bits_of_the_numpy_solve(monkeypatch):
+    # windows are permuted, so a row's edges follow its own order
     rng = np.random.default_rng(0)
-    ties = 0
-    for _ in range(300):
-        n = int(rng.integers(2, 12))
-        coeffs = {(i, j): linear(0.5) for i in range(n) for j in range(n)
-                  if i != j and rng.random() < 0.4} or {(0, 1): linear(0.5)}
-        plan = _graph(coeffs, labels=range(n))._plan(
-            tuple(int(i) for i in rng.permutation(n)))
-        vals = rng.integers(0, 3, plan.coeffs.size).astype(float)
-        got = gains._segment_argmax(vals, plan)
-        assert np.array_equal(got, _todays_segment_argmax(vals, plan.starts))
-        assert got.dtype == np.intp
-        at_max = vals == vals[got][plan.segment]
-        ties += int(np.sum(np.bincount(plan.segment, at_max) > 1))
-    assert ties > 100
+    ends, tied = collections.Counter(), 0
+    for _ in range(3000):
+        family, graph = _oracle_graph(rng)
+        n = len(graph.index_set.labels)
+        plan = graph._plan(tuple(int(i) for i in rng.permutation(n)))
+        ends[family, _same_solve(plan, monkeypatch)] += 1
+        tied += any(len(r) > len(set(g.params["a"] for g in r.values()))
+                    for r in graph.rows.values())
+    # every family solves some windows; huge coefficients overflow a
+    # product or a policy value, and cycles of gain >= 1 have no values
+    assert all(ends[family, "solved"] > 100 for family in range(4))
+    assert ends[2, "products"] > 40 and ends[2, "values"] > 100
+    assert ends[3, "values"] > 300
+    assert tied > 400
+
+
+@pytest.mark.parametrize("name", ["counterexample-chain",
+                                  "nonuniform-discrete-chain",
+                                  "linear-diffusive-chain"])
+def test_catalog_fixed_points_keep_the_bits_of_the_numpy_solve(name,
+                                                              monkeypatch):
+    net, _ = instantiate(name)
+    for size in (10, 100, 1000):
+        plan = net.graph._plan(net.graph.index_set.window(size))
+        assert _same_solve(plan, monkeypatch) == "solved"
 
 
 @pytest.mark.parametrize("entries", [

@@ -1,6 +1,8 @@
 """Small-gain estimation, falsification, and cycle screening."""
 
+import importlib.util
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -676,6 +678,42 @@ def test_both_searches_share_one_solve(monkeypatch):
     report = estimate_uniform_sgc(graph, window, seed=1)
     assert falsify_mbi(graph, window, report.xi_hat, budget=100, seed=1) is None
     assert calls == [window]
+
+
+def _bench_workloads():
+    """perfbench/workloads.py, loaded from the file as it is."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_criterion_6_family_compiles_and_solves_each_window_once(
+        monkeypatch):
+    # per graph: the graph, its restriction and its shrunk copy; the
+    # restricted graph takes the plan restrict compiled on its subset
+    plans, solves = [], []
+
+    class Counted(gains._WindowPlan):
+        def __init__(self, graph, window):
+            plans.append(window)
+            super().__init__(graph, window)
+
+    def counted(plan):
+        solves.append(plan.window)
+        return solve(plan)
+
+    solve = gains._linear_fixed_point
+    monkeypatch.setattr(gains, "_WindowPlan", Counted)
+    monkeypatch.setattr(gains, "_linear_fixed_point", counted)
+    workloads = _bench_workloads()
+    inputs = workloads.make_inputs("falsify-small", 0)
+    assert workloads.GATE_SEEDS["falsify-small"] == 2026
+    results, _ = workloads._falsify_loop(inputs)
+    assert all(r["holds"] and r["witnesses"] == [False] * 3 for r in results)
+    assert len(plans) == len(solves) == 300
 
 
 def test_an_overflowing_solve_falls_back_to_the_iteration():
